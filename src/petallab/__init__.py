@@ -7,7 +7,7 @@ The package is organized bottom-up:
   plus the log-anchored point type that tracks orbits far beyond float
   range.
 - ``confmap``: invertible conformal map steps and chains with exact
-  derivatives and boundary-point transport.
+  derivatives.
 - ``models``: the closed-form model catalog (one hyperbolic, one
   parabolic, one elliptic example) with petals and Koenigs coordinates.
 - ``semigroup``: orbit evaluation in every chart, the infinitesimal
@@ -19,159 +19,65 @@ The package is organized bottom-up:
 - ``verify``: the one-shot numerical check suite; ``lab``: the CLI.
 """
 
-from .hypcore import (
-    INFINITY,
-    BoundaryPoint,
-    CanonicalDomain,
-    DomainError,
-    Geodesic,
-    Mobius,
-    UhpLogPoint,
-    axis_distance,
-    disk_distance,
-    geodesic_through,
-    on_boundary,
-    project_to_geodesic,
-    strip_distance,
-    strip_to_uhp,
-    uhp_distance,
-    uhp_log_distance,
-    uhp_to_strip,
-)
-from .confmap import (
-    Affine,
-    ApproachRay,
-    ConformalChain,
-    ExpStep,
-    LogStep,
-    MapDomainError,
-    MapStep,
-    MobiusStep,
-    PowerStep,
-    SlitCloseStep,
-    SlitOpenStep,
-)
-from .models import (
-    MODEL_NAMES,
-    HalfPlaneImage,
-    KoenigsModel,
-    Petal,
-    SectorImage,
-    StripImage,
-    by_name,
-    catalog,
-    sample_petal_omega,
-)
+# The public surface: what the demos, the README and the benchmark import,
+# plus the typed errors those functions raise.  Everything else is reached
+# through its module (``petallab.models``, ``petallab.speeds``, ...).
+from .hypcore import DomainError
+from .confmap import MapDomainError
+from .models import by_name, catalog, sample_petal_omega
 from .semigroup import (
     DiagnosticError,
-    OrbitPoint,
     PetalRequiredError,
-    RepellingReport,
     flow,
     generator,
-    regularity_gap,
     repelling_diagnostics,
 )
 from .speeds import (
     EstimationError,
-    SpeedSample,
-    SpeedSeries,
     dyadic_grid,
-    forward_speed,
-    orthogonal_speed,
     slope_estimate,
     speed_sample,
     speed_series,
-    tangential_speed,
-    total_speed,
 )
-from .hmeasure import Arc, ApproachReport, approach_angle, harmonic_measure
+from .hmeasure import Arc, approach_angle
 from .bounds import (
-    BoundaryProfile,
     bound_ratio_series,
     custom_profile,
     gaussian_profile,
     logrecip_profile,
     lower_bound,
-    profile_from_file,
     profile_from_table,
     upper_bound,
 )
-from .verify import CheckResult, run_all
+from .verify import run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITY",
-    "BoundaryPoint",
-    "CanonicalDomain",
     "DomainError",
-    "Geodesic",
-    "Mobius",
-    "UhpLogPoint",
-    "axis_distance",
-    "disk_distance",
-    "geodesic_through",
-    "on_boundary",
-    "project_to_geodesic",
-    "strip_distance",
-    "strip_to_uhp",
-    "uhp_distance",
-    "uhp_log_distance",
-    "uhp_to_strip",
-    "Affine",
-    "ApproachRay",
-    "ConformalChain",
-    "ExpStep",
-    "LogStep",
     "MapDomainError",
-    "MapStep",
-    "MobiusStep",
-    "PowerStep",
-    "SlitCloseStep",
-    "SlitOpenStep",
-    "MODEL_NAMES",
-    "HalfPlaneImage",
-    "KoenigsModel",
-    "Petal",
-    "SectorImage",
-    "StripImage",
     "by_name",
     "catalog",
     "sample_petal_omega",
     "DiagnosticError",
-    "OrbitPoint",
     "PetalRequiredError",
-    "RepellingReport",
     "flow",
     "generator",
-    "regularity_gap",
     "repelling_diagnostics",
     "EstimationError",
-    "SpeedSample",
-    "SpeedSeries",
     "dyadic_grid",
-    "forward_speed",
-    "orthogonal_speed",
     "slope_estimate",
     "speed_sample",
     "speed_series",
-    "tangential_speed",
-    "total_speed",
     "Arc",
-    "ApproachReport",
     "approach_angle",
-    "harmonic_measure",
-    "BoundaryProfile",
     "bound_ratio_series",
     "custom_profile",
     "gaussian_profile",
     "logrecip_profile",
     "lower_bound",
-    "profile_from_file",
     "profile_from_table",
     "upper_bound",
-    "CheckResult",
     "run_all",
     "__version__",
 ]

@@ -1,11 +1,11 @@
 """Composable, invertible elementary conformal map steps and chains.
 
 A chain carries an ordered list of elementary steps linking a model domain
-to one of the canonical domains, together with analytic derivatives and
-boundary-point transport.  Branch-carrying steps (Log, Power, the slit
-closure pair) store the half-line or segment their cut occupies; chains are
-built so cuts stay outside the source region, and evaluation refuses points
-within ``EPS_CUT`` of a cut instead of guessing a branch.
+to one of the canonical domains, together with analytic derivatives.
+Branch-carrying steps (Log, Power, the slit closure pair) store the
+half-line or segment their cut occupies; chains are built so cuts stay
+outside the source region, and evaluation refuses points within
+``EPS_CUT`` of a cut instead of guessing a branch.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .hypcore import CanonicalDomain, BoundaryPoint, INFINITY, Mobius
+from .hypcore import CanonicalDomain, Mobius
 
 EPS_CUT = 1e-12
 _TWO_PI = 2.0 * math.pi
@@ -222,25 +222,6 @@ class SlitOpenStep(MapStep):
 
 
 @dataclass(frozen=True)
-class ApproachRay:
-    """Interior ray describing how a boundary datum is approached.
-
-    Inward rays sample origin + direction * 2^-k and describe the prime end
-    at the origin; outward rays sample origin + direction * 2^k and describe
-    an end at infinity.
-    """
-
-    origin: complex
-    direction: complex
-    outward: bool = False
-    k_start: int = 0
-
-    def point(self, k: int) -> complex:
-        scale = 2.0 ** k if self.outward else 2.0 ** (-k)
-        return self.origin + self.direction * scale
-
-
-@dataclass(frozen=True)
 class ConformalChain:
     """Ordered composition of elementary steps from a source region onto a
     canonical domain."""
@@ -300,114 +281,3 @@ class ConformalChain:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise MapDomainError("evaluation left float range", step_index=i)
         return z
-
-    def push_boundary_point(self, b: BoundaryPoint, ray: ApproachRay,
-                            tol: float = 1e-8) -> BoundaryPoint:
-        """Transport a boundary/prime-end datum along an interior approach ray.
-
-        Evaluates the chain along the ray and extrapolates (Aitken).  A
-        sequence escaping past 1e8 with persistent geometric growth is
-        declared the point at infinity.  A sequence that neither stabilizes
-        within ``tol`` nor escapes raises :class:`MapDomainError`.
-        """
-        if ray.outward and not b.is_infinity:
-            raise MapDomainError("outward rays describe ends at infinity")
-        if not ray.outward and (b.is_infinity or abs(b.value - ray.origin) > 1e-9):
-            raise MapDomainError("inward ray origin must match the boundary datum")
-        vals: list[complex] = []
-        for k in range(ray.k_start, ray.k_start + 80):
-            p = ray.point(k)
-            if not self.source_contains(p):
-                continue
-            try:
-                v = self.eval(p)
-            except MapDomainError:
-                if _escaping(vals):
-                    return INFINITY
-                # the ray may leave the evaluable region (cut guards,
-                # underflow) after the images have already stabilized
-                if len(vals) >= 2 and abs(vals[-1] - vals[-2]) < tol:
-                    return BoundaryPoint(_aitken_tail(vals))
-                continue
-            vals.append(v)
-            if _escaping(vals):
-                return INFINITY
-            if len(vals) >= 3 and abs(vals[-1] - vals[-2]) < tol:
-                extrap = _aitken_tail(vals)
-                if abs(extrap - vals[-1]) <= max(abs(vals[-1] - vals[-2]), tol):
-                    return BoundaryPoint(extrap)
-        raise MapDomainError(f"boundary transport along {ray!r} did not stabilize")
-
-    def to_text(self) -> str:
-        """One step per line, parameters with 17 significant digits."""
-        return "".join(_format_step(s) + "\n" for s in self.steps)
-
-    @classmethod
-    def from_text(cls, text: str, *, target: CanonicalDomain,
-                  source_contains: Callable[[complex], bool],
-                  name: str = "") -> "ConformalChain":
-        steps = tuple(_parse_step(line) for line in text.splitlines() if line.strip())
-        return cls(steps, target, source_contains, name)
-
-
-def _aitken_tail(vals: list[complex]) -> complex:
-    """Aitken acceleration of the last three values (last value if fewer)."""
-    if len(vals) < 3:
-        return vals[-1]
-    x0, x1, x2 = vals[-3], vals[-2], vals[-1]
-    denom = (x2 - x1) - (x1 - x0)
-    return x2 if denom == 0 else x2 - (x2 - x1) ** 2 / denom
-
-
-def _escaping(vals: list[complex]) -> bool:
-    """Persistent geometric growth past 1e8 marks an end at infinity."""
-    if len(vals) < 4:
-        return False
-    mags = [abs(v) for v in vals[-4:]]
-    return mags[-1] > 1e8 and all(mags[i + 1] > 1.2 * mags[i] for i in range(3))
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _format_step(step: MapStep) -> str:
-    if isinstance(step, Affine):
-        return f"affine {_fmt(step.a.real)} {_fmt(step.a.imag)} {_fmt(step.b.real)} {_fmt(step.b.imag)}"
-    if isinstance(step, ExpStep):
-        return "exp"
-    if isinstance(step, LogStep):
-        return f"log {_fmt(step.cut)}"
-    if isinstance(step, PowerStep):
-        return f"power {_fmt(step.alpha)} {_fmt(step.cut)}"
-    if isinstance(step, MobiusStep):
-        m = step.m
-        parts = [m.a, m.b, m.c, m.d]
-        nums = " ".join(f"{_fmt(p.real)} {_fmt(p.imag)}" for p in map(complex, parts))
-        return f"mobius {nums}"
-    if isinstance(step, SlitCloseStep):
-        return "slitclose"
-    if isinstance(step, SlitOpenStep):
-        return "slitopen"
-    raise ValueError(f"unknown step type {type(step).__name__}")
-
-
-def _parse_step(line: str) -> MapStep:
-    parts = line.split()
-    kind, args = parts[0], [float(x) for x in parts[1:]]
-    if kind == "affine":
-        return Affine(complex(args[0], args[1]), complex(args[2], args[3]))
-    if kind == "exp":
-        return ExpStep()
-    if kind == "log":
-        return LogStep(args[0])
-    if kind == "power":
-        return PowerStep(args[0], args[1])
-    if kind == "mobius":
-        return MobiusStep(Mobius(complex(args[0], args[1]), complex(args[2], args[3]),
-                                 complex(args[4], args[5]), complex(args[6], args[7])))
-    if kind == "slitclose":
-        return SlitCloseStep()
-    if kind == "slitopen":
-        return SlitOpenStep()
-    raise ValueError(f"unknown step kind {kind!r}")

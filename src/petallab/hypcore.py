@@ -22,10 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-_LOG2 = math.log(2.0)
 _HALF_PI = 0.5 * math.pi
-
-EPS_BOUNDARY = 1e-12
 
 
 class DomainError(ValueError):
@@ -65,22 +62,6 @@ class BoundaryPoint:
 INFINITY = BoundaryPoint(None)
 
 
-def on_boundary(domain: CanonicalDomain, b: BoundaryPoint,
-                tol: float = EPS_BOUNDARY) -> bool:
-    """True when ``b`` lies on the boundary of ``domain`` within ``tol``.
-
-    Infinity counts as boundary for the half-plane and the strip (where it
-    stands for the right end ``Re -> +inf``), never for the disk.
-    """
-    if domain is CanonicalDomain.DISK:
-        return (not b.is_infinity) and abs(abs(b.value) - 1.0) <= tol
-    if b.is_infinity:
-        return True
-    if domain is CanonicalDomain.UPPER_HALF_PLANE:
-        return abs(b.value.imag) <= tol
-    return abs(abs(b.value.imag) - _HALF_PI) <= tol
-
-
 @dataclass(frozen=True)
 class Mobius:
     """Fractional linear map ``z -> (a z + b) / (c z + d)`` with ad - bc != 0."""
@@ -116,31 +97,12 @@ class Mobius:
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other: "Mobius") -> "Mobius":
-        """Composition applying ``other`` first: (self.compose(other))(z) = self(other(z))."""
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
 
 # Standard transports between the canonical domains.  CAYLEY_DISK_TO_UHP
 # sends 0 -> i, 1 -> infinity, -1 -> 0, the real diameter to the imaginary
 # axis.
 CAYLEY_DISK_TO_UHP = Mobius(1j, 1j, -1.0 + 0j, 1.0 + 0j)
 CAYLEY_UHP_TO_DISK = CAYLEY_DISK_TO_UHP.inverse()
-
-
-def strip_to_uhp(z: complex) -> complex:
-    """Conformal map of the strip {|Im z| < pi/2} onto the upper half-plane."""
-    return 1j * cmath.exp(z)
-
-
-def uhp_to_strip(q: complex) -> complex:
-    """Inverse of :func:`strip_to_uhp` (principal branch)."""
-    return cmath.log(q) - 1j * _HALF_PI
 
 
 def _require_finite(*points: complex) -> None:
@@ -288,167 +250,3 @@ def axis_distance(theta: float) -> float:
     if not 0.0 < theta < math.pi:
         raise DomainError(f"argument must lie in (0, pi), got {theta!r}")
     return 0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta))
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """A complete geodesic in normalized form.
-
-    Working coordinates are the domain itself for the disk and half-plane,
-    and the half-plane image under z -> i e^z for the strip (so the strip's
-    right end Re -> +inf is the half-plane point at infinity and its left
-    end is 0).  ``endpoints`` holds (given endpoint, far endpoint) in
-    working coordinates.  ``normalizer`` is a Mobius self-map of the working
-    domain carrying the endpoint pair onto {0, inf} (half-plane working
-    coordinates) or {-1, +1} (disk).
-    """
-
-    domain: CanonicalDomain
-    endpoints: tuple[BoundaryPoint, BoundaryPoint]
-    normalizer: Mobius
-
-    def __post_init__(self) -> None:
-        e0, e1 = self.endpoints
-        if e0.is_infinity and e1.is_infinity:
-            raise DomainError("geodesic endpoints must be distinct")
-        if not e0.is_infinity and not e1.is_infinity and e0.value == e1.value:
-            raise DomainError("geodesic endpoints must be distinct")
-
-
-def _uhp_geodesic(u: complex, end: BoundaryPoint,
-                  ) -> tuple[tuple[BoundaryPoint, BoundaryPoint], Mobius]:
-    """Endpoints (given, far) and normalizer of the half-plane geodesic
-    through interior point u with prescribed boundary endpoint."""
-    if end.is_infinity:
-        foot = BoundaryPoint(complex(u.real, 0.0))
-        return (INFINITY, foot), Mobius(1.0, -u.real, 0.0, 1.0)
-    s0 = end.value.real
-    if u.real == s0:
-        # vertical line: the second endpoint is infinity
-        return (BoundaryPoint(complex(s0, 0.0)), INFINITY), Mobius(1.0, -s0, 0.0, 1.0)
-    # half-circle orthogonal to the real axis through u and s0
-    c = (u.real * u.real + u.imag * u.imag - s0 * s0) / (2.0 * (u.real - s0))
-    e = 2.0 * c - s0
-    sign = 1.0 if s0 > e else -1.0
-    # real coefficients with positive determinant sign*(s0-e) preserve the
-    # half-plane; s0 -> 0 and e -> infinity
-    norm = Mobius(sign, -sign * s0, 1.0, -e)
-    return (BoundaryPoint(complex(s0, 0.0)), BoundaryPoint(complex(e, 0.0))), norm
-
-
-def geodesic_through(domain: CanonicalDomain, interior: complex,
-                     endpoint: BoundaryPoint,
-                     tol: float = EPS_BOUNDARY) -> Geodesic:
-    """The geodesic of ``domain`` through ``interior`` with the prescribed
-    boundary ``endpoint``.
-
-    In the half-plane with endpoint infinity (and in the strip with the
-    right-end datum) the geodesic is the vertical line through the interior
-    point.  Boundary values are snapped exactly onto the boundary before
-    use; values farther than ``tol`` from the boundary raise
-    :class:`DomainError`.
-    """
-    interior = complex(interior)
-    if not domain.contains(interior):
-        raise DomainError(f"{interior!r} is not interior to {domain.value}")
-    if not on_boundary(domain, endpoint, tol):
-        raise DomainError(f"{endpoint!r} is not on the boundary of {domain.value}")
-
-    if domain is CanonicalDomain.UPPER_HALF_PLANE:
-        end = endpoint if endpoint.is_infinity else BoundaryPoint(
-            complex(endpoint.value.real, 0.0))
-        endpoints, norm = _uhp_geodesic(interior, end)
-        return Geodesic(domain, endpoints, norm)
-
-    if domain is CanonicalDomain.STRIP_PI:
-        u = strip_to_uhp(interior)
-        if endpoint.is_infinity:
-            end = INFINITY
-        else:
-            v = endpoint.value
-            wall = math.copysign(_HALF_PI, v.imag)
-            # i e^(x +- i pi/2) = -+ e^x, exactly real
-            end = BoundaryPoint(complex(-math.copysign(math.exp(v.real), wall), 0.0))
-        endpoints, norm = _uhp_geodesic(u, end)
-        return Geodesic(domain, endpoints, norm)
-
-    # disk: transport to the half-plane, build there, conjugate back
-    val = endpoint.value / abs(endpoint.value)
-    u = CAYLEY_DISK_TO_UHP.apply(interior)
-    bu = CAYLEY_DISK_TO_UHP.apply_boundary(BoundaryPoint(val))
-    if not bu.is_infinity:
-        bu = BoundaryPoint(complex(bu.value.real, 0.0))
-    (given_u, far_u), n_u = _uhp_geodesic(u, bu)
-    norm = CAYLEY_UHP_TO_DISK.compose(n_u).compose(CAYLEY_DISK_TO_UHP)
-    far = CAYLEY_UHP_TO_DISK.apply_boundary(far_u)
-    if not far.is_infinity:
-        far = BoundaryPoint(far.value / abs(far.value))
-    return Geodesic(domain, (BoundaryPoint(val), far), norm)
-
-
-def _to_working(g: Geodesic, w: complex) -> complex:
-    """Map a domain point of g into normalized half-plane coordinates."""
-    if g.domain is CanonicalDomain.DISK:
-        v = g.normalizer.apply(w)
-        u = None if v is None else CAYLEY_DISK_TO_UHP.apply(v)
-    elif g.domain is CanonicalDomain.STRIP_PI:
-        u = g.normalizer.apply(strip_to_uhp(w))
-    else:
-        u = g.normalizer.apply(w)
-    if u is None or u.imag <= 0.0:
-        raise DomainError("point does not normalize into the half-plane")
-    return u
-
-
-def _from_working(g: Geodesic, u: complex) -> complex:
-    """Inverse of :func:`_to_working`."""
-    inv = g.normalizer.inverse()
-    if g.domain is CanonicalDomain.DISK:
-        return inv.apply(CAYLEY_UHP_TO_DISK.apply(u))
-    if g.domain is CanonicalDomain.STRIP_PI:
-        return uhp_to_strip(inv.apply(u))
-    return inv.apply(u)
-
-
-def project_to_geodesic(w: complex, g: Geodesic) -> tuple[complex, float]:
-    """Closest-point projection of ``w`` onto the geodesic ``g``.
-
-    Returns (foot, dist).  In normalized half-plane coordinates the foot of
-    u is i|u| and the distance is |log tan(arg(u)/2)| / 2; both are mapped
-    back through the normalizer.
-    """
-    w = complex(w)
-    if not g.domain.contains(w):
-        raise DomainError(f"{w!r} is not interior to {g.domain.value}")
-    u = _to_working(g, w)
-    theta = math.atan2(u.imag, u.real)
-    dist = axis_distance(theta)
-    foot = _from_working(g, 1j * abs(u))
-    return foot, dist
-
-
-def _geodesic_point(g: Geodesic, s: float) -> complex:
-    """Point of g at arc parameter s: preimage of i e^s (test helper)."""
-    return _from_working(g, 1j * math.exp(s))
-
-
-def _domain_distance(domain: CanonicalDomain, z: complex, w: complex) -> float:
-    if domain is CanonicalDomain.DISK:
-        return disk_distance(z, w)
-    if domain is CanonicalDomain.UPPER_HALF_PLANE:
-        return uhp_distance(z, w)
-    return strip_distance(z, w)
-
-
-def _project_by_search(w: complex, g: Geodesic) -> tuple[complex, float]:
-    """Brute-force projection oracle: bounded 1-D minimization of the
-    distance along the geodesic parameter, tolerance 1e-12 in the
-    parameter.  Slow; intended for property tests only."""
-    from scipy.optimize import minimize_scalar
-
-    def dist_at(s: float) -> float:
-        return _domain_distance(g.domain, w, _geodesic_point(g, s))
-
-    res = minimize_scalar(dist_at, bounds=(-40.0, 40.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return _geodesic_point(g, float(res.x)), float(res.fun)

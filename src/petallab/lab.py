@@ -34,7 +34,14 @@ from .hypcore import DomainError
 from .models import KoenigsModel, MODEL_NAMES, Petal, by_name
 from .semigroup import flow
 from .speeds import dyadic_grid, forward_speed, slope_estimate, speed_series
-from .verify import DEFAULT_SEED, run_all
+from .verify import (
+    APPROACH_ANGLE_WINDOW,
+    DEFAULT_SEED,
+    GAUSSIAN_RATIO_WINDOW,
+    RATE_TOL,
+    rate_threshold,
+    run_all,
+)
 
 __all__ = ["main"]
 
@@ -156,7 +163,7 @@ def _resolve_backward_grid(
     return dyadic_grid(kmin, kmax)
 
 
-def _fmt(x: float) -> str:
+def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
@@ -178,17 +185,12 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
     petal = _resolve_petal(model, args)
     base = _resolve_base(petal, args)
     grid = _resolve_backward_grid(args, 4, 16)
-    tol = 0.1 if args.tol is None else args.tol
+    tol = RATE_TOL if args.tol is None else args.tol
     series = speed_series(model, petal, base, grid)
     slope, r2 = slope_estimate(series, mode="linear_in_t", component="v")
-    if petal.kind == "hyperbolic":
-        target = 0.5 * petal.lam
-        threshold = tol * abs(target)
-    else:
-        # Parabolic speeds are sub-linear; the slope target is zero with an
-        # absolute margin of tol/100 (1e-3 at the default tolerance).
-        target = 0.0
-        threshold = tol * 1e-2
+    # Parabolic speeds are sub-linear: the slope target is zero.
+    target = 0.5 * petal.lam if petal.kind == "hyperbolic" else 0.0
+    threshold = rate_threshold(target, tol)
     passed = abs(slope - target) <= threshold
     out = _out_dir(args)
     tag = f"{model.name}_p{model.petals.index(petal)}"
@@ -199,10 +201,10 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
         f"model = {model.name}\n"
         f"petal = {petal.label}\n"
         f"component = v\n"
-        f"slope = {_fmt(slope)}\n"
-        f"r2 = {_fmt(r2)}\n"
-        f"target = {_fmt(target)}\n"
-        f"threshold = {_fmt(threshold)}\n"
+        f"slope = {_num(slope)}\n"
+        f"r2 = {_num(r2)}\n"
+        f"target = {_num(target)}\n"
+        f"threshold = {_num(threshold)}\n"
         f"status = {'pass' if passed else 'fail'}\n"
     )
     _write_text(summary_path, summary)
@@ -224,20 +226,16 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         raise UsageError(f"kmin {kmin} exceeds kmax {kmax}")
     ts = [2.0**k for k in range(kmin, kmax + 1)]
     vs = [forward_speed(model, base, t) for t in ts]
-    tol = 0.1 if args.tol is None else args.tol
-    if model.kind == "hyperbolic":
-        target = 0.5 * model.mu
-        threshold = tol * abs(target)
-    else:
-        # Parabolic drift is sub-linear and elliptic orbits stay bounded.
-        target = 0.0
-        threshold = tol * 1e-2
+    tol = RATE_TOL if args.tol is None else args.tol
+    # Parabolic drift is sub-linear and elliptic orbits stay bounded.
+    target = 0.5 * model.mu if model.kind == "hyperbolic" else 0.0
+    threshold = rate_threshold(target, tol)
     tail = len(ts) // 2
     slope = float(np.polyfit(ts[tail:], vs[tail:], 1)[0]) if len(ts) >= 2 else 0.0
     passed = abs(slope - target) <= threshold
     out = _out_dir(args)
     path = os.path.join(out, f"forward_{model.name}.csv")
-    rows = ["t,v"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vs)]
+    rows = ["t,v"] + [f"{_num(t)},{_num(v)}" for t, v in zip(ts, vs)]
     _write_text(path, "\n".join(rows) + "\n")
     print(f"wrote {path} ({len(ts)} rows)")
     print(
@@ -277,7 +275,7 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
     tag = f"{model.name}_p{model.petals.index(petal)}"
     data_path = os.path.join(out, f"hmeasure_{tag}.dat")
     lines = ["# t  harmonic_measure"]
-    lines += [f"{_fmt(t)} {_fmt(m)}" for t, m in zip(times, report.measures)]
+    lines += [f"{_num(t)} {_num(m)}" for t, m in zip(times, report.measures)]
     _write_text(data_path, "\n".join(lines) + "\n")
     summary_path = os.path.join(out, f"hmeasure_{tag}_summary.txt")
     if report.inconclusive:
@@ -289,11 +287,12 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
         print(f"wrote {data_path} and {summary_path}")
         print(f"FAIL hmeasure {model.name}/{petal.label}: inconclusive")
         return 1
-    passed = 0.05 * math.pi < report.theta < 0.95 * math.pi
+    lo, hi = APPROACH_ANGLE_WINDOW
+    passed = lo < report.theta < hi
     summary = (
         f"model = {model.name}\npetal = {petal.label}\n"
-        f"theta = {_fmt(report.theta)}\n"
-        f"theta_over_pi = {_fmt(report.theta / math.pi)}\n"
+        f"theta = {_num(report.theta)}\n"
+        f"theta_over_pi = {_num(report.theta / math.pi)}\n"
         f"tangential = {report.tangential}\n"
         f"status = {'pass' if passed else 'fail'}\n"
     )
@@ -337,12 +336,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     path = os.path.join(out, f"bounds_{profile.name}.dat")
     lines = ["# t  bound_over_t_squared"]
-    lines += [f"{_fmt(t)} {_fmt(r)}" for t, r in series]
+    lines += [f"{_num(t)} {_num(r)}" for t, r in series]
     _write_text(path, "\n".join(lines) + "\n")
     ratios = [r for _, r in series]
     if profile.name == "gaussian":
-        passed = all(0.249 <= r <= 0.2501 for r in ratios)
-        rule = "every ratio in [0.249, 0.2501]"
+        lo, hi = GAUSSIAN_RATIO_WINDOW
+        passed = all(lo <= r <= hi for r in ratios)
+        rule = f"every ratio in [{lo}, {hi}]"
     else:
         passed = all(a > b for a, b in zip(ratios, ratios[1:]))
         rule = "ratios strictly decreasing"
@@ -411,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int,
                        help=f"seed for randomized checks (default {DEFAULT_SEED})")
         p.add_argument("--tol", type=float,
-                       help="pass tolerance for rate checks (default 0.1)")
+                       help=f"pass tolerance for rate checks (default {RATE_TOL})")
         p.add_argument("--config", help="key = value file supplying defaults "
                                         "for any flag; flags win")
         return p

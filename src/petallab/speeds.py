@@ -6,9 +6,11 @@ points, so all computations run on the anchored logarithmic form of
 the base point to the orbit point; the orthogonal and tangential parts
 split that motion along and across the geodesic eta that the orbit
 chases.  Normalizing eta onto the imaginary axis turns both parts into
-closed forms of the log coordinates, which keeps them exact out to
-|t| of order 1e8 where the orbit points themselves left float range
-long before.
+closed forms of the log coordinates, so they stay exact long after the
+orbit points themselves left float range: out to |t| = 1e300 in the
+hyperbolic and elliptic petals.  The parabolic petal is exact only to
+about |t| = 1e15; from about 1e16 on its orbit's angular gap to pi
+underflows and ``speed_sample`` raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -132,12 +134,22 @@ def _eta_frame(
     return frame
 
 
-def _split_speeds(frame, p0: UhpLogPoint, p_t: UhpLogPoint) -> tuple[float, float]:
+def _sample_at(
+    model: KoenigsModel, w0: complex, p0: UhpLogPoint, frame, t: float
+) -> SpeedSample:
+    """The three speeds at time t of the orbit from w0, whose time-0 image
+    is p0 and whose eta frame is ``frame``."""
+    if t == 0.0:
+        return SpeedSample(t=0.0, v=0.0, v_o=0.0, v_T=0.0)
+    p_t = model.uhp_orbit(w0, t)
     ln0 = frame(p0)
     ln_t = frame(p_t)
-    v_o = 0.5 * abs(ln_t.real - ln0.real)
-    v_tan = axis_distance(ln_t.imag)
-    return v_o, v_tan
+    return SpeedSample(
+        t=float(t),
+        v=uhp_log_distance(p0, p_t),
+        v_o=0.5 * abs(ln_t.real - ln0.real),
+        v_T=axis_distance(ln_t.imag),
+    )
 
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:
@@ -145,28 +157,8 @@ def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> Spe
     w0 = _require_petal(model, petal, z)
     if t > 0.0:
         raise DomainError("petal speeds are defined for t <= 0")
-    if t == 0.0:
-        return SpeedSample(t=0.0, v=0.0, v_o=0.0, v_T=0.0)
     p0 = model.uhp_orbit(w0, 0.0)
-    p_t = model.uhp_orbit(w0, t)
-    v = uhp_log_distance(p0, p_t)
-    v_o, v_tan = _split_speeds(_eta_frame(model, petal, p0), p0, p_t)
-    return SpeedSample(t=float(t), v=v, v_o=v_o, v_T=v_tan)
-
-
-def total_speed(model: KoenigsModel, petal: Petal, z: complex, t: float) -> float:
-    """Hyperbolic distance from z to its time-t backward image."""
-    return speed_sample(model, petal, z, t).v
-
-
-def orthogonal_speed(model: KoenigsModel, petal: Petal, z: complex, t: float) -> float:
-    """Distance from z to the orbit point's projection on eta."""
-    return speed_sample(model, petal, z, t).v_o
-
-
-def tangential_speed(model: KoenigsModel, petal: Petal, z: complex, t: float) -> float:
-    """Distance from the orbit point to the geodesic eta."""
-    return speed_sample(model, petal, z, t).v_T
+    return _sample_at(model, w0, p0, _eta_frame(model, petal, p0), t)
 
 
 def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
@@ -198,15 +190,7 @@ def speed_series(
         raise ValueError("grid must be strictly decreasing")
     p0 = model.uhp_orbit(w0, 0.0)
     frame = _eta_frame(model, petal, p0)
-    samples = []
-    for t in ts:
-        if t == 0.0:
-            samples.append(SpeedSample(t=0.0, v=0.0, v_o=0.0, v_T=0.0))
-            continue
-        p_t = model.uhp_orbit(w0, t)
-        v = uhp_log_distance(p0, p_t)
-        v_o, v_tan = _split_speeds(frame, p0, p_t)
-        samples.append(SpeedSample(t=t, v=v, v_o=v_o, v_T=v_tan))
+    samples = [_sample_at(model, w0, p0, frame, t) for t in ts]
     totals = [s.v for s in samples]
     if any(b < a - 1e-12 for a, b in zip(totals, totals[1:])):
         warnings.warn(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -27,20 +27,32 @@ from .models import (
     sample_petal_omega,
 )
 from .semigroup import flow, regularity_gap, repelling_diagnostics
-from .speeds import (
-    dyadic_grid,
-    forward_speed,
-    slope_estimate,
-    speed_series,
-    total_speed,
-    tangential_speed,
-)
+from .speeds import dyadic_grid, forward_speed, slope_estimate, speed_sample, speed_series
 
 __all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
 
 DEFAULT_SEED = 20260817
 
 _HALF_LOG2 = 0.5 * math.log(2.0)
+
+# Criteria table: the thresholds that both run_all and the CLI subcommands
+# (lab.py) judge pass/fail by.
+# Linear rates pass with |slope - target| <= tol * |target|; RATE_TOL is the
+# default tol (the CLI's --tol).
+RATE_TOL = 0.1
+# Sub-linear rates (target 0) pass with |slope| <= tol * SUBLINEAR_PER_TOL,
+# which is 1e-3 at the default tol.
+SUBLINEAR_PER_TOL = 1e-2
+# Closed window for the gaussian profile's lower bound over t^2.
+GAUSSIAN_RATIO_WINDOW = (0.249, 0.2501)
+# Open window for a non-tangential approach angle.
+APPROACH_ANGLE_WINDOW = (0.05 * math.pi, 0.95 * math.pi)
+
+
+def rate_threshold(target: float, tol: float = RATE_TOL) -> float:
+    """Largest passing |slope - target|: relative to a linear rate's target,
+    absolute for a sub-linear one (target 0)."""
+    return tol * abs(target) if target else tol * SUBLINEAR_PER_TOL
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ def _check_total_slopes() -> CheckResult:
     for model, petal, target in _hyperbolic_slope_cases():
         series = speed_series(model, petal, petal.base_default, grid)
         slope, r2 = slope_estimate(series, mode="linear_in_t", component="v")
-        good = abs(slope - target) <= 0.1 * abs(target)
+        good = abs(slope - target) <= rate_threshold(target)
         ok = ok and good
         parts.append(
             f"{model.name}/{petal.label}: slope {slope:.6f} vs {target} (r2 {r2:.6f})"
@@ -88,13 +100,13 @@ def _check_parabolic_envelope() -> CheckResult:
     parts = []
     ok = True
     for mag in (1e3, 1e4, 1e6):
-        ratio = total_speed(model, petal, base, -mag) / math.log(mag)
+        ratio = speed_sample(model, petal, base, -mag).v / math.log(mag)
         good = 0.24 <= ratio <= 1.01
         ok = ok and good
         parts.append(f"v/log|t| at -1e{int(math.log10(mag))}: {ratio:.4f}")
     t16 = -(2.0**16)
-    linear = total_speed(model, petal, base, t16) / abs(t16)
-    ok = ok and linear <= 1e-3
+    linear = speed_sample(model, petal, base, t16).v / abs(t16)
+    ok = ok and linear <= rate_threshold(0.0)
     parts.append(f"v(t)/|t| at -2^16: {linear:.3e}")
     return CheckResult("parabolic-speed-envelope", ok, "; ".join(parts))
 
@@ -104,12 +116,12 @@ def _check_tangential_plateau() -> CheckResult:
     ok = True
     for model, petal in _all_petals():
         base = petal.base_default
-        v10 = tangential_speed(model, petal, base, -(2.0**10))
-        v16 = tangential_speed(model, petal, base, -(2.0**16))
+        v10 = speed_sample(model, petal, base, -(2.0**10)).v_T
+        v16 = speed_sample(model, petal, base, -(2.0**16)).v_T
         if petal.kind == "hyperbolic":
             drift = abs(v16 - v10)
             linear = v16 / 2.0**16
-            good = drift <= 0.05 and linear <= 1e-3
+            good = drift <= 0.05 and linear <= rate_threshold(0.0)
             parts.append(
                 f"{model.name}/{petal.label}: plateau drift {drift:.2e}, "
                 f"v_T/|t| {linear:.1e}"
@@ -129,7 +141,7 @@ def _check_orthogonal_slopes() -> CheckResult:
     for model, petal, target in _hyperbolic_slope_cases():
         series = speed_series(model, petal, petal.base_default, grid)
         slope, r2 = slope_estimate(series, mode="linear_in_t", component="v_o")
-        good = abs(slope - target) <= 0.1 * abs(target)
+        good = abs(slope - target) <= rate_threshold(target)
         ok = ok and good
         parts.append(
             f"{model.name}/{petal.label}: slope {slope:.6f} vs {target} (r2 {r2:.6f})"
@@ -138,7 +150,7 @@ def _check_orthogonal_slopes() -> CheckResult:
     petal = m2.petal("main")
     series = speed_series(m2, petal, petal.base_default, grid)
     slope, _ = slope_estimate(series, mode="linear_in_t", component="v_o")
-    good = abs(slope) <= 1e-3
+    good = abs(slope) <= rate_threshold(0.0)
     ok = ok and good
     parts.append(f"{m2.name}/{petal.label}: |slope| {abs(slope):.2e} <= 1e-3")
     return CheckResult("orthogonal-speed-slopes", ok, "; ".join(parts))
@@ -193,12 +205,12 @@ def _check_forward_rates() -> CheckResult:
     vs = [forward_speed(m1, base, t) for t in ts]
     tail = len(ts) // 2
     slope = float(np.polyfit(ts[tail:], vs[tail:], 1)[0])
-    ok = abs(slope - 0.5) <= 0.05
+    ok = abs(slope - 0.5) <= rate_threshold(0.5)
     parts.append(f"{m1.name}: forward slope {slope:.6f} vs 0.5")
     m2 = by_name("sector-parabolic")
     base2 = m2.petal("main").base_default
     linear = forward_speed(m2, base2, 2.0**16) / 2.0**16
-    good = linear <= 1e-3
+    good = linear <= rate_threshold(0.0)
     ok = ok and good
     parts.append(f"{m2.name}: v(2^16)/2^16 = {linear:.3e}")
     return CheckResult("forward-speed-rates", ok, "; ".join(parts))
@@ -252,8 +264,9 @@ def _check_bound_ratios() -> CheckResult:
     )
     gauss = gaussian_profile()
     (_, gratio), = bound_ratio_series(gauss, [-1e3])
-    in_window = 0.249 <= gratio <= 0.2501
-    parts.append(f"gaussian lower/t^2 at -1e3: {gratio:.10f} in [0.249, 0.2501]")
+    lo, hi = GAUSSIAN_RATIO_WINDOW
+    in_window = lo <= gratio <= hi
+    parts.append(f"gaussian lower/t^2 at -1e3: {gratio:.10f} in [{lo}, {hi}]")
     ok = small and decreasing and in_window
     return CheckResult("distance-bound-ratios", ok, "; ".join(parts))
 
@@ -279,15 +292,10 @@ def _check_approach_angles() -> CheckResult:
             break
         pts.append(z)
     orb = approach_angle(pts, sigma, Arc(math.pi / 2, math.pi))
-    good = (
-        not orb.inconclusive
-        and 0.05 * math.pi < orb.theta < 0.95 * math.pi
-    )
+    lo, hi = APPROACH_ANGLE_WINDOW
+    good = not orb.inconclusive and lo < orb.theta < hi
     ok = ok and good
-    parts.append(
-        f"backward-orbit angle {orb.theta:.4f} inside "
-        f"({0.05 * math.pi:.4f}, {0.95 * math.pi:.4f})"
-    )
+    parts.append(f"backward-orbit angle {orb.theta:.4f} inside ({lo:.4f}, {hi:.4f})")
     return CheckResult("approach-angles", ok, "; ".join(parts))
 
 
@@ -305,7 +313,8 @@ def _check_structural(rng: np.random.Generator) -> CheckResult:
                 back = model.omega_of_canonical(q)
                 worst_rt = max(worst_rt, abs(back - w))
                 count += 1
-        assert count >= 1000
+        if count < 1000:
+            raise RuntimeError(f"{model.name}: round trip drew {count} < 1000 samples")
     ok = ok and worst_rt <= 1e-10
     parts.append(f"round-trip error {worst_rt:.1e} <= 1e-10")
 
@@ -382,5 +391,6 @@ def run_all(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         _check_approach_angles(),
         _check_structural(rng),
     ]
-    assert [r.name for r in results] == list(CHECK_NAMES)
+    if [r.name for r in results] != list(CHECK_NAMES):
+        raise RuntimeError("check results are out of step with CHECK_NAMES")
     return results

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ApproachRay, push_boundary_point
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
     INFINITY,
@@ -16,7 +17,6 @@ from petallab.hypcore import (
     uhp_distance,
     uhp_log_distance,
 )
-from petallab.confmap import ApproachRay, MapDomainError
 from petallab.models import (
     HalfPlaneImage,
     KoenigsModel,
@@ -455,7 +455,7 @@ class TestTransport:
         for model in (m1, m2):
             base = model.petals[0].base_default
             ray = ApproachRay(origin=base, direction=10.0 + 0j, outward=True)
-            pushed = model.chain.push_boundary_point(INFINITY, ray)
+            pushed = push_boundary_point(model.chain, INFINITY, ray)
             assert pushed.is_infinity
             assert model.dw_point.is_infinity
         # Elliptic: the interior fixed point maps to the disk center.
@@ -468,7 +468,7 @@ class TestTransport:
         for label in ("upper", "lower"):
             petal = m1.petal(label)
             ray = ApproachRay(origin=petal.base_default, direction=-10.0 + 0j, outward=True)
-            pushed = m1.chain.push_boundary_point(INFINITY, ray)
+            pushed = push_boundary_point(m1.chain, INFINITY, ray)
             assert not pushed.is_infinity
             assert abs(pushed.value - petal.sigma_canonical.value) <= 1e-8
 

@@ -4,9 +4,11 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from oracles import geodesic_through, project_to_geodesic
 from petallab.hypcore import (
     INFINITY,
     BoundaryPoint,
@@ -14,8 +16,6 @@ from petallab.hypcore import (
     DomainError,
     UhpLogPoint,
     disk_distance,
-    geodesic_through,
-    project_to_geodesic,
     uhp_distance,
 )
 from petallab.models import by_name, catalog, sample_petal_omega
@@ -26,12 +26,9 @@ from petallab.speeds import (
     SpeedSeries,
     dyadic_grid,
     forward_speed,
-    orthogonal_speed,
     slope_estimate,
     speed_sample,
     speed_series,
-    tangential_speed,
-    total_speed,
     _eta_frame,
 )
 
@@ -58,9 +55,9 @@ class TestSampleBasics:
     def test_outside_petal_rejected(self):
         m1 = by_name("strip-slit")
         with pytest.raises(PetalRequiredError):
-            total_speed(m1, m1.petal("upper"), 1.0 + 0j, -1.0)
+            speed_sample(m1, m1.petal("upper"), 1.0 + 0j, -1.0)
         with pytest.raises(PetalRequiredError):
-            total_speed(m1, m1.petal("upper"), 1 - 0.3j, -1.0)  # wrong petal
+            speed_sample(m1, m1.petal("upper"), 1 - 0.3j, -1.0)  # wrong petal
 
     def test_speeds_are_nonnegative_and_total_positive(self):
         for model, petal in _model_petals():
@@ -68,13 +65,12 @@ class TestSampleBasics:
             assert s.v > 0.0 and s.v_o >= 0.0 and s.v_T >= 0.0
 
     def test_component_accessors_agree(self):
-        m3 = by_name("koebe-elliptic")
-        petal = m3.petal("main")
-        z, t = petal.base_default, -2.5
-        s = speed_sample(m3, petal, z, t)
-        assert total_speed(m3, petal, z, t) == s.v
-        assert orthogonal_speed(m3, petal, z, t) == s.v_o
-        assert tangential_speed(m3, petal, z, t) == s.v_T
+        # One sample and a series share the per-time body: same numbers.
+        grid = [0.0, -2.5, -(2.0 ** 20)]
+        for model, petal in _model_petals():
+            z = petal.base_default
+            series = speed_series(model, petal, z, grid)
+            assert series.samples == tuple(speed_sample(model, petal, z, t) for t in grid)
 
 
 class TestPythagorasSandwich:
@@ -147,7 +143,7 @@ class TestCrossValidation:
                 at_t = flow(model, base, t)
                 d = disk_distance(at0.disk_z, at_t.disk_z,
                                   gap_z=at0.disk_gap, gap_w=at_t.disk_gap)
-                assert total_speed(model, petal, base, t) == pytest.approx(d, abs=1e-9)
+                assert speed_sample(model, petal, base, t).v == pytest.approx(d, abs=1e-9)
 
     def test_vertical_sigma_frame(self):
         # Synthetic base straight above the repelling point: eta is the
@@ -179,8 +175,8 @@ class TestAsymptotics:
         for name, label in [("strip-slit", "upper"), ("koebe-elliptic", "main")]:
             model = by_name(name)
             petal = model.petal(label)
-            v10 = tangential_speed(model, petal, petal.base_default, -(2.0 ** 10))
-            v16 = tangential_speed(model, petal, petal.base_default, -(2.0 ** 16))
+            v10 = speed_sample(model, petal, petal.base_default, -(2.0 ** 10)).v_T
+            v16 = speed_sample(model, petal, petal.base_default, -(2.0 ** 16)).v_T
             assert abs(v16 - v10) <= 0.05
             assert v16 / 2.0 ** 16 <= 1e-3
 
@@ -189,25 +185,43 @@ class TestAsymptotics:
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
         base = 1.0 + 1j * 0.3
-        v10 = tangential_speed(m1, petal, base, -(2.0 ** 10))
-        v16 = tangential_speed(m1, petal, base, -(2.0 ** 16))
+        v10 = speed_sample(m1, petal, base, -(2.0 ** 10)).v_T
+        v16 = speed_sample(m1, petal, base, -(2.0 ** 16)).v_T
         assert v16 > 1e-3
         assert abs(v16 - v10) <= 0.05
+
+    @pytest.mark.parametrize("base", [
+        1.0 + 0.3j, 0.5 + 1.2j, 3.0 + 0.1j,
+        1.0 - 0.3j, 0.5 - 1.2j, 3.0 - 0.1j,
+    ])
+    def test_tangential_plateau_is_petal_distance_to_center(self, base):
+        # The strip-slit petals are the strips between the slit and a wall;
+        # the plateau of v_T is the petal-metric distance from the base to
+        # the petal's central line, 1/2 log(sec h + tan h) with
+        # h = |2 |Im w| - pi/2|.  Derived at 50 digits, not taken from the
+        # implementation.
+        m1 = by_name("strip-slit")
+        petal = m1.petal("upper" if base.imag > 0 else "lower")
+        with mpmath.workdps(50):
+            h = abs(2 * abs(mpmath.mpf(base.imag)) - mpmath.pi / 2)
+            expected = float(mpmath.log(mpmath.sec(h) + mpmath.tan(h)) / 2)
+        got = speed_sample(m1, petal, base, -(2.0 ** 40)).v_T
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_parabolic_logarithmic_envelope(self):
         m2 = by_name("sector-parabolic")
         petal = m2.petal("main")
         base = petal.base_default
         for T in (1e3, 1e4, 1e6):
-            v = total_speed(m2, petal, base, -T)
+            v = speed_sample(m2, petal, base, -T).v
             assert 0.24 <= v / math.log(T) <= 1.01
-        assert total_speed(m2, petal, base, -(2.0 ** 16)) / 2.0 ** 16 <= 1e-3
+        assert speed_sample(m2, petal, base, -(2.0 ** 16)).v / 2.0 ** 16 <= 1e-3
 
     def test_parabolic_tangential_divergence(self):
         m2 = by_name("sector-parabolic")
         petal = m2.petal("main")
-        v10 = tangential_speed(m2, petal, petal.base_default, -(2.0 ** 10))
-        v16 = tangential_speed(m2, petal, petal.base_default, -(2.0 ** 16))
+        v10 = speed_sample(m2, petal, petal.base_default, -(2.0 ** 10)).v_T
+        v16 = speed_sample(m2, petal, petal.base_default, -(2.0 ** 16)).v_T
         assert v16 >= v10 + 1.0
 
     def test_parabolic_orthogonal_slope_vanishes(self):
@@ -221,15 +235,15 @@ class TestAsymptotics:
         # Stable out to |t| = 1e8 per the design target.
         m1 = by_name("strip-slit")
         p1 = m1.petal("upper")
-        assert total_speed(m1, p1, p1.base_default, -1e8) / 1e8 == pytest.approx(1.0, abs=1e-6)
+        assert speed_sample(m1, p1, p1.base_default, -1e8).v / 1e8 == pytest.approx(1.0, abs=1e-6)
         m3 = by_name("koebe-elliptic")
         p3 = m3.petal("main")
-        assert total_speed(m3, p3, p3.base_default, -1e8) / 1e8 == pytest.approx(0.25, abs=1e-6)
+        assert speed_sample(m3, p3, p3.base_default, -1e8).v / 1e8 == pytest.approx(0.25, abs=1e-6)
         m2 = by_name("sector-parabolic")
         p2 = m2.petal("main")
-        v = total_speed(m2, p2, p2.base_default, -1e8)
-        assert 0.24 <= v / math.log(1e8) <= 1.01
-        assert math.isfinite(tangential_speed(m2, p2, p2.base_default, -1e8))
+        s = speed_sample(m2, p2, p2.base_default, -1e8)
+        assert 0.24 <= s.v / math.log(1e8) <= 1.01
+        assert math.isfinite(s.v_T)
 
 
 class TestBasePointIndependence:
