@@ -9,6 +9,14 @@ separation forced by the thinnest of the two endpoints' boundary gaps.
 Profiles carry ``log_delta`` alongside ``delta`` so that bounds remain
 computable when ``delta`` itself underflows (the gaussian profile collapses
 to float zero already near t = -27 while its logarithm stays exact).
+
+A profile without a closed-form antiderivative is integrated by a fixed
+tanh-sinh rule (Takahasi and Mori, 1974) on ``exp(-log_delta)``: nodes
+``x = tanh(pi/2 sinh(j h))`` on steps ``h = 2^-k``, ``k = 0..8``, each level
+halving the step of the one before.  The rule stops at the first ``k >= 3``
+whose estimate moves by at most ``max(1e-10, 1e-12 |I_k|)`` and raises
+``EstimationError`` when no level gets there, as happens when ``1/delta``
+is not integrable.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hypcore import DomainError
+from .speeds import EstimationError
 
 __all__ = [
     "BoundaryProfile",
@@ -37,8 +45,47 @@ __all__ = [
 # Guard for the lower bound: once log(gap ratio) exceeds this, expanding
 # log1p(exp(Y)) around Y avoids forming exp(Y) at all.
 _LOG_GUARD = 23.0
-# Adaptive quadrature target for profiles without a closed-form integral.
+# Absolute target of the quadrature for profiles without a closed-form
+# integral; _QUAD_REL_TOL is the relative one.
 _QUAD_ABS_TOL = 1e-10
+_QUAD_REL_TOL = 1e-12
+# The rule's finest level is h = 2^-_QUAD_MAX_LEVEL; every level stops
+# where the node weight drops below _QUAD_MIN_WEIGHT.
+_QUAD_MAX_LEVEL = 8
+_QUAD_MIN_WEIGHT = 1e-300
+
+
+def _tanh_sinh_levels() -> Tuple[Tuple[Tuple[float, float], ...], ...]:
+    """Nodes of the tanh-sinh rule on [-1, 1], one tuple per level.
+
+    Level 0 holds the nodes ``u = j`` for ``j >= 1``; level ``k >= 1`` only
+    the odd ``j`` of step ``2^-k``, which are new at that level.  A node is
+    ``(gap, weight)``: ``gap = 1 - tanh(v) = 2/(e^{2v}+1)`` with
+    ``v = pi/2 sinh u`` is its distance to the nearer endpoint, taken in
+    this complementary form so that nodes next to an endpoint never round
+    onto it, and ``weight = dx/du = pi/2 cosh(u) gap (2 - gap)``.  The
+    centre node (gap 1, weight pi/2) is left to the caller.
+    """
+    levels = []
+    for k in range(_QUAD_MAX_LEVEL + 1):
+        h = 2.0**-k
+        stride = 1 if k == 0 else 2
+        nodes = []
+        j = 1
+        while True:
+            u = j * h
+            decay = math.exp(-math.pi * math.sinh(u))  # e^{-2v}
+            gap = 2.0 * decay / (1.0 + decay)
+            weight = 0.5 * math.pi * math.cosh(u) * gap * (2.0 - gap)
+            if weight < _QUAD_MIN_WEIGHT:
+                break
+            nodes.append((gap, weight))
+            j += stride
+        levels.append(tuple(nodes))
+    return tuple(levels)
+
+
+_TANH_SINH_LEVELS = _tanh_sinh_levels()
 
 
 @dataclass(frozen=True)
@@ -237,6 +284,12 @@ def upper_bound(profile: BoundaryProfile, t: float, method: str = "auto") -> flo
     ``method`` selects ``"closed"`` (antiderivative, when the profile has
     one), ``"quadrature"``, or ``"auto"`` (closed form if available).  A gap
     that underflows so hard the integrand overflows yields ``inf``.
+
+    Quadrature is the tanh-sinh rule of the module docstring.  It returns
+    the first level ``k >= 3`` whose estimate ``I_k`` differs from ``I_{k-1}``
+    by at most ``max(1e-10, 1e-12 |I_k|)``, and raises ``EstimationError``
+    if level 8 still misses that target, for instance when ``1/delta`` is
+    not integrable on ``[t, t0]``.
     """
     t = _require_in_range(profile, t)
     if t == profile.t0:
@@ -252,14 +305,43 @@ def upper_bound(profile: BoundaryProfile, t: float, method: str = "auto") -> flo
         except OverflowError:
             return math.inf
 
-    def integrand(s: float) -> float:
-        return math.exp(-profile.log_delta(s))
-
     try:
-        value, _ = quad(integrand, t, profile.t0, epsabs=_QUAD_ABS_TOL, limit=200)
+        value = _tanh_sinh(profile.log_delta, t, profile.t0)
     except OverflowError:
         return math.inf
     return profile.d0 + value
+
+
+def _tanh_sinh(log_delta: Callable[[float], float], a: float, b: float) -> float:
+    """``integral_a^b exp(-log_delta(s)) ds`` by the tanh-sinh rule."""
+    exp = math.exp
+    half = 0.5 * (b - a)
+    # Trapezoid sum in u; each level halves the step and adds its new nodes.
+    total = 0.5 * math.pi * exp(-log_delta(a + half))
+    step = 1.0
+    previous = math.nan
+    for level, nodes in enumerate(_TANH_SINH_LEVELS):
+        fresh = 0.0
+        for gap, weight in nodes:
+            r = half * gap
+            fresh += weight * (exp(-log_delta(a + r)) + exp(-log_delta(b - r)))
+        if level == 0:
+            total += fresh
+        else:
+            step *= 0.5
+            total = 0.5 * total + step * fresh
+        estimate = half * total
+        if estimate == math.inf:
+            return math.inf
+        change = abs(estimate - previous)
+        if level >= 3 and change <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(estimate)):
+            return estimate
+        previous = estimate
+    raise EstimationError(
+        f"bounds.upper_bound: tanh-sinh quadrature on [{a}, {b}] still moved "
+        f"by {change:.3e} at level {_QUAD_MAX_LEVEL}; 1/delta may not be "
+        "integrable there"
+    )
 
 
 def lower_bound(profile: BoundaryProfile, t: float) -> float:

@@ -29,7 +29,6 @@ from .confmap import (
     MobiusStep,
     PowerStep,
     SlitCloseStep,
-    ray_distance,
 )
 from .hypcore import (
     CAYLEY_DISK_TO_UHP,
@@ -186,7 +185,6 @@ class KoenigsModel:
     chain: ConformalChain
     petals: tuple[Petal, ...]
     dw_point: Union[BoundaryPoint, complex]
-    boundary_distance_fn: Callable[[complex], float] = field(repr=False)
     orbit_fn: Callable[[complex, float], UhpLogPoint] = field(repr=False)
 
     @property
@@ -196,13 +194,6 @@ class KoenigsModel:
     def contains(self, w: complex) -> bool:
         """Whether w lies in Omega."""
         return self.chain.source_contains(complex(w))
-
-    def boundary_distance(self, w: complex) -> float:
-        """Euclidean distance from w to the boundary of Omega."""
-        w = complex(w)
-        if not self.contains(w):
-            raise DomainError(f"{w} is not in the domain of {self.name}")
-        return self.boundary_distance_fn(w)
 
     def petal_of(self, w: complex) -> Optional[Petal]:
         """The petal whose image contains w, or None."""
@@ -296,15 +287,6 @@ def _strip_slit_contains(w: complex) -> bool:
     return not (w.imag == 0.0 and w.real <= 0.0)
 
 
-def _strip_slit_boundary_distance(w: complex) -> float:
-    wall = HALF_PI - abs(w.imag)
-    if w.real <= 0.0:
-        slit = abs(w.imag)
-    else:
-        slit = abs(w)
-    return min(wall, slit)
-
-
 def _strip_slit_orbit(w0: complex, t: float) -> UhpLogPoint:
     w = w0 + t
     if not _strip_slit_contains(w):
@@ -353,7 +335,6 @@ def _make_strip_slit() -> KoenigsModel:
         chain=chain,
         petals=(upper, lower),
         dw_point=INFINITY,
-        boundary_distance_fn=_strip_slit_boundary_distance,
         orbit_fn=_strip_slit_orbit,
     )
 
@@ -365,12 +346,6 @@ def _make_strip_slit() -> KoenigsModel:
 def _sector_parabolic_contains(w: complex) -> bool:
     # Complement of the closed lower-left quadrant (origin included in it).
     return not (w.real <= 0.0 and w.imag <= 0.0)
-
-
-def _sector_parabolic_boundary_distance(w: complex) -> float:
-    left = ray_distance(w, math.pi)
-    down = ray_distance(w, -HALF_PI)
-    return min(left, down)
 
 
 def _sector_parabolic_orbit(w0: complex, t: float) -> UhpLogPoint:
@@ -407,7 +382,6 @@ def _make_sector_parabolic() -> KoenigsModel:
         chain=chain,
         petals=(petal,),
         dw_point=INFINITY,
-        boundary_distance_fn=_sector_parabolic_boundary_distance,
         orbit_fn=_sector_parabolic_orbit,
     )
 
@@ -418,12 +392,6 @@ def _make_sector_parabolic() -> KoenigsModel:
 
 def _koebe_elliptic_contains(w: complex) -> bool:
     return not (w.imag == 0.0 and w.real <= -1.0)
-
-
-def _koebe_elliptic_boundary_distance(w: complex) -> float:
-    if w.real >= -1.0:
-        return abs(w + 1.0)
-    return abs(w.imag)
 
 
 def _koebe_elliptic_orbit(w0: complex, t: float) -> UhpLogPoint:
@@ -468,7 +436,6 @@ def _make_koebe_elliptic() -> KoenigsModel:
         chain=chain,
         petals=(petal,),
         dw_point=0j,
-        boundary_distance_fn=_koebe_elliptic_boundary_distance,
         orbit_fn=_koebe_elliptic_orbit,
     )
 

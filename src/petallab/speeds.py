@@ -32,7 +32,8 @@ from .semigroup import PetalRequiredError
 
 
 class EstimationError(ValueError):
-    """Slope estimation asked of a grid that cannot support it."""
+    """An estimate its inputs cannot support: a slope fit on too few or
+    degenerate samples, or a quadrature that does not converge."""
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,15 @@ def rate_threshold(target: float, tol: float = RATE_TOL) -> float:
     return tol * abs(target) if target else tol * SUBLINEAR_PER_TOL
 
 
+def _bound(value: float) -> str:
+    """A bound as the check details print it: below 1e-2 in the short
+    exponent form (``1e-3``, ``1e-10``), otherwise as ``repr`` gives it."""
+    if value < 1e-2:
+        mantissa, exponent = f"{value:.12e}".split("e")
+        return f"{float(mantissa):g}e{int(exponent)}"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verification check."""
@@ -128,8 +137,11 @@ def _check_tangential_plateau() -> CheckResult:
             )
         else:
             growth = v16 - v10
-            good = growth >= 1.0
-            parts.append(f"{model.name}/{petal.label}: divergence {growth:.3f} >= 1")
+            min_growth = 1
+            good = growth >= min_growth
+            parts.append(
+                f"{model.name}/{petal.label}: divergence {growth:.3f} >= {_bound(min_growth)}"
+            )
         ok = ok and good
     return CheckResult("tangential-plateau-vs-divergence", ok, "; ".join(parts))
 
@@ -150,9 +162,10 @@ def _check_orthogonal_slopes() -> CheckResult:
     petal = m2.petal("main")
     series = speed_series(m2, petal, petal.base_default, grid)
     slope, _ = slope_estimate(series, mode="linear_in_t", component="v_o")
-    good = abs(slope) <= rate_threshold(0.0)
+    bound = rate_threshold(0.0)
+    good = abs(slope) <= bound
     ok = ok and good
-    parts.append(f"{m2.name}/{petal.label}: |slope| {abs(slope):.2e} <= 1e-3")
+    parts.append(f"{m2.name}/{petal.label}: |slope| {abs(slope):.2e} <= {_bound(bound)}")
     return CheckResult("orthogonal-speed-slopes", ok, "; ".join(parts))
 
 
@@ -205,8 +218,9 @@ def _check_forward_rates() -> CheckResult:
     vs = [forward_speed(m1, base, t) for t in ts]
     tail = len(ts) // 2
     slope = float(np.polyfit(ts[tail:], vs[tail:], 1)[0])
-    ok = abs(slope - 0.5) <= rate_threshold(0.5)
-    parts.append(f"{m1.name}: forward slope {slope:.6f} vs 0.5")
+    target = 0.5
+    ok = abs(slope - target) <= rate_threshold(target)
+    parts.append(f"{m1.name}: forward slope {slope:.6f} vs {target}")
     m2 = by_name("sector-parabolic")
     base2 = m2.petal("main").base_default
     linear = forward_speed(m2, base2, 2.0**16) / 2.0**16
@@ -256,10 +270,11 @@ def _check_bound_ratios() -> CheckResult:
     logrecip = logrecip_profile()
     grid = [-(10.0**k) for k in range(2, 7)]
     ratios = [r for _, r in bound_ratio_series(logrecip, grid)]
-    small = ratios[1] <= 0.02
+    max_ratio = 0.02
+    small = ratios[1] <= max_ratio
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     parts.append(
-        f"logrecip upper/t^2 at -1e3: {ratios[1]:.6f} <= 0.02, "
+        f"logrecip upper/t^2 at -1e3: {ratios[1]:.6f} <= {_bound(max_ratio)}, "
         f"decreasing over five decades: {decreasing}"
     )
     gauss = gaussian_profile()
@@ -315,8 +330,9 @@ def _check_structural(rng: np.random.Generator) -> CheckResult:
                 count += 1
         if count < 1000:
             raise RuntimeError(f"{model.name}: round trip drew {count} < 1000 samples")
-    ok = ok and worst_rt <= 1e-10
-    parts.append(f"round-trip error {worst_rt:.1e} <= 1e-10")
+    max_rt = 1e-10
+    ok = ok and worst_rt <= max_rt
+    parts.append(f"round-trip error {worst_rt:.1e} <= {_bound(max_rt)}")
 
     worst_law = 0.0
     for model in catalog():
@@ -327,8 +343,9 @@ def _check_structural(rng: np.random.Generator) -> CheckResult:
                     one = model.flow_omega(model.flow_omega(w, t), s)
                     two = model.flow_omega(w, t + s)
                     worst_law = max(worst_law, abs(one - two))
-    ok = ok and worst_law <= 1e-9
-    parts.append(f"semigroup-law residual {worst_law:.1e} <= 1e-9")
+    max_law = 1e-9
+    ok = ok and worst_law <= max_law
+    parts.append(f"semigroup-law residual {worst_law:.1e} <= {_bound(max_law)}")
 
     worst_metric = 0.0
     for model in catalog():
@@ -345,8 +362,9 @@ def _check_structural(rng: np.random.Generator) -> CheckResult:
                 else:
                     via_canonical = uhp_distance(qz, qw)
                 worst_metric = max(worst_metric, abs(via_disk - via_canonical))
-    ok = ok and worst_metric <= 1e-9
-    parts.append(f"cross-domain metric gap {worst_metric:.1e} <= 1e-9")
+    max_metric = 1e-9
+    ok = ok and worst_metric <= max_metric
+    parts.append(f"cross-domain metric gap {worst_metric:.1e} <= {_bound(max_metric)}")
 
     grid = [-10.0, -100.0, -1000.0]
     worst_reg = 0.0
@@ -354,8 +372,9 @@ def _check_structural(rng: np.random.Generator) -> CheckResult:
         gaps = regularity_gap(model, petal, petal.base_default, grid)
         ratio = max(gaps) / gaps[0]
         worst_reg = max(worst_reg, ratio)
-    ok = ok and worst_reg <= 2.0
-    parts.append(f"regularity-gap growth {worst_reg:.4f} <= 2.0")
+    max_reg = 2.0
+    ok = ok and worst_reg <= max_reg
+    parts.append(f"regularity-gap growth {worst_reg:.4f} <= {_bound(max_reg)}")
 
     return CheckResult("structural-consistency", ok, "; ".join(parts))
 

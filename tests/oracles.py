@@ -6,7 +6,9 @@ Only the tests use these, so they live here rather than in the package:
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
 - boundary-point transport through a conformal chain along an interior
-  approach ray, which re-derives each petal's ``sigma_canonical``.
+  approach ray, which re-derives each petal's ``sigma_canonical``;
+- the euclidean distance from a point of a model's domain Omega to its
+  boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from petallab.confmap import ConformalChain, MapDomainError
+from petallab.confmap import ConformalChain, MapDomainError, ray_distance
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
@@ -29,6 +31,7 @@ from petallab.hypcore import (
     strip_distance,
     uhp_distance,
 )
+from petallab.models import KoenigsModel
 
 _HALF_PI = 0.5 * math.pi
 
@@ -313,3 +316,43 @@ def _escaping(vals: list[complex]) -> bool:
         return False
     mags = [abs(v) for v in vals[-4:]]
     return mags[-1] > 1e8 and all(mags[i + 1] > 1.2 * mags[i] for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# Boundary distance in Omega
+
+
+def _strip_slit_boundary_distance(w: complex) -> float:
+    wall = _HALF_PI - abs(w.imag)
+    if w.real <= 0.0:
+        slit = abs(w.imag)
+    else:
+        slit = abs(w)
+    return min(wall, slit)
+
+
+def _sector_parabolic_boundary_distance(w: complex) -> float:
+    left = ray_distance(w, math.pi)
+    down = ray_distance(w, -_HALF_PI)
+    return min(left, down)
+
+
+def _koebe_elliptic_boundary_distance(w: complex) -> float:
+    if w.real >= -1.0:
+        return abs(w + 1.0)
+    return abs(w.imag)
+
+
+_BOUNDARY_DISTANCE = {
+    "strip-slit": _strip_slit_boundary_distance,
+    "sector-parabolic": _sector_parabolic_boundary_distance,
+    "koebe-elliptic": _koebe_elliptic_boundary_distance,
+}
+
+
+def boundary_distance(model: KoenigsModel, w: complex) -> float:
+    """Euclidean distance from w to the boundary of the model's Omega."""
+    w = complex(w)
+    if not model.contains(w):
+        raise DomainError(f"{w} is not in the domain of {model.name}")
+    return _BOUNDARY_DISTANCE[model.name](w)

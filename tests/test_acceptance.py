@@ -33,3 +33,13 @@ def test_verification_runtime(suite):
     line = f"{'PASS' if elapsed < 30.0 else 'FAIL'} runtime: {elapsed:.2f}s < 30s"
     print(line)
     assert elapsed < 30.0, line
+
+
+def test_detail_prints_the_bound_it_checks(monkeypatch):
+    # The sub-linear slope bound comes from the criteria table, so the
+    # report follows a change to the table.
+    from petallab import verify
+
+    monkeypatch.setattr(verify, "SUBLINEAR_PER_TOL", 2e-2)
+    detail = verify._check_orthogonal_slopes().detail
+    assert detail.endswith("<= 2e-3")

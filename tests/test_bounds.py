@@ -1,6 +1,10 @@
 """Tests for profile-driven distance bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from petallab.bounds import (
     upper_bound,
 )
 from petallab.hypcore import DomainError
+from petallab.speeds import EstimationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # mpmath oracle (40 digits): upper bound ratios for delta = 1/log(-t),
 # d0 = 1, t0 = -e, via the antiderivative s*log(-s) - s.
@@ -92,6 +99,31 @@ class TestUpperBound:
             quad_val = upper_bound(p, t, method="quadrature")
             assert quad_val == pytest.approx(closed, abs=1e-9)
 
+    def test_quadrature_matches_closed_form_far_out(self):
+        p = logrecip_profile()
+        for t in (-10.0, -1e3, -1e6):
+            closed = upper_bound(p, t, method="closed")
+            quad_val = upper_bound(p, t, method="quadrature")
+            assert quad_val == pytest.approx(closed, rel=1e-12)
+
+    def test_quadrature_exact_on_smooth_gaps(self):
+        # 1/delta = 1 and 1/delta = 1 + t^2 integrate in closed form.
+        const = custom_profile(lambda t: 1.0, t0=-1.0, d0=0.0)
+        assert upper_bound(const, -11.0) == pytest.approx(10.0, rel=1e-14)
+        poly = custom_profile(lambda t: 1.0 / (1.0 + t * t), t0=-1.0, d0=0.0)
+        assert upper_bound(poly, -11.0) == pytest.approx(10.0 + 1330.0 / 3.0, rel=1e-14)
+
+    def test_quadrature_rejects_non_integrable_gap(self):
+        # 1/|t + 5| is not integrable across t = -5.
+        p = custom_profile(lambda t: abs(t + 5.0), t0=-1.0)
+        with pytest.raises(EstimationError, match="bounds.upper_bound"):
+            upper_bound(p, -11.0)
+
+    def test_quadrature_sum_overflows_to_inf(self):
+        # Each value of 1/delta = e^709 is finite; their integral is not.
+        p = custom_profile(lambda t: 0.0, t0=-1.0, log_delta=lambda t: -709.0)
+        assert upper_bound(p, -11.0) == math.inf
+
     def test_constant_gap_integrates_linearly(self):
         p = custom_profile(lambda t: 1.0, t0=-1.0, d0=2.0)
         assert upper_bound(p, -11.0) == pytest.approx(12.0, abs=1e-9)
@@ -113,6 +145,27 @@ class TestUpperBound:
             upper_bound(p, -1.0)
         with pytest.raises(DomainError):
             upper_bound(p, math.nan)
+
+
+def test_runtime_loads_no_scipy():
+    # The package, its CLI module, the verify suite and the quadrature all
+    # run on numpy and the standard library alone.
+    code = (
+        "import math, sys\n"
+        "import petallab, petallab.lab\n"
+        "from petallab.bounds import custom_profile, upper_bound\n"
+        "from petallab.verify import run_all\n"
+        "run_all(0)\n"
+        "p = custom_profile(lambda t: 1.0 / math.log(-t), t0=-math.e)\n"
+        "assert math.isfinite(upper_bound(p, -1e3, method='quadrature'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestLowerBound:

