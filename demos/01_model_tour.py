@@ -8,7 +8,7 @@ canonical domain by an explicit conformal chain.  Petals are the maximal
 subdomains that backward orbits never leave.
 """
 
-import numpy as np
+import random
 
 from petallab import by_name, catalog, sample_petal_omega
 
@@ -24,7 +24,7 @@ for model in catalog():
 
 # The chains are numerically exact inverses of each other.  Transport a
 # cloud of petal points to the canonical domain and back.
-rng = np.random.default_rng(20260817)
+rng = random.Random(20260817)
 model = by_name("strip-slit")
 petal = model.petal("upper")
 worst = 0.0

@@ -8,11 +8,11 @@ Herglotz-type positivity condition, and the ratio G(z)/(z - sigma) tends
 to -lam along the radius.  All three are checked numerically here.
 """
 
-import numpy as np
+import random
 
 from petallab import by_name, generator, repelling_diagnostics, sample_petal_omega
 
-rng = np.random.default_rng(20260817)
+rng = random.Random(20260817)
 
 for name, label in (("strip-slit", "upper"),
                     ("strip-slit", "lower"),

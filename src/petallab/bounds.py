@@ -21,11 +21,10 @@ is not integrable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .hypcore import DomainError
 from .speeds import EstimationError
@@ -168,11 +167,21 @@ def custom_profile(
     log_delta: Optional[Callable[[float], float]] = None,
     name: str = "custom",
 ) -> BoundaryProfile:
-    """Wrap an arbitrary positive gap function as a profile."""
+    """Wrap an arbitrary positive gap function as a profile.
+
+    Without ``log_delta``, the profile takes ``log(delta(t))`` and raises
+    ``DomainError`` at a time where the gap is not positive and finite.
+    """
     if log_delta is None:
 
         def log_delta(t: float) -> float:
-            return math.log(delta(t))
+            gap = delta(t)
+            if not 0.0 < gap < math.inf:
+                raise DomainError(
+                    f"bounds: profile {name!r} has gap {gap!r} at t = {t!r}; "
+                    "it must be positive and finite"
+                )
+            return math.log(gap)
 
     return BoundaryProfile(
         name=name,
@@ -192,23 +201,34 @@ def profile_from_table(
     if len(rows) < 2:
         raise DomainError("profile table needs at least two rows")
     pairs = sorted((float(t), float(d)) for t, d in rows)
-    ts = np.array([t for t, _ in pairs])
-    deltas = np.array([d for _, d in pairs])
-    if np.any(np.diff(ts) <= 0.0):
-        raise DomainError("profile table times must be distinct")
-    if np.any(deltas <= 0.0) or not np.all(np.isfinite(deltas)):
+    ts = [t for t, _ in pairs]
+    deltas = [d for _, d in pairs]
+    finite = all(math.isfinite(t) for t in ts)
+    if not finite or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise DomainError("profile table times must be finite and distinct")
+    if any(d <= 0.0 for d in deltas) or not all(math.isfinite(d) for d in deltas):
         raise DomainError("profile table gaps must be positive and finite")
-    log_deltas = np.log(deltas)
-    t_lo, t_hi = float(ts[0]), float(ts[-1])
+    log_deltas = [math.log(d) for d in deltas]
+    t_lo, t_hi = ts[0], ts[-1]
+    last = len(ts) - 1
     if t0 is None:
         t0 = t_hi
     if not t_lo <= t0 <= t_hi:
         raise DomainError(f"anchor time {t0} outside tabulated range [{t_lo}, {t_hi}]")
 
-    def log_delta(t: float) -> float:
+    def _segment(t: float) -> int:
+        """Index i of the segment [ts[i], ts[i+1]) holding t; ``last`` at t_hi."""
         if not t_lo <= t <= t_hi:
             raise DomainError(f"time {t} outside tabulated range [{t_lo}, {t_hi}]")
-        return float(np.interp(t, ts, log_deltas))
+        return bisect.bisect_right(ts, t) - 1
+
+    def log_delta(t: float) -> float:
+        # Linear on each segment; a node returns its own value exactly.
+        i = _segment(t)
+        if i == last or ts[i] == t:
+            return log_deltas[i]
+        slope = (log_deltas[i + 1] - log_deltas[i]) / (ts[i + 1] - ts[i])
+        return slope * (t - ts[i]) + log_deltas[i]
 
     def delta(t: float) -> float:
         return math.exp(log_delta(t))
@@ -223,14 +243,11 @@ def profile_from_table(
         return (math.exp(-li) - math.exp(-(li + slope * (s - ts[i])))) / slope
 
     cumulative = [0.0]
-    for i in range(len(ts) - 1):
-        cumulative.append(cumulative[-1] + _segment_integral(i, float(ts[i + 1])))
+    for i in range(last):
+        cumulative.append(cumulative[-1] + _segment_integral(i, ts[i + 1]))
 
     def antiderivative(s: float) -> float:
-        if not t_lo <= s <= t_hi:
-            raise DomainError(f"time {s} outside tabulated range [{t_lo}, {t_hi}]")
-        i = min(int(np.searchsorted(ts, s, side="right")) - 1, len(ts) - 2)
-        i = max(i, 0)
+        i = min(_segment(s), last - 1)
         return cumulative[i] + _segment_integral(i, s)
 
     return BoundaryProfile(

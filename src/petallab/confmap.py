@@ -48,6 +48,10 @@ def segment_distance(z: complex, a: complex, b: complex) -> float:
     return abs(z - (a + t * d))
 
 
+def _near_cut(z: complex, i: int) -> MapDomainError:
+    return MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+
+
 def _branch_log(z: complex, cut: float) -> complex:
     """log z with the argument taken in [cut - 2 pi, cut)."""
     a = cmath.phase(z)
@@ -230,6 +234,14 @@ class ConformalChain:
     target: CanonicalDomain
     source_contains: Callable[[complex], bool] = field(repr=False)
     name: str = ""
+    # (index, inverted step) pairs in the order eval_inverse applies them.
+    _inverse_steps: tuple[tuple[int, MapStep], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        inverse = tuple((i, step.inverted()) for i, step in enumerate(self.steps))[::-1]
+        object.__setattr__(self, "_inverse_steps", inverse)
 
     def eval(self, w: complex) -> complex:
         """Forward image of an interior source point."""
@@ -237,6 +249,8 @@ class ConformalChain:
         if not self.source_contains(z):
             raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
         for i, step in enumerate(self.steps):
+            if step.cut_distance(z) <= EPS_CUT:
+                raise _near_cut(z, i)
             z = self._apply_step(step, z, i)
         return z
 
@@ -245,9 +259,10 @@ class ConformalChain:
         z = complex(q)
         if not self.target.contains(z):
             raise MapDomainError(f"{z!r} is outside the target domain {self.target.value}")
-        n = len(self.steps)
-        for j, step in enumerate(reversed(self.steps)):
-            z = self._apply_step(step.inverted(), z, n - 1 - j)
+        for i, step in self._inverse_steps:
+            if step.cut_distance(z) <= EPS_CUT:
+                raise _near_cut(z, i)
+            z = self._apply_step(step, z, i)
         if not self.source_contains(z):
             raise MapDomainError(f"{q!r} has no preimage in the source region")
         return z
@@ -260,7 +275,7 @@ class ConformalChain:
         acc = 1.0 + 0j
         for i, step in enumerate(self.steps):
             if step.cut_distance(z) <= EPS_CUT:
-                raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+                raise _near_cut(z, i)
             try:
                 acc *= step.derivative(z)
             except (OverflowError, ZeroDivisionError) as exc:
@@ -272,8 +287,7 @@ class ConformalChain:
 
     @staticmethod
     def _apply_step(step: MapStep, z: complex, i: int) -> complex:
-        if step.cut_distance(z) <= EPS_CUT:
-            raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+        """``step.apply(z)``; the caller has checked z against the step's cut."""
         try:
             z = step.apply(z)
         except (OverflowError, ZeroDivisionError) as exc:

@@ -7,8 +7,9 @@ check passed, 1 when a check failed, 2 on a usage problem.
 Output location: ``--out`` flag, else the ``PETALLAB_OUT`` environment
 variable, else ``./out``.  A configuration file of ``key = value`` lines
 can stand in for flags; explicit flags always win.  All experiments are
-deterministic: randomized ones draw from a generator seeded with 20260817
-unless ``--seed`` overrides it.
+deterministic: randomized ones draw from ``random.Random`` seeded with
+20260817 unless ``--seed`` overrides it.  The module, like the whole
+package, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from .bounds import (
     BoundaryProfile,
@@ -33,7 +32,7 @@ from .hmeasure import Arc, approach_angle
 from .hypcore import DomainError
 from .models import KoenigsModel, MODEL_NAMES, Petal, by_name
 from .semigroup import flow
-from .speeds import dyadic_grid, forward_speed, slope_estimate, speed_series
+from .speeds import dyadic_grid, forward_speed, linear_fit, slope_estimate, speed_series
 from .verify import (
     APPROACH_ANGLE_WINDOW,
     DEFAULT_SEED,
@@ -224,6 +223,9 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     kmax = 16 if args.kmax is None else args.kmax
     if kmin > kmax:
         raise UsageError(f"kmin {kmin} exceeds kmax {kmax}")
+    if kmax - kmin < 2:
+        # The slope is fitted to the grid's tail half: at least two points.
+        raise UsageError(f"forward needs kmax - kmin >= 2, got kmin {kmin}, kmax {kmax}")
     ts = [2.0**k for k in range(kmin, kmax + 1)]
     vs = [forward_speed(model, base, t) for t in ts]
     tol = RATE_TOL if args.tol is None else args.tol
@@ -231,7 +233,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     target = 0.5 * model.mu if model.kind == "hyperbolic" else 0.0
     threshold = rate_threshold(target, tol)
     tail = len(ts) // 2
-    slope = float(np.polyfit(ts[tail:], vs[tail:], 1)[0]) if len(ts) >= 2 else 0.0
+    slope, _ = linear_fit(ts[tail:], vs[tail:])
     passed = abs(slope - target) <= threshold
     out = _out_dir(args)
     path = os.path.join(out, f"forward_{model.name}.csv")

@@ -470,7 +470,8 @@ def sample_petal_omega(model: KoenigsModel, petal: Petal, n: int, rng) -> list[c
     """Draw n interior sample points of a petal, in Omega coordinates.
 
     Samples stay a safe margin away from the petal's edges so that chain
-    evaluations and backward flows remain well conditioned.
+    evaluations and backward flows remain well conditioned.  ``rng`` needs
+    only ``uniform(a, b)``, as ``random.Random`` has.
     """
     image = petal.image
     points: list[complex] = []

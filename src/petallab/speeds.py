@@ -208,6 +208,27 @@ def speed_series(
     )
 
 
+def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares line through the points (xs, ys): (slope, intercept).
+
+    Built on sums centred at the means, each added exactly by ``math.fsum``.
+    Raises ``EstimationError`` for fewer than two points or coinciding xs.
+    """
+    n = len(xs)
+    if n != len(ys):
+        raise ValueError(f"{n} abscissae but {len(ys)} ordinates")
+    if n < 2:
+        raise EstimationError("a line fit needs at least 2 points")
+    if min(xs) == max(xs):
+        raise EstimationError("degenerate abscissa: all points coincide")
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    dxs = [x - x_mean for x in xs]
+    sxx = math.fsum(dx * dx for dx in dxs)
+    slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / sxx
+    return slope, y_mean - slope * x_mean
+
+
 def slope_estimate(
     series: SpeedSeries, mode: str = "linear_in_t", component: str = "v"
 ) -> tuple[float, float]:
@@ -216,8 +237,6 @@ def slope_estimate(
     mode selects the abscissa: "linear_in_t" fits against t,
     "linear_in_log" against log|t|.  Returns (slope, r_squared).
     """
-    import numpy as np
-
     if mode not in ("linear_in_t", "linear_in_log"):
         raise ValueError(f"unknown mode {mode!r}")
     ys_all = series.component(component)
@@ -234,15 +253,11 @@ def slope_estimate(
         if any(t == 0.0 for t in ts):
             raise EstimationError("log abscissa undefined at t = 0")
         xs = [math.log(abs(t)) for t in ts]
-    if max(xs) - min(xs) <= 0.0:
-        raise EstimationError("degenerate abscissa: all tail points coincide")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
+    slope, intercept = linear_fit(xs, ys)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    y_mean = math.fsum(ys) / len(ys)
+    ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else (
         0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     )
-    return float(slope), r2
+    return slope, r2

@@ -10,10 +10,9 @@ the detail strings; everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import List, Tuple
-
-import numpy as np
 
 from .bounds import bound_ratio_series, gaussian_profile, logrecip_profile
 from .hmeasure import Arc, approach_angle
@@ -27,7 +26,14 @@ from .models import (
     sample_petal_omega,
 )
 from .semigroup import flow, regularity_gap, repelling_diagnostics
-from .speeds import dyadic_grid, forward_speed, slope_estimate, speed_sample, speed_series
+from .speeds import (
+    dyadic_grid,
+    forward_speed,
+    linear_fit,
+    slope_estimate,
+    speed_sample,
+    speed_series,
+)
 
 __all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
 
@@ -189,7 +195,7 @@ def _check_pythagorean_sandwich() -> CheckResult:
     return CheckResult("pythagorean-sandwich", ok, detail)
 
 
-def _check_base_independence(rng: np.random.Generator) -> CheckResult:
+def _check_base_independence(rng: random.Random) -> CheckResult:
     grid = dyadic_grid(0, 16)
     worst = -math.inf
     ok = True
@@ -217,7 +223,7 @@ def _check_forward_rates() -> CheckResult:
     ts = [2.0**k for k in range(4, 17)]
     vs = [forward_speed(m1, base, t) for t in ts]
     tail = len(ts) // 2
-    slope = float(np.polyfit(ts[tail:], vs[tail:], 1)[0])
+    slope, _ = linear_fit(ts[tail:], vs[tail:])
     target = 0.5
     ok = abs(slope - target) <= rate_threshold(target)
     parts.append(f"{m1.name}: forward slope {slope:.6f} vs {target}")
@@ -230,7 +236,7 @@ def _check_forward_rates() -> CheckResult:
     return CheckResult("forward-speed-rates", ok, "; ".join(parts))
 
 
-def _check_repelling_diagnostics(rng: np.random.Generator) -> CheckResult:
+def _check_repelling_diagnostics(rng: random.Random) -> CheckResult:
     parts = []
     ok = True
     for model, petal in _all_petals():
@@ -314,7 +320,7 @@ def _check_approach_angles() -> CheckResult:
     return CheckResult("approach-angles", ok, "; ".join(parts))
 
 
-def _check_structural(rng: np.random.Generator) -> CheckResult:
+def _check_structural(rng: random.Random) -> CheckResult:
     parts = []
     ok = True
 
@@ -396,7 +402,7 @@ CHECK_NAMES = (
 
 def run_all(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Run every verification check; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     results = [
         _check_total_slopes(),
         _check_parabolic_envelope(),

@@ -92,6 +92,12 @@ class TestUpperBound:
             LOGRECIP_RATIO_1E3, abs=1e-15
         )
 
+    def test_custom_gap_reaching_zero_is_a_domain_error(self):
+        # The quadrature on [-9, -1] evaluates the gap at its midpoint -5.
+        p = custom_profile(lambda t: abs(t + 5.0), t0=-1.0)
+        with pytest.raises(DomainError, match=r"bounds: .* at t = -5\.0"):
+            upper_bound(p, -9.0)
+
     def test_quadrature_matches_closed_form(self):
         p = logrecip_profile()
         for t in (-5.0, -50.0, -500.0):
@@ -148,17 +154,25 @@ class TestUpperBound:
 
 
 def test_runtime_loads_no_scipy():
-    # The package, its CLI module, the verify suite and the quadrature all
-    # run on numpy and the standard library alone.
+    # The package, its CLI module, the verify suite, the slope fit, the
+    # quadrature and a tabulated profile all run on the standard library
+    # alone: neither scipy nor numpy gets imported.
     code = (
         "import math, sys\n"
         "import petallab, petallab.lab\n"
-        "from petallab.bounds import custom_profile, upper_bound\n"
+        "from petallab import by_name, dyadic_grid, slope_estimate, speed_series\n"
+        "from petallab.bounds import custom_profile, profile_from_table, upper_bound\n"
         "from petallab.verify import run_all\n"
         "run_all(0)\n"
         "p = custom_profile(lambda t: 1.0 / math.log(-t), t0=-math.e)\n"
         "assert math.isfinite(upper_bound(p, -1e3, method='quadrature'))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "m = by_name('strip-slit')\n"
+        "petal = m.petal('upper')\n"
+        "series = speed_series(m, petal, petal.base_default, dyadic_grid(4, 16))\n"
+        "assert abs(slope_estimate(series)[0] + 1.0) < 1e-9\n"
+        "table = profile_from_table([(-100.0, 1e-3), (-10.0, 0.1), (-1.0, 1.0)])\n"
+        "assert math.isfinite(upper_bound(table, -50.0))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -172,6 +186,14 @@ class TestLowerBound:
     def test_anchor_value(self):
         p = gaussian_profile(d0=0.25)
         assert lower_bound(p, p.t0) == -0.25
+
+    def test_custom_gap_reaching_zero_is_a_domain_error(self):
+        p = custom_profile(lambda t: abs(t + 5.0), t0=-1.0)
+        with pytest.raises(DomainError, match=r"bounds: .* at t = -5\.0"):
+            lower_bound(p, -5.0)
+        nan_gap = custom_profile(lambda t: 1.0 if t > -3.0 else math.nan, t0=-1.0)
+        with pytest.raises(DomainError, match=r"bounds: .* at t = -4\.0"):
+            lower_bound(nan_gap, -4.0)
 
     def test_constant_gap_closed_form(self):
         p = custom_profile(lambda t: 1.0, t0=-1.0, d0=0.0)
@@ -274,6 +296,11 @@ class TestTabulatedProfiles:
             profile_from_table([(-1.0, 1.0)])
         with pytest.raises(DomainError):
             profile_from_table([(-1.0, 1.0), (-1.0, 2.0)])
+        # A NaN time sorts anywhere and compares unequal to every time.
+        with pytest.raises(DomainError):
+            profile_from_table([(-3.0, 2.0), (math.nan, 1.0), (-1.0, 1.0)])
+        with pytest.raises(DomainError):
+            profile_from_table([(-math.inf, 2.0), (-3.0, 1.0), (-1.0, 1.0)])
         with pytest.raises(DomainError):
             profile_from_table([(-2.0, 1.0), (-1.0, -3.0)])
         with pytest.raises(DomainError):
@@ -299,6 +326,47 @@ class TestTabulatedProfiles:
             upper_bound(exact, t_query) - upper_bound(exact, -math.exp(1.0))
         )
         assert got == pytest.approx(want, rel=1e-3)
+
+    # A table whose gaps span 30 decades and whose segments have unequal
+    # lengths; its logs come from math.log, as the profile's own do.
+    ORACLE_ROWS = [(-1e4, 1e-30), (-700.0, 3e-9), (-90.0, 2e-4), (-12.5, 0.05),
+                   (-3.0, 0.4), (-2.0, 0.41), (-1.0, 1.0)]
+
+    def test_log_delta_matches_interp(self):
+        p = profile_from_table(self.ORACLE_ROWS)
+        ts = np.array([t for t, _ in self.ORACLE_ROWS])
+        fp = np.array([math.log(d) for _, d in self.ORACLE_ROWS])
+        mids = 0.5 * (ts[1:] + ts[:-1])
+        thirds = ts[:-1] + (ts[1:] - ts[:-1]) / 3.0
+        for t in [*ts, *mids, *thirds, np.nextafter(ts[-1], -np.inf)]:
+            assert p.log_delta(float(t)) == float(np.interp(t, ts, fp)), t
+        # Both ends return their tabulated values exactly.
+        assert p.log_delta(float(ts[0])) == fp[0]
+        assert p.log_delta(float(ts[-1])) == fp[-1]
+
+    def test_antiderivative_matches_searchsorted(self):
+        p = profile_from_table(self.ORACLE_ROWS)
+        anti = p.inv_delta_antiderivative
+        ts = np.array([t for t, _ in self.ORACLE_ROWS])
+        fp = np.array([math.log(d) for _, d in self.ORACLE_ROWS])
+
+        def segment(i, s):
+            # integral of exp(-L) over [ts[i], s], L linear between nodes.
+            slope = (fp[i + 1] - fp[i]) / (ts[i + 1] - ts[i])
+            return (math.exp(-fp[i]) - math.exp(-np.interp(s, ts, fp))) / slope
+
+        def oracle(s):
+            i = min(int(np.searchsorted(ts, s, side="right")) - 1, len(ts) - 2)
+            return math.fsum([segment(j, ts[j + 1]) for j in range(i)] + [segment(i, s)])
+
+        mids = 0.5 * (ts[1:] + ts[:-1])
+        for s in [*ts, *mids]:
+            assert anti(float(s)) == pytest.approx(oracle(float(s)), rel=1e-13), s
+        assert anti(float(ts[0])) == 0.0
+        with pytest.raises(DomainError):
+            anti(float(np.nextafter(ts[0], -np.inf)))
+        with pytest.raises(DomainError):
+            anti(float(np.nextafter(ts[-1], np.inf)))
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "profile.txt"

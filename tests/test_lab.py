@@ -304,6 +304,19 @@ class TestUsageErrors:
             "--out", str(tmp_path),
         ]) == 2
 
+    def test_forward_grid_too_short_to_fit(self, tmp_path):
+        # The slope is fitted to the tail half of the grid, which needs
+        # at least two points.
+        for kmin, kmax in (("5", "5"), ("4", "5")):
+            assert main([
+                "forward", "--model", "strip-slit", "--kmin", kmin, "--kmax", kmax,
+                "--out", str(tmp_path),
+            ]) == 2
+        assert main([
+            "forward", "--model", "strip-slit", "--kmin", "4", "--kmax", "6",
+            "--out", str(tmp_path),
+        ]) == 0
+
     def test_unknown_profile(self, tmp_path):
         assert main(["bounds", "--profile", "cubic", "--out", str(tmp_path)]) == 2
 

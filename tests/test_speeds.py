@@ -26,6 +26,7 @@ from petallab.speeds import (
     SpeedSeries,
     dyadic_grid,
     forward_speed,
+    linear_fit,
     slope_estimate,
     speed_sample,
     speed_series,
@@ -417,6 +418,75 @@ class TestSlopeEstimate:
             slope_estimate(series, "linear_in_t", "v")
         with pytest.raises(EstimationError):
             slope_estimate(series, "linear_in_log", "v")
+
+
+def _polyfit_oracle(xs, ys):
+    """Slope of ``np.polyfit(xs, ys, 1)`` and the r^2 of that line."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_res = float(np.dot(resid, resid))
+    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
+    if ss_tot == 0.0:
+        return float(slope), 1.0 if ss_res == 0.0 else 0.0
+    return float(slope), 1.0 - ss_res / ss_tot
+
+
+def _slope_tol(xs, ys):
+    # Relative 1e-12 of the slope; a flat series, whose exact slope is 0,
+    # is held to the smallest slope its float values can resolve instead.
+    return 1e-12 * max(abs(y) for y in ys) / (max(xs) - min(xs))
+
+
+_PETAL_IDS = [(m.name, p.label) for m in catalog() for p in m.petals]
+
+
+class TestFitAgainstPolyfit:
+    """linear_fit and slope_estimate agree with numpy's least squares on
+    the grids the CLI and verify fit: asymptote and forward."""
+
+    @pytest.mark.parametrize("name,label", _PETAL_IDS)
+    def test_asymptote_grid(self, name, label):
+        model = by_name(name)
+        petal = model.petal(label)
+        series = speed_series(model, petal, petal.base_default, dyadic_grid(4, 16))
+        tail = series.samples[len(series.samples) // 2:]
+        ts = [s.t for s in tail]
+        for component in ("v", "v_o", "v_T"):
+            ys = [getattr(s, component) for s in tail]
+            for mode, xs in (("linear_in_t", ts),
+                             ("linear_in_log", [math.log(-t) for t in ts])):
+                want_slope, want_r2 = _polyfit_oracle(xs, ys)
+                slope, r2 = slope_estimate(series, mode, component)
+                assert slope == pytest.approx(
+                    want_slope, rel=1e-12, abs=_slope_tol(xs, ys)
+                ), (component, mode)
+                assert r2 == pytest.approx(want_r2, abs=1e-12), (component, mode)
+
+    @pytest.mark.parametrize("name,label", _PETAL_IDS)
+    def test_forward_grid(self, name, label):
+        model = by_name(name)
+        base = model.petal(label).base_default
+        ts = [2.0 ** k for k in range(4, 17)]
+        vs = [forward_speed(model, base, t) for t in ts]
+        xs, ys = ts[len(ts) // 2:], vs[len(vs) // 2:]
+        want_slope, _ = _polyfit_oracle(xs, ys)
+        slope, intercept = linear_fit(xs, ys)
+        assert slope == pytest.approx(want_slope, rel=1e-12, abs=_slope_tol(xs, ys))
+        want_intercept = float(np.polyfit(xs, ys, 1)[1])
+        assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=1e-12 * max(ys))
+
+    def test_exact_line_is_exact(self):
+        assert linear_fit([1.0, 2.0, 3.0, 4.0], [3.0, 5.0, 7.0, 9.0]) == (2.0, 1.0)
+
+    def test_rejects_too_few_or_coinciding_points(self):
+        with pytest.raises(EstimationError):
+            linear_fit([1.0], [2.0])
+        with pytest.raises(EstimationError):
+            linear_fit([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            linear_fit([1.0, 2.0], [1.0])
 
 
 class TestDyadicGrid:
