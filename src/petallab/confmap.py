@@ -6,6 +6,15 @@ Branch-carrying steps (Log, Power, the slit closure pair) store the
 half-line or segment their cut occupies; chains are built so cuts stay
 outside the source region, and evaluation refuses points within
 ``EPS_CUT`` of a cut instead of guessing a branch.
+
+Each chain builds two plans once, at construction: the forward plan for
+its steps and the inverse plan for their inverses in reverse order.  A
+plan entry holds a step's index and its bound ``apply``, ``cut_distance``
+(None for a step with no cut, whose check is skipped) and
+``value_and_derivative``.  ``eval`` and ``eval_inverse`` walk a plan with
+``apply``; ``derivative`` walks the forward plan with
+``value_and_derivative``, which evaluates a step's shared transcendental
+once for both its image and its derivative.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from .hypcore import CanonicalDomain, Mobius
 
@@ -33,7 +42,12 @@ class MapDomainError(ValueError):
 
 def ray_distance(z: complex, angle: float) -> float:
     """Euclidean distance from z to the ray {r e^{i angle} : r >= 0}."""
-    v = z * cmath.exp(-1j * angle)
+    return _rotated_ray_distance(z, cmath.exp(-1j * angle))
+
+
+def _rotated_ray_distance(z: complex, rot: complex) -> float:
+    """Distance from z to the ray at angle a, given rot = e^{-i a}."""
+    v = z * rot
     if v.real <= 0.0:
         return abs(v)
     return abs(v.imag)
@@ -67,6 +81,14 @@ class MapStep:
 
     def derivative(self, z: complex) -> complex:
         raise NotImplementedError
+
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
+        """``(apply(z), derivative(z))``; steps whose image and derivative
+        share work override it to do that work once."""
+        # The derivative goes first, as the chain rule loop always took it,
+        # so that a point where both fail raises the derivative's error.
+        d = self.derivative(z)
+        return self.apply(z), d
 
     def inverted(self) -> "MapStep":
         raise NotImplementedError
@@ -107,6 +129,10 @@ class ExpStep(MapStep):
     def derivative(self, z: complex) -> complex:
         return cmath.exp(z)
 
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
+        w = cmath.exp(z)
+        return w, w
+
     def inverted(self) -> "LogStep":
         return LogStep(math.pi)
 
@@ -119,6 +145,11 @@ class LogStep(MapStep):
     """
 
     cut: float = math.pi
+    # e^{-i cut}, which turns the cut onto the positive real axis.
+    _rot: complex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rot", cmath.exp(-1j * self.cut))
 
     def apply(self, z: complex) -> complex:
         return _branch_log(z, self.cut)
@@ -130,7 +161,7 @@ class LogStep(MapStep):
         return ExpStep()
 
     def cut_distance(self, z: complex) -> float:
-        return ray_distance(z, self.cut)
+        return _rotated_ray_distance(z, self._rot)
 
 
 @dataclass(frozen=True)
@@ -143,10 +174,13 @@ class PowerStep(MapStep):
 
     alpha: float
     cut: float = math.pi
+    # e^{-i cut}, which turns the cut onto the positive real axis.
+    _rot: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError("power step requires alpha > 0")
+        object.__setattr__(self, "_rot", cmath.exp(-1j * self.cut))
 
     def apply(self, z: complex) -> complex:
         return cmath.exp(self.alpha * _branch_log(z, self.cut))
@@ -154,11 +188,16 @@ class PowerStep(MapStep):
     def derivative(self, z: complex) -> complex:
         return self.alpha * cmath.exp((self.alpha - 1.0) * _branch_log(z, self.cut))
 
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
+        log_z = _branch_log(z, self.cut)
+        d = self.alpha * cmath.exp((self.alpha - 1.0) * log_z)
+        return cmath.exp(self.alpha * log_z), d
+
     def inverted(self) -> "PowerStep":
         return PowerStep(1.0 / self.alpha, self.cut)
 
     def cut_distance(self, z: complex) -> float:
-        return ray_distance(z, self.cut)
+        return _rotated_ray_distance(z, self._rot)
 
 
 @dataclass(frozen=True)
@@ -201,6 +240,10 @@ class SlitCloseStep(MapStep):
     def derivative(self, z: complex) -> complex:
         return z / self.apply(z)
 
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
+        w = _uhp_sqrt(z * z + 1.0)
+        return w, z / w
+
     def inverted(self) -> "SlitOpenStep":
         return SlitOpenStep()
 
@@ -218,11 +261,45 @@ class SlitOpenStep(MapStep):
     def derivative(self, z: complex) -> complex:
         return z / self.apply(z)
 
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
+        w = _uhp_sqrt(z * z - 1.0)
+        return w, z / w
+
     def inverted(self) -> SlitCloseStep:
         return SlitCloseStep()
 
     def cut_distance(self, z: complex) -> float:
         return segment_distance(z, -1.0 + 0j, 1.0 + 0j)
+
+
+# One entry of a chain's walk: (step index, apply, cut_distance or None for
+# a cut-free step, value_and_derivative), all bound to the step.
+_PlanEntry = tuple[
+    int,
+    Callable[[complex], complex],
+    Optional[Callable[[complex], float]],
+    Callable[[complex], tuple[complex, complex]],
+]
+
+
+def _plan(indexed_steps) -> tuple[_PlanEntry, ...]:
+    plan = []
+    for i, step in indexed_steps:
+        has_cut = type(step).cut_distance is not MapStep.cut_distance
+        plan.append((i, step.apply, step.cut_distance if has_cut else None,
+                     step.value_and_derivative))
+    return tuple(plan)
+
+
+def _fused_failure(step: MapStep, z: complex, i: int, exc: ArithmeticError) -> MapDomainError:
+    """The error of a failed ``value_and_derivative`` at z, named as the
+    derivative-then-apply order names it: the derivative's failure if
+    ``derivative`` fails at z, else the image's."""
+    try:
+        step.derivative(z)
+    except (OverflowError, ZeroDivisionError) as d_exc:
+        return MapDomainError(f"derivative failed: {d_exc}", step_index=i)
+    return MapDomainError(f"evaluation failed: {exc}", step_index=i)
 
 
 @dataclass(frozen=True)
@@ -234,35 +311,29 @@ class ConformalChain:
     target: CanonicalDomain
     source_contains: Callable[[complex], bool] = field(repr=False)
     name: str = ""
-    # (index, inverted step) pairs in the order eval_inverse applies them.
-    _inverse_steps: tuple[tuple[int, MapStep], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # The walks of eval/derivative and of eval_inverse, built once.
+    _forward_plan: tuple[_PlanEntry, ...] = field(init=False, repr=False, compare=False)
+    _inverse_plan: tuple[_PlanEntry, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        inverse = tuple((i, step.inverted()) for i, step in enumerate(self.steps))[::-1]
-        object.__setattr__(self, "_inverse_steps", inverse)
+        forward = _plan(enumerate(self.steps))
+        inverse = _plan((i, self.steps[i].inverted()) for i in reversed(range(len(self.steps))))
+        object.__setattr__(self, "_forward_plan", forward)
+        object.__setattr__(self, "_inverse_plan", inverse)
 
     def eval(self, w: complex) -> complex:
         """Forward image of an interior source point."""
         z = complex(w)
         if not self.source_contains(z):
             raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
-        for i, step in enumerate(self.steps):
-            if step.cut_distance(z) <= EPS_CUT:
-                raise _near_cut(z, i)
-            z = self._apply_step(step, z, i)
-        return z
+        return _walk(self._forward_plan, z)
 
     def eval_inverse(self, q: complex) -> complex:
         """Preimage of an interior target point under the inverted steps."""
         z = complex(q)
         if not self.target.contains(z):
             raise MapDomainError(f"{z!r} is outside the target domain {self.target.value}")
-        for i, step in self._inverse_steps:
-            if step.cut_distance(z) <= EPS_CUT:
-                raise _near_cut(z, i)
-            z = self._apply_step(step, z, i)
+        z = _walk(self._inverse_plan, z)
         if not self.source_contains(z):
             raise MapDomainError(f"{q!r} has no preimage in the source region")
         return z
@@ -273,25 +344,32 @@ class ConformalChain:
         if not self.source_contains(z):
             raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
         acc = 1.0 + 0j
-        for i, step in enumerate(self.steps):
-            if step.cut_distance(z) <= EPS_CUT:
+        for i, _, cut_distance, value_and_derivative in self._forward_plan:
+            if cut_distance is not None and cut_distance(z) <= EPS_CUT:
                 raise _near_cut(z, i)
             try:
-                acc *= step.derivative(z)
+                image, d = value_and_derivative(z)
             except (OverflowError, ZeroDivisionError) as exc:
-                raise MapDomainError(f"derivative failed: {exc}", step_index=i) from exc
-            z = self._apply_step(step, z, i)
-            if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
+                raise _fused_failure(self.steps[i], z, i, exc) from exc
+            acc *= d
+            if not cmath.isfinite(image):
+                raise MapDomainError("evaluation left float range", step_index=i)
+            if not cmath.isfinite(acc):
                 raise MapDomainError("derivative left float range", step_index=i)
+            z = image
         return acc
 
-    @staticmethod
-    def _apply_step(step: MapStep, z: complex, i: int) -> complex:
-        """``step.apply(z)``; the caller has checked z against the step's cut."""
+
+def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
+    """Image of z under the steps of a plan, each checked against its cut
+    and its image checked to be a finite float."""
+    for i, apply, cut_distance, _ in plan:
+        if cut_distance is not None and cut_distance(z) <= EPS_CUT:
+            raise _near_cut(z, i)
         try:
-            z = step.apply(z)
+            z = apply(z)
         except (OverflowError, ZeroDivisionError) as exc:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        if not cmath.isfinite(z):
             raise MapDomainError("evaluation left float range", step_index=i)
-        return z
+    return z

@@ -247,6 +247,15 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+# Closest approach to sigma at which hmeasure still uses an orbit point.
+# disk_z is rounded at about 2^-52, its modulus being near 1, so the
+# direction of disk_z - sigma, which the measure of an arc ending at sigma
+# reads, is off by about 2^-52 / |disk_z - sigma| radians.  Points closer
+# than 2^-52 * 1e8 (about 2.2e-8) would let rounding move that direction
+# by more than 1e-8 rad; strip-slit reaches that distance at t = -10.
+_SIGMA_ROUNDING_FLOOR = 2.0 ** -52 * 1e8
+
+
 def _cmd_hmeasure(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     petal = _resolve_petal(model, args)
@@ -260,9 +269,14 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
     sigma = sigma_bp.value
     times: List[float] = []
     points: List[complex] = []
+    stop = f"kmax {kmax} reached"
     for k in range(1, kmax + 1):
         point = flow(model, base, float(-k))
         if point.disk_z is None:
+            stop = f"disk chart lost at t = {-k}"
+            break
+        if abs(point.disk_z - sigma) < _SIGMA_ROUNDING_FLOOR:
+            stop = f"disk_z within {_SIGMA_ROUNDING_FLOOR:.3g} of sigma at t = {-k}"
             break
         times.append(float(-k))
         points.append(point.disk_z)
@@ -280,9 +294,10 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
     lines += [f"{_num(t)} {_num(m)}" for t, m in zip(times, report.measures)]
     _write_text(data_path, "\n".join(lines) + "\n")
     summary_path = os.path.join(out, f"hmeasure_{tag}_summary.txt")
+    orbit = f"points = {len(points)}\norbit_stop = {stop}\n"
     if report.inconclusive:
         summary = (
-            f"model = {model.name}\npetal = {petal.label}\n"
+            f"model = {model.name}\npetal = {petal.label}\n{orbit}"
             f"status = inconclusive\nreason = {report.reason}\n"
         )
         _write_text(summary_path, summary)
@@ -292,7 +307,7 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
     lo, hi = APPROACH_ANGLE_WINDOW
     passed = lo < report.theta < hi
     summary = (
-        f"model = {model.name}\npetal = {petal.label}\n"
+        f"model = {model.name}\npetal = {petal.label}\n{orbit}"
         f"theta = {_num(report.theta)}\n"
         f"theta_over_pi = {_num(report.theta / math.pi)}\n"
         f"tangential = {report.tangential}\n"

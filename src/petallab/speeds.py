@@ -136,14 +136,14 @@ def _eta_frame(
 
 
 def _sample_at(
-    model: KoenigsModel, w0: complex, p0: UhpLogPoint, frame, t: float
+    model: KoenigsModel, w0: complex, p0: UhpLogPoint, frame, ln0: complex, t: float
 ) -> SpeedSample:
     """The three speeds at time t of the orbit from w0, whose time-0 image
-    is p0 and whose eta frame is ``frame``."""
+    is p0, whose eta frame is ``frame`` and whose framed base is
+    ``ln0 = frame(p0)``."""
     if t == 0.0:
         return SpeedSample(t=0.0, v=0.0, v_o=0.0, v_T=0.0)
     p_t = model.uhp_orbit(w0, t)
-    ln0 = frame(p0)
     ln_t = frame(p_t)
     return SpeedSample(
         t=float(t),
@@ -159,7 +159,8 @@ def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> Spe
     if t > 0.0:
         raise DomainError("petal speeds are defined for t <= 0")
     p0 = model.uhp_orbit(w0, 0.0)
-    return _sample_at(model, w0, p0, _eta_frame(model, petal, p0), t)
+    frame = _eta_frame(model, petal, p0)
+    return _sample_at(model, w0, p0, frame, frame(p0), t)
 
 
 def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
@@ -191,7 +192,8 @@ def speed_series(
         raise ValueError("grid must be strictly decreasing")
     p0 = model.uhp_orbit(w0, 0.0)
     frame = _eta_frame(model, petal, p0)
-    samples = [_sample_at(model, w0, p0, frame, t) for t in ts]
+    ln0 = frame(p0)
+    samples = [_sample_at(model, w0, p0, frame, ln0, t) for t in ts]
     totals = [s.v for s in samples]
     if any(b < a - 1e-12 for a, b in zip(totals, totals[1:])):
         warnings.warn(

@@ -8,7 +8,12 @@ Only the tests use these, so they live here rather than in the package:
 - boundary-point transport through a conformal chain along an interior
   approach ray, which re-derives each petal's ``sigma_canonical``;
 - the euclidean distance from a point of a model's domain Omega to its
-  boundary.
+  boundary;
+- a step-by-step chain walk (``reference_eval``, ``reference_eval_inverse``,
+  ``reference_derivative``, ``reference_generator``) that calls each
+  step's ``cut_distance``, ``apply`` and ``derivative`` in turn, against
+  which the chains' precomputed walk plans are checked for identical
+  values and errors.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from petallab.confmap import ConformalChain, MapDomainError, ray_distance
+from petallab.confmap import EPS_CUT, ConformalChain, MapDomainError, MapStep, ray_distance
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
@@ -356,3 +361,87 @@ def boundary_distance(model: KoenigsModel, w: complex) -> float:
     if not model.contains(w):
         raise DomainError(f"{w} is not in the domain of {model.name}")
     return _BOUNDARY_DISTANCE[model.name](w)
+
+
+# ---------------------------------------------------------------------------
+# Step-by-step chain walk
+
+
+def _check_cut(step: MapStep, z: complex, i: int) -> None:
+    if step.cut_distance(z) <= EPS_CUT:
+        raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+
+
+def _apply(step: MapStep, z: complex, i: int) -> complex:
+    try:
+        z = step.apply(z)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise MapDomainError("evaluation left float range", step_index=i)
+    return z
+
+
+def reference_eval(chain: ConformalChain, w: complex) -> complex:
+    """``chain.eval(w)``, one step call at a time."""
+    z = complex(w)
+    if not chain.source_contains(z):
+        raise MapDomainError(f"{z!r} is outside the source region of {chain.name or 'chain'}")
+    for i, step in enumerate(chain.steps):
+        _check_cut(step, z, i)
+        z = _apply(step, z, i)
+    return z
+
+
+def reference_eval_inverse(chain: ConformalChain, q: complex) -> complex:
+    """``chain.eval_inverse(q)``, inverting each step as it is reached."""
+    z = complex(q)
+    if not chain.target.contains(z):
+        raise MapDomainError(f"{z!r} is outside the target domain {chain.target.value}")
+    for i in reversed(range(len(chain.steps))):
+        step = chain.steps[i].inverted()
+        _check_cut(step, z, i)
+        z = _apply(step, z, i)
+    if not chain.source_contains(z):
+        raise MapDomainError(f"{q!r} has no preimage in the source region")
+    return z
+
+
+def reference_derivative(chain: ConformalChain, w: complex) -> complex:
+    """``chain.derivative(w)``: each step's ``derivative``, then its
+    ``apply``, then the finiteness of the product."""
+    z = complex(w)
+    if not chain.source_contains(z):
+        raise MapDomainError(f"{z!r} is outside the source region of {chain.name or 'chain'}")
+    acc = 1.0 + 0j
+    for i, step in enumerate(chain.steps):
+        _check_cut(step, z, i)
+        try:
+            acc *= step.derivative(z)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise MapDomainError(f"derivative failed: {exc}", step_index=i) from exc
+        z = _apply(step, z, i)
+        if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
+            raise MapDomainError("derivative left float range", step_index=i)
+    return acc
+
+
+def reference_generator(model: KoenigsModel, z: complex) -> complex:
+    """``semigroup.generator`` on the reference walk."""
+    z = complex(z)
+    if model.canonical_domain is CanonicalDomain.DISK:
+        w = reference_eval_inverse(model.chain, z)
+    else:
+        q = CAYLEY_DISK_TO_UHP.apply(z)
+        if q is None:
+            raise DomainError("point maps to the Cayley pole")
+        w = reference_eval_inverse(model.chain, q)
+    df = reference_derivative(model.chain, w)
+    if model.canonical_domain is CanonicalDomain.DISK:
+        dc = 1.0 + 0j
+    else:
+        cay = CAYLEY_DISK_TO_UHP
+        dc = cay.det / (cay.c * z + cay.d) ** 2
+    if model.kind == "elliptic":
+        return -model.mu * w * df / dc
+    return df / dc

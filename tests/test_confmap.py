@@ -2,11 +2,19 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import ApproachRay, push_boundary_point
+from oracles import (
+    ApproachRay,
+    push_boundary_point,
+    reference_derivative,
+    reference_eval,
+    reference_eval_inverse,
+    reference_generator,
+)
 from petallab.confmap import (
     Affine,
     ConformalChain,
@@ -20,6 +28,8 @@ from petallab.confmap import (
     SlitOpenStep,
 )
 from petallab.hypcore import CanonicalDomain, BoundaryPoint, INFINITY, Mobius
+from petallab.models import MODEL_NAMES, by_name
+from petallab.semigroup import generator
 
 UHP = CanonicalDomain.UPPER_HALF_PLANE
 DISK = CanonicalDomain.DISK
@@ -225,3 +235,180 @@ class TestBoundaryTransport:
         with pytest.raises(MapDomainError):
             push_boundary_point(chain, INFINITY, ApproachRay(0j, 1j))
 
+
+
+def _outcome(fn, *args):
+    """What a call produced: its value, or its error's type, step index and
+    message."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # every error must match the reference's
+        return ("error", type(exc), getattr(exc, "step_index", None), str(exc))
+
+
+def _polar(rng, log10_r, theta):
+    return 10.0 ** rng.uniform(*log10_r) * cmath.exp(1j * rng.uniform(*theta))
+
+
+def _huge(rng):
+    """A point whose modulus overflows a float, in any quadrant."""
+    def part():
+        return rng.choice((-1.0, 1.0)) * rng.uniform(1.3e308, 1.79e308)
+    return complex(part(), part())
+
+
+# Source boxes reaching a little past each catalog domain, so that some
+# draws are refused at the source check.
+_SOURCE_BOX = {
+    "strip-slit": ((-30.0, 30.0), (-1.6, 1.6)),
+    "sector-parabolic": ((-5.0, 5.0), (-5.0, 5.0)),
+    "koebe-elliptic": ((-5.0, 5.0), (-5.0, 5.0)),
+}
+
+# (function, point sampler, step index of the cut) for points within
+# EPS_CUT of each catalog chain's cuts, forward and inverse.
+_TINY = (1e-14, 5e-13)
+
+
+def _near_cut_cases(name):
+    def signed(rng):
+        return rng.choice((-1.0, 1.0)) * rng.uniform(*_TINY)
+
+    if name == "strip-slit":
+        # The slit (-inf, 0] closes at step 2; the target's real segment
+        # [-1, 1] is SlitOpenStep's cut.
+        return [
+            ("eval", lambda rng: complex(rng.uniform(-5.0, -0.01), signed(rng)), 2),
+            ("inverse", lambda rng: complex(rng.uniform(-0.99, 0.99), rng.uniform(*_TINY)), 2),
+        ]
+    if name == "sector-parabolic":
+        # i w on the positive real axis, PowerStep's cut at 2 pi.
+        return [
+            ("eval", lambda rng: complex(rng.uniform(*_TINY), -rng.uniform(0.01, 5.0)), 1),
+            ("inverse", lambda rng: complex(rng.uniform(0.01, 5.0), rng.uniform(*_TINY)), 1),
+        ]
+    # koebe-elliptic: w + 1 on the negative real axis; near the disk point
+    # -1 the inverse Moebius image nears the origin, where PowerStep(2)'s
+    # cut ray starts.
+    return [
+        ("eval", lambda rng: complex(rng.uniform(-5.0, -1.01), signed(rng)), 1),
+        ("inverse", lambda rng: -1.0 + rng.uniform(1e-14, 1e-12)
+         * cmath.exp(1j * rng.uniform(-1.2, 1.2)), 1),
+    ]
+
+
+# (function, point sampler) far enough out that some steps overflow.
+_OVERFLOW_CASES = {
+    "strip-slit": [
+        ("eval", lambda rng: complex(rng.uniform(700.0, 1000.0), rng.uniform(-1.5, 1.5))),
+    ],
+    "sector-parabolic": [
+        ("eval", _huge),
+        ("inverse", lambda rng: _polar(rng, (200.0, 308.0), (0.1, 3.0))),
+    ],
+    "koebe-elliptic": [
+        ("eval", _huge),
+    ],
+}
+
+
+class TestWalkPlansMatchReference:
+    """Every value and error of a chain's planned walk equals the
+    step-by-step reference walk in ``oracles``."""
+
+    N = 1200
+
+    @staticmethod
+    def _pairs(chain):
+        return {
+            "eval": (chain.eval, lambda w: reference_eval(chain, w)),
+            "derivative": (chain.derivative, lambda w: reference_derivative(chain, w)),
+            "inverse": (chain.eval_inverse, lambda q: reference_eval_inverse(chain, q)),
+        }
+
+    def _assert_same(self, chain, kind, points):
+        pairs = self._pairs(chain)
+        names = ("eval", "derivative") if kind == "eval" else ("inverse",)
+        outcomes = []
+        for name in names:
+            fn, ref = pairs[name]
+            for x in points:
+                got, want = _outcome(fn, x), _outcome(ref, x)
+                assert got == want, f"{chain.name} {name}({x!r}): {got} != {want}"
+                outcomes.append(got)
+        return outcomes
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_seeded_points(self, name):
+        model = by_name(name)
+        chain = model.chain
+        rng = random.Random(20261018)
+        (re_lo, re_hi), (im_lo, im_hi) = _SOURCE_BOX[name]
+        sources = [complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+                   for _ in range(self.N)]
+        if model.canonical_domain is DISK:
+            targets = [(1.0 - math.exp(rng.uniform(-30.0, 0.0)))
+                       * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                       for _ in range(self.N)]
+        else:
+            targets = [complex(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(-20.0, 5.0)))
+                       for _ in range(self.N)]
+        disk = [(1.0 - math.exp(rng.uniform(-30.0, 0.0)))
+                * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(self.N)]
+        outcomes = self._assert_same(chain, "eval", sources)
+        outcomes += self._assert_same(chain, "inverse", targets)
+        for z in disk:
+            got, want = _outcome(generator, model, z), _outcome(reference_generator, model, z)
+            assert got == want, f"{name} generator({z!r}): {got} != {want}"
+            outcomes.append(got)
+        values = sum(o[0] == "value" for o in outcomes)
+        assert values >= 0.6 * len(outcomes)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_near_each_cut(self, name):
+        chain = by_name(name).chain
+        rng = random.Random(314159)
+        for kind, draw, index in _near_cut_cases(name):
+            outcomes = self._assert_same(chain, kind, [draw(rng) for _ in range(200)])
+            for o in outcomes:
+                assert o[:3] == ("error", MapDomainError, index), (kind, o)
+                assert "of a branch cut" in o[3]
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_on_overflow(self, name):
+        chain = by_name(name).chain
+        rng = random.Random(271828)
+        for kind, draw in _OVERFLOW_CASES[name]:
+            outcomes = self._assert_same(chain, kind, [draw(rng) for _ in range(300)])
+            stepped = [o for o in outcomes if o[0] == "error" and o[2] is not None]
+            assert len(stepped) >= 100, (kind, outcomes[:5])
+
+    @pytest.mark.parametrize("steps,w,message", [
+        # The derivative fails first and names the failure.
+        ((ExpStep(),), 800.0 + 0.5j, "step 0: derivative failed: math range error"),
+        ((PowerStep(3.0),), 1e200 + 1e200j, "step 0: derivative failed: math range error"),
+        ((MobiusStep(Mobius(1.0, 0j, 1.0, -2.0)),), 2.0 + 0j,
+         "step 0: derivative failed: Mobius pole"),
+        ((MobiusStep(Mobius(0j, 1.0, 1.0, 0j)),), 1e-200 + 0j,
+         "step 0: derivative failed: complex division by zero"),
+        ((SlitCloseStep(),), -1j, "step 0: derivative failed: complex division by zero"),
+        # The derivative succeeds and only the image fails.
+        ((PowerStep(1.5),), 1e250 + 1e250j, "step 0: evaluation failed: math range error"),
+        ((LogStep(math.pi),), -1.5e308 + 1.5e308j,
+         "step 0: evaluation failed: absolute value too large"),
+        ((Affine(1.0, 0j), ExpStep(), Affine(1j, 0j), SlitCloseStep()), 709.5 + 0.1j,
+         "step 3: evaluation left float range"),
+    ])
+    def test_fused_step_failures(self, steps, w, message):
+        chain = ConformalChain(steps, UHP, lambda z: True, "fused")
+        got = _outcome(chain.derivative, w)
+        assert got == _outcome(reference_derivative, chain, w)
+        assert got[:2] == ("error", MapDomainError) and got[3] == message
+        assert _outcome(chain.eval, w) == _outcome(reference_eval, chain, w)
+
+    def test_cut_free_steps_skip_the_cut_check(self):
+        chain = ConformalChain((Affine(2.0, 1j), ExpStep(), MobiusStep(Mobius(1.0, 1j, 0j, 1.0)),
+                                LogStep(0.5)), UHP, lambda z: True, "mixed")
+        assert [entry[2] is None for entry in chain._forward_plan] == [True, True, True, False]
+        assert [entry[0] for entry in chain._inverse_plan] == [3, 2, 1, 0]
+        assert [entry[2] is None for entry in chain._inverse_plan] == [True, True, False, True]

@@ -140,7 +140,30 @@ class TestHmeasureCommand:
         assert 0.05 * math.pi < theta < 0.95 * math.pi
         data = read(tmp_path / "hmeasure_strip-slit_p0.dat").splitlines()
         assert data[0].startswith("#")
-        assert len(data) >= 13
+        # One row per kept orbit point, t = -1 .. -9: the orbit stops where
+        # disk_z comes within rounding reach of sigma.
+        assert [float(row.split()[0]) for row in data[1:]] == [
+            float(-k) for k in range(1, 10)
+        ]
+
+    @pytest.mark.parametrize("petal", ["0", "1"])
+    def test_strip_slit_orbit_stops_above_rounding(self, tmp_path, petal):
+        # Past t = -9 disk_z lies within about 2.2e-8 of sigma, and its
+        # rounding error drove the lower petal's measures up to 0.565 by
+        # t = -18, an inconclusive spread.
+        code = main([
+            "hmeasure", "--model", "strip-slit", "--petal", petal,
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        tag = f"strip-slit_p{petal}"
+        summary = parse_summary(tmp_path / f"hmeasure_{tag}_summary.txt")
+        assert summary["status"] == "pass"
+        assert summary["points"] == "9"
+        assert summary["orbit_stop"] == "disk_z within 2.22e-08 of sigma at t = -10"
+        rows = read(tmp_path / f"hmeasure_{tag}.dat").splitlines()[1:]
+        assert len(rows) == 9
+        assert abs(float(rows[-1].split()[1]) - 0.5) <= 1e-6
 
     def test_parabolic_orbit_tangential(self, tmp_path):
         # The parabolic orbit creeps into its boundary point along the
