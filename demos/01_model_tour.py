@@ -3,8 +3,8 @@ Tour of the closed-form model catalog
 =====================================
 
 Each model is a simply connected flow domain Omega on which the semigroup
-acts by translation (or scaling, in the elliptic case), identified with a
-canonical domain by an explicit conformal chain.  Petals are the maximal
+acts by translation (or scaling, in the elliptic case), mapped onto the
+upper half-plane by an explicit conformal chain.  Petals are the maximal
 subdomains that backward orbits never leave.
 """
 
@@ -14,7 +14,6 @@ from petallab import by_name, catalog, sample_petal_omega
 
 for model in catalog():
     print(f"{model.name}: {model.kind} semigroup, mu = {model.mu}")
-    print(f"  canonical domain: {model.canonical_domain.name.lower()}")
     print(f"  Denjoy-Wolff image: {model.dw_point}")
     for petal in model.petals:
         rate = "parabolic" if petal.lam is None else f"lam = {petal.lam}"

@@ -1,20 +1,24 @@
 """Composable, invertible elementary conformal map steps and chains.
 
-A chain carries an ordered list of elementary steps linking a model domain
-to one of the canonical domains, together with analytic derivatives.
+A chain carries an ordered list of elementary steps from a model domain
+onto the upper half-plane, together with analytic derivatives.
 Branch-carrying steps (Log, Power, the slit closure pair) store the
 half-line or segment their cut occupies; chains are built so cuts stay
 outside the source region, and evaluation refuses points within
 ``EPS_CUT`` of a cut instead of guessing a branch.
 
-Each chain builds two plans once, at construction: the forward plan for
-its steps and the inverse plan for their inverses in reverse order.  A
-plan entry holds a step's index and its bound ``apply``, ``cut_distance``
-(None for a step with no cut, whose check is skipped) and
-``value_and_derivative``.  ``eval`` and ``eval_inverse`` walk a plan with
-``apply``; ``derivative`` walks the forward plan with
-``value_and_derivative``, which evaluates a step's shared transcendental
-once for both its image and its derivative.
+Each chain builds its plans once, at construction: the forward plan for
+its steps, the inverse plan for their inverses in reverse order, and the
+log plan of the steps' ``apply_log``.  A forward or inverse plan entry
+holds a step's index and its bound ``apply``, ``cut_distance`` (None for
+a step with no cut, whose check is skipped) and ``value_and_derivative``.
+``eval`` and ``eval_inverse`` walk a plan with ``apply``; ``derivative``
+walks the forward plan with ``value_and_derivative``, which evaluates a
+step's shared transcendental once for both its image and its derivative.
+
+``eval_log`` walks the log plan on a point held as q = anchor + i^turns
+e^L, which keeps every bit of orbits far beyond float range: a quarter
+turn is counted, not added to Im L where small angles would round away.
 """
 
 from __future__ import annotations
@@ -24,13 +28,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .hypcore import CanonicalDomain, Mobius
+from .hypcore import DomainError
 
 EPS_CUT = 1e-12
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
+# Quarter turns of the multipliers 1, i, -1, -i.
+_QUARTERS = {1: 0, 1j: 1, -1: 2, -1j: 3}
 
 
-class MapDomainError(ValueError):
+class MapDomainError(DomainError):
     """A point left the domain of validity of a chain or one of its steps."""
 
     def __init__(self, message: str, step_index: int | None = None):
@@ -38,11 +45,6 @@ class MapDomainError(ValueError):
             message = f"step {step_index}: {message}"
         super().__init__(message)
         self.step_index = step_index
-
-
-def ray_distance(z: complex, angle: float) -> float:
-    """Euclidean distance from z to the ray {r e^{i angle} : r >= 0}."""
-    return _rotated_ray_distance(z, cmath.exp(-1j * angle))
 
 
 def _rotated_ray_distance(z: complex, rot: complex) -> float:
@@ -62,8 +64,14 @@ def segment_distance(z: complex, a: complex, b: complex) -> float:
     return abs(z - (a + t * d))
 
 
-def _near_cut(z: complex, i: int) -> MapDomainError:
-    return MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+def _check_cut(cut_distance: Callable[[complex], float], z: complex, i: int) -> None:
+    """Refuse z within EPS_CUT of step i's cut, or past float range."""
+    try:
+        near = cut_distance(z) <= EPS_CUT
+    except OverflowError as exc:
+        raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
+    if near:
+        raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
 
 
 def _branch_log(z: complex, cut: float) -> complex:
@@ -71,6 +79,25 @@ def _branch_log(z: complex, cut: float) -> complex:
     a = cmath.phase(z)
     a = (cut - _TWO_PI) + (a - (cut - _TWO_PI)) % _TWO_PI
     return complex(math.log(abs(z)), a)
+
+
+def _value(anchor: Optional[complex], L: Optional[complex], turns: int) -> complex:
+    """The float value of the log-walk point anchor + i^turns e^L."""
+    q = 0j if anchor is None else anchor
+    return q if L is None else q + 1j ** (turns % 4) * cmath.exp(L)
+
+
+def _turned(L: complex, turns: int) -> complex:
+    """L + i (pi/2) turns, with turns taken in {-1, 0, 1, 2}."""
+    k = (turns + 1) % 4 - 1
+    return L + 1j * (_HALF_PI * k) if k else L
+
+
+def _log_anchored(c: complex, L: complex) -> complex:
+    """Principal log(c + e^L), c != 0, with no e^L that could overflow."""
+    if L.real > 36.0:
+        return L + cmath.log(1.0 + c * cmath.exp(-L))
+    return cmath.log(cmath.exp(L) + c)
 
 
 class MapStep:
@@ -93,6 +120,13 @@ class MapStep:
     def inverted(self) -> "MapStep":
         raise NotImplementedError
 
+    def apply_log(self, anchor, L, turns):
+        """Image of the log-walk point q = anchor + i^turns e^L, as a triple
+        ``(anchor, L, turns)`` of the same form; anchor None stands for 0
+        and L None for e^L = 0, so (z, None, 0) is the plain point z.  By
+        default q is formed as a float and ``apply`` taken of it."""
+        return self.apply(_value(anchor, L, turns)), None, 0
+
     def cut_distance(self, z: complex) -> float:
         """Distance from z to this step's branch cut; inf when cut-free."""
         return math.inf
@@ -104,13 +138,26 @@ class Affine(MapStep):
 
     a: complex
     b: complex = 0j
+    # j with a = i^j, None for any other multiplier.
+    _quarter: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a == 0:
             raise ValueError("affine step requires a != 0")
+        object.__setattr__(self, "_quarter", _QUARTERS.get(self.a))
 
     def apply(self, z: complex) -> complex:
         return self.a * z + self.b
+
+    def apply_log(self, anchor, L, turns):
+        if L is None:
+            return self.a * anchor + self.b, None, 0
+        # a (c + i^k e^L) + b = (a c + b) + i^(k + j) e^L for a = i^j, and
+        # (a c + b) + i^k e^(L + log a) for any other a.
+        anchor = self.b if anchor is None else self.a * anchor + self.b
+        if self._quarter is None:
+            return anchor or None, L + cmath.log(self.a), turns
+        return anchor or None, L, turns + self._quarter
 
     def derivative(self, z: complex) -> complex:
         return self.a
@@ -132,6 +179,10 @@ class ExpStep(MapStep):
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
         w = cmath.exp(z)
         return w, w
+
+    def apply_log(self, anchor, L, turns):
+        # e^q is held by its log, q itself.
+        return None, anchor if L is None else _value(anchor, L, turns), 0
 
     def inverted(self) -> "LogStep":
         return LogStep(math.pi)
@@ -193,33 +244,22 @@ class PowerStep(MapStep):
         d = self.alpha * cmath.exp((self.alpha - 1.0) * log_z)
         return cmath.exp(self.alpha * log_z), d
 
+    def apply_log(self, anchor, L, turns):
+        if L is None:
+            log_q = _branch_log(anchor, self.cut)
+        else:
+            L = _turned(L, turns)
+            log_q = L if anchor is None else _log_anchored(anchor, L)
+            low = self.cut - _TWO_PI
+            if not low <= log_q.imag < self.cut:
+                log_q = complex(log_q.real, low + (log_q.imag - low) % _TWO_PI)
+        return None, self.alpha * log_q, 0
+
     def inverted(self) -> "PowerStep":
         return PowerStep(1.0 / self.alpha, self.cut)
 
     def cut_distance(self, z: complex) -> float:
         return _rotated_ray_distance(z, self._rot)
-
-
-@dataclass(frozen=True)
-class MobiusStep(MapStep):
-    """Fractional linear step wrapping a hypcore Mobius map."""
-
-    m: Mobius
-
-    def apply(self, z: complex) -> complex:
-        w = self.m.apply(z)
-        if w is None:
-            raise ZeroDivisionError("Mobius pole")
-        return w
-
-    def derivative(self, z: complex) -> complex:
-        den = self.m.c * z + self.m.d
-        if den == 0:
-            raise ZeroDivisionError("Mobius pole")
-        return self.m.det / (den * den)
-
-    def inverted(self) -> "MobiusStep":
-        return MobiusStep(self.m.inverse())
 
 
 def _uhp_sqrt(v: complex) -> complex:
@@ -243,6 +283,21 @@ class SlitCloseStep(MapStep):
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
         w = _uhp_sqrt(z * z + 1.0)
         return w, z / w
+
+    def apply_log(self, anchor, L, turns):
+        if anchor is not None or L is None or turns % 2 == 0 or abs(L.imag) >= _HALF_PI:
+            return super().apply_log(anchor, L, turns)
+        # z = +-i e^L with |Im L| < pi/2, so z^2 + 1 = 1 - e^{2L}.
+        tw = 2.0 * L
+        if tw.real > 0.0:
+            # Far from the slit tip the image grows like i e^L.
+            return None, L + 1j * _HALF_PI + 0.5 * cmath.log(1.0 - cmath.exp(-tw)), 0
+        root = cmath.sqrt(1.0 - cmath.exp(tw))  # exp(tw) underflowing to 0 is harmless
+        if L.imag > 0.0:
+            # Left of the slit: the image hugs -1.
+            return -1.0, tw - cmath.log(1.0 + root), 0
+        # Right of the slit: the image hugs +1.
+        return 1.0, tw + 1j * math.pi - cmath.log(1.0 + root), 0
 
     def inverted(self) -> "SlitOpenStep":
         return SlitOpenStep()
@@ -304,22 +359,24 @@ def _fused_failure(step: MapStep, z: complex, i: int, exc: ArithmeticError) -> M
 
 @dataclass(frozen=True)
 class ConformalChain:
-    """Ordered composition of elementary steps from a source region onto a
-    canonical domain."""
+    """Ordered composition of elementary steps from a source region onto
+    the upper half-plane."""
 
     steps: tuple[MapStep, ...]
-    target: CanonicalDomain
     source_contains: Callable[[complex], bool] = field(repr=False)
     name: str = ""
-    # The walks of eval/derivative and of eval_inverse, built once.
+    # The walks of eval/derivative, of eval_inverse and of eval_log, built once.
     _forward_plan: tuple[_PlanEntry, ...] = field(init=False, repr=False, compare=False)
     _inverse_plan: tuple[_PlanEntry, ...] = field(init=False, repr=False, compare=False)
+    _log_plan: tuple[tuple[int, Callable], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         forward = _plan(enumerate(self.steps))
         inverse = _plan((i, self.steps[i].inverted()) for i in reversed(range(len(self.steps))))
         object.__setattr__(self, "_forward_plan", forward)
         object.__setattr__(self, "_inverse_plan", inverse)
+        log_plan = tuple((i, step.apply_log) for i, step in enumerate(self.steps))
+        object.__setattr__(self, "_log_plan", log_plan)
 
     def eval(self, w: complex) -> complex:
         """Forward image of an interior source point."""
@@ -331,8 +388,8 @@ class ConformalChain:
     def eval_inverse(self, q: complex) -> complex:
         """Preimage of an interior target point under the inverted steps."""
         z = complex(q)
-        if not self.target.contains(z):
-            raise MapDomainError(f"{z!r} is outside the target domain {self.target.value}")
+        if not z.imag > 0.0:
+            raise MapDomainError(f"{z!r} is outside the upper half-plane")
         z = _walk(self._inverse_plan, z)
         if not self.source_contains(z):
             raise MapDomainError(f"{q!r} has no preimage in the source region")
@@ -345,8 +402,8 @@ class ConformalChain:
             raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
         acc = 1.0 + 0j
         for i, _, cut_distance, value_and_derivative in self._forward_plan:
-            if cut_distance is not None and cut_distance(z) <= EPS_CUT:
-                raise _near_cut(z, i)
+            if cut_distance is not None:
+                _check_cut(cut_distance, z, i)
             try:
                 image, d = value_and_derivative(z)
             except (OverflowError, ZeroDivisionError) as exc:
@@ -359,13 +416,28 @@ class ConformalChain:
             z = image
         return acc
 
+    def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
+        """The image of the source point anchor + e^L (L None: the point
+        ``anchor``) as the upper half-plane point anchor + e^L, returned as
+        ``(anchor, L)``.  Branches follow from the exact log form, so no cut
+        is checked; the caller checks the source point."""
+        turns = 0
+        for i, apply_log in self._log_plan:
+            try:
+                anchor, L, turns = apply_log(anchor, L, turns)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
+        if L is None:
+            return None, cmath.log(anchor)
+        return anchor, _turned(L, turns) if turns else L
+
 
 def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
     """Image of z under the steps of a plan, each checked against its cut
     and its image checked to be a finite float."""
     for i, apply, cut_distance, _ in plan:
-        if cut_distance is not None and cut_distance(z) <= EPS_CUT:
-            raise _near_cut(z, i)
+        if cut_distance is not None:
+            _check_cut(cut_distance, z, i)
         try:
             z = apply(z)
         except (OverflowError, ZeroDivisionError) as exc:

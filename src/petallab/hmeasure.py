@@ -34,6 +34,12 @@ _SPREAD_TOL = 0.05
 _TAIL_LEN = 8
 # Angles this close to 0 or pi (radians) count as tangential.
 _TANGENT_TOL = 1e-2
+# Closest approach to ``a`` at which a point still counts.  Points near the
+# unit circle are rounded at about 2^-52, so the direction of p - a, which
+# the measure of an arc ending at ``a`` reads, is off by about
+# 2^-52 / |p - a| radians.  Points closer than 2^-52 * 1e8 (about 2.2e-8)
+# would let rounding move that direction by more than 1e-8 rad.
+ROUNDING_FLOOR = 2.0 ** -52 * 1e8
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,9 @@ class ApproachReport:
     the probe is inconclusive.
     ``measures`` records the raw harmonic measures along the sequence.
     ``tangential`` is ``True`` when ``theta`` is within 1e-2 of 0 or pi,
-    ``None`` when inconclusive.
+    ``None`` when inconclusive.  ``used`` counts the leading points the
+    probe kept, and ``stop`` says why it kept no more: the sequence ended,
+    or the next point lies within ``ROUNDING_FLOOR`` of ``a``.
     """
 
     theta: Optional[float]
@@ -126,6 +134,8 @@ class ApproachReport:
     inconclusive: bool
     tangential: Optional[bool]
     reason: str = ""
+    used: int = 0
+    stop: str = ""
 
 
 def _aitken_limit(values: Sequence[float]) -> float:
@@ -146,11 +156,12 @@ def _aitken_limit(values: Sequence[float]) -> float:
 def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachReport:
     """Estimate the angle at which ``points`` approach the boundary point ``a``.
 
-    ``a`` must be an endpoint of ``arc``.  The harmonic measure of the arc is
-    evaluated along the sequence and its limit ``omega`` extrapolated; the
-    approach angle is ``pi * omega``.  A sequence whose trailing measures
-    spread by more than 0.05, or which does not tend to ``a``, yields an
-    inconclusive report instead of a number.
+    ``a`` must be an endpoint of ``arc``.  The sequence is cut before its
+    first point within ``ROUNDING_FLOOR`` of ``a``.  The harmonic measure
+    of the arc is evaluated along the rest and its limit ``omega``
+    extrapolated; the approach angle is ``pi * omega``.  A sequence whose
+    trailing measures spread by more than 0.05, or which does not tend to
+    ``a``, yields an inconclusive report instead of a number.
     """
     a = complex(a)
     if abs(abs(a) - 1.0) > 1e-9:
@@ -158,7 +169,14 @@ def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachR
     if not arc.has_endpoint(a):
         raise DomainError("approach point must be an endpoint of the arc")
 
-    pts = [complex(p) for p in points]
+    pts = []
+    stop = "sequence ended"
+    for p in points:
+        p = complex(p)
+        if abs(p - a) < ROUNDING_FLOOR:
+            stop = f"point {len(pts)} within {ROUNDING_FLOOR:.3g} of the approach point"
+            break
+        pts.append(p)
     measures = tuple(harmonic_measure(p, arc) for p in pts)
 
     def inconclusive(reason: str) -> ApproachReport:
@@ -168,6 +186,8 @@ def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachR
             inconclusive=True,
             tangential=None,
             reason=reason,
+            used=len(pts),
+            stop=stop,
         )
 
     if len(pts) < _MIN_POINTS:
@@ -194,4 +214,6 @@ def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachR
         measures=measures,
         inconclusive=False,
         tangential=tangential,
+        used=len(pts),
+        stop=stop,
     )

@@ -20,27 +20,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 _HALF_PI = 0.5 * math.pi
 
 
 class DomainError(ValueError):
     """A point or boundary datum violates a domain membership precondition."""
-
-
-class CanonicalDomain(Enum):
-    DISK = "disk"
-    UPPER_HALF_PLANE = "upper_half_plane"
-    STRIP_PI = "strip_pi"
-
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if self is CanonicalDomain.DISK:
-            return abs(z) < 1.0
-        if self is CanonicalDomain.UPPER_HALF_PLANE:
-            return z.imag > 0.0
-        return abs(z.imag) < _HALF_PI
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .bounds import (
     logrecip_profile,
     profile_from_file,
 )
-from .hmeasure import Arc, approach_angle
+from .hmeasure import ROUNDING_FLOOR, Arc, approach_angle
 from .hypcore import DomainError
 from .models import KoenigsModel, MODEL_NAMES, Petal, by_name
 from .semigroup import flow
@@ -247,15 +247,6 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-# Closest approach to sigma at which hmeasure still uses an orbit point.
-# disk_z is rounded at about 2^-52, its modulus being near 1, so the
-# direction of disk_z - sigma, which the measure of an arc ending at sigma
-# reads, is off by about 2^-52 / |disk_z - sigma| radians.  Points closer
-# than 2^-52 * 1e8 (about 2.2e-8) would let rounding move that direction
-# by more than 1e-8 rad; strip-slit reaches that distance at t = -10.
-_SIGMA_ROUNDING_FLOOR = 2.0 ** -52 * 1e8
-
-
 def _cmd_hmeasure(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     petal = _resolve_petal(model, args)
@@ -275,18 +266,17 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
         if point.disk_z is None:
             stop = f"disk chart lost at t = {-k}"
             break
-        if abs(point.disk_z - sigma) < _SIGMA_ROUNDING_FLOOR:
-            stop = f"disk_z within {_SIGMA_ROUNDING_FLOOR:.3g} of sigma at t = {-k}"
-            break
         times.append(float(-k))
         points.append(point.disk_z)
-    if len(points) < 5:
+    arc = Arc(cmath.phase(sigma), cmath.phase(sigma) + math.pi / 2)
+    report = approach_angle(points, sigma, arc)
+    if report.used < 5:
         raise UsageError(
             "backward orbit leaves the disk chart too quickly; "
             "need at least 5 points"
         )
-    arc = Arc(cmath.phase(sigma), cmath.phase(sigma) + math.pi / 2)
-    report = approach_angle(points, sigma, arc)
+    if report.used < len(points):
+        stop = f"disk_z within {ROUNDING_FLOOR:.3g} of sigma at t = {times[report.used]:g}"
     out = _out_dir(args)
     tag = f"{model.name}_p{model.petals.index(petal)}"
     data_path = os.path.join(out, f"hmeasure_{tag}.dat")
@@ -294,7 +284,7 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
     lines += [f"{_num(t)} {_num(m)}" for t, m in zip(times, report.measures)]
     _write_text(data_path, "\n".join(lines) + "\n")
     summary_path = os.path.join(out, f"hmeasure_{tag}_summary.txt")
-    orbit = f"points = {len(points)}\norbit_stop = {stop}\n"
+    orbit = f"points = {report.used}\norbit_stop = {stop}\n"
     if report.inconclusive:
         summary = (
             f"model = {model.name}\npetal = {petal.label}\n{orbit}"

@@ -1,43 +1,34 @@
 """Catalog of holomorphic flows with closed-form linearizing coordinates.
 
 Each model packages a simply connected planar domain ``Omega``, the
-conformal chain identifying it with a canonical domain, and the petals
+conformal chain mapping it onto the upper half-plane, and the petals
 (maximal invariant strips, half-planes, or sectors) attached to its
 repelling boundary directions.  The flow acts on ``Omega`` by translation
 ``w + t`` (non-elliptic) or by scaling ``exp(-mu t) w`` (elliptic), so
 every trajectory is available in closed form at any time.
 
 Backward orbits escape to infinity in ``Omega`` while their canonical
-images crash into a boundary point; ``uhp_orbit`` therefore returns
-orbit points in anchored logarithmic form (see ``hypcore.UhpLogPoint``)
-so that hyperbolic distances stay computable long after the points
-themselves stop being representable as floats.
+images crash into a boundary point; ``uhp_orbit`` therefore walks the
+chain in log space (``ConformalChain.eval_log``) and returns orbit points
+in anchored logarithmic form (see ``hypcore.UhpLogPoint``), so that
+hyperbolic distances stay computable long after the points themselves
+stop being representable as floats.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
-from .confmap import (
-    Affine,
-    ConformalChain,
-    ExpStep,
-    MapDomainError,
-    MobiusStep,
-    PowerStep,
-    SlitCloseStep,
-)
+from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
 from .hypcore import (
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
     INFINITY,
     BoundaryPoint,
-    CanonicalDomain,
     DomainError,
-    Mobius,
     UhpLogPoint,
     strip_distance,
     uhp_distance,
@@ -174,9 +165,10 @@ class KoenigsModel:
     ``kind`` is "hyperbolic", "parabolic", or "elliptic" and names the
     Denjoy-Wolff dynamics of the induced disk semigroup.  The flow on
     Omega is ``w + t`` for non-elliptic kinds and ``exp(-mu t) w`` for the
-    elliptic one.  ``dw_point`` is the canonical image of the Denjoy-Wolff
-    point; elliptic models store it as a plain interior complex number,
-    the others as a boundary point of the canonical domain.
+    elliptic one.  ``chain`` maps Omega onto the upper half-plane, the
+    canonical domain of every model.  ``dw_point`` is the canonical image
+    of the Denjoy-Wolff point; elliptic models store it as a plain
+    interior complex number, the others as a boundary point.
     """
 
     name: str
@@ -185,11 +177,6 @@ class KoenigsModel:
     chain: ConformalChain
     petals: tuple[Petal, ...]
     dw_point: Union[BoundaryPoint, complex]
-    orbit_fn: Callable[[complex, float], UhpLogPoint] = field(repr=False)
-
-    @property
-    def canonical_domain(self) -> CanonicalDomain:
-        return self.chain.target
 
     def contains(self, w: complex) -> bool:
         """Whether w lies in Omega."""
@@ -227,9 +214,25 @@ class KoenigsModel:
         return w + t
 
     def uhp_orbit(self, w0: complex, t: float) -> UhpLogPoint:
-        """Canonical orbit point at time t, transported to the upper
-        half-plane and returned in anchored logarithmic form."""
-        return self.orbit_fn(complex(w0), t)
+        """Canonical orbit point at time t in anchored logarithmic form.
+
+        The chain's log walk starts from the flow's first point: w0 + t
+        for translation, log w0 - mu t for scaling, which stays exact far
+        beyond the float range of w_t itself.
+        """
+        w0 = complex(w0)
+        if self.kind != "elliptic":
+            w = w0 + t
+            if not self.chain.source_contains(w):
+                raise DomainError(f"orbit point {w} left the domain")
+            return UhpLogPoint(*self.chain.eval_log(w))
+        if w0 == 0:
+            raise DomainError("the fixed point has no canonical orbit chart")
+        a = cmath.log(w0) - self.mu * t  # log of w_t; the orbit ray has constant argument
+        # Only an orbit on the negative axis meets the slit (-inf, -1].
+        if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
+            raise DomainError(f"orbit point exp({a}) left the domain")
+        return UhpLogPoint(*self.chain.eval_log(None, a))
 
     def canonical_of_omega(self, w: complex) -> complex:
         """Canonical coordinate of an Omega point."""
@@ -241,28 +244,20 @@ class KoenigsModel:
 
     def disk_of_omega(self, w: complex) -> complex:
         """Unit-disk coordinate of an Omega point."""
-        q = self.chain.eval(complex(w))
-        if self.canonical_domain is CanonicalDomain.DISK:
-            return q
-        z = CAYLEY_UHP_TO_DISK.apply(q)
+        z = CAYLEY_UHP_TO_DISK.apply(self.chain.eval(complex(w)))
         if z is None:
             raise DomainError("point maps to the Cayley pole")
         return z
 
     def omega_of_disk(self, z: complex) -> complex:
         """Omega coordinate of a unit-disk point."""
-        z = complex(z)
-        if self.canonical_domain is CanonicalDomain.DISK:
-            return self.chain.eval_inverse(z)
-        q = CAYLEY_DISK_TO_UHP.apply(z)
+        q = CAYLEY_DISK_TO_UHP.apply(complex(z))
         if q is None:
             raise DomainError("point maps to the Cayley pole")
         return self.chain.eval_inverse(q)
 
     def disk_sigma(self, petal: Petal) -> BoundaryPoint:
         """Unit-disk image of a petal's distinguished boundary point."""
-        if self.canonical_domain is CanonicalDomain.DISK:
-            return petal.sigma_canonical
         return CAYLEY_UHP_TO_DISK.apply_boundary(petal.sigma_canonical)
 
     def uhp_eta_endpoint(self, petal: Petal) -> Optional[float]:
@@ -270,8 +265,6 @@ class KoenigsModel:
         geodesic ray a backward orbit in this petal converges along.
         None encodes the point at infinity."""
         sigma = petal.sigma_canonical
-        if self.canonical_domain is CanonicalDomain.DISK:
-            sigma = CAYLEY_DISK_TO_UHP.apply_boundary(sigma)
         if sigma.is_infinity:
             return None
         return sigma.value.real
@@ -287,28 +280,9 @@ def _strip_slit_contains(w: complex) -> bool:
     return not (w.imag == 0.0 and w.real <= 0.0)
 
 
-def _strip_slit_orbit(w0: complex, t: float) -> UhpLogPoint:
-    w = w0 + t
-    if not _strip_slit_contains(w):
-        raise DomainError(f"orbit point {w} left the domain")
-    tw = 2.0 * w
-    if tw.real > 0.0:
-        # Far from the slit tip the image grows like i e^w.
-        l_val = w + 1j * HALF_PI + 0.5 * cmath.log(1.0 - cmath.exp(-tw))
-        return UhpLogPoint(None, l_val)
-    u = cmath.exp(tw)  # |u| <= 1; underflow to 0 is harmless
-    root = cmath.sqrt(1.0 - u)
-    if w.imag > 0.0:
-        # Upper petal: the image hugs the canonical point -1.
-        return UhpLogPoint(-1.0, tw - cmath.log(1.0 + root))
-    # Lower petal: the image hugs +1.
-    return UhpLogPoint(1.0, tw + 1j * math.pi - cmath.log(1.0 + root))
-
-
 def _make_strip_slit() -> KoenigsModel:
     chain = ConformalChain(
         steps=(ExpStep(), Affine(1j, 0j), SlitCloseStep()),
-        target=CanonicalDomain.UPPER_HALF_PLANE,
         source_contains=_strip_slit_contains,
         name="strip-slit",
     )
@@ -335,7 +309,6 @@ def _make_strip_slit() -> KoenigsModel:
         chain=chain,
         petals=(upper, lower),
         dw_point=INFINITY,
-        orbit_fn=_strip_slit_orbit,
     )
 
 
@@ -348,22 +321,9 @@ def _sector_parabolic_contains(w: complex) -> bool:
     return not (w.real <= 0.0 and w.imag <= 0.0)
 
 
-def _sector_parabolic_orbit(w0: complex, t: float) -> UhpLogPoint:
-    w = w0 + t
-    if not _sector_parabolic_contains(w):
-        raise DomainError(f"orbit point {w} left the domain")
-    # Image is (i w)^(2/3) with the argument of i w taken in (0, 3 pi / 2).
-    phi = cmath.phase(1j * w)
-    if phi <= 0.0:
-        phi += 2.0 * math.pi
-    l_val = (2.0 / 3.0) * complex(math.log(abs(w)), phi)
-    return UhpLogPoint(None, l_val)
-
-
 def _make_sector_parabolic() -> KoenigsModel:
     chain = ConformalChain(
         steps=(Affine(1j, 0j), PowerStep(2.0 / 3.0, cut=2.0 * math.pi)),
-        target=CanonicalDomain.UPPER_HALF_PLANE,
         source_contains=_sector_parabolic_contains,
         name="sector-parabolic",
     )
@@ -382,7 +342,6 @@ def _make_sector_parabolic() -> KoenigsModel:
         chain=chain,
         petals=(petal,),
         dw_point=INFINITY,
-        orbit_fn=_sector_parabolic_orbit,
     )
 
 
@@ -394,30 +353,15 @@ def _koebe_elliptic_contains(w: complex) -> bool:
     return not (w.imag == 0.0 and w.real <= -1.0)
 
 
-def _koebe_elliptic_orbit(w0: complex, t: float) -> UhpLogPoint:
-    if w0 == 0:
-        raise DomainError("the fixed point has no canonical orbit chart")
-    a = cmath.log(w0) - t  # log of w_t; the orbit ray has constant argument
-    if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
-        raise DomainError(f"orbit point exp({a}) left the domain")
-    # Image is i sqrt(w_t + 1); pick the stable form for log(w_t + 1).
-    if a.real > 36.0:
-        log_w1 = a + cmath.log(1.0 + cmath.exp(-a))
-    elif a.real < -36.0:
-        log_w1 = cmath.log(1.0 + cmath.exp(a))
-    else:
-        log_w1 = cmath.log(cmath.exp(a) + 1.0)
-    return UhpLogPoint(None, 1j * HALF_PI + 0.5 * log_w1)
-
-
 def _make_koebe_elliptic() -> KoenigsModel:
+    # i sqrt(w + 1); its Cayley image (s - 1)/(s + 1), s = sqrt(w + 1),
+    # inverts the Koebe function 4 z / (1 - z)^2.
     chain = ConformalChain(
         steps=(
             Affine(1.0 + 0j, 1.0 + 0j),
             PowerStep(0.5, cut=math.pi),
-            MobiusStep(Mobius(1.0, -1.0, 1.0, 1.0)),
+            Affine(1j, 0j),
         ),
-        target=CanonicalDomain.DISK,
         source_contains=_koebe_elliptic_contains,
         name="koebe-elliptic",
     )
@@ -425,7 +369,7 @@ def _make_koebe_elliptic() -> KoenigsModel:
         label="main",
         kind="hyperbolic",
         lam=-0.5,
-        sigma_canonical=BoundaryPoint(1.0 + 0j),
+        sigma_canonical=INFINITY,
         image=SectorImage(mu=1.0, amplitude=2.0 * math.pi, theta0=0.0),
         base_default=1.0 + 0j,
     )
@@ -435,8 +379,7 @@ def _make_koebe_elliptic() -> KoenigsModel:
         mu=1.0,
         chain=chain,
         petals=(petal,),
-        dw_point=0j,
-        orbit_fn=_koebe_elliptic_orbit,
+        dw_point=1j,
     )
 
 

@@ -4,8 +4,9 @@ diagnostics.
 The flow is exact in Omega coordinates (translation or scaling), so all
 semigroup quantities reduce to coordinate transport.  Orbit points are
 reported in every chart that can still hold them as floats: deep
-backward orbits leave the disk chart first, then the canonical chart,
-while the logarithmic canonical form used by the speeds module survives
+backward orbits leave the disk chart first, then the canonical chart (the
+upper half-plane, for every model), while the logarithmic canonical form
+of ``KoenigsModel.uhp_orbit``, the chain walked in log space, survives
 arbitrarily far.
 """
 
@@ -20,7 +21,6 @@ from .confmap import MapDomainError
 from .hypcore import (
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
-    CanonicalDomain,
     DomainError,
     UhpLogPoint,
     uhp_log_distance,
@@ -44,11 +44,11 @@ class OrbitPoint:
     """One trajectory point in every chart that can still represent it.
 
     ``omega_w`` is None when elliptic scaling overflows floats;
-    ``canonical_q`` is None when the canonical image stops being a finite
-    interior float; ``disk_z`` is None once the disk image rounds onto the
-    unit circle or its gap drops below 1e-250.  ``disk_gap`` carries
-    1 - |disk_z|^2 computed in log space, which stays accurate long after
-    disk_z itself degrades.
+    ``canonical_q`` is the upper half-plane image, for every model, and
+    None when it stops being a finite interior float; ``disk_z`` is None
+    once the disk image rounds onto the unit circle or its gap drops below
+    1e-250.  ``disk_gap`` carries 1 - |disk_z|^2 computed in log space,
+    which stays accurate long after disk_z itself degrades.
     """
 
     t: float
@@ -90,15 +90,10 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
             f"backward flow from {w0} needs a petal; none contains it"
         )
     if model.kind == "elliptic" and w0 == 0:
-        return OrbitPoint(t=t, omega_w=0j, canonical_q=0j, disk_z=0j, disk_gap=1.0)
-    w_t = model.flow_omega(w0, t)
+        return OrbitPoint(t=t, omega_w=0j, canonical_q=model.dw_point, disk_z=0j, disk_gap=1.0)
     p = model.uhp_orbit(w0, t)
     disk_z, disk_gap = _disk_view(p)
-    if model.canonical_domain is CanonicalDomain.DISK:
-        canonical_q = disk_z
-    else:
-        canonical_q = p.value()
-    return OrbitPoint(t=t, omega_w=w_t, canonical_q=canonical_q,
+    return OrbitPoint(t=t, omega_w=model.flow_omega(w0, t), canonical_q=p.value(),
                       disk_z=disk_z, disk_gap=disk_gap)
 
 
@@ -112,11 +107,8 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     z = complex(z)
     w = model.omega_of_disk(z)
     df = model.chain.derivative(w)
-    if model.canonical_domain is CanonicalDomain.DISK:
-        dc = 1.0 + 0j
-    else:
-        cay = CAYLEY_DISK_TO_UHP
-        dc = cay.det / (cay.c * z + cay.d) ** 2
+    cay = CAYLEY_DISK_TO_UHP
+    dc = cay.det / (cay.c * z + cay.d) ** 2
     if model.kind == "elliptic":
         return -model.mu * w * df / dc
     return df / dc

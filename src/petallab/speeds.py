@@ -2,9 +2,10 @@
 
 Every speed is a hyperbolic distance between canonical images of orbit
 points, so all computations run on the anchored logarithmic form of
-``models.KoenigsModel.uhp_orbit``.  The total speed is the distance from
-the base point to the orbit point; the orthogonal and tangential parts
-split that motion along and across the geodesic eta that the orbit
+``models.KoenigsModel.uhp_orbit``, which walks each model's conformal
+chain in log space.  The total speed is the distance from the base
+point to the orbit point; the orthogonal and tangential parts split
+that motion along and across the geodesic eta that the orbit
 chases.  Normalizing eta onto the imaginary axis turns both parts into
 closed forms of the log coordinates, so they stay exact long after the
 orbit points themselves left float range: out to |t| = 1e300 in the

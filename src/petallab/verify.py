@@ -17,14 +17,7 @@ from typing import List, Tuple
 from .bounds import bound_ratio_series, gaussian_profile, logrecip_profile
 from .hmeasure import Arc, approach_angle
 from .hypcore import disk_distance, uhp_distance
-from .models import (
-    CanonicalDomain,
-    KoenigsModel,
-    Petal,
-    by_name,
-    catalog,
-    sample_petal_omega,
-)
+from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
 from .semigroup import flow, regularity_gap, repelling_diagnostics
 from .speeds import (
     dyadic_grid,
@@ -361,12 +354,9 @@ def _check_structural(rng: random.Random) -> CheckResult:
                 via_disk = disk_distance(
                     model.disk_of_omega(z), model.disk_of_omega(w)
                 )
-                qz = model.canonical_of_omega(z)
-                qw = model.canonical_of_omega(w)
-                if model.canonical_domain is CanonicalDomain.DISK:
-                    via_canonical = disk_distance(qz, qw)
-                else:
-                    via_canonical = uhp_distance(qz, qw)
+                via_canonical = uhp_distance(
+                    model.canonical_of_omega(z), model.canonical_of_omega(w)
+                )
                 worst_metric = max(worst_metric, abs(via_disk - via_canonical))
     max_metric = 1e-9
     ok = ok and worst_metric <= max_metric

@@ -2,6 +2,8 @@
 
 Only the tests use these, so they live here rather than in the package:
 
+- the three canonical domains (``CanonicalDomain``) and a Moebius chain
+  step (``MobiusStep``);
 - geodesics and closest-point projection in the three canonical domains,
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
@@ -13,7 +15,10 @@ Only the tests use these, so they live here rather than in the package:
   ``reference_derivative``, ``reference_generator``) that calls each
   step's ``cut_distance``, ``apply`` and ``derivative`` in turn, against
   which the chains' precomputed walk plans are checked for identical
-  values and errors.
+  values and errors;
+- the hand-derived log-space orbit of each catalog model
+  (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
+  walk of the chain in log space are checked bit for bit.
 """
 
 from __future__ import annotations
@@ -21,16 +26,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from enum import Enum
 
-from petallab.confmap import EPS_CUT, ConformalChain, MapDomainError, MapStep, ray_distance
+from petallab.confmap import EPS_CUT, ConformalChain, MapDomainError, MapStep
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
     INFINITY,
     BoundaryPoint,
-    CanonicalDomain,
     DomainError,
     Mobius,
+    UhpLogPoint,
     axis_distance,
     disk_distance,
     strip_distance,
@@ -41,6 +47,54 @@ from petallab.models import KoenigsModel
 _HALF_PI = 0.5 * math.pi
 
 EPS_BOUNDARY = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Canonical domains and a Moebius step
+
+
+class CanonicalDomain(Enum):
+    DISK = "disk"
+    UPPER_HALF_PLANE = "upper_half_plane"
+    STRIP_PI = "strip_pi"
+
+    def contains(self, z: complex) -> bool:
+        z = complex(z)
+        if self is CanonicalDomain.DISK:
+            return abs(z) < 1.0
+        if self is CanonicalDomain.UPPER_HALF_PLANE:
+            return z.imag > 0.0
+        return abs(z.imag) < _HALF_PI
+
+
+@dataclass(frozen=True)
+class MobiusStep(MapStep):
+    """Fractional linear step wrapping a hypcore Mobius map."""
+
+    m: Mobius
+
+    def apply(self, z: complex) -> complex:
+        w = self.m.apply(z)
+        if w is None:
+            raise ZeroDivisionError("Mobius pole")
+        return w
+
+    def derivative(self, z: complex) -> complex:
+        den = self.m.c * z + self.m.d
+        if den == 0:
+            raise ZeroDivisionError("Mobius pole")
+        return self.m.det / (den * den)
+
+    def inverted(self) -> "MobiusStep":
+        return MobiusStep(self.m.inverse())
+
+
+def ray_distance(z: complex, angle: float) -> float:
+    """Euclidean distance from z to the ray {r e^{i angle} : r >= 0}."""
+    v = z * cmath.exp(-1j * angle)
+    if v.real <= 0.0:
+        return abs(v)
+    return abs(v.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +422,11 @@ def boundary_distance(model: KoenigsModel, w: complex) -> float:
 
 
 def _check_cut(step: MapStep, z: complex, i: int) -> None:
-    if step.cut_distance(z) <= EPS_CUT:
+    try:
+        near = step.cut_distance(z) <= EPS_CUT
+    except OverflowError as exc:
+        raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
+    if near:
         raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
 
 
@@ -396,8 +454,8 @@ def reference_eval(chain: ConformalChain, w: complex) -> complex:
 def reference_eval_inverse(chain: ConformalChain, q: complex) -> complex:
     """``chain.eval_inverse(q)``, inverting each step as it is reached."""
     z = complex(q)
-    if not chain.target.contains(z):
-        raise MapDomainError(f"{z!r} is outside the target domain {chain.target.value}")
+    if not z.imag > 0.0:
+        raise MapDomainError(f"{z!r} is outside the upper half-plane")
     for i in reversed(range(len(chain.steps))):
         step = chain.steps[i].inverted()
         _check_cut(step, z, i)
@@ -429,19 +487,75 @@ def reference_derivative(chain: ConformalChain, w: complex) -> complex:
 def reference_generator(model: KoenigsModel, z: complex) -> complex:
     """``semigroup.generator`` on the reference walk."""
     z = complex(z)
-    if model.canonical_domain is CanonicalDomain.DISK:
-        w = reference_eval_inverse(model.chain, z)
-    else:
-        q = CAYLEY_DISK_TO_UHP.apply(z)
-        if q is None:
-            raise DomainError("point maps to the Cayley pole")
-        w = reference_eval_inverse(model.chain, q)
+    q = CAYLEY_DISK_TO_UHP.apply(z)
+    if q is None:
+        raise DomainError("point maps to the Cayley pole")
+    w = reference_eval_inverse(model.chain, q)
     df = reference_derivative(model.chain, w)
-    if model.canonical_domain is CanonicalDomain.DISK:
-        dc = 1.0 + 0j
-    else:
-        cay = CAYLEY_DISK_TO_UHP
-        dc = cay.det / (cay.c * z + cay.d) ** 2
+    cay = CAYLEY_DISK_TO_UHP
+    dc = cay.det / (cay.c * z + cay.d) ** 2
     if model.kind == "elliptic":
         return -model.mu * w * df / dc
     return df / dc
+
+
+# ---------------------------------------------------------------------------
+# Hand-derived log-space orbits
+
+
+def _strip_slit_orbit(w0: complex, t: float) -> UhpLogPoint:
+    w = w0 + t
+    if abs(w.imag) >= _HALF_PI or (w.imag == 0.0 and w.real <= 0.0):
+        raise DomainError(f"orbit point {w} left the domain")
+    tw = 2.0 * w
+    if tw.real > 0.0:
+        # Far from the slit tip the image grows like i e^w.
+        l_val = w + 1j * _HALF_PI + 0.5 * cmath.log(1.0 - cmath.exp(-tw))
+        return UhpLogPoint(None, l_val)
+    u = cmath.exp(tw)  # |u| <= 1; underflow to 0 is harmless
+    root = cmath.sqrt(1.0 - u)
+    if w.imag > 0.0:
+        # Upper petal: the image hugs the canonical point -1.
+        return UhpLogPoint(-1.0, tw - cmath.log(1.0 + root))
+    # Lower petal: the image hugs +1.
+    return UhpLogPoint(1.0, tw + 1j * math.pi - cmath.log(1.0 + root))
+
+
+def _sector_parabolic_orbit(w0: complex, t: float) -> UhpLogPoint:
+    w = w0 + t
+    if w.real <= 0.0 and w.imag <= 0.0:
+        raise DomainError(f"orbit point {w} left the domain")
+    # Image is (i w)^(2/3) with the argument of i w taken in (0, 3 pi / 2).
+    phi = cmath.phase(1j * w)
+    if phi <= 0.0:
+        phi += 2.0 * math.pi
+    l_val = (2.0 / 3.0) * complex(math.log(abs(w)), phi)
+    return UhpLogPoint(None, l_val)
+
+
+def _koebe_elliptic_orbit(w0: complex, t: float) -> UhpLogPoint:
+    if w0 == 0:
+        raise DomainError("the fixed point has no canonical orbit chart")
+    a = cmath.log(w0) - t  # log of w_t; the orbit ray has constant argument
+    if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
+        raise DomainError(f"orbit point exp({a}) left the domain")
+    # Image is i sqrt(w_t + 1); pick the stable form for log(w_t + 1).
+    if a.real > 36.0:
+        log_w1 = a + cmath.log(1.0 + cmath.exp(-a))
+    elif a.real < -36.0:
+        log_w1 = cmath.log(1.0 + cmath.exp(a))
+    else:
+        log_w1 = cmath.log(cmath.exp(a) + 1.0)
+    return UhpLogPoint(None, 1j * _HALF_PI + 0.5 * log_w1)
+
+
+_ORBIT = {
+    "strip-slit": _strip_slit_orbit,
+    "sector-parabolic": _sector_parabolic_orbit,
+    "koebe-elliptic": _koebe_elliptic_orbit,
+}
+
+
+def reference_orbit(model: KoenigsModel, w0: complex, t: float) -> UhpLogPoint:
+    """``model.uhp_orbit(w0, t)`` from the model's hand-derived formula."""
+    return _ORBIT[model.name](complex(w0), t)

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     ApproachRay,
+    MobiusStep,
     push_boundary_point,
     reference_derivative,
     reference_eval,
@@ -22,17 +23,14 @@ from petallab.confmap import (
     ExpStep,
     LogStep,
     MapDomainError,
-    MobiusStep,
     PowerStep,
     SlitCloseStep,
     SlitOpenStep,
 )
-from petallab.hypcore import CanonicalDomain, BoundaryPoint, INFINITY, Mobius
+from petallab.hypcore import BoundaryPoint, INFINITY, Mobius
 from petallab.models import MODEL_NAMES, by_name
 from petallab.semigroup import generator
 
-UHP = CanonicalDomain.UPPER_HALF_PLANE
-DISK = CanonicalDomain.DISK
 HALF_PI = math.pi / 2
 
 # Frozen oracle (40-digit arithmetic): sqrt((1+i)^2 + 1) = sqrt(1 + 2i)
@@ -50,7 +48,7 @@ def _in_strip_slit(w: complex) -> bool:
 
 def _strip_slit_chain() -> ConformalChain:
     return ConformalChain((ExpStep(), Affine(1j, 0j), SlitCloseStep()),
-                          UHP, _in_strip_slit, "strip-slit")
+                          _in_strip_slit, "strip-slit")
 
 
 def _rng():
@@ -160,8 +158,17 @@ class TestChainEval:
             chain.eval(bad)
         assert err.value.step_index == 2
 
+    def test_overflowing_modulus_named_at_cut_check(self):
+        # |w| past float range overflows the cut distance of step 1.
+        chain = by_name("sector-parabolic").chain
+        for fn in (chain.eval, chain.derivative):
+            with pytest.raises(MapDomainError) as err:
+                fn(1.5e308 + 1.5e308j)
+            assert err.value.step_index == 1
+            assert str(err.value) == "step 1: cut check failed: absolute value too large"
+
     def test_eval_overflow_reported(self):
-        chain = ConformalChain((ExpStep(),), UHP, lambda z: True, "exp")
+        chain = ConformalChain((ExpStep(),), lambda z: True, "exp")
         with pytest.raises(MapDomainError) as err:
             chain.eval(800.0 + 0.5j)
         assert err.value.step_index == 0
@@ -169,7 +176,7 @@ class TestChainEval:
     def test_inverse_without_preimage_rejected(self):
         # z^(1/2) maps the half-plane onto the first quadrant; points of the
         # second quadrant have no preimage under the inverse branch
-        chain = ConformalChain((PowerStep(0.5, math.pi),), UHP,
+        chain = ConformalChain((PowerStep(0.5, math.pi),),
                                lambda z: complex(z).imag > 0, "root")
         with pytest.raises(MapDomainError):
             chain.eval_inverse(-1.0 + 0.5j)
@@ -189,22 +196,53 @@ class TestChainEval:
             assert chain.derivative(w) == pytest.approx(fd, rel=1e-6)
 
     def test_exp_chain_inverse_example(self):
-        chain = ConformalChain((ExpStep(), Affine(1j, 0j)), UHP,
+        chain = ConformalChain((ExpStep(), Affine(1j, 0j)),
                                lambda z: abs(complex(z).imag) < HALF_PI, "strip")
         assert chain.eval(0j) == pytest.approx(1j)
         assert chain.eval_inverse(1j) == pytest.approx(0j, abs=1e-14)
 
 
+class TestEvalLog:
+    """``eval_log`` agrees with ``eval`` wherever the image is a float."""
+
+    @pytest.mark.parametrize("steps,source", [
+        # a rotation and a scaling of a log point, then e^q of a log point
+        ((ExpStep(), Affine(-1j, 0.5), Affine(2.0 - 1j, 0j), ExpStep(), Affine(1j, 0j)),
+         lambda rng: complex(rng.uniform(-2.0, 0.0), rng.uniform(-1.0, 1.0))),
+        # steps with no log form of their own, and a chain ending in a plain point
+        ((Affine(1.0, 1j), LogStep(math.pi), SlitCloseStep(), SlitOpenStep(), Affine(1j, 0j)),
+         lambda rng: complex(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))),
+        # a power of an anchored log point, on a branch other than the principal one
+        ((ExpStep(), Affine(1.0, 2.0), PowerStep(0.5, 0.5)),
+         lambda rng: complex(rng.uniform(-3.0, 1.0), rng.uniform(-1.0, 1.0))),
+    ], ids=["rotations-and-exp", "plain-steps", "anchored-power"])
+    def test_matches_eval(self, steps, source):
+        chain = ConformalChain(steps, lambda z: True, "mixed")
+        rng = random.Random(1618)
+        for _ in range(200):
+            w = source(rng)
+            anchor, L = chain.eval_log(w)
+            q = (anchor or 0.0) + cmath.exp(L)
+            assert abs(q - chain.eval(w)) <= 1e-12 * max(1.0, abs(q)), w
+
+    def test_log_input_far_beyond_float_range(self):
+        # The elliptic catalog chain on w = e^a with Re a = 1e300.
+        chain = by_name("koebe-elliptic").chain
+        anchor, L = chain.eval_log(None, complex(1e300, 0.5))
+        assert anchor is None
+        assert L == complex(5e299, 0.25 + HALF_PI)
+
+
 class TestBoundaryTransport:
     def test_strip_chain_right_end_to_disk_one(self):
         chain = ConformalChain((ExpStep(), MobiusStep(Mobius(1.0, -1.0, 1.0, 1.0))),
-                               DISK, lambda z: abs(complex(z).imag) < HALF_PI, "strip-disk")
+                               lambda z: abs(complex(z).imag) < HALF_PI, "strip-disk")
         got = push_boundary_point(chain, INFINITY, ApproachRay(0j, 10.0, outward=True))
         assert not got.is_infinity
         assert got.value == pytest.approx(1.0 + 0j, abs=1e-8)
 
     def test_slit_sides_split(self):
-        sc = ConformalChain((SlitCloseStep(),), UHP,
+        sc = ConformalChain((SlitCloseStep(),),
                             lambda z: complex(z).imag > 0, "slit-close")
         right = push_boundary_point(sc, BoundaryPoint(0j), ApproachRay(0j, 0.1 + 0.1j))
         left = push_boundary_point(sc, BoundaryPoint(0j), ApproachRay(0j, -0.1 + 0.1j))
@@ -212,13 +250,13 @@ class TestBoundaryTransport:
         assert left.value == pytest.approx(-1.0 + 0j, abs=1e-8)
 
     def test_slit_interior_point_sides(self):
-        sc = ConformalChain((SlitCloseStep(),), UHP,
+        sc = ConformalChain((SlitCloseStep(),),
                             lambda z: complex(z).imag > 0, "slit-close")
         got = push_boundary_point(sc, BoundaryPoint(0.5j), ApproachRay(0.5j, 0.1 + 0j))
         assert got.value == pytest.approx(math.sqrt(0.75) + 0j, abs=1e-8)
 
     def test_identity_chain_fixes_boundary(self):
-        ident = ConformalChain((Affine(1.0, 0j),), UHP, lambda z: True, "identity")
+        ident = ConformalChain((Affine(1.0, 0j),), lambda z: True, "identity")
         got = push_boundary_point(ident, BoundaryPoint(2.0 + 0j), ApproachRay(2.0 + 0j, 1j))
         assert got.value == pytest.approx(2.0 + 0j, abs=1e-10)
 
@@ -287,13 +325,13 @@ def _near_cut_cases(name):
             ("eval", lambda rng: complex(rng.uniform(*_TINY), -rng.uniform(0.01, 5.0)), 1),
             ("inverse", lambda rng: complex(rng.uniform(0.01, 5.0), rng.uniform(*_TINY)), 1),
         ]
-    # koebe-elliptic: w + 1 on the negative real axis; near the disk point
-    # -1 the inverse Moebius image nears the origin, where PowerStep(2)'s
-    # cut ray starts.
+    # koebe-elliptic: w + 1 on the negative real axis; near q = 0 the
+    # image -i q of the inverse rotation nears the origin, where
+    # PowerStep(2)'s cut ray starts.
     return [
         ("eval", lambda rng: complex(rng.uniform(-5.0, -1.01), signed(rng)), 1),
-        ("inverse", lambda rng: -1.0 + rng.uniform(1e-14, 1e-12)
-         * cmath.exp(1j * rng.uniform(-1.2, 1.2)), 1),
+        ("inverse", lambda rng: rng.uniform(1e-14, 1e-12)
+         * cmath.exp(1j * rng.uniform(0.4, math.pi - 0.4)), 1),
     ]
 
 
@@ -346,13 +384,8 @@ class TestWalkPlansMatchReference:
         (re_lo, re_hi), (im_lo, im_hi) = _SOURCE_BOX[name]
         sources = [complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
                    for _ in range(self.N)]
-        if model.canonical_domain is DISK:
-            targets = [(1.0 - math.exp(rng.uniform(-30.0, 0.0)))
-                       * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-                       for _ in range(self.N)]
-        else:
-            targets = [complex(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(-20.0, 5.0)))
-                       for _ in range(self.N)]
+        targets = [complex(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(-20.0, 5.0)))
+                   for _ in range(self.N)]
         disk = [(1.0 - math.exp(rng.uniform(-30.0, 0.0)))
                 * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(self.N)]
         outcomes = self._assert_same(chain, "eval", sources)
@@ -380,7 +413,12 @@ class TestWalkPlansMatchReference:
         rng = random.Random(271828)
         for kind, draw in _OVERFLOW_CASES[name]:
             outcomes = self._assert_same(chain, kind, [draw(rng) for _ in range(300)])
-            stepped = [o for o in outcomes if o[0] == "error" and o[2] is not None]
+            errors = [o for o in outcomes if o[0] == "error"]
+            # Every draw that overflows names its step, the cut check's
+            # overflow included; only draws outside the source lack one.
+            stepped = [o for o in errors if o[1] is MapDomainError and o[2] is not None]
+            refused = [o for o in errors if "outside the source region" in o[3]]
+            assert len(stepped) + len(refused) == len(errors), (kind, errors[:5])
             assert len(stepped) >= 100, (kind, outcomes[:5])
 
     @pytest.mark.parametrize("steps,w,message", [
@@ -400,7 +438,7 @@ class TestWalkPlansMatchReference:
          "step 3: evaluation left float range"),
     ])
     def test_fused_step_failures(self, steps, w, message):
-        chain = ConformalChain(steps, UHP, lambda z: True, "fused")
+        chain = ConformalChain(steps, lambda z: True, "fused")
         got = _outcome(chain.derivative, w)
         assert got == _outcome(reference_derivative, chain, w)
         assert got[:2] == ("error", MapDomainError) and got[3] == message
@@ -408,7 +446,7 @@ class TestWalkPlansMatchReference:
 
     def test_cut_free_steps_skip_the_cut_check(self):
         chain = ConformalChain((Affine(2.0, 1j), ExpStep(), MobiusStep(Mobius(1.0, 1j, 0j, 1.0)),
-                                LogStep(0.5)), UHP, lambda z: True, "mixed")
+                                LogStep(0.5)), lambda z: True, "mixed")
         assert [entry[2] is None for entry in chain._forward_plan] == [True, True, True, False]
         assert [entry[0] for entry in chain._inverse_plan] == [3, 2, 1, 0]
         assert [entry[2] is None for entry in chain._inverse_plan] == [True, True, False, True]

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petallab.hmeasure import Arc, ApproachReport, approach_angle, harmonic_measure
+from petallab.hmeasure import (
+    ROUNDING_FLOOR,
+    Arc,
+    ApproachReport,
+    approach_angle,
+    harmonic_measure,
+)
 from petallab.hypcore import DomainError
 from petallab.models import by_name
 from petallab.semigroup import flow
@@ -218,6 +224,23 @@ class TestApproachAngle:
         assert not report.inconclusive
         assert 0.05 * math.pi < report.theta < 0.95 * math.pi
         assert report.tangential is False
+        # From t = -10 on disk_z lies within the rounding floor of sigma;
+        # the nine points before it give the closed form pi - 2 Im w0.
+        assert report.used == 9
+        assert report.stop == "point 9 within 2.22e-08 of the approach point"
+        assert report.theta == pytest.approx(math.pi / 2, abs=1e-8)
+
+    def test_points_within_rounding_floor_are_dropped(self):
+        a = 1.0 + 0j
+        pts = self._radial_points(a, kmax=40)
+        report = approach_angle(pts, a, Arc(0.0, math.pi))
+        # 2^-25 is above the floor 2^-52 * 1e8, 2^-26 below it.
+        assert ROUNDING_FLOOR == pytest.approx(2.220446049250313e-08, rel=1e-15)
+        assert report.used == 26 and len(report.measures) == 26
+        assert report.stop == "point 26 within 2.22e-08 of the approach point"
+        assert report.theta == pytest.approx(math.pi / 2, abs=1e-2)
+        short = approach_angle(pts[:20], a, Arc(0.0, math.pi))
+        assert short.used == 20 and short.stop == "sequence ended"
 
     def test_constant_sequence_inconclusive(self):
         pts = [0.5 + 0j] * 12

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CanonicalDomain,
     Geodesic,
     compose,
     domain_distance,
@@ -21,7 +22,6 @@ from oracles import (
 )
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
-    CanonicalDomain,
     BoundaryPoint,
     DomainError,
     INFINITY,

@@ -2,16 +2,15 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import ApproachRay, boundary_distance, push_boundary_point
+from oracles import ApproachRay, boundary_distance, push_boundary_point, reference_orbit
 from petallab.hypcore import (
-    CAYLEY_DISK_TO_UHP,
     INFINITY,
     BoundaryPoint,
-    CanonicalDomain,
     DomainError,
     disk_distance,
     uhp_distance,
@@ -58,9 +57,10 @@ class TestCatalog:
         assert m1.kind == "hyperbolic" and m1.mu == 1.0
         assert m2.kind == "parabolic" and m2.mu == 0.0
         assert m3.kind == "elliptic" and m3.mu == 1.0
-        assert m1.canonical_domain is CanonicalDomain.UPPER_HALF_PLANE
-        assert m2.canonical_domain is CanonicalDomain.UPPER_HALF_PLANE
-        assert m3.canonical_domain is CanonicalDomain.DISK
+        # Every chain ends in the upper half-plane: its last step leaves
+        # a base point's image there.
+        for model in (m1, m2, m3):
+            assert model.canonical_of_omega(model.petals[0].base_default).imag > 0.0
 
     def test_petal_inventory(self):
         m1, m2, m3 = catalog()
@@ -77,7 +77,7 @@ class TestCatalog:
         m1, m2, m3 = catalog()
         assert m1.dw_point is INFINITY
         assert m2.dw_point is INFINITY
-        assert m3.dw_point == 0j and isinstance(m3.dw_point, complex)
+        assert m3.dw_point == 1j and isinstance(m3.dw_point, complex)
 
     def test_petal_validation(self):
         with pytest.raises(ValueError):
@@ -297,7 +297,68 @@ class TestFlow:
         assert m3.flow_omega(0j, -5.0) == 0j
 
 
+# Backward times out to 1e300, and a few forward ones.
+_ORBIT_TIMES = tuple(-(2.0 ** k) for k in range(61)) + tuple(
+    -(10.0 ** k) for k in range(20, 301, 20)) + (0.0, 0.7, 3.0, 17.0)
+
+
+def _orbit_cases():
+    """(id, model name, [(w0, t), ...], expected outcome) for the reference
+    orbit comparison.  "mixed" marks the orbits whose angular gap to pi
+    underflows, where both raise DomainError: the parabolic petal's from
+    about |t| = 1e16 on, and strip-slit's lower petal's gap 2 |Im w0|
+    when it is below half an ulp of pi."""
+    rng = random.Random(20261018)
+    cases = []
+    for model, petal in _model_petals():
+        bases = [petal.base_default] + sample_petal_omega(model, petal, 6, rng)
+        cases.append((f"{model.name}-{petal.label}", model.name,
+                      [(w0, t) for w0 in bases for t in _ORBIT_TIMES],
+                      "mixed" if petal.kind == "parabolic" else "value"))
+    # A hair off the slit's line, where an angle added to pi/2 would round
+    # away; the orbits cross Re w = 0 from either side.
+    for side, sign, expect in (("upper", 1.0, "value"), ("lower", -1.0, "mixed")):
+        near_axis = [complex(re, sign * im) for re in (-0.5, 0.5, 3.0) for im in (1e-20, 1e-300)]
+        cases.append((f"strip-slit-near-axis-{side}", "strip-slit",
+                      [(w0, t) for w0 in near_axis for t in _ORBIT_TIMES], expect))
+    # test_orbit_errors' cases.
+    cases += [
+        ("strip-slit-errors", "strip-slit", [(1.0 + 0j, -1.0), (1.0 + 0j, -2.0)], "error"),
+        ("sector-parabolic-errors", "sector-parabolic", [(1.0 - 1j, -2.0)], "error"),
+        ("koebe-elliptic-errors", "koebe-elliptic", [(-0.5 + 0j, -1.0), (0j, 1.0)], "error"),
+    ]
+    return cases
+
+
+_ORBIT_CASES = _orbit_cases()
+
+
+def _orbit_outcome(orbit, model, w0, t):
+    """An orbit point as its anchor and the bits of L, or its error's type."""
+    try:
+        p = orbit(model, w0, t)
+    except Exception as exc:  # every error must match the reference's
+        return ("error", type(exc))
+    anchor = None if p.anchor is None else p.anchor.hex()
+    return ("value", anchor, p.L.real.hex(), p.L.imag.hex())
+
+
 class TestOrbits:
+    @pytest.mark.parametrize("name,pairs,expect", [c[1:] for c in _ORBIT_CASES],
+                             ids=[c[0] for c in _ORBIT_CASES])
+    def test_uhp_orbit_matches_reference_bitwise(self, name, pairs, expect):
+        # uhp_orbit walks the chain in log space; the references are the
+        # hand-derived orbit formulas.
+        model = by_name(name)
+        outcomes = []
+        for w0, t in pairs:
+            got = _orbit_outcome(type(model).uhp_orbit, model, w0, t)
+            want = _orbit_outcome(reference_orbit, model, w0, t)
+            assert got == want, f"{name} w0={w0!r} t={t!r}: {got} != {want}"
+            outcomes.append(got)
+        kinds = {o[0] for o in outcomes}
+        assert kinds == ({"value", "error"} if expect == "mixed" else {expect})
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_orbit_matches_chain_at_moderate_times(self, name):
         model = by_name(name)
@@ -306,8 +367,6 @@ class TestOrbits:
             for t in (-12.0, -5.0, -1.3, -0.5, 0.0, 0.7, 3.0):
                 wt = model.flow_omega(w0, t)
                 q_chain = model.chain.eval(wt)
-                if model.canonical_domain is CanonicalDomain.DISK:
-                    q_chain = CAYLEY_DISK_TO_UHP.apply(q_chain)
                 q_log = model.uhp_orbit(w0, t).value()
                 assert q_log is not None
                 assert abs(q_log - q_chain) <= 1e-11 * max(1.0, abs(q_chain))
@@ -319,8 +378,6 @@ class TestOrbits:
                 for t in (-9.0, -2.2, 0.0, 1.4):
                     wt = model.flow_omega(w0, t)
                     q_chain = model.chain.eval(wt)
-                    if model.canonical_domain is CanonicalDomain.DISK:
-                        q_chain = CAYLEY_DISK_TO_UHP.apply(q_chain)
                     q_log = model.uhp_orbit(w0, t).value()
                     assert abs(q_log - q_chain) <= 1e-10 * max(1.0, abs(q_chain))
 
@@ -427,7 +484,8 @@ class TestTransport:
                 assert abs(back - w) <= 1e-9 * max(1.0, abs(w))
 
     def test_koebe_function_identity(self):
-        # The elliptic chain inverts z -> 4 z / (1 - z)^2.
+        # The elliptic chain, followed by the Cayley map onto the disk,
+        # inverts z -> 4 z / (1 - z)^2; the chain itself is i sqrt(w + 1).
         m3 = by_name("koebe-elliptic")
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(200):
@@ -435,18 +493,19 @@ class TestTransport:
             z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             w = 4.0 * z / (1.0 - z) ** 2
             assert m3.contains(w)
-            assert abs(m3.chain.eval(w) - z) <= 1e-10 * max(1.0, abs(z))
+            assert abs(m3.disk_of_omega(w) - z) <= 1e-10 * max(1.0, abs(z))
+            q = m3.chain.eval(w)
+            assert abs(q - 1j * cmath.sqrt(w + 1.0)) <= 1e-12 * max(1.0, abs(q))
 
     def test_image_of_domain_is_canonical(self):
         rng = np.random.default_rng(RNG_SEED)
         for model in catalog():
-            dom = model.canonical_domain
             count = 0
             while count < 300:
                 w = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
                 if not model.contains(w):
                     continue
-                assert dom.contains(model.canonical_of_omega(w))
+                assert model.canonical_of_omega(w).imag > 0.0
                 count += 1
 
     def test_dw_point_consistency(self):
@@ -458,8 +517,9 @@ class TestTransport:
             pushed = push_boundary_point(model.chain, INFINITY, ray)
             assert pushed.is_infinity
             assert model.dw_point.is_infinity
-        # Elliptic: the interior fixed point maps to the disk center.
+        # Elliptic: the interior fixed point maps to i, the disk center.
         assert abs(m3.chain.eval(0j) - m3.dw_point) <= 1e-8
+        assert m3.disk_of_omega(0j) == 0j
 
     def test_sigma_transport_through_chain(self):
         # Pushing the petal's omega-boundary direction through the chain

@@ -86,6 +86,7 @@ class TestFlow:
         m3 = by_name("koebe-elliptic")
         pt = flow(m3, 0j, 4.0)
         assert pt.omega_w == 0j and pt.disk_z == 0j and pt.disk_gap == 1.0
+        assert pt.canonical_q == 1j
 
     def test_coordinate_consistency(self):
         rng = np.random.default_rng(RNG_SEED + 1)
@@ -128,9 +129,17 @@ class TestFlow:
         assert 0.0 < pt.disk_gap < 1e-10
 
     def test_elliptic_overflow(self):
+        # w_t = e^800 overflows, but its upper half-plane image
+        # i sqrt(w_t + 1), of log modulus 400, is still a float; that image
+        # leaves float range once Re L passes 700, at t = -1400.
         m3 = by_name("koebe-elliptic")
         pt = flow(m3, 1.0 + 0j, -800.0)
-        assert pt.omega_w is None and pt.disk_z is None and pt.canonical_q is None
+        assert pt.omega_w is None and pt.disk_z is None
+        assert pt.canonical_q is not None
+        assert abs(pt.canonical_q.real) <= 1e-15 * pt.canonical_q.imag
+        assert math.log(pt.canonical_q.imag) == pytest.approx(400.0, rel=1e-15)
+        assert flow(m3, 1.0 + 0j, -1399.0).canonical_q is not None
+        assert flow(m3, 1.0 + 0j, -1401.0).canonical_q is None
 
     def test_koenigs_equation_after_transport(self):
         rng = np.random.default_rng(RNG_SEED + 2)

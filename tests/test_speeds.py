@@ -8,11 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import geodesic_through, project_to_geodesic
+from oracles import CanonicalDomain, geodesic_through, project_to_geodesic
 from petallab.hypcore import (
     INFINITY,
     BoundaryPoint,
-    CanonicalDomain,
     DomainError,
     UhpLogPoint,
     disk_distance,
