@@ -11,10 +11,16 @@ Each chain builds its plans once, at construction: the forward plan for
 its steps, the inverse plan for their inverses in reverse order, and the
 log plan of the steps' ``apply_log``.  A forward or inverse plan entry
 holds a step's index and its bound ``apply``, ``cut_distance`` (None for
-a step with no cut, whose check is skipped) and ``value_and_derivative``.
+a step with no cut, whose check is skipped) and ``value_and_derivative``;
+an inverse plan entry also carries the ``cut_distance`` of the forward
+step it inverts (None in the forward plan, or for a cut-free step).
 ``eval`` and ``eval_inverse`` walk a plan with ``apply``; ``derivative``
 walks the forward plan with ``value_and_derivative``, which evaluates a
 step's shared transcendental once for both its image and its derivative.
+``inverse_and_derivative`` walks the inverse plan the same way, giving a
+target point's preimage and the derivative of the inverse map at once,
+and checks each preimage against the forward step's cut as
+``derivative`` would.
 
 ``eval_log`` walks the log plan on a point held as q = anchor + i^turns
 e^L, which keeps every bit of orbits far beyond float range: a quarter
@@ -53,25 +59,6 @@ def _rotated_ray_distance(z: complex, rot: complex) -> float:
     if v.real <= 0.0:
         return abs(v)
     return abs(v.imag)
-
-
-def segment_distance(z: complex, a: complex, b: complex) -> float:
-    """Euclidean distance from z to the closed segment [a, b]."""
-    d = b - a
-    den = d.real * d.real + d.imag * d.imag
-    t = ((z - a).real * d.real + (z - a).imag * d.imag) / den
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
-
-
-def _check_cut(cut_distance: Callable[[complex], float], z: complex, i: int) -> None:
-    """Refuse z within EPS_CUT of step i's cut, or past float range."""
-    try:
-        near = cut_distance(z) <= EPS_CUT
-    except OverflowError as exc:
-        raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
-    if near:
-        raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
 
 
 def _branch_log(z: complex, cut: float) -> complex:
@@ -148,6 +135,9 @@ class Affine(MapStep):
 
     def apply(self, z: complex) -> complex:
         return self.a * z + self.b
+
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
+        return self.a * z + self.b, self.a
 
     def apply_log(self, anchor, L, turns):
         if L is None:
@@ -303,7 +293,8 @@ class SlitCloseStep(MapStep):
         return SlitOpenStep()
 
     def cut_distance(self, z: complex) -> float:
-        return segment_distance(z, 0j, 1j)
+        # Distance to the segment [0, i]: clamp Im z onto [0, 1].
+        return abs(complex(z.real, z.imag - min(1.0, max(0.0, z.imag))))
 
 
 @dataclass(frozen=True)
@@ -324,26 +315,44 @@ class SlitOpenStep(MapStep):
         return SlitCloseStep()
 
     def cut_distance(self, z: complex) -> float:
-        return segment_distance(z, -1.0 + 0j, 1.0 + 0j)
+        # Distance to the segment [-1, 1]: clamp Re z onto [-1, 1].
+        return abs(complex(z.real - min(1.0, max(-1.0, z.real)), z.imag))
 
 
 # One entry of a chain's walk: (step index, apply, cut_distance or None for
-# a cut-free step, value_and_derivative), all bound to the step.
+# a cut-free step, value_and_derivative, forward cut), all bound to the step.
+# The forward cut of an inverse plan entry is the cut_distance of the step
+# it inverts (None when that step is cut-free); forward plan entries hold None.
 _PlanEntry = tuple[
     int,
     Callable[[complex], complex],
     Optional[Callable[[complex], float]],
     Callable[[complex], tuple[complex, complex]],
+    Optional[Callable[[complex], float]],
 ]
 
 
-def _plan(indexed_steps) -> tuple[_PlanEntry, ...]:
-    plan = []
-    for i, step in indexed_steps:
-        has_cut = type(step).cut_distance is not MapStep.cut_distance
-        plan.append((i, step.apply, step.cut_distance if has_cut else None,
-                     step.value_and_derivative))
-    return tuple(plan)
+def _cut_of(step: MapStep) -> Optional[Callable[[complex], float]]:
+    """A step's bound ``cut_distance``, or None for a cut-free step."""
+    has_cut = type(step).cut_distance is not MapStep.cut_distance
+    return step.cut_distance if has_cut else None
+
+
+def _plan(walked) -> tuple[_PlanEntry, ...]:
+    """Plan entries of (index, step walked, forward step or None) triples."""
+    return tuple((i, step.apply, _cut_of(step), step.value_and_derivative,
+                  None if forward is None else _cut_of(forward))
+                 for i, step, forward in walked)
+
+
+def _check_cut(cut_distance: Callable[[complex], float], z: complex, i: int) -> None:
+    """Refuse z within EPS_CUT of step i's cut, or past float range."""
+    try:
+        near = cut_distance(z) <= EPS_CUT
+    except OverflowError as exc:
+        raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
+    if near:
+        raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
 
 
 def _fused_failure(step: MapStep, z: complex, i: int, exc: ArithmeticError) -> MapDomainError:
@@ -355,6 +364,18 @@ def _fused_failure(step: MapStep, z: complex, i: int, exc: ArithmeticError) -> M
     except (OverflowError, ZeroDivisionError) as d_exc:
         return MapDomainError(f"derivative failed: {d_exc}", step_index=i)
     return MapDomainError(f"evaluation failed: {exc}", step_index=i)
+
+
+def _inverse_failure(apply: Callable[[complex], complex], z: complex, i: int,
+                     exc: ArithmeticError) -> MapDomainError:
+    """The error of a failed inverse ``value_and_derivative`` at z: the
+    image's failure, as ``eval_inverse`` names it, if ``apply`` fails at z,
+    else the derivative's."""
+    try:
+        apply(z)
+    except (OverflowError, ZeroDivisionError) as a_exc:
+        return MapDomainError(f"evaluation failed: {a_exc}", step_index=i)
+    return MapDomainError(f"derivative failed: {exc}", step_index=i)
 
 
 @dataclass(frozen=True)
@@ -371,8 +392,9 @@ class ConformalChain:
     _log_plan: tuple[tuple[int, Callable], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        forward = _plan(enumerate(self.steps))
-        inverse = _plan((i, self.steps[i].inverted()) for i in reversed(range(len(self.steps))))
+        forward = _plan((i, step, None) for i, step in enumerate(self.steps))
+        inverse = _plan((i, self.steps[i].inverted(), self.steps[i])
+                        for i in reversed(range(len(self.steps))))
         object.__setattr__(self, "_forward_plan", forward)
         object.__setattr__(self, "_inverse_plan", inverse)
         log_plan = tuple((i, step.apply_log) for i, step in enumerate(self.steps))
@@ -401,7 +423,7 @@ class ConformalChain:
         if not self.source_contains(z):
             raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
         acc = 1.0 + 0j
-        for i, _, cut_distance, value_and_derivative in self._forward_plan:
+        for i, _, cut_distance, value_and_derivative, _ in self._forward_plan:
             if cut_distance is not None:
                 _check_cut(cut_distance, z, i)
             try:
@@ -415,6 +437,54 @@ class ConformalChain:
                 raise MapDomainError("derivative left float range", step_index=i)
             z = image
         return acc
+
+    def inverse_and_derivative(self, q: complex) -> tuple[complex, complex]:
+        """Preimage w of an interior target point q and the derivative
+        dw/dq of the inverse map there, from one walk of the inverse plan.
+
+        The errors are those of ``eval_inverse(q)`` and then
+        ``derivative(w)``: the inverse walk's own checks and the source
+        check come first; then the lowest index i whose forward step's cut
+        lies within EPS_CUT of the preimage z_i the walk produced.  A
+        derivative that vanishes or leaves float range raises too."""
+        z = complex(q)
+        if not z.imag > 0.0:
+            raise MapDomainError(f"{z!r} is outside the upper half-plane")
+        acc = 1.0 + 0j
+        cut_failure = None
+        for i, apply, cut_distance, value_and_derivative, forward_cut in self._inverse_plan:
+            if cut_distance is not None:
+                try:
+                    near = cut_distance(z) <= EPS_CUT
+                except OverflowError as exc:
+                    raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
+                if near:
+                    raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut",
+                                         step_index=i)
+            try:
+                image, d = value_and_derivative(z)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _inverse_failure(apply, z, i, exc) from exc
+            if not cmath.isfinite(image):
+                raise MapDomainError("evaluation left float range", step_index=i)
+            acc *= d
+            z = image
+            # The walk runs down the step indices, so the last failure
+            # recorded is the lowest, the one ``derivative`` meets first.
+            if forward_cut is not None:
+                try:
+                    if forward_cut(z) <= EPS_CUT:
+                        cut_failure = (i, f"{z!r} is within {EPS_CUT} of a branch cut", None)
+                except OverflowError as exc:
+                    cut_failure = (i, f"cut check failed: {exc}", exc)
+        if not self.source_contains(z):
+            raise MapDomainError(f"{q!r} has no preimage in the source region")
+        if cut_failure is not None:
+            i, message, exc = cut_failure
+            raise MapDomainError(message, step_index=i) from exc
+        if not (acc and cmath.isfinite(acc)):
+            raise MapDomainError("inverse derivative vanished or left float range")
+        return z, acc
 
     def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
         """The image of the source point anchor + e^L (L None: the point
@@ -435,9 +505,14 @@ class ConformalChain:
 def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
     """Image of z under the steps of a plan, each checked against its cut
     and its image checked to be a finite float."""
-    for i, apply, cut_distance, _ in plan:
+    for i, apply, cut_distance, _, _ in plan:
         if cut_distance is not None:
-            _check_cut(cut_distance, z, i)
+            try:
+                near = cut_distance(z) <= EPS_CUT
+            except OverflowError as exc:
+                raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
+            if near:
+                raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
         try:
             z = apply(z)
         except (OverflowError, ZeroDivisionError) as exc:

@@ -24,7 +24,6 @@ from typing import Optional, Union
 
 from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
 from .hypcore import (
-    CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
     INFINITY,
     BoundaryPoint,
@@ -248,13 +247,6 @@ class KoenigsModel:
         if z is None:
             raise DomainError("point maps to the Cayley pole")
         return z
-
-    def omega_of_disk(self, z: complex) -> complex:
-        """Omega coordinate of a unit-disk point."""
-        q = CAYLEY_DISK_TO_UHP.apply(complex(z))
-        if q is None:
-            raise DomainError("point maps to the Cayley pole")
-        return self.chain.eval_inverse(q)
 
     def disk_sigma(self, petal: Petal) -> BoundaryPoint:
         """Unit-disk image of a petal's distinguished boundary point."""

@@ -29,6 +29,10 @@ from .models import KoenigsModel, Petal
 
 LOG4 = math.log(4.0)
 MIN_DISK_GAP = 1e-250
+# Coefficients and determinant of CAYLEY_DISK_TO_UHP, C(z) = (a z + b)/(c z + d)
+# with C'(z) = det/(c z + d)^2, for the generator's hot path.
+_CAYLEY = (CAYLEY_DISK_TO_UHP.a, CAYLEY_DISK_TO_UHP.b, CAYLEY_DISK_TO_UHP.c,
+           CAYLEY_DISK_TO_UHP.d, CAYLEY_DISK_TO_UHP.det)
 
 
 class PetalRequiredError(DomainError):
@@ -102,16 +106,25 @@ def generator(model: KoenigsModel, z: complex) -> complex:
 
     Differentiating the linearizing equation at t = 0 gives G = 1/h'
     for translation models and G = -mu h / h' for the scaling model,
-    with h the Omega-coordinate chart of the disk.
+    with h the Omega-coordinate chart of the disk.  Here h = F^-1 o C,
+    with C the Cayley map onto the upper half-plane and F the model's
+    chain, so h' = (F^-1)'(q) C'(z) at q = C(z); one walk of the chain's
+    inverse plan gives both h(z) and (F^-1)'(q).
     """
     z = complex(z)
-    w = model.omega_of_disk(z)
-    df = model.chain.derivative(w)
-    cay = CAYLEY_DISK_TO_UHP
-    dc = cay.det / (cay.c * z + cay.d) ** 2
-    if model.kind == "elliptic":
-        return -model.mu * w * df / dc
-    return df / dc
+    a, b, c, d, det = _CAYLEY
+    den = c * z + d
+    if den == 0:
+        raise DomainError("point maps to the Cayley pole")
+    w, dw = model.chain.inverse_and_derivative((a * z + b) / den)
+    dh = dw * (det / den**2)
+    try:
+        g = (-model.mu * w if model.kind == "elliptic" else 1.0) / dh
+    except ZeroDivisionError as exc:
+        raise MapDomainError(f"generator failed: {exc}") from exc
+    if not cmath.isfinite(g):
+        raise MapDomainError("generator left float range")
+    return g
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,10 @@ class RepellingReport:
     ``ratio_estimate`` its extrapolated limit, which should equal -lam.
     ``min_herglotz_real`` is the worst real part of the associated
     Herglotz-type function, which should be nonnegative.
+    ``radial_stop`` is the k at which a ``MapDomainError`` ended the radial
+    approach z_k = sigma (1 - 2^-k), None if it ran to k = 40; ``plateau``
+    is the index i of the Richardson accelerant 2 r_{i+1} - r_i picked as
+    ``ratio_estimate``, with r_i = ``ratios[i]``.
     """
 
     lam: float
@@ -132,6 +149,8 @@ class RepellingReport:
     ratios: tuple[complex, ...]
     ratio_estimate: complex
     min_herglotz_real: float
+    radial_stop: Optional[int]
+    plateau: int
 
 
 def repelling_diagnostics(
@@ -157,6 +176,7 @@ def repelling_diagnostics(
         min_julia = min(min_julia, julia)
         min_herglotz = min(min_herglotz, herglotz.real)
     ratios = []
+    radial_stop = None
     for k in range(4, 41):
         zk = sigma * (1.0 - 2.0 ** -k)
         try:
@@ -164,6 +184,7 @@ def repelling_diagnostics(
         except MapDomainError:
             # The chain's branch-cut guard refuses points this close to
             # sigma; the plateau has long stabilized by then.
+            radial_stop = k
             break
         ratios.append(g / (zk - sigma))
     if len(ratios) < 10:
@@ -179,6 +200,8 @@ def repelling_diagnostics(
         ratios=tuple(ratios),
         ratio_estimate=rich[best + 1],
         min_herglotz_real=min_herglotz,
+        radial_stop=radial_stop,
+        plateau=best + 1,
     )
 
 

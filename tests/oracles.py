@@ -2,8 +2,9 @@
 
 Only the tests use these, so they live here rather than in the package:
 
-- the three canonical domains (``CanonicalDomain``) and a Moebius chain
-  step (``MobiusStep``);
+- the three canonical domains (``CanonicalDomain``), a Moebius chain
+  step (``MobiusStep``), and the general distance to a segment
+  (``segment_distance``) that the slit steps' closed forms replace;
 - geodesics and closest-point projection in the three canonical domains,
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
@@ -15,7 +16,7 @@ Only the tests use these, so they live here rather than in the package:
   ``reference_derivative``, ``reference_generator``) that calls each
   step's ``cut_distance``, ``apply`` and ``derivative`` in turn, against
   which the chains' precomputed walk plans are checked for identical
-  values and errors;
+  values and errors, and the disk chart ``omega_of_disk`` of a model;
 - the hand-derived log-space orbit of each catalog model
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
   walk of the chain in log space are checked bit for bit.
@@ -87,6 +88,15 @@ class MobiusStep(MapStep):
 
     def inverted(self) -> "MobiusStep":
         return MobiusStep(self.m.inverse())
+
+
+def segment_distance(z: complex, a: complex, b: complex) -> float:
+    """Euclidean distance from z to the closed segment [a, b]."""
+    d = b - a
+    den = d.real * d.real + d.imag * d.imag
+    t = ((z - a).real * d.real + (z - a).imag * d.imag) / den
+    t = min(1.0, max(0.0, t))
+    return abs(z - (a + t * d))
 
 
 def ray_distance(z: complex, angle: float) -> float:
@@ -482,6 +492,14 @@ def reference_derivative(chain: ConformalChain, w: complex) -> complex:
         if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
             raise MapDomainError("derivative left float range", step_index=i)
     return acc
+
+
+def omega_of_disk(model: KoenigsModel, z: complex) -> complex:
+    """Omega coordinate of a unit-disk point: Cayley, then the inverse chain."""
+    q = CAYLEY_DISK_TO_UHP.apply(complex(z))
+    if q is None:
+        raise DomainError("point maps to the Cayley pole")
+    return model.chain.eval_inverse(q)
 
 
 def reference_generator(model: KoenigsModel, z: complex) -> complex:

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from oracles import (
     ApproachRay,
     MobiusStep,
     push_boundary_point,
+    segment_distance,
     reference_derivative,
     reference_eval,
     reference_eval_inverse,
@@ -27,7 +29,7 @@ from petallab.confmap import (
     SlitCloseStep,
     SlitOpenStep,
 )
-from petallab.hypcore import BoundaryPoint, INFINITY, Mobius
+from petallab.hypcore import CAYLEY_DISK_TO_UHP, BoundaryPoint, DomainError, INFINITY, Mobius
 from petallab.models import MODEL_NAMES, by_name
 from petallab.semigroup import generator
 
@@ -117,6 +119,33 @@ class TestSteps:
         assert SlitCloseStep().cut_distance(0.5j) == 0.0
         assert SlitCloseStep().cut_distance(1.0 + 1j) == pytest.approx(1.0)
         assert SlitOpenStep().cut_distance(0.5 + 0.25j) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("step,a,b", [
+        (SlitCloseStep(), 0j, 1j),
+        (SlitOpenStep(), -1.0 + 0j, 1.0 + 0j),
+    ])
+    def test_slit_cut_distances_match_segment_distance(self, step, a, b):
+        # The closed forms against the general segment distance, on points
+        # near the segment, across it, and around each end.
+        rng = random.Random(161803)
+        points = []
+        for _ in range(2000):
+            s = rng.uniform(-0.5, 1.5)
+            off = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, 0.0)
+            points.append(a + s * (b - a) + 1j * off * (b - a))
+        for end in (a, b):
+            points += [end + _polar(rng, (-16.0, 0.0), (-math.pi, math.pi)) for _ in range(1000)]
+        points += [a, b, 0.5 * (a + b)]
+        for z in points:
+            assert abs(step.cut_distance(z) - segment_distance(z, a, b)) <= 1e-15, z
+
+    def test_affine_value_and_derivative_is_apply_and_derivative(self):
+        rng = random.Random(57721)
+        for a in (2.0 - 1j, 1j, -1.0 + 0j, 1e-200 + 3e-201j, 1e200 + 0j):
+            step = Affine(a, complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
+            for _ in range(200):
+                z = _polar(rng, (-300.0, 300.0), (-math.pi, math.pi))
+                assert step.value_and_derivative(z) == (step.apply(z), step.derivative(z))
 
 
 class TestChainEval:
@@ -352,7 +381,9 @@ _OVERFLOW_CASES = {
 
 class TestWalkPlansMatchReference:
     """Every value and error of a chain's planned walk equals the
-    step-by-step reference walk in ``oracles``."""
+    step-by-step reference walk in ``oracles``; the one-walk generator
+    and ``inverse_and_derivative`` match its errors, and its values to
+    rounding."""
 
     N = 1200
 
@@ -390,10 +421,21 @@ class TestWalkPlansMatchReference:
                 * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(self.N)]
         outcomes = self._assert_same(chain, "eval", sources)
         outcomes += self._assert_same(chain, "inverse", targets)
+        outcomes += _assert_inverse_walk_matches(chain, targets)
+        # G now comes from one inverse walk, so it is no longer bitwise the
+        # reference's 1/h'(w); its errors still match, and its values meet
+        # the closed form of dw/dq at 50 digits.
+        worst = 0.0
         for z in disk:
             got, want = _outcome(generator, model, z), _outcome(reference_generator, model, z)
-            assert got == want, f"{name} generator({z!r}): {got} != {want}"
+            assert got[0] == want[0], f"{name} generator({z!r}): {got} != {want}"
+            if got[0] == "error":
+                assert got[:3] == want[:3], f"{name} generator({z!r}): {got} != {want}"
+            else:
+                exact = _mp_generator(model, z)
+                worst = max(worst, abs(got[1] - exact) / abs(exact))
             outcomes.append(got)
+        assert worst <= 1e-11, f"{name}: relative error {worst:.2e}"
         values = sum(o[0] == "value" for o in outcomes)
         assert values >= 0.6 * len(outcomes)
 
@@ -402,7 +444,10 @@ class TestWalkPlansMatchReference:
         chain = by_name(name).chain
         rng = random.Random(314159)
         for kind, draw, index in _near_cut_cases(name):
-            outcomes = self._assert_same(chain, kind, [draw(rng) for _ in range(200)])
+            points = [draw(rng) for _ in range(200)]
+            outcomes = self._assert_same(chain, kind, points)
+            if kind == "inverse":
+                outcomes += _assert_inverse_walk_matches(chain, points)
             for o in outcomes:
                 assert o[:3] == ("error", MapDomainError, index), (kind, o)
                 assert "of a branch cut" in o[3]
@@ -412,7 +457,10 @@ class TestWalkPlansMatchReference:
         chain = by_name(name).chain
         rng = random.Random(271828)
         for kind, draw in _OVERFLOW_CASES[name]:
-            outcomes = self._assert_same(chain, kind, [draw(rng) for _ in range(300)])
+            points = [draw(rng) for _ in range(300)]
+            outcomes = self._assert_same(chain, kind, points)
+            if kind == "inverse":
+                _assert_inverse_walk_matches(chain, points)
             errors = [o for o in outcomes if o[0] == "error"]
             # Every draw that overflows names its step, the cut check's
             # overflow included; only draws outside the source lack one.
@@ -450,3 +498,99 @@ class TestWalkPlansMatchReference:
         assert [entry[2] is None for entry in chain._forward_plan] == [True, True, True, False]
         assert [entry[0] for entry in chain._inverse_plan] == [3, 2, 1, 0]
         assert [entry[2] is None for entry in chain._inverse_plan] == [True, True, False, True]
+        # Inverse entries carry the cut of the forward step they invert.
+        assert [entry[4] is None for entry in chain._forward_plan] == [True] * 4
+        assert [entry[4] is None for entry in chain._inverse_plan] == [False, True, True, True]
+
+
+class TestInverseAndDerivative:
+    """``inverse_and_derivative`` raises what ``eval_inverse`` and then
+    ``derivative`` raised, in that order."""
+
+    def test_forward_cut_is_checked_on_the_preimage(self):
+        # ExpStep, the inverse of LogStep(pi), has no cut; exp(1 + i pi)
+        # lands within rounding of LogStep's cut, the negative real axis.
+        chain = ConformalChain((LogStep(math.pi),), lambda z: True, "log")
+        q = 1.0 + 1j * math.pi
+        got = _outcome(chain.inverse_and_derivative, q)
+        assert got[:3] == ("error", MapDomainError, 0)
+        assert got == _outcome(lambda q: chain.derivative(chain.eval_inverse(q)), q)
+
+    def test_source_check_comes_before_the_forward_cut(self):
+        chain = ConformalChain((LogStep(math.pi),), lambda z: z.real > 0.0, "log")
+        got = _outcome(chain.inverse_and_derivative, 1.0 + 1j * math.pi)
+        assert got[:3] == ("error", MapDomainError, None)
+        assert "no preimage in the source region" in got[3]
+
+    def test_lowest_forward_cut_is_raised(self):
+        # Preimages z_2 = e^q = -2 and z_0 = e^{z_2 - i pi} = -e^-2 both
+        # sit on a forward LogStep cut: step 0 is the one ``derivative``
+        # meets first.
+        chain = ConformalChain((LogStep(math.pi), Affine(1.0, 1j * math.pi), LogStep(math.pi)),
+                               lambda z: True, "log-log")
+        q = math.log(2.0) + 1j * math.pi
+        got = _outcome(chain.inverse_and_derivative, q)
+        assert got[:3] == ("error", MapDomainError, 0)
+        assert got == _outcome(lambda q: chain.derivative(chain.eval_inverse(q)), q)
+
+    def test_vanishing_derivative_raises(self):
+        # dw/dq = 1e-400 underflows to 0; the forward product overflows.
+        chain = ConformalChain((Affine(1e200), Affine(1e200)), lambda z: True, "scale")
+        got = _outcome(chain.inverse_and_derivative, 1j)
+        assert got[:2] == ("error", MapDomainError)
+        assert "vanished or left float range" in got[3]
+        assert _outcome(reference_derivative, chain, 0j)[:2] == ("error", MapDomainError)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_generator_never_returns_non_finite(self, name):
+        model = by_name(name)
+        for z in (1.0 - 2.0**-52, -1.0 + 2.0**-52, 1j * (1.0 - 2.0**-52), -1j * (1.0 - 2.0**-52),
+                  1.0 - 1e-300j, -1.0 + 1e-300j):
+            got = _outcome(generator, model, z)
+            if got[0] == "value":
+                assert cmath.isfinite(got[1])
+            else:
+                assert issubclass(got[1], DomainError), got
+
+
+def _reference_inverse_and_derivative(chain, q):
+    w = reference_eval_inverse(chain, q)
+    return w, 1.0 / reference_derivative(chain, w)
+
+
+def _assert_inverse_walk_matches(chain, points):
+    """``inverse_and_derivative`` against ``eval_inverse`` then
+    ``derivative`` on the reference walk: the same error type and step
+    index, the preimage bitwise, the derivative to rounding."""
+    outcomes = []
+    for q in points:
+        got = _outcome(chain.inverse_and_derivative, q)
+        want = _outcome(_reference_inverse_and_derivative, chain, q)
+        assert got[0] == want[0], f"{chain.name} inverse_and_derivative({q!r}): {got} != {want}"
+        if got[0] == "error":
+            assert got[:3] == want[:3], f"{chain.name} inverse_and_derivative({q!r}): {got} != {want}"
+        else:
+            (w, dw), (w_ref, dw_ref) = got[1], want[1]
+            assert w == w_ref, (q, w, w_ref)
+            assert abs(dw - dw_ref) <= 1e-9 * abs(dw_ref), (q, dw, dw_ref)
+        outcomes.append(got)
+    return outcomes
+
+
+def _mp_generator(model, z):
+    """G at the disk point z at 50 digits, from the closed form of dw/dq on
+    q = C(z): q/(q^2 - 1) for strip-slit (q^2 = 1 - e^{2w}), -(3/2) i q^{1/2}
+    for sector-parabolic (i w = q^{3/2}), -2 q for koebe-elliptic
+    (w = -q^2 - 1)."""
+    cay = CAYLEY_DISK_TO_UHP
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        q = (cay.a * z + cay.b) / (cay.c * z + cay.d)
+        dc = cay.det / (cay.c * z + cay.d) ** 2
+        if model.name == "strip-slit":
+            num, dw = 1, q / (q * q - 1)
+        elif model.name == "sector-parabolic":
+            num, dw = 1, -1.5j * mpmath.sqrt(q)
+        else:
+            num, dw = -model.mu * (-q * q - 1), -2 * q
+        return complex(num / (dw * dc))

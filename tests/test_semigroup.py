@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import omega_of_disk, reference_generator
+from petallab.confmap import MapDomainError
 from petallab.hypcore import DomainError
 from petallab.models import by_name, catalog, sample_petal_omega
 from petallab.semigroup import (
@@ -52,7 +54,7 @@ class TestFlow:
         m3 = by_name("koebe-elliptic")
         pt = flow(m3, 8.0 + 0j, -1.0)
         assert pt.omega_w == pytest.approx(8.0 * math.e, rel=1e-15)
-        assert m3.omega_of_disk(0.5 + 0j) == pytest.approx(8.0, rel=1e-12)
+        assert omega_of_disk(m3, 0.5 + 0j) == pytest.approx(8.0, rel=1e-12)
 
     def test_semigroup_law_in_disk_transport(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -148,12 +150,12 @@ class TestFlow:
             for w in sample_petal_omega(model, model.petals[0], 5, rng):
                 for t in (-3.0, 1.5):
                     pt = flow(model, w, t)
-                    back = model.omega_of_disk(pt.disk_z)
+                    back = omega_of_disk(model, pt.disk_z)
                     assert abs(back - (w + t)) <= 1e-9 * max(1.0, abs(w + t))
         for w in sample_petal_omega(m3, m3.petals[0], 5, rng):
             for t in (-3.0, 1.5):
                 pt = flow(m3, w, t)
-                back = m3.omega_of_disk(pt.disk_z)
+                back = omega_of_disk(m3, pt.disk_z)
                 target = cmath.exp(-m3.mu * t) * w
                 assert abs(back - target) <= 1e-9 * max(1.0, abs(target))
 
@@ -188,7 +190,7 @@ class TestGenerator:
         m1 = by_name("strip-slit")
         z = m1.disk_of_omega(1 + 1j * math.pi / 4)
         eps = 1e-6
-        dh = (m1.omega_of_disk(z + eps) - m1.omega_of_disk(z - eps)) / (2.0 * eps)
+        dh = (omega_of_disk(m1, z + eps) - omega_of_disk(m1, z - eps)) / (2.0 * eps)
         assert abs(generator(m1, z) * dh - 1.0) <= 1e-6
 
 
@@ -223,7 +225,7 @@ class TestRepellingDiagnostics:
                 z = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95))
                 if abs(z) < 0.95:
                     try:
-                        model.omega_of_disk(z)
+                        omega_of_disk(model, z)
                     except Exception:
                         continue
                     samples.append(z)
@@ -244,6 +246,30 @@ class TestRepellingDiagnostics:
         for k, ratio in zip(range(4, 41), report.ratios):
             z = 1.0 - 2.0 ** -k
             assert abs(ratio - z / (1.0 + z)) <= 1e-6 * (1 + 2.0 ** (k / 2))
+
+    @pytest.mark.parametrize("name,label,stop", [
+        ("strip-slit", "upper", 40),
+        ("strip-slit", "lower", 40),
+        ("koebe-elliptic", "main", None),
+    ])
+    def test_radial_stop_and_plateau(self, name, label, stop):
+        # The one-walk generator stops the radial approach where the
+        # reference walk (eval_inverse, then derivative) does.
+        model = by_name(name)
+        petal = model.petal(label)
+        report = repelling_diagnostics(model, petal, [model.disk_of_omega(petal.base_default)])
+        reference_stop = None
+        for k in range(4, 41):
+            try:
+                reference_generator(model, report.sigma_disk * (1.0 - 2.0 ** -k))
+            except MapDomainError:
+                reference_stop = k
+                break
+        assert report.radial_stop == reference_stop == stop
+        assert len(report.ratios) == (41 if stop is None else stop) - 4
+        i = report.plateau
+        assert 1 <= i <= len(report.ratios) - 2
+        assert report.ratio_estimate == 2.0 * report.ratios[i + 1] - report.ratios[i]
 
     def test_parabolic_petal_rejected(self):
         m2 = by_name("sector-parabolic")
