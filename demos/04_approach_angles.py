@@ -9,10 +9,10 @@ an interior angle for non-tangential convergence, 0 or pi for tangential
 creep along the circle.
 """
 
-import cmath
 import math
 
-from petallab import Arc, approach_angle, by_name, flow
+from petallab import Arc, approach_angle, by_name
+from petallab.verify import orbit_angle
 
 # A radial sequence meets the boundary orthogonally.
 a = 1.0 + 0j
@@ -20,33 +20,18 @@ radial = [(1.0 - 2.0 ** (-k)) * a for k in range(0, 21)]
 report = approach_angle(radial, a, Arc(0.0, math.pi / 2))
 print(f"radial sequence:     theta/pi = {report.theta / math.pi:.6f}")
 
-# Backward orbit of the hyperbolic model, while the disk chart resolves it.
+# Backward orbit of the hyperbolic model, while the disk chart resolves it,
+# read as verify and `petallab hmeasure` read it.
 model = by_name("strip-slit")
 petal = model.petal("upper")
-sigma = model.disk_sigma(petal).value
-points = []
-for t in range(-1, -19, -1):
-    z = flow(model, petal.base_default, float(t)).disk_z
-    if z is None:
-        break
-    points.append(z)
-report = approach_angle(points, sigma, Arc(cmath.phase(sigma),
-                                           cmath.phase(sigma) + math.pi / 2))
+_, report, _ = orbit_angle(model, petal, petal.base_default, 18)
 print(f"hyperbolic orbit:    theta/pi = {report.theta / math.pi:.6f} "
       f"(tangential: {report.tangential})")
 
 # The parabolic orbit creeps into its Denjoy-Wolff point along the circle.
 model = by_name("sector-parabolic")
 petal = model.petal("main")
-sigma = model.disk_sigma(petal).value
-points = []
-for t in range(-1, -401, -1):
-    z = flow(model, petal.base_default, float(t)).disk_z
-    if z is None:
-        break
-    points.append(z)
-report = approach_angle(points, sigma, Arc(cmath.phase(sigma),
-                                           cmath.phase(sigma) + math.pi / 2))
+_, report, _ = orbit_angle(model, petal, petal.base_default, 400)
 print(f"parabolic orbit:     theta/pi = {report.theta / math.pi:.6f} "
       f"(tangential: {report.tangential})")
 

@@ -295,38 +295,28 @@ def _require_in_range(profile: BoundaryProfile, t: float) -> float:
     return t
 
 
-def upper_bound(profile: BoundaryProfile, t: float, method: str = "auto") -> float:
+def upper_bound(profile: BoundaryProfile, t: float) -> float:
     """Upper distance bound ``d0 + integral_t^{t0} ds / delta(s)``.
 
-    ``method`` selects ``"closed"`` (antiderivative, when the profile has
-    one), ``"quadrature"``, or ``"auto"`` (closed form if available).  A gap
-    that underflows so hard the integrand overflows yields ``inf``.
+    The integral is the profile's antiderivative when it has one, else the
+    tanh-sinh rule of the module docstring.  A gap that underflows so hard
+    the integrand overflows yields ``inf``.
 
-    Quadrature is the tanh-sinh rule of the module docstring.  It returns
-    the first level ``k >= 3`` whose estimate ``I_k`` differs from ``I_{k-1}``
-    by at most ``max(1e-10, 1e-12 |I_k|)``, and raises ``EstimationError``
-    if level 8 still misses that target, for instance when ``1/delta`` is
-    not integrable on ``[t, t0]``.
+    The tanh-sinh rule returns the first level ``k >= 3`` whose estimate
+    ``I_k`` differs from ``I_{k-1}`` by at most ``max(1e-10, 1e-12 |I_k|)``,
+    and raises ``EstimationError`` if level 8 still misses that target, for
+    instance when ``1/delta`` is not integrable on ``[t, t0]``.
     """
     t = _require_in_range(profile, t)
     if t == profile.t0:
         return profile.d0
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     anti = profile.inv_delta_antiderivative
-    if method == "closed" and anti is None:
-        raise ValueError(f"profile {profile.name!r} has no closed-form integral")
-    if anti is not None and method != "quadrature":
-        try:
-            return profile.d0 + (anti(profile.t0) - anti(t))
-        except OverflowError:
-            return math.inf
-
     try:
-        value = _tanh_sinh(profile.log_delta, t, profile.t0)
+        if anti is not None:
+            return profile.d0 + (anti(profile.t0) - anti(t))
+        return profile.d0 + _tanh_sinh(profile.log_delta, t, profile.t0)
     except OverflowError:
         return math.inf
-    return profile.d0 + value
 
 
 def _tanh_sinh(log_delta: Callable[[float], float], a: float, b: float) -> float:
@@ -378,26 +368,16 @@ def lower_bound(profile: BoundaryProfile, t: float) -> float:
 
 
 def bound_ratio_series(
-    profile: BoundaryProfile,
-    grid: Sequence[float],
-    which: Optional[str] = None,
+    profile: BoundaryProfile, grid: Sequence[float]
 ) -> List[Tuple[float, float]]:
     """Evaluate ``bound(t) / t^2`` over a grid of times below ``t0``.
 
-    ``which`` picks ``"upper"`` or ``"lower"``; by default the gaussian
-    profile reports its lower bound (its upper bound is infinite almost
-    immediately) and every other profile reports its upper bound.
+    The gaussian profile reports its lower bound (its upper bound is
+    infinite almost immediately); every other profile its upper bound.
     """
-    if which is None:
-        which = "lower" if profile.name == "gaussian" else "upper"
-    if which == "upper":
-        bound = lambda t: upper_bound(profile, t)
-    elif which == "lower":
-        bound = lambda t: lower_bound(profile, t)
-    else:
-        raise ValueError(f"unknown bound kind {which!r}")
+    bound = lower_bound if profile.name == "gaussian" else upper_bound
     out: List[Tuple[float, float]] = []
     for t in grid:
         t = _require_in_range(profile, float(t))
-        out.append((t, bound(t) / (t * t)))
+        out.append((t, bound(profile, t) / (t * t)))
     return out

@@ -84,10 +84,6 @@ class Arc:
         """Endpoint ``exp(i*beta)`` on the unit circle."""
         return cmath.exp(1j * self.beta)
 
-    def complement(self) -> "Arc":
-        """The complementary arc, traversed from ``beta`` back to ``alpha``."""
-        return Arc(self.beta, self.alpha + _TWO_PI)
-
     def has_endpoint(self, a: complex, tol: float = 1e-9) -> bool:
         """Whether ``a`` coincides with one of the two endpoints."""
         a = complex(a)

@@ -2,12 +2,17 @@
 
 Subcommands run one experiment each and write gnuplot-ready data files plus
 a short summary.  Exit status reports the outcome: 0 when every numeric
-check passed, 1 when a check failed, 2 on a usage problem.
+check passed, 1 when a check failed, 2 on a usage problem.  A subcommand
+only resolves its inputs, writes files and prints: the criterion it reports
+is measured and judged by ``verify`` (``backward_rate``, ``forward_rate``,
+``orbit_angle``, ``bound_ratios``), the same function ``run_all`` uses.
 
-Output location: ``--out`` flag, else the ``PETALLAB_OUT`` environment
-variable, else ``./out``.  A configuration file of ``key = value`` lines
-can stand in for flags; explicit flags always win.  All experiments are
-deterministic: randomized ones draw from ``random.Random`` seeded with
+Each flag is declared once, in ``_FLAGS``, and each subcommand takes only
+the flags it reads (``_COMMANDS``); any other flag is a usage error.
+A configuration file of ``key = value`` lines can stand in for those
+flags; explicit flags always win.  Output location: ``--out`` flag, else
+the ``PETALLAB_OUT`` environment variable, else ``./out``.  All experiments
+are deterministic: randomized ones draw from ``random.Random`` seeded with
 20260817 unless ``--seed`` overrides it.  The module, like the whole
 package, runs on the standard library alone.
 """
@@ -15,30 +20,22 @@ package, runs on the standard library alone.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .bounds import (
-    BoundaryProfile,
-    bound_ratio_series,
-    gaussian_profile,
-    logrecip_profile,
-    profile_from_file,
-)
-from .hmeasure import ROUNDING_FLOOR, Arc, approach_angle
+from .bounds import BoundaryProfile, gaussian_profile, logrecip_profile, profile_from_file
+from .hmeasure import _MIN_POINTS, ROUNDING_FLOOR
 from .hypcore import DomainError
 from .models import KoenigsModel, MODEL_NAMES, Petal, by_name
-from .semigroup import flow
-from .speeds import dyadic_grid, forward_speed, linear_fit, slope_estimate, speed_series
+from .speeds import dyadic_grid, speed_series
 from .verify import (
-    APPROACH_ANGLE_WINDOW,
     DEFAULT_SEED,
-    GAUSSIAN_RATIO_WINDOW,
-    RATE_TOL,
-    rate_threshold,
+    backward_rate,
+    bound_ratios,
+    forward_rate,
+    orbit_angle,
     run_all,
 )
 
@@ -49,28 +46,36 @@ class UsageError(Exception):
     """Bad flags, config, or inputs; maps to exit status 2."""
 
 
-_CONFIG_KEYS: Dict[str, Callable[[str], object]] = {
-    "model": str,
-    "petal": int,
-    "base_re": float,
-    "base_im": float,
-    "kmin": int,
-    "kmax": int,
-    "grid": str,
-    "profile": str,
-    "out": str,
-    "seed": int,
-    "tol": float,
+# Every flag but --config, once: its type and help.  The subcommand parsers
+# and the --config reader are both built from this table; a config key is
+# the flag's name with "_" or "-".
+_FLAGS: Dict[str, Tuple[Callable[[str], object], str]] = {
+    "model": (str, f"model name: {', '.join(MODEL_NAMES)}"),
+    "petal": (int, "petal index (default 0)"),
+    "base_re": (float, "real part of the base point (domain coordinates)"),
+    "base_im": (float, "imaginary part of the base point"),
+    "kmin": (int, "smallest dyadic exponent"),
+    "kmax": (int, "largest dyadic exponent"),
+    "grid": (str, "explicit comma-separated times (overrides kmin/kmax); write "
+                  "--grid=-1e3,-1e4 so the leading minus is not read as a flag"),
+    "profile": (str, "boundary profile: logrecip, gaussian, or a two-column table file"),
+    "out": (str, "output directory (default $PETALLAB_OUT or ./out)"),
+    "seed": (int, f"seed for randomized checks (default {DEFAULT_SEED})"),
+    "tol": (float, "pass tolerance for rate checks (default petallab.verify.RATE_TOL)"),
 }
 
 
-def _load_config(path: str) -> Dict[str, object]:
-    values: Dict[str, object] = {}
+def _merge_config(args: argparse.Namespace) -> None:
+    # Flags beat config-file values; config beats built-in defaults.
+    path = args.config
+    if not path:
+        return
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    values: Dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,22 +84,16 @@ def _load_config(path: str) -> Dict[str, object]:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _COMMANDS[args.command][2]:
+            raise UsageError(f"{path}:{lineno}: {args.command} takes no key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
+            values[key] = _FLAGS[key][0](value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    # Flags beat config-file values; config beats built-in defaults.
-    if not getattr(args, "config", None):
-        return
-    config = _load_config(args.config)
-    for key, value in config.items():
-        if getattr(args, key, None) is None:
+    for key, value in values.items():
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
@@ -150,16 +149,22 @@ def _parse_grid(text: str) -> List[float]:
     return values
 
 
+def _resolve_exponents(
+    args: argparse.Namespace, default_kmin: int, default_kmax: int
+) -> Tuple[int, int]:
+    kmin = default_kmin if args.kmin is None else args.kmin
+    kmax = default_kmax if args.kmax is None else args.kmax
+    if kmin > kmax:
+        raise UsageError(f"kmin {kmin} exceeds kmax {kmax}")
+    return kmin, kmax
+
+
 def _resolve_backward_grid(
     args: argparse.Namespace, default_kmin: int, default_kmax: int
 ) -> List[float]:
     if args.grid is not None:
         return _parse_grid(args.grid)
-    kmin = default_kmin if args.kmin is None else args.kmin
-    kmax = default_kmax if args.kmax is None else args.kmax
-    if kmin > kmax:
-        raise UsageError(f"kmin {kmin} exceeds kmax {kmax}")
-    return dyadic_grid(kmin, kmax)
+    return dyadic_grid(*_resolve_exponents(args, default_kmin, default_kmax))
 
 
 def _num(x: float) -> str:
@@ -184,13 +189,7 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
     petal = _resolve_petal(model, args)
     base = _resolve_base(petal, args)
     grid = _resolve_backward_grid(args, 4, 16)
-    tol = RATE_TOL if args.tol is None else args.tol
-    series = speed_series(model, petal, base, grid)
-    slope, r2 = slope_estimate(series, mode="linear_in_t", component="v")
-    # Parabolic speeds are sub-linear: the slope target is zero.
-    target = 0.5 * petal.lam if petal.kind == "hyperbolic" else 0.0
-    threshold = rate_threshold(target, tol)
-    passed = abs(slope - target) <= threshold
+    series, r2, rate = backward_rate(model, petal, base, grid, tol=args.tol)
     out = _out_dir(args)
     tag = f"{model.name}_p{model.petals.index(petal)}"
     data_path = os.path.join(out, f"asymptote_{tag}.csv")
@@ -200,51 +199,37 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
         f"model = {model.name}\n"
         f"petal = {petal.label}\n"
         f"component = v\n"
-        f"slope = {_num(slope)}\n"
+        f"slope = {_num(rate.slope)}\n"
         f"r2 = {_num(r2)}\n"
-        f"target = {_num(target)}\n"
-        f"threshold = {_num(threshold)}\n"
-        f"status = {'pass' if passed else 'fail'}\n"
+        f"target = {_num(rate.target)}\n"
+        f"threshold = {_num(rate.threshold)}\n"
+        f"status = {'pass' if rate.passed else 'fail'}\n"
     )
     _write_text(summary_path, summary)
     print(f"wrote {data_path} and {summary_path}")
     print(
-        f"{'PASS' if passed else 'FAIL'} asymptote {model.name}/{petal.label}: "
-        f"slope {slope:.6f}, target {target:.6f}, r2 {r2:.6f}"
+        f"{'PASS' if rate.passed else 'FAIL'} asymptote {model.name}/{petal.label}: "
+        f"slope {rate.slope:.6f}, target {rate.target:.6f}, r2 {r2:.6f}"
     )
-    return 0 if passed else 1
+    return 0 if rate.passed else 1
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     petal = _resolve_petal(model, args)
     base = _resolve_base(petal, args)
-    kmin = 4 if args.kmin is None else args.kmin
-    kmax = 16 if args.kmax is None else args.kmax
-    if kmin > kmax:
-        raise UsageError(f"kmin {kmin} exceeds kmax {kmax}")
-    if kmax - kmin < 2:
-        # The slope is fitted to the grid's tail half: at least two points.
-        raise UsageError(f"forward needs kmax - kmin >= 2, got kmin {kmin}, kmax {kmax}")
-    ts = [2.0**k for k in range(kmin, kmax + 1)]
-    vs = [forward_speed(model, base, t) for t in ts]
-    tol = RATE_TOL if args.tol is None else args.tol
-    # Parabolic drift is sub-linear and elliptic orbits stay bounded.
-    target = 0.5 * model.mu if model.kind == "hyperbolic" else 0.0
-    threshold = rate_threshold(target, tol)
-    tail = len(ts) // 2
-    slope, _ = linear_fit(ts[tail:], vs[tail:])
-    passed = abs(slope - target) <= threshold
+    kmin, kmax = _resolve_exponents(args, 4, 16)
+    ts, vs, rate = forward_rate(model, base, kmin, kmax, args.tol)
     out = _out_dir(args)
     path = os.path.join(out, f"forward_{model.name}.csv")
     rows = ["t,v"] + [f"{_num(t)},{_num(v)}" for t, v in zip(ts, vs)]
     _write_text(path, "\n".join(rows) + "\n")
     print(f"wrote {path} ({len(ts)} rows)")
     print(
-        f"{'PASS' if passed else 'FAIL'} forward {model.name}: "
-        f"slope {slope:.6f}, target {target:.6f}"
+        f"{'PASS' if rate.passed else 'FAIL'} forward {model.name}: "
+        f"slope {rate.slope:.6f}, target {rate.target:.6f}"
     )
-    return 0 if passed else 1
+    return 0 if rate.passed else 1
 
 
 def _cmd_hmeasure(args: argparse.Namespace) -> int:
@@ -252,31 +237,18 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
     petal = _resolve_petal(model, args)
     base = _resolve_base(petal, args)
     kmax = 18 if args.kmax is None else args.kmax
-    sigma_bp = model.disk_sigma(petal)
-    if sigma_bp.is_infinity:
-        raise UsageError(
-            f"petal {petal.label} of {model.name} has no finite disk endpoint"
-        )
-    sigma = sigma_bp.value
-    times: List[float] = []
-    points: List[complex] = []
-    stop = f"kmax {kmax} reached"
-    for k in range(1, kmax + 1):
-        point = flow(model, base, float(-k))
-        if point.disk_z is None:
-            stop = f"disk chart lost at t = {-k}"
-            break
-        times.append(float(-k))
-        points.append(point.disk_z)
-    arc = Arc(cmath.phase(sigma), cmath.phase(sigma) + math.pi / 2)
-    report = approach_angle(points, sigma, arc)
-    if report.used < 5:
+    times, report, passed = orbit_angle(model, petal, base, kmax)
+    if report.used < _MIN_POINTS:
         raise UsageError(
             "backward orbit leaves the disk chart too quickly; "
-            "need at least 5 points"
+            f"need at least {_MIN_POINTS} points"
         )
-    if report.used < len(points):
+    if report.used < len(times):
         stop = f"disk_z within {ROUNDING_FLOOR:.3g} of sigma at t = {times[report.used]:g}"
+    elif len(times) < kmax:
+        stop = f"disk chart lost at t = {-(len(times) + 1)}"
+    else:
+        stop = f"kmax {kmax} reached"
     out = _out_dir(args)
     tag = f"{model.name}_p{model.petals.index(petal)}"
     data_path = os.path.join(out, f"hmeasure_{tag}.dat")
@@ -294,8 +266,6 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
         print(f"wrote {data_path} and {summary_path}")
         print(f"FAIL hmeasure {model.name}/{petal.label}: inconclusive")
         return 1
-    lo, hi = APPROACH_ANGLE_WINDOW
-    passed = lo < report.theta < hi
     summary = (
         f"model = {model.name}\npetal = {petal.label}\n{orbit}"
         f"theta = {_num(report.theta)}\n"
@@ -321,10 +291,7 @@ def _resolve_profile(args: argparse.Namespace) -> BoundaryProfile:
     if name == "gaussian":
         return gaussian_profile()
     if os.path.exists(name):
-        try:
-            return profile_from_file(name)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
+        return profile_from_file(name)
     raise UsageError(
         f"unknown profile {name!r}; use logrecip, gaussian, or a table file"
     )
@@ -336,27 +303,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         grid = _parse_grid(args.grid)
     else:
         grid = [-(10.0**k) for k in range(2, 7)]
-    try:
-        series = bound_ratio_series(profile, grid)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    series, rule, passed = bound_ratios(profile, grid)
     out = _out_dir(args)
     path = os.path.join(out, f"bounds_{profile.name}.dat")
     lines = ["# t  bound_over_t_squared"]
     lines += [f"{_num(t)} {_num(r)}" for t, r in series]
     _write_text(path, "\n".join(lines) + "\n")
-    ratios = [r for _, r in series]
-    if profile.name == "gaussian":
-        lo, hi = GAUSSIAN_RATIO_WINDOW
-        passed = all(lo <= r <= hi for r in ratios)
-        rule = f"every ratio in [{lo}, {hi}]"
-    else:
-        passed = all(a > b for a, b in zip(ratios, ratios[1:]))
-        rule = "ratios strictly decreasing"
     print(f"wrote {path} ({len(series)} rows)")
     print(
         f"{'PASS' if passed else 'FAIL'} bounds {profile.name}: {rule}; "
-        f"ratios {', '.join(f'{r:.6g}' for r in ratios)}"
+        f"ratios {', '.join(f'{r:.6g}' for _, r in series)}"
     )
     return 0 if passed else 1
 
@@ -376,13 +332,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_COMMANDS = {
-    "speeds": _cmd_speeds,
-    "asymptote": _cmd_asymptote,
-    "forward": _cmd_forward,
-    "hmeasure": _cmd_hmeasure,
-    "bounds": _cmd_bounds,
-    "verify": _cmd_verify,
+# Each subcommand: its function, its help, and the flags it reads.  It takes
+# those flags and --config, and no other.
+_POINT = ("model", "petal", "base_re", "base_im")
+_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], int], str, Tuple[str, ...]]] = {
+    "speeds": (_cmd_speeds, "tabulate total/orthogonal/tangential backward speeds",
+               _POINT + ("kmin", "kmax", "grid", "out")),
+    "asymptote": (_cmd_asymptote, "fit the backward speed slope and compare to the "
+                                  "spectral target",
+                  _POINT + ("kmin", "kmax", "grid", "tol", "out")),
+    "forward": (_cmd_forward, "tabulate forward-orbit speeds and fit their rate",
+                _POINT + ("kmin", "kmax", "tol", "out")),
+    "hmeasure": (_cmd_hmeasure, "harmonic-measure approach angle along a backward orbit",
+                 _POINT + ("kmax", "out")),
+    "bounds": (_cmd_bounds, "distance-bound ratio series for a boundary profile",
+               ("grid", "profile", "out")),
+    "verify": (_cmd_verify, "run the full verification suite", ("out", "seed")),
 }
 
 
@@ -396,40 +361,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", help=f"model name: {', '.join(MODEL_NAMES)}")
-        p.add_argument("--petal", type=int, help="petal index (default 0)")
-        p.add_argument("--base-re", type=float, dest="base_re",
-                       help="real part of the base point (domain coordinates)")
-        p.add_argument("--base-im", type=float, dest="base_im",
-                       help="imaginary part of the base point")
-        p.add_argument("--kmin", type=int, help="smallest dyadic exponent")
-        p.add_argument("--kmax", type=int, help="largest dyadic exponent")
-        p.add_argument("--grid", help="explicit comma-separated times "
-                                      "(overrides kmin/kmax); write "
-                                      "--grid=-1e3,-1e4 so the leading "
-                                      "minus is not read as a flag")
-        p.add_argument("--profile", help="boundary profile: logrecip, gaussian, "
-                                         "or a two-column table file")
-        p.add_argument("--out", help="output directory (default $PETALLAB_OUT "
-                                     "or ./out)")
-        p.add_argument("--seed", type=int,
-                       help=f"seed for randomized checks (default {DEFAULT_SEED})")
-        p.add_argument("--tol", type=float,
-                       help=f"pass tolerance for rate checks (default {RATE_TOL})")
+    for command, (_, help_text, takes) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, (kind, flag_help) in _FLAGS.items():
+            if name in takes:
+                p.add_argument("--" + name.replace("_", "-"), type=kind, help=flag_help)
         p.add_argument("--config", help="key = value file supplying defaults "
-                                        "for any flag; flags win")
-        return p
-
-    add("speeds", "tabulate total/orthogonal/tangential backward speeds")
-    add("asymptote", "fit the backward speed slope and compare to the "
-                     "spectral target")
-    add("forward", "tabulate forward-orbit speeds and fit their rate")
-    add("hmeasure", "harmonic-measure approach angle along a backward orbit")
-    add("bounds", "distance-bound ratio series for a boundary profile")
-    add("verify", "run the full verification suite")
+                                        "for any of these flags; flags win")
     return parser
 
 
@@ -441,11 +379,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         _merge_config(args)
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+        return _COMMANDS[args.command][0](args)
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

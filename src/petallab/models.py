@@ -88,7 +88,6 @@ class SectorImage:
     general elliptic theory degenerate to plain angular sectors here.
     """
 
-    mu: float
     amplitude: float
     theta0: float
 
@@ -362,7 +361,7 @@ def _make_koebe_elliptic() -> KoenigsModel:
         kind="hyperbolic",
         lam=-0.5,
         sigma_canonical=INFINITY,
-        image=SectorImage(mu=1.0, amplitude=2.0 * math.pi, theta0=0.0),
+        image=SectorImage(amplitude=2.0 * math.pi, theta0=0.0),
         base_default=1.0 + 0j,
     )
     return KoenigsModel(

@@ -5,21 +5,27 @@ speed growth rates, the orthogonal/tangential decomposition, boundary
 diagnostics, distance bounds, and structural consistency of the conformal
 machinery.  ``run_all`` returns a list of results with measured numbers in
 the detail strings; everything is deterministic given the seed.
+
+Each criterion that a CLI subcommand (``lab.py``) also reports is measured
+and judged by one function here: ``backward_rate``, ``forward_rate``,
+``orbit_angle`` and ``bound_ratios``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .bounds import bound_ratio_series, gaussian_profile, logrecip_profile
-from .hmeasure import Arc, approach_angle
-from .hypcore import disk_distance, uhp_distance
+from .bounds import BoundaryProfile, bound_ratio_series, gaussian_profile, logrecip_profile
+from .hmeasure import ApproachReport, Arc, approach_angle
+from .hypcore import DomainError, disk_distance, uhp_distance
 from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
 from .semigroup import flow, regularity_gap, repelling_diagnostics
 from .speeds import (
+    SpeedSeries,
     dyadic_grid,
     forward_speed,
     linear_fit,
@@ -28,14 +34,15 @@ from .speeds import (
     speed_series,
 )
 
-__all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_all", "CHECK_NAMES", "Rate", "backward_rate", "forward_rate",
+           "orbit_angle", "bound_ratios"]
 
 DEFAULT_SEED = 20260817
 
 _HALF_LOG2 = 0.5 * math.log(2.0)
 
-# Criteria table: the thresholds that both run_all and the CLI subcommands
-# (lab.py) judge pass/fail by.
+# Criteria table: the thresholds that run_all and the CLI subcommands judge
+# pass/fail by.
 # Linear rates pass with |slope - target| <= tol * |target|; RATE_TOL is the
 # default tol (the CLI's --tol).
 RATE_TOL = 0.1
@@ -52,6 +59,98 @@ def rate_threshold(target: float, tol: float = RATE_TOL) -> float:
     """Largest passing |slope - target|: relative to a linear rate's target,
     absolute for a sub-linear one (target 0)."""
     return tol * abs(target) if target else tol * SUBLINEAR_PER_TOL
+
+
+@dataclass(frozen=True)
+class Rate:
+    """A fitted slope judged against its spectral target: it passes when
+    ``|slope - target| <= threshold``."""
+
+    slope: float
+    target: float
+    threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.slope - self.target) <= self.threshold
+
+
+def _rate(slope: float, target: float, tol: Optional[float]) -> Rate:
+    return Rate(slope, target, rate_threshold(target, RATE_TOL if tol is None else tol))
+
+
+def backward_rate(
+    model: KoenigsModel, petal: Petal, base: complex, grid: Sequence[float],
+    component: str = "v", tol: Optional[float] = None,
+) -> Tuple[SpeedSeries, float, Rate]:
+    """The backward speed series over ``grid``, the r^2 of its linear fit in
+    |t|, and the fitted slope of ``component`` judged against |lam|/2 on a
+    hyperbolic petal, 0 on a parabolic one (its speeds are sub-linear).
+    ``tol`` defaults to ``RATE_TOL``."""
+    series = speed_series(model, petal, base, grid)
+    slope, r2 = slope_estimate(series, mode="linear_in_t", component=component)
+    target = 0.5 * petal.lam if petal.kind == "hyperbolic" else 0.0
+    return series, r2, _rate(slope, target, tol)
+
+
+def forward_rate(
+    model: KoenigsModel, base: complex, kmin: int, kmax: int, tol: Optional[float] = None
+) -> Tuple[List[float], List[float], Rate]:
+    """Forward speeds at t = 2^kmin .. 2^kmax, and their slope over the grid's
+    tail half judged against mu/2 for a hyperbolic model, else 0 (parabolic
+    drift is sub-linear and elliptic orbits stay bounded).  ``tol`` defaults
+    to ``RATE_TOL``."""
+    if kmax - kmin < 2:
+        # The tail half must hold at least two points.
+        raise DomainError(f"forward needs kmax - kmin >= 2, got kmin {kmin}, kmax {kmax}")
+    ts = [2.0**k for k in range(kmin, kmax + 1)]
+    vs = [forward_speed(model, base, t) for t in ts]
+    tail = len(ts) // 2
+    slope, _ = linear_fit(ts[tail:], vs[tail:])
+    target = 0.5 * model.mu if model.kind == "hyperbolic" else 0.0
+    return ts, vs, _rate(slope, target, tol)
+
+
+def orbit_angle(
+    model: KoenigsModel, petal: Petal, base: complex, kmax: int
+) -> Tuple[List[float], ApproachReport, bool]:
+    """Approach angle of the backward orbit of ``base`` at the petal's disk
+    endpoint sigma, read from ``disk_z`` at t = -1, -2, .. -kmax until the
+    disk chart is lost, on the arc [arg sigma, arg sigma + pi/2].
+
+    Returns the times of the orbit points, the probe's report, and whether
+    the angle is conclusive and inside ``APPROACH_ANGLE_WINDOW``.
+    """
+    sigma = model.disk_sigma(petal)
+    if sigma.is_infinity:
+        raise DomainError(f"petal {petal.label} of {model.name} has no finite disk endpoint")
+    times: List[float] = []
+    points: List[complex] = []
+    for k in range(1, kmax + 1):
+        z = flow(model, base, float(-k)).disk_z
+        if z is None:
+            break
+        times.append(float(-k))
+        points.append(z)
+    phase = cmath.phase(sigma.value)
+    report = approach_angle(points, sigma.value, Arc(phase, phase + math.pi / 2))
+    lo, hi = APPROACH_ANGLE_WINDOW
+    return times, report, not report.inconclusive and lo < report.theta < hi
+
+
+def bound_ratios(
+    profile: BoundaryProfile, grid: Sequence[float]
+) -> Tuple[List[Tuple[float, float]], str, bool]:
+    """``bound_ratio_series`` over ``grid``, the rule it is judged by, and
+    the verdict: the gaussian profile's ratios must lie in
+    ``GAUSSIAN_RATIO_WINDOW``, any other profile's must strictly decrease."""
+    series = bound_ratio_series(profile, grid)
+    ratios = [r for _, r in series]
+    if profile.name == "gaussian":
+        lo, hi = GAUSSIAN_RATIO_WINDOW
+        return series, f"every ratio in [{lo}, {hi}]", all(lo <= r <= hi for r in ratios)
+    decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
+    return series, "ratios strictly decreasing", decreasing
 
 
 def _bound(value: float) -> str:
@@ -72,14 +171,19 @@ class CheckResult:
     detail: str
 
 
-def _hyperbolic_slope_cases() -> List[Tuple[KoenigsModel, Petal, float]]:
-    m1 = by_name("strip-slit")
-    m3 = by_name("koebe-elliptic")
-    out = []
-    for model, label in ((m1, "upper"), (m3, "main")):
+def _hyperbolic_slopes(component: str) -> Tuple[List[str], bool]:
+    grid = dyadic_grid(4, 16)
+    parts = []
+    ok = True
+    for name, label in (("strip-slit", "upper"), ("koebe-elliptic", "main")):
+        model = by_name(name)
         petal = model.petal(label)
-        out.append((model, petal, 0.5 * petal.lam))
-    return out
+        _, r2, rate = backward_rate(model, petal, petal.base_default, grid, component)
+        ok = ok and rate.passed
+        parts.append(
+            f"{model.name}/{petal.label}: slope {rate.slope:.6f} vs {rate.target} (r2 {r2:.6f})"
+        )
+    return parts, ok
 
 
 def _all_petals() -> List[Tuple[KoenigsModel, Petal]]:
@@ -87,17 +191,7 @@ def _all_petals() -> List[Tuple[KoenigsModel, Petal]]:
 
 
 def _check_total_slopes() -> CheckResult:
-    grid = dyadic_grid(4, 16)
-    parts = []
-    ok = True
-    for model, petal, target in _hyperbolic_slope_cases():
-        series = speed_series(model, petal, petal.base_default, grid)
-        slope, r2 = slope_estimate(series, mode="linear_in_t", component="v")
-        good = abs(slope - target) <= rate_threshold(target)
-        ok = ok and good
-        parts.append(
-            f"{model.name}/{petal.label}: slope {slope:.6f} vs {target} (r2 {r2:.6f})"
-        )
+    parts, ok = _hyperbolic_slopes("v")
     return CheckResult("total-speed-slopes", ok, "; ".join(parts))
 
 
@@ -146,25 +240,14 @@ def _check_tangential_plateau() -> CheckResult:
 
 
 def _check_orthogonal_slopes() -> CheckResult:
-    grid = dyadic_grid(4, 16)
-    parts = []
-    ok = True
-    for model, petal, target in _hyperbolic_slope_cases():
-        series = speed_series(model, petal, petal.base_default, grid)
-        slope, r2 = slope_estimate(series, mode="linear_in_t", component="v_o")
-        good = abs(slope - target) <= rate_threshold(target)
-        ok = ok and good
-        parts.append(
-            f"{model.name}/{petal.label}: slope {slope:.6f} vs {target} (r2 {r2:.6f})"
-        )
+    parts, ok = _hyperbolic_slopes("v_o")
     m2 = by_name("sector-parabolic")
     petal = m2.petal("main")
-    series = speed_series(m2, petal, petal.base_default, grid)
-    slope, _ = slope_estimate(series, mode="linear_in_t", component="v_o")
-    bound = rate_threshold(0.0)
-    good = abs(slope) <= bound
-    ok = ok and good
-    parts.append(f"{m2.name}/{petal.label}: |slope| {abs(slope):.2e} <= {_bound(bound)}")
+    _, _, rate = backward_rate(m2, petal, petal.base_default, dyadic_grid(4, 16), "v_o")
+    ok = ok and rate.passed
+    parts.append(
+        f"{m2.name}/{petal.label}: |slope| {abs(rate.slope):.2e} <= {_bound(rate.threshold)}"
+    )
     return CheckResult("orthogonal-speed-slopes", ok, "; ".join(parts))
 
 
@@ -212,14 +295,9 @@ def _check_base_independence(rng: random.Random) -> CheckResult:
 def _check_forward_rates() -> CheckResult:
     parts = []
     m1 = by_name("strip-slit")
-    base = m1.petal("upper").base_default
-    ts = [2.0**k for k in range(4, 17)]
-    vs = [forward_speed(m1, base, t) for t in ts]
-    tail = len(ts) // 2
-    slope, _ = linear_fit(ts[tail:], vs[tail:])
-    target = 0.5
-    ok = abs(slope - target) <= rate_threshold(target)
-    parts.append(f"{m1.name}: forward slope {slope:.6f} vs {target}")
+    _, _, rate = forward_rate(m1, m1.petal("upper").base_default, 4, 16)
+    ok = rate.passed
+    parts.append(f"{m1.name}: forward slope {rate.slope:.6f} vs {rate.target}")
     m2 = by_name("sector-parabolic")
     base2 = m2.petal("main").base_default
     linear = forward_speed(m2, base2, 2.0**16) / 2.0**16
@@ -266,20 +344,16 @@ def _check_repelling_diagnostics(rng: random.Random) -> CheckResult:
 
 def _check_bound_ratios() -> CheckResult:
     parts = []
-    logrecip = logrecip_profile()
-    grid = [-(10.0**k) for k in range(2, 7)]
-    ratios = [r for _, r in bound_ratio_series(logrecip, grid)]
+    series, _, decreasing = bound_ratios(logrecip_profile(), [-(10.0**k) for k in range(2, 7)])
+    ratios = [r for _, r in series]
     max_ratio = 0.02
     small = ratios[1] <= max_ratio
-    decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     parts.append(
         f"logrecip upper/t^2 at -1e3: {ratios[1]:.6f} <= {_bound(max_ratio)}, "
         f"decreasing over five decades: {decreasing}"
     )
-    gauss = gaussian_profile()
-    (_, gratio), = bound_ratio_series(gauss, [-1e3])
+    ((_, gratio),), _, in_window = bound_ratios(gaussian_profile(), [-1e3])
     lo, hi = GAUSSIAN_RATIO_WINDOW
-    in_window = lo <= gratio <= hi
     parts.append(f"gaussian lower/t^2 at -1e3: {gratio:.10f} in [{lo}, {hi}]")
     ok = small and decreasing and in_window
     return CheckResult("distance-bound-ratios", ok, "; ".join(parts))
@@ -298,16 +372,8 @@ def _check_approach_angles() -> CheckResult:
 
     model = by_name("strip-slit")
     petal = model.petal("upper")
-    sigma = model.disk_sigma(petal).value
-    pts = []
-    for t in range(-1, -19, -1):
-        z = flow(model, petal.base_default, float(t)).disk_z
-        if z is None:
-            break
-        pts.append(z)
-    orb = approach_angle(pts, sigma, Arc(math.pi / 2, math.pi))
+    _, orb, good = orbit_angle(model, petal, petal.base_default, 18)
     lo, hi = APPROACH_ANGLE_WINDOW
-    good = not orb.inconclusive and lo < orb.theta < hi
     ok = ok and good
     parts.append(f"backward-orbit angle {orb.theta:.4f} inside ({lo:.4f}, {hi:.4f})")
     return CheckResult("approach-angles", ok, "; ".join(parts))

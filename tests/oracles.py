@@ -19,7 +19,9 @@ Only the tests use these, so they live here rather than in the package:
   values and errors, and the disk chart ``omega_of_disk`` of a model;
 - the hand-derived log-space orbit of each catalog model
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
-  walk of the chain in log space are checked bit for bit.
+  walk of the chain in log space are checked bit for bit;
+- the complement of a circular arc (``arc_complement``), against which
+  harmonic measures are checked to add up to one.
 """
 
 from __future__ import annotations
@@ -43,11 +45,17 @@ from petallab.hypcore import (
     strip_distance,
     uhp_distance,
 )
+from petallab.hmeasure import Arc
 from petallab.models import KoenigsModel
 
 _HALF_PI = 0.5 * math.pi
 
 EPS_BOUNDARY = 1e-12
+
+
+def arc_complement(arc: Arc) -> Arc:
+    """The complementary arc, traversed from ``beta`` back to ``alpha``."""
+    return Arc(arc.beta, arc.alpha + 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,12 @@ GAUSSIAN_RATIO_1E3 = 0.2499989997498749166
 QUARTER_LOG1P_10 = 0.59947381819959263602
 
 
+def without_antiderivative(p: BoundaryProfile) -> BoundaryProfile:
+    """The same gap as ``p`` with no antiderivative, so that ``upper_bound``
+    integrates it by the tanh-sinh rule."""
+    return custom_profile(p.delta, p.t0, p.d0, log_delta=p.log_delta)
+
+
 class TestProfiles:
     def test_logrecip_defaults(self):
         p = logrecip_profile()
@@ -101,15 +107,15 @@ class TestUpperBound:
     def test_quadrature_matches_closed_form(self):
         p = logrecip_profile()
         for t in (-5.0, -50.0, -500.0):
-            closed = upper_bound(p, t, method="closed")
-            quad_val = upper_bound(p, t, method="quadrature")
+            closed = upper_bound(p, t)
+            quad_val = upper_bound(without_antiderivative(p), t)
             assert quad_val == pytest.approx(closed, abs=1e-9)
 
     def test_quadrature_matches_closed_form_far_out(self):
         p = logrecip_profile()
         for t in (-10.0, -1e3, -1e6):
-            closed = upper_bound(p, t, method="closed")
-            quad_val = upper_bound(p, t, method="quadrature")
+            closed = upper_bound(p, t)
+            quad_val = upper_bound(without_antiderivative(p), t)
             assert quad_val == pytest.approx(closed, rel=1e-12)
 
     def test_quadrature_exact_on_smooth_gaps(self):
@@ -138,13 +144,6 @@ class TestUpperBound:
         p = gaussian_profile()
         assert upper_bound(p, -1e3) == math.inf
 
-    def test_method_validation(self):
-        p = gaussian_profile()
-        with pytest.raises(ValueError):
-            upper_bound(p, -2.0, method="closed")
-        with pytest.raises(ValueError):
-            upper_bound(p, -2.0, method="simpson")
-
     def test_range_validation(self):
         p = logrecip_profile()
         with pytest.raises(DomainError):
@@ -165,7 +164,7 @@ def test_runtime_loads_no_scipy():
         "from petallab.verify import run_all\n"
         "run_all(0)\n"
         "p = custom_profile(lambda t: 1.0 / math.log(-t), t0=-math.e)\n"
-        "assert math.isfinite(upper_bound(p, -1e3, method='quadrature'))\n"
+        "assert math.isfinite(upper_bound(p, -1e3))\n"
         "m = by_name('strip-slit')\n"
         "petal = m.petal('upper')\n"
         "series = speed_series(m, petal, petal.base_default, dyadic_grid(4, 16))\n"
@@ -269,13 +268,6 @@ class TestRatioSeries:
         p = gaussian_profile()
         series = bound_ratio_series(p, [-1e3])
         assert series[0][1] == pytest.approx(GAUSSIAN_RATIO_1E3, abs=1e-12)
-
-    def test_explicit_kind_override(self):
-        p = gaussian_profile()
-        series = bound_ratio_series(p, [-1e3], which="upper")
-        assert series[0][1] == math.inf
-        with pytest.raises(ValueError):
-            bound_ratio_series(p, [-1e3], which="middle")
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

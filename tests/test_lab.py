@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from petallab.lab import main
+from petallab import verify
+from petallab.lab import _build_parser, main
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -89,6 +90,26 @@ class TestAsymptoteCommand:
         assert float(summary["r2"]) > 0.999
         assert "PASS asymptote" in capsys.readouterr().out
 
+    def test_slope_is_verify_total_speed_slope(self, tmp_path, monkeypatch):
+        # The subcommand and verify's total-speed-slopes check fit the
+        # strip-slit upper petal by one path, so they read the same slope.
+        rates = []
+        backward_rate = verify.backward_rate
+
+        def recording(*args, **kwargs):
+            result = backward_rate(*args, **kwargs)
+            rates.append(result[2])
+            return result
+
+        monkeypatch.setattr(verify, "backward_rate", recording)
+        check = verify._check_total_slopes()
+        assert check.passed
+        code = main(["asymptote", "--model", "strip-slit", "--out", str(tmp_path)])
+        assert code == 0
+        summary = parse_summary(tmp_path / "asymptote_strip-slit_p0_summary.txt")
+        assert float(summary["slope"]) == rates[0].slope
+        assert f"strip-slit/upper: slope {rates[0].slope:.6f}" in check.detail
+
     def test_parabolic_target_is_zero(self, tmp_path):
         code = main([
             "asymptote", "--model", "sector-parabolic", "--out", str(tmp_path),
@@ -164,6 +185,36 @@ class TestHmeasureCommand:
         rows = read(tmp_path / f"hmeasure_{tag}.dat").splitlines()[1:]
         assert len(rows) == 9
         assert abs(float(rows[-1].split()[1]) - 0.5) <= 1e-6
+
+    def test_theta_is_verify_orbit_angle(self, tmp_path, monkeypatch):
+        # verify's approach-angles check and the subcommand measure the
+        # strip-slit upper orbit by one path, so they read the same theta.
+        reports = []
+        orbit_angle = verify.orbit_angle
+
+        def recording(*args):
+            result = orbit_angle(*args)
+            reports.append(result[1])
+            return result
+
+        monkeypatch.setattr(verify, "orbit_angle", recording)
+        assert verify._check_approach_angles().passed
+        code = main([
+            "hmeasure", "--model", "strip-slit", "--petal", "0",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = parse_summary(tmp_path / "hmeasure_strip-slit_p0_summary.txt")
+        (report,) = reports
+        assert float(summary["theta"]) == report.theta
+
+    def test_too_few_orbit_points_is_usage_error(self, tmp_path, capsys):
+        code = main([
+            "hmeasure", "--model", "strip-slit", "--kmax", "3",
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "need at least 5 points" in capsys.readouterr().err
 
     def test_parabolic_orbit_tangential(self, tmp_path):
         # The parabolic orbit creeps into its boundary point along the
@@ -299,6 +350,61 @@ class TestConfigFile:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+
+# The flags each subcommand reads; every subcommand also takes --out and
+# --config.
+TAKES = {
+    "speeds": {"model", "petal", "base-re", "base-im", "kmin", "kmax", "grid"},
+    "asymptote": {"model", "petal", "base-re", "base-im", "kmin", "kmax", "grid", "tol"},
+    "forward": {"model", "petal", "base-re", "base-im", "kmin", "kmax", "tol"},
+    "hmeasure": {"model", "petal", "base-re", "base-im", "kmax"},
+    "bounds": {"profile", "grid"},
+    "verify": {"seed"},
+}
+FLAG_VALUES = {
+    "model": "strip-slit", "petal": "0", "base-re": "1.5", "base-im": "0.4",
+    "kmin": "4", "kmax": "8", "grid": "-1,-2", "profile": "gaussian",
+    "seed": "3", "tol": "0.1",
+}
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_takes_exactly_the_flags_it_reads(self, command):
+        parser = _build_parser()
+        for flag in [*FLAG_VALUES, "out", "config"]:
+            argv = [command, f"--{flag}={FLAG_VALUES.get(flag, 'x')}"]
+            if flag in TAKES[command] or flag in ("out", "config"):
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as info:
+                    parser.parse_args(argv)
+                assert info.value.code == 2, (command, flag)
+
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_config_key_it_does_not_read_is_usage_error(self, tmp_path, capsys, command):
+        for flag in sorted(set(FLAG_VALUES) - TAKES[command]):
+            config = tmp_path / "exp.cfg"
+            config.write_text(f"{flag} = {FLAG_VALUES[flag]}\n")
+            code = main([command, "--config", str(config), "--out", str(tmp_path)])
+            assert code == 2, (command, flag)
+            key = flag.replace("-", "_")
+            assert f"{command} takes no key {key!r}" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*_*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--model", "strip-slit", "--grid=1,2,4"],
+        ["verify", "--tol", "1e-12", "--model", "moon", "--profile", "nope"],
+        ["bounds", "--profile", "gaussian", "--grid=-1e3", "--model", "moon",
+         "--seed", "3", "--tol", "1e-9"],
+    ], ids=["forward-grid", "verify-tol-model-profile", "bounds-model-seed-tol"])
+    def test_unread_flags_exit_two(self, tmp_path, argv):
+        # These ran, and exited 0, while silently ignoring the flags.
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert not list(tmp_path.iterdir())
 
 
 class TestUsageErrors:

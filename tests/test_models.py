@@ -95,7 +95,7 @@ class TestCatalog:
         with pytest.raises(ValueError):
             Petal("x", "spiral", -1.0, INFINITY, StripImage(0, 1), 0j)
         with pytest.raises(ValueError):
-            SectorImage(mu=1.0, amplitude=3.0 * math.pi, theta0=0.0)
+            SectorImage(amplitude=3.0 * math.pi, theta0=0.0)
 
 
 class TestGeometryInvariants:
@@ -160,7 +160,7 @@ class TestGeometryInvariants:
         assert inflated.contains(probe) and not m2.contains(probe)
 
         sec = m3.petal("main").image
-        inflated = SectorImage(sec.mu, 2.0 * math.pi, sec.theta0)
+        inflated = SectorImage(2.0 * math.pi, sec.theta0)
         probe = -2.0 + 0j  # on the deleted ray beyond -1
         # amplitude is capped at 2*pi, so probe the boundary ray directly
         assert not sec.contains(probe) and not m3.contains(probe)
