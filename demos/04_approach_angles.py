@@ -12,7 +12,7 @@ creep along the circle.
 import math
 
 from petallab import Arc, approach_angle, by_name
-from petallab.verify import orbit_angle
+from petallab.verify import ORBIT_KMAX, orbit_angle
 
 # A radial sequence meets the boundary orthogonally.
 a = 1.0 + 0j
@@ -24,7 +24,7 @@ print(f"radial sequence:     theta/pi = {report.theta / math.pi:.6f}")
 # read as verify and `petallab hmeasure` read it.
 model = by_name("strip-slit")
 petal = model.petal("upper")
-_, report, _ = orbit_angle(model, petal, petal.base_default, 18)
+_, report, _ = orbit_angle(model, petal, petal.base_default, ORBIT_KMAX)
 print(f"hyperbolic orbit:    theta/pi = {report.theta / math.pi:.6f} "
       f"(tangential: {report.tangential})")
 

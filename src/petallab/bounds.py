@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .hypcore import DomainError
@@ -87,7 +86,6 @@ def _tanh_sinh_levels() -> Tuple[Tuple[Tuple[float, float], ...], ...]:
 _TANH_SINH_LEVELS = _tanh_sinh_levels()
 
 
-@dataclass(frozen=True)
 class BoundaryProfile:
     """Boundary-distance profile ``delta`` on ``(-inf, t0]``.
 
@@ -97,22 +95,29 @@ class BoundaryProfile:
     antiderivative of ``1/delta`` used instead of quadrature.
     """
 
-    name: str
-    t0: float
-    d0: float
-    delta: Callable[[float], float] = field(repr=False)
-    log_delta: Callable[[float], float] = field(repr=False)
-    inv_delta_antiderivative: Optional[Callable[[float], float]] = field(
-        default=None, repr=False
-    )
+    __slots__ = ("name", "t0", "d0", "delta", "log_delta", "inv_delta_antiderivative")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t0) and self.t0 < 0.0):
-            raise DomainError(f"profile anchor time must be negative, got {self.t0}")
-        if not (math.isfinite(self.d0) and self.d0 >= 0.0):
-            raise DomainError(f"anchor distance must be nonnegative, got {self.d0}")
-        if not math.isfinite(self.log_delta(self.t0)):
+    def __init__(
+        self,
+        name: str,
+        t0: float,
+        d0: float,
+        delta: Callable[[float], float],
+        log_delta: Callable[[float], float],
+        inv_delta_antiderivative: Optional[Callable[[float], float]] = None,
+    ) -> None:
+        if not (math.isfinite(t0) and t0 < 0.0):
+            raise DomainError(f"profile anchor time must be negative, got {t0}")
+        if not (math.isfinite(d0) and d0 >= 0.0):
+            raise DomainError(f"anchor distance must be nonnegative, got {d0}")
+        if not math.isfinite(log_delta(t0)):
             raise DomainError("profile must have a positive gap at its anchor time")
+        self.name = name
+        self.t0 = t0
+        self.d0 = d0
+        self.delta = delta
+        self.log_delta = log_delta
+        self.inv_delta_antiderivative = inv_delta_antiderivative
 
 
 def logrecip_profile(t0: float = -math.e, d0: float = 1.0) -> BoundaryProfile:

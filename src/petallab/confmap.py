@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .hypcore import DomainError
@@ -90,6 +89,8 @@ def _log_anchored(c: complex, L: complex) -> complex:
 class MapStep:
     """Base class for elementary invertible conformal map steps."""
 
+    __slots__ = ()
+
     def apply(self, z: complex) -> complex:
         raise NotImplementedError
 
@@ -119,19 +120,18 @@ class MapStep:
         return math.inf
 
 
-@dataclass(frozen=True)
 class Affine(MapStep):
     """z -> a z + b with a != 0."""
 
-    a: complex
-    b: complex = 0j
-    # j with a = i^j, None for any other multiplier.
-    _quarter: Optional[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "_quarter")
 
-    def __post_init__(self) -> None:
-        if self.a == 0:
+    def __init__(self, a: complex, b: complex = 0j) -> None:
+        if a == 0:
             raise ValueError("affine step requires a != 0")
-        object.__setattr__(self, "_quarter", _QUARTERS.get(self.a))
+        self.a = a
+        self.b = b
+        # j with a = i^j, None for any other multiplier.
+        self._quarter = _QUARTERS.get(a)
 
     def apply(self, z: complex) -> complex:
         return self.a * z + self.b
@@ -156,9 +156,10 @@ class Affine(MapStep):
         return Affine(1.0 / self.a, -self.b / self.a)
 
 
-@dataclass(frozen=True)
 class ExpStep(MapStep):
     """z -> e^z."""
+
+    __slots__ = ()
 
     def apply(self, z: complex) -> complex:
         return cmath.exp(z)
@@ -178,19 +179,18 @@ class ExpStep(MapStep):
         return LogStep(math.pi)
 
 
-@dataclass(frozen=True)
 class LogStep(MapStep):
     """Branch of log with argument in [cut - 2 pi, cut).
 
     The branch cut is the ray at angle ``cut`` from the origin.
     """
 
-    cut: float = math.pi
-    # e^{-i cut}, which turns the cut onto the positive real axis.
-    _rot: complex = field(init=False, repr=False, compare=False)
+    __slots__ = ("cut", "_rot")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_rot", cmath.exp(-1j * self.cut))
+    def __init__(self, cut: float = math.pi) -> None:
+        self.cut = cut
+        # e^{-i cut}, which turns the cut onto the positive real axis.
+        self._rot = cmath.exp(-1j * cut)
 
     def apply(self, z: complex) -> complex:
         return _branch_log(z, self.cut)
@@ -205,7 +205,6 @@ class LogStep(MapStep):
         return _rotated_ray_distance(z, self._rot)
 
 
-@dataclass(frozen=True)
 class PowerStep(MapStep):
     """z -> z^alpha on the log branch with argument in [cut - 2 pi, cut).
 
@@ -213,15 +212,15 @@ class PowerStep(MapStep):
     arrange source regions so the image sector stays inside that branch.
     """
 
-    alpha: float
-    cut: float = math.pi
-    # e^{-i cut}, which turns the cut onto the positive real axis.
-    _rot: complex = field(init=False, repr=False, compare=False)
+    __slots__ = ("alpha", "cut", "_rot")
 
-    def __post_init__(self) -> None:
-        if not self.alpha > 0:
+    def __init__(self, alpha: float, cut: float = math.pi) -> None:
+        if not alpha > 0:
             raise ValueError("power step requires alpha > 0")
-        object.__setattr__(self, "_rot", cmath.exp(-1j * self.cut))
+        self.alpha = alpha
+        self.cut = cut
+        # e^{-i cut}, which turns the cut onto the positive real axis.
+        self._rot = cmath.exp(-1j * cut)
 
     def apply(self, z: complex) -> complex:
         return cmath.exp(self.alpha * _branch_log(z, self.cut))
@@ -258,11 +257,12 @@ def _uhp_sqrt(v: complex) -> complex:
     return -s if s.imag < 0.0 else s
 
 
-@dataclass(frozen=True)
 class SlitCloseStep(MapStep):
     """z -> sqrt(z^2 + 1) mapping the upper half-plane minus the segment
     (0, i] onto the upper half-plane.  The right side of the slit lands on
     (0, 1], the left side on [-1, 0), the tip i on 0."""
+
+    __slots__ = ()
 
     def apply(self, z: complex) -> complex:
         return _uhp_sqrt(z * z + 1.0)
@@ -297,9 +297,10 @@ class SlitCloseStep(MapStep):
         return abs(complex(z.real, z.imag - min(1.0, max(0.0, z.imag))))
 
 
-@dataclass(frozen=True)
 class SlitOpenStep(MapStep):
     """w -> sqrt(w^2 - 1), inverse of :class:`SlitCloseStep`."""
+
+    __slots__ = ()
 
     def apply(self, z: complex) -> complex:
         return _uhp_sqrt(z * z - 1.0)
@@ -378,27 +379,23 @@ def _inverse_failure(apply: Callable[[complex], complex], z: complex, i: int,
     return MapDomainError(f"derivative failed: {exc}", step_index=i)
 
 
-@dataclass(frozen=True)
 class ConformalChain:
     """Ordered composition of elementary steps from a source region onto
     the upper half-plane."""
 
-    steps: tuple[MapStep, ...]
-    source_contains: Callable[[complex], bool] = field(repr=False)
-    name: str = ""
-    # The walks of eval/derivative, of eval_inverse and of eval_log, built once.
-    _forward_plan: tuple[_PlanEntry, ...] = field(init=False, repr=False, compare=False)
-    _inverse_plan: tuple[_PlanEntry, ...] = field(init=False, repr=False, compare=False)
-    _log_plan: tuple[tuple[int, Callable], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("steps", "source_contains", "name",
+                 "_forward_plan", "_inverse_plan", "_log_plan")
 
-    def __post_init__(self) -> None:
-        forward = _plan((i, step, None) for i, step in enumerate(self.steps))
-        inverse = _plan((i, self.steps[i].inverted(), self.steps[i])
-                        for i in reversed(range(len(self.steps))))
-        object.__setattr__(self, "_forward_plan", forward)
-        object.__setattr__(self, "_inverse_plan", inverse)
-        log_plan = tuple((i, step.apply_log) for i, step in enumerate(self.steps))
-        object.__setattr__(self, "_log_plan", log_plan)
+    def __init__(self, steps: tuple[MapStep, ...],
+                 source_contains: Callable[[complex], bool], name: str = "") -> None:
+        self.steps = steps
+        self.source_contains = source_contains
+        self.name = name
+        # The walks of eval/derivative, of eval_inverse and of eval_log, built once.
+        self._forward_plan = _plan((i, step, None) for i, step in enumerate(steps))
+        self._inverse_plan = _plan((i, steps[i].inverted(), steps[i])
+                                   for i in reversed(range(len(steps))))
+        self._log_plan = tuple((i, step.apply_log) for i, step in enumerate(steps))
 
     def eval(self, w: complex) -> complex:
         """Forward image of an interior source point."""

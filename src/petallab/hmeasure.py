@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .hypcore import DomainError
 
@@ -42,7 +41,6 @@ _TANGENT_TOL = 1e-2
 ROUNDING_FLOOR = 2.0 ** -52 * 1e8
 
 
-@dataclass(frozen=True)
 class Arc:
     """Open arc of the unit circle, counterclockwise from ``alpha`` to ``beta``.
 
@@ -51,12 +49,11 @@ class Arc:
     rejected; use measure 1 or 0 directly for those.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        beta = float(self.beta)
+    def __init__(self, alpha: float, beta: float) -> None:
+        alpha = float(alpha)
+        beta = float(beta)
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise DomainError("arc endpoints must be finite angles")
         span = (beta - alpha) % _TWO_PI
@@ -65,9 +62,8 @@ class Arc:
                 "arc endpoints coincide modulo 2*pi; an arc must have "
                 "length strictly between 0 and 2*pi"
             )
-        start = alpha % _TWO_PI
-        object.__setattr__(self, "alpha", start)
-        object.__setattr__(self, "beta", start + span)
+        self.alpha = alpha % _TWO_PI
+        self.beta = self.alpha + span
 
     @property
     def length(self) -> float:
@@ -109,8 +105,7 @@ def harmonic_measure(z: complex, arc: Arc) -> float:
     return ((phase_b - phase_a) % _TWO_PI) / _TWO_PI
 
 
-@dataclass(frozen=True)
-class ApproachReport:
+class ApproachReport(NamedTuple):
     """Outcome of the approach-angle probe.
 
     ``theta`` is the estimated angle in ``[0, pi]`` between the incoming

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _HALF_PI = 0.5 * math.pi
 
@@ -28,8 +28,7 @@ class DomainError(ValueError):
     """A point or boundary datum violates a domain membership precondition."""
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """A boundary datum: a finite complex value, or None for infinity."""
 
     value: complex | None = None
@@ -47,18 +46,18 @@ class BoundaryPoint:
 INFINITY = BoundaryPoint(None)
 
 
-@dataclass(frozen=True)
 class Mobius:
     """Fractional linear map ``z -> (a z + b) / (c z + d)`` with ad - bc != 0."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c == 0:
+    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        if a * d - b * c == 0:
             raise ValueError("singular Mobius coefficients")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
 
     @property
     def det(self) -> complex:
@@ -165,7 +164,6 @@ def strip_distance(z: complex, w: complex) -> float:
     return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (tz + tw))
 
 
-@dataclass(frozen=True)
 class UhpLogPoint:
     """Upper half-plane point in anchored log form: q = anchor + e^L.
 
@@ -175,16 +173,17 @@ class UhpLogPoint:
     ``log Im q`` is available exactly through :meth:`log_im`.
     """
 
-    anchor: float | None
-    L: complex
+    __slots__ = ("anchor", "L")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.L.imag < math.pi:
-            raise DomainError(f"log offset needs Im in (0, pi), got {self.L.imag!r}")
-        if not math.isfinite(self.L.real):
+    def __init__(self, anchor: float | None, L: complex) -> None:
+        if not 0.0 < L.imag < math.pi:
+            raise DomainError(f"log offset needs Im in (0, pi), got {L.imag!r}")
+        if not math.isfinite(L.real):
             raise DomainError("log offset must have finite real part")
-        if self.anchor is not None and not math.isfinite(self.anchor):
+        if anchor is not None and not math.isfinite(anchor):
             raise DomainError("anchor must be finite or None")
+        self.anchor = anchor
+        self.L = L
 
     def log_im(self) -> float:
         """log Im q = Re L + log sin Im L, exact in the log representation."""

@@ -2,10 +2,14 @@
 
 Subcommands run one experiment each and write gnuplot-ready data files plus
 a short summary.  Exit status reports the outcome: 0 when every numeric
-check passed, 1 when a check failed, 2 on a usage problem.  A subcommand
-only resolves its inputs, writes files and prints: the criterion it reports
-is measured and judged by ``verify`` (``backward_rate``, ``forward_rate``,
-``orbit_angle``, ``bound_ratios``), the same function ``run_all`` uses.
+check passed, 1 when a check failed, 2 on a usage problem, including
+inputs a measurement cannot take (``DomainError``, ``EstimationError``),
+such as a grid that is not strictly decreasing or too short to fit a
+slope to.  A subcommand only resolves its inputs, writes files and
+prints: the criterion it reports is measured and judged by ``verify``
+(``backward_rate``, ``forward_rate``, ``orbit_angle``, ``bound_ratios``),
+the same function ``run_all`` uses; ``bounds`` and ``hmeasure`` also
+take their default inputs from there (``BOUND_GRID``, ``ORBIT_KMAX``).
 
 Each flag is declared once, in ``_FLAGS``, and each subcommand takes only
 the flags it reads (``_COMMANDS``); any other flag is a usage error.
@@ -29,9 +33,11 @@ from .bounds import BoundaryProfile, gaussian_profile, logrecip_profile, profile
 from .hmeasure import _MIN_POINTS, ROUNDING_FLOOR
 from .hypcore import DomainError
 from .models import KoenigsModel, MODEL_NAMES, Petal, by_name
-from .speeds import dyadic_grid, speed_series
+from .speeds import EstimationError, dyadic_grid, speed_series
 from .verify import (
+    BOUND_GRID,
     DEFAULT_SEED,
+    ORBIT_KMAX,
     backward_rate,
     bound_ratios,
     forward_rate,
@@ -236,7 +242,7 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     petal = _resolve_petal(model, args)
     base = _resolve_base(petal, args)
-    kmax = 18 if args.kmax is None else args.kmax
+    kmax = ORBIT_KMAX if args.kmax is None else args.kmax
     times, report, passed = orbit_angle(model, petal, base, kmax)
     if report.used < _MIN_POINTS:
         raise UsageError(
@@ -299,10 +305,7 @@ def _resolve_profile(args: argparse.Namespace) -> BoundaryProfile:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args)
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-    else:
-        grid = [-(10.0**k) for k in range(2, 7)]
+    grid = BOUND_GRID if args.grid is None else _parse_grid(args.grid)
     series, rule, passed = bound_ratios(profile, grid)
     out = _out_dir(args)
     path = os.path.join(out, f"bounds_{profile.name}.dat")
@@ -380,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _merge_config(args)
         return _COMMANDS[args.command][0](args)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

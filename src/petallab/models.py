@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
 from .hypcore import (
@@ -40,8 +39,7 @@ HALF_PI = math.pi / 2.0
 # Petal image shapes
 
 
-@dataclass(frozen=True)
-class StripImage:
+class StripImage(NamedTuple):
     """Horizontal strip {lo < Im w < hi}."""
 
     lo: float
@@ -64,8 +62,7 @@ class StripImage:
         return strip_distance(scale * (w1 - mid), scale * (w2 - mid))
 
 
-@dataclass(frozen=True)
-class HalfPlaneImage:
+class HalfPlaneImage(NamedTuple):
     """Upper half-plane {Im w > floor}."""
 
     floor: float
@@ -80,7 +77,6 @@ class HalfPlaneImage:
         return uhp_distance(w1 - shift, w2 - shift)
 
 
-@dataclass(frozen=True)
 class SectorImage:
     """Angular sector {w != 0 : |arg(w e^{-i theta0})| < amplitude / 2}.
 
@@ -88,12 +84,13 @@ class SectorImage:
     general elliptic theory degenerate to plain angular sectors here.
     """
 
-    amplitude: float
-    theta0: float
+    __slots__ = ("amplitude", "theta0")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.amplitude <= 2.0 * math.pi:
+    def __init__(self, amplitude: float, theta0: float) -> None:
+        if not 0.0 < amplitude <= 2.0 * math.pi:
             raise ValueError("amplitude must lie in (0, 2*pi]")
+        self.amplitude = amplitude
+        self.theta0 = theta0
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -122,7 +119,6 @@ PetalImage = Union[StripImage, HalfPlaneImage, SectorImage]
 # Petals and models
 
 
-@dataclass(frozen=True)
 class Petal:
     """Maximal one-sided invariant region attached to a boundary fixed point.
 
@@ -133,20 +129,23 @@ class Petal:
     ``base_default`` is a reference interior point in Omega coordinates.
     """
 
-    label: str
-    kind: str
-    lam: Optional[float]
-    sigma_canonical: BoundaryPoint
-    image: PetalImage
-    base_default: complex
+    __slots__ = ("label", "kind", "lam", "sigma_canonical", "image", "base_default")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("hyperbolic", "parabolic"):
+    def __init__(self, label: str, kind: str, lam: Optional[float],
+                 sigma_canonical: BoundaryPoint, image: PetalImage,
+                 base_default: complex) -> None:
+        if kind not in ("hyperbolic", "parabolic"):
             raise ValueError("petal kind must be hyperbolic or parabolic")
-        if (self.lam is None) != (self.kind == "parabolic"):
+        if (lam is None) != (kind == "parabolic"):
             raise ValueError("lam must be set exactly for hyperbolic petals")
-        if self.lam is not None and self.lam >= 0.0:
+        if lam is not None and lam >= 0.0:
             raise ValueError("repelling spectral value must be negative")
+        self.label = label
+        self.kind = kind
+        self.lam = lam
+        self.sigma_canonical = sigma_canonical
+        self.image = image
+        self.base_default = base_default
 
     def contains(self, w: complex) -> bool:
         return self.image.contains(complex(w))
@@ -156,7 +155,6 @@ class Petal:
         return self.image.distance(complex(w1), complex(w2))
 
 
-@dataclass(frozen=True)
 class KoenigsModel:
     """A flow domain Omega with its canonical chain and petal inventory.
 
@@ -169,12 +167,16 @@ class KoenigsModel:
     interior complex number, the others as a boundary point.
     """
 
-    name: str
-    kind: str
-    mu: float
-    chain: ConformalChain
-    petals: tuple[Petal, ...]
-    dw_point: Union[BoundaryPoint, complex]
+    __slots__ = ("name", "kind", "mu", "chain", "petals", "dw_point")
+
+    def __init__(self, name: str, kind: str, mu: float, chain: ConformalChain,
+                 petals: tuple[Petal, ...], dw_point: Union[BoundaryPoint, complex]) -> None:
+        self.name = name
+        self.kind = kind
+        self.mu = mu
+        self.chain = chain
+        self.petals = petals
+        self.dw_point = dw_point
 
     def contains(self, w: complex) -> bool:
         """Whether w lies in Omega."""

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .confmap import MapDomainError
 from .hypcore import (
@@ -43,8 +42,7 @@ class DiagnosticError(DomainError):
     """Repelling-point diagnostics requested where they are undefined."""
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(NamedTuple):
     """One trajectory point in every chart that can still represent it.
 
     ``omega_w`` is None when elliptic scaling overflows floats;
@@ -127,8 +125,7 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     return g
 
 
-@dataclass(frozen=True)
-class RepellingReport:
+class RepellingReport(NamedTuple):
     """Numerical evidence that a boundary point repels with rate lam.
 
     ``min_julia_residual`` is the worst slack in the Julia-type lower

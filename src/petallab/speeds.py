@@ -19,8 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .hypcore import (
     DomainError,
@@ -37,8 +36,7 @@ class EstimationError(ValueError):
     degenerate samples, or a quadrature that does not converge."""
 
 
-@dataclass(frozen=True)
-class SpeedSample:
+class SpeedSample(NamedTuple):
     """Total, orthogonal, and tangential speeds at one time."""
 
     t: float
@@ -47,8 +45,7 @@ class SpeedSample:
     v_T: float
 
 
-@dataclass(frozen=True)
-class SpeedSeries:
+class SpeedSeries(NamedTuple):
     """Speed samples of one petal orbit over a time grid."""
 
     model_name: str
@@ -182,15 +179,18 @@ def speed_series(
     z: complex,
     grid: Optional[Sequence[float]] = None,
 ) -> SpeedSeries:
-    """Sample all three speeds over a strictly decreasing backward grid."""
+    """Sample all three speeds over a strictly decreasing backward grid.
+
+    A grid that is empty, has a positive time or does not strictly
+    decrease raises ``DomainError``."""
     w0 = _require_petal(model, petal, z)
     ts = list(dyadic_grid() if grid is None else (float(t) for t in grid))
     if not ts:
-        raise ValueError("grid must not be empty")
+        raise DomainError("grid must not be empty")
     if any(t > 0.0 for t in ts):
         raise DomainError("backward series grids must satisfy t <= 0")
     if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("grid must be strictly decreasing")
+        raise DomainError("grid must be strictly decreasing")
     p0 = model.uhp_orbit(w0, 0.0)
     frame = _eta_frame(model, petal, p0)
     ln0 = frame(p0)

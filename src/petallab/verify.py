@@ -16,8 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import BoundaryProfile, bound_ratio_series, gaussian_profile, logrecip_profile
 from .hmeasure import ApproachReport, Arc, approach_angle
@@ -54,6 +53,13 @@ GAUSSIAN_RATIO_WINDOW = (0.249, 0.2501)
 # Open window for a non-tangential approach angle.
 APPROACH_ANGLE_WINDOW = (0.05 * math.pi, 0.95 * math.pi)
 
+# Inputs that run_all and the CLI subcommands share as defaults.
+# Times -1e2 .. -1e6 of the bound ratios (``petallab bounds`` without --grid).
+BOUND_GRID = tuple(-(10.0**k) for k in range(2, 7))
+# Backward orbit times -1 .. -ORBIT_KMAX of the approach angle
+# (``petallab hmeasure`` without --kmax).
+ORBIT_KMAX = 18
+
 
 def rate_threshold(target: float, tol: float = RATE_TOL) -> float:
     """Largest passing |slope - target|: relative to a linear rate's target,
@@ -61,8 +67,7 @@ def rate_threshold(target: float, tol: float = RATE_TOL) -> float:
     return tol * abs(target) if target else tol * SUBLINEAR_PER_TOL
 
 
-@dataclass(frozen=True)
-class Rate:
+class Rate(NamedTuple):
     """A fitted slope judged against its spectral target: it passes when
     ``|slope - target| <= threshold``."""
 
@@ -162,8 +167,7 @@ def _bound(value: float) -> str:
     return repr(value)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification check."""
 
     name: str
@@ -344,7 +348,7 @@ def _check_repelling_diagnostics(rng: random.Random) -> CheckResult:
 
 def _check_bound_ratios() -> CheckResult:
     parts = []
-    series, _, decreasing = bound_ratios(logrecip_profile(), [-(10.0**k) for k in range(2, 7)])
+    series, _, decreasing = bound_ratios(logrecip_profile(), BOUND_GRID)
     ratios = [r for _, r in series]
     max_ratio = 0.02
     small = ratios[1] <= max_ratio
@@ -372,7 +376,7 @@ def _check_approach_angles() -> CheckResult:
 
     model = by_name("strip-slit")
     petal = model.petal("upper")
-    _, orb, good = orbit_angle(model, petal, petal.base_default, 18)
+    _, orb, good = orbit_angle(model, petal, petal.base_default, ORBIT_KMAX)
     lo, hi = APPROACH_ANGLE_WINDOW
     ok = ok and good
     parts.append(f"backward-orbit angle {orb.theta:.4f} inside ({lo:.4f}, {hi:.4f})")

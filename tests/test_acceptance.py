@@ -35,6 +35,13 @@ def test_verification_runtime(suite):
     assert elapsed < 30.0, line
 
 
+def test_repeat_runs_compare_equal():
+    # The benchmark's repeat check compares run_all results with ==.
+    first = run_all(7)
+    assert first == run_all(7)
+    assert [r.name for r in first] == list(CHECK_NAMES)
+
+
 def test_detail_prints_the_bound_it_checks(monkeypatch):
     # The sub-linear slope bound comes from the criteria table, so the
     # report follows a change to the table.

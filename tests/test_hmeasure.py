@@ -282,6 +282,14 @@ class TestApproachAngle:
         with pytest.raises(DomainError):
             approach_angle(pts, -1.0 + 0j, Arc(0.0, 1.0))
 
+    def test_repeat_calls_compare_equal(self):
+        # The benchmark's repeat check compares reports with ==.
+        a = 1.0 + 0j
+        for pts in (self._radial_points(a), [0.5 + 0j] * 12):
+            first = approach_angle(pts, a, Arc(0.0, math.pi / 2))
+            assert first == approach_angle(pts, a, Arc(0.0, math.pi / 2))
+        assert first.inconclusive
+
     def test_measures_recorded(self):
         pts = self._radial_points(1.0 + 0j, kmax=10)
         report = approach_angle(pts, 1.0 + 0j, Arc(0.0, math.pi))

@@ -370,6 +370,12 @@ class TestUhpLogPoints:
             UhpLogPoint(0.0, complex(0.0, -0.5))
         with pytest.raises(DomainError):
             UhpLogPoint(0.0, complex(0.0, 4.0))
+        for bad_re in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite real part"):
+                UhpLogPoint(0.0, complex(bad_re, 1.0))
+        for bad_anchor in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="anchor must be finite"):
+                UhpLogPoint(bad_anchor, complex(0.0, 1.0))
 
     def test_distance_matches_plain_form_same_anchor(self):
         rng = _rng()

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -446,6 +448,24 @@ class TestUsageErrors:
             "--out", str(tmp_path),
         ]) == 0
 
+    def test_grid_too_short_to_fit_is_usage_error(self, tmp_path, capsys):
+        # The slope is fitted to the tail half of at least 6 samples.
+        assert main([
+            "asymptote", "--model", "strip-slit", "--grid=-16,-64,-256,-4096",
+            "--out", str(tmp_path),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: slope estimation needs at least 6 samples\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_not_decreasing_is_usage_error(self, tmp_path, capsys):
+        assert main([
+            "speeds", "--model", "strip-slit", "--grid=-1,-4,-2",
+            "--out", str(tmp_path),
+        ]) == 2
+        assert capsys.readouterr().err == "error: grid must be strictly decreasing\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_profile(self, tmp_path):
         assert main(["bounds", "--profile", "cubic", "--out", str(tmp_path)]) == 2
 
@@ -462,3 +482,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["orbit"])
         assert info.value.code == 2
+
+
+def test_import_loads_no_dataclass_machinery():
+    # Every subcommand pays this import in a fresh interpreter, and
+    # dataclasses, with the inspect module it imports, cost more than
+    # petallab itself.  The child compares its own sys.modules before and
+    # after, so a module that a site hook loaded first does not count.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import petallab.lab\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

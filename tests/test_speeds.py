@@ -64,6 +64,14 @@ class TestSampleBasics:
             s = speed_sample(model, petal, petal.base_default, -3.0)
             assert s.v > 0.0 and s.v_o >= 0.0 and s.v_T >= 0.0
 
+    def test_repeat_calls_compare_equal(self):
+        # The benchmark's repeat check compares samples with ==.
+        for model, petal in _model_petals():
+            z = petal.base_default
+            first = speed_sample(model, petal, z, -1e6)
+            assert first == speed_sample(model, petal, z, -1e6)
+            assert first != speed_sample(model, petal, z, -2e6)
+
     def test_component_accessors_agree(self):
         # One sample and a series share the per-time body: same numbers.
         grid = [0.0, -2.5, -(2.0 ** 20)]
@@ -309,13 +317,13 @@ class TestSeries:
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
         base = petal.base_default
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             speed_series(m1, petal, base, [-2.0, -1.0])   # increasing
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             speed_series(m1, petal, base, [-1.0, -1.0])   # repeated
         with pytest.raises(DomainError):
             speed_series(m1, petal, base, [1.0, -1.0])    # positive entry
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             speed_series(m1, petal, base, [])
 
     def test_default_grid(self):
