@@ -155,7 +155,7 @@ class Petal:
         return self.image.distance(complex(w1), complex(w2))
 
 
-class KoenigsModel:
+class KoenigsModel(NamedTuple):
     """A flow domain Omega with its canonical chain and petal inventory.
 
     ``kind`` is "hyperbolic", "parabolic", or "elliptic" and names the
@@ -167,16 +167,12 @@ class KoenigsModel:
     interior complex number, the others as a boundary point.
     """
 
-    __slots__ = ("name", "kind", "mu", "chain", "petals", "dw_point")
-
-    def __init__(self, name: str, kind: str, mu: float, chain: ConformalChain,
-                 petals: tuple[Petal, ...], dw_point: Union[BoundaryPoint, complex]) -> None:
-        self.name = name
-        self.kind = kind
-        self.mu = mu
-        self.chain = chain
-        self.petals = petals
-        self.dw_point = dw_point
+    name: str
+    kind: str
+    mu: float
+    chain: ConformalChain
+    petals: tuple[Petal, ...]
+    dw_point: Union[BoundaryPoint, complex]
 
     def contains(self, w: complex) -> bool:
         """Whether w lies in Omega."""

@@ -36,6 +36,25 @@ class EstimationError(ValueError):
     degenerate samples, or a quadrature that does not converge."""
 
 
+class _ReplaceFields:
+    """The field table ``dataclasses.replace`` reads, built on first use.
+
+    Callers derive a changed sample with ``dataclasses.replace(s, v=...)``
+    (the benchmark self-test plants a wrong speed that way); the table
+    keeps that working on a NamedTuple, and building it lazily keeps
+    ``dataclasses`` out of ``import petallab``.
+    """
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        shadow = dataclasses.make_dataclass(
+            cls.__name__, list(cls.__annotations__.items()), frozen=True)
+        cls.__dataclass_params__ = shadow.__dataclass_params__
+        cls.__dataclass_fields__ = shadow.__dataclass_fields__
+        return shadow.__dataclass_fields__
+
+
 class SpeedSample(NamedTuple):
     """Total, orthogonal, and tangential speeds at one time."""
 
@@ -43,6 +62,8 @@ class SpeedSample(NamedTuple):
     v: float
     v_o: float
     v_T: float
+
+    __dataclass_fields__ = _ReplaceFields()
 
 
 class SpeedSeries(NamedTuple):

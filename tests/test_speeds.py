@@ -72,6 +72,18 @@ class TestSampleBasics:
             assert first == speed_sample(model, petal, z, -1e6)
             assert first != speed_sample(model, petal, z, -2e6)
 
+    def test_dataclasses_replace_changes_one_speed(self):
+        # The benchmark self-test plants a wrong speed this way.
+        import dataclasses
+
+        model = by_name("koebe-elliptic")
+        petal = model.petals[0]
+        s = speed_sample(model, petal, petal.base_default, -3.0)
+        wrong = dataclasses.replace(s, v=s.v * (1.0 + 1e-5))
+        assert type(wrong) is SpeedSample
+        assert wrong == (s.t, s.v * (1.0 + 1e-5), s.v_o, s.v_T)
+        assert [f.name for f in dataclasses.fields(s)] == ["t", "v", "v_o", "v_T"]
+
     def test_component_accessors_agree(self):
         # One sample and a series share the per-time body: same numbers.
         grid = [0.0, -2.5, -(2.0 ** 20)]
