@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .hypcore import DomainError
@@ -379,10 +380,22 @@ def bound_ratio_series(
 
     The gaussian profile reports its lower bound (its upper bound is
     infinite almost immediately); every other profile its upper bound.
+    Where t^2 is not a normal float (past |t| ~ 1.3e154, or below
+    |t| ~ 1.5e-154 for a table anchored that close to 0) the bound is
+    divided by t twice.  A ratio that is not finite, as from an infinite
+    bound, raises ``DomainError``.
     """
     bound = lower_bound if profile.name == "gaussian" else upper_bound
     out: List[Tuple[float, float]] = []
     for t in grid:
         t = _require_in_range(profile, float(t))
-        out.append((t, bound(profile, t) / (t * t)))
+        b = bound(profile, t)
+        t2 = t * t
+        ratio = b / t2 if sys.float_info.min <= t2 < math.inf else b / t / t
+        if not math.isfinite(ratio):
+            raise DomainError(
+                f"bounds: profile {profile.name!r} has bound {b!r} at t = {t!r}; "
+                "its ratio to t^2 is not finite"
+            )
+        out.append((t, ratio))
     return out

@@ -22,6 +22,7 @@ import math
 from typing import NamedTuple
 
 _HALF_PI = 0.5 * math.pi
+_LOG4 = math.log(4.0)
 
 
 class DomainError(ValueError):
@@ -226,6 +227,23 @@ def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
     cv2 = qa + cmath.exp(q.L.conjugate() - m)
     num = abs(v1 - cv2) + abs(v1 - v2)
     return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (p.log_im() + q.log_im()))
+
+
+def uhp_log_shifted(p: UhpLogPoint, c: complex) -> complex:
+    """log(q - c) for q = anchor + e^L, evaluated at the scale of L."""
+    a = (0.0 if p.anchor is None else p.anchor) - c
+    if a == 0.0:
+        return p.L
+    scale = max(0.0, p.L.real)
+    v = a * math.exp(-scale) + cmath.exp(p.L - scale)
+    return scale + cmath.log(v)
+
+
+def uhp_log_disk_gap(p: UhpLogPoint) -> float:
+    """1 - |z|^2 of the disk point z = (q - i)/(q + i), as 4 Im q / |q + i|^2
+    in logarithms: exact long after z rounds onto the circle; 0 on underflow."""
+    log_gap = _LOG4 + p.log_im() - 2.0 * uhp_log_shifted(p, -1j).real
+    return math.exp(log_gap) if log_gap > -744.0 else 0.0
 
 
 def axis_distance(theta: float) -> float:

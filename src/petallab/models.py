@@ -175,8 +175,9 @@ class KoenigsModel(NamedTuple):
     dw_point: Union[BoundaryPoint, complex]
 
     def contains(self, w: complex) -> bool:
-        """Whether w lies in Omega."""
-        return self.chain.source_contains(complex(w))
+        """Whether w lies in Omega; never for a non-finite point."""
+        w = complex(w)
+        return cmath.isfinite(w) and self.chain.source_contains(w)
 
     def petal_of(self, w: complex) -> Optional[Petal]:
         """The petal whose image contains w, or None."""
@@ -214,8 +215,11 @@ class KoenigsModel(NamedTuple):
 
         The chain's log walk starts from the flow's first point: w0 + t
         for translation, log w0 - mu t for scaling, which stays exact far
-        beyond the float range of w_t itself.
+        beyond the float range of w_t itself.  A non-finite t raises
+        ``DomainError``.
         """
+        if not math.isfinite(t):
+            raise DomainError(f"orbit time must be finite, got {t!r}")
         w0 = complex(w0)
         if self.kind != "elliptic":
             w = w0 + t

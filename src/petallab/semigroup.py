@@ -7,7 +7,8 @@ reported in every chart that can still hold them as floats: deep
 backward orbits leave the disk chart first, then the canonical chart (the
 upper half-plane, for every model), while the logarithmic canonical form
 of ``KoenigsModel.uhp_orbit``, the chain walked in log space, survives
-arbitrarily far.
+arbitrarily far.  The disk gap is read from that log form by
+``hypcore.uhp_log_disk_gap``.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .hypcore import (
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
     DomainError,
-    UhpLogPoint,
+    uhp_log_disk_gap,
     uhp_log_distance,
 )
 from .models import KoenigsModel, Petal
 
-LOG4 = math.log(4.0)
 MIN_DISK_GAP = 1e-250
 # Coefficients and determinant of CAYLEY_DISK_TO_UHP, C(z) = (a z + b)/(c z + d)
 # with C'(z) = det/(c z + d)^2, for the generator's hot path.
@@ -60,24 +60,6 @@ class OrbitPoint(NamedTuple):
     disk_gap: float
 
 
-def _disk_view(p: UhpLogPoint) -> tuple[Optional[complex], float]:
-    """Disk image and boundary gap of an upper-half-plane log point."""
-    # gap = 1 - |z|^2 = 4 Im q / |q + i|^2; assemble it from logarithms.
-    scale = max(p.L.real, 0.0)
-    base = (0j if p.anchor is None else complex(p.anchor)) + 1j
-    v = base * math.exp(-scale) + cmath.exp(p.L - scale)
-    log_abs_qpi = scale + math.log(abs(v))
-    log_gap = LOG4 + p.log_im() - 2.0 * log_abs_qpi
-    disk_gap = math.exp(log_gap) if log_gap > -744.0 else 0.0
-    q = p.value()
-    if q is None:
-        return None, disk_gap
-    z = CAYLEY_UHP_TO_DISK.apply(q)
-    if z is None or abs(z) >= 1.0 or disk_gap <= MIN_DISK_GAP:
-        return None, disk_gap
-    return z, disk_gap
-
-
 def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     """Time-t flow image of the Omega-coordinate point z0.
 
@@ -94,8 +76,12 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     if model.kind == "elliptic" and w0 == 0:
         return OrbitPoint(t=t, omega_w=0j, canonical_q=model.dw_point, disk_z=0j, disk_gap=1.0)
     p = model.uhp_orbit(w0, t)
-    disk_z, disk_gap = _disk_view(p)
-    return OrbitPoint(t=t, omega_w=model.flow_omega(w0, t), canonical_q=p.value(),
+    q = p.value()
+    disk_gap = uhp_log_disk_gap(p)
+    disk_z = None if q is None else CAYLEY_UHP_TO_DISK.apply(q)
+    if disk_z is not None and (abs(disk_z) >= 1.0 or disk_gap <= MIN_DISK_GAP):
+        disk_z = None
+    return OrbitPoint(t=t, omega_w=model.flow_omega(w0, t), canonical_q=q,
                       disk_z=disk_z, disk_gap=disk_gap)
 
 

@@ -7,16 +7,16 @@ chain in log space.  The total speed is the distance from the base
 point to the orbit point; the orthogonal and tangential parts split
 that motion along and across the geodesic eta that the orbit
 chases.  Normalizing eta onto the imaginary axis turns both parts into
-closed forms of the log coordinates, so they stay exact long after the
-orbit points themselves left float range: out to |t| = 1e300 in the
-hyperbolic and elliptic petals.  The parabolic petal is exact only to
-about |t| = 1e15; from about 1e16 on its orbit's angular gap to pi
-underflows and ``speed_sample`` raises ``DomainError``.
+closed forms of the log coordinates, read through hypcore's
+``uhp_log_shifted`` and ``axis_distance`` alone, so they stay exact
+long after the orbit points themselves left float range: out to
+|t| = 1e300 in the hyperbolic and elliptic petals.  The parabolic petal
+is exact only to about |t| = 1e15; from about 1e16 on its orbit's
+angular gap to pi underflows and ``speed_sample`` raises ``DomainError``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -26,9 +26,14 @@ from .hypcore import (
     UhpLogPoint,
     axis_distance,
     uhp_log_distance,
+    uhp_log_shifted,
 )
 from .models import KoenigsModel, Petal
 from .semigroup import PetalRequiredError
+
+
+# The largest k with 2.0 ** k finite.
+_MAX_DYADIC_EXP = 1023
 
 
 class EstimationError(ValueError):
@@ -90,9 +95,15 @@ class SpeedSeries(NamedTuple):
 
 
 def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
-    """Backward dyadic grid [-2^k_min, ..., -2^k_max]."""
+    """Backward dyadic grid [-2^k_min, ..., -2^k_max].
+
+    An exponent past float range (k_max > 1023) raises ``DomainError``."""
     if k_max < k_min:
         raise ValueError("k_max must be >= k_min")
+    if k_max > _MAX_DYADIC_EXP:
+        raise DomainError(
+            f"dyadic exponent {k_max} is past float range: 2^k overflows "
+            f"for k > {_MAX_DYADIC_EXP}")
     return [-(2.0 ** k) for k in range(k_min, k_max + 1)]
 
 
@@ -101,16 +112,6 @@ def _require_petal(model: KoenigsModel, petal: Petal, w: complex) -> complex:
     if not (model.contains(w) and petal.contains(w)):
         raise PetalRequiredError(f"{w} is not in petal {petal.label!r} of {model.name}")
     return w
-
-
-def _log_shifted(p: UhpLogPoint, c: float) -> complex:
-    """log(q - c) for q = anchor + e^L, evaluated at the scale of L."""
-    a = (0.0 if p.anchor is None else p.anchor) - c
-    if a == 0.0:
-        return p.L
-    scale = max(0.0, p.L.real)
-    v = a * math.exp(-scale) + cmath.exp(p.L - scale)
-    return scale + cmath.log(v)
 
 
 def _eta_frame(
@@ -130,9 +131,9 @@ def _eta_frame(
     if sigma is None:
         # eta is the vertical line through q0; translate it to Re = 0.
         shift = q0.real
-        return lambda p: _log_shifted(p, shift)
+        return lambda p: uhp_log_shifted(p, shift)
     if q0.real == sigma:
-        return lambda p: _log_shifted(p, sigma)
+        return lambda p: uhp_log_shifted(p, sigma)
     # Half-circle geodesic: second foot by reflecting sigma through the
     # center; N(q) = +-(q - sigma)/(q - e) maps it to the axis.
     center = (abs(q0) ** 2 - sigma * sigma) / (2.0 * (q0.real - sigma))
@@ -140,7 +141,7 @@ def _eta_frame(
     flip = sigma - other < 0
 
     def frame(p: UhpLogPoint) -> complex:
-        val = _log_shifted(p, sigma) - _log_shifted(p, other)
+        val = uhp_log_shifted(p, sigma) - uhp_log_shifted(p, other)
         if flip:
             val += 1j * math.pi
         # Restore the principal branch; the true imaginary part lies in

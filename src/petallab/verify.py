@@ -108,7 +108,7 @@ def forward_rate(
     if kmax - kmin < 2:
         # The tail half must hold at least two points.
         raise DomainError(f"forward needs kmax - kmin >= 2, got kmin {kmin}, kmax {kmax}")
-    ts = [2.0**k for k in range(kmin, kmax + 1)]
+    ts = [-t for t in dyadic_grid(kmin, kmax)]
     vs = [forward_speed(model, base, t) for t in ts]
     tail = len(ts) // 2
     slope, _ = linear_fit(ts[tail:], vs[tail:])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # d0 = 1, t0 = -e, via the antiderivative s*log(-s) - s.
 LOGRECIP_RATIO_1E2 = 0.03615170185988091368
 LOGRECIP_RATIO_1E3 = 0.0059087552789821370521
+# ... and at t = -1e200, where t^2 overflows floats.
+LOGRECIP_RATIO_1E200 = 4.595170185988091368035982909368728415202e-198
 # mpmath oracle: gaussian lower-bound ratio at t = -1e3 (t0 = -1, d0 = 1).
 GAUSSIAN_RATIO_1E3 = 0.2499989997498749166
 # mpmath oracle: log1p(10)/4.
@@ -272,6 +275,36 @@ class TestRatioSeries:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             bound_ratio_series(logrecip_profile(), [-1.0])
+
+    def test_ratio_where_t_squared_overflows(self):
+        series = bound_ratio_series(logrecip_profile(), [-1e200])
+        assert series[0][1] == pytest.approx(LOGRECIP_RATIO_1E200, rel=1e-14)
+
+    def test_ratio_keeps_t_squared_while_it_is_finite(self):
+        # Up to |t| = 1e150 the ratio is the bound over t * t, to the bit.
+        for p, bound in ((logrecip_profile(), upper_bound),
+                         (gaussian_profile(), lower_bound)):
+            grid = [-(10.0**k) for k in range(2, 151)]
+            series = bound_ratio_series(p, grid)
+            assert [r for _, r in series] == [bound(p, t) / (t * t) for t in grid]
+
+    @pytest.mark.parametrize("t", [-1e-160, -1e-170])
+    def test_ratio_where_t_squared_underflows(self, t):
+        # A unit gap anchored at -1e-200 with d0 = 0 has the upper bound
+        # t0 - t; t^2 is subnormal at -1e-160 and 0 at -1e-170.
+        p = BoundaryProfile("unit", -1e-200, 0.0, lambda s: 1.0, lambda s: 0.0,
+                            inv_delta_antiderivative=lambda s: s)
+        with mpmath.workdps(40):
+            exact = float((mpmath.mpf(-1e-200) - t) / mpmath.mpf(t) ** 2)
+        assert bound_ratio_series(p, [t])[0][1] == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("profile,t", [
+        (logrecip_profile(), -1e307),   # the upper bound overflows to inf
+        (gaussian_profile(), -1e160),   # log_delta is -inf: lower bound inf
+    ])
+    def test_non_finite_bound_raises(self, profile, t):
+        with pytest.raises(DomainError, match=r"bounds: .* at t = -1e\+"):
+            bound_ratio_series(profile, [t])
 
 
 class TestTabulatedProfiles:

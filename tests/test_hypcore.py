@@ -1,13 +1,17 @@
 """Tests for the stable hyperbolic geometry core."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import petallab
 from oracles import (
     CanonicalDomain,
     Geodesic,
@@ -31,7 +35,9 @@ from petallab.hypcore import (
     disk_distance,
     strip_distance,
     uhp_distance,
+    uhp_log_disk_gap,
     uhp_log_distance,
+    uhp_log_shifted,
 )
 
 DISK = CanonicalDomain.DISK
@@ -415,6 +421,71 @@ class TestUhpLogPoints:
         p = UhpLogPoint(-1.0, complex(-20.0, 1.0))
         q = UhpLogPoint(1.0, complex(-35.0, 2.0))
         assert uhp_log_distance(p, q) == uhp_log_distance(q, p)
+
+
+# Log points of the ranges an orbit's log form takes: radii from e^-700
+# to e^(1e300), on no anchor or on the anchors +-1, with arguments near 0,
+# pi and in between.
+_LOG_POINTS = [
+    (anchor, complex(re, im))
+    for re in (-700.0, 0.0, 36.0, 700.0, 1e300)
+    for im in (1e-3, 0.7, 2.9, math.pi - 1e-3)
+    for anchor in (None, 1.0, -1.0)
+]
+_EPS = 2.0 ** -52
+
+
+def _mp_offset(anchor, L, c):
+    """(anchor - c) + e^L at 50 digits, the anchor difference formed first
+    so that it cannot absorb a tiny e^L."""
+    with mpmath.workdps(50):
+        a = (0 if anchor is None else mpmath.mpf(anchor)) - mpmath.mpc(complex(c))
+        return a, mpmath.exp(mpmath.mpc(L.real, L.imag))
+
+
+class TestUhpLogShifted:
+    @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
+    def test_against_mpmath(self, anchor, L):
+        for c in (0.0, 1.0, -1.0, 0.5, -1j):
+            a, e = _mp_offset(anchor, L, c)
+            with mpmath.workdps(50):
+                exact = mpmath.log(a + e)
+                # Condition number of the sum a + e^L, which cancels near q = c.
+                cond = float((abs(a) + abs(e)) / abs(a + e))
+            re, im = float(exact.real), float(exact.imag)
+            got = uhp_log_shifted(UhpLogPoint(anchor, L), c)
+            assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), c
+            assert abs(got.imag - im) <= 4 * _EPS * (cond + math.pi), c
+
+
+class TestUhpLogDiskGap:
+    @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
+    def test_against_mpmath(self, anchor, L):
+        a, e = _mp_offset(anchor, L, -1j)
+        with mpmath.workdps(50):
+            exact = 4 * e.imag / abs(a + e) ** 2
+            log_exact = float(mpmath.log(exact))
+        got = uhp_log_disk_gap(UhpLogPoint(anchor, L))
+        if float(exact) == 0.0:
+            assert got == 0.0
+        else:
+            # The gap is the exponential of a sum of logarithms: its relative
+            # error grows with the size of its log.
+            assert got == pytest.approx(float(exact), rel=4 * _EPS * (1 + abs(log_exact)))
+
+
+def test_only_hypcore_and_confmap_read_the_log_layout():
+    # The layout q = anchor + e^L of UhpLogPoint is read in hypcore and in
+    # confmap's log kernels alone, so that a change to it stays there.
+    package = Path(petallab.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("hypcore.py", "confmap.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("anchor", "L"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []
 
 
 class TestAxisDistance:

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from petallab import verify
+from petallab.hypcore import DomainError
 from petallab.lab import _build_parser, main
+from petallab.models import by_name
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -148,6 +150,14 @@ class TestForwardCommand:
         for name in ("sector-parabolic", "koebe-elliptic"):
             assert main(["forward", "--model", name, "--out", str(tmp_path)]) == 0
 
+    def test_forward_rate_times_and_exponent_range(self):
+        model = by_name("strip-slit")
+        base = model.petals[0].base_default
+        ts, _, _ = verify.forward_rate(model, base, 4, 16)
+        assert ts == [2.0**k for k in range(4, 17)]
+        with pytest.raises(DomainError, match="dyadic exponent 1100"):
+            verify.forward_rate(model, base, 4, 1100)
+
 
 class TestHmeasureCommand:
     def test_hyperbolic_orbit_nontangential(self, tmp_path):
@@ -261,6 +271,26 @@ class TestBoundsCommand:
         ])
         assert code == 1
         assert "FAIL bounds" in capsys.readouterr().out
+
+    def test_ratio_where_t_squared_overflows(self, tmp_path, capsys):
+        code = main([
+            "bounds", "--profile", "logrecip", "--grid=-1e200",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("ratios 4.59517e-198\n")
+
+    @pytest.mark.parametrize("profile,grid", [("logrecip", "-1e307"),
+                                              ("gaussian", "-1e160")])
+    def test_infinite_bound_is_usage_error(self, tmp_path, capsys, profile, grid):
+        code = main([
+            "bounds", "--profile", profile, f"--grid={grid}",
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bounds: profile '{profile}' has bound inf at t = ")
+        assert not list(tmp_path.iterdir())
 
     def test_table_profile_from_file(self, tmp_path):
         table = tmp_path / "profile.txt"
@@ -464,6 +494,26 @@ class TestUsageErrors:
             "--out", str(tmp_path),
         ]) == 2
         assert capsys.readouterr().err == "error: grid must be strictly decreasing\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--grid=nan", "--grid=-1,-inf"])
+    def test_non_finite_time_is_usage_error(self, tmp_path, capsys, flag):
+        assert main(["speeds", "--model", "strip-slit", flag, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: orbit time must be finite, got ")
+
+    def test_non_finite_base_is_usage_error(self, tmp_path, capsys):
+        assert main([
+            "speeds", "--model", "strip-slit", "--base-re", "nan", "--kmax", "2",
+            "--out", str(tmp_path),
+        ]) == 2
+        assert "is not in petal 'upper'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["speeds", "asymptote", "forward"])
+    def test_dyadic_exponent_past_float_range(self, tmp_path, capsys, command):
+        assert main([
+            command, "--model", "strip-slit", "--kmax", "1100", "--out", str(tmp_path),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: dyadic exponent 1100 ")
         assert not list(tmp_path.iterdir())
 
     def test_unknown_profile(self, tmp_path):

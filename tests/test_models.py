@@ -217,6 +217,12 @@ class TestMembershipAndBoundary:
         assert m3.contains(1 + 0j) and m3.contains(-0.5 + 0j)
         assert not m3.contains(-1 + 0j) and not m3.contains(-4 + 0j)
 
+    @pytest.mark.parametrize("w", [complex(math.nan, 0.5), complex(0.5, math.nan),
+                                   complex(math.inf, 0.5), complex(-math.inf, 0.5)])
+    def test_non_finite_points_are_outside(self, w):
+        for model in catalog():
+            assert not model.contains(w)
+
     def test_boundary_distance_examples(self):
         m1, m2, m3 = catalog()
         assert boundary_distance(m1, 1 + 0j) == pytest.approx(1.0, rel=1e-15)
@@ -458,6 +464,12 @@ class TestOrbits:
             m3.uhp_orbit(-0.5 + 0j, -1.0)      # scales onto the slit
         with pytest.raises(DomainError):
             m3.uhp_orbit(0j, 1.0)              # fixed point has no chart
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf, math.inf])
+    def test_orbit_time_must_be_finite(self, t):
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="orbit time must be finite"):
+                model.uhp_orbit(petal.base_default, t)
 
     def test_forward_orbit_on_real_axis(self):
         # Interior non-petal points still flow forward.

@@ -303,3 +303,11 @@ class TestRegularityGap:
         m1 = by_name("strip-slit")
         with pytest.raises(PetalRequiredError):
             regularity_gap(m1, m1.petal("upper"), 1.0 + 0j, [-1.0])
+
+    def test_non_finite_base_or_time_rejected(self):
+        m1 = by_name("strip-slit")
+        petal = m1.petal("upper")
+        with pytest.raises(PetalRequiredError):
+            regularity_gap(m1, petal, complex(math.nan, 0.5), [-1.0])
+        with pytest.raises(DomainError, match="orbit time must be finite"):
+            regularity_gap(m1, petal, petal.base_default, [math.nan])

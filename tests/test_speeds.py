@@ -59,6 +59,17 @@ class TestSampleBasics:
         with pytest.raises(PetalRequiredError):
             speed_sample(m1, m1.petal("upper"), 1 - 0.3j, -1.0)  # wrong petal
 
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="orbit time must be finite"):
+                speed_sample(model, petal, petal.base_default, t)
+
+    def test_non_finite_base_rejected(self):
+        for model, petal in _model_petals():
+            with pytest.raises(PetalRequiredError):
+                speed_sample(model, petal, complex(math.nan, petal.base_default.imag), -1.0)
+
     def test_speeds_are_nonnegative_and_total_positive(self):
         for model, petal in _model_petals():
             s = speed_sample(model, petal, petal.base_default, -3.0)
@@ -515,3 +526,8 @@ class TestDyadicGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             dyadic_grid(5, 4)
+
+    def test_exponent_past_float_range(self):
+        assert dyadic_grid(1023, 1023) == [-(2.0 ** 1023)]
+        with pytest.raises(DomainError, match="dyadic exponent 1024"):
+            dyadic_grid(0, 1024)
