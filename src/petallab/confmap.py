@@ -7,20 +7,23 @@ half-line or segment their cut occupies; chains are built so cuts stay
 outside the source region, and evaluation refuses points within
 ``EPS_CUT`` of a cut instead of guessing a branch.
 
-Each chain builds its plans once, at construction: the forward plan for
-its steps, the inverse plan for their inverses in reverse order, and the
-log plan of the steps' ``apply_log``.  A forward or inverse plan entry
-holds a step's index and its bound ``apply``, ``cut_distance`` (None for
-a step with no cut, whose check is skipped) and ``value_and_derivative``;
-an inverse plan entry also carries the ``cut_distance`` of the forward
-step it inverts (None in the forward plan, or for a cut-free step).
-``eval`` and ``eval_inverse`` walk a plan with ``apply``; ``derivative``
-walks the forward plan with ``value_and_derivative``, which evaluates a
-step's shared transcendental once for both its image and its derivative.
-``inverse_and_derivative`` walks the inverse plan the same way, giving a
-target point's preimage and the derivative of the inverse map at once,
-and checks each preimage against the forward step's cut as
-``derivative`` would.
+Each step has one derivative, ``value_and_derivative``, which evaluates
+what its image and derivative share once.  Each chain builds its plans at
+construction: the forward plan for its steps, the inverse plan for their
+inverses in reverse order, and the log plan of the steps' ``apply_log``
+(see ``_PlanEntry``).  ``eval`` and ``eval_inverse`` walk a plan with
+``apply`` (``_walk``); ``derivative`` and ``inverse_and_derivative`` walk
+one with ``value_and_derivative`` (``_walk_with_derivative``), the latter
+giving a target point's preimage and the derivative of the inverse map at
+once.
+
+Every walk follows one failure rule: it raises ``MapDomainError`` at the
+first check that fails, in walk order.  Per step these are its cut check,
+its evaluation ("evaluation failed: <exc>"), the finiteness of its image
+and, on an inverse walk, the forward step's cut check of that image.  A
+derivative walk then checks the product once: one that vanished or left
+float range raises.  The source or target region is checked before the
+walk that starts there and after the walk that ends there.
 
 ``eval_log`` walks the log plan on a point held as q = anchor + i^turns
 e^L, which keeps every bit of orbits far beyond float range: a quarter
@@ -94,16 +97,10 @@ class MapStep:
     def apply(self, z: complex) -> complex:
         raise NotImplementedError
 
-    def derivative(self, z: complex) -> complex:
-        raise NotImplementedError
-
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        """``(apply(z), derivative(z))``; steps whose image and derivative
-        share work override it to do that work once."""
-        # The derivative goes first, as the chain rule loop always took it,
-        # so that a point where both fail raises the derivative's error.
-        d = self.derivative(z)
-        return self.apply(z), d
+        """``apply(z)`` and the step's derivative at z, from one evaluation
+        of what the two share."""
+        raise NotImplementedError
 
     def inverted(self) -> "MapStep":
         raise NotImplementedError
@@ -149,9 +146,6 @@ class Affine(MapStep):
             return anchor or None, L + cmath.log(self.a), turns
         return anchor or None, L, turns + self._quarter
 
-    def derivative(self, z: complex) -> complex:
-        return self.a
-
     def inverted(self) -> "Affine":
         return Affine(1.0 / self.a, -self.b / self.a)
 
@@ -162,9 +156,6 @@ class ExpStep(MapStep):
     __slots__ = ()
 
     def apply(self, z: complex) -> complex:
-        return cmath.exp(z)
-
-    def derivative(self, z: complex) -> complex:
         return cmath.exp(z)
 
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
@@ -195,8 +186,8 @@ class LogStep(MapStep):
     def apply(self, z: complex) -> complex:
         return _branch_log(z, self.cut)
 
-    def derivative(self, z: complex) -> complex:
-        return 1.0 / z
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
+        return _branch_log(z, self.cut), 1.0 / z
 
     def inverted(self) -> ExpStep:
         return ExpStep()
@@ -224,9 +215,6 @@ class PowerStep(MapStep):
 
     def apply(self, z: complex) -> complex:
         return cmath.exp(self.alpha * _branch_log(z, self.cut))
-
-    def derivative(self, z: complex) -> complex:
-        return self.alpha * cmath.exp((self.alpha - 1.0) * _branch_log(z, self.cut))
 
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
         log_z = _branch_log(z, self.cut)
@@ -267,9 +255,6 @@ class SlitCloseStep(MapStep):
     def apply(self, z: complex) -> complex:
         return _uhp_sqrt(z * z + 1.0)
 
-    def derivative(self, z: complex) -> complex:
-        return z / self.apply(z)
-
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
         w = _uhp_sqrt(z * z + 1.0)
         return w, z / w
@@ -304,9 +289,6 @@ class SlitOpenStep(MapStep):
 
     def apply(self, z: complex) -> complex:
         return _uhp_sqrt(z * z - 1.0)
-
-    def derivative(self, z: complex) -> complex:
-        return z / self.apply(z)
 
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
         w = _uhp_sqrt(z * z - 1.0)
@@ -356,29 +338,6 @@ def _check_cut(cut_distance: Callable[[complex], float], z: complex, i: int) -> 
         raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
 
 
-def _fused_failure(step: MapStep, z: complex, i: int, exc: ArithmeticError) -> MapDomainError:
-    """The error of a failed ``value_and_derivative`` at z, named as the
-    derivative-then-apply order names it: the derivative's failure if
-    ``derivative`` fails at z, else the image's."""
-    try:
-        step.derivative(z)
-    except (OverflowError, ZeroDivisionError) as d_exc:
-        return MapDomainError(f"derivative failed: {d_exc}", step_index=i)
-    return MapDomainError(f"evaluation failed: {exc}", step_index=i)
-
-
-def _inverse_failure(apply: Callable[[complex], complex], z: complex, i: int,
-                     exc: ArithmeticError) -> MapDomainError:
-    """The error of a failed inverse ``value_and_derivative`` at z: the
-    image's failure, as ``eval_inverse`` names it, if ``apply`` fails at z,
-    else the derivative's."""
-    try:
-        apply(z)
-    except (OverflowError, ZeroDivisionError) as a_exc:
-        return MapDomainError(f"evaluation failed: {a_exc}", step_index=i)
-    return MapDomainError(f"derivative failed: {exc}", step_index=i)
-
-
 class ConformalChain:
     """Ordered composition of elementary steps from a source region onto
     the upper half-plane."""
@@ -415,73 +374,26 @@ class ConformalChain:
         return z
 
     def derivative(self, w: complex) -> complex:
-        """Complex derivative of the composed map (chain rule product)."""
+        """Complex derivative of the composed map (chain rule product).
+
+        The package itself takes ``inverse_and_derivative``; this stays only
+        because perfbench's tracer wraps it by name."""
         z = complex(w)
         if not self.source_contains(z):
             raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
-        acc = 1.0 + 0j
-        for i, _, cut_distance, value_and_derivative, _ in self._forward_plan:
-            if cut_distance is not None:
-                _check_cut(cut_distance, z, i)
-            try:
-                image, d = value_and_derivative(z)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _fused_failure(self.steps[i], z, i, exc) from exc
-            acc *= d
-            if not cmath.isfinite(image):
-                raise MapDomainError("evaluation left float range", step_index=i)
-            if not cmath.isfinite(acc):
-                raise MapDomainError("derivative left float range", step_index=i)
-            z = image
-        return acc
+        return _walk_with_derivative(self._forward_plan, z)[1]
 
     def inverse_and_derivative(self, q: complex) -> tuple[complex, complex]:
         """Preimage w of an interior target point q and the derivative
-        dw/dq of the inverse map there, from one walk of the inverse plan.
-
-        The errors are those of ``eval_inverse(q)`` and then
-        ``derivative(w)``: the inverse walk's own checks and the source
-        check come first; then the lowest index i whose forward step's cut
-        lies within EPS_CUT of the preimage z_i the walk produced.  A
-        derivative that vanishes or leaves float range raises too."""
+        dw/dq of the inverse map there, from one walk of the inverse plan,
+        which also checks each preimage against its forward step's cut."""
         z = complex(q)
         if not z.imag > 0.0:
             raise MapDomainError(f"{z!r} is outside the upper half-plane")
-        acc = 1.0 + 0j
-        cut_failure = None
-        for i, apply, cut_distance, value_and_derivative, forward_cut in self._inverse_plan:
-            if cut_distance is not None:
-                try:
-                    near = cut_distance(z) <= EPS_CUT
-                except OverflowError as exc:
-                    raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
-                if near:
-                    raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut",
-                                         step_index=i)
-            try:
-                image, d = value_and_derivative(z)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _inverse_failure(apply, z, i, exc) from exc
-            if not cmath.isfinite(image):
-                raise MapDomainError("evaluation left float range", step_index=i)
-            acc *= d
-            z = image
-            # The walk runs down the step indices, so the last failure
-            # recorded is the lowest, the one ``derivative`` meets first.
-            if forward_cut is not None:
-                try:
-                    if forward_cut(z) <= EPS_CUT:
-                        cut_failure = (i, f"{z!r} is within {EPS_CUT} of a branch cut", None)
-                except OverflowError as exc:
-                    cut_failure = (i, f"cut check failed: {exc}", exc)
+        z, dw = _walk_with_derivative(self._inverse_plan, z)
         if not self.source_contains(z):
             raise MapDomainError(f"{q!r} has no preimage in the source region")
-        if cut_failure is not None:
-            i, message, exc = cut_failure
-            raise MapDomainError(message, step_index=i) from exc
-        if not (acc and cmath.isfinite(acc)):
-            raise MapDomainError("inverse derivative vanished or left float range")
-        return z, acc
+        return z, dw
 
     def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
         """The image of the source point anchor + e^L (L None: the point
@@ -504,12 +416,7 @@ def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
     and its image checked to be a finite float."""
     for i, apply, cut_distance, _, _ in plan:
         if cut_distance is not None:
-            try:
-                near = cut_distance(z) <= EPS_CUT
-            except OverflowError as exc:
-                raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
-            if near:
-                raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+            _check_cut(cut_distance, z, i)
         try:
             z = apply(z)
         except (OverflowError, ZeroDivisionError) as exc:
@@ -517,3 +424,25 @@ def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
         if not cmath.isfinite(z):
             raise MapDomainError("evaluation left float range", step_index=i)
     return z
+
+
+def _walk_with_derivative(plan: tuple[_PlanEntry, ...], z: complex) -> tuple[complex, complex]:
+    """``_walk`` with each step's ``value_and_derivative``: the image of z
+    and the chain rule product of the steps' derivatives.  An inverse plan
+    entry's image is also checked against its forward step's cut."""
+    acc = 1.0 + 0j
+    for i, _, cut_distance, value_and_derivative, forward_cut in plan:
+        if cut_distance is not None:
+            _check_cut(cut_distance, z, i)
+        try:
+            z, d = value_and_derivative(z)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
+        if not cmath.isfinite(z):
+            raise MapDomainError("evaluation left float range", step_index=i)
+        if forward_cut is not None:
+            _check_cut(forward_cut, z, i)
+        acc *= d
+    if not (acc and cmath.isfinite(acc)):
+        raise MapDomainError("derivative vanished or left float range")
+    return z, acc

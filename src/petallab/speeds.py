@@ -32,8 +32,9 @@ from .models import KoenigsModel, Petal
 from .semigroup import PetalRequiredError
 
 
-# The largest k with 2.0 ** k finite.
+# The largest k with 2.0 ** k finite, and the smallest with it nonzero.
 _MAX_DYADIC_EXP = 1023
+_MIN_DYADIC_EXP = -1074
 
 
 class EstimationError(ValueError):
@@ -97,13 +98,18 @@ class SpeedSeries(NamedTuple):
 def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
     """Backward dyadic grid [-2^k_min, ..., -2^k_max].
 
-    An exponent past float range (k_max > 1023) raises ``DomainError``."""
+    An exponent past float range (k_max > 1023, or k_min < -1074, where
+    2^k underflows to 0) raises ``DomainError``."""
     if k_max < k_min:
         raise ValueError("k_max must be >= k_min")
     if k_max > _MAX_DYADIC_EXP:
         raise DomainError(
             f"dyadic exponent {k_max} is past float range: 2^k overflows "
             f"for k > {_MAX_DYADIC_EXP}")
+    if k_min < _MIN_DYADIC_EXP:
+        raise DomainError(
+            f"dyadic exponent k_min = {k_min} is past float range: 2^k "
+            f"underflows to 0 for k < {_MIN_DYADIC_EXP}")
     return [-(2.0 ** k) for k in range(k_min, k_max + 1)]
 
 

@@ -63,7 +63,10 @@ ORBIT_KMAX = 18
 
 def rate_threshold(target: float, tol: float = RATE_TOL) -> float:
     """Largest passing |slope - target|: relative to a linear rate's target,
-    absolute for a sub-linear one (target 0)."""
+    absolute for a sub-linear one (target 0).  ``tol`` must be finite and
+    positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"rate tolerance must be finite and positive, got {tol}")
     return tol * abs(target) if target else tol * SUBLINEAR_PER_TOL
 
 
@@ -341,7 +344,8 @@ def _check_repelling_diagnostics(rng: random.Random) -> CheckResult:
         ok = ok and good
         parts.append(
             f"{model.name}/{petal.label}: julia {rep.min_julia_residual:.1e}, "
-            f"rate err {est_err:.1e}, herglotz {rep.min_herglotz_real:.1e}{extra}"
+            f"rate err {est_err:.1e}, herglotz {rep.min_herglotz_real:.1e}{extra}, "
+            f"radial stop {rep.radial_stop}, plateau {rep.plateau}"
         )
     return CheckResult("repelling-point-diagnostics", ok, "; ".join(parts))
 

@@ -14,9 +14,10 @@ Only the tests use these, so they live here rather than in the package:
   boundary;
 - a step-by-step chain walk (``reference_eval``, ``reference_eval_inverse``,
   ``reference_derivative``, ``reference_generator``) that calls each
-  step's ``cut_distance``, ``apply`` and ``derivative`` in turn, against
-  which the chains' precomputed walk plans are checked for identical
-  values and errors, and the disk chart ``omega_of_disk`` of a model;
+  step's ``cut_distance`` and then its ``apply`` (``value_and_derivative``
+  in the derivative walk) in turn, against which the chains' precomputed
+  walk plans are checked for identical values and errors, and the disk
+  chart ``omega_of_disk`` of a model;
 - the hand-derived log-space orbit of each catalog model
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
   walk of the chain in log space are checked bit for bit;
@@ -88,11 +89,11 @@ class MobiusStep(MapStep):
             raise ZeroDivisionError("Mobius pole")
         return w
 
-    def derivative(self, z: complex) -> complex:
+    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
         den = self.m.c * z + self.m.d
         if den == 0:
             raise ZeroDivisionError("Mobius pole")
-        return self.m.det / (den * den)
+        return (self.m.a * z + self.m.b) / den, self.m.det / (den * den)
 
     def inverted(self) -> "MobiusStep":
         return MobiusStep(self.m.inverse())
@@ -484,8 +485,9 @@ def reference_eval_inverse(chain: ConformalChain, q: complex) -> complex:
 
 
 def reference_derivative(chain: ConformalChain, w: complex) -> complex:
-    """``chain.derivative(w)``: each step's ``derivative``, then its
-    ``apply``, then the finiteness of the product."""
+    """``chain.derivative(w)``: each step's cut check, then its
+    ``value_and_derivative``, then the finiteness of its image; the
+    product is checked once, after the last step."""
     z = complex(w)
     if not chain.source_contains(z):
         raise MapDomainError(f"{z!r} is outside the source region of {chain.name or 'chain'}")
@@ -493,12 +495,14 @@ def reference_derivative(chain: ConformalChain, w: complex) -> complex:
     for i, step in enumerate(chain.steps):
         _check_cut(step, z, i)
         try:
-            acc *= step.derivative(z)
+            z, d = step.value_and_derivative(z)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise MapDomainError(f"derivative failed: {exc}", step_index=i) from exc
-        z = _apply(step, z, i)
-        if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
-            raise MapDomainError("derivative left float range", step_index=i)
+            raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise MapDomainError("evaluation left float range", step_index=i)
+        acc *= d
+    if acc == 0 or not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
+        raise MapDomainError("derivative vanished or left float range")
     return acc
 
 

@@ -100,11 +100,15 @@ class TestSteps:
         (PowerStep(2.0 / 3.0, 2.0 * math.pi), 1.0 + 2.0j),
         (MobiusStep(Mobius(2.0, 1j, 1.0, 4.0)), 0.3 + 0.8j),
         (SlitCloseStep(), 1.0 + 1.0j),
+        (SlitOpenStep(), 2.0 + 1.0j),
     ])
     def test_step_derivative_matches_finite_difference(self, step, z):
+        # A step's one derivative: its value is apply's, bit for bit.
+        value, d = step.value_and_derivative(z)
+        assert value == step.apply(z)
         h = 1e-6
         fd = (step.apply(z + h) - step.apply(z - h)) / (2 * h)
-        assert step.derivative(z) == pytest.approx(fd, rel=1e-6)
+        assert d == pytest.approx(fd, rel=1e-6)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -138,14 +142,6 @@ class TestSteps:
         points += [a, b, 0.5 * (a + b)]
         for z in points:
             assert abs(step.cut_distance(z) - segment_distance(z, a, b)) <= 1e-15, z
-
-    def test_affine_value_and_derivative_is_apply_and_derivative(self):
-        rng = random.Random(57721)
-        for a in (2.0 - 1j, 1j, -1.0 + 0j, 1e-200 + 3e-201j, 1e200 + 0j):
-            step = Affine(a, complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
-            for _ in range(200):
-                z = _polar(rng, (-300.0, 300.0), (-math.pi, math.pi))
-                assert step.value_and_derivative(z) == (step.apply(z), step.derivative(z))
 
 
 class TestChainEval:
@@ -470,14 +466,15 @@ class TestWalkPlansMatchReference:
             assert len(stepped) >= 100, (kind, outcomes[:5])
 
     @pytest.mark.parametrize("steps,w,message", [
-        # The derivative fails first and names the failure.
-        ((ExpStep(),), 800.0 + 0.5j, "step 0: derivative failed: math range error"),
-        ((PowerStep(3.0),), 1e200 + 1e200j, "step 0: derivative failed: math range error"),
+        # The derivative half of value_and_derivative fails; the error
+        # names the step's evaluation, whichever half failed.
+        ((ExpStep(),), 800.0 + 0.5j, "step 0: evaluation failed: math range error"),
+        ((PowerStep(3.0),), 1e200 + 1e200j, "step 0: evaluation failed: math range error"),
         ((MobiusStep(Mobius(1.0, 0j, 1.0, -2.0)),), 2.0 + 0j,
-         "step 0: derivative failed: Mobius pole"),
+         "step 0: evaluation failed: Mobius pole"),
         ((MobiusStep(Mobius(0j, 1.0, 1.0, 0j)),), 1e-200 + 0j,
-         "step 0: derivative failed: complex division by zero"),
-        ((SlitCloseStep(),), -1j, "step 0: derivative failed: complex division by zero"),
+         "step 0: evaluation failed: complex division by zero"),
+        ((SlitCloseStep(),), -1j, "step 0: evaluation failed: complex division by zero"),
         # The derivative succeeds and only the image fails.
         ((PowerStep(1.5),), 1e250 + 1e250j, "step 0: evaluation failed: math range error"),
         ((LogStep(math.pi),), -1.5e308 + 1.5e308j,
@@ -504,8 +501,9 @@ class TestWalkPlansMatchReference:
 
 
 class TestInverseAndDerivative:
-    """``inverse_and_derivative`` raises what ``eval_inverse`` and then
-    ``derivative`` raised, in that order."""
+    """``inverse_and_derivative`` raises at the first check of its one
+    inverse walk that fails, the source check and the derivative's after
+    the walk."""
 
     def test_forward_cut_is_checked_on_the_preimage(self):
         # ExpStep, the inverse of LogStep(pi), has no cut; exp(1 + i pi)
@@ -516,22 +514,22 @@ class TestInverseAndDerivative:
         assert got[:3] == ("error", MapDomainError, 0)
         assert got == _outcome(lambda q: chain.derivative(chain.eval_inverse(q)), q)
 
-    def test_source_check_comes_before_the_forward_cut(self):
+    def test_forward_cut_comes_before_the_source_check(self):
         chain = ConformalChain((LogStep(math.pi),), lambda z: z.real > 0.0, "log")
         got = _outcome(chain.inverse_and_derivative, 1.0 + 1j * math.pi)
-        assert got[:3] == ("error", MapDomainError, None)
-        assert "no preimage in the source region" in got[3]
+        assert got[:3] == ("error", MapDomainError, 0)
+        assert "of a branch cut" in got[3]
 
-    def test_lowest_forward_cut_is_raised(self):
+    def test_first_forward_cut_in_walk_order_is_raised(self):
         # Preimages z_2 = e^q = -2 and z_0 = e^{z_2 - i pi} = -e^-2 both
-        # sit on a forward LogStep cut: step 0 is the one ``derivative``
-        # meets first.
+        # sit on a forward LogStep cut: the walk runs down the step indices
+        # and meets step 2 first.
         chain = ConformalChain((LogStep(math.pi), Affine(1.0, 1j * math.pi), LogStep(math.pi)),
                                lambda z: True, "log-log")
         q = math.log(2.0) + 1j * math.pi
         got = _outcome(chain.inverse_and_derivative, q)
-        assert got[:3] == ("error", MapDomainError, 0)
-        assert got == _outcome(lambda q: chain.derivative(chain.eval_inverse(q)), q)
+        assert got[:3] == ("error", MapDomainError, 2)
+        assert "of a branch cut" in got[3]
 
     def test_vanishing_derivative_raises(self):
         # dw/dq = 1e-400 underflows to 0; the forward product overflows.
@@ -540,6 +538,13 @@ class TestInverseAndDerivative:
         assert got[:2] == ("error", MapDomainError)
         assert "vanished or left float range" in got[3]
         assert _outcome(reference_derivative, chain, 0j)[:2] == ("error", MapDomainError)
+
+    def test_underflowing_derivative_raises(self):
+        # The forward product 1e-400 underflows to 0; it raises, not 0.0.
+        chain = ConformalChain((Affine(1e-200), Affine(1e-200)), lambda z: True, "shrink")
+        got = _outcome(chain.derivative, 1j)
+        assert got == ("error", MapDomainError, None, "derivative vanished or left float range")
+        assert got == _outcome(reference_derivative, chain, 1j)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_generator_never_returns_non_finite(self, name):

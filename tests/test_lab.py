@@ -516,6 +516,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: dyadic exponent 1100 ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kmin", ["-1075", "-1100"])
+    @pytest.mark.parametrize("command", ["speeds", "asymptote", "forward"])
+    def test_dyadic_exponent_below_float_range(self, tmp_path, capsys, command, kmin):
+        assert main([
+            command, "--model", "strip-slit", f"--kmin={kmin}", "--kmax", "0",
+            "--out", str(tmp_path),
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"error: dyadic exponent k_min = {kmin} ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("tol", ["-0.1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command,model", [
+        ("asymptote", "koebe-elliptic"), ("forward", "strip-slit"),
+    ])
+    def test_rate_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, command,
+                                                        model, tol):
+        # Each of these slopes equals its target, so a --tol that could
+        # not judge it would print a verdict that means nothing.
+        assert main([command, "--model", model, f"--tol={tol}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: rate tolerance must be finite and positive, got ")
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_profile(self, tmp_path):
         assert main(["bounds", "--profile", "cubic", "--out", str(tmp_path)]) == 2
 

@@ -531,3 +531,10 @@ class TestDyadicGrid:
         assert dyadic_grid(1023, 1023) == [-(2.0 ** 1023)]
         with pytest.raises(DomainError, match="dyadic exponent 1024"):
             dyadic_grid(0, 1024)
+
+    def test_exponent_below_float_range(self):
+        # 2^-1074 is the smallest subnormal; below it 2^k underflows to 0.
+        assert dyadic_grid(-1074, -1073) == [-5e-324, -1e-323]
+        for k_min in (-1075, -1100):
+            with pytest.raises(DomainError, match=f"k_min = {k_min} "):
+                dyadic_grid(k_min, -1070)
