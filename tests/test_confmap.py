@@ -143,6 +143,15 @@ class TestSteps:
         for z in points:
             assert abs(step.cut_distance(z) - segment_distance(z, a, b)) <= 1e-15, z
 
+    def test_affine_value_and_derivative_is_apply_and_derivative(self):
+        # The derivative of z -> a z + b is the constant a.
+        rng = random.Random(57721)
+        for a in (2.0 - 1j, 1j, -1.0 + 0j, 1e-200 + 3e-201j, 1e200 + 0j):
+            step = Affine(a, complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
+            for _ in range(200):
+                z = _polar(rng, (-300.0, 300.0), (-math.pi, math.pi))
+                assert step.value_and_derivative(z) == (step.apply(z), step.a)
+
 
 class TestChainEval:
     def test_forward_lands_in_target(self):
