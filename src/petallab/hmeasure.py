@@ -26,7 +26,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 # An approach sequence shorter than this cannot support the spread check.
-_MIN_POINTS = 5
+MIN_POINTS = 5
 # Raw-measure spread over the last window beyond this is flagged inconclusive.
 _SPREAD_TOL = 0.05
 # Extrapolation window for the limiting measure.
@@ -181,15 +181,15 @@ def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachR
             stop=stop,
         )
 
-    if len(pts) < _MIN_POINTS:
-        return inconclusive(f"need at least {_MIN_POINTS} points, got {len(pts)}")
+    if len(pts) < MIN_POINTS:
+        return inconclusive(f"need at least {MIN_POINTS} points, got {len(pts)}")
 
     gap_last = abs(pts[-1] - a)
     gap_first = abs(pts[0] - a)
     if gap_last > 0.05 or gap_last > gap_first + 1e-12:
         return inconclusive("sequence does not converge to the approach point")
 
-    window = measures[-_MIN_POINTS:]
+    window = measures[-MIN_POINTS:]
     spread = max(window) - min(window)
     if spread > _SPREAD_TOL:
         return inconclusive(

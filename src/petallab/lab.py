@@ -4,11 +4,12 @@ Subcommands run one experiment each and write gnuplot-ready data files plus
 a short summary.  Exit status reports the outcome: 0 when every numeric
 check passed, 1 when a check failed, 2 on a usage problem, including
 inputs a measurement cannot take (``DomainError``, ``EstimationError``),
-such as a grid that is not strictly decreasing or too short to fit a
-slope to.  A subcommand only resolves its inputs, writes files and
-prints: the criterion it reports is measured and judged by ``verify``
-(``backward_rate``, ``forward_rate``, ``orbit_angle``, ``bound_ratios``),
-the same function ``run_all`` uses; ``bounds`` and ``hmeasure`` also
+such as a grid too short to fit a slope to, and unreadable input files.
+A subcommand only resolves its point (one resolver), writes files (one
+writer, one ``key = value`` summary formatter) and prints PASS or FAIL (one
+verdict printer): the criterion it reports is measured and judged by
+``verify`` (``backward_rate``, ``forward_rate``, ``orbit_angle``,
+``bound_ratios``), as in ``run_all``; ``bounds`` and ``hmeasure`` also
 take their default inputs from there (``BOUND_GRID``, ``ORBIT_KMAX``).
 
 Each flag is declared once, in ``_FLAGS``, and each subcommand takes only
@@ -27,10 +28,10 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import BoundaryProfile, gaussian_profile, logrecip_profile, profile_from_file
-from .hmeasure import _MIN_POINTS, ROUNDING_FLOOR
+from .hmeasure import MIN_POINTS, ROUNDING_FLOOR
 from .hypcore import DomainError
 from .models import KoenigsModel, MODEL_NAMES, Petal, by_name
 from .speeds import EstimationError, dyadic_grid, speed_series
@@ -79,7 +80,7 @@ def _merge_config(args: argparse.Namespace) -> None:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values: Dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -103,46 +104,56 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
-def _out_dir(args: argparse.Namespace) -> str:
+def _write(args: argparse.Namespace, name: str, rows: Iterable[str]) -> str:
     out = args.out or os.environ.get("PETALLAB_OUT") or "out"
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_text(path: str, text: str) -> None:
+    path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(f"{row}\n" for row in rows)
+    return path
 
 
-def _resolve_model(args: argparse.Namespace) -> KoenigsModel:
+def _verdict(passed: bool, text: str) -> int:
+    print(f"{'PASS' if passed else 'FAIL'} {text}")
+    return 0 if passed else 1
+
+
+def _summarize(
+    args: argparse.Namespace, model: KoenigsModel, petal: Petal, tag: str, data_path: str,
+    fields: Sequence[Tuple[str, object]], passed: bool, verdict: str,
+) -> int:
+    """Write the model, the petal and ``fields`` as the ``key = value`` lines
+    of ``<command>_<tag>_summary.txt``; print both paths, then the verdict."""
+    rows = [("model", model.name), ("petal", petal.label), *fields]
+    path = _write(args, f"{args.command}_{tag}_summary.txt", [f"{k} = {v}" for k, v in rows])
+    print(f"wrote {data_path} and {path}")
+    return _verdict(passed, f"{args.command} {model.name}/{petal.label}: {verdict}")
+
+
+def _resolve_point(args: argparse.Namespace) -> Tuple[KoenigsModel, Petal, complex, str]:
+    """The model, petal and base point the flags name (by default petal 0
+    and its default base), and the ``<model>_p<index>`` tag of its files."""
     if args.model is None:
         raise UsageError(
             f"--model is required (one of {', '.join(MODEL_NAMES)})"
         )
     try:
-        return by_name(args.model)
+        model = by_name(args.model)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
-
-
-def _resolve_petal(model: KoenigsModel, args: argparse.Namespace) -> Petal:
     index = 0 if args.petal is None else args.petal
     if not 0 <= index < len(model.petals):
         raise UsageError(
             f"model {model.name} has petal indices 0..{len(model.petals) - 1}, "
             f"got {index}"
         )
-    return model.petals[index]
-
-
-def _resolve_base(petal: Petal, args: argparse.Namespace) -> complex:
-    if args.base_re is None and args.base_im is None:
-        return petal.base_default
+    petal = model.petals[index]
+    default = petal.base_default
     base = complex(
-        args.base_re if args.base_re is not None else petal.base_default.real,
-        args.base_im if args.base_im is not None else petal.base_default.imag,
+        default.real if args.base_re is None else args.base_re,
+        default.imag if args.base_im is None else args.base_im,
     )
-    return base
+    return model, petal, base, f"{model.name}_p{index}"
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -155,22 +166,18 @@ def _parse_grid(text: str) -> List[float]:
     return values
 
 
-def _resolve_exponents(
-    args: argparse.Namespace, default_kmin: int, default_kmax: int
-) -> Tuple[int, int]:
+def _resolve_exponents(args: argparse.Namespace, default_kmin: int) -> Tuple[int, int]:
+    # --kmax defaults to 16 for every subcommand that reads it but hmeasure,
+    # which takes ORBIT_KMAX from verify.
     kmin = default_kmin if args.kmin is None else args.kmin
-    kmax = default_kmax if args.kmax is None else args.kmax
-    if kmin > kmax:
-        raise UsageError(f"kmin {kmin} exceeds kmax {kmax}")
+    kmax = 16 if args.kmax is None else args.kmax
     return kmin, kmax
 
 
-def _resolve_backward_grid(
-    args: argparse.Namespace, default_kmin: int, default_kmax: int
-) -> List[float]:
+def _resolve_backward_grid(args: argparse.Namespace, default_kmin: int) -> List[float]:
     if args.grid is not None:
         return _parse_grid(args.grid)
-    return dyadic_grid(*_resolve_exponents(args, default_kmin, default_kmax))
+    return dyadic_grid(*_resolve_exponents(args, default_kmin))
 
 
 def _num(x: float) -> str:
@@ -178,76 +185,48 @@ def _num(x: float) -> str:
 
 
 def _cmd_speeds(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
-    petal = _resolve_petal(model, args)
-    base = _resolve_base(petal, args)
-    grid = _resolve_backward_grid(args, 0, 16)
+    model, petal, base, tag = _resolve_point(args)
+    grid = _resolve_backward_grid(args, 0)
     series = speed_series(model, petal, base, grid)
-    out = _out_dir(args)
-    path = os.path.join(out, f"speeds_{model.name}_p{model.petals.index(petal)}.csv")
-    _write_text(path, series.to_csv())
+    path = _write(args, f"speeds_{tag}.csv", series.to_csv().splitlines())
     print(f"wrote {path} ({len(series.samples)} rows)")
     return 0
 
 
 def _cmd_asymptote(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
-    petal = _resolve_petal(model, args)
-    base = _resolve_base(petal, args)
-    grid = _resolve_backward_grid(args, 4, 16)
+    model, petal, base, tag = _resolve_point(args)
+    grid = _resolve_backward_grid(args, 4)
     series, r2, rate = backward_rate(model, petal, base, grid, tol=args.tol)
-    out = _out_dir(args)
-    tag = f"{model.name}_p{model.petals.index(petal)}"
-    data_path = os.path.join(out, f"asymptote_{tag}.csv")
-    _write_text(data_path, series.to_csv())
-    summary_path = os.path.join(out, f"asymptote_{tag}_summary.txt")
-    summary = (
-        f"model = {model.name}\n"
-        f"petal = {petal.label}\n"
-        f"component = v\n"
-        f"slope = {_num(rate.slope)}\n"
-        f"r2 = {_num(r2)}\n"
-        f"target = {_num(rate.target)}\n"
-        f"threshold = {_num(rate.threshold)}\n"
-        f"status = {'pass' if rate.passed else 'fail'}\n"
-    )
-    _write_text(summary_path, summary)
-    print(f"wrote {data_path} and {summary_path}")
-    print(
-        f"{'PASS' if rate.passed else 'FAIL'} asymptote {model.name}/{petal.label}: "
-        f"slope {rate.slope:.6f}, target {rate.target:.6f}, r2 {r2:.6f}"
-    )
-    return 0 if rate.passed else 1
+    data_path = _write(args, f"asymptote_{tag}.csv", series.to_csv().splitlines())
+    fields = [
+        ("component", "v"), ("slope", _num(rate.slope)), ("r2", _num(r2)),
+        ("target", _num(rate.target)), ("threshold", _num(rate.threshold)),
+        ("status", "pass" if rate.passed else "fail"),
+    ]
+    return _summarize(args, model, petal, tag, data_path, fields, rate.passed,
+                      f"slope {rate.slope:.6f}, target {rate.target:.6f}, r2 {r2:.6f}")
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
-    petal = _resolve_petal(model, args)
-    base = _resolve_base(petal, args)
-    kmin, kmax = _resolve_exponents(args, 4, 16)
-    ts, vs, rate = forward_rate(model, base, kmin, kmax, args.tol)
-    out = _out_dir(args)
-    path = os.path.join(out, f"forward_{model.name}.csv")
+    model, _, base, _ = _resolve_point(args)
+    ts, vs, rate = forward_rate(model, base, *_resolve_exponents(args, 4), args.tol)
     rows = ["t,v"] + [f"{_num(t)},{_num(v)}" for t, v in zip(ts, vs)]
-    _write_text(path, "\n".join(rows) + "\n")
+    path = _write(args, f"forward_{model.name}.csv", rows)
     print(f"wrote {path} ({len(ts)} rows)")
-    print(
-        f"{'PASS' if rate.passed else 'FAIL'} forward {model.name}: "
-        f"slope {rate.slope:.6f}, target {rate.target:.6f}"
+    return _verdict(
+        rate.passed,
+        f"forward {model.name}: slope {rate.slope:.6f}, target {rate.target:.6f}",
     )
-    return 0 if rate.passed else 1
 
 
 def _cmd_hmeasure(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
-    petal = _resolve_petal(model, args)
-    base = _resolve_base(petal, args)
+    model, petal, base, tag = _resolve_point(args)
     kmax = ORBIT_KMAX if args.kmax is None else args.kmax
     times, report, passed = orbit_angle(model, petal, base, kmax)
-    if report.used < _MIN_POINTS:
+    if report.used < MIN_POINTS:
         raise UsageError(
             "backward orbit leaves the disk chart too quickly; "
-            f"need at least {_MIN_POINTS} points"
+            f"need at least {MIN_POINTS} points"
         )
     if report.used < len(times):
         stop = f"disk_z within {ROUNDING_FLOOR:.3g} of sigma at t = {times[report.used]:g}"
@@ -255,37 +234,20 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
         stop = f"disk chart lost at t = {-(len(times) + 1)}"
     else:
         stop = f"kmax {kmax} reached"
-    out = _out_dir(args)
-    tag = f"{model.name}_p{model.petals.index(petal)}"
-    data_path = os.path.join(out, f"hmeasure_{tag}.dat")
-    lines = ["# t  harmonic_measure"]
-    lines += [f"{_num(t)} {_num(m)}" for t, m in zip(times, report.measures)]
-    _write_text(data_path, "\n".join(lines) + "\n")
-    summary_path = os.path.join(out, f"hmeasure_{tag}_summary.txt")
-    orbit = f"points = {report.used}\norbit_stop = {stop}\n"
+    rows = ["# t  harmonic_measure"]
+    rows += [f"{_num(t)} {_num(m)}" for t, m in zip(times, report.measures)]
+    data_path = _write(args, f"hmeasure_{tag}.dat", rows)
+    fields = [("points", report.used), ("orbit_stop", stop)]
     if report.inconclusive:
-        summary = (
-            f"model = {model.name}\npetal = {petal.label}\n{orbit}"
-            f"status = inconclusive\nreason = {report.reason}\n"
-        )
-        _write_text(summary_path, summary)
-        print(f"wrote {data_path} and {summary_path}")
-        print(f"FAIL hmeasure {model.name}/{petal.label}: inconclusive")
-        return 1
-    summary = (
-        f"model = {model.name}\npetal = {petal.label}\n{orbit}"
-        f"theta = {_num(report.theta)}\n"
-        f"theta_over_pi = {_num(report.theta / math.pi)}\n"
-        f"tangential = {report.tangential}\n"
-        f"status = {'pass' if passed else 'fail'}\n"
-    )
-    _write_text(summary_path, summary)
-    print(f"wrote {data_path} and {summary_path}")
-    print(
-        f"{'PASS' if passed else 'FAIL'} hmeasure {model.name}/{petal.label}: "
-        f"theta/pi = {report.theta / math.pi:.4f}"
-    )
-    return 0 if passed else 1
+        fields += [("status", "inconclusive"), ("reason", report.reason)]
+        verdict = "inconclusive"
+    else:
+        fields += [
+            ("theta", _num(report.theta)), ("theta_over_pi", _num(report.theta / math.pi)),
+            ("tangential", report.tangential), ("status", "pass" if passed else "fail"),
+        ]
+        verdict = f"theta/pi = {report.theta / math.pi:.4f}"
+    return _summarize(args, model, petal, tag, data_path, fields, passed, verdict)
 
 
 def _resolve_profile(args: argparse.Namespace) -> BoundaryProfile:
@@ -297,7 +259,10 @@ def _resolve_profile(args: argparse.Namespace) -> BoundaryProfile:
     if name == "gaussian":
         return gaussian_profile()
     if os.path.exists(name):
-        return profile_from_file(name)
+        try:
+            return profile_from_file(name)
+        except (OSError, UnicodeError) as exc:
+            raise UsageError(f"cannot read profile file {name}: {exc}") from exc
     raise UsageError(
         f"unknown profile {name!r}; use logrecip, gaussian, or a table file"
     )
@@ -307,31 +272,22 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args)
     grid = BOUND_GRID if args.grid is None else _parse_grid(args.grid)
     series, rule, passed = bound_ratios(profile, grid)
-    out = _out_dir(args)
-    path = os.path.join(out, f"bounds_{profile.name}.dat")
-    lines = ["# t  bound_over_t_squared"]
-    lines += [f"{_num(t)} {_num(r)}" for t, r in series]
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = ["# t  bound_over_t_squared"] + [f"{_num(t)} {_num(r)}" for t, r in series]
+    path = _write(args, f"bounds_{profile.name}.dat", rows)
     print(f"wrote {path} ({len(series)} rows)")
-    print(
-        f"{'PASS' if passed else 'FAIL'} bounds {profile.name}: {rule}; "
-        f"ratios {', '.join(f'{r:.6g}' for _, r in series)}"
+    return _verdict(
+        passed,
+        f"bounds {profile.name}: {rule}; ratios {', '.join(f'{r:.6g}' for _, r in series)}",
     )
-    return 0 if passed else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     results = run_all(seed=seed)
-    lines = []
-    for result in results:
-        line = f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}"
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    for line in lines:
         print(line)
-        lines.append(line)
-    out = _out_dir(args)
-    path = os.path.join(out, "verify_report.txt")
-    _write_text(path, "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    print(f"wrote {_write(args, 'verify_report.txt', lines)}")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -38,6 +38,15 @@ class PetalRequiredError(DomainError):
     """Backward flow requested from a point outside every petal."""
 
 
+def require_petal(model: KoenigsModel, petal: Petal, w: complex) -> complex:
+    """``w`` as a complex number; ``PetalRequiredError`` unless it lies in
+    ``petal`` of ``model``."""
+    w = complex(w)
+    if not (model.contains(w) and petal.contains(w)):
+        raise PetalRequiredError(f"{w} is not in petal {petal.label!r} of {model.name}")
+    return w
+
+
 class DiagnosticError(DomainError):
     """Repelling-point diagnostics requested where they are undefined."""
 
@@ -196,9 +205,7 @@ def regularity_gap(
     Bounded values certify a regular orbit; computed in canonical
     coordinates, which the distances do not depend on.
     """
-    w0 = complex(z0)
-    if not (model.contains(w0) and petal.contains(w0)):
-        raise PetalRequiredError(f"{w0} is not in the requested petal")
+    w0 = require_petal(model, petal, z0)
     gaps = []
     for t in t_grid:
         a = model.uhp_orbit(w0, float(t) - 1.0)

@@ -29,7 +29,7 @@ from .hypcore import (
     uhp_log_shifted,
 )
 from .models import KoenigsModel, Petal
-from .semigroup import PetalRequiredError
+from .semigroup import require_petal
 
 
 # The largest k with 2.0 ** k finite, and the smallest with it nonzero.
@@ -98,10 +98,10 @@ class SpeedSeries(NamedTuple):
 def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
     """Backward dyadic grid [-2^k_min, ..., -2^k_max].
 
-    An exponent past float range (k_max > 1023, or k_min < -1074, where
-    2^k underflows to 0) raises ``DomainError``."""
+    k_min above k_max, or an exponent past float range (k_max > 1023, or
+    k_min < -1074, where 2^k underflows to 0), raises ``DomainError``."""
     if k_max < k_min:
-        raise ValueError("k_max must be >= k_min")
+        raise DomainError(f"dyadic exponent k_min = {k_min} exceeds k_max = {k_max}")
     if k_max > _MAX_DYADIC_EXP:
         raise DomainError(
             f"dyadic exponent {k_max} is past float range: 2^k overflows "
@@ -111,13 +111,6 @@ def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
             f"dyadic exponent k_min = {k_min} is past float range: 2^k "
             f"underflows to 0 for k < {_MIN_DYADIC_EXP}")
     return [-(2.0 ** k) for k in range(k_min, k_max + 1)]
-
-
-def _require_petal(model: KoenigsModel, petal: Petal, w: complex) -> complex:
-    w = complex(w)
-    if not (model.contains(w) and petal.contains(w)):
-        raise PetalRequiredError(f"{w} is not in petal {petal.label!r} of {model.name}")
-    return w
 
 
 def _eta_frame(
@@ -181,7 +174,7 @@ def _sample_at(
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:
     """All three speeds of the backward orbit from z at time t <= 0."""
-    w0 = _require_petal(model, petal, z)
+    w0 = require_petal(model, petal, z)
     if t > 0.0:
         raise DomainError("petal speeds are defined for t <= 0")
     p0 = model.uhp_orbit(w0, 0.0)
@@ -211,7 +204,7 @@ def speed_series(
 
     A grid that is empty, has a positive time or does not strictly
     decrease raises ``DomainError``."""
-    w0 = _require_petal(model, petal, z)
+    w0 = require_petal(model, petal, z)
     ts = list(dyadic_grid() if grid is None else (float(t) for t in grid))
     if not ts:
         raise DomainError("grid must not be empty")

@@ -4,10 +4,12 @@ Each criterion prints one PASS/FAIL line with the measured numbers; run
 with ``pytest -v -s tests/test_acceptance.py`` to see them all.
 """
 
+import math
 import time
 
 import pytest
 
+from petallab import verify
 from petallab.verify import CHECK_NAMES, run_all
 
 
@@ -45,8 +47,34 @@ def test_repeat_runs_compare_equal():
 def test_detail_prints_the_bound_it_checks(monkeypatch):
     # The sub-linear slope bound comes from the criteria table, so the
     # report follows a change to the table.
-    from petallab import verify
-
     monkeypatch.setattr(verify, "SUBLINEAR_PER_TOL", 2e-2)
-    detail = verify._check_orthogonal_slopes().detail
-    assert detail.endswith("<= 2e-3")
+    text, _ = verify._check_orthogonal_slopes()[-1]
+    assert text.endswith("<= 2e-3")
+
+
+def _nan_last_speed(real):
+    def planted(*args):
+        series = real(*args)
+        *head, last = series.samples
+        return series._replace(samples=(*head, last._replace(v=math.nan)))
+    return planted
+
+
+def _nan_after_first(real):
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else math.nan
+    return planted
+
+
+@pytest.mark.parametrize("name,plant,failing", [
+    ("speed_series", _nan_last_speed, {"pythagorean-sandwich", "base-point-independence"}),
+    ("uhp_distance", _nan_after_first, {"structural-consistency"}),
+], ids=["nan-speed", "nan-metric"])
+def test_planted_nan_fails_its_criteria(monkeypatch, name, plant, failing):
+    # Each NaN comes after finite values, which max and min would report
+    # instead: only a comparison per value catches it.
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    assert failing <= {r.name for r in run_all() if not r.passed}

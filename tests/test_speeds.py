@@ -524,8 +524,10 @@ class TestDyadicGrid:
         assert dyadic_grid(0, 3) == [-1.0, -2.0, -4.0, -8.0]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            dyadic_grid(5, 4)
+        # The same error type as the other range errors, so the CLI exits 2.
+        for k_min, k_max in ((5, 4), (5, 3)):
+            with pytest.raises(DomainError, match=f"k_min = {k_min} exceeds k_max = {k_max}"):
+                dyadic_grid(k_min, k_max)
 
     def test_exponent_past_float_range(self):
         assert dyadic_grid(1023, 1023) == [-(2.0 ** 1023)]
