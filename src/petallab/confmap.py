@@ -55,14 +55,6 @@ class MapDomainError(DomainError):
         self.step_index = step_index
 
 
-def _rotated_ray_distance(z: complex, rot: complex) -> float:
-    """Distance from z to the ray at angle a, given rot = e^{-i a}."""
-    v = z * rot
-    if v.real <= 0.0:
-        return abs(v)
-    return abs(v.imag)
-
-
 def _branch_log(z: complex, cut: float) -> complex:
     """log z with the argument taken in [cut - 2 pi, cut)."""
     a = cmath.phase(z)
@@ -170,11 +162,8 @@ class ExpStep(MapStep):
         return LogStep(math.pi)
 
 
-class LogStep(MapStep):
-    """Branch of log with argument in [cut - 2 pi, cut).
-
-    The branch cut is the ray at angle ``cut`` from the origin.
-    """
+class _RayCutStep(MapStep):
+    """A step whose branch cut is the ray at angle ``cut`` from the origin."""
 
     __slots__ = ("cut", "_rot")
 
@@ -182,6 +171,19 @@ class LogStep(MapStep):
         self.cut = cut
         # e^{-i cut}, which turns the cut onto the positive real axis.
         self._rot = cmath.exp(-1j * cut)
+
+    def cut_distance(self, z: complex) -> float:
+        v = z * self._rot
+        return abs(v) if v.real <= 0.0 else abs(v.imag)
+
+
+class LogStep(_RayCutStep):
+    """Branch of log with argument in [cut - 2 pi, cut).
+
+    The branch cut is the ray at angle ``cut`` from the origin.
+    """
+
+    __slots__ = ()
 
     def apply(self, z: complex) -> complex:
         return _branch_log(z, self.cut)
@@ -192,26 +194,21 @@ class LogStep(MapStep):
     def inverted(self) -> ExpStep:
         return ExpStep()
 
-    def cut_distance(self, z: complex) -> float:
-        return _rotated_ray_distance(z, self._rot)
 
-
-class PowerStep(MapStep):
+class PowerStep(_RayCutStep):
     """z -> z^alpha on the log branch with argument in [cut - 2 pi, cut).
 
     alpha > 0.  The inverse step reuses the same cut; chain authors must
     arrange source regions so the image sector stays inside that branch.
     """
 
-    __slots__ = ("alpha", "cut", "_rot")
+    __slots__ = ("alpha",)
 
     def __init__(self, alpha: float, cut: float = math.pi) -> None:
         if not alpha > 0:
             raise ValueError("power step requires alpha > 0")
+        super().__init__(cut)
         self.alpha = alpha
-        self.cut = cut
-        # e^{-i cut}, which turns the cut onto the positive real axis.
-        self._rot = cmath.exp(-1j * cut)
 
     def apply(self, z: complex) -> complex:
         return cmath.exp(self.alpha * _branch_log(z, self.cut))
@@ -234,9 +231,6 @@ class PowerStep(MapStep):
 
     def inverted(self) -> "PowerStep":
         return PowerStep(1.0 / self.alpha, self.cut)
-
-    def cut_distance(self, z: complex) -> float:
-        return _rotated_ray_distance(z, self._rot)
 
 
 def _uhp_sqrt(v: complex) -> complex:
@@ -278,8 +272,14 @@ class SlitCloseStep(MapStep):
         return SlitOpenStep()
 
     def cut_distance(self, z: complex) -> float:
-        # Distance to the segment [0, i]: clamp Im z onto [0, 1].
-        return abs(complex(z.real, z.imag - min(1.0, max(0.0, z.imag))))
+        # Distance to the segment [0, i]: clamp Im z onto [0, 1].  A NaN
+        # passes through, and abs raises OverflowError past float range.
+        y = z.imag
+        if y > 1.0:
+            y -= 1.0
+        elif y > 0.0:
+            y = 0.0
+        return abs(complex(z.real, y))
 
 
 class SlitOpenStep(MapStep):
@@ -298,8 +298,16 @@ class SlitOpenStep(MapStep):
         return SlitCloseStep()
 
     def cut_distance(self, z: complex) -> float:
-        # Distance to the segment [-1, 1]: clamp Re z onto [-1, 1].
-        return abs(complex(z.real - min(1.0, max(-1.0, z.real)), z.imag))
+        # Distance to the segment [-1, 1]: clamp Re z onto [-1, 1].  A NaN
+        # passes through, and abs raises OverflowError past float range.
+        x = z.real
+        if x > 1.0:
+            x -= 1.0
+        elif x >= -1.0:
+            x = 0.0
+        else:
+            x += 1.0
+        return abs(complex(x, z.imag))
 
 
 # One entry of a chain's walk: (step index, apply, cut_distance or None for

@@ -209,24 +209,28 @@ def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
     keeping the arithmetic inside float range for hyperbolic separations of
     order 1e8 and far beyond.  Identical points return exactly 0.
     """
+    pL = p.L
+    qL = q.L
     shared = (p.anchor is None and q.anchor is None) or (
         p.anchor is not None and q.anchor is not None and p.anchor == q.anchor)
     if shared:
         # The common anchor cancels from both |q1 - conj(q2)| and |q1 - q2|.
-        m = max(p.L.real, q.L.real)
-        a = cmath.exp(p.L - m)
-        b = cmath.exp(q.L - m)
+        m = max(pL.real, qL.real)
+        a = cmath.exp(pL - m)
+        b = cmath.exp(qL - m)
         num = abs(a - b.conjugate()) + abs(a - b)
-        return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (p.log_im() + q.log_im()))
-    m = max(0.0, p.L.real, q.L.real)
-    scale = math.exp(-m)
-    pa = 0.0 if p.anchor is None else p.anchor * scale
-    qa = 0.0 if q.anchor is None else q.anchor * scale
-    v1 = pa + cmath.exp(p.L - m)
-    v2 = qa + cmath.exp(q.L - m)
-    cv2 = qa + cmath.exp(q.L.conjugate() - m)
-    num = abs(v1 - cv2) + abs(v1 - v2)
-    return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (p.log_im() + q.log_im()))
+    else:
+        m = max(0.0, pL.real, qL.real)
+        scale = math.exp(-m)
+        pa = 0.0 if p.anchor is None else p.anchor * scale
+        qa = 0.0 if q.anchor is None else q.anchor * scale
+        v1 = pa + cmath.exp(pL - m)
+        v2 = qa + cmath.exp(qL - m)
+        cv2 = qa + cmath.exp(qL.conjugate() - m)
+        num = abs(v1 - cv2) + abs(v1 - v2)
+    # Minus the mean of p.log_im() and q.log_im(), read inline.
+    return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (
+        (pL.real + math.log(math.sin(pL.imag))) + (qL.real + math.log(math.sin(qL.imag)))))
 
 
 def uhp_log_shifted(p: UhpLogPoint, c: complex) -> complex:

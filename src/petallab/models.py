@@ -84,20 +84,21 @@ class SectorImage:
     general elliptic theory degenerate to plain angular sectors here.
     """
 
-    __slots__ = ("amplitude", "theta0")
+    __slots__ = ("amplitude", "theta0", "_rot")
 
     def __init__(self, amplitude: float, theta0: float) -> None:
         if not 0.0 < amplitude <= 2.0 * math.pi:
             raise ValueError("amplitude must lie in (0, 2*pi]")
         self.amplitude = amplitude
         self.theta0 = theta0
+        # e^{-i theta0}, which turns the sector's centre line onto the positive axis.
+        self._rot = cmath.exp(-1j * theta0)
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
         if w == 0:
             return False
-        rel = cmath.phase(w * cmath.exp(-1j * self.theta0))
-        return abs(rel) < 0.5 * self.amplitude
+        return abs(cmath.phase(w * self._rot)) < 0.5 * self.amplitude
 
     def distance(self, w1: complex, w2: complex) -> float:
         if not (self.contains(w1) and self.contains(w2)):
@@ -106,9 +107,8 @@ class SectorImage:
         # the upper one.  The relative argument stays inside (-pi, pi), so
         # the principal logarithm respects the sector's branch.
         power = math.pi / self.amplitude
-        rot = cmath.exp(-1j * self.theta0)
-        z1 = 1j * cmath.exp(power * cmath.log(w1 * rot))
-        z2 = 1j * cmath.exp(power * cmath.log(w2 * rot))
+        z1 = 1j * cmath.exp(power * cmath.log(w1 * self._rot))
+        z2 = 1j * cmath.exp(power * cmath.log(w2 * self._rot))
         return uhp_distance(z1, z2)
 
 
@@ -430,7 +430,9 @@ def sample_petal_omega(model: KoenigsModel, petal: Petal, n: int, rng) -> list[c
             points.append(r * cmath.exp(1j * theta))
     else:
         raise TypeError(f"unknown petal image {image!r}")
+    # model.contains(w) and petal.contains(w), for points already complex.
+    source_contains = model.chain.source_contains
     for w in points:
-        if not (model.contains(w) and petal.contains(w)):
+        if not (cmath.isfinite(w) and source_contains(w) and image.contains(w)):
             raise DomainError(f"sampled point {w} escaped the petal")
     return points

@@ -155,18 +155,24 @@ def repelling_diagnostics(
     if sigma_bp.is_infinity:
         raise DiagnosticError("sigma did not transport to a finite disk point")
     sigma = sigma_bp.value
+    sigma_bar = sigma.conjugate()
     lam = petal.lam
+    half_lam = 0.5 * lam
+    # Running minima kept by comparison; a NaN sample sticks, since no value
+    # compares below it, so a NaN anywhere fails the criteria.
     min_julia = math.inf
     min_herglotz = math.inf
     for z in samples:
         z = complex(z)
         g = generator(model, z)
         julia = (sigma * g / (sigma - z) ** 2).real
-        julia -= 0.5 * lam * (1.0 - abs(z) ** 2) / abs(sigma - z) ** 2
-        herglotz = g / ((sigma.conjugate() * z - 1.0) * (z - sigma))
-        herglotz -= 0.5 * lam * (sigma + z) / (sigma - z)
-        min_julia = min(min_julia, julia)
-        min_herglotz = min(min_herglotz, herglotz.real)
+        julia -= half_lam * (1.0 - abs(z) ** 2) / abs(sigma - z) ** 2
+        herglotz = g / ((sigma_bar * z - 1.0) * (z - sigma))
+        herglotz = (herglotz - half_lam * (sigma + z) / (sigma - z)).real
+        if julia < min_julia or julia != julia:
+            min_julia = julia
+        if herglotz < min_herglotz or herglotz != herglotz:
+            min_herglotz = herglotz
     ratios = []
     radial_stop = None
     for k in range(4, 41):

@@ -161,15 +161,12 @@ def _sample_at(
     is p0, whose eta frame is ``frame`` and whose framed base is
     ``ln0 = frame(p0)``."""
     if t == 0.0:
-        return SpeedSample(t=0.0, v=0.0, v_o=0.0, v_T=0.0)
+        return SpeedSample(0.0, 0.0, 0.0, 0.0)
     p_t = model.uhp_orbit(w0, t)
     ln_t = frame(p_t)
-    return SpeedSample(
-        t=float(t),
-        v=uhp_log_distance(p0, p_t),
-        v_o=0.5 * abs(ln_t.real - ln0.real),
-        v_T=axis_distance(ln_t.imag),
-    )
+    # Positional: (t, v, v_o, v_T).
+    return SpeedSample(float(t), uhp_log_distance(p0, p_t),
+                       0.5 * abs(ln_t.real - ln0.real), axis_distance(ln_t.imag))
 
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:

@@ -185,6 +185,12 @@ class CheckResult(NamedTuple):
 Part = Tuple[str, bool]
 
 
+def _worst(pick, values: Sequence[float]) -> float:
+    """``pick`` (``min`` or ``max``) of values as a detail prints it: NaN
+    when any value is NaN, which ``min`` and ``max`` would skip."""
+    return math.nan if any(v != v for v in values) else pick(values)
+
+
 def _result(name: str, parts: Sequence[Part]) -> CheckResult:
     """The criterion passes when every part passes; its detail joins the
     parts' texts."""
@@ -212,7 +218,7 @@ def _check_total_slopes(component: str = "v") -> List[Part]:
 
 def _at_most(label: str, values: Sequence[float], bound: float, spec: str = ".1e") -> Part:
     """``<label> <max> <= <bound>``, passing when every value is at most ``bound``."""
-    return (f"{label} {format(max(values), spec)} <= {_bound(bound)}",
+    return (f"{label} {format(_worst(max, values), spec)} <= {_bound(bound)}",
             all(v <= bound for v in values))
 
 
@@ -277,9 +283,9 @@ def _check_pythagorean_sandwich() -> List[Part]:
             low_slacks.append(s.v - (s.v_o + s.v_T - _HALF_LOG2))
             high_slacks.append((s.v_o + s.v_T) - s.v)
     return [
-        (f"min slack above v_o+v_T-log(2)/2: {min(low_slacks):.2e}",
+        (f"min slack above v_o+v_T-log(2)/2: {_worst(min, low_slacks):.2e}",
          all(slack >= -1e-9 for slack in low_slacks)),
-        (f"min slack below v_o+v_T: {min(high_slacks):.2e}",
+        (f"min slack below v_o+v_T: {_worst(min, high_slacks):.2e}",
          all(slack >= -1e-9 for slack in high_slacks)),
     ]
 
@@ -296,7 +302,7 @@ def _check_base_independence(rng: random.Random) -> List[Part]:
             for a, b in zip(sz.samples, sw.samples):
                 for da in (a.v - b.v, a.v_o - b.v_o, a.v_T - b.v_T):
                     excesses.append(abs(da) - bound)
-    return [(f"20 pairs per petal; worst excess over 2*d(z,w): {max(excesses):.2e}",
+    return [(f"20 pairs per petal; worst excess over 2*d(z,w): {_worst(max, excesses):.2e}",
              all(excess <= 0.0 for excess in excesses))]
 
 
@@ -337,7 +343,7 @@ def _check_repelling_diagnostics(rng: random.Random) -> List[Part]:
                 zk = sigma * (1.0 - 2.0**-k)
                 gaps.append(abs(ratio - zk / (1.0 + zk)))
             good = good and all(gap <= 1e-9 for gap in gaps)
-            extra = f", closed-form gap {max(gaps, default=0.0):.1e}"
+            extra = f", closed-form gap {_worst(max, gaps):.1e}"
         parts.append((
             f"{model.name}/{petal.label}: julia {rep.min_julia_residual:.1e}, "
             f"rate err {est_err:.1e}, herglotz {rep.min_herglotz_real:.1e}{extra}, "

@@ -5,6 +5,10 @@ Only the tests use these, so they live here rather than in the package:
 - the three canonical domains (``CanonicalDomain``), a Moebius chain
   step (``MobiusStep``), and the general distance to a segment
   (``segment_distance``) that the slit steps' closed forms replace;
+- the cut distance kernels in their ``min``/``max`` form
+  (``slit_close_cut_distance``, ``slit_open_cut_distance``,
+  ``rotated_ray_distance``), which the steps' ``cut_distance`` must match
+  bit for bit, overflow included;
 - geodesics and closest-point projection in the three canonical domains,
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
@@ -106,6 +110,24 @@ def segment_distance(z: complex, a: complex, b: complex) -> float:
     t = ((z - a).real * d.real + (z - a).imag * d.imag) / den
     t = min(1.0, max(0.0, t))
     return abs(z - (a + t * d))
+
+
+def slit_close_cut_distance(z: complex) -> float:
+    """Distance from z to the segment [0, i], clamping with min and max."""
+    return abs(complex(z.real, z.imag - min(1.0, max(0.0, z.imag))))
+
+
+def slit_open_cut_distance(z: complex) -> float:
+    """Distance from z to the segment [-1, 1], clamping with min and max."""
+    return abs(complex(z.real - min(1.0, max(-1.0, z.real)), z.imag))
+
+
+def rotated_ray_distance(z: complex, rot: complex) -> float:
+    """Distance from z to the ray at angle a, given rot = e^{-i a}."""
+    v = z * rot
+    if v.real <= 0.0:
+        return abs(v)
+    return abs(v.imag)
 
 
 def ray_distance(z: complex, angle: float) -> float:

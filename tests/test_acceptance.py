@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from petallab import verify
+from petallab import semigroup, verify
 from petallab.verify import CHECK_NAMES, run_all
 
 
@@ -60,21 +60,27 @@ def _nan_last_speed(real):
     return planted
 
 
-def _nan_after_first(real):
+def _nan_on_second_call(real):
     calls = []
 
     def planted(*args):
         calls.append(args)
-        return real(*args) if len(calls) == 1 else math.nan
+        return math.nan if len(calls) == 2 else real(*args)
     return planted
 
 
-@pytest.mark.parametrize("name,plant,failing", [
-    ("speed_series", _nan_last_speed, {"pythagorean-sandwich", "base-point-independence"}),
-    ("uhp_distance", _nan_after_first, {"structural-consistency"}),
-], ids=["nan-speed", "nan-metric"])
-def test_planted_nan_fails_its_criteria(monkeypatch, name, plant, failing):
-    # Each NaN comes after finite values, which max and min would report
-    # instead: only a comparison per value catches it.
-    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
-    assert failing <= {r.name for r in run_all() if not r.passed}
+@pytest.mark.parametrize("module,name,plant,failing", [
+    (verify, "speed_series", _nan_last_speed,
+     {"pythagorean-sandwich", "base-point-independence"}),
+    (verify, "uhp_distance", _nan_on_second_call, {"structural-consistency"}),
+    (semigroup, "generator", _nan_on_second_call, {"repelling-point-diagnostics"}),
+], ids=["nan-speed", "nan-metric", "nan-generator"])
+def test_planted_nan_fails_its_criteria(monkeypatch, module, name, plant, failing):
+    # Each NaN comes among finite values, which max and min would report
+    # instead: only a comparison per value catches it, and the failing
+    # detail prints nan in place of a passing-looking extreme.
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    failed = {r.name: r.detail for r in run_all() if not r.passed}
+    assert failing <= failed.keys()
+    for criterion in failing:
+        assert "nan" in failed[criterion], failed[criterion]

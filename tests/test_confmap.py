@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -12,7 +13,11 @@ from oracles import (
     ApproachRay,
     MobiusStep,
     push_boundary_point,
+    ray_distance,
+    rotated_ray_distance,
     segment_distance,
+    slit_close_cut_distance,
+    slit_open_cut_distance,
     reference_derivative,
     reference_eval,
     reference_eval_inverse,
@@ -127,10 +132,23 @@ class TestSteps:
     @pytest.mark.parametrize("step,a,b", [
         (SlitCloseStep(), 0j, 1j),
         (SlitOpenStep(), -1.0 + 0j, 1.0 + 0j),
+        # A ray's cut: a is its origin and b a point on it.
+        (LogStep(math.pi), 0j, -1.0 + 0j),
+        (PowerStep(2.0 / 3.0, 2.0 * math.pi), 0j, 1.0 + 0j),
     ])
     def test_slit_cut_distances_match_segment_distance(self, step, a, b):
-        # The closed forms against the general segment distance, on points
-        # near the segment, across it, and around each end.
+        # The closed forms against the general segment (or ray) distance, on
+        # points near the cut, across it, and around each end; and bit for
+        # bit against the min/max kernels, on those points and on signed
+        # zeros, NaN, infinities and components near float range, where
+        # both must give the same float or both raise OverflowError.
+        if isinstance(step, (LogStep, PowerStep)):
+            kernel = partial(rotated_ray_distance, rot=cmath.exp(-1j * step.cut))
+            distance = partial(ray_distance, angle=step.cut)
+        else:
+            kernel = (slit_close_cut_distance if isinstance(step, SlitCloseStep)
+                      else slit_open_cut_distance)
+            distance = partial(segment_distance, a=a, b=b)
         rng = random.Random(161803)
         points = []
         for _ in range(2000):
@@ -141,7 +159,18 @@ class TestSteps:
             points += [end + _polar(rng, (-16.0, 0.0), (-math.pi, math.pi)) for _ in range(1000)]
         points += [a, b, 0.5 * (a + b)]
         for z in points:
-            assert abs(step.cut_distance(z) - segment_distance(z, a, b)) <= 1e-15, z
+            assert abs(step.cut_distance(z) - distance(z)) <= 1e-15, z
+        parts = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.nan, math.inf, -math.inf,
+                 1.7e308, -1.7e308)
+        for z in points + [complex(x, y) for x in parts for y in parts]:
+            try:
+                want = kernel(z)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    step.cut_distance(z)
+                continue
+            got = step.cut_distance(z)
+            assert got == want or (math.isnan(got) and math.isnan(want)), z
 
     def test_affine_value_and_derivative_is_apply_and_derivative(self):
         # The derivative of z -> a z + b is the constant a.
@@ -193,13 +222,20 @@ class TestChainEval:
         assert err.value.step_index == 2
 
     def test_overflowing_modulus_named_at_cut_check(self):
-        # |w| past float range overflows the cut distance of step 1.
+        # |w| past float range overflows the cut distance of step 1, a ray
+        # cut; on the strip-slit inverse walk, that of step 2, a slit cut.
         chain = by_name("sector-parabolic").chain
         for fn in (chain.eval, chain.derivative):
             with pytest.raises(MapDomainError) as err:
                 fn(1.5e308 + 1.5e308j)
             assert err.value.step_index == 1
             assert str(err.value) == "step 1: cut check failed: absolute value too large"
+        chain = by_name("strip-slit").chain
+        for fn in (chain.eval_inverse, chain.inverse_and_derivative):
+            with pytest.raises(MapDomainError) as err:
+                fn(1.5e308 + 1.5e308j)
+            assert err.value.step_index == 2
+            assert str(err.value) == "step 2: cut check failed: absolute value too large"
 
     def test_eval_overflow_reported(self):
         chain = ConformalChain((ExpStep(),), lambda z: True, "exp")
