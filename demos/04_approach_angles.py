@@ -24,14 +24,14 @@ print(f"radial sequence:     theta/pi = {report.theta / math.pi:.6f}")
 # read as verify and `petallab hmeasure` read it.
 model = by_name("strip-slit")
 petal = model.petal("upper")
-_, report, _ = orbit_angle(model, petal, petal.base_default, ORBIT_KMAX)
+_, report, _, _ = orbit_angle(model, petal, petal.base_default, ORBIT_KMAX)
 print(f"hyperbolic orbit:    theta/pi = {report.theta / math.pi:.6f} "
       f"(tangential: {report.tangential})")
 
 # The parabolic orbit creeps into its Denjoy-Wolff point along the circle.
 model = by_name("sector-parabolic")
 petal = model.petal("main")
-_, report, _ = orbit_angle(model, petal, petal.base_default, 400)
+_, report, _, _ = orbit_angle(model, petal, petal.base_default, 400)
 print(f"parabolic orbit:     theta/pi = {report.theta / math.pi:.6f} "
       f"(tangential: {report.tangential})")
 

@@ -94,7 +94,8 @@ def harmonic_measure(z: complex, arc: Arc) -> float:
     arc's image under ``w -> (w - z) / (1 - conj(z) * w)``.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    # Written so that a NaN point fails it too.
+    if not abs(z) < 1.0:
         raise DomainError(f"harmonic measure needs an interior point, got {z!r}")
 
     def moved(w: complex) -> complex:
@@ -112,21 +113,33 @@ class ApproachReport(NamedTuple):
     direction and the tangent ray at the endpoint that points away from the
     arc: a radial approach gives pi/2, creeping along the boundary inside
     the arc gives pi, creeping along the complement gives 0.  ``None`` when
-    the probe is inconclusive.
-    ``measures`` records the raw harmonic measures along the sequence.
-    ``tangential`` is ``True`` when ``theta`` is within 1e-2 of 0 or pi,
-    ``None`` when inconclusive.  ``used`` counts the leading points the
-    probe kept, and ``stop`` says why it kept no more: the sequence ended,
-    or the next point lies within ``ROUNDING_FLOOR`` of ``a``.
+    the probe is inconclusive, and ``reason`` then says why.
+    ``measures`` records the raw harmonic measures at the leading points
+    the probe kept, and ``stop`` says why it kept no more: the sequence
+    ended, or the next point lies within ``ROUNDING_FLOOR`` of ``a``.
     """
 
     theta: Optional[float]
     measures: tuple
-    inconclusive: bool
-    tangential: Optional[bool]
-    reason: str = ""
-    used: int = 0
-    stop: str = ""
+    reason: str
+    stop: str
+
+    @property
+    def used(self) -> int:
+        """How many leading points the probe kept."""
+        return len(self.measures)
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.theta is None
+
+    @property
+    def tangential(self) -> Optional[bool]:
+        """Whether ``theta`` is within 1e-2 of 0 or pi; ``None`` when
+        inconclusive."""
+        if self.theta is None:
+            return None
+        return self.theta <= _TANGENT_TOL or self.theta >= math.pi - _TANGENT_TOL
 
 
 def _aitken_limit(values: Sequence[float]) -> float:
@@ -170,41 +183,15 @@ def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachR
         pts.append(p)
     measures = tuple(harmonic_measure(p, arc) for p in pts)
 
-    def inconclusive(reason: str) -> ApproachReport:
-        return ApproachReport(
-            theta=None,
-            measures=measures,
-            inconclusive=True,
-            tangential=None,
-            reason=reason,
-            used=len(pts),
-            stop=stop,
-        )
-
+    reason = ""
     if len(pts) < MIN_POINTS:
-        return inconclusive(f"need at least {MIN_POINTS} points, got {len(pts)}")
-
-    gap_last = abs(pts[-1] - a)
-    gap_first = abs(pts[0] - a)
-    if gap_last > 0.05 or gap_last > gap_first + 1e-12:
-        return inconclusive("sequence does not converge to the approach point")
-
-    window = measures[-MIN_POINTS:]
-    spread = max(window) - min(window)
-    if spread > _SPREAD_TOL:
-        return inconclusive(
-            f"trailing measures spread {spread:.3g} exceeds {_SPREAD_TOL}"
-        )
-
-    omega = _aitken_limit(measures)
-    omega = min(1.0, max(0.0, omega))
-    theta = math.pi * omega
-    tangential = theta <= _TANGENT_TOL or theta >= math.pi - _TANGENT_TOL
-    return ApproachReport(
-        theta=theta,
-        measures=measures,
-        inconclusive=False,
-        tangential=tangential,
-        used=len(pts),
-        stop=stop,
-    )
+        reason = f"need at least {MIN_POINTS} points, got {len(pts)}"
+    elif abs(pts[-1] - a) > 0.05 or abs(pts[-1] - a) > abs(pts[0] - a) + 1e-12:
+        reason = "sequence does not converge to the approach point"
+    else:
+        window = measures[-MIN_POINTS:]
+        spread = max(window) - min(window)
+        if spread > _SPREAD_TOL:
+            reason = f"trailing measures spread {spread:.3g} exceeds {_SPREAD_TOL}"
+    theta = None if reason else math.pi * min(1.0, max(0.0, _aitken_limit(measures)))
+    return ApproachReport(theta, measures, reason, stop)

@@ -2,15 +2,18 @@
 
 Subcommands run one experiment each and write gnuplot-ready data files plus
 a short summary.  Exit status reports the outcome: 0 when every numeric
-check passed, 1 when a check failed, 2 on a usage problem, including
-inputs a measurement cannot take (``DomainError``, ``EstimationError``),
-such as a grid too short to fit a slope to, and unreadable input files.
-A subcommand only resolves its point (one resolver), writes files (one
-writer, one ``key = value`` summary formatter) and prints PASS or FAIL (one
-verdict printer): the criterion it reports is measured and judged by
-``verify`` (``backward_rate``, ``forward_rate``, ``orbit_angle``,
-``bound_ratios``), as in ``run_all``; ``bounds`` and ``hmeasure`` also
-take their default inputs from there (``BOUND_GRID``, ``ORBIT_KMAX``).
+check passed, 1 when a check failed or could not decide, 2 on a usage
+problem, including inputs a measurement cannot take (``DomainError``,
+``EstimationError``), such as a grid too short to fit a slope to, and
+unreadable input files.
+This module holds no measurement rule.  A subcommand only resolves its
+point (one resolver), writes files (one writer, one number format, one
+``key = value`` summary formatter) and prints PASS or FAIL (one verdict
+printer): the criterion it reports, and any reason it is inconclusive, come
+from ``verify`` (``backward_rate``, ``forward_rate``, ``orbit_angle``,
+``bound_ratios``), as in ``run_all``; the ``bounds`` and ``hmeasure``
+subcommands also take their default inputs from there (``BOUND_GRID``,
+``ORBIT_KMAX``).
 
 Each flag is declared once, in ``_FLAGS``, and each subcommand takes only
 the flags it reads (``_COMMANDS``); any other flag is a usage error.
@@ -31,10 +34,9 @@ import sys
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import BoundaryProfile, gaussian_profile, logrecip_profile, profile_from_file
-from .hmeasure import MIN_POINTS, ROUNDING_FLOOR
 from .hypcore import DomainError
 from .models import KoenigsModel, MODEL_NAMES, Petal, by_name
-from .speeds import EstimationError, dyadic_grid, speed_series
+from .speeds import EstimationError, SpeedSeries, dyadic_grid, speed_series
 from .verify import (
     BOUND_GRID,
     DEFAULT_SEED,
@@ -184,11 +186,17 @@ def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _speed_rows(series: SpeedSeries) -> List[str]:
+    return ["t,v,v_o,v_T"] + [
+        ",".join(_num(x) for x in (s.t, s.v, s.v_o, s.v_T)) for s in series.samples
+    ]
+
+
 def _cmd_speeds(args: argparse.Namespace) -> int:
     model, petal, base, tag = _resolve_point(args)
     grid = _resolve_backward_grid(args, 0)
     series = speed_series(model, petal, base, grid)
-    path = _write(args, f"speeds_{tag}.csv", series.to_csv().splitlines())
+    path = _write(args, f"speeds_{tag}.csv", _speed_rows(series))
     print(f"wrote {path} ({len(series.samples)} rows)")
     return 0
 
@@ -197,7 +205,7 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
     model, petal, base, tag = _resolve_point(args)
     grid = _resolve_backward_grid(args, 4)
     series, r2, rate = backward_rate(model, petal, base, grid, tol=args.tol)
-    data_path = _write(args, f"asymptote_{tag}.csv", series.to_csv().splitlines())
+    data_path = _write(args, f"asymptote_{tag}.csv", _speed_rows(series))
     fields = [
         ("component", "v"), ("slope", _num(rate.slope)), ("r2", _num(r2)),
         ("target", _num(rate.target)), ("threshold", _num(rate.threshold)),
@@ -222,18 +230,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 def _cmd_hmeasure(args: argparse.Namespace) -> int:
     model, petal, base, tag = _resolve_point(args)
     kmax = ORBIT_KMAX if args.kmax is None else args.kmax
-    times, report, passed = orbit_angle(model, petal, base, kmax)
-    if report.used < MIN_POINTS:
-        raise UsageError(
-            "backward orbit leaves the disk chart too quickly; "
-            f"need at least {MIN_POINTS} points"
-        )
-    if report.used < len(times):
-        stop = f"disk_z within {ROUNDING_FLOOR:.3g} of sigma at t = {times[report.used]:g}"
-    elif len(times) < kmax:
-        stop = f"disk chart lost at t = {-(len(times) + 1)}"
-    else:
-        stop = f"kmax {kmax} reached"
+    times, report, stop, passed = orbit_angle(model, petal, base, kmax)
     rows = ["# t  harmonic_measure"]
     rows += [f"{_num(t)} {_num(m)}" for t, m in zip(times, report.measures)]
     data_path = _write(args, f"hmeasure_{tag}.dat", rows)

@@ -125,19 +125,22 @@ class RepellingReport(NamedTuple):
 
     ``min_julia_residual`` is the worst slack in the Julia-type lower
     bound Re(sigma G(z)/(sigma - z)^2) >= (lam/2)(1-|z|^2)/|sigma - z|^2.
-    ``ratios`` tracks G(z_k)/(z_k - sigma) along a radial approach and
-    ``ratio_estimate`` its extrapolated limit, which should equal -lam.
+    ``ratios`` tracks G(z_k)/(z_k - sigma) at the points ``radial_points``
+    of the radial approach z_k = sigma (1 - 2^-k), k = 4, 5, .., and
+    ``ratio_estimate`` its extrapolated limit, which should equal -lam, or
+    NaN when a ratio is NaN.
     ``min_herglotz_real`` is the worst real part of the associated
     Herglotz-type function, which should be nonnegative.
     ``radial_stop`` is the k at which a ``MapDomainError`` ended the radial
-    approach z_k = sigma (1 - 2^-k), None if it ran to k = 40; ``plateau``
-    is the index i of the Richardson accelerant 2 r_{i+1} - r_i picked as
-    ``ratio_estimate``, with r_i = ``ratios[i]``.
+    approach, None if it ran to k = 40; ``plateau`` is the index i of the
+    Richardson accelerant 2 r_{i+1} - r_i picked as ``ratio_estimate``,
+    with r_i = ``ratios[i]``.
     """
 
     lam: float
     sigma_disk: complex
     min_julia_residual: float
+    radial_points: tuple[complex, ...]
     ratios: tuple[complex, ...]
     ratio_estimate: complex
     min_herglotz_real: float
@@ -173,6 +176,7 @@ def repelling_diagnostics(
             min_julia = julia
         if herglotz < min_herglotz or herglotz != herglotz:
             min_herglotz = herglotz
+    radial = []
     ratios = []
     radial_stop = None
     for k in range(4, 41):
@@ -184,6 +188,7 @@ def repelling_diagnostics(
             # sigma; the plateau has long stabilized by then.
             radial_stop = k
             break
+        radial.append(zk)
         ratios.append(g / (zk - sigma))
     if len(ratios) < 10:
         raise DiagnosticError("radial approach to sigma failed too early")
@@ -191,12 +196,17 @@ def repelling_diagnostics(
     # then pick the plateau where consecutive accelerants agree best.
     rich = [2.0 * ratios[i + 1] - ratios[i] for i in range(len(ratios) - 1)]
     best = min(range(len(rich) - 1), key=lambda i: abs(rich[i + 1] - rich[i]))
+    estimate = rich[best + 1]
+    if any(r != r for r in ratios):
+        # min skips NaN keys and would pick a plateau beside a NaN ratio.
+        estimate = complex(math.nan, math.nan)
     return RepellingReport(
         lam=lam,
         sigma_disk=sigma,
         min_julia_residual=min_julia,
+        radial_points=tuple(radial),
         ratios=tuple(ratios),
-        ratio_estimate=rich[best + 1],
+        ratio_estimate=estimate,
         min_herglotz_real=min_herglotz,
         radial_stop=radial_stop,
         plateau=best + 1,

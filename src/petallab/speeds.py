@@ -81,14 +81,6 @@ class SpeedSeries(NamedTuple):
     grid: tuple[float, ...]
     samples: tuple[SpeedSample, ...]
 
-    def to_csv(self) -> str:
-        """Render as CSV: header t,v,v_o,v_T then one row per sample,
-        17 significant digits, newline-terminated."""
-        lines = ["t,v,v_o,v_T"]
-        for s in self.samples:
-            lines.append(",".join("%.17g" % x for x in (s.t, s.v, s.v_o, s.v_T)))
-        return "\n".join(lines) + "\n"
-
     def component(self, name: str) -> list[float]:
         if name not in ("v", "v_o", "v_T"):
             raise KeyError(f"unknown speed component {name!r}")

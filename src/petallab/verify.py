@@ -20,7 +20,7 @@ import random
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import BoundaryProfile, bound_ratio_series, gaussian_profile, logrecip_profile
-from .hmeasure import ApproachReport, Arc, approach_angle
+from .hmeasure import ROUNDING_FLOOR, ApproachReport, Arc, approach_angle
 from .hypcore import DomainError, disk_distance, uhp_distance
 from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
 from .semigroup import flow, regularity_gap, repelling_diagnostics, require_petal
@@ -120,15 +120,19 @@ def forward_rate(
 
 def orbit_angle(
     model: KoenigsModel, petal: Petal, base: complex, kmax: int
-) -> Tuple[List[float], ApproachReport, bool]:
+) -> Tuple[List[float], ApproachReport, str, bool]:
     """Approach angle of the backward orbit of ``base`` at the petal's disk
     endpoint sigma, read from ``disk_z`` at t = -1, -2, .. -kmax until the
     disk chart is lost, on the arc [arg sigma, arg sigma + pi/2].
 
-    Returns the times of the orbit points, the probe's report, and whether
-    the angle is conclusive and inside ``APPROACH_ANGLE_WINDOW``.  A base
-    outside the petal raises ``PetalRequiredError``, as in ``speed_series``.
+    Returns the times of the points the probe kept, the probe's report, why
+    the orbit it kept ended (the rounding floor of the probe, the disk
+    chart or ``kmax``), and whether the angle is conclusive and inside
+    ``APPROACH_ANGLE_WINDOW``.  A base outside the petal raises
+    ``PetalRequiredError``, as in ``speed_series``.
     """
+    if kmax < 1:
+        raise DomainError(f"an orbit angle needs kmax >= 1, got {kmax}")
     base = require_petal(model, petal, base)
     sigma = model.disk_sigma(petal)
     if sigma.is_infinity:
@@ -143,8 +147,15 @@ def orbit_angle(
         points.append(z)
     phase = cmath.phase(sigma.value)
     report = approach_angle(points, sigma.value, Arc(phase, phase + math.pi / 2))
+    if report.used < len(times):
+        stop = f"disk_z within {ROUNDING_FLOOR:.3g} of sigma at t = {times[report.used]:g}"
+    elif len(times) < kmax:
+        stop = f"disk chart lost at t = {-(len(times) + 1)}"
+    else:
+        stop = f"kmax {kmax} reached"
     lo, hi = APPROACH_ANGLE_WINDOW
-    return times, report, not report.inconclusive and lo < report.theta < hi
+    passed = not report.inconclusive and lo < report.theta < hi
+    return times[:report.used], report, stop, passed
 
 
 def bound_ratios(
@@ -337,11 +348,8 @@ def _check_repelling_diagnostics(rng: random.Random) -> List[Part]:
         extra = ""
         if model.name == "koebe-elliptic":
             # Closed-form cross-check: the radial ratio equals z/(1+z).
-            sigma = rep.sigma_disk
-            gaps = []
-            for k, ratio in enumerate(rep.ratios, start=4):
-                zk = sigma * (1.0 - 2.0**-k)
-                gaps.append(abs(ratio - zk / (1.0 + zk)))
+            gaps = [abs(ratio - z / (1.0 + z))
+                    for z, ratio in zip(rep.radial_points, rep.ratios)]
             good = good and all(gap <= 1e-9 for gap in gaps)
             extra = f", closed-form gap {_worst(max, gaps):.1e}"
         parts.append((
@@ -372,7 +380,7 @@ def _check_approach_angles() -> List[Part]:
     rad = approach_angle(radial, a, Arc(0.0, math.pi / 2))
     model = by_name("strip-slit")
     petal = model.petal("upper")
-    _, orb, good = orbit_angle(model, petal, petal.base_default, ORBIT_KMAX)
+    _, orb, _, good = orbit_angle(model, petal, petal.base_default, ORBIT_KMAX)
     lo, hi = APPROACH_ANGLE_WINDOW
     return [
         (f"radial angle {rad.theta:.6f} vs pi/2 = {math.pi / 2:.6f}",

@@ -60,21 +60,26 @@ def _nan_last_speed(real):
     return planted
 
 
-def _nan_on_second_call(real):
-    calls = []
+def _nan_on_call(n):
+    def plant(real):
+        calls = []
 
-    def planted(*args):
-        calls.append(args)
-        return math.nan if len(calls) == 2 else real(*args)
-    return planted
+        def planted(*args):
+            calls.append(args)
+            return math.nan if len(calls) == n else real(*args)
+        return planted
+    return plant
 
 
 @pytest.mark.parametrize("module,name,plant,failing", [
     (verify, "speed_series", _nan_last_speed,
      {"pythagorean-sandwich", "base-point-independence"}),
-    (verify, "uhp_distance", _nan_on_second_call, {"structural-consistency"}),
-    (semigroup, "generator", _nan_on_second_call, {"repelling-point-diagnostics"}),
-], ids=["nan-speed", "nan-metric", "nan-generator"])
+    (verify, "uhp_distance", _nan_on_call(2), {"structural-consistency"}),
+    (semigroup, "generator", _nan_on_call(2), {"repelling-point-diagnostics"}),
+    # The 12th point of strip-slit/upper's radial approach, after its 1000
+    # samples: min would pick a plateau beside the NaN ratio.
+    (semigroup, "generator", _nan_on_call(1012), {"repelling-point-diagnostics"}),
+], ids=["nan-speed", "nan-metric", "nan-generator", "nan-radial"])
 def test_planted_nan_fails_its_criteria(monkeypatch, module, name, plant, failing):
     # Each NaN comes among finite values, which max and min would report
     # instead: only a comparison per value catches it, and the failing

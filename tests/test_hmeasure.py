@@ -250,7 +250,15 @@ class TestApproachAngle:
         assert report.inconclusive
         assert report.theta is None
         assert report.tangential is None
-        assert report.reason
+        assert report.reason == "sequence does not converge to the approach point"
+        assert report.used == 12 and report.stop == "sequence ended"
+
+    def test_report_holds_four_fields(self):
+        # used, inconclusive and tangential are read off the four fields.
+        assert ApproachReport._fields == ("theta", "measures", "reason", "stop")
+        report = ApproachReport(math.pi - 5e-3, (0.1, 0.2), "", "sequence ended")
+        assert report.used == 2 and not report.inconclusive and report.tangential
+        assert not ApproachReport(math.pi / 2, (), "", "").tangential
 
     def test_wandering_sequence_inconclusive(self):
         # Converges to the endpoint but the measures oscillate too much:
@@ -274,6 +282,15 @@ class TestApproachAngle:
         pts = [(1.0 - 0.01 * k) * 1j for k in range(1, 12)]
         report = approach_angle(pts, 1j, Arc(math.pi / 2, math.pi))
         assert report.inconclusive
+
+    def test_nan_point_raises(self):
+        # A NaN point is not an interior point: the probe raises instead of
+        # reporting an angle from the measures around it.
+        pts = self._radial_points(1j, kmax=12) + [complex(math.nan, 1.0)]
+        with pytest.raises(DomainError, match="interior point"):
+            approach_angle(pts, 1j, Arc(math.pi / 2, math.pi))
+        with pytest.raises(DomainError, match="interior point"):
+            harmonic_measure(complex(math.nan, math.nan), Arc(0.0, 1.0))
 
     def test_endpoint_validation(self):
         pts = self._radial_points(1.0 + 0j)

@@ -14,6 +14,7 @@ from petallab import verify
 from petallab.hypcore import DomainError
 from petallab.lab import _build_parser, main
 from petallab.models import by_name
+from petallab.speeds import speed_series
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -57,6 +58,24 @@ class TestSpeedsCommand:
         assert main(argv) == 0
         second = read(tmp_path / "speeds_koebe-elliptic_p0.csv")
         assert first == second
+
+    def test_csv_shape(self, tmp_path):
+        code = main(["speeds", "--model", "strip-slit", "--grid=0,-1,-2",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = read(tmp_path / "speeds_strip-slit_p0.csv").split("\n")
+        assert lines[0] == "t,v,v_o,v_T"
+        assert lines[1] == "0,0,0,0"
+        assert len(lines) == 5  # header + 3 rows + trailing newline split
+
+    def test_csv_seventeen_digits(self, tmp_path):
+        assert main(["speeds", "--model", "strip-slit", "--grid=-3",
+                     "--out", str(tmp_path)]) == 0
+        row = read(tmp_path / "speeds_strip-slit_p0.csv").split("\n")[1].split(",")
+        m1 = by_name("strip-slit")
+        petal = m1.petal("upper")
+        (sample,) = speed_series(m1, petal, petal.base_default, [-3.0]).samples
+        assert [float(x) for x in row] == list(sample)  # round-trips exactly
 
     def test_explicit_grid_wins_over_exponents(self, tmp_path):
         code = main([
@@ -223,13 +242,32 @@ class TestHmeasureCommand:
         (report,) = reports
         assert float(summary["theta"]) == report.theta
 
-    def test_too_few_orbit_points_is_usage_error(self, tmp_path, capsys):
-        code = main([
-            "hmeasure", "--model", "strip-slit", "--kmax", "3",
-            "--out", str(tmp_path),
-        ])
+    @pytest.mark.parametrize("flags,points,stop", [
+        (["--kmax", "3"], "3", "kmax 3 reached"),
+        # From base -8 + i pi/4 every disk-chart point lies within the rounding
+        # floor of sigma, so the probe keeps none of them.
+        (["--base-re", "-8"], "0", "disk_z within 2.22e-08 of sigma at t = -1"),
+    ], ids=["kmax", "rounding-floor"])
+    def test_too_few_orbit_points_is_inconclusive(self, tmp_path, capsys, flags, points, stop):
+        # Too few points is an inconclusive FAIL like a wide spread, and
+        # the summary names why the orbit ended.
+        code = main(["hmeasure", "--model", "strip-slit", "--petal", "0", *flags,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out.endswith(
+            "FAIL hmeasure strip-slit/upper: inconclusive\n")
+        summary = parse_summary(tmp_path / "hmeasure_strip-slit_p0_summary.txt")
+        assert summary["status"] == "inconclusive"
+        assert summary["points"] == points
+        assert summary["orbit_stop"] == stop
+        assert summary["reason"] == f"need at least 5 points, got {points}"
+
+    def test_kmax_below_one_is_usage_error(self, tmp_path, capsys):
+        code = main(["hmeasure", "--model", "strip-slit", "--kmax", "0",
+                     "--out", str(tmp_path)])
         assert code == 2
-        assert "need at least 5 points" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: an orbit angle needs kmax >= 1, got 0\n"
+        assert not list(tmp_path.iterdir())
 
     def test_base_outside_petal_is_usage_error(self, tmp_path, capsys):
         # 1 - 0.5i lies in strip-slit's lower petal: the upper petal's orbit

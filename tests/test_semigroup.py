@@ -243,9 +243,10 @@ class TestRepellingDiagnostics:
         # G(z)/(z-1) = z/(1+z) -> 1/2 radially.
         m3 = by_name("koebe-elliptic")
         report = repelling_diagnostics(m3, m3.petal("main"), [0j])
-        for k, ratio in zip(range(4, 41), report.ratios):
-            z = 1.0 - 2.0 ** -k
-            assert abs(ratio - z / (1.0 + z)) <= 1e-6 * (1 + 2.0 ** (k / 2))
+        assert len(report.radial_points) == len(report.ratios) == 37
+        for z, ratio in zip(report.radial_points, report.ratios):
+            # 1 - z = 2^-k, so the bound is 1e-6 (1 + 2^(k/2)).
+            assert abs(ratio - z / (1.0 + z)) <= 1e-6 * (1 + abs(1.0 - z) ** -0.5)
 
     @pytest.mark.parametrize("name,label,stop", [
         ("strip-slit", "upper", 40),

@@ -370,26 +370,6 @@ class TestSeries:
         assert series.base == petal.base_default
         assert [s.t for s in series.samples] == [0.0, -1.0]
 
-    def test_csv_shape_and_determinism(self):
-        m1 = by_name("strip-slit")
-        petal = m1.petal("upper")
-        series = speed_series(m1, petal, petal.base_default, [0.0, -1.0, -2.0])
-        text = series.to_csv()
-        lines = text.split("\n")
-        assert lines[0] == "t,v,v_o,v_T"
-        assert lines[1] == "0,0,0,0"
-        assert text.endswith("\n")
-        assert len(lines) == 5  # header + 3 rows + trailing newline split
-        again = speed_series(m1, petal, petal.base_default, [0.0, -1.0, -2.0]).to_csv()
-        assert again == text
-
-    def test_csv_seventeen_digits(self):
-        m1 = by_name("strip-slit")
-        petal = m1.petal("upper")
-        series = speed_series(m1, petal, petal.base_default, [-3.0])
-        row = series.to_csv().split("\n")[1].split(",")
-        assert float(row[1]) == series.samples[0].v  # round-trips exactly
-
     def test_no_monotonicity_warning_on_catalog(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
