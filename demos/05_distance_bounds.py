@@ -31,13 +31,13 @@ for t, ratio in bound_ratio_series(profile, grid):
 
 # delta(t) = -t exp(-t^2): the gap collapses at gaussian speed and the
 # lower bound already grows like t^2 / 4.  The float gap underflows to 0
-# long before t = -1000; the bound survives because profiles carry exact
-# logarithms.
+# long before t = -1000; the bound survives because a profile is stored as
+# its exact logarithm.
 profile = gaussian_profile()
 print("\ngaussian profile, lower bound over t^2:")
 for t, ratio in bound_ratio_series(profile, grid):
     print(f"  t = {t:>10.0f}   ratio = {ratio:.10f}")
-print(f"  (float delta at t = -40 is already {profile.delta(-40.0)})")
+print(f"  (float delta at t = -40 is already {math.exp(profile.log_delta(-40.0))})")
 
 # The same machinery accepts measured gap tables, interpolated in log
 # delta, with an exact piecewise integral for the upper bound.  Sixty

@@ -6,9 +6,10 @@ hyperbolic distance ``d0`` already accumulated at ``t0``.  The upper bound
 integrates ``1/delta`` along the trajectory; the lower bound is the
 separation forced by the thinnest of the two endpoints' boundary gaps.
 
-Profiles carry ``log_delta`` alongside ``delta`` so that bounds remain
-computable when ``delta`` itself underflows (the gaussian profile collapses
-to float zero already near t = -27 while its logarithm stays exact).
+A profile stores only the logarithm ``log_delta`` of its gap, so that
+bounds remain computable when ``delta`` itself underflows (the gaussian
+profile's gap is float zero already near t = -27 while its logarithm stays
+exact).
 
 A profile without a closed-form antiderivative is integrated by a fixed
 tanh-sinh rule (Takahasi and Mori, 1974) on ``exp(-log_delta)``: nodes
@@ -88,22 +89,22 @@ _TANH_SINH_LEVELS = _tanh_sinh_levels()
 
 
 class BoundaryProfile:
-    """Boundary-distance profile ``delta`` on ``(-inf, t0]``.
+    """Boundary-distance profile ``delta`` on ``(-inf, t0]``, stored as its
+    log gap.
 
-    ``delta`` must be positive for every ``t <= t0``; ``log_delta`` is its
-    exact logarithm and is the form the bounds actually consume.
+    ``log_delta`` is the exact logarithm of the gap, which must be positive
+    for every ``t <= t0``; the bounds read the gap only through it.
     ``inv_delta_antiderivative``, when present, is a closed-form
     antiderivative of ``1/delta`` used instead of quadrature.
     """
 
-    __slots__ = ("name", "t0", "d0", "delta", "log_delta", "inv_delta_antiderivative")
+    __slots__ = ("name", "t0", "d0", "log_delta", "inv_delta_antiderivative")
 
     def __init__(
         self,
         name: str,
         t0: float,
         d0: float,
-        delta: Callable[[float], float],
         log_delta: Callable[[float], float],
         inv_delta_antiderivative: Optional[Callable[[float], float]] = None,
     ) -> None:
@@ -116,7 +117,6 @@ class BoundaryProfile:
         self.name = name
         self.t0 = t0
         self.d0 = d0
-        self.delta = delta
         self.log_delta = log_delta
         self.inv_delta_antiderivative = inv_delta_antiderivative
 
@@ -125,9 +125,6 @@ def logrecip_profile(t0: float = -math.e, d0: float = 1.0) -> BoundaryProfile:
     """Profile ``delta(t) = 1 / log(-t)``, defined for ``t0 <= -e``."""
     if not t0 <= -math.e:
         raise DomainError(f"logrecip profile needs t0 <= -e, got {t0}")
-
-    def delta(t: float) -> float:
-        return 1.0 / math.log(-t)
 
     def log_delta(t: float) -> float:
         return -math.log(math.log(-t))
@@ -140,7 +137,6 @@ def logrecip_profile(t0: float = -math.e, d0: float = 1.0) -> BoundaryProfile:
         name="logrecip",
         t0=float(t0),
         d0=float(d0),
-        delta=delta,
         log_delta=log_delta,
         inv_delta_antiderivative=antiderivative,
     )
@@ -151,9 +147,6 @@ def gaussian_profile(t0: float = -1.0, d0: float = 1.0) -> BoundaryProfile:
     if not t0 < 0.0:
         raise DomainError(f"gaussian profile needs t0 < 0, got {t0}")
 
-    def delta(t: float) -> float:
-        return -t * math.exp(-t * t)
-
     def log_delta(t: float) -> float:
         return math.log(-t) - t * t
 
@@ -161,7 +154,6 @@ def gaussian_profile(t0: float = -1.0, d0: float = 1.0) -> BoundaryProfile:
         name="gaussian",
         t0=float(t0),
         d0=float(d0),
-        delta=delta,
         log_delta=log_delta,
     )
 
@@ -175,7 +167,8 @@ def custom_profile(
 ) -> BoundaryProfile:
     """Wrap an arbitrary positive gap function as a profile.
 
-    Without ``log_delta``, the profile takes ``log(delta(t))`` and raises
+    The profile keeps only a log gap: ``log_delta`` when given, which
+    leaves ``delta`` unread, else ``log(delta(t))``, which raises
     ``DomainError`` at a time where the gap is not positive and finite.
     """
     if log_delta is None:
@@ -193,7 +186,6 @@ def custom_profile(
         name=name,
         t0=float(t0),
         d0=float(d0),
-        delta=delta,
         log_delta=log_delta,
     )
 
@@ -236,9 +228,6 @@ def profile_from_table(
         slope = (log_deltas[i + 1] - log_deltas[i]) / (ts[i + 1] - ts[i])
         return slope * (t - ts[i]) + log_deltas[i]
 
-    def delta(t: float) -> float:
-        return math.exp(log_delta(t))
-
     # 1/delta = exp(-L) with L piecewise linear, so each segment integrates
     # in closed form; accumulate those to get an exact antiderivative.
     def _segment_integral(i: int, s: float) -> float:
@@ -260,7 +249,6 @@ def profile_from_table(
         name="custom",
         t0=float(t0),
         d0=float(d0),
-        delta=delta,
         log_delta=log_delta,
         inv_delta_antiderivative=antiderivative,
     )

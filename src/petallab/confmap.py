@@ -421,8 +421,9 @@ class ConformalChain:
 
 def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
     """Image of z under the steps of a plan, each checked against its cut
-    and its image checked to be a finite float."""
-    for i, apply, cut_distance, _, _ in plan:
+    and its image checked to be a finite float; an inverse plan entry's
+    image is also checked against its forward step's cut."""
+    for i, apply, cut_distance, _, forward_cut in plan:
         if cut_distance is not None:
             _check_cut(cut_distance, z, i)
         try:
@@ -431,13 +432,14 @@ def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
         if not cmath.isfinite(z):
             raise MapDomainError("evaluation left float range", step_index=i)
+        if forward_cut is not None:
+            _check_cut(forward_cut, z, i)
     return z
 
 
 def _walk_with_derivative(plan: tuple[_PlanEntry, ...], z: complex) -> tuple[complex, complex]:
     """``_walk`` with each step's ``value_and_derivative``: the image of z
-    and the chain rule product of the steps' derivatives.  An inverse plan
-    entry's image is also checked against its forward step's cut."""
+    and the chain rule product of the steps' derivatives."""
     acc = 1.0 + 0j
     for i, _, cut_distance, value_and_derivative, forward_cut in plan:
         if cut_distance is not None:

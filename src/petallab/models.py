@@ -122,30 +122,31 @@ PetalImage = Union[StripImage, HalfPlaneImage, SectorImage]
 class Petal:
     """Maximal one-sided invariant region attached to a boundary fixed point.
 
-    ``kind`` is "hyperbolic" (repelling spectral value ``lam`` < 0) or
-    "parabolic" (``lam`` is None).  ``sigma_canonical`` is the canonical
-    image of the petal's distinguished boundary point: the repelling fixed
-    point for hyperbolic petals, the Denjoy-Wolff point for parabolic ones.
-    ``base_default`` is a reference interior point in Omega coordinates.
+    A petal stores its repelling spectral value ``lam`` (negative), or None
+    for a parabolic petal; ``kind`` is read from it.  ``sigma_canonical`` is
+    the canonical image of the petal's distinguished boundary point: the
+    repelling fixed point for hyperbolic petals, the Denjoy-Wolff point for
+    parabolic ones.  ``base_default`` is a reference interior point in Omega
+    coordinates.
     """
 
-    __slots__ = ("label", "kind", "lam", "sigma_canonical", "image", "base_default")
+    __slots__ = ("label", "lam", "sigma_canonical", "image", "base_default")
 
-    def __init__(self, label: str, kind: str, lam: Optional[float],
+    def __init__(self, label: str, lam: Optional[float],
                  sigma_canonical: BoundaryPoint, image: PetalImage,
                  base_default: complex) -> None:
-        if kind not in ("hyperbolic", "parabolic"):
-            raise ValueError("petal kind must be hyperbolic or parabolic")
-        if (lam is None) != (kind == "parabolic"):
-            raise ValueError("lam must be set exactly for hyperbolic petals")
         if lam is not None and lam >= 0.0:
             raise ValueError("repelling spectral value must be negative")
         self.label = label
-        self.kind = kind
         self.lam = lam
         self.sigma_canonical = sigma_canonical
         self.image = image
         self.base_default = base_default
+
+    @property
+    def kind(self) -> str:
+        """The petal's type: "parabolic" when ``lam`` is None, else "hyperbolic"."""
+        return "parabolic" if self.lam is None else "hyperbolic"
 
     def contains(self, w: complex) -> bool:
         return self.image.contains(complex(w))
@@ -250,17 +251,11 @@ class KoenigsModel(NamedTuple):
         return z
 
     def disk_sigma(self, petal: Petal) -> BoundaryPoint:
-        """Unit-disk image of a petal's distinguished boundary point."""
-        return CAYLEY_UHP_TO_DISK.apply_boundary(petal.sigma_canonical)
+        """Unit-disk image of a petal's distinguished boundary point.
 
-    def uhp_eta_endpoint(self, petal: Petal) -> Optional[float]:
-        """Boundary endpoint, in upper-half-plane coordinates, of the
-        geodesic ray a backward orbit in this petal converges along.
-        None encodes the point at infinity."""
-        sigma = petal.sigma_canonical
-        if sigma.is_infinity:
-            return None
-        return sigma.value.real
+        Always finite: Cayley sends every real point and infinity onto the
+        unit circle."""
+        return CAYLEY_UHP_TO_DISK.apply_boundary(petal.sigma_canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +276,6 @@ def _make_strip_slit() -> KoenigsModel:
     )
     upper = Petal(
         label="upper",
-        kind="hyperbolic",
         lam=-2.0,
         sigma_canonical=BoundaryPoint(-1.0 + 0j),
         image=StripImage(0.0, HALF_PI),
@@ -289,7 +283,6 @@ def _make_strip_slit() -> KoenigsModel:
     )
     lower = Petal(
         label="lower",
-        kind="hyperbolic",
         lam=-2.0,
         sigma_canonical=BoundaryPoint(1.0 + 0j),
         image=StripImage(-HALF_PI, 0.0),
@@ -322,7 +315,6 @@ def _make_sector_parabolic() -> KoenigsModel:
     )
     petal = Petal(
         label="main",
-        kind="parabolic",
         lam=None,
         sigma_canonical=INFINITY,
         image=HalfPlaneImage(0.0),
@@ -360,7 +352,6 @@ def _make_koebe_elliptic() -> KoenigsModel:
     )
     petal = Petal(
         label="main",
-        kind="hyperbolic",
         lam=-0.5,
         sigma_canonical=INFINITY,
         image=SectorImage(amplitude=2.0 * math.pi, theta0=0.0),

@@ -121,7 +121,8 @@ def generator(model: KoenigsModel, z: complex) -> complex:
 
 
 class RepellingReport(NamedTuple):
-    """Numerical evidence that a boundary point repels with rate lam.
+    """Numerical evidence that a boundary point repels with rate lam, the
+    petal's ``lam``.
 
     ``min_julia_residual`` is the worst slack in the Julia-type lower
     bound Re(sigma G(z)/(sigma - z)^2) >= (lam/2)(1-|z|^2)/|sigma - z|^2.
@@ -137,7 +138,6 @@ class RepellingReport(NamedTuple):
     with r_i = ``ratios[i]``.
     """
 
-    lam: float
     sigma_disk: complex
     min_julia_residual: float
     radial_points: tuple[complex, ...]
@@ -152,15 +152,11 @@ def repelling_diagnostics(
     model: KoenigsModel, petal: Petal, samples: Sequence[complex]
 ) -> RepellingReport:
     """Evaluate the three repelling-point criteria at disk-coordinate samples."""
-    if petal.kind != "hyperbolic" or petal.lam is None:
+    if petal.lam is None:
         raise DiagnosticError("diagnostics need a hyperbolic petal")
-    sigma_bp = model.disk_sigma(petal)
-    if sigma_bp.is_infinity:
-        raise DiagnosticError("sigma did not transport to a finite disk point")
-    sigma = sigma_bp.value
+    sigma = model.disk_sigma(petal).value
     sigma_bar = sigma.conjugate()
-    lam = petal.lam
-    half_lam = 0.5 * lam
+    half_lam = 0.5 * petal.lam
     # Running minima kept by comparison; a NaN sample sticks, since no value
     # compares below it, so a NaN anywhere fails the criteria.
     min_julia = math.inf
@@ -201,7 +197,6 @@ def repelling_diagnostics(
         # min skips NaN keys and would pick a plateau beside a NaN ratio.
         estimate = complex(math.nan, math.nan)
     return RepellingReport(
-        lam=lam,
         sigma_disk=sigma,
         min_julia_residual=min_julia,
         radial_points=tuple(radial),

@@ -73,12 +73,12 @@ class SpeedSample(NamedTuple):
 
 
 class SpeedSeries(NamedTuple):
-    """Speed samples of one petal orbit over a time grid."""
+    """Speed samples of one petal orbit over a time grid, which the
+    samples' ``t`` hold."""
 
     model_name: str
     petal_label: str
     base: complex
-    grid: tuple[float, ...]
     samples: tuple[SpeedSample, ...]
 
     def component(self, name: str) -> list[float]:
@@ -105,24 +105,22 @@ def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
     return [-(2.0 ** k) for k in range(k_min, k_max + 1)]
 
 
-def _eta_frame(
-    model: KoenigsModel, petal: Petal, p0: UhpLogPoint
-) -> Callable[[UhpLogPoint], complex]:
+def _eta_frame(petal: Petal, p0: UhpLogPoint) -> Callable[[UhpLogPoint], complex]:
     """Log-coordinate chart in which eta is the positive imaginary axis.
 
     eta is the geodesic through the base image p0 ending at the petal's
-    distinguished boundary point (upper-half-plane coordinates).  The
-    returned map sends an orbit log point to log N(q) where N is the
-    Moebius normalizer carrying eta onto the imaginary axis.
+    distinguished boundary point ``sigma_canonical``.  The returned map
+    sends an orbit log point to log N(q) where N is the Moebius normalizer
+    carrying eta onto the imaginary axis.
     """
-    sigma = model.uhp_eta_endpoint(petal)
     q0 = p0.value()
     if q0 is None:
         raise DomainError("base point has no finite canonical image")
-    if sigma is None:
+    if petal.sigma_canonical.is_infinity:
         # eta is the vertical line through q0; translate it to Re = 0.
         shift = q0.real
         return lambda p: uhp_log_shifted(p, shift)
+    sigma = petal.sigma_canonical.value.real
     if q0.real == sigma:
         return lambda p: uhp_log_shifted(p, sigma)
     # Half-circle geodesic: second foot by reflecting sigma through the
@@ -167,7 +165,7 @@ def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> Spe
     if t > 0.0:
         raise DomainError("petal speeds are defined for t <= 0")
     p0 = model.uhp_orbit(w0, 0.0)
-    frame = _eta_frame(model, petal, p0)
+    frame = _eta_frame(petal, p0)
     return _sample_at(model, w0, p0, frame, frame(p0), t)
 
 
@@ -202,7 +200,7 @@ def speed_series(
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise DomainError("grid must be strictly decreasing")
     p0 = model.uhp_orbit(w0, 0.0)
-    frame = _eta_frame(model, petal, p0)
+    frame = _eta_frame(petal, p0)
     ln0 = frame(p0)
     samples = [_sample_at(model, w0, p0, frame, ln0, t) for t in ts]
     totals = [s.v for s in samples]
@@ -216,7 +214,6 @@ def speed_series(
         model_name=model.name,
         petal_label=petal.label,
         base=w0,
-        grid=tuple(ts),
         samples=tuple(samples),
     )
 

@@ -134,9 +134,7 @@ def orbit_angle(
     if kmax < 1:
         raise DomainError(f"an orbit angle needs kmax >= 1, got {kmax}")
     base = require_petal(model, petal, base)
-    sigma = model.disk_sigma(petal)
-    if sigma.is_infinity:
-        raise DomainError(f"petal {petal.label} of {model.name} has no finite disk endpoint")
+    sigma = model.disk_sigma(petal).value
     times: List[float] = []
     points: List[complex] = []
     for k in range(1, kmax + 1):
@@ -145,8 +143,8 @@ def orbit_angle(
             break
         times.append(float(-k))
         points.append(z)
-    phase = cmath.phase(sigma.value)
-    report = approach_angle(points, sigma.value, Arc(phase, phase + math.pi / 2))
+    phase = cmath.phase(sigma)
+    report = approach_angle(points, sigma, Arc(phase, phase + math.pi / 2))
     if report.used < len(times):
         stop = f"disk_z within {ROUNDING_FLOOR:.3g} of sigma at t = {times[report.used]:g}"
     elif len(times) < kmax:

@@ -493,7 +493,8 @@ def reference_eval(chain: ConformalChain, w: complex) -> complex:
 
 
 def reference_eval_inverse(chain: ConformalChain, q: complex) -> complex:
-    """``chain.eval_inverse(q)``, inverting each step as it is reached."""
+    """``chain.eval_inverse(q)``, inverting each step as it is reached and
+    checking each image against the cut of the step it inverts."""
     z = complex(q)
     if not z.imag > 0.0:
         raise MapDomainError(f"{z!r} is outside the upper half-plane")
@@ -501,6 +502,7 @@ def reference_eval_inverse(chain: ConformalChain, q: complex) -> complex:
         step = chain.steps[i].inverted()
         _check_cut(step, z, i)
         z = _apply(step, z, i)
+        _check_cut(chain.steps[i], z, i)
     if not chain.source_contains(z):
         raise MapDomainError(f"{q!r} has no preimage in the source region")
     return z

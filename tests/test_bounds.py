@@ -41,7 +41,7 @@ QUARTER_LOG1P_10 = 0.59947381819959263602
 def without_antiderivative(p: BoundaryProfile) -> BoundaryProfile:
     """The same gap as ``p`` with no antiderivative, so that ``upper_bound``
     integrates it by the tanh-sinh rule."""
-    return custom_profile(p.delta, p.t0, p.d0, log_delta=p.log_delta)
+    return BoundaryProfile(p.name, p.t0, p.d0, p.log_delta)
 
 
 class TestProfiles:
@@ -50,7 +50,6 @@ class TestProfiles:
         assert p.name == "logrecip"
         assert p.t0 == pytest.approx(-math.e)
         assert p.d0 == 1.0
-        assert p.delta(-math.e**2) == pytest.approx(0.5)
         assert p.log_delta(-math.e**2) == pytest.approx(-math.log(2.0))
 
     def test_logrecip_anchor_validation(self):
@@ -62,12 +61,12 @@ class TestProfiles:
         p = gaussian_profile()
         assert p.name == "gaussian"
         assert p.t0 == -1.0
-        assert p.delta(-1.0) == pytest.approx(math.exp(-1.0))
+        assert p.log_delta(-1.0) == -1.0
         assert p.log_delta(-2.0) == pytest.approx(math.log(2.0) - 4.0)
 
     def test_gaussian_log_gap_survives_underflow(self):
         p = gaussian_profile()
-        assert p.delta(-40.0) == 0.0
+        assert math.exp(p.log_delta(-40.0)) == 0.0
         assert p.log_delta(-40.0) == pytest.approx(math.log(40.0) - 1600.0)
 
     def test_profile_validation(self):
@@ -82,7 +81,6 @@ class TestProfiles:
                 name="bad",
                 t0=-1.0,
                 d0=0.0,
-                delta=lambda t: 0.0,
                 log_delta=lambda t: -math.inf,
             )
 
@@ -292,7 +290,7 @@ class TestRatioSeries:
     def test_ratio_where_t_squared_underflows(self, t):
         # A unit gap anchored at -1e-200 with d0 = 0 has the upper bound
         # t0 - t; t^2 is subnormal at -1e-160 and 0 at -1e-170.
-        p = BoundaryProfile("unit", -1e-200, 0.0, lambda s: 1.0, lambda s: 0.0,
+        p = BoundaryProfile("unit", -1e-200, 0.0, lambda s: 0.0,
                             inv_delta_antiderivative=lambda s: s)
         with mpmath.workdps(40):
             exact = float((mpmath.mpf(-1e-200) - t) / mpmath.mpf(t) ** 2)
@@ -312,9 +310,9 @@ class TestTabulatedProfiles:
         rows = [(-100.0, 1e-4), (-10.0, 1e-2), (-1.0, 1.0)]
         p = profile_from_table(rows, d0=0.0)
         assert p.t0 == -1.0
-        assert p.delta(-10.0) == pytest.approx(1e-2, rel=1e-12)
+        assert p.log_delta(-10.0) == pytest.approx(math.log(1e-2), rel=1e-12)
         # halfway in t between -10 and -100 is the geometric mean of gaps
-        assert p.delta(-55.0) == pytest.approx(1e-3, rel=1e-12)
+        assert p.log_delta(-55.0) == pytest.approx(math.log(1e-3), rel=1e-12)
 
     def test_table_validation(self):
         with pytest.raises(DomainError):
@@ -334,7 +332,7 @@ class TestTabulatedProfiles:
     def test_table_range_enforced(self):
         p = profile_from_table([(-100.0, 1e-3), (-1.0, 1.0)])
         with pytest.raises(DomainError):
-            p.delta(-200.0)
+            p.log_delta(-200.0)
         with pytest.raises(DomainError):
             lower_bound(p, -200.0)
 
@@ -343,7 +341,7 @@ class TestTabulatedProfiles:
         # slowly varying gap reproduces the closed-form bound to ~1e-3.
         exact = logrecip_profile(t0=-math.e, d0=1.0)
         ts = -np.exp(np.linspace(1.0, 8.0, 400))
-        rows = [(float(t), exact.delta(float(t))) for t in ts]
+        rows = [(float(t), 1.0 / math.log(-float(t))) for t in ts]
         p = profile_from_table(rows, t0=float(max(ts)), d0=1.0)
         t_query = -1000.0
         got = upper_bound(p, t_query)
@@ -404,7 +402,7 @@ class TestTabulatedProfiles:
         )
         p = profile_from_file(str(path), d0=0.0)
         assert p.t0 == -1.0
-        assert p.delta(-10.0) == pytest.approx(0.5, rel=1e-12)
+        assert p.log_delta(-10.0) == pytest.approx(math.log(0.5), rel=1e-12)
         assert upper_bound(p, -1.0) == 0.0
 
     def test_file_rejects_bad_rows(self, tmp_path):

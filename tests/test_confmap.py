@@ -251,6 +251,19 @@ class TestChainEval:
         with pytest.raises(MapDomainError):
             chain.eval_inverse(-1.0 + 0.5j)
 
+    def test_eval_inverse_checks_the_forward_cut(self):
+        # The inverted square root sends q to -1 + 9.96e-14 i, within
+        # EPS_CUT of PowerStep(0.5)'s cut: eval refuses that point, and so
+        # must both inverse walks, at the same step and with the same text.
+        chain = by_name("koebe-elliptic").chain
+        q = 1j * cmath.sqrt(-1.0 + 1e-13j)
+        got = _outcome(chain.eval_inverse, q)
+        assert got[:3] == ("error", MapDomainError, 1)
+        assert "of a branch cut" in got[3]
+        assert got == _outcome(chain.inverse_and_derivative, q)
+        assert got == _outcome(chain.eval, -2.0 + 9.959844768632876e-14j)
+        assert got == _outcome(reference_eval_inverse, chain, q)
+
     def test_conformality_derivative_nonzero(self):
         chain = _strip_slit_chain()
         rng = _rng()

@@ -261,17 +261,16 @@ class TestApproachAngle:
         assert not ApproachReport(math.pi / 2, (), "", "").tangential
 
     def test_wandering_sequence_inconclusive(self):
-        # Converges to the endpoint but the measures oscillate too much:
-        # alternating sides of the radius with slowly shrinking amplitude.
+        # Converges to the endpoint along two rays at +-0.8 rad from the
+        # radius, alternately: the measures settle near 0.245 and 0.755,
+        # and the probe reports their spread, not a number.
         a = 1.0 + 0j
-        pts = []
-        for k in range(1, 20):
-            r = 1.0 - 2.0 ** (-k)
-            side = 1.0 if k % 2 == 0 else -1.0
-            pts.append(r * cmath.exp(1j * side * 0.4 * 2.0 ** (-k / 8.0)))
-        arc = Arc(0.0, math.pi / 2)
-        report = approach_angle(pts, a, arc)
+        pts = [a - 2.0 ** (-k) * cmath.exp(1j * (0.8 if k % 2 else -0.8))
+               for k in range(1, 20)]
+        report = approach_angle(pts, a, Arc(0.0, math.pi / 2))
         assert report.inconclusive
+        assert report.reason == "trailing measures spread 0.509 exceeds 0.05"
+        assert report.used == 19 and report.stop == "sequence ended"
 
     def test_short_sequence_inconclusive(self):
         pts = [(1.0 - 2.0 ** (-k)) * 1j for k in range(1, 4)]

@@ -262,6 +262,20 @@ class TestHmeasureCommand:
         assert summary["orbit_stop"] == stop
         assert summary["reason"] == f"need at least 5 points, got {points}"
 
+    def test_orbit_stops_where_the_disk_chart_is_lost(self, tmp_path):
+        # From -0.5 + 1e-12 i the elliptic orbit runs along the slit, and
+        # at t = -21 its disk image rounds onto the unit circle: flow gives
+        # no disk_z, so the orbit ends there, short of kmax, and the probe
+        # keeps the 20 points before it.
+        code = main(["hmeasure", "--model", "koebe-elliptic", "--base-re", "-0.5",
+                     "--base-im", "1e-12", "--kmax", "60", "--out", str(tmp_path)])
+        assert code == 1
+        summary = parse_summary(tmp_path / "hmeasure_koebe-elliptic_p0_summary.txt")
+        assert summary["points"] == "20"
+        assert summary["orbit_stop"] == "disk chart lost at t = -21"
+        rows = read(tmp_path / "hmeasure_koebe-elliptic_p0.dat").splitlines()[1:]
+        assert [float(row.split()[0]) for row in rows] == [float(-k) for k in range(1, 21)]
+
     def test_kmax_below_one_is_usage_error(self, tmp_path, capsys):
         code = main(["hmeasure", "--model", "strip-slit", "--kmax", "0",
                      "--out", str(tmp_path)])

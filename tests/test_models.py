@@ -75,7 +75,10 @@ class TestCatalog:
         assert [p.label for p in m3.petals] == ["main"]
         assert m1.petal("upper").lam == -2.0
         assert m3.petal("main").lam == -0.5
-        assert m2.petal("main").kind == "parabolic"
+        # A petal's type is read from lam.
+        assert m1.petal("upper").kind == m1.petal("lower").kind == "hyperbolic"
+        assert m3.petal("main").kind == "hyperbolic"
+        assert m2.petal("main").lam is None and m2.petal("main").kind == "parabolic"
         with pytest.raises(KeyError):
             m1.petal("sideways")
 
@@ -87,13 +90,11 @@ class TestCatalog:
 
     def test_petal_validation(self):
         with pytest.raises(ValueError):
-            Petal("x", "hyperbolic", None, INFINITY, StripImage(0, 1), 0j)
+            Petal("x", 2.0, INFINITY, StripImage(0, 1), 0j)
         with pytest.raises(ValueError):
-            Petal("x", "parabolic", -1.0, INFINITY, StripImage(0, 1), 0j)
-        with pytest.raises(ValueError):
-            Petal("x", "hyperbolic", 2.0, INFINITY, StripImage(0, 1), 0j)
-        with pytest.raises(ValueError):
-            Petal("x", "spiral", -1.0, INFINITY, StripImage(0, 1), 0j)
+            Petal("x", 0.0, INFINITY, StripImage(0, 1), 0j)
+        assert Petal("x", None, INFINITY, StripImage(0, 1), 0j).kind == "parabolic"
+        assert Petal("x", -1.0, INFINITY, StripImage(0, 1), 0j).kind == "hyperbolic"
         with pytest.raises(ValueError):
             SectorImage(amplitude=3.0 * math.pi, theta0=0.0)
 
@@ -558,11 +559,12 @@ class TestTransport:
         assert m3.disk_sigma(m3.petal("main")).value == pytest.approx(1.0 + 0j)
 
     def test_uhp_eta_endpoints(self):
+        # eta ends at sigma_canonical, which speeds reads in place.
         m1, m2, m3 = catalog()
-        assert m1.uhp_eta_endpoint(m1.petal("upper")) == -1.0
-        assert m1.uhp_eta_endpoint(m1.petal("lower")) == 1.0
-        assert m2.uhp_eta_endpoint(m2.petal("main")) is None
-        assert m3.uhp_eta_endpoint(m3.petal("main")) is None
+        assert m1.petal("upper").sigma_canonical == BoundaryPoint(-1.0 + 0j)
+        assert m1.petal("lower").sigma_canonical == BoundaryPoint(1.0 + 0j)
+        assert m2.petal("main").sigma_canonical is INFINITY
+        assert m3.petal("main").sigma_canonical is INFINITY
 
     def test_koebe_image_avoids_slit(self):
         m3 = by_name("koebe-elliptic")

@@ -10,8 +10,6 @@ import pytest
 
 from oracles import CanonicalDomain, geodesic_through, project_to_geodesic
 from petallab.hypcore import (
-    INFINITY,
-    BoundaryPoint,
     DomainError,
     UhpLogPoint,
     disk_distance,
@@ -137,9 +135,7 @@ class TestCrossValidation:
         petal = model.petal(label)
         base = petal.base_default
         q0 = model.uhp_orbit(base, 0.0).value()
-        sig = model.uhp_eta_endpoint(petal)
-        endpoint = INFINITY if sig is None else BoundaryPoint(complex(sig))
-        eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0, endpoint)
+        eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0, petal.sigma_canonical)
         for t in np.linspace(-tmax, -0.5, 9):
             s = speed_sample(model, petal, base, float(t))
             qt = model.uhp_orbit(base, float(t)).value()
@@ -153,9 +149,8 @@ class TestCrossValidation:
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 4, rng):
                 q0 = model.uhp_orbit(w, 0.0).value()
-                sig = model.uhp_eta_endpoint(petal)
-                endpoint = INFINITY if sig is None else BoundaryPoint(complex(sig))
-                eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0, endpoint)
+                eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0,
+                                       petal.sigma_canonical)
                 for t in (-4.0, -1.5):
                     s = speed_sample(model, petal, w, t)
                     qt = model.uhp_orbit(w, t).value()
@@ -182,7 +177,7 @@ class TestCrossValidation:
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
         p0 = UhpLogPoint(None, cmath.log(-1.0 + 2.0j))
-        frame = _eta_frame(m1, petal, p0)
+        frame = _eta_frame(petal, p0)
         on_line = UhpLogPoint(None, cmath.log(-1.0 + 5.0j))
         assert frame(on_line).imag == pytest.approx(math.pi / 2.0, abs=1e-15)
 
@@ -353,7 +348,7 @@ class TestSeries:
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
         series = speed_series(m1, petal, petal.base_default)
-        assert series.grid == tuple(dyadic_grid(0, 16))
+        assert [s.t for s in series.samples] == dyadic_grid(0, 16)
 
     def test_length_one_grid_at_zero(self):
         m1 = by_name("strip-slit")
@@ -376,6 +371,18 @@ class TestSeries:
             for model, petal in _model_petals():
                 speed_series(model, petal, petal.base_default, dyadic_grid(0, 10))
 
+    def test_monotonicity_warning_on_decreasing_total(self, monkeypatch):
+        # A total that shrinks as |t| grows, planted through the distance
+        # kernel: the series still comes back, with a RuntimeWarning.
+        planted = iter([3.0, 2.0, 1.0])
+        monkeypatch.setattr("petallab.speeds.uhp_log_distance", lambda p, q: next(planted))
+        m1 = by_name("strip-slit")
+        petal = m1.petal("upper")
+        with pytest.warns(RuntimeWarning,
+                          match=r"total speed is not monotone in \|t\| for strip-slit/upper"):
+            series = speed_series(m1, petal, petal.base_default, [-1.0, -2.0, -4.0])
+        assert [s.v for s in series.samples] == [3.0, 2.0, 1.0]
+
     def test_component_lookup(self):
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
@@ -390,8 +397,7 @@ class TestSlopeEstimate:
     def _line_series(n=8):
         samples = tuple(SpeedSample(t=-float(k), v=float(k), v_o=0.5 * k, v_T=0.0)
                         for k in range(n))
-        return SpeedSeries("synthetic", "main", 0j,
-                           tuple(s.t for s in samples), samples)
+        return SpeedSeries("synthetic", "main", 0j, samples)
 
     def test_exact_line(self):
         slope, r2 = slope_estimate(self._line_series(), "linear_in_t", "v")
@@ -415,15 +421,14 @@ class TestSlopeEstimate:
             SpeedSample(t=-(2.0 ** k), v=0.5 * math.log(2.0 ** k), v_o=0.0, v_T=0.0)
             for k in range(1, 11)
         )
-        series = SpeedSeries("synthetic", "main", 0j,
-                             tuple(s.t for s in samples), samples)
+        series = SpeedSeries("synthetic", "main", 0j, samples)
         slope, r2 = slope_estimate(series, "linear_in_log", "v")
         assert slope == pytest.approx(0.5, abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_grid(self):
         samples = tuple(SpeedSample(t=0.0, v=0.0, v_o=0.0, v_T=0.0) for _ in range(6))
-        series = SpeedSeries("synthetic", "main", 0j, (0.0,) * 6, samples)
+        series = SpeedSeries("synthetic", "main", 0j, samples)
         with pytest.raises(EstimationError):
             slope_estimate(series, "linear_in_t", "v")
         with pytest.raises(EstimationError):
