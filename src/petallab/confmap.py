@@ -25,6 +25,18 @@ derivative walk then checks the product once: one that vanished or left
 float range raises.  The source or target region is checked before the
 walk that starts there and after the walk that ends there.
 
+The list forms ``eval_all``, ``eval_inverse_all`` and
+``inverse_and_derivative_all`` walk a whole list of points at once
+(``_walk_all``, ``_walk_all_with_derivative``): each plan step runs over
+every point before the next step, its cut check, the step itself, and the
+finiteness and forward-cut checks each as one ``map`` over the list.  On
+any failed check, or any arithmetic or value error, the list walk gives
+up, and the list form re-walks the points one by one with the per-point
+method.  So ``eval_all(ws)`` returns the values of ``[chain.eval(w) for
+w in ws]`` bit for bit and raises what that comprehension raises: the
+first failing point's error.  A list of one point costs more than the
+per-point call, so the per-point methods keep their own walk.
+
 ``eval_log`` walks the log plan on a point held as q = anchor + i^turns
 e^L, which keeps every bit of orbits far beyond float range: a quarter
 turn is counted, not added to Im L where small angles would round away.
@@ -34,7 +46,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Optional
+from itertools import repeat
+from operator import le, mul
+from typing import Callable, Optional, Sequence
 
 from .hypcore import DomainError
 
@@ -403,6 +417,33 @@ class ConformalChain:
             raise MapDomainError(f"{q!r} has no preimage in the source region")
         return z, dw
 
+    def eval_all(self, ws: Sequence[complex]) -> list[complex]:
+        """``[self.eval(w) for w in ws]`` from one list walk."""
+        zs = list(map(complex, ws))
+        if all(map(self.source_contains, zs)):
+            images = _walk_all(self._forward_plan, zs)
+            if images is not None:
+                return images
+        return [self.eval(w) for w in ws]
+
+    def eval_inverse_all(self, qs: Sequence[complex]) -> list[complex]:
+        """``[self.eval_inverse(q) for q in qs]`` from one list walk."""
+        zs = list(map(complex, qs))
+        if all(z.imag > 0.0 for z in zs):
+            pre = _walk_all(self._inverse_plan, zs)
+            if pre is not None and all(map(self.source_contains, pre)):
+                return pre
+        return [self.eval_inverse(q) for q in qs]
+
+    def inverse_and_derivative_all(self, qs: Sequence[complex]) -> list[tuple[complex, complex]]:
+        """``[self.inverse_and_derivative(q) for q in qs]`` from one list walk."""
+        zs = list(map(complex, qs))
+        if all(z.imag > 0.0 for z in zs):
+            walked = _walk_all_with_derivative(self._inverse_plan, zs)
+            if walked is not None and all(map(self.source_contains, walked[0])):
+                return list(zip(*walked))
+        return [self.inverse_and_derivative(q) for q in qs]
+
     def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
         """The image of the source point anchor + e^L (L None: the point
         ``anchor``) as the upper half-plane point anchor + e^L, returned as
@@ -456,3 +497,52 @@ def _walk_with_derivative(plan: tuple[_PlanEntry, ...], z: complex) -> tuple[com
     if not (acc and cmath.isfinite(acc)):
         raise MapDomainError("derivative vanished or left float range")
     return z, acc
+
+
+def _near_cut(cut_distance: Callable[[complex], float], zs: list[complex]) -> bool:
+    """Whether any point of zs fails ``_check_cut``; a cut check's
+    OverflowError propagates."""
+    return any(map(le, map(cut_distance, zs), repeat(EPS_CUT)))
+
+
+def _walk_all(plan: tuple[_PlanEntry, ...], zs: list[complex]) -> Optional[list[complex]]:
+    """``_walk`` of every point of zs, one plan step over the whole list at
+    a time: the images, or None where any point fails a check or any step
+    raises.  The caller then re-walks point by point, which raises the
+    first failing point's error, so an error is dropped here."""
+    try:
+        for _, apply, cut_distance, _, forward_cut in plan:
+            if cut_distance is not None and _near_cut(cut_distance, zs):
+                return None
+            zs = list(map(apply, zs))
+            if not all(map(cmath.isfinite, zs)):
+                return None
+            if forward_cut is not None and _near_cut(forward_cut, zs):
+                return None
+    except (ArithmeticError, ValueError):
+        return None
+    return zs
+
+
+def _walk_all_with_derivative(
+    plan: tuple[_PlanEntry, ...], zs: list[complex]
+) -> Optional[tuple[tuple[complex, ...], list[complex]]]:
+    """``_walk_all`` with each step's ``value_and_derivative``, as
+    ``_walk_with_derivative`` for each point: the images and the chain rule
+    products, or None where any point fails a check or any step raises."""
+    accs = [1.0 + 0j] * len(zs)
+    try:
+        for _, _, cut_distance, value_and_derivative, forward_cut in plan:
+            if cut_distance is not None and _near_cut(cut_distance, zs):
+                return None
+            zs, ds = zip(*map(value_and_derivative, zs))
+            if not all(map(cmath.isfinite, zs)):
+                return None
+            if forward_cut is not None and _near_cut(forward_cut, zs):
+                return None
+            accs = list(map(mul, accs, ds))
+    except (ArithmeticError, ValueError):
+        return None
+    if not (all(accs) and all(map(cmath.isfinite, accs))):
+        return None
+    return zs, accs

@@ -119,6 +119,14 @@ PetalImage = Union[StripImage, HalfPlaneImage, SectorImage]
 # Petals and models
 
 
+def disk_of_canonical(q: complex) -> complex:
+    """Unit-disk coordinate of a canonical point."""
+    z = CAYLEY_UHP_TO_DISK.apply(q)
+    if z is None:
+        raise DomainError("point maps to the Cayley pole")
+    return z
+
+
 class Petal:
     """Maximal one-sided invariant region attached to a boundary fixed point.
 
@@ -245,10 +253,7 @@ class KoenigsModel(NamedTuple):
 
     def disk_of_omega(self, w: complex) -> complex:
         """Unit-disk coordinate of an Omega point."""
-        z = CAYLEY_UHP_TO_DISK.apply(self.chain.eval(complex(w)))
-        if z is None:
-            raise DomainError("point maps to the Cayley pole")
-        return z
+        return disk_of_canonical(self.chain.eval(complex(w)))
 
     def disk_sigma(self, petal: Petal) -> BoundaryPoint:
         """Unit-disk image of a petal's distinguished boundary point.

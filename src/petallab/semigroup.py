@@ -120,6 +120,29 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     return g
 
 
+def generator_all(model: KoenigsModel, zs: Sequence[complex]) -> list[complex]:
+    """``[generator(model, z) for z in zs]`` from one list walk of the
+    chain's inverse plan (``ConformalChain.inverse_and_derivative_all``).
+    Any failure re-runs that comprehension, which raises the first failing
+    point's error."""
+    a, b, c, d, det = _CAYLEY
+    zs = list(map(complex, zs))
+    try:
+        dens = [c * z + d for z in zs]
+        pairs = model.chain.inverse_and_derivative_all(
+            [(a * z + b) / den for z, den in zip(zs, dens)])
+        if model.kind == "elliptic":
+            mu = model.mu
+            gs = [-mu * w / (dw * (det / den**2)) for (w, dw), den in zip(pairs, dens)]
+        else:
+            gs = [1.0 / (dw * (det / den**2)) for (_, dw), den in zip(pairs, dens)]
+    except (ArithmeticError, ValueError):
+        gs = None
+    if gs is None or not all(map(cmath.isfinite, gs)):
+        return [generator(model, z) for z in zs]
+    return gs
+
+
 class RepellingReport(NamedTuple):
     """Numerical evidence that a boundary point repels with rate lam, the
     petal's ``lam``.
@@ -161,9 +184,8 @@ def repelling_diagnostics(
     # compares below it, so a NaN anywhere fails the criteria.
     min_julia = math.inf
     min_herglotz = math.inf
-    for z in samples:
-        z = complex(z)
-        g = generator(model, z)
+    samples = list(map(complex, samples))
+    for z, g in zip(samples, generator_all(model, samples)):
         julia = (sigma * g / (sigma - z) ** 2).real
         julia -= half_lam * (1.0 - abs(z) ** 2) / abs(sigma - z) ** 2
         herglotz = g / ((sigma_bar * z - 1.0) * (z - sigma))

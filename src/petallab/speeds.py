@@ -11,8 +11,12 @@ closed forms of the log coordinates, read through hypcore's
 ``uhp_log_shifted`` and ``axis_distance`` alone, so they stay exact
 long after the orbit points themselves left float range: out to
 |t| = 1e300 in the hyperbolic and elliptic petals.  The parabolic petal
-is exact only to about |t| = 1e15; from about 1e16 on its orbit's
-angular gap to pi underflows and ``speed_sample`` raises ``DomainError``.
+is not exact: its orbit's angular gap to pi is formed next to pi and
+loses bits as |t| grows.  Measured against mpmath at 60 digits, the
+relative error of v at the default base is 1.2e-11 at |t| = 1e6, 5e-10
+at 1e9, 2.2e-6 at 1e12 and 8.3e-4 at 1e15; from about 1e16 on the gap
+rounds away and ``speed_sample`` raises ``DomainError``.  ROADMAP item 1
+carries the gap instead.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from petallab import semigroup, verify
+from petallab import semigroup, speeds, verify
 from petallab.verify import CHECK_NAMES, run_all
 
 
@@ -71,15 +71,43 @@ def _nan_on_call(n):
     return plant
 
 
+def _nan_at_value(n):
+    """Plant a NaN as the n-th value a list function returns, counted over
+    its calls."""
+    def plant(real):
+        returned = [0]
+
+        def planted(*args):
+            values = real(*args)
+            k = n - 1 - returned[0]
+            if 0 <= k < len(values):
+                values[k] = math.nan
+            returned[0] += len(values)
+            return values
+        return planted
+    return plant
+
+
+def _zero_steps(real):
+    def planted(model, petal, z0, grid):
+        return [0.0] * len(grid)
+    return planted
+
+
 @pytest.mark.parametrize("module,name,plant,failing", [
     (verify, "speed_series", _nan_last_speed,
      {"pythagorean-sandwich", "base-point-independence"}),
     (verify, "uhp_distance", _nan_on_call(2), {"structural-consistency"}),
-    (semigroup, "generator", _nan_on_call(2), {"repelling-point-diagnostics"}),
-    # The 12th point of strip-slit/upper's radial approach, after its 1000
-    # samples: min would pick a plateau beside the NaN ratio.
-    (semigroup, "generator", _nan_on_call(1012), {"repelling-point-diagnostics"}),
-], ids=["nan-speed", "nan-metric", "nan-generator", "nan-radial"])
+    # The 2nd of strip-slit/upper's 1000 samples, which the list
+    # generator maps at once.
+    (semigroup, "generator_all", _nan_at_value(2), {"repelling-point-diagnostics"}),
+    # The 12th point of strip-slit/upper's radial approach, the first
+    # per-point generator calls: min would pick a plateau beside the NaN
+    # ratio.
+    (semigroup, "generator", _nan_on_call(12), {"repelling-point-diagnostics"}),
+    # A first regularity step of 0 leaves every growth undefined.
+    (verify, "regularity_gap", _zero_steps, {"structural-consistency"}),
+], ids=["nan-speed", "nan-metric", "nan-generator", "nan-radial", "zero-step"])
 def test_planted_nan_fails_its_criteria(monkeypatch, module, name, plant, failing):
     # Each NaN comes among finite values, which max and min would report
     # instead: only a comparison per value catches it, and the failing
@@ -89,3 +117,87 @@ def test_planted_nan_fails_its_criteria(monkeypatch, module, name, plant, failin
     assert failing <= failed.keys()
     for criterion in failing:
         assert "nan" in failed[criterion], failed[criterion]
+
+
+def _on_samples(change, parabolic):
+    """Plant ``change`` on every speed sample of the parabolic petal
+    (``parabolic``), or of every hyperbolic one."""
+    def plant(real):
+        def planted(model, *args):
+            sample = real(model, *args)
+            return change(sample) if (model.kind == "parabolic") == parabolic else sample
+        return planted
+    return plant
+
+
+def _scaled(factor):
+    return lambda s: s._replace(v=factor * s.v, v_o=factor * s.v_o, v_T=factor * s.v_T)
+
+
+def _on_steps(change):
+    def plant(real):
+        def planted(*args):
+            return change(real(*args))
+        return planted
+    return plant
+
+
+def _orbit_angle_plus(delta):
+    def plant(real):
+        def planted(points, a, arc):
+            report = real(points, a, arc)
+            # The radial probe approaches 1; the orbit probe its petal's sigma.
+            return report if a == 1.0 else report._replace(theta=report.theta + delta)
+        return planted
+    return plant
+
+
+def _unsharp(item, check):
+    # Only a criterion that passes may count: a plant that raises fails the row.
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"passes until ROADMAP item {item} {check}")
+
+
+@pytest.mark.parametrize("module,name,plant,failing", [
+    # A lost constant: the eta frame's shift (speeds._eta_frame) or the
+    # log(2 sqrt(Im p Im q)) term of hypcore.uhp_log_distance dropped.
+    pytest.param(speeds, "_sample_at",
+                 _on_samples(lambda s: s._replace(v=s.v + 0.05, v_o=s.v_o + 0.05), True),
+                 {"parabolic-speed-envelope"}, id="parabolic-constant",
+                 marks=_unsharp(1, "checks the parabolic constant")),
+    # A wrong rate, 2/3 for 5/6: PowerStep.apply_log scaling log q by a
+    # wrong alpha.
+    pytest.param(speeds, "_sample_at", _on_samples(_scaled(0.8), True),
+                 {"parabolic-speed-envelope"}, id="parabolic-rate-low",
+                 marks=_unsharp(1, "checks the parabolic rate")),
+    pytest.param(speeds, "_sample_at", _on_samples(_scaled(1.1), True),
+                 {"pythagorean-sandwich", "base-point-independence"},
+                 id="parabolic-rate-high"),
+    # A rounded-away angle: a framed orbit point whose angle rounds onto
+    # eta (speeds._eta_frame), so that axis_distance reads 0.
+    pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_T=0.0), False),
+                 {"tangential-plateau-vs-divergence"}, id="tangential-zero",
+                 marks=_unsharp(3, "checks v_T at an off-centre base")),
+    # A wrong time step: semigroup.regularity_gap stepping from t - 1.5.
+    pytest.param(verify, "regularity_gap", _on_steps(lambda gaps: [1.5 * g for g in gaps]),
+                 {"structural-consistency"}, id="step-scaled",
+                 marks=_unsharp(2, "checks the step against its limit")),
+    # An underflow to 0: t - 1.0 rounds to t from |t| = 2^53 on, so both
+    # orbit points of semigroup.regularity_gap are one point.
+    pytest.param(verify, "regularity_gap", _on_steps(lambda gaps: gaps[:1] + [0.0] * (len(gaps) - 1)),
+                 {"structural-consistency"}, id="step-underflow-later",
+                 marks=_unsharp(2, "checks the step against its limit")),
+    pytest.param(verify, "regularity_gap", _zero_steps,
+                 {"structural-consistency"}, id="step-underflow-all"),
+    # A wrong angle: hmeasure.approach_angle's Aitken step extrapolating
+    # the creep of rounded disk points, as in benchmark boundary_probes.
+    pytest.param(verify, "approach_angle", _orbit_angle_plus(0.3),
+                 {"approach-angles"}, id="orbit-angle",
+                 marks=_unsharp("3 or 6", "checks the closed-form angle")),
+])
+def test_planted_finite_defect_fails_its_criteria(monkeypatch, module, name, plant, failing):
+    # A plausible wrong number, not a NaN: the criterion meant to catch it
+    # must FAIL.
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    failed = {r.name for r in run_all() if not r.passed}
+    assert failing <= failed

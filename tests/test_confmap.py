@@ -33,10 +33,12 @@ from petallab.confmap import (
     PowerStep,
     SlitCloseStep,
     SlitOpenStep,
+    _walk_all,
+    _walk_all_with_derivative,
 )
 from petallab.hypcore import CAYLEY_DISK_TO_UHP, BoundaryPoint, DomainError, INFINITY, Mobius
-from petallab.models import MODEL_NAMES, by_name
-from petallab.semigroup import generator
+from petallab.models import MODEL_NAMES, KoenigsModel, by_name
+from petallab.semigroup import generator, generator_all
 
 HALF_PI = math.pi / 2
 
@@ -433,6 +435,20 @@ _OVERFLOW_CASES = {
 }
 
 
+def _seeded_points(name, n):
+    """n seeded source points in the model's source box, n upper
+    half-plane targets and n disk points, some of each failing."""
+    rng = random.Random(20261018)
+    (re_lo, re_hi), (im_lo, im_hi) = _SOURCE_BOX[name]
+    sources = [complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+               for _ in range(n)]
+    targets = [complex(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(-20.0, 5.0)))
+               for _ in range(n)]
+    disk = [(1.0 - math.exp(rng.uniform(-30.0, 0.0)))
+            * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+    return sources, targets, disk
+
+
 class TestWalkPlansMatchReference:
     """Every value and error of a chain's planned walk equals the
     step-by-step reference walk in ``oracles``; the one-walk generator
@@ -465,14 +481,7 @@ class TestWalkPlansMatchReference:
     def test_seeded_points(self, name):
         model = by_name(name)
         chain = model.chain
-        rng = random.Random(20261018)
-        (re_lo, re_hi), (im_lo, im_hi) = _SOURCE_BOX[name]
-        sources = [complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
-                   for _ in range(self.N)]
-        targets = [complex(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(-20.0, 5.0)))
-                   for _ in range(self.N)]
-        disk = [(1.0 - math.exp(rng.uniform(-30.0, 0.0)))
-                * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(self.N)]
+        sources, targets, disk = _seeded_points(name, self.N)
         outcomes = self._assert_same(chain, "eval", sources)
         outcomes += self._assert_same(chain, "inverse", targets)
         outcomes += _assert_inverse_walk_matches(chain, targets)
@@ -556,6 +565,124 @@ class TestWalkPlansMatchReference:
         # Inverse entries carry the cut of the forward step they invert.
         assert [entry[4] is None for entry in chain._forward_plan] == [True] * 4
         assert [entry[4] is None for entry in chain._inverse_plan] == [False, True, True, True]
+
+
+def _bitwise(outcome):
+    """An outcome with its value as ``repr``, which tells -0.0 from 0.0 and
+    prints every bit of a float."""
+    return (outcome[0], repr(outcome[1])) if outcome[0] == "value" else outcome
+
+
+class TestListWalk:
+    """Each list form returns the values of the per-point comprehension it
+    stands for bit for bit, and raises that comprehension's error: the
+    first failing point's, whatever step the other points fail at."""
+
+    @staticmethod
+    def _forms(model, kind):
+        """(list form, per-point call) pairs for the points of ``kind``."""
+        chain = model.chain
+        if kind == "eval":
+            return [(chain.eval_all, chain.eval)]
+        if kind == "inverse":
+            return [(chain.eval_inverse_all, chain.eval_inverse),
+                    (chain.inverse_and_derivative_all, chain.inverse_and_derivative)]
+        return [(partial(generator_all, model), partial(generator, model))]
+
+    def _assert_lists_match(self, model, kind, points, chunk=8):
+        """The whole list, its points that succeed, and each chunk of it."""
+        for list_form, call in self._forms(model, kind):
+            good = [x for x in points if _outcome(call, x)[0] == "value"]
+            assert good
+            chunks = [points[i:i + chunk] for i in range(0, len(points), chunk)]
+            for xs in [points, good, []] + chunks:
+                got = _bitwise(_outcome(list_form, xs))
+                want = _bitwise(_outcome(lambda xs: [call(x) for x in xs], xs))
+                assert got == want, f"{model.name} {kind} list form: {got} != {want}"
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_seeded_points(self, name):
+        model = by_name(name)
+        sources, targets, disk = _seeded_points(name, 600)
+        self._assert_lists_match(model, "eval", sources)
+        self._assert_lists_match(model, "inverse", targets)
+        self._assert_lists_match(model, "generator", disk)
+        # The values come from the list walk itself, not from the
+        # point-by-point walk a failure falls back to.
+        chain = model.chain
+        good = [w for w in sources if _outcome(chain.eval, w)[0] == "value"]
+        assert _walk_all(chain._forward_plan, good) is not None
+        good = [q for q in targets if _outcome(chain.inverse_and_derivative, q)[0] == "value"]
+        assert _walk_all(chain._inverse_plan, good) is not None
+        assert _walk_all_with_derivative(chain._inverse_plan, good) is not None
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_near_each_cut(self, name):
+        model = by_name(name)
+        rng = random.Random(314159)
+        sources, targets, _ = _seeded_points(name, 40)
+        for kind, draw, _ in _near_cut_cases(name):
+            near = [draw(rng) for _ in range(40)]
+            mixed = [x for pair in zip(sources if kind == "eval" else targets, near) for x in pair]
+            self._assert_lists_match(model, kind, mixed)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_on_overflow(self, name):
+        model = by_name(name)
+        rng = random.Random(271828)
+        sources, targets, _ = _seeded_points(name, 60)
+        for kind, draw in _OVERFLOW_CASES[name]:
+            far = [draw(rng) for _ in range(60)]
+            mixed = [x for pair in zip(sources if kind == "eval" else targets, far) for x in pair]
+            self._assert_lists_match(model, kind, mixed)
+
+    @pytest.mark.parametrize("chain,targets", [
+        # dw/dq = 1e-400 underflows to 0 at every target.
+        (ConformalChain((Affine(1e200), Affine(1e200)), lambda z: True, "scale"), [1j, 2j]),
+        # e^(1 + 2i) has a negative real part: no preimage in the source.
+        (ConformalChain((LogStep(math.pi),), lambda z: z.real > 0.0, "log"),
+         [0.1 + 0.5j, 1.0 + 2.0j, 0.5 + 1.0j]),
+    ], ids=["vanishing-derivative", "no-preimage"])
+    def test_checks_after_the_walk(self, chain, targets):
+        for list_form, call in ((chain.eval_inverse_all, chain.eval_inverse),
+                                (chain.inverse_and_derivative_all, chain.inverse_and_derivative)):
+            for xs in (targets, targets[::-1], targets[:1]):
+                got = _bitwise(_outcome(list_form, xs))
+                assert got == _bitwise(_outcome(lambda xs: [call(x) for x in xs], xs)), xs
+
+    def test_generator_left_float_range(self):
+        # dw/dq = 1e-308: at z = -0.95, G = 1/h' passes the largest float.
+        chain = ConformalChain((Affine(1e308),), lambda z: True, "scaled")
+        model = KoenigsModel("scaled", "hyperbolic", 1.0, chain, (), INFINITY)
+        got = _outcome(generator_all, model, [0j, -0.95])
+        assert got == ("error", MapDomainError, None, "generator left float range")
+        assert _outcome(generator_all, model, [0j]) == ("value", [-5e307j])
+
+    def test_first_failing_point_wins_over_an_earlier_step(self):
+        # The list walk meets the later point's failure first, at an
+        # earlier step, but the comprehension raises the earlier point's.
+        model = by_name("strip-slit")
+        chain = model.chain
+        good, near_slit, overflow = 1.0 + 0.5j, -2.0 + 1e-14j, 800.0 + 0.5j
+        got = _outcome(chain.eval_all, [good, near_slit, overflow])
+        assert got[:3] == ("error", MapDomainError, 2)
+        assert got == _outcome(chain.eval, near_slit)
+        got = _outcome(chain.eval_all, [good, overflow, near_slit])
+        assert got == ("error", MapDomainError, 0, "step 0: evaluation failed: math range error")
+        # -1j is refused before any walk, -0.5 + 1e-14j at the walk's first step.
+        near_segment, below = -0.5 + 1e-14j, -1j
+        for list_form, call in self._forms(model, "inverse"):
+            got = _outcome(list_form, [1j, near_segment, below])
+            assert got[:3] == ("error", MapDomainError, 2)
+            assert got == _outcome(call, near_segment)
+            assert _outcome(list_form, [1j, below, near_segment]) == _outcome(call, below)
+        # z = 1 is the Cayley pole, refused before the walk.
+        z_near = CAYLEY_DISK_TO_UHP.inverse().apply(0.5 + 1e-14j)
+        got = _outcome(generator_all, model, [0j, z_near, 1.0])
+        assert got[:3] == ("error", MapDomainError, 2)
+        assert got == _outcome(generator, model, z_near)
+        assert _outcome(generator_all, model, [0j, 1.0, z_near]) == (
+            "error", DomainError, None, "point maps to the Cayley pole")
 
 
 class TestInverseAndDerivative:
