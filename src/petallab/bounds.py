@@ -17,7 +17,10 @@ tanh-sinh rule (Takahasi and Mori, 1974) on ``exp(-log_delta)``: nodes
 halving the step of the one before.  The rule stops at the first ``k >= 3``
 whose estimate moves by at most ``max(1e-10, 1e-12 |I_k|)`` and raises
 ``EstimationError`` when no level gets there, as happens when ``1/delta``
-is not integrable.
+is not integrable.  Nodes close in on the endpoints down to gaps of 1e-300,
+so about half of them round onto ``a`` or ``b`` exactly; those reuse the
+endpoint's integrand, evaluated once per bound, and every node's term and
+the order of the sum stay as they were.
 """
 
 from __future__ import annotations
@@ -299,7 +302,9 @@ def upper_bound(profile: BoundaryProfile, t: float) -> float:
     The tanh-sinh rule returns the first level ``k >= 3`` whose estimate
     ``I_k`` differs from ``I_{k-1}`` by at most ``max(1e-10, 1e-12 |I_k|)``,
     and raises ``EstimationError`` if level 8 still misses that target, for
-    instance when ``1/delta`` is not integrable on ``[t, t0]``.
+    instance when ``1/delta`` is not integrable on ``[t, t0]``.  It reads
+    ``log_delta`` at most once at ``t`` and once at ``t0``, however many
+    nodes round onto them.
     """
     t = _require_in_range(profile, t)
     if t == profile.t0:
@@ -317,6 +322,8 @@ def _tanh_sinh(log_delta: Callable[[float], float], a: float, b: float) -> float
     """``integral_a^b exp(-log_delta(s)) ds`` by the tanh-sinh rule."""
     exp = math.exp
     half = 0.5 * (b - a)
+    # Integrands at a and b, evaluated when a node first rounds onto one.
+    fa = fb = None
     # Trapezoid sum in u; each level halves the step and adds its new nodes.
     total = 0.5 * math.pi * exp(-log_delta(a + half))
     step = 1.0
@@ -325,7 +332,21 @@ def _tanh_sinh(log_delta: Callable[[float], float], a: float, b: float) -> float
         fresh = 0.0
         for gap, weight in nodes:
             r = half * gap
-            fresh += weight * (exp(-log_delta(a + r)) + exp(-log_delta(b - r)))
+            x = a + r
+            if x != a:
+                left = exp(-log_delta(x))
+            elif fa is None:
+                left = fa = exp(-log_delta(a))
+            else:
+                left = fa
+            x = b - r
+            if x != b:
+                right = exp(-log_delta(x))
+            elif fb is None:
+                right = fb = exp(-log_delta(b))
+            else:
+                right = fb
+            fresh += weight * (left + right)
         if level == 0:
             total += fresh
         else:

@@ -70,9 +70,14 @@ class MapDomainError(DomainError):
 
 
 def _branch_log(z: complex, cut: float) -> complex:
-    """log z with the argument taken in [cut - 2 pi, cut)."""
+    """log z with the argument taken in [cut - 2 pi, cut).
+
+    The principal argument is kept as it is when it already lies there:
+    wrapping it anyway would round a small angle against cut - 2 pi."""
     a = cmath.phase(z)
-    a = (cut - _TWO_PI) + (a - (cut - _TWO_PI)) % _TWO_PI
+    low = cut - _TWO_PI
+    if not low <= a < cut:
+        a = low + (a - low) % _TWO_PI
     return complex(math.log(abs(z)), a)
 
 

@@ -46,10 +46,12 @@ class Arc:
 
     Angles are normalized on construction: ``alpha`` lands in ``[0, 2*pi)``
     and ``beta - alpha`` in ``(0, 2*pi)``.  A full circle or an empty arc is
-    rejected; use measure 1 or 0 directly for those.
+    rejected; use measure 1 or 0 directly for those.  The endpoints
+    ``start = exp(i*alpha)`` and ``end = exp(i*beta)`` are computed once
+    here, since every harmonic measure of the arc reads both.
     """
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ("alpha", "beta", "start", "end")
 
     def __init__(self, alpha: float, beta: float) -> None:
         alpha = float(alpha)
@@ -64,21 +66,13 @@ class Arc:
             )
         self.alpha = alpha % _TWO_PI
         self.beta = self.alpha + span
+        self.start = cmath.exp(1j * self.alpha)
+        self.end = cmath.exp(1j * self.beta)
 
     @property
     def length(self) -> float:
         """Angular length, in (0, 2*pi)."""
         return self.beta - self.alpha
-
-    @property
-    def start(self) -> complex:
-        """Endpoint ``exp(i*alpha)`` on the unit circle."""
-        return cmath.exp(1j * self.alpha)
-
-    @property
-    def end(self) -> complex:
-        """Endpoint ``exp(i*beta)`` on the unit circle."""
-        return cmath.exp(1j * self.beta)
 
     def has_endpoint(self, a: complex, tol: float = 1e-9) -> bool:
         """Whether ``a`` coincides with one of the two endpoints."""
@@ -98,11 +92,11 @@ def harmonic_measure(z: complex, arc: Arc) -> float:
     if not abs(z) < 1.0:
         raise DomainError(f"harmonic measure needs an interior point, got {z!r}")
 
-    def moved(w: complex) -> complex:
-        return (w - z) / (1.0 - z.conjugate() * w)
-
-    phase_a = cmath.phase(moved(arc.start))
-    phase_b = cmath.phase(moved(arc.end))
+    zc = z.conjugate()
+    start = arc.start
+    end = arc.end
+    phase_a = cmath.phase((start - z) / (1.0 - zc * start))
+    phase_b = cmath.phase((end - z) / (1.0 - zc * end))
     return ((phase_b - phase_a) % _TWO_PI) / _TWO_PI
 
 

@@ -26,7 +26,11 @@ Only the tests use these, so they live here rather than in the package:
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
   walk of the chain in log space are checked bit for bit;
 - the complement of a circular arc (``arc_complement``), against which
-  harmonic measures are checked to add up to one.
+  harmonic measures are checked to add up to one;
+- the tanh-sinh upper bound with every node's integrand evaluated
+  (``reference_upper_bound``), against which ``bounds.upper_bound``, which
+  reuses the integrand at nodes that round onto an endpoint, is checked
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from petallab.bounds import (
+    _QUAD_ABS_TOL,
+    _QUAD_MAX_LEVEL,
+    _QUAD_REL_TOL,
+    _TANH_SINH_LEVELS,
+    BoundaryProfile,
+)
 from petallab.confmap import EPS_CUT, ConformalChain, MapDomainError, MapStep
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
@@ -52,6 +63,7 @@ from petallab.hypcore import (
 )
 from petallab.hmeasure import Arc
 from petallab.models import KoenigsModel
+from petallab.speeds import EstimationError
 
 _HALF_PI = 0.5 * math.pi
 
@@ -613,3 +625,43 @@ _ORBIT = {
 def reference_orbit(model: KoenigsModel, w0: complex, t: float) -> UhpLogPoint:
     """``model.uhp_orbit(w0, t)`` from the model's hand-derived formula."""
     return _ORBIT[model.name](complex(w0), t)
+
+
+def reference_upper_bound(profile: BoundaryProfile, t: float) -> float:
+    """``d0 + integral_t^{t0} exp(-log_delta(s)) ds`` by the package's
+    tanh-sinh rule, calling ``log_delta`` at every node, endpoints
+    included, with the same nodes, sum order, stopping rule, ``inf`` on
+    overflow and ``EstimationError`` text as ``bounds.upper_bound``."""
+    a, b = float(t), profile.t0
+    if a == b:
+        return profile.d0
+    log_delta = profile.log_delta
+    half = 0.5 * (b - a)
+    try:
+        total = 0.5 * math.pi * math.exp(-log_delta(a + half))
+        step = 1.0
+        previous = math.nan
+        for level, nodes in enumerate(_TANH_SINH_LEVELS):
+            fresh = 0.0
+            for gap, weight in nodes:
+                r = half * gap
+                fresh += weight * (math.exp(-log_delta(a + r)) + math.exp(-log_delta(b - r)))
+            if level == 0:
+                total += fresh
+            else:
+                step *= 0.5
+                total = 0.5 * total + step * fresh
+            estimate = half * total
+            if estimate == math.inf:
+                return math.inf
+            change = abs(estimate - previous)
+            if level >= 3 and change <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(estimate)):
+                return profile.d0 + estimate
+            previous = estimate
+    except OverflowError:
+        return math.inf
+    raise EstimationError(
+        f"bounds.upper_bound: tanh-sinh quadrature on [{a}, {b}] still moved "
+        f"by {change:.3e} at level {_QUAD_MAX_LEVEL}; 1/delta may not be "
+        "integrable there"
+    )

@@ -21,6 +21,7 @@ from petallab.bounds import (
     profile_from_table,
     upper_bound,
 )
+from oracles import reference_upper_bound
 from petallab.hypcore import DomainError
 from petallab.speeds import EstimationError
 
@@ -151,6 +152,82 @@ class TestUpperBound:
             upper_bound(p, -1.0)
         with pytest.raises(DomainError):
             upper_bound(p, math.nan)
+
+
+def _quad_cases():
+    """Profiles that upper_bound integrates by the tanh-sinh rule, each with
+    the times to bound it at: fixed ones and seeded log-uniform draws."""
+    rng = np.random.default_rng(1974)
+
+    def draws(lo, hi):
+        return tuple(-(10.0 ** x) for x in rng.uniform(lo, hi, 20))
+
+    table = profile_from_table([(-1e6, 1e-3), (-10.0, 0.5), (-2.0, 0.25), (-1.0, 2.0)])
+    gap_zero_at_minus_5 = custom_profile(lambda t: abs(t + 5.0), t0=-1.0)
+    return [
+        (without_antiderivative(logrecip_profile()), (-10.0, -1e3, -1e6, -1e12) + draws(0.5, 12.0)),
+        # 1/delta overflows from about t = -27 on: the bound is inf.
+        (gaussian_profile(), (-26.0, -30.0, -1e3) + draws(0.0, 2.0)),
+        (custom_profile(lambda t: 1.0 / (1.0 + t * t), t0=-1.0, d0=0.0),
+         (-10.0, -1e3, -1e6) + draws(0.0, 6.0)),
+        (without_antiderivative(table), (-1.5, -9.0, -1e3, -1e6) + draws(0.0, 6.0)),
+        # A 1e-300 anchor: the right endpoint sits next to 0.
+        (custom_profile(None, t0=-1e-300, log_delta=lambda t: 0.5 * math.log(-t)),
+         (-3e-300, -1e-100, -1.0, -1e6) + draws(-299.0, 6.0)),
+        # 1/|t + 5| is not integrable across t = -5 (EstimationError), and
+        # the gap is 0 at -5, the midpoint of [-9, -1] (DomainError).
+        (gap_zero_at_minus_5, (-11.0, -9.0)),
+    ]
+
+
+def _quad_outcome(fn, profile, t):
+    try:
+        return ("value", repr(fn(profile, t)))
+    except Exception as exc:  # every error must match the reference's
+        return ("error", type(exc), str(exc))
+
+
+class TestTanhSinhEndpointReuse:
+    def test_matches_the_rule_that_reads_every_node(self):
+        # Reusing the endpoints' integrands changes no term and no sum
+        # order, so values, inf and errors are those of the plain rule.
+        kinds = set()
+        for profile, times in _quad_cases():
+            for t in times:
+                want = _quad_outcome(reference_upper_bound, profile, t)
+                assert _quad_outcome(upper_bound, profile, t) == want, (profile.name, t)
+                kinds.add(want[1] if want[0] == "error" or want[1] == "inf" else "finite")
+        assert kinds == {"finite", "inf", EstimationError, DomainError}
+
+    def test_each_endpoint_integrand_is_evaluated_once(self):
+        calls = []
+        base = logrecip_profile()
+
+        def log_delta(t):
+            calls.append(t)
+            return base.log_delta(t)
+
+        p = BoundaryProfile("counting", base.t0, base.d0, log_delta)
+        for t in (-10.0, -1e3, -1e6):
+            calls.clear()
+            got = upper_bound(p, t)
+            reused = list(calls)
+            calls.clear()
+            assert got == reference_upper_bound(p, t)
+            # The plain rule's calls, with each endpoint's repeats dropped.
+            seen = set()
+            expected = []
+            for x in calls:
+                if x in (t, p.t0):
+                    if x in seen:
+                        continue
+                    seen.add(x)
+                expected.append(x)
+            assert reused == expected
+            assert reused.count(t) == 1 and reused.count(p.t0) == 1
+            if t == -1e3:
+                # 195 calls become 105: 92 of them landed on an endpoint.
+                assert len(reused) <= 0.6 * len(calls)
 
 
 def test_runtime_loads_no_scipy():

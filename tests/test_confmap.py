@@ -33,6 +33,7 @@ from petallab.confmap import (
     PowerStep,
     SlitCloseStep,
     SlitOpenStep,
+    _branch_log,
     _walk_all,
     _walk_all_with_derivative,
 )
@@ -174,6 +175,53 @@ class TestSteps:
             got = step.cut_distance(z)
             assert got == want or (math.isnan(got) and math.isnan(want)), z
 
+    @pytest.mark.parametrize("cut", [math.pi, 2.0 * math.pi, 0.0, 0.5 * math.pi, 1.0])
+    def test_branch_log_against_phase_and_mpmath(self, cut):
+        # Inside [cut - 2 pi, cut) the branch argument is the principal one,
+        # bit for bit, so a small angle keeps every bit; elsewhere it is that
+        # angle moved by 2 pi, rounded once.  Both against 50-digit mpmath,
+        # away from the cut, where float and exact branches may differ and
+        # every chain refuses the point anyway.
+        rng = random.Random(314159)
+        points = [1.0 + 1e-20j, 2.0 + 1e-10j, 1.0 - 1e-300j, -1.0 + 1e-15j, -1.0 - 1e-15j,
+                  1j, -1j, -1.0 + 0j, 1.0 + 0j, 3e-200 + 4e-200j, 1e200 - 1e-100j]
+        points += [_polar(rng, (-5.0, 5.0), (-math.pi, math.pi)) for _ in range(300)]
+        points += [complex(rng.uniform(0.1, 10.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, -1.0))
+                   for _ in range(300)]
+        low = cut - 2.0 * math.pi
+        for z in points:
+            got = _branch_log(z, cut)
+            assert got.real == math.log(abs(z))
+            a = cmath.phase(z)
+            assert low <= got.imag <= cut, z
+            if low <= a < cut:
+                assert got.imag == a, z
+            with mpmath.workdps(50):
+                exact = mpmath.arg(mpmath.mpc(z))
+                if abs(mpmath.sin((exact - cut) / 2)) < EPS_CUT:
+                    continue
+                while exact >= cut:
+                    exact -= 2 * mpmath.pi
+                while exact < low:
+                    exact += 2 * mpmath.pi
+                err = abs(got.imag - exact)
+            assert err <= 4e-16 * max(abs(exact), 2.0 * math.pi * (not low <= a < cut)), (z, got)
+
+    def test_branch_log_keeps_small_angles_on_a_cut_pi_chain(self):
+        # koebe-elliptic maps w to the upper half-plane root q of
+        # -q^2 - 1 = w through PowerStep(0.5, pi); a point just off the
+        # real axis keeps its tiny Re q.
+        chain = by_name("koebe-elliptic").chain
+        assert _branch_log(1.0 + 1e-20j, math.pi).imag == 1e-20
+        for w in (1.0 + 1e-12j, 2.0 + 1e-10j, 0.5 - 1e-14j, 3.0 + 1e-200j):
+            got = chain.eval(w)
+            with mpmath.workdps(50):
+                exact = mpmath.sqrt(-(mpmath.mpc(w) + 1))
+                if exact.imag < 0:
+                    exact = -exact
+                assert abs(got.real - exact.real) <= 1e-15 * abs(exact.real), (w, got)
+                assert abs(got.imag - exact.imag) <= 1e-15 * abs(exact.imag), (w, got)
+
     def test_affine_value_and_derivative_is_apply_and_derivative(self):
         # The derivative of z -> a z + b is the constant a.
         rng = random.Random(57721)
@@ -254,16 +302,19 @@ class TestChainEval:
             chain.eval_inverse(-1.0 + 0.5j)
 
     def test_eval_inverse_checks_the_forward_cut(self):
-        # The inverted square root sends q to -1 + 9.96e-14 i, within
-        # EPS_CUT of PowerStep(0.5)'s cut: eval refuses that point, and so
-        # must both inverse walks, at the same step and with the same text.
+        # The inverted square root sends q to about -1 + 1e-13 i, within
+        # EPS_CUT of PowerStep(0.5)'s cut.  eval refuses that point's
+        # preimage under the first step, and so must both inverse walks, at
+        # the same step and with the same text.
         chain = by_name("koebe-elliptic").chain
         q = 1j * cmath.sqrt(-1.0 + 1e-13j)
+        near_cut = chain.steps[1].inverted().apply(chain.steps[2].inverted().apply(q))
+        assert chain.steps[1].cut_distance(near_cut) <= EPS_CUT
         got = _outcome(chain.eval_inverse, q)
-        assert got[:3] == ("error", MapDomainError, 1)
-        assert "of a branch cut" in got[3]
+        assert got == ("error", MapDomainError, 1,
+                       f"step 1: {near_cut!r} is within {EPS_CUT:g} of a branch cut")
         assert got == _outcome(chain.inverse_and_derivative, q)
-        assert got == _outcome(chain.eval, -2.0 + 9.959844768632876e-14j)
+        assert got == _outcome(chain.eval, chain.steps[0].inverted().apply(near_cut))
         assert got == _outcome(reference_eval_inverse, chain, q)
 
     def test_conformality_derivative_nonzero(self):

@@ -53,6 +53,13 @@ class TestArc:
         assert abs(comp.start - arc.end) < 1e-15
         assert abs(comp.end - arc.start) < 1e-12
 
+    def test_endpoints_are_stored_exactly(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for alpha, beta in rng.uniform(-20.0, 20.0, (500, 2)):
+            arc = Arc(alpha, beta)
+            assert arc.start == cmath.exp(1j * arc.alpha)
+            assert arc.end == cmath.exp(1j * arc.beta)
+
     def test_has_endpoint(self):
         arc = Arc(0.0, math.pi / 2)
         assert arc.has_endpoint(1.0 + 0j)
@@ -60,7 +67,34 @@ class TestArc:
         assert not arc.has_endpoint(-1.0 + 0j)
 
 
+def _closure_harmonic_measure(z, arc):
+    """The harmonic measure as a closure over the Moebius step, reading the
+    arc's endpoints from its angles."""
+    z = complex(z)
+
+    def moved(w):
+        return (w - z) / (1.0 - z.conjugate() * w)
+
+    phase_a = cmath.phase(moved(cmath.exp(1j * arc.alpha)))
+    phase_b = cmath.phase(moved(cmath.exp(1j * arc.beta)))
+    return ((phase_b - phase_a) % TWO_PI) / TWO_PI
+
+
 class TestHarmonicMeasure:
+    def test_bitwise_equal_to_the_closure_form(self):
+        rng = np.random.default_rng(RNG_SEED)
+        arcs = [Arc(a, a + rng.uniform(1e-9, TWO_PI - 1e-9)) for a in rng.uniform(0.0, TWO_PI, 50)]
+        for arc in arcs:
+            radii = 1.0 - 10.0 ** rng.uniform(-15.0, 0.0, 100)
+            for z in radii * np.exp(1j * rng.uniform(-math.pi, math.pi, 100)):
+                z = complex(z)
+                assert repr(harmonic_measure(z, arc)) == repr(_closure_harmonic_measure(z, arc))
+        # Points on the arc's endpoint rays, as the approach probe feeds it.
+        arc = Arc(0.3, 1.9)
+        for j in range(53):
+            z = (1.0 - 2.0 ** -j) * arc.start
+            assert repr(harmonic_measure(z, arc)) == repr(_closure_harmonic_measure(z, arc))
+
     def test_center_sees_normalized_length(self):
         arc = Arc(0.3, 1.7)
         assert harmonic_measure(0j, arc) == pytest.approx(1.4 / TWO_PI, abs=1e-15)
