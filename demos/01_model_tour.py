@@ -28,8 +28,8 @@ model = by_name("strip-slit")
 petal = model.petal("upper")
 worst = 0.0
 for w in sample_petal_omega(model, petal, 200, rng):
-    q = model.canonical_of_omega(w)
-    worst = max(worst, abs(model.omega_of_canonical(q) - w))
+    q = model.chain.eval(w)
+    worst = max(worst, abs(model.chain.eval_inverse(q) - w))
 print(f"round-trip error over 200 points of {model.name}: {worst:.2e}")
 
 # Forward flow obeys the semigroup law in Omega coordinates.

@@ -19,8 +19,7 @@ for name, label in (("strip-slit", "upper"),
                     ("koebe-elliptic", "main")):
     model = by_name(name)
     petal = model.petal(label)
-    samples = [model.disk_of_omega(w)
-               for w in sample_petal_omega(model, petal, 500, rng)]
+    samples = sample_petal_omega(model, petal, 500, rng)
     report = repelling_diagnostics(model, petal, samples)
     print(f"{name}/{label}: sigma in disk coordinates = {report.sigma_disk}")
     print(f"  min Julia residual    {report.min_julia_residual:+.3e}  (>= 0)")

@@ -26,16 +26,18 @@ float range raises.  The source or target region is checked before the
 walk that starts there and after the walk that ends there.
 
 The list forms ``eval_all``, ``eval_inverse_all`` and
-``inverse_and_derivative_all`` walk a whole list of points at once
+``eval_and_derivative_all`` walk a whole list of points at once
 (``_walk_all``, ``_walk_all_with_derivative``): each plan step runs over
 every point before the next step, its cut check, the step itself, and the
 finiteness and forward-cut checks each as one ``map`` over the list.  On
 any failed check, or any arithmetic or value error, the list walk gives
 up, and the list form re-walks the points one by one with the per-point
-method.  So ``eval_all(ws)`` returns the values of ``[chain.eval(w) for
+methods.  So ``eval_all(ws)`` returns the values of ``[chain.eval(w) for
 w in ws]`` bit for bit and raises what that comprehension raises: the
-first failing point's error.  A list of one point costs more than the
-per-point call, so the per-point methods keep their own walk.
+first failing point's error; ``eval_and_derivative_all(ws)`` stands for
+``[(chain.eval(w), chain.derivative(w)) for w in ws]`` the same way.  A
+list of one point costs more than the per-point call, so the per-point
+methods keep their own walk.
 
 ``eval_log`` walks the log plan on a point held as q = anchor + i^turns
 e^L, which keeps every bit of orbits far beyond float range: a quarter
@@ -401,10 +403,7 @@ class ConformalChain:
         return z
 
     def derivative(self, w: complex) -> complex:
-        """Complex derivative of the composed map (chain rule product).
-
-        The package itself takes ``inverse_and_derivative``; this stays only
-        because perfbench's tracer wraps it by name."""
+        """Complex derivative of the composed map (chain rule product)."""
         z = complex(w)
         if not self.source_contains(z):
             raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
@@ -440,14 +439,15 @@ class ConformalChain:
                 return pre
         return [self.eval_inverse(q) for q in qs]
 
-    def inverse_and_derivative_all(self, qs: Sequence[complex]) -> list[tuple[complex, complex]]:
-        """``[self.inverse_and_derivative(q) for q in qs]`` from one list walk."""
-        zs = list(map(complex, qs))
-        if all(z.imag > 0.0 for z in zs):
-            walked = _walk_all_with_derivative(self._inverse_plan, zs)
-            if walked is not None and all(map(self.source_contains, walked[0])):
+    def eval_and_derivative_all(self, ws: Sequence[complex]) -> list[tuple[complex, complex]]:
+        """``[(self.eval(w), self.derivative(w)) for w in ws]`` from one
+        list walk of the forward plan."""
+        zs = list(map(complex, ws))
+        if all(map(self.source_contains, zs)):
+            walked = _walk_all_with_derivative(self._forward_plan, zs)
+            if walked is not None:
                 return list(zip(*walked))
-        return [self.inverse_and_derivative(q) for q in qs]
+        return [(self.eval(w), self.derivative(w)) for w in ws]
 
     def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
         """The image of the source point anchor + e^L (L None: the point

@@ -243,18 +243,6 @@ class KoenigsModel(NamedTuple):
             raise DomainError(f"orbit point exp({a}) left the domain")
         return UhpLogPoint(*self.chain.eval_log(None, a))
 
-    def canonical_of_omega(self, w: complex) -> complex:
-        """Canonical coordinate of an Omega point."""
-        return self.chain.eval(complex(w))
-
-    def omega_of_canonical(self, q: complex) -> complex:
-        """Omega coordinate of a canonical point."""
-        return self.chain.eval_inverse(complex(q))
-
-    def disk_of_omega(self, w: complex) -> complex:
-        """Unit-disk coordinate of an Omega point."""
-        return disk_of_canonical(self.chain.eval(complex(w)))
-
     def disk_sigma(self, petal: Petal) -> BoundaryPoint:
         """Unit-disk image of a petal's distinguished boundary point.
 

@@ -32,6 +32,10 @@ MIN_DISK_GAP = 1e-250
 # with C'(z) = det/(c z + d)^2, for the generator's hot path.
 _CAYLEY = (CAYLEY_DISK_TO_UHP.a, CAYLEY_DISK_TO_UHP.b, CAYLEY_DISK_TO_UHP.c,
            CAYLEY_DISK_TO_UHP.d, CAYLEY_DISK_TO_UHP.det)
+# Those of its inverse CAYLEY_UHP_TO_DISK, z = (a q + b)/(c q + d), whose
+# determinant is the same: in terms of q = C(z), C'(z) = (c q + d)^2/det.
+_CAYLEY_INVERSE = (CAYLEY_UHP_TO_DISK.a, CAYLEY_UHP_TO_DISK.b, CAYLEY_UHP_TO_DISK.c,
+                   CAYLEY_UHP_TO_DISK.d, CAYLEY_UHP_TO_DISK.det)
 
 
 class PetalRequiredError(DomainError):
@@ -94,6 +98,20 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
                       disk_z=disk_z, disk_gap=disk_gap)
 
 
+def _generator_from_chart(model: KoenigsModel, w: complex, dh: complex) -> complex:
+    """The generator at a disk point z from the Omega chart h of the disk,
+    given w = h(z) and dh = h'(z): G = 1/h' for translation models and
+    G = -mu h / h' for the scaling model.  A division by zero or a
+    non-finite G raises ``MapDomainError``."""
+    try:
+        g = (-model.mu * w if model.kind == "elliptic" else 1.0) / dh
+    except ZeroDivisionError as exc:
+        raise MapDomainError(f"generator failed: {exc}") from exc
+    if not cmath.isfinite(g):
+        raise MapDomainError("generator left float range")
+    return g
+
+
 def generator(model: KoenigsModel, z: complex) -> complex:
     """Infinitesimal generator of the disk semigroup at the disk point z.
 
@@ -110,37 +128,7 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     if den == 0:
         raise DomainError("point maps to the Cayley pole")
     w, dw = model.chain.inverse_and_derivative((a * z + b) / den)
-    dh = dw * (det / den**2)
-    try:
-        g = (-model.mu * w if model.kind == "elliptic" else 1.0) / dh
-    except ZeroDivisionError as exc:
-        raise MapDomainError(f"generator failed: {exc}") from exc
-    if not cmath.isfinite(g):
-        raise MapDomainError("generator left float range")
-    return g
-
-
-def generator_all(model: KoenigsModel, zs: Sequence[complex]) -> list[complex]:
-    """``[generator(model, z) for z in zs]`` from one list walk of the
-    chain's inverse plan (``ConformalChain.inverse_and_derivative_all``).
-    Any failure re-runs that comprehension, which raises the first failing
-    point's error."""
-    a, b, c, d, det = _CAYLEY
-    zs = list(map(complex, zs))
-    try:
-        dens = [c * z + d for z in zs]
-        pairs = model.chain.inverse_and_derivative_all(
-            [(a * z + b) / den for z, den in zip(zs, dens)])
-        if model.kind == "elliptic":
-            mu = model.mu
-            gs = [-mu * w / (dw * (det / den**2)) for (w, dw), den in zip(pairs, dens)]
-        else:
-            gs = [1.0 / (dw * (det / den**2)) for (_, dw), den in zip(pairs, dens)]
-    except (ArithmeticError, ValueError):
-        gs = None
-    if gs is None or not all(map(cmath.isfinite, gs)):
-        return [generator(model, z) for z in zs]
-    return gs
+    return _generator_from_chart(model, w, dw * (det / den**2))
 
 
 class RepellingReport(NamedTuple):
@@ -174,18 +162,33 @@ class RepellingReport(NamedTuple):
 def repelling_diagnostics(
     model: KoenigsModel, petal: Petal, samples: Sequence[complex]
 ) -> RepellingReport:
-    """Evaluate the three repelling-point criteria at disk-coordinate samples."""
+    """Evaluate the three repelling-point criteria of ``petal``.
+
+    ``samples`` are Omega-coordinate points, at least one, for the two
+    inequalities.  One forward list walk of the chain
+    (``ConformalChain.eval_and_derivative_all``) gives each sample's
+    canonical image q = F(w) and F'(w); the disk point is z = C^-1(q) and
+    the generator is read from h = F^-1 o C at z, whose derivative is
+    C'(z)/F'(w).  The radial approach takes ``generator`` point by point.
+    """
     if petal.lam is None:
         raise DiagnosticError("diagnostics need a hyperbolic petal")
+    ws = list(map(complex, samples))
+    if not ws:
+        raise DiagnosticError("diagnostics need at least one sample")
     sigma = model.disk_sigma(petal).value
     sigma_bar = sigma.conjugate()
     half_lam = 0.5 * petal.lam
+    a, b, c, d, det = _CAYLEY_INVERSE
     # Running minima kept by comparison; a NaN sample sticks, since no value
     # compares below it, so a NaN anywhere fails the criteria.
     min_julia = math.inf
     min_herglotz = math.inf
-    samples = list(map(complex, samples))
-    for z, g in zip(samples, generator_all(model, samples)):
+    for w, (q, dq) in zip(ws, model.chain.eval_and_derivative_all(ws)):
+        # c q + d = q + i, which no point of the upper half-plane zeroes.
+        den = c * q + d
+        z = (a * q + b) / den
+        g = _generator_from_chart(model, w, den * den / det / dq)
         julia = (sigma * g / (sigma - z) ** 2).real
         julia -= half_lam * (1.0 - abs(z) ** 2) / abs(sigma - z) ** 2
         herglotz = g / ((sigma_bar * z - 1.0) * (z - sigma))

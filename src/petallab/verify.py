@@ -332,9 +332,7 @@ def _check_repelling_diagnostics(rng: random.Random) -> List[Part]:
     for model, petal in _all_petals():
         if petal.kind != "hyperbolic":
             continue
-        ws = sample_petal_omega(model, petal, 1000, rng)
-        samples = [disk_of_canonical(q) for q in model.chain.eval_all(ws)]
-        rep = repelling_diagnostics(model, petal, samples)
+        rep = repelling_diagnostics(model, petal, sample_petal_omega(model, petal, 1000, rng))
         est_err = abs(rep.ratio_estimate - (-petal.lam))
         good = (
             rep.min_julia_residual >= -1e-9

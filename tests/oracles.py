@@ -25,6 +25,9 @@ Only the tests use these, so they live here rather than in the package:
 - the hand-derived log-space orbit of each catalog model
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
   walk of the chain in log space are checked bit for bit;
+- the catalog chains' steps walked in mpmath at 330 digits
+  (``mp_canonical``, ``mp_orbit_reading``), against which the orbits' log
+  Im q and angle and the three speeds are checked out to |t| = 1e300;
 - the complement of a circular arc (``arc_complement``), against which
   harmonic measures are checked to add up to one;
 - the tanh-sinh upper bound with every node's integrand evaluated
@@ -40,6 +43,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import mpmath
+
 from petallab.bounds import (
     _QUAD_ABS_TOL,
     _QUAD_MAX_LEVEL,
@@ -47,7 +52,16 @@ from petallab.bounds import (
     _TANH_SINH_LEVELS,
     BoundaryProfile,
 )
-from petallab.confmap import EPS_CUT, ConformalChain, MapDomainError, MapStep
+from petallab.confmap import (
+    EPS_CUT,
+    Affine,
+    ConformalChain,
+    ExpStep,
+    MapDomainError,
+    MapStep,
+    PowerStep,
+    SlitCloseStep,
+)
 from petallab.hypcore import (
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
@@ -625,6 +639,96 @@ _ORBIT = {
 def reference_orbit(model: KoenigsModel, w0: complex, t: float) -> UhpLogPoint:
     """``model.uhp_orbit(w0, t)`` from the model's hand-derived formula."""
     return _ORBIT[model.name](complex(w0), t)
+
+
+# ---------------------------------------------------------------------------
+# High-precision orbits: the chain's steps walked in mpmath
+
+# Digits of the mpmath walk: a 1e-300 gap next to pi, as the parabolic
+# orbit's angle has at |t| = 1e300, keeps 30 of them.
+MP_DPS = 330
+
+
+def _mp_branch_log(z, cut):
+    """log z in mpmath with the argument taken in [cut - 2 pi, cut)."""
+    a = mpmath.arg(z)
+    two_pi = 2 * mpmath.pi
+    while a >= cut:
+        a -= two_pi
+    while a < cut - two_pi:
+        a += two_pi
+    return mpmath.mpc(mpmath.log(abs(z)), a)
+
+
+def _mp_step(step: MapStep, anchor, delta):
+    """One catalog chain step in mpmath on the point anchor + delta, with
+    its image in the same form.  Only ``SlitCloseStep`` returns a nonzero
+    anchor: its image near +-1 is s + s z^2/(1 + r), r = sqrt(1 + z^2) and
+    s = +-1, which keeps the offset that s + (s r - s) would round away."""
+    z = anchor + delta
+    if isinstance(step, Affine):
+        return 0, mpmath.mpc(step.a) * z + mpmath.mpc(step.b)
+    if isinstance(step, ExpStep):
+        return 0, mpmath.exp(z)
+    if isinstance(step, PowerStep):
+        return 0, mpmath.exp(step.alpha * _mp_branch_log(z, mpmath.mpf(step.cut)))
+    if isinstance(step, SlitCloseStep):
+        r = mpmath.sqrt(1 + z * z)
+        s = -1 if r.imag < 0 else 1
+        if abs(z) >= 1:
+            return 0, s * r
+        return s, s * z * z / (1 + r)
+    raise TypeError(f"no mpmath form for {type(step).__name__}")
+
+
+def mp_canonical(model: KoenigsModel, w0: complex, t: float):
+    """The canonical orbit point q = F(w_t) as (anchor, delta), q = anchor
+    + delta, from ``MP_DPS``-digit closed forms of the chain's steps, at
+    the current mpmath precision."""
+    w0 = mpmath.mpc(complex(w0))
+    if model.kind == "elliptic":
+        w = mpmath.exp(mpmath.log(w0) - model.mu * mpmath.mpf(t))
+    else:
+        w = w0 + mpmath.mpf(t)
+    anchor, delta = 0, w
+    for step in model.chain.steps:
+        anchor, delta = _mp_step(step, anchor, delta)
+    return anchor, delta
+
+
+def mp_orbit_reading(model: KoenigsModel, petal, w0: complex, t: float):
+    """(log Im q, arg, (v, v_o, v_T)) of the backward orbit point q at time
+    t of the petal orbit from w0, as mpf at ``MP_DPS`` digits.
+
+    ``arg`` is the argument of q - sigma, or of q when the petal's boundary
+    point sigma is infinite.  The distances are half the curvature -1
+    distances, as ``speeds.speed_sample`` reports them: v from the base
+    image p to q; v_o along the geodesic eta from p to sigma, between the
+    feet of p and q; v_T from q to eta.  A Moebius map N sends eta onto
+    the imaginary axis, where the foot of a point u is i|u| and its
+    distance to the axis asinh(|Re u| / Im u)."""
+    with mpmath.workdps(MP_DPS):
+        p = sum(mp_canonical(model, w0, 0.0))
+        anchor, delta = mp_canonical(model, w0, t)
+        im_q = delta.imag
+        v = mpmath.log((abs(anchor - p.conjugate() + delta) + abs(anchor - p + delta))
+                       / (2 * mpmath.sqrt(p.imag * im_q)))
+        if petal.sigma_canonical.is_infinity:
+            arg = mpmath.arg(anchor + delta)
+            x0 = p.real
+            n_p, n_q = p - x0, anchor - x0 + delta
+        else:
+            sigma = mpmath.mpf(petal.sigma_canonical.value.real)
+            arg = mpmath.arg(anchor - sigma + delta)
+            # eta's other foot e: the centre of its half circle is
+            # equidistant from p and sigma.
+            centre = (abs(p) ** 2 - sigma ** 2) / (2 * (p.real - sigma))
+            e = 2 * centre - sigma
+            n_p = (p - sigma) / (p - e)
+            n_q = (anchor - sigma + delta) / (anchor - e + delta)
+        v_o = abs(mpmath.log(abs(n_q)) - mpmath.log(abs(n_p))) / 2
+        v_t = mpmath.asinh(abs(n_q.real) / abs(n_q.imag)) / 2
+        return mpmath.log(im_q), arg, (v, v_o, v_t)
 
 
 def reference_upper_bound(profile: BoundaryProfile, t: float) -> float:

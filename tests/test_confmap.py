@@ -38,8 +38,15 @@ from petallab.confmap import (
     _walk_all_with_derivative,
 )
 from petallab.hypcore import CAYLEY_DISK_TO_UHP, BoundaryPoint, DomainError, INFINITY, Mobius
-from petallab.models import MODEL_NAMES, KoenigsModel, by_name
-from petallab.semigroup import generator, generator_all
+from petallab.models import (
+    MODEL_NAMES,
+    HalfPlaneImage,
+    KoenigsModel,
+    Petal,
+    by_name,
+    disk_of_canonical,
+)
+from petallab.semigroup import generator, repelling_diagnostics
 
 HALF_PI = math.pi / 2
 
@@ -624,6 +631,12 @@ def _bitwise(outcome):
     return (outcome[0], repr(outcome[1])) if outcome[0] == "value" else outcome
 
 
+def _eval_and_derivative(chain, w):
+    """The per-point comprehension's term that ``eval_and_derivative_all``
+    stands for."""
+    return chain.eval(w), chain.derivative(w)
+
+
 class TestListWalk:
     """Each list form returns the values of the per-point comprehension it
     stands for bit for bit, and raises that comprehension's error: the
@@ -634,11 +647,9 @@ class TestListWalk:
         """(list form, per-point call) pairs for the points of ``kind``."""
         chain = model.chain
         if kind == "eval":
-            return [(chain.eval_all, chain.eval)]
-        if kind == "inverse":
-            return [(chain.eval_inverse_all, chain.eval_inverse),
-                    (chain.inverse_and_derivative_all, chain.inverse_and_derivative)]
-        return [(partial(generator_all, model), partial(generator, model))]
+            return [(chain.eval_all, chain.eval),
+                    (chain.eval_and_derivative_all, partial(_eval_and_derivative, chain))]
+        return [(chain.eval_inverse_all, chain.eval_inverse)]
 
     def _assert_lists_match(self, model, kind, points, chunk=8):
         """The whole list, its points that succeed, and each chunk of it."""
@@ -654,18 +665,17 @@ class TestListWalk:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_seeded_points(self, name):
         model = by_name(name)
-        sources, targets, disk = _seeded_points(name, 600)
+        sources, targets, _ = _seeded_points(name, 600)
         self._assert_lists_match(model, "eval", sources)
         self._assert_lists_match(model, "inverse", targets)
-        self._assert_lists_match(model, "generator", disk)
         # The values come from the list walk itself, not from the
         # point-by-point walk a failure falls back to.
         chain = model.chain
-        good = [w for w in sources if _outcome(chain.eval, w)[0] == "value"]
+        good = [w for w in sources if _outcome(_eval_and_derivative, chain, w)[0] == "value"]
         assert _walk_all(chain._forward_plan, good) is not None
-        good = [q for q in targets if _outcome(chain.inverse_and_derivative, q)[0] == "value"]
+        assert _walk_all_with_derivative(chain._forward_plan, good) is not None
+        good = [q for q in targets if _outcome(chain.eval_inverse, q)[0] == "value"]
         assert _walk_all(chain._inverse_plan, good) is not None
-        assert _walk_all_with_derivative(chain._inverse_plan, good) is not None
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_near_each_cut(self, name):
@@ -688,26 +698,41 @@ class TestListWalk:
             self._assert_lists_match(model, kind, mixed)
 
     @pytest.mark.parametrize("chain,targets", [
-        # dw/dq = 1e-400 underflows to 0 at every target.
+        # dw/dq = 1e-400 would underflow to 0, which eval_inverse does not form.
         (ConformalChain((Affine(1e200), Affine(1e200)), lambda z: True, "scale"), [1j, 2j]),
         # e^(1 + 2i) has a negative real part: no preimage in the source.
         (ConformalChain((LogStep(math.pi),), lambda z: z.real > 0.0, "log"),
          [0.1 + 0.5j, 1.0 + 2.0j, 0.5 + 1.0j]),
     ], ids=["vanishing-derivative", "no-preimage"])
     def test_checks_after_the_walk(self, chain, targets):
-        for list_form, call in ((chain.eval_inverse_all, chain.eval_inverse),
-                                (chain.inverse_and_derivative_all, chain.inverse_and_derivative)):
-            for xs in (targets, targets[::-1], targets[:1]):
-                got = _bitwise(_outcome(list_form, xs))
-                assert got == _bitwise(_outcome(lambda xs: [call(x) for x in xs], xs)), xs
+        for xs in (targets, targets[::-1], targets[:1]):
+            got = _bitwise(_outcome(chain.eval_inverse_all, xs))
+            assert got == _bitwise(_outcome(lambda xs: [chain.eval_inverse(x) for x in xs], xs)), xs
+
+    def test_vanishing_derivative(self):
+        # dq/dw = 1e-400 underflows to 0 at every point, though each image
+        # is a finite float: the derivative check after the walk refuses it.
+        chain = ConformalChain((Affine(1e-200), Affine(1e-200)), lambda z: True, "scale")
+        call = partial(_eval_and_derivative, chain)
+        for ws in ([1e200j, 2e200j], [2e200j, 1e200j], [1e200j]):
+            got = _outcome(chain.eval_and_derivative_all, ws)
+            assert got == ("error", MapDomainError, None, "derivative vanished or left float range")
+            assert _bitwise(got) == _bitwise(_outcome(lambda ws: [call(w) for w in ws], ws))
+        assert _walk_all_with_derivative(chain._forward_plan, [1e200j]) is None
+        assert _outcome(chain.eval_all, [1e200j, 2e200j]) == ("value", [1e-200j, 2e-200j])
 
     def test_generator_left_float_range(self):
-        # dw/dq = 1e-308: at z = -0.95, G = 1/h' passes the largest float.
+        # dq/dw = 1e308: near q = 0, where C'(z) is about 2, G = F'/C' passes
+        # the largest float.  The samples' forward walk and generator's
+        # inverse walk refuse it alike, and i, where G = -5e307 i, passes.
         chain = ConformalChain((Affine(1e308),), lambda z: True, "scaled")
-        model = KoenigsModel("scaled", "hyperbolic", 1.0, chain, (), INFINITY)
-        got = _outcome(generator_all, model, [0j, -0.95])
-        assert got == ("error", MapDomainError, None, "generator left float range")
-        assert _outcome(generator_all, model, [0j]) == ("value", [-5e307j])
+        petal = Petal("p", -2.0, BoundaryPoint(-1.0 + 0j), HalfPlaneImage(0.0), 1j)
+        model = KoenigsModel("scaled", "hyperbolic", 1.0, chain, (petal,), INFINITY)
+        w_good, w_bad = 1j / 1e308, 1e-3j / 1e308
+        refused = ("error", MapDomainError, None, "generator left float range")
+        assert _outcome(repelling_diagnostics, model, petal, [w_good, w_bad]) == refused
+        assert _outcome(generator, model, disk_of_canonical(chain.eval(w_bad))) == refused
+        assert _outcome(generator, model, 0j) == ("value", -5e307j)
 
     def test_first_failing_point_wins_over_an_earlier_step(self):
         # The list walk meets the later point's failure first, at an
@@ -727,13 +752,14 @@ class TestListWalk:
             assert got[:3] == ("error", MapDomainError, 2)
             assert got == _outcome(call, near_segment)
             assert _outcome(list_form, [1j, below, near_segment]) == _outcome(call, below)
-        # z = 1 is the Cayley pole, refused before the walk.
-        z_near = CAYLEY_DISK_TO_UHP.inverse().apply(0.5 + 1e-14j)
-        got = _outcome(generator_all, model, [0j, z_near, 1.0])
-        assert got[:3] == ("error", MapDomainError, 2)
-        assert got == _outcome(generator, model, z_near)
-        assert _outcome(generator_all, model, [0j, 1.0, z_near]) == (
-            "error", DomainError, None, "point maps to the Cayley pole")
+        # The forward walk with derivatives keeps the same order: the
+        # overflow fails step 0, the point near the slit step 2.
+        for list_form, call in self._forms(model, "eval"):
+            got = _outcome(list_form, [good, near_slit, overflow])
+            assert got == _outcome(call, near_slit)
+            assert got[:3] == ("error", MapDomainError, 2)
+            assert _outcome(list_form, [good, overflow, near_slit]) == (
+                "error", MapDomainError, 0, "step 0: evaluation failed: math range error")
 
 
 class TestInverseAndDerivative:

@@ -30,6 +30,7 @@ from petallab.models import (
     StripImage,
     by_name,
     catalog,
+    disk_of_canonical,
     sample_petal_omega,
     MODEL_NAMES,
 )
@@ -66,7 +67,7 @@ class TestCatalog:
         # Every chain ends in the upper half-plane: its last step leaves
         # a base point's image there.
         for model in (m1, m2, m3):
-            assert model.canonical_of_omega(model.petals[0].base_default).imag > 0.0
+            assert model.chain.eval(model.petals[0].base_default).imag > 0.0
 
     def test_petal_inventory(self):
         m1, m2, m3 = catalog()
@@ -174,8 +175,8 @@ class TestGeometryInvariants:
             pts = sample_petal_omega(model, petal, 12, rng)
             for w1, w2 in zip(pts[::2], pts[1::2]):
                 d_petal = petal.distance(w1, w2)
-                z1 = model.disk_of_omega(w1)
-                z2 = model.disk_of_omega(w2)
+                z1 = disk_of_canonical(model.chain.eval(w1))
+                z2 = disk_of_canonical(model.chain.eval(w2))
                 assert d_petal >= disk_distance(z1, z2) - 1e-12
 
     def test_petal_metric_axioms(self):
@@ -489,7 +490,7 @@ class TestTransport:
         rng = np.random.default_rng(RNG_SEED)
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 15, rng):
-                z = model.disk_of_omega(w)
+                z = disk_of_canonical(model.chain.eval(w))
                 assert abs(z) < 1.0
                 back = omega_of_disk(model, z)
                 assert abs(back - w) <= 1e-9 * max(1.0, abs(w))
@@ -498,8 +499,8 @@ class TestTransport:
         rng = np.random.default_rng(RNG_SEED + 2)
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 15, rng):
-                q = model.canonical_of_omega(w)
-                back = model.omega_of_canonical(q)
+                q = model.chain.eval(w)
+                back = model.chain.eval_inverse(q)
                 assert abs(back - w) <= 1e-9 * max(1.0, abs(w))
 
     def test_koebe_function_identity(self):
@@ -512,7 +513,7 @@ class TestTransport:
             z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             w = 4.0 * z / (1.0 - z) ** 2
             assert m3.contains(w)
-            assert abs(m3.disk_of_omega(w) - z) <= 1e-10 * max(1.0, abs(z))
+            assert abs(disk_of_canonical(m3.chain.eval(w)) - z) <= 1e-10 * max(1.0, abs(z))
             q = m3.chain.eval(w)
             assert abs(q - 1j * cmath.sqrt(w + 1.0)) <= 1e-12 * max(1.0, abs(q))
 
@@ -524,7 +525,7 @@ class TestTransport:
                 w = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
                 if not model.contains(w):
                     continue
-                assert model.canonical_of_omega(w).imag > 0.0
+                assert model.chain.eval(w).imag > 0.0
                 count += 1
 
     def test_dw_point_consistency(self):
@@ -538,7 +539,7 @@ class TestTransport:
             assert model.dw_point.is_infinity
         # Elliptic: the interior fixed point maps to i, the disk center.
         assert abs(m3.chain.eval(0j) - m3.dw_point) <= 1e-8
-        assert m3.disk_of_omega(0j) == 0j
+        assert disk_of_canonical(m3.chain.eval(0j)) == 0j
 
     def test_sigma_transport_through_chain(self):
         # Pushing the petal's omega-boundary direction through the chain

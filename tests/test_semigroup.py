@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import omega_of_disk, reference_generator
-from petallab.confmap import MapDomainError
+from petallab import semigroup
+from petallab.confmap import ConformalChain, MapDomainError
 from petallab.hypcore import DomainError
-from petallab.models import by_name, catalog, sample_petal_omega
+from petallab.models import by_name, catalog, disk_of_canonical, sample_petal_omega
 from petallab.semigroup import (
     DiagnosticError,
     OrbitPoint,
@@ -99,7 +100,7 @@ class TestFlow:
                     assert pt.disk_z is not None
                     q = model.chain.eval(pt.omega_w)
                     assert abs(q - pt.canonical_q) <= 1e-9 * max(1.0, abs(q))
-                    z = model.disk_of_omega(pt.omega_w)
+                    z = disk_of_canonical(model.chain.eval(pt.omega_w))
                     assert abs(z - pt.disk_z) <= 1e-9
 
     def test_disk_gap_matches_direct_value(self):
@@ -178,7 +179,7 @@ class TestGenerator:
     def test_finite_difference_oracle(self):
         eps = 1e-5
         for model, petal in _model_petals():
-            z0 = model.disk_of_omega(petal.base_default)
+            z0 = disk_of_canonical(model.chain.eval(petal.base_default))
             plus = flow(model, petal.base_default, eps).disk_z
             minus = flow(model, petal.base_default, -eps).disk_z
             fd = (plus - minus) / (2.0 * eps)
@@ -188,18 +189,13 @@ class TestGenerator:
         # G = 1/h' means G * dh/dz = 1; check via a finite difference of
         # the omega chart.
         m1 = by_name("strip-slit")
-        z = m1.disk_of_omega(1 + 1j * math.pi / 4)
+        z = disk_of_canonical(m1.chain.eval(1 + 1j * math.pi / 4))
         eps = 1e-6
         dh = (omega_of_disk(m1, z + eps) - omega_of_disk(m1, z - eps)) / (2.0 * eps)
         assert abs(generator(m1, z) * dh - 1.0) <= 1e-6
 
 
 class TestRepellingDiagnostics:
-    @staticmethod
-    def _disk_samples(model, petal, n, rng):
-        pts = sample_petal_omega(model, petal, n, rng)
-        return [model.disk_of_omega(w) for w in pts]
-
     @pytest.mark.parametrize("name,label", [
         ("strip-slit", "upper"),
         ("strip-slit", "lower"),
@@ -209,7 +205,7 @@ class TestRepellingDiagnostics:
         model = by_name(name)
         petal = model.petal(label)
         rng = np.random.default_rng(RNG_SEED)
-        samples = self._disk_samples(model, petal, 300, rng)
+        samples = sample_petal_omega(model, petal, 300, rng)
         report = repelling_diagnostics(model, petal, samples)
         assert report.min_julia_residual >= -1e-9
         assert report.min_herglotz_real >= -1e-9
@@ -225,15 +221,16 @@ class TestRepellingDiagnostics:
                 z = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95))
                 if abs(z) < 0.95:
                     try:
-                        omega_of_disk(model, z)
+                        w = omega_of_disk(model, z)
                     except Exception:
                         continue
-                    samples.append(z)
+                    samples.append(w)
             report = repelling_diagnostics(model, model.petal(label), samples)
             assert report.min_julia_residual >= -1e-9
             assert report.min_herglotz_real >= -1e-9
 
     def test_koebe_herglotz_at_center(self):
+        # The fixed point w = 0 is the disk centre.
         m3 = by_name("koebe-elliptic")
         report = repelling_diagnostics(m3, m3.petal("main"), [0j])
         # p(0) = -lam/2 = 1/4 for the Koebe model.
@@ -258,7 +255,7 @@ class TestRepellingDiagnostics:
         # reference walk (eval_inverse, then derivative) does.
         model = by_name(name)
         petal = model.petal(label)
-        report = repelling_diagnostics(model, petal, [model.disk_of_omega(petal.base_default)])
+        report = repelling_diagnostics(model, petal, [petal.base_default])
         reference_stop = None
         for k in range(4, 41):
             try:
@@ -276,6 +273,60 @@ class TestRepellingDiagnostics:
         m2 = by_name("sector-parabolic")
         with pytest.raises(DiagnosticError):
             repelling_diagnostics(m2, m2.petals[0], [0j])
+
+    def test_no_samples_rejected(self):
+        # With no sample both minima would stay inf and pass with no evidence.
+        for name, label in [("strip-slit", "upper"), ("koebe-elliptic", "main")]:
+            model = by_name(name)
+            with pytest.raises(DiagnosticError, match="at least one sample"):
+                repelling_diagnostics(model, model.petal(label), [])
+            with pytest.raises(DiagnosticError, match="at least one sample"):
+                repelling_diagnostics(model, model.petal(label), iter(()))
+
+    @pytest.mark.parametrize("name,label", [
+        ("strip-slit", "upper"),
+        ("strip-slit", "lower"),
+        ("koebe-elliptic", "main"),
+    ])
+    def test_forward_generator_matches_generator(self, monkeypatch, name, label):
+        # The samples' G comes from one forward walk; at the same disk
+        # points, generator walks the inverse chain.  Record each G the
+        # shared step returns during the sample loop.
+        model = by_name(name)
+        petal = model.petal(label)
+        ws = sample_petal_omega(model, petal, 1000, np.random.default_rng(RNG_SEED + 5))
+        seen = []
+        real = semigroup._generator_from_chart
+
+        def recording(*args):
+            g = real(*args)
+            seen.append(g)
+            return g
+        monkeypatch.setattr(semigroup, "_generator_from_chart", recording)
+        repelling_diagnostics(model, petal, ws)
+        monkeypatch.undo()
+        assert len(seen) >= len(ws)
+        worst = 0.0
+        for w, g in zip(ws, seen):
+            want = generator(model, disk_of_canonical(model.chain.eval(w)))
+            worst = max(worst, abs(g - want) / abs(want))
+        assert worst <= 1e-13
+
+    def test_nan_derivative_raises(self, monkeypatch):
+        # A NaN that the chain's list walk let through reaches no minimum:
+        # the shared step refuses the non-finite G it makes.
+        model = by_name("strip-slit")
+        petal = model.petal("upper")
+        real = ConformalChain.eval_and_derivative_all
+
+        def planted(chain, ws):
+            pairs = real(chain, ws)
+            pairs[1] = (pairs[1][0], complex(math.nan, 0.0))
+            return pairs
+        monkeypatch.setattr(ConformalChain, "eval_and_derivative_all", planted)
+        ws = sample_petal_omega(model, petal, 10, np.random.default_rng(RNG_SEED))
+        with pytest.raises(MapDomainError, match="generator left float range"):
+            repelling_diagnostics(model, petal, ws)
 
 
 class TestRegularityGap:

@@ -8,12 +8,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import CanonicalDomain, geodesic_through, project_to_geodesic
+from oracles import CanonicalDomain, geodesic_through, mp_orbit_reading, project_to_geodesic
 from petallab.hypcore import (
     DomainError,
     UhpLogPoint,
     disk_distance,
     uhp_distance,
+    uhp_log_shifted,
 )
 from petallab.models import by_name, catalog, sample_petal_omega
 from petallab.semigroup import PetalRequiredError, flow
@@ -270,6 +271,75 @@ class TestAsymptotics:
         s = speed_sample(m2, p2, p2.base_default, -1e8)
         assert 0.24 <= s.v / math.log(1e8) <= 1.01
         assert math.isfinite(s.v_T)
+
+
+# Times t = -10^k of the mpmath comparison: every k to 20, then every tenth.
+_ORACLE_KS = tuple(range(21)) + tuple(range(30, 301, 10))
+# Relative error allowed against the mpmath walk; the exact petals read
+# below 1e-15.
+_ORACLE_TOL = 1e-12
+_ITEM_1 = ("ROADMAP item 1: the orbit's angle to 0 or pi is formed next to pi, "
+           "or rounded in the eta frame, and loses its bits")
+
+
+def _wrong_today(*raises):
+    return pytest.mark.xfail(strict=True, raises=(AssertionError, *raises), reason=_ITEM_1)
+
+
+_ORACLE_CASES = [
+    pytest.param("strip-slit", "upper", None, _ORACLE_KS, id="strip-slit-upper"),
+    pytest.param("strip-slit", "upper", 1.0 + 0.3j, _ORACLE_KS, id="strip-slit-upper-off-centre"),
+    pytest.param("strip-slit", "lower", None, _ORACLE_KS, id="strip-slit-lower"),
+    pytest.param("strip-slit", "lower", 0.5 - 0.3j, _ORACLE_KS, id="strip-slit-lower-off-centre"),
+    pytest.param("koebe-elliptic", "main", None, _ORACLE_KS, id="koebe-elliptic"),
+    pytest.param("koebe-elliptic", "main", 2.0 * cmath.exp(0.5j), _ORACLE_KS,
+                 id="koebe-elliptic-off-centre"),
+    # The parabolic orbit's angle nears pi with a gap of order Im w0 / |t|:
+    # its readings are off by 5e-12 at 1e5, 2e-6 at 1e10, and raise
+    # DomainError from 1e16.
+    pytest.param("sector-parabolic", "main", None, _ORACLE_KS[:5], id="sector-parabolic-k<=4"),
+    pytest.param("sector-parabolic", "main", None, _ORACLE_KS[5:], id="sector-parabolic-k>=5",
+                 marks=_wrong_today(DomainError)),
+    # Near the real axis both strip-slit petals' angles are of order
+    # Im w0: off by 5e-10 (upper) and 7e-9 (lower) at |Im w0| = 1e-8, and
+    # raising DomainError at 1e-20 from t = -1 on.
+    pytest.param("strip-slit", "upper", 0.5 + 1e-8j, _ORACLE_KS, id="strip-slit-upper-near-axis",
+                 marks=_wrong_today()),
+    pytest.param("strip-slit", "lower", 0.5 - 1e-8j, _ORACLE_KS, id="strip-slit-lower-near-axis",
+                 marks=_wrong_today()),
+    pytest.param("strip-slit", "upper", 0.5 + 1e-20j, _ORACLE_KS,
+                 id="strip-slit-upper-on-axis", marks=_wrong_today(DomainError)),
+    pytest.param("strip-slit", "lower", 0.5 - 1e-20j, _ORACLE_KS,
+                 id="strip-slit-lower-on-axis", marks=_wrong_today(DomainError)),
+]
+
+
+class TestAgainstMpmathWalk:
+    """The orbit's log Im q and angle, and the three speeds, against
+    ``oracles.mp_orbit_reading``: the chain's steps walked in mpmath at 330
+    digits, which shares none of the float log walk's rounding."""
+
+    @pytest.mark.parametrize("name,label,base,ks", _ORACLE_CASES)
+    def test_backward_times_to_1e300(self, name, label, base, ks):
+        model = by_name(name)
+        petal = model.petal(label)
+        w0 = petal.base_default if base is None else base
+        sigma = petal.sigma_canonical
+        shift = 0.0 if sigma.is_infinity else sigma.value.real
+        for k in ks:
+            t = -(10.0 ** k)
+            log_im, arg, distances = mp_orbit_reading(model, petal, w0, t)
+            p = model.uhp_orbit(w0, t)
+            s = speed_sample(model, petal, w0, t)
+            # The angle to sigma (to the real axis at infinity), read by its
+            # gap to the nearer of 0 and pi.
+            got_arg = uhp_log_shifted(p, shift).imag
+            got_gap = min(got_arg, math.pi - got_arg)
+            want_gap = float(min(arg, mpmath.pi - arg))
+            assert abs(p.log_im() - float(log_im)) <= _ORACLE_TOL * abs(float(log_im)), k
+            assert abs(got_gap - want_gap) <= _ORACLE_TOL * want_gap, k
+            for got, want in zip((s.v, s.v_o, s.v_T), map(float, distances)):
+                assert abs(got - want) <= _ORACLE_TOL * max(1.0, want), (k, got, want)
 
 
 class TestBasePointIndependence:
