@@ -683,8 +683,8 @@ def _mp_step(step: MapStep, anchor, delta):
 
 def mp_canonical(model: KoenigsModel, w0: complex, t: float):
     """The canonical orbit point q = F(w_t) as (anchor, delta), q = anchor
-    + delta, from ``MP_DPS``-digit closed forms of the chain's steps, at
-    the current mpmath precision."""
+    + delta, from mpmath closed forms of the chain's steps at the current
+    mpmath precision (``mp_orbit_reading`` sets ``MP_DPS`` digits)."""
     w0 = mpmath.mpc(complex(w0))
     if model.kind == "elliptic":
         w = mpmath.exp(mpmath.log(w0) - model.mu * mpmath.mpf(t))

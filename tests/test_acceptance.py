@@ -81,9 +81,9 @@ def _zero_steps(real):
     (verify, "speed_series", _nan_last_speed,
      {"pythagorean-sandwich", "base-point-independence"}),
     (verify, "uhp_distance", _nan_on_call(2), {"structural-consistency"}),
-    # The generator at the 2nd of strip-slit/upper's 1000 samples, read
-    # from the list walk's 2nd derivative by the step that generator
-    # shares.  A NaN in that derivative itself raises MapDomainError there
+    # The G of the 2nd of strip-slit/upper's 1000 samples, as the step that
+    # the sample loop shares with generator returns it.  A NaN in the list
+    # walk's derivative raises MapDomainError in that step instead
     # (test_semigroup's test_nan_derivative_raises).
     (semigroup, "_generator_from_chart", _nan_on_call(2), {"repelling-point-diagnostics"}),
     # The 12th point of strip-slit/upper's radial approach, the first

@@ -722,9 +722,10 @@ class TestListWalk:
         assert _outcome(chain.eval_all, [1e200j, 2e200j]) == ("value", [1e-200j, 2e-200j])
 
     def test_generator_left_float_range(self):
-        # dq/dw = 1e308: near q = 0, where C'(z) is about 2, G = F'/C' passes
-        # the largest float.  The samples' forward walk and generator's
-        # inverse walk refuse it alike, and i, where G = -5e307 i, passes.
+        # dq/dw = 1e308: near q = 0, where |C'(z)| is about 1/2, G = F'/C'
+        # passes the largest float.  The samples' forward walk and
+        # generator's inverse walk refuse it alike; at the disk centre
+        # (q = i), G = -5e307 i.
         chain = ConformalChain((Affine(1e308),), lambda z: True, "scaled")
         petal = Petal("p", -2.0, BoundaryPoint(-1.0 + 0j), HalfPlaneImage(0.0), 1j)
         model = KoenigsModel("scaled", "hyperbolic", 1.0, chain, (petal,), INFINITY)
@@ -739,12 +740,15 @@ class TestListWalk:
         # earlier step, but the comprehension raises the earlier point's.
         model = by_name("strip-slit")
         chain = model.chain
+        # The overflow fails step 0 of the forward walks, the point near the
+        # slit step 2.
         good, near_slit, overflow = 1.0 + 0.5j, -2.0 + 1e-14j, 800.0 + 0.5j
-        got = _outcome(chain.eval_all, [good, near_slit, overflow])
-        assert got[:3] == ("error", MapDomainError, 2)
-        assert got == _outcome(chain.eval, near_slit)
-        got = _outcome(chain.eval_all, [good, overflow, near_slit])
-        assert got == ("error", MapDomainError, 0, "step 0: evaluation failed: math range error")
+        for list_form, call in self._forms(model, "eval"):
+            got = _outcome(list_form, [good, near_slit, overflow])
+            assert got[:3] == ("error", MapDomainError, 2)
+            assert got == _outcome(call, near_slit)
+            assert _outcome(list_form, [good, overflow, near_slit]) == (
+                "error", MapDomainError, 0, "step 0: evaluation failed: math range error")
         # -1j is refused before any walk, -0.5 + 1e-14j at the walk's first step.
         near_segment, below = -0.5 + 1e-14j, -1j
         for list_form, call in self._forms(model, "inverse"):
@@ -752,14 +756,6 @@ class TestListWalk:
             assert got[:3] == ("error", MapDomainError, 2)
             assert got == _outcome(call, near_segment)
             assert _outcome(list_form, [1j, below, near_segment]) == _outcome(call, below)
-        # The forward walk with derivatives keeps the same order: the
-        # overflow fails step 0, the point near the slit step 2.
-        for list_form, call in self._forms(model, "eval"):
-            got = _outcome(list_form, [good, near_slit, overflow])
-            assert got == _outcome(call, near_slit)
-            assert got[:3] == ("error", MapDomainError, 2)
-            assert _outcome(list_form, [good, overflow, near_slit]) == (
-                "error", MapDomainError, 0, "step 0: evaluation failed: math range error")
 
 
 class TestInverseAndDerivative:

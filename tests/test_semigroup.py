@@ -175,6 +175,9 @@ class TestGenerator:
         m3 = by_name("koebe-elliptic")
         assert generator(m3, 0j) == 0j
         assert generator(m3, 0.5 + 0j) == pytest.approx(-1.0 / 6.0, rel=1e-12)
+        # z = 1 is the Cayley pole, refused before the walk.
+        with pytest.raises(DomainError, match="point maps to the Cayley pole"):
+            generator(m3, 1.0)
 
     def test_finite_difference_oracle(self):
         eps = 1e-5

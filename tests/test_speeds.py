@@ -295,7 +295,7 @@ _ORACLE_CASES = [
     pytest.param("koebe-elliptic", "main", 2.0 * cmath.exp(0.5j), _ORACLE_KS,
                  id="koebe-elliptic-off-centre"),
     # The parabolic orbit's angle nears pi with a gap of order Im w0 / |t|:
-    # its readings are off by 5e-12 at 1e5, 2e-6 at 1e10, and raise
+    # its readings are off by 5e-12 at 1e5, 3e-6 at 1e10, and raise
     # DomainError from 1e16.
     pytest.param("sector-parabolic", "main", None, _ORACLE_KS[:5], id="sector-parabolic-k<=4"),
     pytest.param("sector-parabolic", "main", None, _ORACLE_KS[5:], id="sector-parabolic-k>=5",
