@@ -11,33 +11,31 @@ Each step has one derivative, ``value_and_derivative``, which evaluates
 what its image and derivative share once.  Each chain builds its plans at
 construction: the forward plan for its steps, the inverse plan for their
 inverses in reverse order, and the log plan of the steps' ``apply_log``
-(see ``_PlanEntry``).  ``eval`` and ``eval_inverse`` walk a plan with
-``apply`` (``_walk``); ``derivative`` and ``inverse_and_derivative`` walk
-one with ``value_and_derivative`` (``_walk_with_derivative``), the latter
-giving a target point's preimage and the derivative of the inverse map at
-once.
+(see ``_PlanEntry``).  A plan has one value walk, ``_walk_all`` with
+``apply``, and one derivative walk, ``_walk_all_with_derivative`` with
+``value_and_derivative``; each runs one plan step over a whole list of
+points before the next.
 
-Every walk follows one failure rule: it raises ``MapDomainError`` at the
+Both walks follow one failure rule: they raise ``MapDomainError`` at the
 first check that fails, in walk order.  Per step these are its cut check,
-its evaluation ("evaluation failed: <exc>"), the finiteness of its image
-and, on an inverse walk, the forward step's cut check of that image.  A
-derivative walk then checks the product once: one that vanished or left
+its evaluation ("evaluation failed: <exc>"), the finiteness of its images
+and, on an inverse walk, the forward step's cut check of them.  The
+derivative walk then checks the products once: one that vanished or left
 float range raises.  The source or target region is checked before the
 walk that starts there and after the walk that ends there.
 
-The list forms ``eval_all``, ``eval_inverse_all`` and
-``eval_and_derivative_all`` walk a whole list of points at once
-(``_walk_all``, ``_walk_all_with_derivative``): each plan step runs over
-every point before the next step, its cut check, the step itself, and the
-finiteness and forward-cut checks each as one ``map`` over the list.  On
-any failed check, or any arithmetic or value error, the list walk gives
-up, and the list form re-walks the points one by one with the per-point
-methods.  So ``eval_all(ws)`` returns the values of ``[chain.eval(w) for
-w in ws]`` bit for bit and raises what that comprehension raises: the
-first failing point's error; ``eval_and_derivative_all(ws)`` stands for
-``[(chain.eval(w), chain.derivative(w)) for w in ws]`` the same way.  A
-list of one point costs more than the per-point call, so the per-point
-methods keep their own walk.
+``eval``, ``eval_inverse``, ``derivative`` and ``inverse_and_derivative``
+walk a list of one point.  The list forms ``eval_all``, ``eval_inverse_all``
+and ``eval_and_derivative_all`` walk their whole list once; where that
+raises, they re-walk the points one by one with the per-point methods.  So
+``eval_all(ws)`` returns ``[chain.eval(w) for w in ws]`` bit for bit and
+raises what that comprehension raises, the first failing point's error;
+``eval_and_derivative_all(ws)`` stands for ``[(chain.eval(w),
+chain.derivative(w)) for w in ws]`` the same way.  A one-point walk costs
+a few microseconds more than a loop written for one point, and little
+runs it: a traced ``verify.run_all`` makes about 111 per-point calls, all
+``inverse_and_derivative`` from ``semigroup.generator``'s radial
+approaches, and none of ``eval``, ``eval_inverse`` or ``derivative``.
 
 ``eval_log`` walks the log plan on a point held as q = anchor + i^turns
 e^L, which keeps every bit of orbits far beyond float range: a quarter
@@ -48,8 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import repeat
-from operator import le, mul
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .hypcore import DomainError
@@ -357,14 +354,25 @@ def _plan(walked) -> tuple[_PlanEntry, ...]:
                  for i, step, forward in walked)
 
 
-def _check_cut(cut_distance: Callable[[complex], float], z: complex, i: int) -> None:
-    """Refuse z within EPS_CUT of step i's cut, or past float range."""
-    try:
-        near = cut_distance(z) <= EPS_CUT
-    except OverflowError as exc:
-        raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
-    if near:
-        raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+def _check_cuts(cut_distance: Callable[[complex], float], zs: Sequence[complex], i: int) -> None:
+    """Refuse the first point of zs within EPS_CUT of step i's cut, or past
+    float range."""
+    for z in zs:
+        try:
+            near = cut_distance(z) <= EPS_CUT
+        except OverflowError as exc:
+            raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
+        if near:
+            raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
+
+
+def _targets(qs: Sequence[complex]) -> list[complex]:
+    """qs as complex numbers, the first outside the upper half-plane refused."""
+    zs = list(map(complex, qs))
+    for z in zs:
+        if not z.imag > 0.0:
+            raise MapDomainError(f"{z!r} is outside the upper half-plane")
+    return zs
 
 
 class ConformalChain:
@@ -385,69 +393,57 @@ class ConformalChain:
                                    for i in reversed(range(len(steps))))
         self._log_plan = tuple((i, step.apply_log) for i, step in enumerate(steps))
 
+    def _sources(self, ws: Sequence[complex]) -> list[complex]:
+        """ws as complex numbers, the first outside the source region refused."""
+        zs = list(map(complex, ws))
+        for z in zs:
+            if not self.source_contains(z):
+                raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
+        return zs
+
+    def _preimages(self, qs: Sequence[complex], ws: Sequence[complex]) -> Sequence[complex]:
+        """The preimages ws of the targets qs, the first outside the source
+        region refused."""
+        for q, w in zip(qs, ws):
+            if not self.source_contains(w):
+                raise MapDomainError(f"{q!r} has no preimage in the source region")
+        return ws
+
     def eval(self, w: complex) -> complex:
         """Forward image of an interior source point."""
-        z = complex(w)
-        if not self.source_contains(z):
-            raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
-        return _walk(self._forward_plan, z)
+        return _walk_all(self._forward_plan, self._sources((w,)))[0]
 
     def eval_inverse(self, q: complex) -> complex:
         """Preimage of an interior target point under the inverted steps."""
-        z = complex(q)
-        if not z.imag > 0.0:
-            raise MapDomainError(f"{z!r} is outside the upper half-plane")
-        z = _walk(self._inverse_plan, z)
-        if not self.source_contains(z):
-            raise MapDomainError(f"{q!r} has no preimage in the source region")
-        return z
+        return self._preimages((q,), _walk_all(self._inverse_plan, _targets((q,))))[0]
 
     def derivative(self, w: complex) -> complex:
         """Complex derivative of the composed map (chain rule product)."""
-        z = complex(w)
-        if not self.source_contains(z):
-            raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
-        return _walk_with_derivative(self._forward_plan, z)[1]
+        return _walk_all_with_derivative(self._forward_plan, self._sources((w,)))[1][0]
 
     def inverse_and_derivative(self, q: complex) -> tuple[complex, complex]:
         """Preimage w of an interior target point q and the derivative
         dw/dq of the inverse map there, from one walk of the inverse plan,
         which also checks each preimage against its forward step's cut."""
-        z = complex(q)
-        if not z.imag > 0.0:
-            raise MapDomainError(f"{z!r} is outside the upper half-plane")
-        z, dw = _walk_with_derivative(self._inverse_plan, z)
-        if not self.source_contains(z):
-            raise MapDomainError(f"{q!r} has no preimage in the source region")
-        return z, dw
+        ws, dws = _walk_all_with_derivative(self._inverse_plan, _targets((q,)))
+        return self._preimages((q,), ws)[0], dws[0]
 
     def eval_all(self, ws: Sequence[complex]) -> list[complex]:
         """``[self.eval(w) for w in ws]`` from one list walk."""
-        zs = list(map(complex, ws))
-        if all(map(self.source_contains, zs)):
-            images = _walk_all(self._forward_plan, zs)
-            if images is not None:
-                return images
-        return [self.eval(w) for w in ws]
+        return _or_each(lambda ws: _walk_all(self._forward_plan, self._sources(ws)),
+                        self.eval, ws)
 
     def eval_inverse_all(self, qs: Sequence[complex]) -> list[complex]:
         """``[self.eval_inverse(q) for q in qs]`` from one list walk."""
-        zs = list(map(complex, qs))
-        if all(z.imag > 0.0 for z in zs):
-            pre = _walk_all(self._inverse_plan, zs)
-            if pre is not None and all(map(self.source_contains, pre)):
-                return pre
-        return [self.eval_inverse(q) for q in qs]
+        return _or_each(lambda qs: self._preimages(qs, _walk_all(self._inverse_plan, _targets(qs))),
+                        self.eval_inverse, qs)
 
     def eval_and_derivative_all(self, ws: Sequence[complex]) -> list[tuple[complex, complex]]:
         """``[(self.eval(w), self.derivative(w)) for w in ws]`` from one
         list walk of the forward plan."""
-        zs = list(map(complex, ws))
-        if all(map(self.source_contains, zs)):
-            walked = _walk_all_with_derivative(self._forward_plan, zs)
-            if walked is not None:
-                return list(zip(*walked))
-        return [(self.eval(w), self.derivative(w)) for w in ws]
+        return _or_each(
+            lambda ws: list(zip(*_walk_all_with_derivative(self._forward_plan, self._sources(ws)))),
+            lambda w: (self.eval(w), self.derivative(w)), ws)
 
     def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
         """The image of the source point anchor + e^L (L None: the point
@@ -465,89 +461,56 @@ class ConformalChain:
         return anchor, _turned(L, turns) if turns else L
 
 
-def _walk(plan: tuple[_PlanEntry, ...], z: complex) -> complex:
-    """Image of z under the steps of a plan, each checked against its cut
-    and its image checked to be a finite float; an inverse plan entry's
-    image is also checked against its forward step's cut."""
+def _walk_all(plan: tuple[_PlanEntry, ...], zs: list[complex]) -> list[complex]:
+    """Images of the points zs under the steps of a plan, one step over the
+    whole list at a time: its cut check, its evaluation, the finiteness of
+    its images and, on an inverse plan, the forward step's cut check of
+    them, each over every point before the next."""
     for i, apply, cut_distance, _, forward_cut in plan:
         if cut_distance is not None:
-            _check_cut(cut_distance, z, i)
+            _check_cuts(cut_distance, zs, i)
         try:
-            z = apply(z)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
-        if not cmath.isfinite(z):
-            raise MapDomainError("evaluation left float range", step_index=i)
-        if forward_cut is not None:
-            _check_cut(forward_cut, z, i)
-    return z
-
-
-def _walk_with_derivative(plan: tuple[_PlanEntry, ...], z: complex) -> tuple[complex, complex]:
-    """``_walk`` with each step's ``value_and_derivative``: the image of z
-    and the chain rule product of the steps' derivatives."""
-    acc = 1.0 + 0j
-    for i, _, cut_distance, value_and_derivative, forward_cut in plan:
-        if cut_distance is not None:
-            _check_cut(cut_distance, z, i)
-        try:
-            z, d = value_and_derivative(z)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
-        if not cmath.isfinite(z):
-            raise MapDomainError("evaluation left float range", step_index=i)
-        if forward_cut is not None:
-            _check_cut(forward_cut, z, i)
-        acc *= d
-    if not (acc and cmath.isfinite(acc)):
-        raise MapDomainError("derivative vanished or left float range")
-    return z, acc
-
-
-def _near_cut(cut_distance: Callable[[complex], float], zs: list[complex]) -> bool:
-    """Whether any point of zs fails ``_check_cut``; a cut check's
-    OverflowError propagates."""
-    return any(map(le, map(cut_distance, zs), repeat(EPS_CUT)))
-
-
-def _walk_all(plan: tuple[_PlanEntry, ...], zs: list[complex]) -> Optional[list[complex]]:
-    """``_walk`` of every point of zs, one plan step over the whole list at
-    a time: the images, or None where any point fails a check or any step
-    raises.  The caller then re-walks point by point, which raises the
-    first failing point's error, so an error is dropped here."""
-    try:
-        for _, apply, cut_distance, _, forward_cut in plan:
-            if cut_distance is not None and _near_cut(cut_distance, zs):
-                return None
             zs = list(map(apply, zs))
-            if not all(map(cmath.isfinite, zs)):
-                return None
-            if forward_cut is not None and _near_cut(forward_cut, zs):
-                return None
-    except (ArithmeticError, ValueError):
-        return None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
+        if not all(map(cmath.isfinite, zs)):
+            raise MapDomainError("evaluation left float range", step_index=i)
+        if forward_cut is not None:
+            _check_cuts(forward_cut, zs, i)
     return zs
 
 
 def _walk_all_with_derivative(
     plan: tuple[_PlanEntry, ...], zs: list[complex]
-) -> Optional[tuple[tuple[complex, ...], list[complex]]]:
-    """``_walk_all`` with each step's ``value_and_derivative``, as
-    ``_walk_with_derivative`` for each point: the images and the chain rule
-    products, or None where any point fails a check or any step raises."""
+) -> tuple[Sequence[complex], list[complex]]:
+    """``_walk_all`` with each step's ``value_and_derivative``: the images
+    of zs and their chain rule products, each of which must be nonzero and
+    finite."""
+    if not zs:
+        return zs, []
     accs = [1.0 + 0j] * len(zs)
-    try:
-        for _, _, cut_distance, value_and_derivative, forward_cut in plan:
-            if cut_distance is not None and _near_cut(cut_distance, zs):
-                return None
+    for i, _, cut_distance, value_and_derivative, forward_cut in plan:
+        if cut_distance is not None:
+            _check_cuts(cut_distance, zs, i)
+        try:
             zs, ds = zip(*map(value_and_derivative, zs))
-            if not all(map(cmath.isfinite, zs)):
-                return None
-            if forward_cut is not None and _near_cut(forward_cut, zs):
-                return None
-            accs = list(map(mul, accs, ds))
-    except (ArithmeticError, ValueError):
-        return None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
+        if not all(map(cmath.isfinite, zs)):
+            raise MapDomainError("evaluation left float range", step_index=i)
+        if forward_cut is not None:
+            _check_cuts(forward_cut, zs, i)
+        accs = list(map(mul, accs, ds))
     if not (all(accs) and all(map(cmath.isfinite, accs))):
-        return None
+        raise MapDomainError("derivative vanished or left float range")
     return zs, accs
+
+
+def _or_each(walk: Callable[[list], list], each: Callable, xs: Sequence[complex]) -> list:
+    """``walk(xs)``; where that raises, ``[each(x) for x in xs]``, which
+    returns what the walk would and raises the first failing point's error."""
+    try:
+        return walk(xs)
+    except (ArithmeticError, ValueError):
+        pass
+    return [each(x) for x in xs]

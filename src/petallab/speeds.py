@@ -10,13 +10,18 @@ chases.  Normalizing eta onto the imaginary axis turns both parts into
 closed forms of the log coordinates, read through hypcore's
 ``uhp_log_shifted`` and ``axis_distance`` alone, so they stay exact
 long after the orbit points themselves left float range: out to
-|t| = 1e300 in the hyperbolic and elliptic petals.  The parabolic petal
-is not exact: its orbit's angular gap to pi is formed next to pi and
-loses bits as |t| grows.  Measured against mpmath at 60 digits, the
-relative error of v at the default base is 1.2e-11 at |t| = 1e6, 5e-10
-at 1e9, 2.2e-6 at 1e12 and 8.3e-4 at 1e15; from about 1e16 on the gap
-rounds away and ``speed_sample`` raises ``DomainError``.  ROADMAP item 1
-carries the gap instead.
+|t| = 1e300 in the hyperbolic and elliptic petals from their default
+bases.  Two cases are not exact, since an orbit angle formed next to 0
+or pi loses bits.  The parabolic petal's angular gap to pi shrinks as
+|t| grows: measured against mpmath at 60 digits, the relative error of v
+at the default base is 1.2e-11 at |t| = 1e6, 5e-10 at 1e9, 2.2e-6 at
+1e12 and 8.3e-4 at 1e15; from about 1e16 on the gap rounds away and
+``speed_sample`` raises ``DomainError``.  strip-slit's angles are of
+order Im w0 near the real axis: at w0 = 0.5 +- 1e-8 i the speeds are off
+by 5e-10 (upper petal) and 7e-9 (lower), and from |Im w0| = 1e-16 on
+``speed_sample`` raises ``DomainError`` from t = -1 or -2 on.  ROADMAP
+item 1 carries the gap instead; ``TestAgainstMpmathWalk`` marks each case
+as an expected failure.
 """
 
 from __future__ import annotations
@@ -222,11 +227,22 @@ def speed_series(
     )
 
 
+def _scaled(vs: Sequence[float]) -> tuple[list[float], int]:
+    """vs divided by the power of two 2^e that brings the largest |v| into
+    [0.5, 1), and e.  Dividing by a power of two rounds nothing, so sums
+    and squares of the scaled values round as the plain ones do, short of
+    overflow."""
+    e = math.frexp(max(map(abs, vs)))[1]
+    return [math.ldexp(v, -e) for v in vs], e
+
+
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Least-squares line through the points (xs, ys): (slope, intercept).
 
-    Built on sums centred at the means, each added exactly by ``math.fsum``.
-    Raises ``EstimationError`` for fewer than two points or coinciding xs.
+    Built on sums centred at the means, each added exactly by ``math.fsum``,
+    of the points scaled by powers of two (``_scaled``), so that squares
+    of abscissae past 1e154 stay finite.  Raises ``EstimationError`` for
+    fewer than two points or coinciding xs.
     """
     n = len(xs)
     if n != len(ys):
@@ -235,12 +251,13 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         raise EstimationError("a line fit needs at least 2 points")
     if min(xs) == max(xs):
         raise EstimationError("degenerate abscissa: all points coincide")
+    (xs, ex), (ys, ey) = _scaled(xs), _scaled(ys)
     x_mean = math.fsum(xs) / n
     y_mean = math.fsum(ys) / n
     dxs = [x - x_mean for x in xs]
     sxx = math.fsum(dx * dx for dx in dxs)
     slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / sxx
-    return slope, y_mean - slope * x_mean
+    return math.ldexp(slope, ey - ex), math.ldexp(y_mean - slope * x_mean, ey)
 
 
 def slope_estimate(
@@ -267,6 +284,8 @@ def slope_estimate(
         if any(t == 0.0 for t in ts):
             raise EstimationError("log abscissa undefined at t = 0")
         xs = [math.log(abs(t)) for t in ts]
+    # r^2 does not change when xs and ys are scaled; scaled, no square overflows.
+    (xs, ex), (ys, ey) = _scaled(xs), _scaled(ys)
     slope, intercept = linear_fit(xs, ys)
     ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     y_mean = math.fsum(ys) / len(ys)
@@ -274,4 +293,4 @@ def slope_estimate(
     r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else (
         0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     )
-    return slope, r2
+    return math.ldexp(slope, ey - ex), r2

@@ -652,12 +652,13 @@ class TestListWalk:
         return [(chain.eval_inverse_all, chain.eval_inverse)]
 
     def _assert_lists_match(self, model, kind, points, chunk=8):
-        """The whole list, its points that succeed, and each chunk of it."""
+        """The whole list, its points that succeed, each chunk of it and
+        each point alone."""
         for list_form, call in self._forms(model, kind):
             good = [x for x in points if _outcome(call, x)[0] == "value"]
             assert good
             chunks = [points[i:i + chunk] for i in range(0, len(points), chunk)]
-            for xs in [points, good, []] + chunks:
+            for xs in [points, good, []] + chunks + [[x] for x in points]:
                 got = _bitwise(_outcome(list_form, xs))
                 want = _bitwise(_outcome(lambda xs: [call(x) for x in xs], xs))
                 assert got == want, f"{model.name} {kind} list form: {got} != {want}"
@@ -672,10 +673,12 @@ class TestListWalk:
         # point-by-point walk a failure falls back to.
         chain = model.chain
         good = [w for w in sources if _outcome(_eval_and_derivative, chain, w)[0] == "value"]
-        assert _walk_all(chain._forward_plan, good) is not None
-        assert _walk_all_with_derivative(chain._forward_plan, good) is not None
+        assert repr(_walk_all(chain._forward_plan, good)) == repr([chain.eval(w) for w in good])
+        assert repr(list(zip(*_walk_all_with_derivative(chain._forward_plan, good)))) == repr(
+            [_eval_and_derivative(chain, w) for w in good])
         good = [q for q in targets if _outcome(chain.eval_inverse, q)[0] == "value"]
-        assert _walk_all(chain._inverse_plan, good) is not None
+        assert repr(_walk_all(chain._inverse_plan, good)) == repr(
+            [chain.eval_inverse(q) for q in good])
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_near_each_cut(self, name):
@@ -718,7 +721,8 @@ class TestListWalk:
             got = _outcome(chain.eval_and_derivative_all, ws)
             assert got == ("error", MapDomainError, None, "derivative vanished or left float range")
             assert _bitwise(got) == _bitwise(_outcome(lambda ws: [call(w) for w in ws], ws))
-        assert _walk_all_with_derivative(chain._forward_plan, [1e200j]) is None
+        with pytest.raises(MapDomainError, match="^derivative vanished or left float range$"):
+            _walk_all_with_derivative(chain._forward_plan, [1e200j, 2e200j])
         assert _outcome(chain.eval_all, [1e200j, 2e200j]) == ("value", [1e-200j, 2e-200j])
 
     def test_generator_left_float_range(self):

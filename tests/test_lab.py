@@ -136,6 +136,15 @@ class TestAsymptoteCommand:
         assert float(summary["slope"]) == rates[0].slope
         assert text.startswith(f"strip-slit/upper: slope {rates[0].slope:.6f} ")
 
+    def test_grid_past_the_square_root_of_float_range(self, tmp_path, capsys):
+        # The speeds at |t| = 2^600 are exact; squaring the speeds in the
+        # fit's residuals would overflow.
+        code = main(["asymptote", "--model", "koebe-elliptic", "--kmin", "600",
+                     "--kmax", "612", "--out", str(tmp_path)])
+        assert code == 0
+        assert "PASS asymptote koebe-elliptic/main: slope -0.250000, target -0.250000" in (
+            capsys.readouterr().out)
+
     def test_parabolic_target_is_zero(self, tmp_path):
         code = main([
             "asymptote", "--model", "sector-parabolic", "--out", str(tmp_path),
@@ -171,6 +180,13 @@ class TestForwardCommand:
     def test_parabolic_and_elliptic_rates_vanish(self, tmp_path):
         for name in ("sector-parabolic", "koebe-elliptic"):
             assert main(["forward", "--model", name, "--out", str(tmp_path)]) == 0
+
+    def test_grid_past_the_square_root_of_float_range(self, tmp_path, capsys):
+        # Squares of the times 2^600.. overflow in a plain least-squares fit.
+        code = main(["forward", "--model", "strip-slit", "--kmin", "600", "--kmax", "612",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "PASS forward strip-slit: slope 0.500000, target 0.500000" in capsys.readouterr().out
 
     def test_forward_rate_times_and_exponent_range(self):
         model = by_name("strip-slit")

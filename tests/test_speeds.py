@@ -565,6 +565,14 @@ class TestFitAgainstPolyfit:
     def test_exact_line_is_exact(self):
         assert linear_fit([1.0, 2.0, 3.0, 4.0], [3.0, 5.0, 7.0, 9.0]) == (2.0, 1.0)
 
+    def test_abscissae_past_the_square_root_of_float_range(self):
+        # Squares of 2^600 overflow; the fit runs on points scaled by
+        # powers of two and gives the exact line back.
+        xs = [2.0 ** k for k in range(600, 612)]
+        assert linear_fit(xs, [0.5 * x for x in xs]) == (0.5, 0.0)
+        assert linear_fit(xs, [-0.25 * x for x in xs]) == (-0.25, 0.0)
+        assert linear_fit([-x for x in xs], [1.0] * len(xs)) == (0.0, 1.0)
+
     def test_rejects_too_few_or_coinciding_points(self):
         with pytest.raises(EstimationError):
             linear_fit([1.0], [2.0])
