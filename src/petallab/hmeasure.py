@@ -39,6 +39,8 @@ _TANGENT_TOL = 1e-2
 # 2^-52 / |p - a| radians.  Points closer than 2^-52 * 1e8 (about 2.2e-8)
 # would let rounding move that direction by more than 1e-8 rad.
 ROUNDING_FLOOR = 2.0 ** -52 * 1e8
+# A point this close to an arc's endpoint counts as that endpoint.
+ENDPOINT_TOL = 1e-9
 
 
 class Arc:
@@ -69,15 +71,11 @@ class Arc:
         self.start = cmath.exp(1j * self.alpha)
         self.end = cmath.exp(1j * self.beta)
 
-    @property
-    def length(self) -> float:
-        """Angular length, in (0, 2*pi)."""
-        return self.beta - self.alpha
-
-    def has_endpoint(self, a: complex, tol: float = 1e-9) -> bool:
-        """Whether ``a`` coincides with one of the two endpoints."""
+    def has_endpoint(self, a: complex) -> bool:
+        """Whether ``a`` lies within ``ENDPOINT_TOL`` of one of the two
+        endpoints."""
         a = complex(a)
-        return abs(a - self.start) <= tol or abs(a - self.end) <= tol
+        return abs(a - self.start) <= ENDPOINT_TOL or abs(a - self.end) <= ENDPOINT_TOL
 
 
 def harmonic_measure(z: complex, arc: Arc) -> float:

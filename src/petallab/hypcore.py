@@ -13,6 +13,10 @@ cross ratios would overflow or round to 1.  For work at extreme separations
 the half-plane additionally gets an anchored logarithmic representation
 (:class:`UhpLogPoint`) storing ``q = anchor + e^L``; distances between such
 points never materialize ``q`` itself.
+
+The Cayley map between the disk and the half-plane is stated here once,
+as the coefficients ``CAYLEY`` and ``CAYLEY_INVERSE`` and as
+``disk_of_uhp`` with its boundary form.
 """
 
 from __future__ import annotations
@@ -47,47 +51,31 @@ class BoundaryPoint(NamedTuple):
 INFINITY = BoundaryPoint(None)
 
 
-class Mobius:
-    """Fractional linear map ``z -> (a z + b) / (c z + d)`` with ad - bc != 0."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
-        if a * d - b * c == 0:
-            raise ValueError("singular Mobius coefficients")
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, z: complex) -> complex | None:
-        """Image of a finite point; None means the image is infinity."""
-        den = self.c * z + self.d
-        if den == 0:
-            return None
-        return (self.a * z + self.b) / den
-
-    def apply_boundary(self, b: BoundaryPoint) -> BoundaryPoint:
-        if b.is_infinity:
-            if self.c == 0:
-                return INFINITY
-            return BoundaryPoint(self.a / self.c)
-        w = self.apply(b.value)
-        return INFINITY if w is None else BoundaryPoint(w)
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
+# The Cayley map C(z) = (a z + b)/(c z + d) of the unit disk onto the upper
+# half-plane, 0 -> i, 1 -> infinity, -1 -> 0 (the real diameter onto the
+# imaginary axis), as (a, b, c, d, a d - b c).  Its inverse
+# C^-1(q) = (d q - b)/(-c q + a) has the same determinant.
+_A, _B, _C, _D = 1j, 1j, -1.0 + 0j, 1.0 + 0j
+CAYLEY = (_A, _B, _C, _D, _A * _D - _B * _C)
+CAYLEY_INVERSE = (_D, -_B, -_C, _A, CAYLEY[4])
 
 
-# Standard transports between the canonical domains.  CAYLEY_DISK_TO_UHP
-# sends 0 -> i, 1 -> infinity, -1 -> 0, the real diameter to the imaginary
-# axis.
-CAYLEY_DISK_TO_UHP = Mobius(1j, 1j, -1.0 + 0j, 1.0 + 0j)
-CAYLEY_UHP_TO_DISK = CAYLEY_DISK_TO_UHP.inverse()
+def disk_of_uhp(q: complex) -> complex:
+    """Unit-disk point C^-1(q) of a half-plane point; ``DomainError`` at the
+    pole q = -i."""
+    a, b, c, d, _ = CAYLEY_INVERSE
+    den = c * q + d
+    if den == 0:
+        raise DomainError("point maps to the Cayley pole")
+    return (a * q + b) / den
+
+
+def disk_of_uhp_boundary(b: BoundaryPoint) -> BoundaryPoint:
+    """Unit-circle point C^-1(b) of a boundary point of the half-plane: a
+    real value, or infinity, which goes to a / c = 1."""
+    if b.is_infinity:
+        return BoundaryPoint(CAYLEY_INVERSE[0] / CAYLEY_INVERSE[2])
+    return BoundaryPoint(disk_of_uhp(b.value))
 
 
 def _require_finite(*points: complex) -> None:
@@ -96,33 +84,22 @@ def _require_finite(*points: complex) -> None:
             raise DomainError(f"non-finite point {z!r}")
 
 
-def disk_distance(z: complex, w: complex,
-                  gap_z: float | None = None,
-                  gap_w: float | None = None) -> float:
+def disk_distance(z: complex, w: complex) -> float:
     """Hyperbolic distance in the unit disk.
 
     Equals arctanh of the pseudo-hyperbolic ratio, computed via the
     cancellation-free form
 
         log(|1 - conj(z) w| + |z - w|) - (log(1-|z|^2) + log(1-|w|^2)) / 2.
-
-    ``gap_z`` and ``gap_w`` optionally supply ``1 - |z|^2`` and ``1 - |w|^2``
-    exactly.  Supplying a gap overrides the interior check for that argument,
-    which lets callers measure to points whose float value has already
-    rounded onto the boundary circle while the true gap is still known.
     """
     z, w = complex(z), complex(w)
     _require_finite(z, w)
-    if gap_z is None:
-        gap_z = 1.0 - (z.real * z.real + z.imag * z.imag)
-        if gap_z <= 0.0:
-            raise DomainError(f"{z!r} is not interior to the unit disk")
-    if gap_w is None:
-        gap_w = 1.0 - (w.real * w.real + w.imag * w.imag)
-        if gap_w <= 0.0:
-            raise DomainError(f"{w!r} is not interior to the unit disk")
-    if gap_z <= 0.0 or gap_w <= 0.0:
-        raise DomainError("boundary gaps must be positive")
+    gap_z = 1.0 - (z.real * z.real + z.imag * z.imag)
+    if gap_z <= 0.0:
+        raise DomainError(f"{z!r} is not interior to the unit disk")
+    gap_w = 1.0 - (w.real * w.real + w.imag * w.imag)
+    if gap_w <= 0.0:
+        raise DomainError(f"{w!r} is not interior to the unit disk")
     num = abs(1.0 - z.conjugate() * w) + abs(z - w)
     # max guards the tiny negative rounding residue of near-identical points
     return max(0.0, math.log(num) - 0.5 * (math.log(gap_z) + math.log(gap_w)))

@@ -23,11 +23,11 @@ from typing import NamedTuple, Optional, Union
 
 from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
 from .hypcore import (
-    CAYLEY_UHP_TO_DISK,
     INFINITY,
     BoundaryPoint,
     DomainError,
     UhpLogPoint,
+    disk_of_uhp_boundary,
     strip_distance,
     uhp_distance,
 )
@@ -117,14 +117,6 @@ PetalImage = Union[StripImage, HalfPlaneImage, SectorImage]
 
 # ---------------------------------------------------------------------------
 # Petals and models
-
-
-def disk_of_canonical(q: complex) -> complex:
-    """Unit-disk coordinate of a canonical point."""
-    z = CAYLEY_UHP_TO_DISK.apply(q)
-    if z is None:
-        raise DomainError("point maps to the Cayley pole")
-    return z
 
 
 class Petal:
@@ -248,7 +240,7 @@ class KoenigsModel(NamedTuple):
 
         Always finite: Cayley sends every real point and infinity onto the
         unit circle."""
-        return CAYLEY_UHP_TO_DISK.apply_boundary(petal.sigma_canonical)
+        return disk_of_uhp_boundary(petal.sigma_canonical)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,12 @@
 diagnostics.
 
 The flow is exact in Omega coordinates (translation or scaling), so all
-semigroup quantities reduce to coordinate transport.  Orbit points are
-reported in every chart that can still hold them as floats: deep
-backward orbits leave the disk chart first, then the canonical chart (the
-upper half-plane, for every model), while the logarithmic canonical form
-of ``KoenigsModel.uhp_orbit``, the chain walked in log space, survives
-arbitrarily far.  The disk gap is read from that log form by
-``hypcore.uhp_log_disk_gap``.
+semigroup quantities reduce to coordinate transport.  ``flow`` reports an
+orbit point in the disk chart while that chart can still hold it as a
+float: it reads the point from the logarithmic canonical form of
+``KoenigsModel.uhp_orbit``, the chain walked in log space, and its gap
+1 - |z|^2 from ``hypcore.uhp_log_disk_gap``, so a deep backward orbit
+loses the disk chart before the log form fails.
 """
 
 from __future__ import annotations
@@ -19,23 +18,16 @@ from typing import NamedTuple, Optional, Sequence
 
 from .confmap import MapDomainError
 from .hypcore import (
-    CAYLEY_DISK_TO_UHP,
-    CAYLEY_UHP_TO_DISK,
+    CAYLEY,
+    CAYLEY_INVERSE,
     DomainError,
+    disk_of_uhp,
     uhp_log_disk_gap,
     uhp_log_distance,
 )
 from .models import KoenigsModel, Petal
 
 MIN_DISK_GAP = 1e-250
-# Coefficients and determinant of CAYLEY_DISK_TO_UHP, C(z) = (a z + b)/(c z + d)
-# with C'(z) = det/(c z + d)^2, for the generator's hot path.
-_CAYLEY = (CAYLEY_DISK_TO_UHP.a, CAYLEY_DISK_TO_UHP.b, CAYLEY_DISK_TO_UHP.c,
-           CAYLEY_DISK_TO_UHP.d, CAYLEY_DISK_TO_UHP.det)
-# Those of its inverse CAYLEY_UHP_TO_DISK, z = (a q + b)/(c q + d), whose
-# determinant is the same: in terms of q = C(z), C'(z) = (c q + d)^2/det.
-_CAYLEY_INVERSE = (CAYLEY_UHP_TO_DISK.a, CAYLEY_UHP_TO_DISK.b, CAYLEY_UHP_TO_DISK.c,
-                   CAYLEY_UHP_TO_DISK.d, CAYLEY_UHP_TO_DISK.det)
 
 
 class PetalRequiredError(DomainError):
@@ -56,21 +48,15 @@ class DiagnosticError(DomainError):
 
 
 class OrbitPoint(NamedTuple):
-    """One trajectory point in every chart that can still represent it.
+    """One trajectory point at time ``t``.
 
-    ``omega_w`` is None when elliptic scaling overflows floats;
-    ``canonical_q`` is the upper half-plane image, for every model, and
-    None when it stops being a finite interior float; ``disk_z`` is None
-    once the disk image rounds onto the unit circle or its gap drops below
-    1e-250.  ``disk_gap`` carries 1 - |disk_z|^2 computed in log space,
-    which stays accurate long after disk_z itself degrades.
+    ``disk_z`` is its unit-disk image, None once the canonical point
+    leaves float range, the disk image rounds onto the unit circle, or its
+    gap 1 - |z|^2 drops below ``MIN_DISK_GAP``.
     """
 
     t: float
-    omega_w: Optional[complex]
-    canonical_q: Optional[complex]
     disk_z: Optional[complex]
-    disk_gap: float
 
 
 def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
@@ -87,15 +73,15 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
             f"backward flow from {w0} needs a petal; none contains it"
         )
     if model.kind == "elliptic" and w0 == 0:
-        return OrbitPoint(t=t, omega_w=0j, canonical_q=model.dw_point, disk_z=0j, disk_gap=1.0)
+        return OrbitPoint(t, 0j)
     p = model.uhp_orbit(w0, t)
     q = p.value()
-    disk_gap = uhp_log_disk_gap(p)
-    disk_z = None if q is None else CAYLEY_UHP_TO_DISK.apply(q)
-    if disk_z is not None and (abs(disk_z) >= 1.0 or disk_gap <= MIN_DISK_GAP):
+    if q is None:
+        return OrbitPoint(t, None)
+    disk_z = disk_of_uhp(q)
+    if abs(disk_z) >= 1.0 or uhp_log_disk_gap(p) <= MIN_DISK_GAP:
         disk_z = None
-    return OrbitPoint(t=t, omega_w=model.flow_omega(w0, t), canonical_q=q,
-                      disk_z=disk_z, disk_gap=disk_gap)
+    return OrbitPoint(t, disk_z)
 
 
 def _generator_from_chart(model: KoenigsModel, w: complex, dh: complex) -> complex:
@@ -123,7 +109,7 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     inverse plan gives both h(z) and (F^-1)'(q).
     """
     z = complex(z)
-    a, b, c, d, det = _CAYLEY
+    a, b, c, d, det = CAYLEY
     den = c * z + d
     if den == 0:
         raise DomainError("point maps to the Cayley pole")
@@ -179,7 +165,8 @@ def repelling_diagnostics(
     sigma = model.disk_sigma(petal).value
     sigma_bar = sigma.conjugate()
     half_lam = 0.5 * petal.lam
-    a, b, c, d, det = _CAYLEY_INVERSE
+    # z = C^-1(q) = (a q + b)/(c q + d), and C'(z) = (c q + d)^2/det.
+    a, b, c, d, det = CAYLEY_INVERSE
     # Running minima kept by comparison; a NaN sample sticks, since no value
     # compares below it, so a NaN anywhere fails the criteria.
     min_julia = math.inf

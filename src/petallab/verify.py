@@ -21,8 +21,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import BoundaryProfile, bound_ratio_series, gaussian_profile, logrecip_profile
 from .hmeasure import ROUNDING_FLOOR, ApproachReport, Arc, approach_angle
-from .hypcore import DomainError, disk_distance, uhp_distance
-from .models import KoenigsModel, Petal, by_name, catalog, disk_of_canonical, sample_petal_omega
+from .hypcore import DomainError, disk_distance, disk_of_uhp, uhp_distance
+from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
 from .semigroup import flow, regularity_gap, repelling_diagnostics, require_petal
 from .speeds import (
     SpeedSeries,
@@ -404,7 +404,7 @@ def _check_structural(rng: random.Random) -> List[Part]:
     metric_gaps = []
     for model, petal in _all_petals():
         qs = model.chain.eval_all(sample_petal_omega(model, petal, 20, rng))
-        disks = [disk_of_canonical(q) for q in qs]
+        disks = [disk_of_uhp(q) for q in qs]
         for qz, qw, dz, dw in zip(qs[::2], qs[1::2], disks[::2], disks[1::2]):
             via_disk = disk_distance(dz, dw)
             via_canonical = uhp_distance(qz, qw)

@@ -2,9 +2,17 @@
 
 Only the tests use these, so they live here rather than in the package:
 
-- the three canonical domains (``CanonicalDomain``), a Moebius chain
-  step (``MobiusStep``), and the general distance to a segment
-  (``segment_distance``) that the slit steps' closed forms replace;
+- the general Moebius map (``Mobius``), with the Cayley pair stated
+  through it (``CAYLEY_DISK_TO_UHP``, ``CAYLEY_UHP_TO_DISK``), against
+  which ``hypcore``'s Cayley coefficients and ``disk_of_uhp`` are checked
+  bit for bit, and which the chain step ``MobiusStep``, ``compose`` and the
+  geodesic normalizers use;
+- the three canonical domains (``CanonicalDomain``) and the general
+  distance to a segment (``segment_distance``) that the slit steps' closed
+  forms replace;
+- the disk distance with the gaps 1 - |z|^2 supplied exactly
+  (``disk_distance_from_gaps``), which measures to points whose float
+  value has rounded onto the unit circle;
 - the cut distance kernels in their ``min``/``max`` form
   (``slit_close_cut_distance``, ``slit_open_cut_distance``,
   ``rotated_ray_distance``), which the steps' ``cut_distance`` must match
@@ -63,12 +71,9 @@ from petallab.confmap import (
     SlitCloseStep,
 )
 from petallab.hypcore import (
-    CAYLEY_DISK_TO_UHP,
-    CAYLEY_UHP_TO_DISK,
     INFINITY,
     BoundaryPoint,
     DomainError,
-    Mobius,
     UhpLogPoint,
     axis_distance,
     disk_distance,
@@ -90,7 +95,49 @@ def arc_complement(arc: Arc) -> Arc:
 
 
 # ---------------------------------------------------------------------------
-# Canonical domains and a Moebius step
+# Moebius maps, canonical domains and a Moebius step
+
+
+class Mobius:
+    """Fractional linear map ``z -> (a z + b) / (c z + d)`` with ad - bc != 0."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        if a * d - b * c == 0:
+            raise ValueError("singular Mobius coefficients")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    @property
+    def det(self) -> complex:
+        return self.a * self.d - self.b * self.c
+
+    def apply(self, z: complex) -> complex | None:
+        """Image of a finite point; None means the image is infinity."""
+        den = self.c * z + self.d
+        if den == 0:
+            return None
+        return (self.a * z + self.b) / den
+
+    def apply_boundary(self, b: BoundaryPoint) -> BoundaryPoint:
+        if b.is_infinity:
+            if self.c == 0:
+                return INFINITY
+            return BoundaryPoint(self.a / self.c)
+        w = self.apply(b.value)
+        return INFINITY if w is None else BoundaryPoint(w)
+
+    def inverse(self) -> "Mobius":
+        return Mobius(self.d, -self.b, -self.c, self.a)
+
+
+# The Cayley pair: 0 -> i, 1 -> infinity, -1 -> 0, the real diameter to the
+# imaginary axis.
+CAYLEY_DISK_TO_UHP = Mobius(1j, 1j, -1.0 + 0j, 1.0 + 0j)
+CAYLEY_UHP_TO_DISK = CAYLEY_DISK_TO_UHP.inverse()
 
 
 class CanonicalDomain(Enum):
@@ -186,6 +233,15 @@ def compose(m: Mobius, other: Mobius) -> Mobius:
         m.c * other.a + m.d * other.c,
         m.c * other.b + m.d * other.d,
     )
+
+
+def disk_distance_from_gaps(z: complex, w: complex, gap_z: float, gap_w: float) -> float:
+    """``hypcore.disk_distance`` with 1 - |z|^2 and 1 - |w|^2 supplied
+    exactly as ``gap_z`` and ``gap_w``, so that it measures to points whose
+    float value has already rounded onto the unit circle."""
+    z, w = complex(z), complex(w)
+    num = abs(1.0 - z.conjugate() * w) + abs(z - w)
+    return max(0.0, math.log(num) - 0.5 * (math.log(gap_z) + math.log(gap_w)))
 
 
 def domain_distance(domain: CanonicalDomain, z: complex, w: complex) -> float:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    CAYLEY_DISK_TO_UHP,
     ApproachRay,
+    Mobius,
     MobiusStep,
     push_boundary_point,
     ray_distance,
@@ -37,14 +39,13 @@ from petallab.confmap import (
     _walk_all,
     _walk_all_with_derivative,
 )
-from petallab.hypcore import CAYLEY_DISK_TO_UHP, BoundaryPoint, DomainError, INFINITY, Mobius
+from petallab.hypcore import BoundaryPoint, DomainError, INFINITY, disk_of_uhp
 from petallab.models import (
     MODEL_NAMES,
     HalfPlaneImage,
     KoenigsModel,
     Petal,
     by_name,
-    disk_of_canonical,
 )
 from petallab.semigroup import generator, repelling_diagnostics
 
@@ -736,7 +737,7 @@ class TestListWalk:
         w_good, w_bad = 1j / 1e308, 1e-3j / 1e308
         refused = ("error", MapDomainError, None, "generator left float range")
         assert _outcome(repelling_diagnostics, model, petal, [w_good, w_bad]) == refused
-        assert _outcome(generator, model, disk_of_canonical(chain.eval(w_bad))) == refused
+        assert _outcome(generator, model, disk_of_uhp(chain.eval(w_bad))) == refused
         assert _outcome(generator, model, 0j) == ("value", -5e307j)
 
     def test_first_failing_point_wins_over_an_earlier_step(self):

@@ -1,7 +1,9 @@
-"""Smoke test: every demo script runs to completion against ``src/``."""
+"""Smoke test: every demo script, and the README's library example, runs
+to completion against ``src/``."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def test_demos_found():
@@ -17,8 +20,17 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=ENV,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert block, "README has no library example"
+    proc = subprocess.run([sys.executable, "-c", block.group(1)], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "-1.0 1.0\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import arc_complement
 
 from petallab.hmeasure import (
+    ENDPOINT_TOL,
     ROUNDING_FLOOR,
     Arc,
     ApproachReport,
@@ -29,14 +30,14 @@ class TestArc:
         arc = Arc(-math.pi / 2, math.pi / 2)
         assert math.isclose(arc.alpha, 3 * math.pi / 2)
         assert math.isclose(arc.beta, 5 * math.pi / 2)
-        assert math.isclose(arc.length, math.pi)
+        assert math.isclose(arc.beta - arc.alpha, math.pi)
         assert abs(arc.start - (-1j)) < 1e-15
         assert abs(arc.end - 1j) < 1e-15
 
     def test_wraparound_start(self):
         arc = Arc(7.0, 8.0)
         assert 0.0 <= arc.alpha < TWO_PI
-        assert math.isclose(arc.length, 1.0)
+        assert math.isclose(arc.beta - arc.alpha, 1.0)
 
     def test_empty_and_full_rejected(self):
         with pytest.raises(DomainError):
@@ -49,7 +50,7 @@ class TestArc:
     def test_complement(self):
         arc = Arc(0.3, 1.7)
         comp = arc_complement(arc)
-        assert math.isclose(arc.length + comp.length, TWO_PI)
+        assert math.isclose((arc.beta - arc.alpha) + (comp.beta - comp.alpha), TWO_PI)
         assert abs(comp.start - arc.end) < 1e-15
         assert abs(comp.end - arc.start) < 1e-12
 
@@ -65,6 +66,8 @@ class TestArc:
         assert arc.has_endpoint(1.0 + 0j)
         assert arc.has_endpoint(1j)
         assert not arc.has_endpoint(-1.0 + 0j)
+        assert arc.has_endpoint(1j + 0.5 * ENDPOINT_TOL)
+        assert not arc.has_endpoint(1j + 2.0 * ENDPOINT_TOL)
 
 
 def _closure_harmonic_measure(z, arc):

@@ -13,9 +13,13 @@ from hypothesis import strategies as st
 
 import petallab
 from oracles import (
+    CAYLEY_DISK_TO_UHP,
+    CAYLEY_UHP_TO_DISK,
     CanonicalDomain,
     Geodesic,
+    Mobius,
     compose,
+    disk_distance_from_gaps,
     domain_distance,
     geodesic_point,
     geodesic_through,
@@ -25,14 +29,16 @@ from oracles import (
     uhp_to_strip,
 )
 from petallab.hypcore import (
-    CAYLEY_DISK_TO_UHP,
+    CAYLEY,
+    CAYLEY_INVERSE,
     BoundaryPoint,
     DomainError,
     INFINITY,
-    Mobius,
     UhpLogPoint,
     axis_distance,
     disk_distance,
+    disk_of_uhp,
+    disk_of_uhp_boundary,
     strip_distance,
     uhp_distance,
     uhp_log_disk_gap,
@@ -94,14 +100,18 @@ class TestDiskDistance:
             disk_distance(0j, z)
 
     def test_extreme_gap_finite_and_increasing(self):
-        # 1 - |w|^2 supplied exactly: the log form must stay finite and
-        # strictly monotone long after the float w rounds onto the circle.
+        # The oracle's gap form, with 1 - |w|^2 supplied exactly, must stay
+        # finite and strictly monotone long after the float w rounds onto
+        # the circle.  While w is interior it agrees with disk_distance, up
+        # to the k digits that disk_distance's own gap 1 - w^2 loses.
         previous = -math.inf
         for k in range(1, 251):
             tail = 10.0 ** (-k)
             w = 1.0 - tail
             gap = tail * (2.0 - tail)
-            d = disk_distance(0.0, w, gap_w=gap)
+            d = disk_distance_from_gaps(0.0, w, 1.0, gap)
+            if w < 1.0:
+                assert d == pytest.approx(disk_distance(0.0, w), rel=1e-15 * 10.0 ** k)
             assert math.isfinite(d)
             assert d > previous, f"not increasing at k={k}"
             previous = d
@@ -232,6 +242,40 @@ class TestMobius:
         assert m.apply(2.0) is None
         assert m.apply_boundary(BoundaryPoint(2.0 + 0j)).is_infinity
         assert m.apply_boundary(INFINITY).value == pytest.approx(1.0)
+
+
+class TestCayleyPair:
+    """hypcore's Cayley coefficients and ``disk_of_uhp`` against the oracle
+    Mobius maps, by repr, so that signed zeros must agree too."""
+
+    def test_coefficients(self):
+        for got, m in ((CAYLEY, CAYLEY_DISK_TO_UHP), (CAYLEY_INVERSE, CAYLEY_UHP_TO_DISK)):
+            assert repr(got) == repr((m.a, m.b, m.c, m.d, m.det))
+
+    def test_seeded_points(self):
+        rng = _rng()
+        points = [complex(x, y) for x, y in zip(rng.normal(0.0, 3.0, 300),
+                                                rng.lognormal(0.0, 4.0, 300))]
+        # The real axis and the imaginary axis, each with both signed zeros.
+        for x in rng.normal(0.0, 3.0, 50):
+            points += [complex(x, 0.0), complex(x, -0.0)]
+        for y in rng.lognormal(0.0, 2.0, 50):
+            points += [complex(0.0, y), complex(-0.0, y)]
+        points += [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                   complex(-0.0, -0.0), complex(1.0, 0.0), complex(-1.0, -0.0)]
+        for q in points:
+            assert repr(disk_of_uhp(q)) == repr(CAYLEY_UHP_TO_DISK.apply(q)), q
+        for q in points[300:]:
+            if q.imag == 0.0:
+                b = BoundaryPoint(q)
+                assert repr(disk_of_uhp_boundary(b)) == repr(CAYLEY_UHP_TO_DISK.apply_boundary(b))
+        assert repr(disk_of_uhp_boundary(INFINITY)) == repr(
+            CAYLEY_UHP_TO_DISK.apply_boundary(INFINITY))
+
+    def test_pole(self):
+        assert CAYLEY_UHP_TO_DISK.apply(-1j) is None
+        with pytest.raises(DomainError, match="point maps to the Cayley pole"):
+            disk_of_uhp(-1j)
 
 
 class TestGeodesics:

@@ -9,8 +9,8 @@ import pytest
 from oracles import omega_of_disk, reference_generator
 from petallab import semigroup
 from petallab.confmap import ConformalChain, MapDomainError
-from petallab.hypcore import DomainError
-from petallab.models import by_name, catalog, disk_of_canonical, sample_petal_omega
+from petallab.hypcore import DomainError, disk_of_uhp, uhp_log_disk_gap
+from petallab.models import by_name, catalog, sample_petal_omega
 from petallab.semigroup import (
     DiagnosticError,
     OrbitPoint,
@@ -33,28 +33,33 @@ class TestFlow:
     def test_identity_at_time_zero(self):
         for model, petal in _model_petals():
             z0 = petal.base_default
+            assert model.flow_omega(z0, 0.0) == z0
             pt = flow(model, z0, 0.0)
-            assert pt.omega_w == z0
+            assert pt.t == 0.0
             assert pt.disk_z is not None
             assert abs(pt.disk_z) < 1.0
+            assert abs(pt.disk_z - disk_of_uhp(model.chain.eval(z0))) <= 1e-12
 
     def test_translation_example(self):
         m1 = by_name("strip-slit")
-        pt = flow(m1, 1 + 0.3j, -5.0)
-        assert pt.omega_w == -4 + 0.3j
+        assert m1.flow_omega(1 + 0.3j, -5.0) == -4 + 0.3j
+        back = omega_of_disk(m1, flow(m1, 1 + 0.3j, -5.0).disk_z)
+        assert abs(back - (-4 + 0.3j)) <= 1e-9
 
     def test_translation_is_exact(self):
         m1 = by_name("strip-slit")
         z0 = 1 + 1j * math.pi / 4
         for t in (-7.25, -0.5, 2.0, 31.0):
-            assert flow(m1, z0, t).omega_w == z0 + t
+            assert m1.flow_omega(z0, t) == z0 + t
+            assert flow(m1, z0, t).t == t
 
     def test_elliptic_scaling_example(self):
         # 8 is the Omega image of the disk point 1/2; one backward unit
         # multiplies by e.
         m3 = by_name("koebe-elliptic")
-        pt = flow(m3, 8.0 + 0j, -1.0)
-        assert pt.omega_w == pytest.approx(8.0 * math.e, rel=1e-15)
+        assert m3.flow_omega(8.0 + 0j, -1.0) == pytest.approx(8.0 * math.e, rel=1e-15)
+        back = omega_of_disk(m3, flow(m3, 8.0 + 0j, -1.0).disk_z)
+        assert back == pytest.approx(8.0 * math.e, rel=1e-12)
         assert omega_of_disk(m3, 0.5 + 0j) == pytest.approx(8.0, rel=1e-12)
 
     def test_semigroup_law_in_disk_transport(self):
@@ -62,8 +67,7 @@ class TestFlow:
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 5, rng):
                 for s, t in [(0.5, 1.25), (-1.5, 2.0), (-2.0, -1.0)]:
-                    mid = flow(model, w, s)
-                    one = flow(model, mid.omega_w, t)
+                    one = flow(model, model.flow_omega(w, s), t)
                     two = flow(model, w, s + t)
                     assert one.disk_z is not None and two.disk_z is not None
                     assert abs(one.disk_z - two.disk_z) <= 1e-9
@@ -78,7 +82,7 @@ class TestFlow:
             flow(m3, -0.5 + 0j, -0.5)
         # The same points flow forward without complaint.
         for model, w in [(m1, 1.0 + 0j), (m2, 1.0 - 1j), (m3, -0.5 + 0j)]:
-            assert flow(model, w, 2.0).omega_w is not None
+            assert flow(model, w, 2.0).disk_z is not None
 
     def test_flow_outside_domain(self):
         m1 = by_name("strip-slit")
@@ -87,9 +91,8 @@ class TestFlow:
 
     def test_elliptic_fixed_point(self):
         m3 = by_name("koebe-elliptic")
-        pt = flow(m3, 0j, 4.0)
-        assert pt.omega_w == 0j and pt.disk_z == 0j and pt.disk_gap == 1.0
-        assert pt.canonical_q == 1j
+        assert flow(m3, 0j, 4.0) == OrbitPoint(4.0, 0j)
+        assert m3.flow_omega(0j, 4.0) == 0j
 
     def test_coordinate_consistency(self):
         rng = np.random.default_rng(RNG_SEED + 1)
@@ -98,51 +101,56 @@ class TestFlow:
                 for t in (-6.0, -1.0, 0.0, 2.5):
                     pt = flow(model, w, t)
                     assert pt.disk_z is not None
-                    q = model.chain.eval(pt.omega_w)
-                    assert abs(q - pt.canonical_q) <= 1e-9 * max(1.0, abs(q))
-                    z = disk_of_canonical(model.chain.eval(pt.omega_w))
-                    assert abs(z - pt.disk_z) <= 1e-9
+                    q = model.chain.eval(model.flow_omega(w, t))
+                    q_log = model.uhp_orbit(w, t).value()
+                    assert abs(q - q_log) <= 1e-9 * max(1.0, abs(q))
+                    assert abs(disk_of_uhp(q) - pt.disk_z) <= 1e-9
 
     def test_disk_gap_matches_direct_value(self):
         for model, petal in _model_petals():
             pt = flow(model, petal.base_default, -4.0)
             direct = 1.0 - abs(pt.disk_z) ** 2
-            assert pt.disk_gap == pytest.approx(direct, rel=1e-9)
+            gap = uhp_log_disk_gap(model.uhp_orbit(petal.base_default, -4.0))
+            assert gap == pytest.approx(direct, rel=1e-9)
 
     def test_disk_gap_deep_backward_closed_form(self):
         # For the slit strip the gap decays like e^{2 Re w0 + 2t}.
         m1 = by_name("strip-slit")
-        pt = flow(m1, 1 + 1j * math.pi / 4, -100.0)
-        assert pt.disk_z is None
-        assert pt.disk_gap == pytest.approx(math.exp(2.0 - 200.0), rel=1e-6)
+        z0 = 1 + 1j * math.pi / 4
+        assert flow(m1, z0, -100.0).disk_z is None
+        gap = uhp_log_disk_gap(m1.uhp_orbit(z0, -100.0))
+        assert gap == pytest.approx(math.exp(2.0 - 200.0), rel=1e-6)
 
     def test_disk_chart_expires_before_gap_does(self):
         m1 = by_name("strip-slit")
-        pt = flow(m1, 1 + 1j * math.pi / 4, -30.0)
-        assert pt.disk_z is None           # |z| rounds onto the circle
-        assert pt.disk_gap > 0.0           # the log-space gap survives
-        pt = flow(m1, 1 + 1j * math.pi / 4, -400.0)
-        assert pt.disk_z is None and pt.canonical_q is None
-        assert pt.disk_gap == 0.0
+        z0 = 1 + 1j * math.pi / 4
+        assert flow(m1, z0, -30.0).disk_z is None       # |z| rounds onto the circle
+        assert uhp_log_disk_gap(m1.uhp_orbit(z0, -30.0)) > 0.0  # the log-space gap survives
+        assert flow(m1, z0, -400.0).disk_z is None
+        p = m1.uhp_orbit(z0, -400.0)
+        assert p.value() is None
+        assert uhp_log_disk_gap(p) == 0.0
 
     def test_parabolic_disk_chart_is_long_lived(self):
         m2 = by_name("sector-parabolic")
-        pt = flow(m2, m2.petals[0].base_default, -1.0e8)
-        assert pt.disk_z is not None
-        assert 0.0 < pt.disk_gap < 1e-10
+        base = m2.petals[0].base_default
+        assert flow(m2, base, -1.0e8).disk_z is not None
+        assert 0.0 < uhp_log_disk_gap(m2.uhp_orbit(base, -1.0e8)) < 1e-10
 
     def test_elliptic_overflow(self):
         # w_t = e^800 overflows, but its upper half-plane image
         # i sqrt(w_t + 1), of log modulus 400, is still a float; that image
         # leaves float range once Re L passes 700, at t = -1400.
         m3 = by_name("koebe-elliptic")
-        pt = flow(m3, 1.0 + 0j, -800.0)
-        assert pt.omega_w is None and pt.disk_z is None
-        assert pt.canonical_q is not None
-        assert abs(pt.canonical_q.real) <= 1e-15 * pt.canonical_q.imag
-        assert math.log(pt.canonical_q.imag) == pytest.approx(400.0, rel=1e-15)
-        assert flow(m3, 1.0 + 0j, -1399.0).canonical_q is not None
-        assert flow(m3, 1.0 + 0j, -1401.0).canonical_q is None
+        assert m3.flow_omega(1.0 + 0j, -800.0) is None
+        assert flow(m3, 1.0 + 0j, -800.0).disk_z is None
+        q = m3.uhp_orbit(1.0 + 0j, -800.0).value()
+        assert q is not None
+        assert abs(q.real) <= 1e-15 * q.imag
+        assert math.log(q.imag) == pytest.approx(400.0, rel=1e-15)
+        assert m3.uhp_orbit(1.0 + 0j, -1399.0).value() is not None
+        assert m3.uhp_orbit(1.0 + 0j, -1401.0).value() is None
+        assert flow(m3, 1.0 + 0j, -1401.0).disk_z is None
 
     def test_koenigs_equation_after_transport(self):
         rng = np.random.default_rng(RNG_SEED + 2)
@@ -182,7 +190,7 @@ class TestGenerator:
     def test_finite_difference_oracle(self):
         eps = 1e-5
         for model, petal in _model_petals():
-            z0 = disk_of_canonical(model.chain.eval(petal.base_default))
+            z0 = disk_of_uhp(model.chain.eval(petal.base_default))
             plus = flow(model, petal.base_default, eps).disk_z
             minus = flow(model, petal.base_default, -eps).disk_z
             fd = (plus - minus) / (2.0 * eps)
@@ -192,7 +200,7 @@ class TestGenerator:
         # G = 1/h' means G * dh/dz = 1; check via a finite difference of
         # the omega chart.
         m1 = by_name("strip-slit")
-        z = disk_of_canonical(m1.chain.eval(1 + 1j * math.pi / 4))
+        z = disk_of_uhp(m1.chain.eval(1 + 1j * math.pi / 4))
         eps = 1e-6
         dh = (omega_of_disk(m1, z + eps) - omega_of_disk(m1, z - eps)) / (2.0 * eps)
         assert abs(generator(m1, z) * dh - 1.0) <= 1e-6
@@ -311,7 +319,7 @@ class TestRepellingDiagnostics:
         assert len(seen) >= len(ws)
         worst = 0.0
         for w, g in zip(ws, seen):
-            want = generator(model, disk_of_canonical(model.chain.eval(w)))
+            want = generator(model, disk_of_uhp(model.chain.eval(w)))
             worst = max(worst, abs(g - want) / abs(want))
         assert worst <= 1e-13
 

@@ -8,12 +8,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import CanonicalDomain, geodesic_through, mp_orbit_reading, project_to_geodesic
+from oracles import (
+    CanonicalDomain,
+    disk_distance_from_gaps,
+    geodesic_through,
+    mp_orbit_reading,
+    project_to_geodesic,
+)
 from petallab.hypcore import (
     DomainError,
     UhpLogPoint,
-    disk_distance,
     uhp_distance,
+    uhp_log_disk_gap,
     uhp_log_shifted,
 )
 from petallab.models import by_name, catalog, sample_petal_omega
@@ -165,11 +171,11 @@ class TestCrossValidation:
         # canonical one far beyond naive float range.
         for model, petal in _model_petals():
             base = petal.base_default
-            at0 = flow(model, base, 0.0)
+            z0 = flow(model, base, 0.0).disk_z
+            gap0 = uhp_log_disk_gap(model.uhp_orbit(base, 0.0))
             for t in (-12.0, -6.0, -1.0):
-                at_t = flow(model, base, t)
-                d = disk_distance(at0.disk_z, at_t.disk_z,
-                                  gap_z=at0.disk_gap, gap_w=at_t.disk_gap)
+                d = disk_distance_from_gaps(z0, flow(model, base, t).disk_z, gap0,
+                                            uhp_log_disk_gap(model.uhp_orbit(base, t)))
                 assert speed_sample(model, petal, base, t).v == pytest.approx(d, abs=1e-9)
 
     def test_vertical_sigma_frame(self):
