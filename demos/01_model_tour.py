@@ -14,7 +14,10 @@ from petallab import by_name, catalog, sample_petal_omega
 
 for model in catalog():
     print(f"{model.name}: {model.kind} semigroup, mu = {model.mu}")
-    print(f"  Denjoy-Wolff image: {model.dw_point}")
+    # An elliptic flow fixes an interior point, 0 in Omega; the others'
+    # Denjoy-Wolff point is the boundary point at infinity.
+    dw = model.chain.eval(0j) if model.kind == "elliptic" else "infinity"
+    print(f"  Denjoy-Wolff image: {dw}")
     for petal in model.petals:
         rate = "parabolic" if petal.lam is None else f"lam = {petal.lam}"
         print(f"  petal {petal.label!r}: {petal.kind}, {rate}, "

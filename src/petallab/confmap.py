@@ -214,19 +214,23 @@ class LogStep(_RayCutStep):
 
 
 class PowerStep(_RayCutStep):
-    """z -> z^alpha on the log branch with argument in [cut - 2 pi, cut).
+    """z -> z^alpha, alpha = p / q, on the log branch with argument in
+    [cut - 2 pi, cut).
 
-    alpha > 0.  The inverse step reuses the same cut; chain authors must
-    arrange source regions so the image sector stays inside that branch.
+    p and q are positive integers, kept exact beside the float ``alpha``.
+    The inverse step reuses the same cut; chain authors must arrange source
+    regions so the image sector stays inside that branch.
     """
 
-    __slots__ = ("alpha",)
+    __slots__ = ("p", "q", "alpha")
 
-    def __init__(self, alpha: float, cut: float = math.pi) -> None:
-        if not alpha > 0:
-            raise ValueError("power step requires alpha > 0")
+    def __init__(self, p: int, q: int, cut: float = math.pi) -> None:
+        if not (isinstance(p, int) and isinstance(q, int) and p > 0 and q > 0):
+            raise ValueError(f"power step requires positive integers p and q, got {p!r}, {q!r}")
         super().__init__(cut)
-        self.alpha = alpha
+        self.p = p
+        self.q = q
+        self.alpha = p / q
 
     def apply(self, z: complex) -> complex:
         return cmath.exp(self.alpha * _branch_log(z, self.cut))
@@ -248,7 +252,7 @@ class PowerStep(_RayCutStep):
         return None, self.alpha * log_q, 0
 
     def inverted(self) -> "PowerStep":
-        return PowerStep(1.0 / self.alpha, self.cut)
+        return PowerStep(self.q, self.p, self.cut)
 
 
 def _uhp_sqrt(v: complex) -> complex:

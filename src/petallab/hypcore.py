@@ -1,7 +1,7 @@
 """Numerically stable hyperbolic geometry in the three canonical domains.
 
-Points are plain ``complex`` numbers; the point at infinity is expressed
-only through :class:`BoundaryPoint`.  All lengths use the arctanh
+Points are plain ``complex`` numbers; a boundary point of the half-plane
+is a real ``float``, or None for infinity.  All lengths use the arctanh
 normalization: the disk density is ``|dz|/(1-|z|^2)``, the upper half-plane
 density ``|dz|/(2 Im z)``, the strip density ``|dz|/(2 cos(Im z))``.  Under
 this convention ``disk_distance(0, r) = arctanh(r)`` and vertical motion in
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 _HALF_PI = 0.5 * math.pi
 _LOG4 = math.log(4.0)
@@ -31,24 +30,6 @@ _LOG4 = math.log(4.0)
 
 class DomainError(ValueError):
     """A point or boundary datum violates a domain membership precondition."""
-
-
-class BoundaryPoint(NamedTuple):
-    """A boundary datum: a finite complex value, or None for infinity."""
-
-    value: complex | None = None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.value is None:
-            return "BoundaryPoint(infinity)"
-        return f"BoundaryPoint({self.value!r})"
-
-
-INFINITY = BoundaryPoint(None)
 
 
 # The Cayley map C(z) = (a z + b)/(c z + d) of the unit disk onto the upper
@@ -70,12 +51,12 @@ def disk_of_uhp(q: complex) -> complex:
     return (a * q + b) / den
 
 
-def disk_of_uhp_boundary(b: BoundaryPoint) -> BoundaryPoint:
-    """Unit-circle point C^-1(b) of a boundary point of the half-plane: a
-    real value, or infinity, which goes to a / c = 1."""
-    if b.is_infinity:
-        return BoundaryPoint(CAYLEY_INVERSE[0] / CAYLEY_INVERSE[2])
-    return BoundaryPoint(disk_of_uhp(b.value))
+def disk_of_uhp_boundary(sigma: float | None) -> complex:
+    """Unit-circle point C^-1(sigma) of a boundary point of the half-plane:
+    a real sigma, or None for infinity, which goes to a / c = 1."""
+    if sigma is None:
+        return CAYLEY_INVERSE[0] / CAYLEY_INVERSE[2]
+    return disk_of_uhp(complex(sigma))
 
 
 def _require_finite(*points: complex) -> None:

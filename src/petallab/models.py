@@ -23,8 +23,6 @@ from typing import NamedTuple, Optional, Union
 
 from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
 from .hypcore import (
-    INFINITY,
-    BoundaryPoint,
     DomainError,
     UhpLogPoint,
     disk_of_uhp_boundary,
@@ -124,16 +122,16 @@ class Petal:
 
     A petal stores its repelling spectral value ``lam`` (negative), or None
     for a parabolic petal; ``kind`` is read from it.  ``sigma_canonical`` is
-    the canonical image of the petal's distinguished boundary point: the
-    repelling fixed point for hyperbolic petals, the Denjoy-Wolff point for
-    parabolic ones.  ``base_default`` is a reference interior point in Omega
-    coordinates.
+    the canonical image of the petal's distinguished boundary point, a real
+    float or None for infinity: the repelling fixed point for hyperbolic
+    petals, the Denjoy-Wolff point for parabolic ones.  ``base_default`` is
+    a reference interior point in Omega coordinates.
     """
 
     __slots__ = ("label", "lam", "sigma_canonical", "image", "base_default")
 
     def __init__(self, label: str, lam: Optional[float],
-                 sigma_canonical: BoundaryPoint, image: PetalImage,
+                 sigma_canonical: Optional[float], image: PetalImage,
                  base_default: complex) -> None:
         if lam is not None and lam >= 0.0:
             raise ValueError("repelling spectral value must be negative")
@@ -156,6 +154,13 @@ class Petal:
         return self.image.distance(complex(w1), complex(w2))
 
 
+class BoundaryPoint(NamedTuple):
+    """A petal's boundary point on the unit circle, as ``disk_sigma``
+    returns it."""
+
+    value: complex
+
+
 class KoenigsModel(NamedTuple):
     """A flow domain Omega with its canonical chain and petal inventory.
 
@@ -163,9 +168,7 @@ class KoenigsModel(NamedTuple):
     Denjoy-Wolff dynamics of the induced disk semigroup.  The flow on
     Omega is ``w + t`` for non-elliptic kinds and ``exp(-mu t) w`` for the
     elliptic one.  ``chain`` maps Omega onto the upper half-plane, the
-    canonical domain of every model.  ``dw_point`` is the canonical image
-    of the Denjoy-Wolff point; elliptic models store it as a plain
-    interior complex number, the others as a boundary point.
+    canonical domain of every model.
     """
 
     name: str
@@ -173,7 +176,6 @@ class KoenigsModel(NamedTuple):
     mu: float
     chain: ConformalChain
     petals: tuple[Petal, ...]
-    dw_point: Union[BoundaryPoint, complex]
 
     def contains(self, w: complex) -> bool:
         """Whether w lies in Omega; never for a non-finite point."""
@@ -240,7 +242,7 @@ class KoenigsModel(NamedTuple):
 
         Always finite: Cayley sends every real point and infinity onto the
         unit circle."""
-        return disk_of_uhp_boundary(petal.sigma_canonical)
+        return BoundaryPoint(disk_of_uhp_boundary(petal.sigma_canonical))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +264,14 @@ def _make_strip_slit() -> KoenigsModel:
     upper = Petal(
         label="upper",
         lam=-2.0,
-        sigma_canonical=BoundaryPoint(-1.0 + 0j),
+        sigma_canonical=-1.0,
         image=StripImage(0.0, HALF_PI),
         base_default=1.0 + 1j * math.pi / 4.0,
     )
     lower = Petal(
         label="lower",
         lam=-2.0,
-        sigma_canonical=BoundaryPoint(1.0 + 0j),
+        sigma_canonical=1.0,
         image=StripImage(-HALF_PI, 0.0),
         base_default=1.0 - 1j * math.pi / 4.0,
     )
@@ -279,7 +281,6 @@ def _make_strip_slit() -> KoenigsModel:
         mu=1.0,
         chain=chain,
         petals=(upper, lower),
-        dw_point=INFINITY,
     )
 
 
@@ -294,14 +295,14 @@ def _sector_parabolic_contains(w: complex) -> bool:
 
 def _make_sector_parabolic() -> KoenigsModel:
     chain = ConformalChain(
-        steps=(Affine(1j, 0j), PowerStep(2.0 / 3.0, cut=2.0 * math.pi)),
+        steps=(Affine(1j, 0j), PowerStep(2, 3, cut=2.0 * math.pi)),
         source_contains=_sector_parabolic_contains,
         name="sector-parabolic",
     )
     petal = Petal(
         label="main",
         lam=None,
-        sigma_canonical=INFINITY,
+        sigma_canonical=None,
         image=HalfPlaneImage(0.0),
         base_default=1j * math.e,
     )
@@ -311,7 +312,6 @@ def _make_sector_parabolic() -> KoenigsModel:
         mu=0.0,
         chain=chain,
         petals=(petal,),
-        dw_point=INFINITY,
     )
 
 
@@ -329,7 +329,7 @@ def _make_koebe_elliptic() -> KoenigsModel:
     chain = ConformalChain(
         steps=(
             Affine(1.0 + 0j, 1.0 + 0j),
-            PowerStep(0.5, cut=math.pi),
+            PowerStep(1, 2, cut=math.pi),
             Affine(1j, 0j),
         ),
         source_contains=_koebe_elliptic_contains,
@@ -338,7 +338,7 @@ def _make_koebe_elliptic() -> KoenigsModel:
     petal = Petal(
         label="main",
         lam=-0.5,
-        sigma_canonical=INFINITY,
+        sigma_canonical=None,
         image=SectorImage(amplitude=2.0 * math.pi, theta0=0.0),
         base_default=1.0 + 0j,
     )
@@ -348,7 +348,6 @@ def _make_koebe_elliptic() -> KoenigsModel:
         mu=1.0,
         chain=chain,
         petals=(petal,),
-        dw_point=1j,
     )
 
 

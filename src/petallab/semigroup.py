@@ -226,12 +226,18 @@ def regularity_gap(
     """Hyperbolic distances d(orbit(t), orbit(t-1)) along a backward orbit.
 
     Bounded values certify a regular orbit; computed in canonical
-    coordinates, which the distances do not depend on.
+    coordinates, which the distances do not depend on.  A time t whose
+    float t - 1 is not one below it (|t| >= 2^53, where t - 1 rounds) raises
+    ``DomainError`` instead of measuring a step of another length.
     """
     w0 = require_petal(model, petal, z0)
     gaps = []
     for t in t_grid:
-        a = model.uhp_orbit(w0, float(t) - 1.0)
-        b = model.uhp_orbit(w0, float(t))
+        t = float(t)
+        if math.isfinite(t) and (t - 1.0) - t != -1.0:
+            raise DomainError(
+                f"semigroup.regularity_gap: t - 1 is not one below t = {t!r} in floats")
+        a = model.uhp_orbit(w0, t - 1.0)
+        b = model.uhp_orbit(w0, t)
         gaps.append(uhp_log_distance(a, b))
     return gaps

@@ -11,17 +11,25 @@ closed forms of the log coordinates, read through hypcore's
 ``uhp_log_shifted`` and ``axis_distance`` alone, so they stay exact
 long after the orbit points themselves left float range: out to
 |t| = 1e300 in the hyperbolic and elliptic petals from their default
-bases.  Two cases are not exact, since an orbit angle formed next to 0
-or pi loses bits.  The parabolic petal's angular gap to pi shrinks as
-|t| grows: measured against mpmath at 60 digits, the relative error of v
-at the default base is 1.2e-11 at |t| = 1e6, 5e-10 at 1e9, 2.2e-6 at
-1e12 and 8.3e-4 at 1e15; from about 1e16 on the gap rounds away and
-``speed_sample`` raises ``DomainError``.  strip-slit's angles are of
-order Im w0 near the real axis: at w0 = 0.5 +- 1e-8 i the speeds are off
-by 5e-10 (upper petal) and 7e-9 (lower), and from |Im w0| = 1e-16 on
-``speed_sample`` raises ``DomainError`` from t = -1 or -2 on.  ROADMAP
-item 1 carries the gap instead; ``TestAgainstMpmathWalk`` marks each case
-as an expected failure.
+bases.  Five regions are not exact, since an orbit angle formed next to
+0 or pi loses bits; relative errors against mpmath:
+
+- the parabolic petal's gap to pi shrinks as |t| grows: v at the default
+  base is off by 1.2e-11 at |t| = 1e6, 2.2e-6 at 1e12 and 8.3e-4 at
+  1e15, and from about 1e16 on ``speed_sample`` raises ``DomainError``;
+- strip-slit near the real axis: at w0 = 0.5 +- 1e-8 i the speeds are
+  off by 5e-10 (upper petal) and 7e-9 (lower); from |Im w0| = 1e-16 on
+  ``speed_sample`` raises ``DomainError`` from t = -1 or -2 on;
+- koebe-elliptic next to its slit: at w0 = 2 e^{+-i(pi - 1e-12)}, off by
+  up to 1.3e-5 (above) and 5.0e-6 (below);
+- strip-slit next to its walls: at w0 = 1 -+ i(pi/2 - 1e-10), off by up
+  to 1.1e-7 (lower petal) and 5.6e-8 (upper);
+- sector-parabolic next to its edge: at w0 = 1 + 1e-10 i, off by up to
+  1.2e-2, and raising ``DomainError`` from t = -1e6 on.
+
+ROADMAP item 1 carries the gap instead; ``TestAgainstMpmathWalk`` marks
+each case as an expected failure (the ``*-axis``, ``*-slit``,
+``*-near-edge`` and ``sector-parabolic-k>=5`` rows).
 """
 
 from __future__ import annotations
@@ -125,11 +133,11 @@ def _eta_frame(petal: Petal, p0: UhpLogPoint) -> Callable[[UhpLogPoint], complex
     q0 = p0.value()
     if q0 is None:
         raise DomainError("base point has no finite canonical image")
-    if petal.sigma_canonical.is_infinity:
+    sigma = petal.sigma_canonical
+    if sigma is None:
         # eta is the vertical line through q0; translate it to Re = 0.
         shift = q0.real
         return lambda p: uhp_log_shifted(p, shift)
-    sigma = petal.sigma_canonical.value.real
     if q0.real == sigma:
         return lambda p: uhp_log_shifted(p, sigma)
     # Half-circle geodesic: second foot by reflecting sigma through the

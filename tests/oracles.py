@@ -2,6 +2,9 @@
 
 Only the tests use these, so they live here rather than in the package:
 
+- the boundary datum that can be infinite (``BoundaryPoint``, with
+  ``INFINITY`` for the point at infinity), which the package keeps only
+  as a float or None;
 - the general Moebius map (``Mobius``), with the Cayley pair stated
   through it (``CAYLEY_DISK_TO_UHP``, ``CAYLEY_UHP_TO_DISK``), against
   which ``hypcore``'s Cayley coefficients and ``disk_of_uhp`` are checked
@@ -33,9 +36,11 @@ Only the tests use these, so they live here rather than in the package:
 - the hand-derived log-space orbit of each catalog model
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
   walk of the chain in log space are checked bit for bit;
-- the catalog chains' steps walked in mpmath at 330 digits
-  (``mp_canonical``, ``mp_orbit_reading``), against which the orbits' log
-  Im q and angle and the three speeds are checked out to |t| = 1e300;
+- the catalog chains' steps walked in mpmath at 330 digits, each power
+  step with its exact exponent p / q (``mp_eval``, ``mp_canonical``,
+  ``mp_orbit_reading``), against which the orbits' log Im q and angular
+  gap and the three speeds are checked out to |t| = 1e300, and on which
+  the edges of each catalog domain must land on the real axis;
 - the complement of a circular arc (``arc_complement``), against which
   harmonic measures are checked to add up to one;
 - the tanh-sinh upper bound with every node's integrand evaluated
@@ -50,6 +55,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import mpmath
 
@@ -71,8 +77,6 @@ from petallab.confmap import (
     SlitCloseStep,
 )
 from petallab.hypcore import (
-    INFINITY,
-    BoundaryPoint,
     DomainError,
     UhpLogPoint,
     axis_distance,
@@ -95,7 +99,31 @@ def arc_complement(arc: Arc) -> Arc:
 
 
 # ---------------------------------------------------------------------------
-# Moebius maps, canonical domains and a Moebius step
+# Boundary data, Moebius maps, canonical domains and a Moebius step
+
+
+class BoundaryPoint(NamedTuple):
+    """A boundary datum: a finite complex value, or None for infinity."""
+
+    value: complex | None = None
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.value is None
+
+    def __repr__(self) -> str:
+        if self.value is None:
+            return "BoundaryPoint(infinity)"
+        return f"BoundaryPoint({self.value!r})"
+
+
+INFINITY = BoundaryPoint(None)
+
+
+def boundary_of(sigma: float | None) -> BoundaryPoint:
+    """A petal's ``sigma_canonical``, a real float or None for infinity, as
+    a boundary datum."""
+    return INFINITY if sigma is None else BoundaryPoint(complex(sigma, 0.0))
 
 
 class Mobius:
@@ -727,7 +755,8 @@ def _mp_step(step: MapStep, anchor, delta):
     if isinstance(step, ExpStep):
         return 0, mpmath.exp(z)
     if isinstance(step, PowerStep):
-        return 0, mpmath.exp(step.alpha * _mp_branch_log(z, mpmath.mpf(step.cut)))
+        alpha = mpmath.mpf(step.p) / step.q
+        return 0, mpmath.exp(alpha * _mp_branch_log(z, mpmath.mpf(step.cut)))
     if isinstance(step, SlitCloseStep):
         r = mpmath.sqrt(1 + z * z)
         s = -1 if r.imag < 0 else 1
@@ -735,6 +764,16 @@ def _mp_step(step: MapStep, anchor, delta):
             return 0, s * r
         return s, s * z * z / (1 + r)
     raise TypeError(f"no mpmath form for {type(step).__name__}")
+
+
+def mp_eval(chain: ConformalChain, w):
+    """The image of the mpmath point w under the chain's steps as
+    (anchor, delta), image = anchor + delta, at the current mpmath
+    precision."""
+    anchor, delta = 0, w
+    for step in chain.steps:
+        anchor, delta = _mp_step(step, anchor, delta)
+    return anchor, delta
 
 
 def mp_canonical(model: KoenigsModel, w0: complex, t: float):
@@ -746,35 +785,33 @@ def mp_canonical(model: KoenigsModel, w0: complex, t: float):
         w = mpmath.exp(mpmath.log(w0) - model.mu * mpmath.mpf(t))
     else:
         w = w0 + mpmath.mpf(t)
-    anchor, delta = 0, w
-    for step in model.chain.steps:
-        anchor, delta = _mp_step(step, anchor, delta)
-    return anchor, delta
+    return mp_eval(model.chain, w)
 
 
 def mp_orbit_reading(model: KoenigsModel, petal, w0: complex, t: float):
-    """(log Im q, arg, (v, v_o, v_T)) of the backward orbit point q at time
+    """(log Im q, gap, (v, v_o, v_T)) of the backward orbit point q at time
     t of the petal orbit from w0, as mpf at ``MP_DPS`` digits.
 
-    ``arg`` is the argument of q - sigma, or of q when the petal's boundary
-    point sigma is infinite.  The distances are half the curvature -1
-    distances, as ``speeds.speed_sample`` reports them: v from the base
-    image p to q; v_o along the geodesic eta from p to sigma, between the
-    feet of p and q; v_T from q to eta.  A Moebius map N sends eta onto
-    the imaginary axis, where the foot of a point u is i|u| and its
-    distance to the axis asinh(|Re u| / Im u)."""
+    ``gap`` is min(arg, pi - arg) for the argument arg of q - sigma, or of
+    q when the petal's boundary point sigma is infinite: the angle to the
+    nearer side of the real axis, formed at full precision.  The distances
+    are half the curvature -1 distances, as ``speeds.speed_sample`` reports
+    them: v from the base image p to q; v_o along the geodesic eta from p
+    to sigma, between the feet of p and q; v_T from q to eta.  A Moebius
+    map N sends eta onto the imaginary axis, where the foot of a point u is
+    i|u| and its distance to the axis asinh(|Re u| / Im u)."""
     with mpmath.workdps(MP_DPS):
         p = sum(mp_canonical(model, w0, 0.0))
         anchor, delta = mp_canonical(model, w0, t)
         im_q = delta.imag
         v = mpmath.log((abs(anchor - p.conjugate() + delta) + abs(anchor - p + delta))
                        / (2 * mpmath.sqrt(p.imag * im_q)))
-        if petal.sigma_canonical.is_infinity:
+        if petal.sigma_canonical is None:
             arg = mpmath.arg(anchor + delta)
             x0 = p.real
             n_p, n_q = p - x0, anchor - x0 + delta
         else:
-            sigma = mpmath.mpf(petal.sigma_canonical.value.real)
+            sigma = mpmath.mpf(petal.sigma_canonical)
             arg = mpmath.arg(anchor - sigma + delta)
             # eta's other foot e: the centre of its half circle is
             # equidistant from p and sigma.
@@ -784,7 +821,7 @@ def mp_orbit_reading(model: KoenigsModel, petal, w0: complex, t: float):
             n_q = (anchor - sigma + delta) / (anchor - e + delta)
         v_o = abs(mpmath.log(abs(n_q)) - mpmath.log(abs(n_p))) / 2
         v_t = mpmath.asinh(abs(n_q.real) / abs(n_q.imag)) / 2
-        return mpmath.log(im_q), arg, (v, v_o, v_t)
+        return mpmath.log(im_q), min(arg, mpmath.pi - arg), (v, v_o, v_t)
 
 
 def reference_upper_bound(profile: BoundaryProfile, t: float) -> float:

@@ -11,7 +11,9 @@ import pytest
 
 from oracles import (
     CAYLEY_DISK_TO_UHP,
+    INFINITY,
     ApproachRay,
+    BoundaryPoint,
     Mobius,
     MobiusStep,
     push_boundary_point,
@@ -39,7 +41,7 @@ from petallab.confmap import (
     _walk_all,
     _walk_all_with_derivative,
 )
-from petallab.hypcore import BoundaryPoint, DomainError, INFINITY, disk_of_uhp
+from petallab.hypcore import DomainError, disk_of_uhp
 from petallab.models import (
     MODEL_NAMES,
     HalfPlaneImage,
@@ -100,7 +102,7 @@ class TestSteps:
         (Affine(2.0 - 1j, 3j), 0.7 + 0.2j),
         (ExpStep(), 0.4 - 0.9j),
         (LogStep(math.pi), 2.0 + 1.5j),
-        (PowerStep(2.0 / 3.0, 2.0 * math.pi), 1.0 + 2.0j),
+        (PowerStep(2, 3, 2.0 * math.pi), 1.0 + 2.0j),
         (MobiusStep(Mobius(2.0, 1j, 1.0, 4.0)), 0.3 + 0.8j),
         (SlitCloseStep(), 1.0 + 1.0j),
         (SlitOpenStep(), 2.0 + 1.0j),
@@ -113,7 +115,7 @@ class TestSteps:
         (Affine(2.0 - 1j, 3j), 0.7 + 0.2j),
         (ExpStep(), 0.4 - 0.9j),
         (LogStep(math.pi), 2.0 + 1.5j),
-        (PowerStep(2.0 / 3.0, 2.0 * math.pi), 1.0 + 2.0j),
+        (PowerStep(2, 3, 2.0 * math.pi), 1.0 + 2.0j),
         (MobiusStep(Mobius(2.0, 1j, 1.0, 4.0)), 0.3 + 0.8j),
         (SlitCloseStep(), 1.0 + 1.0j),
         (SlitOpenStep(), 2.0 + 1.0j),
@@ -130,7 +132,18 @@ class TestSteps:
         with pytest.raises(ValueError):
             Affine(0.0, 1.0)
         with pytest.raises(ValueError):
-            PowerStep(-0.5)
+            PowerStep(-1, 2)
+        with pytest.raises(ValueError):
+            PowerStep(0.5, 1)
+
+    def test_power_step_exponent_is_exact(self):
+        # alpha = p / q is kept as two integers beside its float, and the
+        # inverse swaps them: the catalog's 2/3 and 1/2 and their inverses.
+        step = PowerStep(2, 3, 2.0 * math.pi)
+        inverse = step.inverted()
+        assert (step.p, step.q, step.alpha) == (2, 3, 2.0 / 3.0)
+        assert (inverse.p, inverse.q, inverse.alpha, inverse.cut) == (3, 2, 1.5, step.cut)
+        assert (PowerStep(1, 2).alpha, PowerStep(1, 2).inverted().alpha) == (0.5, 2.0)
 
     def test_branch_cut_distances(self):
         assert LogStep(math.pi).cut_distance(-2.0 + 0j) == pytest.approx(0.0)
@@ -145,7 +158,7 @@ class TestSteps:
         (SlitOpenStep(), -1.0 + 0j, 1.0 + 0j),
         # A ray's cut: a is its origin and b a point on it.
         (LogStep(math.pi), 0j, -1.0 + 0j),
-        (PowerStep(2.0 / 3.0, 2.0 * math.pi), 0j, 1.0 + 0j),
+        (PowerStep(2, 3, 2.0 * math.pi), 0j, 1.0 + 0j),
     ])
     def test_slit_cut_distances_match_segment_distance(self, step, a, b):
         # The closed forms against the general segment (or ray) distance, on
@@ -217,7 +230,7 @@ class TestSteps:
 
     def test_branch_log_keeps_small_angles_on_a_cut_pi_chain(self):
         # koebe-elliptic maps w to the upper half-plane root q of
-        # -q^2 - 1 = w through PowerStep(0.5, pi); a point just off the
+        # -q^2 - 1 = w through PowerStep(1, 2, pi); a point just off the
         # real axis keeps its tiny Re q.
         chain = by_name("koebe-elliptic").chain
         assert _branch_log(1.0 + 1e-20j, math.pi).imag == 1e-20
@@ -304,14 +317,14 @@ class TestChainEval:
     def test_inverse_without_preimage_rejected(self):
         # z^(1/2) maps the half-plane onto the first quadrant; points of the
         # second quadrant have no preimage under the inverse branch
-        chain = ConformalChain((PowerStep(0.5, math.pi),),
+        chain = ConformalChain((PowerStep(1, 2, math.pi),),
                                lambda z: complex(z).imag > 0, "root")
         with pytest.raises(MapDomainError):
             chain.eval_inverse(-1.0 + 0.5j)
 
     def test_eval_inverse_checks_the_forward_cut(self):
         # The inverted square root sends q to about -1 + 1e-13 i, within
-        # EPS_CUT of PowerStep(0.5)'s cut.  eval refuses that point's
+        # EPS_CUT of PowerStep(1, 2)'s cut.  eval refuses that point's
         # preimage under the first step, and so must both inverse walks, at
         # the same step and with the same text.
         chain = by_name("koebe-elliptic").chain
@@ -357,7 +370,7 @@ class TestEvalLog:
         ((Affine(1.0, 1j), LogStep(math.pi), SlitCloseStep(), SlitOpenStep(), Affine(1j, 0j)),
          lambda rng: complex(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))),
         # a power of an anchored log point, on a branch other than the principal one
-        ((ExpStep(), Affine(1.0, 2.0), PowerStep(0.5, 0.5)),
+        ((ExpStep(), Affine(1.0, 2.0), PowerStep(1, 2, 0.5)),
          lambda rng: complex(rng.uniform(-3.0, 1.0), rng.uniform(-1.0, 1.0))),
     ], ids=["rotations-and-exp", "plain-steps", "anchored-power"])
     def test_matches_eval(self, steps, source):
@@ -471,7 +484,7 @@ def _near_cut_cases(name):
         ]
     # koebe-elliptic: w + 1 on the negative real axis; near q = 0 the
     # image -i q of the inverse rotation nears the origin, where
-    # PowerStep(2)'s cut ray starts.
+    # PowerStep(2, 1)'s cut ray starts.
     return [
         ("eval", lambda rng: complex(rng.uniform(-5.0, -1.01), signed(rng)), 1),
         ("inverse", lambda rng: rng.uniform(1e-14, 1e-12)
@@ -595,14 +608,14 @@ class TestWalkPlansMatchReference:
         # The derivative half of value_and_derivative fails; the error
         # names the step's evaluation, whichever half failed.
         ((ExpStep(),), 800.0 + 0.5j, "step 0: evaluation failed: math range error"),
-        ((PowerStep(3.0),), 1e200 + 1e200j, "step 0: evaluation failed: math range error"),
+        ((PowerStep(3, 1),), 1e200 + 1e200j, "step 0: evaluation failed: math range error"),
         ((MobiusStep(Mobius(1.0, 0j, 1.0, -2.0)),), 2.0 + 0j,
          "step 0: evaluation failed: Mobius pole"),
         ((MobiusStep(Mobius(0j, 1.0, 1.0, 0j)),), 1e-200 + 0j,
          "step 0: evaluation failed: complex division by zero"),
         ((SlitCloseStep(),), -1j, "step 0: evaluation failed: complex division by zero"),
         # The derivative succeeds and only the image fails.
-        ((PowerStep(1.5),), 1e250 + 1e250j, "step 0: evaluation failed: math range error"),
+        ((PowerStep(3, 2),), 1e250 + 1e250j, "step 0: evaluation failed: math range error"),
         ((LogStep(math.pi),), -1.5e308 + 1.5e308j,
          "step 0: evaluation failed: absolute value too large"),
         ((Affine(1.0, 0j), ExpStep(), Affine(1j, 0j), SlitCloseStep()), 709.5 + 0.1j,
@@ -732,8 +745,8 @@ class TestListWalk:
         # generator's inverse walk refuse it alike; at the disk centre
         # (q = i), G = -5e307 i.
         chain = ConformalChain((Affine(1e308),), lambda z: True, "scaled")
-        petal = Petal("p", -2.0, BoundaryPoint(-1.0 + 0j), HalfPlaneImage(0.0), 1j)
-        model = KoenigsModel("scaled", "hyperbolic", 1.0, chain, (petal,), INFINITY)
+        petal = Petal("p", -2.0, -1.0, HalfPlaneImage(0.0), 1j)
+        model = KoenigsModel("scaled", "hyperbolic", 1.0, chain, (petal,))
         w_good, w_bad = 1j / 1e308, 1e-3j / 1e308
         refused = ("error", MapDomainError, None, "generator left float range")
         assert _outcome(repelling_diagnostics, model, petal, [w_good, w_bad]) == refused

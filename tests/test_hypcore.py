@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 import petallab
 from oracles import (
+    BoundaryPoint,
     CAYLEY_DISK_TO_UHP,
     CAYLEY_UHP_TO_DISK,
     CanonicalDomain,
     Geodesic,
+    INFINITY,
     Mobius,
     compose,
     disk_distance_from_gaps,
@@ -31,9 +33,7 @@ from oracles import (
 from petallab.hypcore import (
     CAYLEY,
     CAYLEY_INVERSE,
-    BoundaryPoint,
     DomainError,
-    INFINITY,
     UhpLogPoint,
     axis_distance,
     disk_distance,
@@ -265,12 +265,13 @@ class TestCayleyPair:
                    complex(-0.0, -0.0), complex(1.0, 0.0), complex(-1.0, -0.0)]
         for q in points:
             assert repr(disk_of_uhp(q)) == repr(CAYLEY_UHP_TO_DISK.apply(q)), q
+        # The boundary form takes a real sigma, or None for infinity.
         for q in points[300:]:
             if q.imag == 0.0:
-                b = BoundaryPoint(q)
-                assert repr(disk_of_uhp_boundary(b)) == repr(CAYLEY_UHP_TO_DISK.apply_boundary(b))
-        assert repr(disk_of_uhp_boundary(INFINITY)) == repr(
-            CAYLEY_UHP_TO_DISK.apply_boundary(INFINITY))
+                want = CAYLEY_UHP_TO_DISK.apply_boundary(BoundaryPoint(complex(q.real)))
+                assert repr(disk_of_uhp_boundary(q.real)) == repr(want.value)
+        assert repr(disk_of_uhp_boundary(None)) == repr(
+            CAYLEY_UHP_TO_DISK.apply_boundary(INFINITY).value)
 
     def test_pole(self):
         assert CAYLEY_UHP_TO_DISK.apply(-1j) is None

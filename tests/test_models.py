@@ -4,19 +4,21 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from oracles import (
+    INFINITY,
+    MP_DPS,
     ApproachRay,
     boundary_distance,
+    mp_eval,
     omega_of_disk,
     push_boundary_point,
     reference_orbit,
 )
 from petallab.hypcore import (
-    INFINITY,
-    BoundaryPoint,
     DomainError,
     disk_distance,
     disk_of_uhp,
@@ -83,19 +85,13 @@ class TestCatalog:
         with pytest.raises(KeyError):
             m1.petal("sideways")
 
-    def test_dw_points(self):
-        m1, m2, m3 = catalog()
-        assert m1.dw_point is INFINITY
-        assert m2.dw_point is INFINITY
-        assert m3.dw_point == 1j and isinstance(m3.dw_point, complex)
-
     def test_petal_validation(self):
         with pytest.raises(ValueError):
-            Petal("x", 2.0, INFINITY, StripImage(0, 1), 0j)
+            Petal("x", 2.0, None, StripImage(0, 1), 0j)
         with pytest.raises(ValueError):
-            Petal("x", 0.0, INFINITY, StripImage(0, 1), 0j)
-        assert Petal("x", None, INFINITY, StripImage(0, 1), 0j).kind == "parabolic"
-        assert Petal("x", -1.0, INFINITY, StripImage(0, 1), 0j).kind == "hyperbolic"
+            Petal("x", 0.0, None, StripImage(0, 1), 0j)
+        assert Petal("x", None, None, StripImage(0, 1), 0j).kind == "parabolic"
+        assert Petal("x", -1.0, None, StripImage(0, 1), 0j).kind == "hyperbolic"
         with pytest.raises(ValueError):
             SectorImage(amplitude=3.0 * math.pi, theta0=0.0)
 
@@ -536,9 +532,8 @@ class TestTransport:
             ray = ApproachRay(origin=base, direction=10.0 + 0j, outward=True)
             pushed = push_boundary_point(model.chain, INFINITY, ray)
             assert pushed.is_infinity
-            assert model.dw_point.is_infinity
         # Elliptic: the interior fixed point maps to i, the disk center.
-        assert abs(m3.chain.eval(0j) - m3.dw_point) <= 1e-8
+        assert m3.chain.eval(0j) == 1j
         assert disk_of_uhp(m3.chain.eval(0j)) == 0j
 
     def test_sigma_transport_through_chain(self):
@@ -550,7 +545,7 @@ class TestTransport:
             ray = ApproachRay(origin=petal.base_default, direction=-10.0 + 0j, outward=True)
             pushed = push_boundary_point(m1.chain, INFINITY, ray)
             assert not pushed.is_infinity
-            assert abs(pushed.value - petal.sigma_canonical.value) <= 1e-8
+            assert abs(pushed.value - petal.sigma_canonical) <= 1e-8
 
     def test_disk_sigma_values(self):
         # Pinned by repr, signed zeros included.  The last two sigmas are
@@ -562,10 +557,9 @@ class TestTransport:
     def test_uhp_eta_endpoints(self):
         # eta ends at sigma_canonical, which speeds reads in place.
         m1, m2, m3 = catalog()
-        assert m1.petal("upper").sigma_canonical == BoundaryPoint(-1.0 + 0j)
-        assert m1.petal("lower").sigma_canonical == BoundaryPoint(1.0 + 0j)
-        assert m2.petal("main").sigma_canonical is INFINITY
-        assert m3.petal("main").sigma_canonical is INFINITY
+        # A real sigma is a float, and infinity is None.
+        sigmas = [p.sigma_canonical for m in (m1, m2, m3) for p in m.petals]
+        assert [repr(s) for s in sigmas] == ["-1.0", "1.0", "None", "None"]
 
     def test_koebe_image_avoids_slit(self):
         m3 = by_name("koebe-elliptic")
@@ -576,6 +570,49 @@ class TestTransport:
             w = 4.0 * z / (1.0 - z) ** 2
             assert m3.contains(w)
             assert boundary_distance(m3, w) > 0.0
+
+
+# Distances along each edge of a catalog Omega at which its points are
+# walked, from next to a corner or slit tip to far out.
+_EDGE_REACH = (1e-6, 0.5, 1.0, 3.0, 40.0)
+
+
+def _omega_edges(name):
+    """Points on every edge of the named catalog Omega, as mpmath numbers
+    at the current precision: strip-slit's walls Im w = +-pi/2 and its slit
+    (-inf, 0]; sector-parabolic's negative real and negative imaginary
+    axes; koebe-elliptic's slit (-inf, -1]."""
+    rs = [mpmath.mpf(r) for r in _EDGE_REACH]
+    if name == "strip-slit":
+        half = mpmath.pi / 2
+        return {
+            "upper wall": [mpmath.mpc(x, half) for r in rs for x in (r, -r)],
+            "lower wall": [mpmath.mpc(x, -half) for r in rs for x in (r, -r)],
+            "slit": [mpmath.mpc(-r, 0) for r in rs],
+        }
+    if name == "sector-parabolic":
+        return {
+            "negative real axis": [mpmath.mpc(-r, 0) for r in rs],
+            "negative imaginary axis": [mpmath.mpc(0, -r) for r in rs],
+        }
+    return {"slit": [mpmath.mpc(-1 - r, 0) for r in rs]}
+
+
+class TestChainEdges:
+    """Each catalog chain, walked in mpmath at ``MP_DPS`` digits with the
+    constants its steps store (a power step's exponent as the exact p / q),
+    carries every edge of Omega onto the real axis to 300 digits.  A float
+    exponent would not: 2/3 held as 0.6666666666666666 puts the image of
+    sector-parabolic's negative real axis at angle pi - 1.7e-16."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_edges_land_on_the_real_axis(self, name):
+        chain = by_name(name).chain
+        with mpmath.workdps(MP_DPS):
+            for edge, points in _omega_edges(name).items():
+                for w in points:
+                    q = sum(mp_eval(chain, w))
+                    assert abs(q.imag) <= mpmath.mpf("1e-300") * max(1, abs(q)), (edge, w)
 
 
 class TestSampling:

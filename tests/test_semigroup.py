@@ -349,13 +349,25 @@ class TestRegularityGap:
         assert max(gaps) <= 2.0 * gaps[0]
 
     def test_translation_invariance_deep_tail(self):
-        # Far down the petal the ambient metric degenerates to the strip
-        # metric, so the gap settles at the strip value |lam|/2 = 1.
-        m1 = by_name("strip-slit")
-        petal = m1.petal("upper")
-        gaps = regularity_gap(m1, petal, petal.base_default, [-(2.0 ** 12), -(2.0 ** 16)])
-        assert gaps[0] == pytest.approx(1.0, abs=1e-9)
-        assert gaps[1] == pytest.approx(1.0, abs=1e-9)
+        # Far down the petal the ambient metric degenerates to the petal's
+        # own, so the gap settles at |lam|/2: 1 on strip-slit and 0.25 on
+        # koebe-elliptic, still read at -1e15, where t - 1 is exact.
+        for name, label, step in (("strip-slit", "upper", 1.0), ("strip-slit", "lower", 1.0),
+                                  ("koebe-elliptic", "main", 0.25)):
+            model = by_name(name)
+            petal = model.petal(label)
+            gaps = regularity_gap(model, petal, petal.base_default,
+                                  [-(2.0 ** 12), -(2.0 ** 16), -1e15])
+            assert gaps == pytest.approx([step] * 3, abs=1e-9), name
+
+    @pytest.mark.parametrize("t", [-(2.0 ** 53), -(2.0 ** 53 + 2.0), -1e300])
+    def test_time_whose_step_rounds_raises(self, t):
+        # Where t - 1 rounds to t (from 2^53 on) or two below it (at
+        # -(2^53 + 2)), the two orbit points are not one time unit apart;
+        # the step read 0.0 or 4.0 there instead of raising.
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="semigroup.regularity_gap"):
+                regularity_gap(model, petal, petal.base_default, [t])
 
     def test_nondegenerate_at_origin_time(self):
         for model, petal in _model_petals():

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     CanonicalDomain,
+    boundary_of,
     disk_distance_from_gaps,
     geodesic_through,
     mp_orbit_reading,
@@ -142,7 +143,8 @@ class TestCrossValidation:
         petal = model.petal(label)
         base = petal.base_default
         q0 = model.uhp_orbit(base, 0.0).value()
-        eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0, petal.sigma_canonical)
+        eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0,
+                               boundary_of(petal.sigma_canonical))
         for t in np.linspace(-tmax, -0.5, 9):
             s = speed_sample(model, petal, base, float(t))
             qt = model.uhp_orbit(base, float(t)).value()
@@ -157,7 +159,7 @@ class TestCrossValidation:
             for w in sample_petal_omega(model, petal, 4, rng):
                 q0 = model.uhp_orbit(w, 0.0).value()
                 eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0,
-                                       petal.sigma_canonical)
+                                       boundary_of(petal.sigma_canonical))
                 for t in (-4.0, -1.5):
                     s = speed_sample(model, petal, w, t)
                     qt = model.uhp_orbit(w, t).value()
@@ -317,6 +319,22 @@ _ORACLE_CASES = [
                  id="strip-slit-upper-on-axis", marks=_wrong_today(DomainError)),
     pytest.param("strip-slit", "lower", 0.5 - 1e-20j, _ORACLE_KS,
                  id="strip-slit-lower-on-axis", marks=_wrong_today(DomainError)),
+    # Next to koebe-elliptic's slit, arg w0 is formed next to pi: the speeds
+    # are off by up to 1.3e-5 (above the slit) and 5.0e-6 (below it).
+    pytest.param("koebe-elliptic", "main", 2.0 * cmath.exp(1j * (math.pi - 1e-12)), _ORACLE_KS,
+                 id="koebe-elliptic-above-slit", marks=_wrong_today()),
+    pytest.param("koebe-elliptic", "main", 2.0 * cmath.exp(-1j * (math.pi - 1e-12)), _ORACLE_KS,
+                 id="koebe-elliptic-below-slit", marks=_wrong_today()),
+    # Next to strip-slit's edges, Im w = +-pi/2 is held as one float and
+    # doubled: off by up to 1.1e-7 (lower petal) and 5.6e-8 (upper).
+    pytest.param("strip-slit", "lower", complex(1.0, -(0.5 * math.pi - 1e-10)), _ORACLE_KS,
+                 id="strip-slit-lower-near-edge", marks=_wrong_today()),
+    pytest.param("strip-slit", "upper", complex(1.0, 0.5 * math.pi - 1e-10), _ORACLE_KS,
+                 id="strip-slit-upper-near-edge", marks=_wrong_today()),
+    # Next to sector-parabolic's edge the angle's gap to pi starts small:
+    # off by up to 1.2e-2, and raising DomainError from t = -1e6.
+    pytest.param("sector-parabolic", "main", 1.0 + 1e-10j, _ORACLE_KS,
+                 id="sector-parabolic-near-edge", marks=_wrong_today(DomainError)),
 ]
 
 
@@ -331,17 +349,17 @@ class TestAgainstMpmathWalk:
         petal = model.petal(label)
         w0 = petal.base_default if base is None else base
         sigma = petal.sigma_canonical
-        shift = 0.0 if sigma.is_infinity else sigma.value.real
+        shift = 0.0 if sigma is None else sigma
         for k in ks:
             t = -(10.0 ** k)
-            log_im, arg, distances = mp_orbit_reading(model, petal, w0, t)
+            log_im, gap, distances = mp_orbit_reading(model, petal, w0, t)
             p = model.uhp_orbit(w0, t)
             s = speed_sample(model, petal, w0, t)
             # The angle to sigma (to the real axis at infinity), read by its
             # gap to the nearer of 0 and pi.
             got_arg = uhp_log_shifted(p, shift).imag
             got_gap = min(got_arg, math.pi - got_arg)
-            want_gap = float(min(arg, mpmath.pi - arg))
+            want_gap = float(gap)
             assert abs(p.log_im() - float(log_im)) <= _ORACLE_TOL * abs(float(log_im)), k
             assert abs(got_gap - want_gap) <= _ORACLE_TOL * want_gap, k
             for got, want in zip((s.v, s.v_o, s.v_T), map(float, distances)):
