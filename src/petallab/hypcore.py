@@ -169,48 +169,56 @@ def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
     """
     pL = p.L
     qL = q.L
-    shared = (p.anchor is None and q.anchor is None) or (
-        p.anchor is not None and q.anchor is not None and p.anchor == q.anchor)
-    if shared:
-        # The common anchor cancels from both |q1 - conj(q2)| and |q1 - q2|.
-        m = max(pL.real, qL.real)
+    pr, qr = pL.real, qL.real
+    # Conditionals in place of max(), a builtin call, on the per-sample path.
+    if p.anchor == q.anchor:
+        # The common anchor (or none) cancels from both |q1 - conj(q2)| and |q1 - q2|.
+        m = qr if qr > pr else pr
         a = cmath.exp(pL - m)
         b = cmath.exp(qL - m)
         num = abs(a - b.conjugate()) + abs(a - b)
     else:
-        m = max(0.0, pL.real, qL.real)
+        m = max(0.0, pr, qr)
         scale = math.exp(-m)
         pa = 0.0 if p.anchor is None else p.anchor * scale
         qa = 0.0 if q.anchor is None else q.anchor * scale
         v1 = pa + cmath.exp(pL - m)
-        v2 = qa + cmath.exp(qL - m)
-        cv2 = qa + cmath.exp(qL.conjugate() - m)
-        num = abs(v1 - cv2) + abs(v1 - v2)
+        b = cmath.exp(qL - m)  # conj(b) is exp(conj(qL) - m) bit for bit
+        num = abs(v1 - (qa + b.conjugate())) + abs(v1 - (qa + b))
     # Minus the mean of p.log_im() and q.log_im(), read inline.
-    return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (
-        (pL.real + math.log(math.sin(pL.imag))) + (qL.real + math.log(math.sin(qL.imag)))))
+    d = (m + math.log(num / 2.0)) - 0.5 * (
+        (pr + math.log(math.sin(pL.imag))) + (qr + math.log(math.sin(qL.imag))))
+    return d if d > 0.0 else 0.0
 
 
-def uhp_log_shifted(p: UhpLogPoint, c: complex) -> complex:
-    """log(q - c) for q = anchor + e^L, evaluated at the scale of L."""
-    a = (0.0 if p.anchor is None else p.anchor) - c
-    if a == 0.0:
-        return p.L
-    scale = max(0.0, p.L.real)
-    v = a * math.exp(-scale) + cmath.exp(p.L - scale)
-    return scale + cmath.log(v)
+def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None,
+                   flip: bool = False) -> complex:
+    """log N(q) for q = anchor + e^L at the scale of L, both shifts from one
+    e^(L - scale): N(q) = q - c, or +-(q - c)/(q - other) (minus when ``flip``),
+    which carries the geodesic from c to ``other`` onto the imaginary axis and
+    keeps the half-plane, so that log is put back on the branch Im in (0, pi)."""
+    L = p.L
+    anchor = 0.0 if p.anchor is None else p.anchor
+    scale = L.real if L.real > 0.0 else 0.0
+    shrink = math.exp(-scale)
+    e = cmath.exp(L - scale)
+    a = anchor - c
+    val = L if a == 0.0 else scale + cmath.log(a * shrink + e)
+    if other is None:
+        return val
+    a = anchor - other
+    val = val - (L if a == 0.0 else scale + cmath.log(a * shrink + e))
+    if flip:
+        val += 1j * math.pi
+    if val.imag < -0.5:
+        val += 2j * math.pi
+    elif val.imag > math.pi + 0.5:
+        val -= 2j * math.pi
+    return val
 
 
 def uhp_log_disk_gap(p: UhpLogPoint) -> float:
     """1 - |z|^2 of the disk point z = (q - i)/(q + i), as 4 Im q / |q + i|^2
     in logarithms: exact long after z rounds onto the circle; 0 on underflow."""
-    log_gap = _LOG4 + p.log_im() - 2.0 * uhp_log_shifted(p, -1j).real
+    log_gap = _LOG4 + p.log_im() - 2.0 * uhp_log_framed(p, -1j).real
     return math.exp(log_gap) if log_gap > -744.0 else 0.0
-
-
-def axis_distance(theta: float) -> float:
-    """Distance from a half-plane point with argument ``theta`` to the
-    imaginary-axis geodesic: |log tan(theta/2)| / 2, with foot at i|q|."""
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"argument must lie in (0, pi), got {theta!r}")
-    return 0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta))

@@ -218,11 +218,14 @@ class KoenigsModel(NamedTuple):
 
         The chain's log walk starts from the flow's first point: w0 + t
         for translation, log w0 - mu t for scaling, which stays exact far
-        beyond the float range of w_t itself.  A non-finite t raises
-        ``DomainError``.
+        beyond the float range of w_t itself.  A t that is no finite float
+        (nan, inf, or an integer past float range) raises ``DomainError``.
         """
-        if not math.isfinite(t):
-            raise DomainError(f"orbit time must be finite, got {t!r}")
+        try:
+            if not math.isfinite(t):
+                raise DomainError(f"orbit time must be finite, got {t!r}")
+        except OverflowError:
+            raise DomainError("models.uhp_orbit: orbit time is past float range") from None
         w0 = complex(w0)
         if self.kind != "elliptic":
             w = w0 + t

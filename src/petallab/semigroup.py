@@ -233,7 +233,10 @@ def regularity_gap(
     w0 = require_petal(model, petal, z0)
     gaps = []
     for t in t_grid:
-        t = float(t)
+        try:
+            t = float(t)
+        except OverflowError:
+            raise DomainError("semigroup.regularity_gap: a time is past float range") from None
         if math.isfinite(t) and (t - 1.0) - t != -1.0:
             raise DomainError(
                 f"semigroup.regularity_gap: t - 1 is not one below t = {t!r} in floats")

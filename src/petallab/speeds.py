@@ -7,8 +7,8 @@ chain in log space.  The total speed is the distance from the base
 point to the orbit point; the orthogonal and tangential parts split
 that motion along and across the geodesic eta that the orbit
 chases.  Normalizing eta onto the imaginary axis turns both parts into
-closed forms of the log coordinates, read through hypcore's
-``uhp_log_shifted`` and ``axis_distance`` alone, so they stay exact
+closed forms of the log coordinates, read once per sample through
+hypcore's ``uhp_log_framed`` and ``uhp_log_distance``, so they stay exact
 long after the orbit points themselves left float range: out to
 |t| = 1e300 in the hyperbolic and elliptic petals from their default
 bases.  Five regions are not exact, since an orbit angle formed next to
@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .hypcore import (
     DomainError,
     UhpLogPoint,
-    axis_distance,
     uhp_log_distance,
-    uhp_log_shifted,
+    uhp_log_framed,
 )
 from .models import KoenigsModel, Petal
 from .semigroup import require_petal
@@ -122,58 +121,44 @@ def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
     return [-(2.0 ** k) for k in range(k_min, k_max + 1)]
 
 
-def _eta_frame(petal: Petal, p0: UhpLogPoint) -> Callable[[UhpLogPoint], complex]:
-    """Log-coordinate chart in which eta is the positive imaginary axis.
-
-    eta is the geodesic through the base image p0 ending at the petal's
-    distinguished boundary point ``sigma_canonical``.  The returned map
-    sends an orbit log point to log N(q) where N is the Moebius normalizer
-    carrying eta onto the imaginary axis.
-    """
+def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
+    """The chart in which eta, the geodesic through the base image p0 ending
+    at the petal's boundary point ``sigma_canonical``, is the positive
+    imaginary axis, as ``(frame, re0)``: ``uhp_log_framed(p, *frame)`` is
+    log N(q), N the Moebius normalizer carrying eta onto the axis, and re0
+    is Re log N of the base itself."""
     q0 = p0.value()
     if q0 is None:
         raise DomainError("base point has no finite canonical image")
     sigma = petal.sigma_canonical
-    if sigma is None:
+    if sigma is None or q0.real == sigma:
         # eta is the vertical line through q0; translate it to Re = 0.
-        shift = q0.real
-        return lambda p: uhp_log_shifted(p, shift)
-    if q0.real == sigma:
-        return lambda p: uhp_log_shifted(p, sigma)
-    # Half-circle geodesic: second foot by reflecting sigma through the
-    # center; N(q) = +-(q - sigma)/(q - e) maps it to the axis.
-    center = (abs(q0) ** 2 - sigma * sigma) / (2.0 * (q0.real - sigma))
-    other = 2.0 * center - sigma
-    flip = sigma - other < 0
-
-    def frame(p: UhpLogPoint) -> complex:
-        val = uhp_log_shifted(p, sigma) - uhp_log_shifted(p, other)
-        if flip:
-            val += 1j * math.pi
-        # Restore the principal branch; the true imaginary part lies in
-        # (0, pi) because N preserves the upper half-plane.
-        if val.imag < -0.5:
-            val += 2j * math.pi
-        elif val.imag > math.pi + 0.5:
-            val -= 2j * math.pi
-        return val
-
-    return frame
+        frame = (q0.real, None, False)
+    else:
+        # Half-circle geodesic: second foot by reflecting sigma through the
+        # center; N(q) = +-(q - sigma)/(q - other) maps it to the axis.
+        center = (abs(q0) ** 2 - sigma * sigma) / (2.0 * (q0.real - sigma))
+        other = 2.0 * center - sigma
+        frame = (sigma, other, sigma - other < 0)
+    return frame, uhp_log_framed(p0, *frame).real
 
 
-def _sample_at(
-    model: KoenigsModel, w0: complex, p0: UhpLogPoint, frame, ln0: complex, t: float
-) -> SpeedSample:
+def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
+               frame: tuple, re0: float, t: float) -> SpeedSample:
     """The three speeds at time t of the orbit from w0, whose time-0 image
-    is p0, whose eta frame is ``frame`` and whose framed base is
-    ``ln0 = frame(p0)``."""
+    is p0 and whose eta frame is ``(frame, re0) = _eta_frame(petal, p0)``;
+    ``speed_sample`` and ``speed_series`` read every sample here."""
     if t == 0.0:
         return SpeedSample(0.0, 0.0, 0.0, 0.0)
     p_t = model.uhp_orbit(w0, t)
-    ln_t = frame(p_t)
-    # Positional: (t, v, v_o, v_T).
-    return SpeedSample(float(t), uhp_log_distance(p0, p_t),
-                       0.5 * abs(ln_t.real - ln0.real), axis_distance(ln_t.imag))
+    ln_t = uhp_log_framed(p_t, *frame)
+    v = uhp_log_distance(p0, p_t)
+    # v_T = |log tan(theta/2)| / 2, the distance to the axis at angle theta.
+    theta = ln_t.imag
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"argument must lie in (0, pi), got {theta!r}")
+    return SpeedSample(float(t), v, 0.5 * abs(ln_t.real - re0),
+                       0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta)))
 
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:
@@ -182,8 +167,7 @@ def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> Spe
     if t > 0.0:
         raise DomainError("petal speeds are defined for t <= 0")
     p0 = model.uhp_orbit(w0, 0.0)
-    frame = _eta_frame(petal, p0)
-    return _sample_at(model, w0, p0, frame, frame(p0), t)
+    return _sample_at(model, w0, p0, *_eta_frame(petal, p0), t)
 
 
 def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
@@ -209,7 +193,10 @@ def speed_series(
     A grid that is empty, has a positive time or does not strictly
     decrease raises ``DomainError``."""
     w0 = require_petal(model, petal, z)
-    ts = list(dyadic_grid() if grid is None else (float(t) for t in grid))
+    try:
+        ts = list(dyadic_grid() if grid is None else (float(t) for t in grid))
+    except OverflowError:
+        raise DomainError("speeds.speed_series: a grid time is past float range") from None
     if not ts:
         raise DomainError("grid must not be empty")
     if any(t > 0.0 for t in ts):
@@ -217,9 +204,8 @@ def speed_series(
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise DomainError("grid must be strictly decreasing")
     p0 = model.uhp_orbit(w0, 0.0)
-    frame = _eta_frame(petal, p0)
-    ln0 = frame(p0)
-    samples = [_sample_at(model, w0, p0, frame, ln0, t) for t in ts]
+    frame, re0 = _eta_frame(petal, p0)
+    samples = [_sample_at(model, w0, p0, frame, re0, t) for t in ts]
     totals = [s.v for s in samples]
     if any(b < a - 1e-12 for a, b in zip(totals, totals[1:])):
         warnings.warn(

@@ -79,7 +79,6 @@ from petallab.confmap import (
 from petallab.hypcore import (
     DomainError,
     UhpLogPoint,
-    axis_distance,
     disk_distance,
     strip_distance,
     uhp_distance,
@@ -414,6 +413,14 @@ def _from_working(g: Geodesic, u: complex) -> complex:
     if g.domain is CanonicalDomain.STRIP_PI:
         return uhp_to_strip(inv.apply(u))
     return inv.apply(u)
+
+
+def axis_distance(theta: float) -> float:
+    """Distance from a half-plane point with argument ``theta`` to the
+    imaginary-axis geodesic: |log tan(theta/2)| / 2, with foot at i|q|."""
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"argument must lie in (0, pi), got {theta!r}")
+    return 0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta))
 
 
 def project_to_geodesic(w: complex, g: Geodesic) -> tuple[complex, float]:

@@ -159,7 +159,7 @@ def _unsharp(item, check):
                  {"pythagorean-sandwich", "base-point-independence"},
                  id="parabolic-rate-high"),
     # A rounded-away angle: a framed orbit point whose angle rounds onto
-    # eta (speeds._eta_frame), so that axis_distance reads 0.
+    # eta (speeds._eta_frame), so that v_T reads 0.
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_T=0.0), False),
                  {"tangential-plateau-vs-divergence"}, id="tangential-zero",
                  marks=_unsharp(3, "checks v_T at an off-centre base")),

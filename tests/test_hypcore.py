@@ -20,6 +20,7 @@ from oracles import (
     Geodesic,
     INFINITY,
     Mobius,
+    axis_distance,
     compose,
     disk_distance_from_gaps,
     domain_distance,
@@ -35,7 +36,6 @@ from petallab.hypcore import (
     CAYLEY_INVERSE,
     DomainError,
     UhpLogPoint,
-    axis_distance,
     disk_distance,
     disk_of_uhp,
     disk_of_uhp_boundary,
@@ -43,7 +43,7 @@ from petallab.hypcore import (
     uhp_distance,
     uhp_log_disk_gap,
     uhp_log_distance,
-    uhp_log_shifted,
+    uhp_log_framed,
 )
 
 DISK = CanonicalDomain.DISK
@@ -489,6 +489,8 @@ def _mp_offset(anchor, L, c):
 
 
 class TestUhpLogShifted:
+    """The one-foot frame of ``uhp_log_framed``: the shifted log log(q - c)."""
+
     @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
     def test_against_mpmath(self, anchor, L):
         for c in (0.0, 1.0, -1.0, 0.5, -1j):
@@ -498,9 +500,40 @@ class TestUhpLogShifted:
                 # Condition number of the sum a + e^L, which cancels near q = c.
                 cond = float((abs(a) + abs(e)) / abs(a + e))
             re, im = float(exact.real), float(exact.imag)
-            got = uhp_log_shifted(UhpLogPoint(anchor, L), c)
+            got = uhp_log_framed(UhpLogPoint(anchor, L), c)
             assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), c
             assert abs(got.imag - im) <= 4 * _EPS * (cond + math.pi), c
+
+
+class TestUhpLogFramed:
+    """The two-foot frame: log of N(q) = +-(q - c)/(q - other), the sign
+    making N preserve the upper half-plane, on its principal branch."""
+
+    @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
+    def test_two_feet_against_mpmath(self, anchor, L):
+        for c, other in ((1.0, -1.0), (-1.0, 1.0), (0.5, 3.0), (-2.0, 0.25)):
+            flip = c - other < 0
+            a, e = _mp_offset(anchor, L, c)
+            b, _ = _mp_offset(anchor, L, other)
+            with mpmath.workdps(50):
+                exact = mpmath.log((-1 if flip else 1) * (a + e) / (b + e))
+                cond = float((abs(a) + abs(e)) / abs(a + e) + (abs(b) + abs(e)) / abs(b + e))
+            re, im = float(exact.real), float(exact.imag)
+            got = uhp_log_framed(UhpLogPoint(anchor, L), c, other, flip)
+            assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), (c, other)
+            assert abs(got.imag - im) <= 4 * _EPS * (cond + math.pi), (c, other)
+
+    def test_shared_exponential_is_the_two_shifted_logs(self):
+        # Both feet read one e^(L - scale); the difference of two one-foot
+        # reads rounds the same way, bit for bit.
+        for anchor, L in _LOG_POINTS:
+            p = UhpLogPoint(anchor, L)
+            for c, other in ((1.0, -1.0), (0.5, 3.0)):
+                want = uhp_log_framed(p, c) - uhp_log_framed(p, other)
+                if c - other < 0:
+                    want += 1j * math.pi
+                got = uhp_log_framed(p, c, other, c - other < 0)
+                assert repr(got) == repr(want), (anchor, L, c)
 
 
 class TestUhpLogDiskGap:
@@ -534,6 +567,10 @@ def test_only_hypcore_and_confmap_read_the_log_layout():
 
 
 class TestAxisDistance:
+    """The oracle's axis distance, which ``oracles.project_to_geodesic``
+    reads; ``speeds`` states the same formula inline for v_T, and
+    ``test_speeds::TestTangentialRead`` holds the two equal."""
+
     def test_on_axis_is_zero(self):
         assert axis_distance(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
 

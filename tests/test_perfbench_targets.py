@@ -4,11 +4,15 @@
 ``cls.__dict__[attr]``, a function as a module attribute.  Renaming or
 deleting a traced name would break only a traced benchmark run; this test
 makes it fail here too.  ``TARGETS`` is read from the source, not
-imported, so nothing under perfbench/ is executed or written.
+imported, so nothing under perfbench/ is executed or written.  A speed
+sample must also still call the layers the benchmark's delay checks time,
+through the names the tracer swaps.
 """
 
 import ast
 import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,48 @@ def test_trace_target_resolves(label, module, attr, class_name):
     else:
         cls = getattr(mod, class_name)
         assert callable(cls.__dict__.get(attr)), f"{label}: {class_name}.__dict__[{attr!r}]"
+
+
+def _count_calls(monkeypatch, counts, label):
+    """Wrap one traced target as the tracer does, counting its calls: a
+    method on its class, a function in every petallab module holding it."""
+    _, module, attr, class_name = next(t for t in TARGETS if t[0] == label)
+    mod = importlib.import_module(module)
+    original = getattr(mod, class_name).__dict__[attr] if class_name else getattr(mod, attr)
+
+    def counted(*args, **kwargs):
+        counts[label] += 1
+        return original(*args, **kwargs)
+
+    if class_name is not None:
+        monkeypatch.setattr(getattr(mod, class_name), attr, counted)
+        return
+    for name, held in list(sys.modules.items()):
+        if name == "petallab" or name.startswith("petallab."):
+            for key, value in list(vars(held).items()):
+                if value is original:
+                    monkeypatch.setattr(held, key, counted)
+
+
+_SAMPLE_LAYERS = ("models.uhp_orbit", "hypcore.uhp_log_distance")
+
+
+@pytest.mark.parametrize("t", [-1.0, -(2.0 ** 20), -(2.0 ** 40)])
+def test_speed_sample_reaches_its_traced_layers(monkeypatch, t):
+    # The benchmark self-test plants a delay in each of these layers and
+    # requires it to show there on deep_orbits; a sample that stopped
+    # calling them through these names would leave those checks empty.
+    from petallab.models import catalog
+    from petallab.speeds import speed_sample, speed_series
+
+    counts = Counter()
+    for label in _SAMPLE_LAYERS:
+        _count_calls(monkeypatch, counts, label)
+    for model in catalog():
+        for petal in model.petals:
+            counts.clear()
+            speed_sample(model, petal, petal.base_default, t)
+            assert counts == {"models.uhp_orbit": 2, "hypcore.uhp_log_distance": 1}
+            counts.clear()
+            speed_series(model, petal, petal.base_default, [0.0, -0.5, t])
+            assert counts == {"models.uhp_orbit": 3, "hypcore.uhp_log_distance": 2}

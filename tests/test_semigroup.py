@@ -40,6 +40,11 @@ class TestFlow:
             assert abs(pt.disk_z) < 1.0
             assert abs(pt.disk_z - disk_of_uhp(model.chain.eval(z0))) <= 1e-12
 
+    def test_integer_time_past_float_range_raises(self):
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="models.uhp_orbit: orbit time is past"):
+                flow(model, petal.base_default, -10 ** 400)
+
     def test_translation_example(self):
         m1 = by_name("strip-slit")
         assert m1.flow_omega(1 + 0.3j, -5.0) == -4 + 0.3j
@@ -368,6 +373,13 @@ class TestRegularityGap:
         for model, petal in _model_petals():
             with pytest.raises(DomainError, match="semigroup.regularity_gap"):
                 regularity_gap(model, petal, petal.base_default, [t])
+
+    def test_integer_time_past_float_range_raises(self):
+        # float(-10**400) overflows: a typed error naming the layer, not a
+        # bare OverflowError.
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="semigroup.regularity_gap: a time is past"):
+                regularity_gap(model, petal, petal.base_default, [-1.0, -10 ** 400])
 
     def test_nondegenerate_at_origin_time(self):
         for model, petal in _model_petals():

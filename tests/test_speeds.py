@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     CanonicalDomain,
+    axis_distance,
     boundary_of,
     disk_distance_from_gaps,
     geodesic_through,
@@ -21,7 +22,7 @@ from petallab.hypcore import (
     UhpLogPoint,
     uhp_distance,
     uhp_log_disk_gap,
-    uhp_log_shifted,
+    uhp_log_framed,
 )
 from petallab.models import by_name, catalog, sample_petal_omega
 from petallab.semigroup import PetalRequiredError, flow
@@ -36,6 +37,7 @@ from petallab.speeds import (
     speed_sample,
     speed_series,
     _eta_frame,
+    _sample_at,
 )
 
 HALF_LOG2 = 0.34657359027997265471
@@ -186,9 +188,96 @@ class TestCrossValidation:
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
         p0 = UhpLogPoint(None, cmath.log(-1.0 + 2.0j))
-        frame = _eta_frame(petal, p0)
+        frame, re0 = _eta_frame(petal, p0)
         on_line = UhpLogPoint(None, cmath.log(-1.0 + 5.0j))
-        assert frame(on_line).imag == pytest.approx(math.pi / 2.0, abs=1e-15)
+        assert uhp_log_framed(on_line, *frame).imag == pytest.approx(
+            math.pi / 2.0, abs=1e-15)
+        # The framed base sits at height 2 on the axis: Re log N(q0) = log 2.
+        assert re0 == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+class _FixedOrbit:
+    """A model whose orbit point is q = e^L at every time."""
+
+    def __init__(self, L: complex) -> None:
+        self.L = L
+
+    def uhp_orbit(self, w0, t):
+        return UhpLogPoint(None, self.L)
+
+
+class TestTangentialRead:
+    """v_T is the axis distance of the framed point's argument, which the
+    per-sample read states inline; ``oracles.axis_distance`` states it too,
+    and ``test_hypcore::TestAxisDistance`` checks its properties.  With the
+    frame N(q) = q (c = 0, one foot) the framed log is L itself."""
+
+    def _sample(self, L):
+        p0 = UhpLogPoint(None, 1j)
+        return _sample_at(_FixedOrbit(L), 0j, p0, (0.0, None, False), 0.0, -1.0)
+
+    def test_matches_the_axis_distance_oracle(self):
+        thetas = [1e-300, 1e-12, 0.3, 1.0, math.pi / 4, math.pi / 2, 2.0,
+                  math.pi - 1e-12, math.nextafter(math.pi, 0.0)]
+        for theta in thetas:
+            s = self._sample(complex(3.0, theta))
+            assert repr(s.v_T) == repr(axis_distance(theta)), theta
+            assert s.v_o == 1.5
+
+    def test_angle_rounded_onto_the_real_axis_raises(self):
+        # At |Im w0| = 1e-17 strip-slit's framed angle rounds to 0 (ROADMAP
+        # item 1): a typed error, not an axis distance of infinity.
+        model = by_name("strip-slit")
+        with pytest.raises(DomainError, match=r"argument must lie in \(0, pi\), got 0\.0"):
+            speed_sample(model, model.petal("upper"), 0.5 + 1e-17j, -1.0)
+
+
+class TestOneRead:
+    """``speed_sample`` and ``speed_series`` read a sample through one
+    function: the same value by ``repr``, or the same error."""
+
+    @staticmethod
+    def _read(f, *args):
+        try:
+            return repr(f(*args))
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("t", [-1.0, -(2.0 ** 30), -1e300])
+    def test_sample_is_the_series_sample(self, t):
+        rng = np.random.default_rng(RNG_SEED)
+        for model, petal in _model_petals():
+            for w in [petal.base_default, *sample_petal_omega(model, petal, 3, rng)]:
+                one = self._read(speed_sample, model, petal, w, t)
+                series = self._read(
+                    lambda: speed_series(model, petal, w, [t]).samples[0])
+                assert one == series, (model.name, petal.label, w)
+
+
+class TestHugeIntegerTimes:
+    """An integer time past float range is a ``DomainError`` that names
+    its layer, not a bare ``OverflowError``."""
+
+    def test_speed_sample(self):
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="models.uhp_orbit: orbit time is past"):
+                speed_sample(model, petal, petal.base_default, -10 ** 400)
+
+    def test_forward_speed(self):
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="models.uhp_orbit: orbit time is past"):
+                forward_speed(model, petal.base_default, 10 ** 400)
+
+    def test_speed_series(self):
+        for model, petal in _model_petals():
+            with pytest.raises(DomainError, match="speeds.speed_series: a grid time is past"):
+                speed_series(model, petal, petal.base_default, [-1, -10 ** 400])
+
+    def test_large_integer_in_range_is_a_float_time(self):
+        model = by_name("strip-slit")
+        petal = model.petal("upper")
+        z = petal.base_default
+        assert speed_sample(model, petal, z, -10 ** 20) == speed_sample(model, petal, z, -1e20)
 
 
 class TestAsymptotics:
@@ -357,7 +446,7 @@ class TestAgainstMpmathWalk:
             s = speed_sample(model, petal, w0, t)
             # The angle to sigma (to the real axis at infinity), read by its
             # gap to the nearer of 0 and pi.
-            got_arg = uhp_log_shifted(p, shift).imag
+            got_arg = uhp_log_framed(p, shift).imag
             got_gap = min(got_arg, math.pi - got_arg)
             want_gap = float(gap)
             assert abs(p.log_im() - float(log_im)) <= _ORACLE_TOL * abs(float(log_im)), k
