@@ -3,13 +3,15 @@ holomorphic semigroups of the unit disk, built from closed-form models.
 
 The package is organized bottom-up:
 
-- ``hypcore``: hyperbolic distances on the disk, half-plane, and strip,
-  the Cayley map between disk and half-plane, and the log-anchored point
-  type that tracks orbits far beyond float range.
+- ``hypcore``: hyperbolic distances on the disk and the half-plane, the
+  Cayley map between them, and the log-anchored point type that tracks
+  orbits far beyond float range.
 - ``confmap``: invertible conformal map steps and chains onto the upper
   half-plane, with exact derivatives and a walk in log space.
 - ``models``: the closed-form model catalog (one hyperbolic, one
-  parabolic, one elliptic example) with petals and Koenigs coordinates.
+  parabolic, one elliptic example) with petals and Koenigs coordinates;
+  each petal image is its membership test, its log chart onto the
+  half-plane, and its sampler.
 - ``semigroup``: orbit points in the disk chart, the infinitesimal
   generator, and repelling-point diagnostics.
 - ``speeds``: total, orthogonal, and tangential speed measurements with

@@ -284,7 +284,10 @@ def profile_from_file(
 
 
 def _require_in_range(profile: BoundaryProfile, t: float) -> float:
-    t = float(t)
+    try:
+        t = float(t)
+    except OverflowError:
+        raise DomainError("bounds: a time is past float range") from None
     if not math.isfinite(t) or t > profile.t0:
         raise DomainError(
             f"bounds are defined for t <= {profile.t0}, got {t}"
@@ -397,7 +400,7 @@ def bound_ratio_series(
     bound = lower_bound if profile.name == "gaussian" else upper_bound
     out: List[Tuple[float, float]] = []
     for t in grid:
-        t = _require_in_range(profile, float(t))
+        t = _require_in_range(profile, t)
         b = bound(profile, t)
         t2 = t * t
         ratio = b / t2 if sys.float_info.min <= t2 < math.inf else b / t / t

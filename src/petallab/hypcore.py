@@ -1,11 +1,12 @@
-"""Numerically stable hyperbolic geometry in the three canonical domains.
+"""Numerically stable hyperbolic geometry in the disk and the upper half-plane.
 
 Points are plain ``complex`` numbers; a boundary point of the half-plane
 is a real ``float``, or None for infinity.  All lengths use the arctanh
-normalization: the disk density is ``|dz|/(1-|z|^2)``, the upper half-plane
-density ``|dz|/(2 Im z)``, the strip density ``|dz|/(2 cos(Im z))``.  Under
-this convention ``disk_distance(0, r) = arctanh(r)`` and vertical motion in
-the half-plane costs half the log of the height ratio.
+normalization: the disk density is ``|dz|/(1-|z|^2)`` and the upper
+half-plane density ``|dz|/(2 Im z)``.  Under this convention
+``disk_distance(0, r) = arctanh(r)`` and vertical motion in the half-plane
+costs half the log of the height ratio.  Other domains, a catalog petal
+among them, reach these through a chart into the half-plane.
 
 Every distance is evaluated in a subtraction-free log form, so separations
 of thousands of hyperbolic units remain accurate although the underlying
@@ -24,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 
-_HALF_PI = 0.5 * math.pi
 _LOG4 = math.log(4.0)
 
 
@@ -100,27 +100,6 @@ def uhp_distance(x: complex, y: complex) -> float:
         raise DomainError("half-plane points must have positive imaginary part")
     num = abs(x - y.conjugate()) + abs(x - y)
     return max(0.0, math.log(num / 2.0) - 0.5 * (math.log(x.imag) + math.log(y.imag)))
-
-
-def strip_distance(z: complex, w: complex) -> float:
-    """Hyperbolic distance in the strip {|Im z| < pi/2}.
-
-    Pushed through z -> i e^z into the half-plane formula, with exponentials
-    scaled by m = max(Re z, Re w) so that widely separated arguments neither
-    overflow nor lose the leading term: for real z, w the value is exactly
-    |Re z - Re w| / 2 in the large-separation limit.
-    """
-    z, w = complex(z), complex(w)
-    _require_finite(z, w)
-    if abs(z.imag) >= _HALF_PI or abs(w.imag) >= _HALF_PI:
-        raise DomainError("strip points must satisfy |Im z| < pi/2")
-    m = max(z.real, w.real)
-    a = cmath.exp(z - m)
-    b = cmath.exp(w - m)
-    num = abs(a + b.conjugate()) + abs(a - b)
-    tz = z.real + math.log(math.cos(z.imag))
-    tw = w.real + math.log(math.cos(w.imag))
-    return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (tz + tw))
 
 
 class UhpLogPoint:

@@ -2,7 +2,7 @@
 
 Each model packages a simply connected planar domain ``Omega``, the
 conformal chain mapping it onto the upper half-plane, and the petals
-(maximal invariant strips, half-planes, or sectors) attached to its
+(maximal invariant strips, half-planes, or slit planes) attached to its
 repelling boundary directions.  The flow acts on ``Omega`` by translation
 ``w + t`` (non-elliptic) or by scaling ``exp(-mu t) w`` (elliptic), so
 every trajectory is available in closed form at any time.
@@ -19,22 +19,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
-from .hypcore import (
-    DomainError,
-    UhpLogPoint,
-    disk_of_uhp_boundary,
-    strip_distance,
-    uhp_distance,
-)
+from .hypcore import DomainError, UhpLogPoint, disk_of_uhp_boundary, uhp_log_distance
 
 HALF_PI = math.pi / 2.0
 
 
 # ---------------------------------------------------------------------------
-# Petal image shapes
+# Petal image shapes: each is its membership test, the log of its chart onto
+# the upper half-plane (``uhp_log``, whose Im lies in (0, pi) inside), and
+# its sampler (``sample``, which draws n points from ``rng.uniform``).
 
 
 class StripImage(NamedTuple):
@@ -50,67 +46,48 @@ class StripImage(NamedTuple):
     def contains(self, w: complex) -> bool:
         return self.lo < w.imag < self.hi
 
-    def distance(self, w1: complex, w2: complex) -> float:
-        """Hyperbolic distance inside the strip."""
-        if not (self.contains(w1) and self.contains(w2)):
-            raise DomainError("both points must lie in the strip")
-        # Rescale onto {|Im| < pi/2}; affine maps are hyperbolic isometries.
-        scale = math.pi / self.width
-        mid = 0.5j * (self.lo + self.hi)
-        return strip_distance(scale * (w1 - mid), scale * (w2 - mid))
+    def uhp_log(self, w: complex) -> complex:
+        """log of w's image in the upper half-plane: pi (w - i lo) / width."""
+        return math.pi / self.width * (w - 1j * self.lo)
+
+    def sample(self, n: int, rng) -> list[complex]:
+        margin = 0.05 * self.width
+        return [complex(rng.uniform(-1.0, 3.0),
+                        rng.uniform(self.lo + margin, self.hi - margin))
+                for _ in range(n)]
 
 
-class HalfPlaneImage(NamedTuple):
-    """Upper half-plane {Im w > floor}."""
-
-    floor: float
-
-    def contains(self, w: complex) -> bool:
-        return w.imag > self.floor
-
-    def distance(self, w1: complex, w2: complex) -> float:
-        if not (self.contains(w1) and self.contains(w2)):
-            raise DomainError("both points must lie in the half-plane")
-        shift = 1j * self.floor
-        return uhp_distance(w1 - shift, w2 - shift)
-
-
-class SectorImage:
-    """Angular sector {w != 0 : |arg(w e^{-i theta0})| < amplitude / 2}.
-
-    Only real spectral values are catalogued, so the spiral sectors of the
-    general elliptic theory degenerate to plain angular sectors here.
-    """
-
-    __slots__ = ("amplitude", "theta0", "_rot")
-
-    def __init__(self, amplitude: float, theta0: float) -> None:
-        if not 0.0 < amplitude <= 2.0 * math.pi:
-            raise ValueError("amplitude must lie in (0, 2*pi]")
-        self.amplitude = amplitude
-        self.theta0 = theta0
-        # e^{-i theta0}, which turns the sector's centre line onto the positive axis.
-        self._rot = cmath.exp(-1j * theta0)
+class HalfPlaneImage:
+    """Upper half-plane {Im w > 0}."""
 
     def contains(self, w: complex) -> bool:
-        w = complex(w)
-        if w == 0:
-            return False
-        return abs(cmath.phase(w * self._rot)) < 0.5 * self.amplitude
+        return w.imag > 0.0
 
-    def distance(self, w1: complex, w2: complex) -> float:
-        if not (self.contains(w1) and self.contains(w2)):
-            raise DomainError("both points must lie in the sector")
-        # Straighten the sector onto the right half-plane, then rotate to
-        # the upper one.  The relative argument stays inside (-pi, pi), so
-        # the principal logarithm respects the sector's branch.
-        power = math.pi / self.amplitude
-        z1 = 1j * cmath.exp(power * cmath.log(w1 * self._rot))
-        z2 = 1j * cmath.exp(power * cmath.log(w2 * self._rot))
-        return uhp_distance(z1, z2)
+    def uhp_log(self, w: complex) -> complex:
+        return cmath.log(w)
+
+    def sample(self, n: int, rng) -> list[complex]:
+        return [complex(rng.uniform(-3.0, 3.0),
+                        math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
+                for _ in range(n)]
 
 
-PetalImage = Union[StripImage, HalfPlaneImage, SectorImage]
+class SlitPlaneImage:
+    """The plane slit along the closed negative axis, {w != 0 : |arg w| < pi}:
+    the angular sector of opening 2 pi that koebe-elliptic's real spectral
+    value gives (no spiral sector of the general elliptic theory is needed)."""
+
+    def contains(self, w: complex) -> bool:
+        return w != 0 and abs(cmath.phase(w)) < math.pi
+
+    def uhp_log(self, w: complex) -> complex:
+        """log of i sqrt(w), the square root that opens the slit plane."""
+        return 0.5 * cmath.log(w) + 1j * HALF_PI
+
+    def sample(self, n: int, rng) -> list[complex]:
+        return [math.exp(rng.uniform(-2.0, 2.0))
+                * cmath.exp(1j * rng.uniform(-0.9 * math.pi, 0.9 * math.pi))
+                for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +108,8 @@ class Petal:
     __slots__ = ("label", "lam", "sigma_canonical", "image", "base_default")
 
     def __init__(self, label: str, lam: Optional[float],
-                 sigma_canonical: Optional[float], image: PetalImage,
+                 sigma_canonical: Optional[float],
+                 image: StripImage | HalfPlaneImage | SlitPlaneImage,
                  base_default: complex) -> None:
         if lam is not None and lam >= 0.0:
             raise ValueError("repelling spectral value must be negative")
@@ -150,8 +128,14 @@ class Petal:
         return self.image.contains(complex(w))
 
     def distance(self, w1: complex, w2: complex) -> float:
-        """Hyperbolic distance of the petal itself (not of Omega)."""
-        return self.image.distance(complex(w1), complex(w2))
+        """Hyperbolic distance of the petal itself (not of Omega), read in
+        the upper half-plane through the image's log chart."""
+        w1, w2 = complex(w1), complex(w2)
+        image = self.image
+        if not (image.contains(w1) and image.contains(w2)):
+            raise DomainError(f"both points must lie in the petal {self.label!r}")
+        return uhp_log_distance(UhpLogPoint(None, image.uhp_log(w1)),
+                                UhpLogPoint(None, image.uhp_log(w2)))
 
 
 class BoundaryPoint(NamedTuple):
@@ -203,15 +187,19 @@ class KoenigsModel(NamedTuple):
         """Time-t image of w in Omega coordinates.
 
         Elliptic scaling overflows floats for large backward times; None
-        signals a point that exists but is not float-representable.
+        signals a point that exists but is not float-representable.  An
+        integer t past float range raises ``DomainError``.
         """
         w = complex(w)
-        if self.kind == "elliptic":
-            x = -self.mu * t
-            if x > 700.0:
-                return None
-            return cmath.exp(x) * w
-        return w + t
+        try:
+            if self.kind == "elliptic":
+                x = -self.mu * t
+                if x > 700.0:
+                    return None
+                return cmath.exp(x) * w
+            return w + t
+        except OverflowError:
+            raise DomainError("models.flow_omega: time is past float range") from None
 
     def uhp_orbit(self, w0: complex, t: float) -> UhpLogPoint:
         """Canonical orbit point at time t in anchored logarithmic form.
@@ -306,7 +294,7 @@ def _make_sector_parabolic() -> KoenigsModel:
         label="main",
         lam=None,
         sigma_canonical=None,
-        image=HalfPlaneImage(0.0),
+        image=HalfPlaneImage(),
         base_default=1j * math.e,
     )
     return KoenigsModel(
@@ -342,7 +330,7 @@ def _make_koebe_elliptic() -> KoenigsModel:
         label="main",
         lam=-0.5,
         sigma_canonical=None,
-        image=SectorImage(amplitude=2.0 * math.pi, theta0=0.0),
+        image=SlitPlaneImage(),
         base_default=1.0 + 0j,
     )
     return KoenigsModel(
@@ -383,31 +371,12 @@ def by_name(name: str) -> KoenigsModel:
 def sample_petal_omega(model: KoenigsModel, petal: Petal, n: int, rng) -> list[complex]:
     """Draw n interior sample points of a petal, in Omega coordinates.
 
-    Samples stay a safe margin away from the petal's edges so that chain
-    evaluations and backward flows remain well conditioned.  ``rng`` needs
-    only ``uniform(a, b)``, as ``random.Random`` has.
+    The petal's image draws them, a safe margin away from its edges so that
+    chain evaluations and backward flows remain well conditioned.  ``rng``
+    needs only ``uniform(a, b)``, as ``random.Random`` has.
     """
     image = petal.image
-    points: list[complex] = []
-    if isinstance(image, StripImage):
-        margin = 0.05 * image.width
-        for _ in range(n):
-            re = rng.uniform(-1.0, 3.0)
-            im = rng.uniform(image.lo + margin, image.hi - margin)
-            points.append(complex(re, im))
-    elif isinstance(image, HalfPlaneImage):
-        for _ in range(n):
-            re = rng.uniform(-3.0, 3.0)
-            im = image.floor + math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
-            points.append(complex(re, im))
-    elif isinstance(image, SectorImage):
-        half = 0.5 * image.amplitude
-        for _ in range(n):
-            r = math.exp(rng.uniform(-2.0, 2.0))
-            theta = image.theta0 + rng.uniform(-0.9 * half, 0.9 * half)
-            points.append(r * cmath.exp(1j * theta))
-    else:
-        raise TypeError(f"unknown petal image {image!r}")
+    points = image.sample(n, rng)
     # model.contains(w) and petal.contains(w), for points already complex.
     source_contains = model.chain.source_contains
     for w in points:

@@ -10,9 +10,12 @@ Only the tests use these, so they live here rather than in the package:
   which ``hypcore``'s Cayley coefficients and ``disk_of_uhp`` are checked
   bit for bit, and which the chain step ``MobiusStep``, ``compose`` and the
   geodesic normalizers use;
-- the three canonical domains (``CanonicalDomain``) and the general
-  distance to a segment (``segment_distance``) that the slit steps' closed
-  forms replace;
+- the three canonical domains (``CanonicalDomain``) with their distances
+  (``domain_distance``), the strip's (``strip_distance``) stated here
+  because no petal of the package measures in the strip itself: a petal
+  reads its distance through a log chart into the half-plane;
+- the general distance to a segment (``segment_distance``) that the slit
+  steps' closed forms replace;
 - the disk distance with the gaps 1 - |z|^2 supplied exactly
   (``disk_distance_from_gaps``), which measures to points whose float
   value has rounded onto the unit circle;
@@ -76,13 +79,7 @@ from petallab.confmap import (
     PowerStep,
     SlitCloseStep,
 )
-from petallab.hypcore import (
-    DomainError,
-    UhpLogPoint,
-    disk_distance,
-    strip_distance,
-    uhp_distance,
-)
+from petallab.hypcore import DomainError, UhpLogPoint, disk_distance, uhp_distance
 from petallab.hmeasure import Arc
 from petallab.models import KoenigsModel
 from petallab.speeds import EstimationError
@@ -269,6 +266,29 @@ def disk_distance_from_gaps(z: complex, w: complex, gap_z: float, gap_w: float) 
     z, w = complex(z), complex(w)
     num = abs(1.0 - z.conjugate() * w) + abs(z - w)
     return max(0.0, math.log(num) - 0.5 * (math.log(gap_z) + math.log(gap_w)))
+
+
+def strip_distance(z: complex, w: complex) -> float:
+    """Hyperbolic distance in the strip {|Im z| < pi/2}, density
+    |dz|/(2 cos(Im z)).
+
+    Pushed through z -> i e^z into the half-plane formula, with exponentials
+    scaled by m = max(Re z, Re w) so that widely separated arguments neither
+    overflow nor lose the leading term: for real z, w the value is exactly
+    |Re z - Re w| / 2 in the large-separation limit.
+    """
+    z, w = complex(z), complex(w)
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise DomainError(f"non-finite point {z!r} or {w!r}")
+    if abs(z.imag) >= _HALF_PI or abs(w.imag) >= _HALF_PI:
+        raise DomainError("strip points must satisfy |Im z| < pi/2")
+    m = max(z.real, w.real)
+    a = cmath.exp(z - m)
+    b = cmath.exp(w - m)
+    num = abs(a + b.conjugate()) + abs(a - b)
+    tz = z.real + math.log(math.cos(z.imag))
+    tw = w.real + math.log(math.cos(w.imag))
+    return max(0.0, (m + math.log(num / 2.0)) - 0.5 * (tz + tw))
 
 
 def domain_distance(domain: CanonicalDomain, z: complex, w: complex) -> float:

@@ -382,6 +382,28 @@ class TestRatioSeries:
             bound_ratio_series(profile, [t])
 
 
+class TestHugeIntegerTimes:
+    """An integer time past float range is a ``DomainError`` that names
+    the bounds layer, not a bare ``OverflowError``."""
+
+    def test_lower_bound(self):
+        with pytest.raises(DomainError, match="bounds: a time is past float range"):
+            lower_bound(gaussian_profile(), -10 ** 400)
+
+    def test_upper_bound(self):
+        with pytest.raises(DomainError, match="bounds: a time is past float range"):
+            upper_bound(logrecip_profile(), -10 ** 400)
+
+    def test_bound_ratio_series(self):
+        with pytest.raises(DomainError, match="bounds: a time is past float range"):
+            bound_ratio_series(logrecip_profile(), [-10.0, -10 ** 400])
+
+    def test_large_integer_in_range_is_a_float_time(self):
+        profile = logrecip_profile()
+        assert upper_bound(profile, -10 ** 20) == upper_bound(profile, -1e20)
+        assert lower_bound(profile, -10 ** 20) == lower_bound(profile, -1e20)
+
+
 class TestTabulatedProfiles:
     def test_table_interpolates_in_log_gap(self):
         rows = [(-100.0, 1e-4), (-10.0, 1e-2), (-1.0, 1.0)]

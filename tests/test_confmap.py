@@ -745,7 +745,7 @@ class TestListWalk:
         # generator's inverse walk refuse it alike; at the disk centre
         # (q = i), G = -5e307 i.
         chain = ConformalChain((Affine(1e308),), lambda z: True, "scaled")
-        petal = Petal("p", -2.0, -1.0, HalfPlaneImage(0.0), 1j)
+        petal = Petal("p", -2.0, -1.0, HalfPlaneImage(), 1j)
         model = KoenigsModel("scaled", "hyperbolic", 1.0, chain, (petal,))
         w_good, w_bad = 1j / 1e308, 1e-3j / 1e308
         refused = ("error", MapDomainError, None, "generator left float range")

@@ -28,6 +28,7 @@ from oracles import (
     geodesic_through,
     project_by_search,
     project_to_geodesic,
+    strip_distance,
     strip_to_uhp,
     uhp_to_strip,
 )
@@ -39,7 +40,6 @@ from petallab.hypcore import (
     disk_distance,
     disk_of_uhp,
     disk_of_uhp_boundary,
-    strip_distance,
     uhp_distance,
     uhp_log_disk_gap,
     uhp_log_distance,
@@ -145,6 +145,10 @@ class TestUhpDistance:
 
 
 class TestStripDistance:
+    """The oracle's strip distance, which ``domain_distance`` and the
+    cross-domain checks read; no petal of the package measures in the strip
+    itself."""
+
     def test_long_horizontal_run(self):
         # arctanh((e^10 - 1)/(e^10 + 1)) = arctanh(tanh 5) = 5
         assert strip_distance(0.0, 10.0) == pytest.approx(5.0, rel=1e-14)

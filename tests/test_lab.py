@@ -402,6 +402,14 @@ class TestVerifyCommand:
     def test_seed_override_still_passes(self, tmp_path):
         assert main(["verify", "--seed", "7", "--out", str(tmp_path)]) == 0
 
+    def test_report_matches_the_committed_file(self, tmp_path):
+        # tests/data/verify_report.txt is the report at the default seed; a
+        # change that moves a line on purpose rewrites the file and says
+        # which lines moved.
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        committed = Path(__file__).resolve().parent / "data" / "verify_report.txt"
+        assert (tmp_path / "verify_report.txt").read_bytes() == committed.read_bytes()
+
 
 class TestOutputRouting:
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):

@@ -17,6 +17,8 @@ from oracles import (
     omega_of_disk,
     push_boundary_point,
     reference_orbit,
+    strip_distance,
+    strip_to_uhp,
 )
 from petallab.hypcore import (
     DomainError,
@@ -29,7 +31,7 @@ from petallab.models import (
     HalfPlaneImage,
     KoenigsModel,
     Petal,
-    SectorImage,
+    SlitPlaneImage,
     StripImage,
     by_name,
     catalog,
@@ -92,8 +94,6 @@ class TestCatalog:
             Petal("x", 0.0, None, StripImage(0, 1), 0j)
         assert Petal("x", None, None, StripImage(0, 1), 0j).kind == "parabolic"
         assert Petal("x", -1.0, None, StripImage(0, 1), 0j).kind == "hyperbolic"
-        with pytest.raises(ValueError):
-            SectorImage(amplitude=3.0 * math.pi, theta0=0.0)
 
 
 class TestGeometryInvariants:
@@ -104,11 +104,24 @@ class TestGeometryInvariants:
         for petal in m1.petals:
             assert petal.image.width == -math.pi / petal.lam
 
-    def test_sector_amplitude_matches_spectrum(self):
+    def test_slit_plane_opening_matches_spectrum(self):
+        # The sector's opening angle -|mu|^2 pi / (lam mu) is the full turn,
+        # so the petal is the plane slit along the negative axis, and its
+        # chart opens it onto the half-plane by the power pi / opening.
         m3 = by_name("koebe-elliptic")
         petal = m3.petal("main")
-        expected = -abs(m3.mu) ** 2 * math.pi / (petal.lam * m3.mu)
-        assert petal.image.amplitude == pytest.approx(expected, rel=1e-15)
+        opening = -abs(m3.mu) ** 2 * math.pi / (petal.lam * m3.mu)
+        assert opening == 2.0 * math.pi
+        assert isinstance(petal.image, SlitPlaneImage)
+        for gap in (1e-9, 0.25, 1.5):
+            edge = 0.5 * opening - gap
+            for r in (1e-3, 1.0, 1e3):
+                above = petal.image.uhp_log(cmath.rect(r, edge))
+                below = petal.image.uhp_log(cmath.rect(r, -edge))
+                # Im of the chart is formed next to pi/2 + pi/2: an absolute
+                # error of a few ulps of pi.
+                assert above.imag == pytest.approx(math.pi - math.pi / opening * gap, abs=1e-15)
+                assert below.imag == pytest.approx(math.pi / opening * gap, abs=1e-15)
 
     def test_forward_invariance_of_domain(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -152,15 +165,15 @@ class TestGeometryInvariants:
         inflated = StripImage(low.lo - 1e-3, low.hi + 1e-3)
         assert inflated.contains(probe) and not m1.contains(probe)
 
+        # The half-plane {Im w > 0}, inflated to {Im w > -1e-3}.
         hp = m2.petal("main").image
-        inflated = HalfPlaneImage(hp.floor - 1e-3)
         probe = -5.0 - 5e-4j  # inside the deleted quadrant
-        assert inflated.contains(probe) and not m2.contains(probe)
+        assert probe.imag > -1e-3 and not hp.contains(probe) and not m2.contains(probe)
 
+        # The slit plane is a full turn and cannot open wider, so probe its
+        # boundary ray directly.
         sec = m3.petal("main").image
-        inflated = SectorImage(2.0 * math.pi, sec.theta0)
         probe = -2.0 + 0j  # on the deleted ray beyond -1
-        # amplitude is capped at 2*pi, so probe the boundary ray directly
         assert not sec.contains(probe) and not m3.contains(probe)
         assert m3.contains(-0.5 + 0j)  # the slit starts at -1, not at 0
 
@@ -201,6 +214,108 @@ class TestGeometryInvariants:
         m1 = by_name("strip-slit")
         with pytest.raises(DomainError):
             m1.petal("upper").distance(1.0 + 0.1j, 1.0 - 0.1j)
+
+
+def _reference_petal_distance(petal, w1, w2):
+    """The petal metric through each image's own canonical domain: the
+    strip rescaled onto {|Im| < pi/2}, the half-plane itself, and the slit
+    plane opened by i sqrt(w)."""
+    image = petal.image
+    if isinstance(image, StripImage):
+        scale = math.pi / image.width
+        mid = 0.5j * (image.lo + image.hi)
+        return strip_distance(scale * (w1 - mid), scale * (w2 - mid))
+    if isinstance(image, HalfPlaneImage):
+        return uhp_distance(w1, w2)
+    return uhp_distance(1j * cmath.sqrt(w1), 1j * cmath.sqrt(w2))
+
+
+class TestPetalImages:
+    """Each image is its membership test, its log chart into the upper
+    half-plane, and its sampler."""
+
+    def test_only_the_strip_has_settings(self):
+        m1, m2, m3 = catalog()
+        assert StripImage._fields == ("lo", "hi")
+        assert [p.image for p in m1.petals] == [StripImage(0.0, HALF_PI),
+                                                StripImage(-HALF_PI, 0.0)]
+        assert type(m2.petal("main").image) is HalfPlaneImage
+        assert type(m3.petal("main").image) is SlitPlaneImage
+        assert vars(m2.petal("main").image) == vars(m3.petal("main").image) == {}
+
+    def test_membership(self):
+        hp, slit = HalfPlaneImage(), SlitPlaneImage()
+        assert hp.contains(1e-300j) and not hp.contains(0j) and not hp.contains(5 - 1e-300j)
+        for w in (1 + 0j, 1e-300 + 0j, -1 + 1e-15j, -1 - 1e-15j, 1e300j):
+            assert slit.contains(w)
+        for w in (0j, -0.0 + 0j, -1e-300 + 0j, complex(-1.0, -0.0), -1e300 + 0j):
+            assert not slit.contains(w)
+        # A point whose argument rounds onto +-pi is outside too: the chart
+        # would put it on the half-plane's edge.
+        assert not slit.contains(-1 + 1e-300j) and not slit.contains(-1 - 1e-300j)
+
+    @pytest.mark.parametrize("model,petal", _model_petals(),
+                             ids=lambda v: getattr(v, "name", None) or getattr(v, "label", ""))
+    def test_chart_opens_the_image_onto_the_half_plane(self, model, petal):
+        # e^(uhp_log(w)) is the image's canonical map: i e^z after the strip
+        # is rescaled onto {|Im| < pi/2}, the identity, and i sqrt(w).
+        image = petal.image
+        for w in sample_petal_omega(model, petal, 200, random.Random(RNG_SEED)):
+            L = image.uhp_log(w)
+            assert 0.0 < L.imag < math.pi
+            if isinstance(image, StripImage):
+                want = strip_to_uhp(math.pi / image.width * (w - 0.5j * (image.lo + image.hi)))
+            elif isinstance(image, HalfPlaneImage):
+                want = w
+            else:
+                want = 1j * cmath.sqrt(w)
+            assert abs(cmath.exp(L) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("model,petal", _model_petals(),
+                             ids=lambda v: getattr(v, "name", None) or getattr(v, "label", ""))
+    def test_metric_matches_each_canonical_domain(self, model, petal):
+        pts = sample_petal_omega(model, petal, 2000, random.Random(RNG_SEED + 3))
+        for w1, w2 in zip(pts[::2], pts[1::2]):
+            want = _reference_petal_distance(petal, w1, w2)
+            assert petal.distance(w1, w2) == pytest.approx(want, rel=4e-15, abs=1e-15)
+
+    def test_metric_at_extreme_separations(self):
+        m1, m2, m3 = catalog()
+        for petal in m1.petals:
+            base = petal.base_default
+            for run in (1e-6, 1.0, 1e3, 1e6):
+                want = _reference_petal_distance(petal, base, base + run)
+                assert petal.distance(base, base + run) == pytest.approx(want, rel=1e-15)
+        main3 = m3.petal("main")
+        radii = (1e-300, 1e-100, 1.0, 1e100, 1e300)
+        for a in radii:
+            for b in radii:
+                # |log(b / a)| / 4 along the positive axis, the chart's power 1/2
+                # halving the half-plane's vertical rate.
+                want = 0.25 * abs(math.log(b) - math.log(a))
+                assert main3.distance(complex(a), complex(b)) == pytest.approx(want, rel=1e-15)
+
+    def test_draws_are_pinned(self):
+        # The first three draws from one seed, by repr: the image samplers
+        # draw each point's coordinates in this order.
+        want = {
+            ("strip-slit", "upper"): [(2.82723303964025+0.9880395549208072j),
+                                      (0.3588235694794344+1.0482685185140932j),
+                                      (1.048072669860157+0.8564647432007214j)],
+            ("strip-slit", "lower"): [(2.82723303964025-0.5827567718740894j),
+                                      (0.3588235694794344-0.5225278082808033j),
+                                      (1.048072669860157-0.7143315835941751j)],
+            ("sector-parabolic", "main"): [(2.740849559460375+1.2388378047466815j),
+                                           (-0.9617646457808484+1.4635114995882432j),
+                                           (0.07210900479023552+0.8607778292409554j)],
+            ("koebe-elliptic", "main"): [(4.283831188950423+4.505071761865959j),
+                                         (0.2613798995640788+0.45723564430457314j),
+                                         (1.0071381826675552+0.2942647458465703j)],
+        }
+        for model, petal in _model_petals():
+            got = sample_petal_omega(model, petal, 3, random.Random(20260817))
+            assert repr(got) == repr(want[model.name, petal.label])
+            assert repr(petal.image.sample(3, random.Random(20260817))) == repr(got)
 
 
 class TestMembershipAndBoundary:
@@ -300,6 +415,15 @@ class TestFlow:
         m3 = by_name("koebe-elliptic")
         assert m3.flow_omega(1 + 0j, -800.0) is None
         assert m3.flow_omega(1 + 0j, 800.0) == pytest.approx(0.0, abs=1e-300)
+
+    @pytest.mark.parametrize("name", ["strip-slit", "koebe-elliptic"])
+    def test_huge_integer_time_names_the_layer(self, name):
+        # An integer time past float range is a DomainError, not a bare
+        # OverflowError; translation and scaling each convert it.
+        model = by_name(name)
+        with pytest.raises(DomainError, match="models.flow_omega: time is past float range"):
+            model.flow_omega(1 + 0.3j, -10 ** 400)
+        assert model.flow_omega(1 + 0.3j, -10 ** 2) == model.flow_omega(1 + 0.3j, -100.0)
 
     def test_fixed_point_of_elliptic_flow(self):
         m3 = by_name("koebe-elliptic")

@@ -345,6 +345,12 @@ class TestRepellingDiagnostics:
             repelling_diagnostics(model, petal, ws)
 
 
+_ITEM_2_WRONG = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: the two orbit points' log coordinates are rounded "
+           "apart before uhp_log_distance subtracts them")
+
+
 class TestRegularityGap:
     def test_bounded_along_backward_orbit(self):
         m1 = by_name("strip-slit")
@@ -364,6 +370,24 @@ class TestRegularityGap:
             gaps = regularity_gap(model, petal, petal.base_default,
                                   [-(2.0 ** 12), -(2.0 ** 16), -1e15])
             assert gaps == pytest.approx([step] * 3, abs=1e-9), name
+
+    @pytest.mark.parametrize("name,label,t,step", [
+        pytest.param(name, label, -(2.0 ** k), step, marks=_ITEM_2_WRONG,
+                     id=f"{name}-{label}-2^{k}")
+        for name, label, step, ks in (("strip-slit", "upper", 1.0, (16, 24, 40, 50, 51)),
+                                      ("strip-slit", "lower", 1.0, (16, 24, 40, 50, 51)),
+                                      ("koebe-elliptic", "main", 0.25, (52,)))
+        for k in ks])
+    def test_step_at_binade_crossings(self, name, label, t, step):
+        # At these times the orbit's log coordinates at t and t - 1 lie on
+        # either side of a power of two (on strip-slit, Re w = 1 - 2^k and
+        # -2^k), so they round at different sizes, and the step misses
+        # |lam|/2: 1 + 1.5e-11 at -2^16, 1.000244 at -2^40, 0.75 at -2^50
+        # and 1.5 at -2^51 on strip-slit, 0.5 at -2^52 on koebe-elliptic.
+        model = by_name(name)
+        petal = model.petal(label)
+        gap, = regularity_gap(model, petal, petal.base_default, [t])
+        assert gap == pytest.approx(step, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("t", [-(2.0 ** 53), -(2.0 ** 53 + 2.0), -1e300])
     def test_time_whose_step_rounds_raises(self, t):
