@@ -3,18 +3,18 @@
 A chain carries an ordered list of elementary steps from a model domain
 onto the upper half-plane, together with analytic derivatives.
 Branch-carrying steps (Log, Power, the slit closure pair) store the
-half-line or segment their cut occupies; chains are built so cuts stay
-outside the source region, and evaluation refuses points within
-``EPS_CUT`` of a cut instead of guessing a branch.
+half-line or segment their cut occupies and measure a point's distance to
+it, ``cut_distance``; a cut-free step has ``cut_distance = None``.  Chains
+are built so cuts stay outside the source region, and evaluation refuses
+points within ``EPS_CUT`` of a cut instead of guessing a branch.
 
 Each step has one derivative, ``value_and_derivative``, which evaluates
-what its image and derivative share once.  Each chain builds its plans at
-construction: the forward plan for its steps, the inverse plan for their
-inverses in reverse order, and the log plan of the steps' ``apply_log``
-(see ``_PlanEntry``).  A plan has one value walk, ``_walk_all`` with
-``apply``, and one derivative walk, ``_walk_all_with_derivative`` with
-``value_and_derivative``; each runs one plan step over a whole list of
-points before the next.
+what its image and derivative share once.  A chain walks its steps
+directly: forward in order, and inverse through the steps' inverses in
+reverse order, each inverse step paired with the step it inverts.  There
+is one value walk, ``_walk_all`` with each step's ``apply``, and one
+derivative walk, ``_walk_all_with_derivative`` with ``value_and_derivative``;
+each runs one step over a whole list of points before the next.
 
 Both walks follow one failure rule: they raise ``MapDomainError`` at the
 first check that fails, in walk order.  Per step these are its cut check,
@@ -26,20 +26,16 @@ walk that starts there and after the walk that ends there.
 
 ``eval``, ``eval_inverse``, ``derivative`` and ``inverse_and_derivative``
 walk a list of one point.  The list forms ``eval_all``, ``eval_inverse_all``
-and ``eval_and_derivative_all`` walk their whole list once; where that
-raises, they re-walk the points one by one with the per-point methods.  So
-``eval_all(ws)`` returns ``[chain.eval(w) for w in ws]`` bit for bit and
-raises what that comprehension raises, the first failing point's error;
-``eval_and_derivative_all(ws)`` stands for ``[(chain.eval(w),
-chain.derivative(w)) for w in ws]`` the same way.  A one-point walk costs
-a few microseconds more than a loop written for one point, and little
-runs it: a traced ``verify.run_all`` makes about 111 per-point calls, all
-``inverse_and_derivative`` from ``semigroup.generator``'s radial
-approaches, and none of ``eval``, ``eval_inverse`` or ``derivative``.
+and ``eval_and_derivative_all`` walk their whole list once and raise that
+walk's error.  Each step maps each point on its own, so a list form
+returns the per-point values bit for bit; where points fail, its error is
+one that a point with the earliest failing check in walk order raises
+alone, which need not be the list's first failing point.
 
-``eval_log`` walks the log plan on a point held as q = anchor + i^turns
-e^L, which keeps every bit of orbits far beyond float range: a quarter
-turn is counted, not added to Im L where small angles would round away.
+``eval_log`` walks the steps' ``apply_log`` on a point held as
+q = anchor + i^turns e^L, which keeps every bit of orbits far beyond float
+range: a quarter turn is counted, not added to Im L where small angles
+would round away.
 """
 
 from __future__ import annotations
@@ -104,6 +100,10 @@ class MapStep:
 
     __slots__ = ()
 
+    # The distance from a point to the step's branch cut, a method of each
+    # step that carries one; None for a cut-free step.
+    cut_distance: Optional[Callable[[complex], float]] = None
+
     def apply(self, z: complex) -> complex:
         raise NotImplementedError
 
@@ -121,10 +121,6 @@ class MapStep:
         and L None for e^L = 0, so (z, None, 0) is the plain point z.  By
         default q is formed as a float and ``apply`` taken of it."""
         return self.apply(_value(anchor, L, turns)), None, 0
-
-    def cut_distance(self, z: complex) -> float:
-        """Distance from z to this step's branch cut; inf when cut-free."""
-        return math.inf
 
 
 class Affine(MapStep):
@@ -332,35 +328,17 @@ class SlitOpenStep(MapStep):
         return abs(complex(x, z.imag))
 
 
-# One entry of a chain's walk: (step index, apply, cut_distance or None for
-# a cut-free step, value_and_derivative, forward cut), all bound to the step.
-# The forward cut of an inverse plan entry is the cut_distance of the step
-# it inverts (None when that step is cut-free); forward plan entries hold None.
-_PlanEntry = tuple[
-    int,
-    Callable[[complex], complex],
-    Optional[Callable[[complex], float]],
-    Callable[[complex], tuple[complex, complex]],
-    Optional[Callable[[complex], float]],
-]
+# A chain's walk: (step index, step walked, forward step or None) triples;
+# an inverse walk's forward step is the one its step inverts.
+_Walk = tuple[tuple[int, MapStep, Optional[MapStep]], ...]
 
 
-def _cut_of(step: MapStep) -> Optional[Callable[[complex], float]]:
-    """A step's bound ``cut_distance``, or None for a cut-free step."""
-    has_cut = type(step).cut_distance is not MapStep.cut_distance
-    return step.cut_distance if has_cut else None
-
-
-def _plan(walked) -> tuple[_PlanEntry, ...]:
-    """Plan entries of (index, step walked, forward step or None) triples."""
-    return tuple((i, step.apply, _cut_of(step), step.value_and_derivative,
-                  None if forward is None else _cut_of(forward))
-                 for i, step, forward in walked)
-
-
-def _check_cuts(cut_distance: Callable[[complex], float], zs: Sequence[complex], i: int) -> None:
-    """Refuse the first point of zs within EPS_CUT of step i's cut, or past
-    float range."""
+def _check_cuts(step: MapStep, zs: Sequence[complex], i: int) -> None:
+    """Refuse the first point of zs within EPS_CUT of the cut of step (index
+    i), or past float range; a cut-free step refuses none."""
+    cut_distance = step.cut_distance
+    if cut_distance is None:
+        return
     for z in zs:
         try:
             near = cut_distance(z) <= EPS_CUT
@@ -383,18 +361,20 @@ class ConformalChain:
     """Ordered composition of elementary steps from a source region onto
     the upper half-plane."""
 
-    __slots__ = ("steps", "source_contains", "name",
-                 "_forward_plan", "_inverse_plan", "_log_plan")
+    __slots__ = ("steps", "source_contains", "name", "_forward", "_inverse", "_log_plan")
 
     def __init__(self, steps: tuple[MapStep, ...],
                  source_contains: Callable[[complex], bool], name: str = "") -> None:
         self.steps = steps
         self.source_contains = source_contains
         self.name = name
-        # The walks of eval/derivative, of eval_inverse and of eval_log, built once.
-        self._forward_plan = _plan((i, step, None) for i, step in enumerate(steps))
-        self._inverse_plan = _plan((i, steps[i].inverted(), steps[i])
-                                   for i in reversed(range(len(steps))))
+        # The walks of eval/derivative and of eval_inverse, built once.
+        self._forward: _Walk = tuple((i, step, None) for i, step in enumerate(steps))
+        self._inverse: _Walk = tuple((i, steps[i].inverted(), steps[i])
+                                     for i in reversed(range(len(steps))))
+        # eval_log's bound apply_log methods.  eval_log is the per-sample
+        # path of deep orbits, where a loop over enumerate(steps) costs about
+        # a tenth more a call (1.43 against 1.29 us on an Intel Xeon).
         self._log_plan = tuple((i, step.apply_log) for i, step in enumerate(steps))
 
     def _sources(self, ws: Sequence[complex]) -> list[complex]:
@@ -415,39 +395,36 @@ class ConformalChain:
 
     def eval(self, w: complex) -> complex:
         """Forward image of an interior source point."""
-        return _walk_all(self._forward_plan, self._sources((w,)))[0]
+        return _walk_all(self._forward, self._sources((w,)))[0]
 
     def eval_inverse(self, q: complex) -> complex:
         """Preimage of an interior target point under the inverted steps."""
-        return self._preimages((q,), _walk_all(self._inverse_plan, _targets((q,))))[0]
+        return self._preimages((q,), _walk_all(self._inverse, _targets((q,))))[0]
 
     def derivative(self, w: complex) -> complex:
         """Complex derivative of the composed map (chain rule product)."""
-        return _walk_all_with_derivative(self._forward_plan, self._sources((w,)))[1][0]
+        return _walk_all_with_derivative(self._forward, self._sources((w,)))[1][0]
 
     def inverse_and_derivative(self, q: complex) -> tuple[complex, complex]:
         """Preimage w of an interior target point q and the derivative
-        dw/dq of the inverse map there, from one walk of the inverse plan,
-        which also checks each preimage against its forward step's cut."""
-        ws, dws = _walk_all_with_derivative(self._inverse_plan, _targets((q,)))
+        dw/dq of the inverse map there, from one inverse walk, which also
+        checks each preimage against its forward step's cut."""
+        ws, dws = _walk_all_with_derivative(self._inverse, _targets((q,)))
         return self._preimages((q,), ws)[0], dws[0]
 
     def eval_all(self, ws: Sequence[complex]) -> list[complex]:
-        """``[self.eval(w) for w in ws]`` from one list walk."""
-        return _or_each(lambda ws: _walk_all(self._forward_plan, self._sources(ws)),
-                        self.eval, ws)
+        """The values of ``[self.eval(w) for w in ws]`` from one list walk."""
+        return _walk_all(self._forward, self._sources(ws))
 
     def eval_inverse_all(self, qs: Sequence[complex]) -> list[complex]:
-        """``[self.eval_inverse(q) for q in qs]`` from one list walk."""
-        return _or_each(lambda qs: self._preimages(qs, _walk_all(self._inverse_plan, _targets(qs))),
-                        self.eval_inverse, qs)
+        """The values of ``[self.eval_inverse(q) for q in qs]`` from one
+        list walk."""
+        return self._preimages(qs, _walk_all(self._inverse, _targets(qs)))
 
     def eval_and_derivative_all(self, ws: Sequence[complex]) -> list[tuple[complex, complex]]:
-        """``[(self.eval(w), self.derivative(w)) for w in ws]`` from one
-        list walk of the forward plan."""
-        return _or_each(
-            lambda ws: list(zip(*_walk_all_with_derivative(self._forward_plan, self._sources(ws)))),
-            lambda w: (self.eval(w), self.derivative(w)), ws)
+        """The values of ``[(self.eval(w), self.derivative(w)) for w in ws]``
+        from one forward list walk."""
+        return list(zip(*_walk_all_with_derivative(self._forward, self._sources(ws))))
 
     def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
         """The image of the source point anchor + e^L (L None: the point
@@ -465,27 +442,26 @@ class ConformalChain:
         return anchor, _turned(L, turns) if turns else L
 
 
-def _walk_all(plan: tuple[_PlanEntry, ...], zs: list[complex]) -> list[complex]:
-    """Images of the points zs under the steps of a plan, one step over the
+def _walk_all(walk: _Walk, zs: list[complex]) -> list[complex]:
+    """Images of the points zs under the steps of a walk, one step over the
     whole list at a time: its cut check, its evaluation, the finiteness of
-    its images and, on an inverse plan, the forward step's cut check of
+    its images and, on an inverse walk, the forward step's cut check of
     them, each over every point before the next."""
-    for i, apply, cut_distance, _, forward_cut in plan:
-        if cut_distance is not None:
-            _check_cuts(cut_distance, zs, i)
+    for i, step, forward in walk:
+        _check_cuts(step, zs, i)
         try:
-            zs = list(map(apply, zs))
+            zs = list(map(step.apply, zs))
         except (OverflowError, ZeroDivisionError) as exc:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
         if not all(map(cmath.isfinite, zs)):
             raise MapDomainError("evaluation left float range", step_index=i)
-        if forward_cut is not None:
-            _check_cuts(forward_cut, zs, i)
+        if forward is not None:
+            _check_cuts(forward, zs, i)
     return zs
 
 
 def _walk_all_with_derivative(
-    plan: tuple[_PlanEntry, ...], zs: list[complex]
+    walk: _Walk, zs: list[complex]
 ) -> tuple[Sequence[complex], list[complex]]:
     """``_walk_all`` with each step's ``value_and_derivative``: the images
     of zs and their chain rule products, each of which must be nonzero and
@@ -493,28 +469,17 @@ def _walk_all_with_derivative(
     if not zs:
         return zs, []
     accs = [1.0 + 0j] * len(zs)
-    for i, _, cut_distance, value_and_derivative, forward_cut in plan:
-        if cut_distance is not None:
-            _check_cuts(cut_distance, zs, i)
+    for i, step, forward in walk:
+        _check_cuts(step, zs, i)
         try:
-            zs, ds = zip(*map(value_and_derivative, zs))
+            zs, ds = zip(*map(step.value_and_derivative, zs))
         except (OverflowError, ZeroDivisionError) as exc:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
         if not all(map(cmath.isfinite, zs)):
             raise MapDomainError("evaluation left float range", step_index=i)
-        if forward_cut is not None:
-            _check_cuts(forward_cut, zs, i)
+        if forward is not None:
+            _check_cuts(forward, zs, i)
         accs = list(map(mul, accs, ds))
     if not (all(accs) and all(map(cmath.isfinite, accs))):
         raise MapDomainError("derivative vanished or left float range")
     return zs, accs
-
-
-def _or_each(walk: Callable[[list], list], each: Callable, xs: Sequence[complex]) -> list:
-    """``walk(xs)``; where that raises, ``[each(x) for x in xs]``, which
-    returns what the walk would and raises the first failing point's error."""
-    try:
-        return walk(xs)
-    except (ArithmeticError, ValueError):
-        pass
-    return [each(x) for x in xs]

@@ -175,7 +175,10 @@ def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None,
     """log N(q) for q = anchor + e^L at the scale of L, both shifts from one
     e^(L - scale): N(q) = q - c, or +-(q - c)/(q - other) (minus when ``flip``),
     which carries the geodesic from c to ``other`` onto the imaginary axis and
-    keeps the half-plane, so that log is put back on the branch Im in (0, pi)."""
+    keeps the half-plane.  log(q - c) and log(q - other) have Im in [0, pi],
+    and their difference has Im in [0, pi] for c > other and in [-pi, 0] for
+    c < other, where ``flip`` adds pi: so log N(q) has Im in [0, pi] up to
+    rounding."""
     L = p.L
     anchor = 0.0 if p.anchor is None else p.anchor
     scale = L.real if L.real > 0.0 else 0.0
@@ -189,10 +192,6 @@ def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None,
     val = val - (L if a == 0.0 else scale + cmath.log(a * shrink + e))
     if flip:
         val += 1j * math.pi
-    if val.imag < -0.5:
-        val += 2j * math.pi
-    elif val.imag > math.pi + 0.5:
-        val -= 2j * math.pi
     return val
 
 

@@ -13,7 +13,8 @@ printer): the criterion it reports, and any reason it is inconclusive, come
 from ``verify`` (``backward_rate``, ``forward_rate``, ``orbit_angle``,
 ``bound_ratios``), as in ``run_all``; the ``bounds`` and ``hmeasure``
 subcommands also take their default inputs from there (``BOUND_GRID``,
-``ORBIT_KMAX``).
+``ORBIT_KMAX``), as the rate fits do their exponents (``RATE_KMIN``,
+``RATE_KMAX``).
 
 Each flag is declared once, in ``_FLAGS``, and each subcommand takes only
 the flags it reads (``_COMMANDS``); any other flag is a usage error.
@@ -41,6 +42,8 @@ from .verify import (
     BOUND_GRID,
     DEFAULT_SEED,
     ORBIT_KMAX,
+    RATE_KMAX,
+    RATE_KMIN,
     backward_rate,
     bound_ratios,
     forward_rate,
@@ -169,10 +172,10 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _resolve_exponents(args: argparse.Namespace, default_kmin: int) -> Tuple[int, int]:
-    # --kmax defaults to 16 for every subcommand that reads it but hmeasure,
-    # which takes ORBIT_KMAX from verify.
+    # --kmax defaults to verify's RATE_KMAX for every subcommand that reads
+    # it but hmeasure, which takes ORBIT_KMAX.
     kmin = default_kmin if args.kmin is None else args.kmin
-    kmax = 16 if args.kmax is None else args.kmax
+    kmax = RATE_KMAX if args.kmax is None else args.kmax
     return kmin, kmax
 
 
@@ -203,7 +206,7 @@ def _cmd_speeds(args: argparse.Namespace) -> int:
 
 def _cmd_asymptote(args: argparse.Namespace) -> int:
     model, petal, base, tag = _resolve_point(args)
-    grid = _resolve_backward_grid(args, 4)
+    grid = _resolve_backward_grid(args, RATE_KMIN)
     series, r2, rate = backward_rate(model, petal, base, grid, tol=args.tol)
     data_path = _write(args, f"asymptote_{tag}.csv", _speed_rows(series))
     fields = [
@@ -217,7 +220,7 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     model, _, base, _ = _resolve_point(args)
-    ts, vs, rate = forward_rate(model, base, *_resolve_exponents(args, 4), args.tol)
+    ts, vs, rate = forward_rate(model, base, *_resolve_exponents(args, RATE_KMIN), args.tol)
     rows = ["t,v"] + [f"{_num(t)},{_num(v)}" for t, v in zip(ts, vs)]
     path = _write(args, f"forward_{model.name}.csv", rows)
     print(f"wrote {path} ({len(ts)} rows)")

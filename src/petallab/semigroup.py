@@ -105,8 +105,8 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     for translation models and G = -mu h / h' for the scaling model,
     with h the Omega-coordinate chart of the disk.  Here h = F^-1 o C,
     with C the Cayley map onto the upper half-plane and F the model's
-    chain, so h' = (F^-1)'(q) C'(z) at q = C(z); one walk of the chain's
-    inverse plan gives both h(z) and (F^-1)'(q).
+    chain, so h' = (F^-1)'(q) C'(z) at q = C(z); one inverse walk of the
+    chain gives both h(z) and (F^-1)'(q).
     """
     z = complex(z)
     a, b, c, d, det = CAYLEY

@@ -60,6 +60,9 @@ BOUND_GRID = tuple(-(10.0**k) for k in range(2, 7))
 # Backward orbit times -1 .. -ORBIT_KMAX of the approach angle
 # (``petallab hmeasure`` without --kmax).
 ORBIT_KMAX = 18
+# Dyadic exponents RATE_KMIN .. RATE_KMAX of the backward and forward rate
+# fits (``petallab asymptote`` and ``forward`` without --kmin or --kmax).
+RATE_KMIN, RATE_KMAX = 4, 16
 
 
 def rate_threshold(target: float, tol: Optional[float] = None) -> float:
@@ -212,7 +215,7 @@ def _all_petals() -> List[Tuple[KoenigsModel, Petal]]:
 
 def _check_total_slopes(component: str = "v") -> List[Part]:
     """Backward slopes of ``component`` on the two hyperbolic petals."""
-    grid = dyadic_grid(4, 16)
+    grid = dyadic_grid(RATE_KMIN, RATE_KMAX)
     parts = []
     for name, label in (("strip-slit", "upper"), ("koebe-elliptic", "main")):
         model = by_name(name)
@@ -274,7 +277,8 @@ def _check_orthogonal_slopes() -> List[Part]:
     parts = _check_total_slopes("v_o")
     m2 = by_name("sector-parabolic")
     petal = m2.petal("main")
-    _, _, rate = backward_rate(m2, petal, petal.base_default, dyadic_grid(4, 16), "v_o")
+    grid = dyadic_grid(RATE_KMIN, RATE_KMAX)
+    _, _, rate = backward_rate(m2, petal, petal.base_default, grid, "v_o")
     parts.append((
         f"{m2.name}/{petal.label}: |slope| {abs(rate.slope):.2e} <= {_bound(rate.threshold)}",
         rate.passed,
@@ -317,7 +321,7 @@ def _check_base_independence(rng: random.Random) -> List[Part]:
 
 def _check_forward_rates() -> List[Part]:
     m1 = by_name("strip-slit")
-    _, _, rate = forward_rate(m1, m1.petal("upper").base_default, 4, 16)
+    _, _, rate = forward_rate(m1, m1.petal("upper").base_default, RATE_KMIN, RATE_KMAX)
     m2 = by_name("sector-parabolic")
     base2 = m2.petal("main").base_default
     linear = forward_speed(m2, base2, 2.0**16) / 2.0**16

@@ -32,9 +32,9 @@ Only the tests use these, so they live here rather than in the package:
   boundary;
 - a step-by-step chain walk (``reference_eval``, ``reference_eval_inverse``,
   ``reference_derivative``, ``reference_generator``) that calls each
-  step's ``cut_distance`` and then its ``apply`` (``value_and_derivative``
-  in the derivative walk) in turn, against which the chains' precomputed
-  walk plans are checked for identical values and errors, and the disk
+  step's ``cut_distance`` (where the step has a cut) and then its ``apply``
+  (``value_and_derivative`` in the derivative walk) in turn, against which
+  the chains' list walks are checked for identical values and errors, and the disk
   chart ``omega_of_disk`` of a model;
 - the hand-derived log-space orbit of each catalog model
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
@@ -600,6 +600,8 @@ def boundary_distance(model: KoenigsModel, w: complex) -> float:
 
 
 def _check_cut(step: MapStep, z: complex, i: int) -> None:
+    if step.cut_distance is None:
+        return
     try:
         near = step.cut_distance(z) <= EPS_CUT
     except OverflowError as exc:

@@ -38,7 +38,6 @@ from petallab.confmap import (
     SlitCloseStep,
     SlitOpenStep,
     _branch_log,
-    _walk_all,
     _walk_all_with_derivative,
 )
 from petallab.hypcore import DomainError, disk_of_uhp
@@ -522,7 +521,7 @@ def _seeded_points(name, n):
 
 
 class TestWalkPlansMatchReference:
-    """Every value and error of a chain's planned walk equals the
+    """Every value and error of a chain's walk equals the
     step-by-step reference walk in ``oracles``; the one-walk generator
     and ``inverse_and_derivative`` match its errors, and its values to
     rounding."""
@@ -631,12 +630,20 @@ class TestWalkPlansMatchReference:
     def test_cut_free_steps_skip_the_cut_check(self):
         chain = ConformalChain((Affine(2.0, 1j), ExpStep(), MobiusStep(Mobius(1.0, 1j, 0j, 1.0)),
                                 LogStep(0.5)), lambda z: True, "mixed")
-        assert [entry[2] is None for entry in chain._forward_plan] == [True, True, True, False]
-        assert [entry[0] for entry in chain._inverse_plan] == [3, 2, 1, 0]
-        assert [entry[2] is None for entry in chain._inverse_plan] == [True, True, False, True]
-        # Inverse entries carry the cut of the forward step they invert.
-        assert [entry[4] is None for entry in chain._forward_plan] == [True] * 4
-        assert [entry[4] is None for entry in chain._inverse_plan] == [False, True, True, True]
+        assert [step.cut_distance is None for step in chain.steps] == [True, True, True, False]
+        assert [i for i, _, _ in chain._inverse] == [3, 2, 1, 0]
+        assert [step.cut_distance is None for _, step, _ in chain._inverse] == [
+            True, True, False, True]
+        # Inverse walks carry the forward step each of their steps inverts.
+        assert [forward for _, _, forward in chain._forward] == [None] * 4
+        assert [forward is chain.steps[i] for i, _, forward in chain._inverse] == [True] * 4
+        # A point past float range overflows a cut check, which a cut-free
+        # step does not make.
+        huge = 1.5e308 + 1.5e308j
+        assert _outcome(ConformalChain((Affine(0.5),), lambda z: True).eval_all, [huge]) == (
+            "value", [0.5 * huge])
+        assert _outcome(ConformalChain((LogStep(math.pi),), lambda z: True).eval_all, [huge]) == (
+            "error", MapDomainError, 0, "step 0: cut check failed: absolute value too large")
 
 
 def _bitwise(outcome):
@@ -646,15 +653,26 @@ def _bitwise(outcome):
 
 
 def _eval_and_derivative(chain, w):
-    """The per-point comprehension's term that ``eval_and_derivative_all``
-    stands for."""
-    return chain.eval(w), chain.derivative(w)
+    """The per-point term that ``eval_and_derivative_all`` stands for,
+    raising the derivative walk's error where that walk fails."""
+    dw = chain.derivative(w)
+    return chain.eval(w), dw
+
+
+def _walk_position(chain, kind, outcome):
+    """Where in its walk the check lies that raised a point's own error: -1
+    before the walk, a step's place in walk order, len(steps) after it."""
+    _, _, index, message = outcome
+    n = len(chain.steps)
+    if index is None:
+        return -1 if "is outside the" in message else n
+    return index if kind == "eval" else n - 1 - index
 
 
 class TestListWalk:
-    """Each list form returns the values of the per-point comprehension it
-    stands for bit for bit, and raises that comprehension's error: the
-    first failing point's, whatever step the other points fail at."""
+    """Each list form returns the per-point calls' values bit for bit, and
+    raises its one walk's error: the first failing check in walk order, so
+    an error that a point failing at the earliest step raises alone."""
 
     @staticmethod
     def _forms(model, kind):
@@ -668,14 +686,24 @@ class TestListWalk:
     def _assert_lists_match(self, model, kind, points, chunk=8):
         """The whole list, its points that succeed, each chunk of it and
         each point alone."""
+        n = len(points)
         for list_form, call in self._forms(model, kind):
-            good = [x for x in points if _outcome(call, x)[0] == "value"]
+            alone = [_outcome(call, x) for x in points]
+            good = [i for i in range(n) if alone[i][0] == "value"]
             assert good
-            chunks = [points[i:i + chunk] for i in range(0, len(points), chunk)]
-            for xs in [points, good, []] + chunks + [[x] for x in points]:
-                got = _bitwise(_outcome(list_form, xs))
-                want = _bitwise(_outcome(lambda xs: [call(x) for x in xs], xs))
-                assert got == want, f"{model.name} {kind} list form: {got} != {want}"
+            chunks = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+            for idx in [range(n), good, []] + chunks + [[i] for i in range(n)]:
+                xs, outcomes = [points[i] for i in idx], [alone[i] for i in idx]
+                got = _outcome(list_form, xs)
+                failed = [o for o in outcomes if o[0] == "error"]
+                if not failed:
+                    want = ("value", [o[1] for o in outcomes])
+                    assert _bitwise(got) == _bitwise(want), f"{model.name} {kind}: {got} != {want}"
+                    continue
+                first = min(_walk_position(model.chain, kind, o) for o in failed)
+                earliest = [o for o in failed if _walk_position(model.chain, kind, o) == first]
+                assert got[:2] == ("error", MapDomainError), got
+                assert got in earliest, f"{model.name} {kind}: {got} not in {earliest[:3]}"
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_seeded_points(self, name):
@@ -683,16 +711,6 @@ class TestListWalk:
         sources, targets, _ = _seeded_points(name, 600)
         self._assert_lists_match(model, "eval", sources)
         self._assert_lists_match(model, "inverse", targets)
-        # The values come from the list walk itself, not from the
-        # point-by-point walk a failure falls back to.
-        chain = model.chain
-        good = [w for w in sources if _outcome(_eval_and_derivative, chain, w)[0] == "value"]
-        assert repr(_walk_all(chain._forward_plan, good)) == repr([chain.eval(w) for w in good])
-        assert repr(list(zip(*_walk_all_with_derivative(chain._forward_plan, good)))) == repr(
-            [_eval_and_derivative(chain, w) for w in good])
-        good = [q for q in targets if _outcome(chain.eval_inverse, q)[0] == "value"]
-        assert repr(_walk_all(chain._inverse_plan, good)) == repr(
-            [chain.eval_inverse(q) for q in good])
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_near_each_cut(self, name):
@@ -736,7 +754,7 @@ class TestListWalk:
             assert got == ("error", MapDomainError, None, "derivative vanished or left float range")
             assert _bitwise(got) == _bitwise(_outcome(lambda ws: [call(w) for w in ws], ws))
         with pytest.raises(MapDomainError, match="^derivative vanished or left float range$"):
-            _walk_all_with_derivative(chain._forward_plan, [1e200j, 2e200j])
+            _walk_all_with_derivative(chain._forward, [1e200j, 2e200j])
         assert _outcome(chain.eval_all, [1e200j, 2e200j]) == ("value", [1e-200j, 2e-200j])
 
     def test_generator_left_float_range(self):
@@ -753,27 +771,23 @@ class TestListWalk:
         assert _outcome(generator, model, disk_of_uhp(chain.eval(w_bad))) == refused
         assert _outcome(generator, model, 0j) == ("value", -5e307j)
 
-    def test_first_failing_point_wins_over_an_earlier_step(self):
-        # The list walk meets the later point's failure first, at an
-        # earlier step, but the comprehension raises the earlier point's.
+    def test_earliest_step_wins_over_an_earlier_point(self):
+        # The list walk raises at the first check that fails in walk order,
+        # whatever the order of the points that fail: the overflow fails
+        # step 0 of the forward walks, the point near the slit step 2.
         model = by_name("strip-slit")
-        chain = model.chain
-        # The overflow fails step 0 of the forward walks, the point near the
-        # slit step 2.
         good, near_slit, overflow = 1.0 + 0.5j, -2.0 + 1e-14j, 800.0 + 0.5j
         for list_form, call in self._forms(model, "eval"):
-            got = _outcome(list_form, [good, near_slit, overflow])
-            assert got[:3] == ("error", MapDomainError, 2)
-            assert got == _outcome(call, near_slit)
-            assert _outcome(list_form, [good, overflow, near_slit]) == (
-                "error", MapDomainError, 0, "step 0: evaluation failed: math range error")
-        # -1j is refused before any walk, -0.5 + 1e-14j at the walk's first step.
+            assert _outcome(call, near_slit)[:3] == ("error", MapDomainError, 2)
+            for ws in ([good, near_slit, overflow], [good, overflow, near_slit]):
+                assert _outcome(list_form, ws) == _outcome(call, overflow) == (
+                    "error", MapDomainError, 0, "step 0: evaluation failed: math range error")
+        # -1j is refused before the walk, -0.5 + 1e-14j at its first step, step 2.
         near_segment, below = -0.5 + 1e-14j, -1j
         for list_form, call in self._forms(model, "inverse"):
-            got = _outcome(list_form, [1j, near_segment, below])
-            assert got[:3] == ("error", MapDomainError, 2)
-            assert got == _outcome(call, near_segment)
-            assert _outcome(list_form, [1j, below, near_segment]) == _outcome(call, below)
+            assert _outcome(call, near_segment)[:3] == ("error", MapDomainError, 2)
+            for qs in ([1j, near_segment, below], [1j, below, near_segment]):
+                assert _outcome(list_form, qs) == _outcome(call, below)
 
 
 class TestInverseAndDerivative:

@@ -99,6 +99,14 @@ class TestDiskDistance:
         with pytest.raises(DomainError):
             disk_distance(0j, z)
 
+    @pytest.mark.parametrize("z,message", [
+        (complex(math.nan, 0.0), r"^non-finite point \(nan\+0j\)$"),
+        (2.0, r"^\(2\+0j\) is not interior to the unit disk$"),
+    ], ids=["nan", "outside"])
+    def test_rejects_first_point_off_the_open_disk(self, z, message):
+        with pytest.raises(DomainError, match=message):
+            disk_distance(z, 0j)
+
     def test_extreme_gap_finite_and_increasing(self):
         # The oracle's gap form, with 1 - |w|^2 supplied exactly, must stay
         # finite and strictly monotone long after the float w rounds onto

@@ -550,6 +550,25 @@ class TestUsageErrors:
             "--out", str(tmp_path),
         ]) == 2
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["speeds", "--config", "{path}"], "model strip-slit\n",
+         "{path}:1: expected key = value, got 'model strip-slit\\n'"),
+        (["verify", "--config", "{path}"], "seed = abc\n",
+         "{path}:1: invalid literal for int() with base 10: 'abc'"),
+        (["speeds", "--model", "strip-slit", "--grid=,"], None,
+         "--grid must list at least one time"),
+        (["bounds"], None, "--profile is required (logrecip, gaussian, or a file path)"),
+    ], ids=["config-line-without-equals", "config-seed-not-int", "empty-grid",
+            "bounds-without-profile"])
+    def test_refused_input(self, tmp_path, capsys, argv, config, message):
+        path = tmp_path / "exp.cfg"
+        if config is not None:
+            path.write_text(config)
+        out = tmp_path / "out"
+        assert main([arg.format(path=path) for arg in argv] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["speeds", "asymptote"])
     def test_exponents_inverted(self, tmp_path, capsys, command):
         assert main([

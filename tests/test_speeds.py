@@ -73,6 +73,13 @@ class TestSampleBasics:
             with pytest.raises(DomainError, match="orbit time must be finite"):
                 speed_sample(model, petal, petal.base_default, t)
 
+    def test_base_without_finite_image_rejected(self):
+        # e^800 overflows, so the strip-slit base 800 + 0.5i has no float
+        # image to frame eta through.
+        m1 = by_name("strip-slit")
+        with pytest.raises(DomainError, match="^base point has no finite canonical image$"):
+            speed_sample(m1, m1.petal("upper"), 800.0 + 0.5j, -1.0)
+
     def test_non_finite_base_rejected(self):
         for model, petal in _model_petals():
             with pytest.raises(PetalRequiredError):
@@ -230,6 +237,31 @@ class TestTangentialRead:
         model = by_name("strip-slit")
         with pytest.raises(DomainError, match=r"argument must lie in \(0, pi\), got 0\.0"):
             speed_sample(model, model.petal("upper"), 0.5 + 1e-17j, -1.0)
+
+
+class TestFramedAngle:
+    """On the eta frames ``_eta_frame`` builds, the two-foot framed angle
+    lies in [0, pi] up to rounding with no re-fold: the frame's flip keeps
+    N(q) in the half-plane."""
+
+    def test_two_foot_angle_stays_on_the_branch(self):
+        rng = np.random.default_rng(RNG_SEED)
+        times = [0.0, -1.0, -(2.0 ** 16), -(2.0 ** 60), -1e100, -1e300]
+        flips = []
+        for model, petal in _model_petals():
+            for w in [petal.base_default, *sample_petal_omega(model, petal, 10, rng)]:
+                frame, _ = _eta_frame(petal, model.uhp_orbit(w, 0.0))
+                if frame[1] is None:
+                    continue
+                flips.append(frame[2])
+                points = [model.uhp_orbit(w, t) for t in times]
+                points += [UhpLogPoint(None, complex(rng.uniform(-700.0, 700.0),
+                                                     rng.uniform(1e-9, math.pi - 1e-9)))
+                           for _ in range(20)]
+                for p in points:
+                    theta = uhp_log_framed(p, *frame).imag
+                    assert -1e-12 <= theta <= math.pi + 1e-12, (model.name, petal.label, w, p)
+        assert len(flips) >= 20 and set(flips) == {False, True}, flips
 
 
 class TestOneRead:
