@@ -111,10 +111,13 @@ def _merge_config(args: argparse.Namespace) -> None:
 
 def _write(args: argparse.Namespace, name: str, rows: Iterable[str]) -> str:
     out = args.out or os.environ.get("PETALLAB_OUT") or "out"
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(f"{row}\n" for row in rows)
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(f"{row}\n" for row in rows)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
     return path
 
 

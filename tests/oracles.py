@@ -464,16 +464,29 @@ def geodesic_point(g: Geodesic, s: float) -> complex:
 
 
 def project_by_search(w: complex, g: Geodesic) -> tuple[complex, float]:
-    """Brute-force projection: bounded 1-D minimization of the distance
-    along the geodesic parameter, tolerance 1e-12 in the parameter."""
-    from scipy.optimize import minimize_scalar
+    """Brute-force projection: golden-section search of the distance over
+    the geodesic parameter in [-40, 40], tolerance 1e-12 in the parameter.
+    The distance to a point is convex along a geodesic, so each step keeps
+    its one minimum inside the bracket."""
 
     def dist_at(s: float) -> float:
         return domain_distance(g.domain, w, geodesic_point(g, s))
 
-    res = minimize_scalar(dist_at, bounds=(-40.0, 40.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return geodesic_point(g, float(res.x)), float(res.fun)
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = -40.0, 40.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = dist_at(c), dist_at(d)
+    while b - a > 1e-12:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = dist_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = dist_at(d)
+    s = 0.5 * (a + b)
+    return geodesic_point(g, s), dist_at(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Tests for profile-driven distance bounds."""
 
+import bisect
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
 from petallab.bounds import (
@@ -157,10 +159,10 @@ class TestUpperBound:
 def _quad_cases():
     """Profiles that upper_bound integrates by the tanh-sinh rule, each with
     the times to bound it at: fixed ones and seeded log-uniform draws."""
-    rng = np.random.default_rng(1974)
+    rng = random.Random(1974)
 
     def draws(lo, hi):
-        return tuple(-(10.0 ** x) for x in rng.uniform(lo, hi, 20))
+        return tuple(-(10.0 ** rng.uniform(lo, hi)) for _ in range(20))
 
     table = profile_from_table([(-1e6, 1e-3), (-10.0, 0.5), (-2.0, 0.25), (-1.0, 2.0)])
     gap_zero_at_minus_5 = custom_profile(lambda t: abs(t + 5.0), t0=-1.0)
@@ -230,12 +232,15 @@ class TestTanhSinhEndpointReuse:
                 assert len(reused) <= 0.6 * len(calls)
 
 
-def test_runtime_loads_no_scipy():
+def test_runtime_loads_only_the_standard_library():
     # The package, its CLI module, the verify suite, the slope fit, the
     # quadrature and a tabulated profile all run on the standard library
-    # alone: neither scipy nor numpy gets imported.
+    # alone: they import no module outside it but petallab's own.  Modules
+    # that the interpreter's site setup loaded before petallab do not count.
     code = (
-        "import math, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import math\n"
         "import petallab, petallab.lab\n"
         "from petallab import by_name, dyadic_grid, slope_estimate, speed_series\n"
         "from petallab.bounds import custom_profile, profile_from_table, upper_bound\n"
@@ -249,7 +254,8 @@ def test_runtime_loads_no_scipy():
         "assert abs(slope_estimate(series)[0] + 1.0) < 1e-9\n"
         "table = profile_from_table([(-100.0, 1e-3), (-10.0, 0.1), (-1.0, 1.0)])\n"
         "assert math.isfinite(upper_bound(table, -50.0))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n"
+        "allowed = sys.stdlib_module_names | {'petallab'}\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -317,9 +323,10 @@ class TestBoundOrdering:
             custom_profile(lambda t: 1.0 / (1.0 + t * t), t0=-1.0, d0=0.5),
         ]
         for p in profiles:
-            for t in np.linspace(p.t0 - 0.5, p.t0 - 2000.0, 60):
-                lo = lower_bound(p, float(t))
-                hi = upper_bound(p, float(t))
+            a, b = p.t0 - 0.5, p.t0 - 2000.0
+            for t in [a + (b - a) * i / 59 for i in range(60)]:
+                lo = lower_bound(p, t)
+                hi = upper_bound(p, t)
                 assert lo <= hi + 2.0 * p.d0 + 1e-12
 
     def test_gaussian_ordering_with_infinite_upper(self):
@@ -439,9 +446,9 @@ class TestTabulatedProfiles:
         # Table sampled from delta(t) = 1/log(-t); log interpolation of a
         # slowly varying gap reproduces the closed-form bound to ~1e-3.
         exact = logrecip_profile(t0=-math.e, d0=1.0)
-        ts = -np.exp(np.linspace(1.0, 8.0, 400))
-        rows = [(float(t), 1.0 / math.log(-float(t))) for t in ts]
-        p = profile_from_table(rows, t0=float(max(ts)), d0=1.0)
+        ts = [-math.exp(1.0 + 7.0 * i / 399) for i in range(400)]
+        rows = [(t, 1.0 / math.log(-t)) for t in ts]
+        p = profile_from_table(rows, t0=max(ts), d0=1.0)
         t_query = -1000.0
         got = upper_bound(p, t_query)
         want = upper_bound(exact, math.exp(1.0) * -1.0) + (
@@ -454,41 +461,63 @@ class TestTabulatedProfiles:
     ORACLE_ROWS = [(-1e4, 1e-30), (-700.0, 3e-9), (-90.0, 2e-4), (-12.5, 0.05),
                    (-3.0, 0.4), (-2.0, 0.41), (-1.0, 1.0)]
 
+    ORACLE_TS = [t for t, _ in ORACLE_ROWS]
+    ORACLE_FP = [math.log(d) for _, d in ORACLE_ROWS]
+
+    @staticmethod
+    def _interp(t, ts, fp):
+        """Piecewise-linear interpolation of the nodes (ts, fp) at t in
+        [ts[0], ts[-1]], in the usual array-library form: the segment j with
+        ts[j] <= t < ts[j + 1] by binary search, a node's own value at a
+        node and at the right end, and else slope * (t - ts[j]) + fp[j] with
+        slope = (fp[j + 1] - fp[j]) / (ts[j + 1] - ts[j]), each operation
+        one rounded double."""
+        j = bisect.bisect_right(ts, t) - 1
+        if j == len(ts) - 1 or ts[j] == t:
+            return fp[j]
+        slope = (fp[j + 1] - fp[j]) / (ts[j + 1] - ts[j])
+        return slope * (t - ts[j]) + fp[j]
+
     def test_log_delta_matches_interp(self):
         p = profile_from_table(self.ORACLE_ROWS)
-        ts = np.array([t for t, _ in self.ORACLE_ROWS])
-        fp = np.array([math.log(d) for _, d in self.ORACLE_ROWS])
-        mids = 0.5 * (ts[1:] + ts[:-1])
-        thirds = ts[:-1] + (ts[1:] - ts[:-1]) / 3.0
-        for t in [*ts, *mids, *thirds, np.nextafter(ts[-1], -np.inf)]:
-            assert p.log_delta(float(t)) == float(np.interp(t, ts, fp)), t
+        ts, fp = self.ORACLE_TS, self.ORACLE_FP
+        mids = [0.5 * (b + a) for a, b in zip(ts, ts[1:])]
+        thirds = [a + (b - a) / 3.0 for a, b in zip(ts, ts[1:])]
+        # The exact interpolant of the float nodes, read at the float time:
+        # the package is within one ulp of the largest |log delta|.
+        ulp = math.ulp(max(abs(v) for v in fp))
+        for t in [*ts, *mids, *thirds, math.nextafter(ts[-1], -math.inf)]:
+            assert p.log_delta(t) == self._interp(t, ts, fp), t
+            j = min(bisect.bisect_right(ts, t) - 1, len(ts) - 2)
+            exact = Fraction(fp[j]) + (Fraction(fp[j + 1]) - Fraction(fp[j])) \
+                * (Fraction(t) - Fraction(ts[j])) / (Fraction(ts[j + 1]) - Fraction(ts[j]))
+            assert abs(Fraction(p.log_delta(t)) - exact) <= ulp, t
         # Both ends return their tabulated values exactly.
-        assert p.log_delta(float(ts[0])) == fp[0]
-        assert p.log_delta(float(ts[-1])) == fp[-1]
+        assert p.log_delta(ts[0]) == fp[0]
+        assert p.log_delta(ts[-1]) == fp[-1]
 
     def test_antiderivative_matches_searchsorted(self):
         p = profile_from_table(self.ORACLE_ROWS)
         anti = p.inv_delta_antiderivative
-        ts = np.array([t for t, _ in self.ORACLE_ROWS])
-        fp = np.array([math.log(d) for _, d in self.ORACLE_ROWS])
+        ts, fp = self.ORACLE_TS, self.ORACLE_FP
 
         def segment(i, s):
             # integral of exp(-L) over [ts[i], s], L linear between nodes.
             slope = (fp[i + 1] - fp[i]) / (ts[i + 1] - ts[i])
-            return (math.exp(-fp[i]) - math.exp(-np.interp(s, ts, fp))) / slope
+            return (math.exp(-fp[i]) - math.exp(-self._interp(s, ts, fp))) / slope
 
         def oracle(s):
-            i = min(int(np.searchsorted(ts, s, side="right")) - 1, len(ts) - 2)
+            i = min(bisect.bisect_right(ts, s) - 1, len(ts) - 2)
             return math.fsum([segment(j, ts[j + 1]) for j in range(i)] + [segment(i, s)])
 
-        mids = 0.5 * (ts[1:] + ts[:-1])
+        mids = [0.5 * (b + a) for a, b in zip(ts, ts[1:])]
         for s in [*ts, *mids]:
-            assert anti(float(s)) == pytest.approx(oracle(float(s)), rel=1e-13), s
-        assert anti(float(ts[0])) == 0.0
+            assert anti(s) == pytest.approx(oracle(s), rel=1e-13), s
+        assert anti(ts[0]) == 0.0
         with pytest.raises(DomainError):
-            anti(float(np.nextafter(ts[0], -np.inf)))
+            anti(math.nextafter(ts[0], -math.inf))
         with pytest.raises(DomainError):
-            anti(float(np.nextafter(ts[-1], np.inf)))
+            anti(math.nextafter(ts[-1], math.inf))
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "profile.txt"

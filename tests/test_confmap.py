@@ -6,7 +6,6 @@ import random
 from functools import partial
 
 import mpmath
-import numpy as np
 import pytest
 
 from oracles import (
@@ -71,7 +70,7 @@ def _strip_slit_chain() -> ConformalChain:
 
 
 def _rng():
-    return np.random.default_rng(414213562)
+    return random.Random(414213562)
 
 
 class TestSteps:

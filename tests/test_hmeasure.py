@@ -2,8 +2,8 @@
 
 import cmath
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,9 +55,9 @@ class TestArc:
         assert abs(comp.end - arc.start) < 1e-12
 
     def test_endpoints_are_stored_exactly(self):
-        rng = np.random.default_rng(RNG_SEED)
-        for alpha, beta in rng.uniform(-20.0, 20.0, (500, 2)):
-            arc = Arc(alpha, beta)
+        rng = random.Random(RNG_SEED)
+        for _ in range(500):
+            arc = Arc(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
             assert arc.start == cmath.exp(1j * arc.alpha)
             assert arc.end == cmath.exp(1j * arc.beta)
 
@@ -83,14 +83,20 @@ def _closure_harmonic_measure(z, arc):
     return ((phase_b - phase_a) % TWO_PI) / TWO_PI
 
 
+def _point(rng, scale):
+    """A point of the square scale * [-0.7, 0.7]^2, inside the disk."""
+    return complex(scale * rng.uniform(-0.7, 0.7), scale * rng.uniform(-0.7, 0.7))
+
+
 class TestHarmonicMeasure:
     def test_bitwise_equal_to_the_closure_form(self):
-        rng = np.random.default_rng(RNG_SEED)
-        arcs = [Arc(a, a + rng.uniform(1e-9, TWO_PI - 1e-9)) for a in rng.uniform(0.0, TWO_PI, 50)]
+        rng = random.Random(RNG_SEED)
+        starts = [rng.uniform(0.0, TWO_PI) for _ in range(50)]
+        arcs = [Arc(a, a + rng.uniform(1e-9, TWO_PI - 1e-9)) for a in starts]
         for arc in arcs:
-            radii = 1.0 - 10.0 ** rng.uniform(-15.0, 0.0, 100)
-            for z in radii * np.exp(1j * rng.uniform(-math.pi, math.pi, 100)):
-                z = complex(z)
+            for _ in range(100):
+                r = 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)
+                z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
                 assert repr(harmonic_measure(z, arc)) == repr(_closure_harmonic_measure(z, arc))
         # Points on the arc's endpoint rays, as the approach probe feeds it.
         arc = Arc(0.3, 1.9)
@@ -107,9 +113,9 @@ class TestHarmonicMeasure:
         assert harmonic_measure(0j, arc) == pytest.approx(0.5, abs=1e-15)
 
     def test_total_measure_is_one(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for _ in range(50):
-            z = complex(*(0.95 * rng.uniform(-0.7, 0.7, 2)))
+            z = _point(rng, 0.95)
             alpha = rng.uniform(0.0, TWO_PI)
             span = rng.uniform(0.05, TWO_PI - 0.05)
             arc = Arc(alpha, alpha + span)
@@ -130,13 +136,13 @@ class TestHarmonicMeasure:
 
     def test_moebius_invariance(self):
         # Harmonic measure is invariant under disk automorphisms.
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for _ in range(100):
-            z = complex(*(0.9 * rng.uniform(-0.7, 0.7, 2)))
+            z = _point(rng, 0.9)
             alpha = rng.uniform(0.0, TWO_PI)
             span = rng.uniform(0.1, TWO_PI - 0.1)
             arc = Arc(alpha, alpha + span)
-            c = complex(*(0.85 * rng.uniform(-0.7, 0.7, 2)))
+            c = _point(rng, 0.85)
             phi = rng.uniform(0.0, TWO_PI)
 
             def t(w):

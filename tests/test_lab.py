@@ -11,6 +11,7 @@ import pytest
 
 import petallab
 from petallab import verify
+from petallab.bounds import gaussian_profile, logrecip_profile
 from petallab.hypcore import DomainError
 from petallab.lab import _build_parser, main
 from petallab.models import by_name
@@ -356,24 +357,32 @@ class TestBoundsCommand:
         assert "FAIL bounds" in capsys.readouterr().out
 
     def test_ratio_where_t_squared_overflows(self, tmp_path, capsys):
+        # Two times: the decrease rule refuses a grid of one.
         code = main([
-            "bounds", "--profile", "logrecip", "--grid=-1e200",
+            "bounds", "--profile", "logrecip", "--grid=-1e100,-1e200",
             "--out", str(tmp_path),
         ])
         assert code == 0
-        assert capsys.readouterr().out.endswith("ratios 4.59517e-198\n")
+        # s log(-s) - s over t^2 at -1e100: 2.29259e-98.
+        assert capsys.readouterr().out.endswith("ratios 2.29259e-98, 4.59517e-198\n")
 
     @pytest.mark.parametrize("profile,grid", [("logrecip", "-1e307"),
                                               ("gaussian", "-1e160")])
     def test_infinite_bound_is_usage_error(self, tmp_path, capsys, profile, grid):
+        # A finite time first, so that the decrease rule has two times.
         code = main([
-            "bounds", "--profile", profile, f"--grid={grid}",
+            "bounds", "--profile", profile, f"--grid=-1e3,{grid}",
             "--out", str(tmp_path),
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bounds: profile '{profile}' has bound inf at t = ")
         assert not list(tmp_path.iterdir())
+
+    def test_bound_ratios_refuses_an_empty_grid(self):
+        for profile in (logrecip_profile(), gaussian_profile()):
+            with pytest.raises(DomainError, match="grid must not be empty"):
+                verify.bound_ratios(profile, [])
 
     def test_table_profile_from_file(self, tmp_path):
         table = tmp_path / "profile.txt"
@@ -427,6 +436,22 @@ class TestOutputRouting:
         assert code == 0
         assert (tmp_path / "flagged" / "speeds_strip-slit_p0.csv").exists()
         assert not (tmp_path / "enved").exists()
+
+    @pytest.mark.parametrize("route", ["out-names-a-file", "env-var-below-a-file"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, monkeypatch, capsys, route):
+        # Exit 1 is kept for a failed check; these escaped as tracebacks.
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        argv = ["bounds", "--profile", "gaussian", "--grid=-1e3"]
+        if route == "out-names-a-file":
+            argv += ["--out", str(blocker)]
+        else:
+            monkeypatch.setenv("PETALLAB_OUT", str(blocker / "sub"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {blocker}")
+        assert blocker.read_text() == ""
 
 
 class TestConfigFile:
@@ -558,8 +583,17 @@ class TestUsageErrors:
         (["speeds", "--model", "strip-slit", "--grid=,"], None,
          "--grid must list at least one time"),
         (["bounds"], None, "--profile is required (logrecip, gaussian, or a file path)"),
+        # One ratio cannot show a decrease, and a grid out of order would
+        # read the ratios backwards.
+        (["bounds", "--profile", "logrecip", "--grid=-1e3"], None,
+         "ratios strictly decreasing needs at least two grid times"),
+        (["bounds", "--profile", "logrecip", "--grid=-1e4,-1e3"], None,
+         "grid must be strictly decreasing"),
+        (["bounds", "--profile", "gaussian", "--grid=-1e3,-1e3"], None,
+         "grid must be strictly decreasing"),
     ], ids=["config-line-without-equals", "config-seed-not-int", "empty-grid",
-            "bounds-without-profile"])
+            "bounds-without-profile", "bounds-one-time-under-the-decrease-rule",
+            "bounds-grid-increasing", "bounds-grid-repeated"])
     def test_refused_input(self, tmp_path, capsys, argv, config, message):
         path = tmp_path / "exp.cfg"
         if config is not None:

@@ -2,8 +2,8 @@
 
 import cmath
 import math
+import random
 
-import numpy as np
 import pytest
 
 from oracles import omega_of_disk, reference_generator
@@ -68,7 +68,7 @@ class TestFlow:
         assert omega_of_disk(m3, 0.5 + 0j) == pytest.approx(8.0, rel=1e-12)
 
     def test_semigroup_law_in_disk_transport(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 5, rng):
                 for s, t in [(0.5, 1.25), (-1.5, 2.0), (-2.0, -1.0)]:
@@ -100,7 +100,7 @@ class TestFlow:
         assert m3.flow_omega(0j, 4.0) == 0j
 
     def test_coordinate_consistency(self):
-        rng = np.random.default_rng(RNG_SEED + 1)
+        rng = random.Random(RNG_SEED + 1)
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 5, rng):
                 for t in (-6.0, -1.0, 0.0, 2.5):
@@ -158,7 +158,7 @@ class TestFlow:
         assert flow(m3, 1.0 + 0j, -1401.0).disk_z is None
 
     def test_koenigs_equation_after_transport(self):
-        rng = np.random.default_rng(RNG_SEED + 2)
+        rng = random.Random(RNG_SEED + 2)
         m1, m2, m3 = catalog()
         for model in (m1, m2):
             for w in sample_petal_omega(model, model.petals[0], 5, rng):
@@ -177,7 +177,7 @@ class TestFlow:
 class TestGenerator:
     def test_koebe_closed_form(self):
         m3 = by_name("koebe-elliptic")
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for _ in range(100):
             r = math.sqrt(rng.uniform(0.0, 0.9))
             z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
@@ -220,7 +220,7 @@ class TestRepellingDiagnostics:
     def test_all_three_criteria(self, name, label):
         model = by_name(name)
         petal = model.petal(label)
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         samples = sample_petal_omega(model, petal, 300, rng)
         report = repelling_diagnostics(model, petal, samples)
         assert report.min_julia_residual >= -1e-9
@@ -229,7 +229,7 @@ class TestRepellingDiagnostics:
 
     def test_generic_disk_samples_also_pass(self):
         # The two inequalities hold on the whole disk, not only on petals.
-        rng = np.random.default_rng(RNG_SEED + 3)
+        rng = random.Random(RNG_SEED + 3)
         for name, label in [("strip-slit", "upper"), ("koebe-elliptic", "main")]:
             model = by_name(name)
             samples = []
@@ -310,7 +310,7 @@ class TestRepellingDiagnostics:
         # shared step returns during the sample loop.
         model = by_name(name)
         petal = model.petal(label)
-        ws = sample_petal_omega(model, petal, 1000, np.random.default_rng(RNG_SEED + 5))
+        ws = sample_petal_omega(model, petal, 1000, random.Random(RNG_SEED + 5))
         seen = []
         real = semigroup._generator_from_chart
 
@@ -340,7 +340,7 @@ class TestRepellingDiagnostics:
             pairs[1] = (pairs[1][0], complex(math.nan, 0.0))
             return pairs
         monkeypatch.setattr(ConformalChain, "eval_and_derivative_all", planted)
-        ws = sample_petal_omega(model, petal, 10, np.random.default_rng(RNG_SEED))
+        ws = sample_petal_omega(model, petal, 10, random.Random(RNG_SEED))
         with pytest.raises(MapDomainError, match="generator left float range"):
             repelling_diagnostics(model, petal, ws)
 

@@ -2,10 +2,11 @@
 
 import cmath
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from oracles import (
@@ -128,7 +129,7 @@ class TestPythagorasSandwich:
                 assert s.v >= s.v_o + s.v_T - HALF_LOG2 - 1e-9
 
     def test_on_random_bases(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 5, rng):
                 series = speed_series(model, petal, w, dyadic_grid(0, 12))
@@ -154,16 +155,16 @@ class TestCrossValidation:
         q0 = model.uhp_orbit(base, 0.0).value()
         eta = geodesic_through(CanonicalDomain.UPPER_HALF_PLANE, q0,
                                boundary_of(petal.sigma_canonical))
-        for t in np.linspace(-tmax, -0.5, 9):
-            s = speed_sample(model, petal, base, float(t))
-            qt = model.uhp_orbit(base, float(t)).value()
+        for t in [-tmax + (tmax - 0.5) * i / 8 for i in range(9)]:
+            s = speed_sample(model, petal, base, t)
+            qt = model.uhp_orbit(base, t).value()
             foot, v_tan_raw = project_to_geodesic(qt, eta)
             assert s.v == pytest.approx(uhp_distance(q0, qt), abs=1e-9)
             assert s.v_T == pytest.approx(v_tan_raw, abs=1e-9)
             assert s.v_o == pytest.approx(uhp_distance(q0, foot), abs=1e-9)
 
     def test_against_geodesic_projection_random_bases(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for model, petal in _model_petals():
             for w in sample_petal_omega(model, petal, 4, rng):
                 q0 = model.uhp_orbit(w, 0.0).value()
@@ -245,7 +246,7 @@ class TestFramedAngle:
     N(q) in the half-plane."""
 
     def test_two_foot_angle_stays_on_the_branch(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         times = [0.0, -1.0, -(2.0 ** 16), -(2.0 ** 60), -1e100, -1e300]
         flips = []
         for model, petal in _model_petals():
@@ -277,7 +278,7 @@ class TestOneRead:
 
     @pytest.mark.parametrize("t", [-1.0, -(2.0 ** 30), -1e300])
     def test_sample_is_the_series_sample(self, t):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         for model, petal in _model_petals():
             for w in [petal.base_default, *sample_petal_omega(model, petal, 3, rng)]:
                 one = self._read(speed_sample, model, petal, w, t)
@@ -489,7 +490,7 @@ class TestAgainstMpmathWalk:
 
 class TestBasePointIndependence:
     def test_speed_differences_bounded_by_petal_distance(self):
-        rng = np.random.default_rng(RNG_SEED)
+        rng = random.Random(RNG_SEED)
         grid = dyadic_grid(0, 10)
         for model, petal in _model_petals():
             pts = sample_petal_omega(model, petal, 12, rng)
@@ -524,7 +525,7 @@ class TestForwardSpeed:
         ts = [2.0 ** k for k in range(4, 15)]
         vs = [forward_speed(m1, 1 + 0.3j, t) for t in ts]
         tail = len(ts) // 2
-        slope = np.polyfit(ts[tail:], vs[tail:], 1)[0]
+        slope = _exact_fit(ts[tail:], vs[tail:])[0]
         assert slope == pytest.approx(0.5, rel=0.1)
 
     def test_parabolic_rate_vanishes(self):
@@ -650,17 +651,21 @@ class TestSlopeEstimate:
             slope_estimate(series, "linear_in_log", "v")
 
 
-def _polyfit_oracle(xs, ys):
-    """Slope of ``np.polyfit(xs, ys, 1)`` and the r^2 of that line."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
-    if ss_tot == 0.0:
-        return float(slope), 1.0 if ss_res == 0.0 else 0.0
-    return float(slope), 1.0 - ss_res / ss_tot
+def _exact_fit(xs, ys):
+    """The least-squares line through the float points (xs, ys), formed in
+    exact rational arithmetic: its slope, its intercept and its r^2, each
+    rounded once to a float.  A flat series, whose every residual is 0,
+    has r^2 = 1."""
+    x = [Fraction(v) for v in xs]
+    y = [Fraction(v) for v in ys]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+             / sum((a - x_mean) ** 2 for a in x))
+    intercept = y_mean - slope * x_mean
+    ss_res = sum((b - slope * a - intercept) ** 2 for a, b in zip(x, y))
+    ss_tot = sum((b - y_mean) ** 2 for b in y)
+    r2 = 1 - ss_res / ss_tot if ss_tot else 1
+    return float(slope), float(intercept), float(r2)
 
 
 def _slope_tol(xs, ys):
@@ -673,8 +678,8 @@ _PETAL_IDS = [(m.name, p.label) for m in catalog() for p in m.petals]
 
 
 class TestFitAgainstPolyfit:
-    """linear_fit and slope_estimate agree with numpy's least squares on
-    the grids the CLI and verify fit: asymptote and forward."""
+    """linear_fit and slope_estimate agree with the exact least-squares line
+    on the grids the CLI and verify fit: asymptote and forward."""
 
     @pytest.mark.parametrize("name,label", _PETAL_IDS)
     def test_asymptote_grid(self, name, label):
@@ -687,7 +692,7 @@ class TestFitAgainstPolyfit:
             ys = [getattr(s, component) for s in tail]
             for mode, xs in (("linear_in_t", ts),
                              ("linear_in_log", [math.log(-t) for t in ts])):
-                want_slope, want_r2 = _polyfit_oracle(xs, ys)
+                want_slope, _, want_r2 = _exact_fit(xs, ys)
                 slope, r2 = slope_estimate(series, mode, component)
                 assert slope == pytest.approx(
                     want_slope, rel=1e-12, abs=_slope_tol(xs, ys)
@@ -701,10 +706,9 @@ class TestFitAgainstPolyfit:
         ts = [2.0 ** k for k in range(4, 17)]
         vs = [forward_speed(model, base, t) for t in ts]
         xs, ys = ts[len(ts) // 2:], vs[len(vs) // 2:]
-        want_slope, _ = _polyfit_oracle(xs, ys)
+        want_slope, want_intercept, _ = _exact_fit(xs, ys)
         slope, intercept = linear_fit(xs, ys)
         assert slope == pytest.approx(want_slope, rel=1e-12, abs=_slope_tol(xs, ys))
-        want_intercept = float(np.polyfit(xs, ys, 1)[1])
         assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=1e-12 * max(ys))
 
     def test_exact_line_is_exact(self):
