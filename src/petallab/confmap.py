@@ -3,26 +3,34 @@
 A chain carries an ordered list of elementary steps from a model domain
 onto the upper half-plane, together with analytic derivatives.
 Branch-carrying steps (Log, Power, the slit closure pair) store the
-half-line or segment their cut occupies and measure a point's distance to
-it, ``cut_distance``; a cut-free step has ``cut_distance = None``.  Chains
-are built so cuts stay outside the source region, and evaluation refuses
-points within ``EPS_CUT`` of a cut instead of guessing a branch.
+half-line or segment their cut occupies and measure points' distances to
+it, ``cut_distances``; a cut-free step has ``cut_distances = None``.
+Chains are built so cuts stay outside the source region, and evaluation
+refuses points within ``EPS_CUT`` of a cut instead of guessing a branch.
 
-Each step has one derivative, ``value_and_derivative``, which evaluates
-what its image and derivative share once.  A chain walks its steps
-directly: forward in order, and inverse through the steps' inverses in
-reverse order, each inverse step paired with the step it inverts.  There
-is one value walk, ``_walk_all`` with each step's ``apply``, and one
-derivative walk, ``_walk_all_with_derivative`` with ``value_and_derivative``;
-each runs one step over a whole list of points before the next.
+Each step states its map once, as list kernels that make no call per
+point into another step method: ``apply_all``, ``value_and_derivative_all``,
+which evaluates what each image and derivative share once, and
+``cut_distances``.  A kernel maps each point on its own, in list order,
+so it raises the error that its first failing point raises alone.  The
+one-point ``apply``, ``value_and_derivative`` and ``cut_distance`` run the
+kernel on a list of one.
+
+A chain walks its steps directly: forward in order, and inverse through
+the steps' inverses in reverse order, each inverse step paired with the
+step it inverts.  There is one value walk, ``_walk_all`` with each step's
+``apply_all``, and one derivative walk, ``_walk_all_with_derivative`` with
+``value_and_derivative_all``; each runs one step over a whole list of
+points before the next.
 
 Both walks follow one failure rule: they raise ``MapDomainError`` at the
 first check that fails, in walk order.  Per step these are its cut check,
 its evaluation ("evaluation failed: <exc>"), the finiteness of its images
 and, on an inverse walk, the forward step's cut check of them.  The
 derivative walk then checks the products once: one that vanished or left
-float range raises.  The source or target region is checked before the
-walk that starts there and after the walk that ends there.
+float range raises.  The source or target region, which holds finite
+points only, is checked before the walk that starts there and after the
+walk that ends there.
 
 ``eval``, ``eval_inverse``, ``derivative`` and ``inverse_and_derivative``
 walk a list of one point.  The list forms ``eval_all``, ``eval_inverse_all``
@@ -52,6 +60,8 @@ _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 # Quarter turns of the multipliers 1, i, -1, -i.
 _QUARTERS = {1: 0, 1j: 1, -1: 2, -1j: 3}
+# A list kernel's images and derivatives, one of each per point.
+_Derived = tuple[list[complex], list[complex]]
 
 
 class MapDomainError(DomainError):
@@ -96,21 +106,37 @@ def _log_anchored(c: complex, L: complex) -> complex:
 
 
 class MapStep:
-    """Base class for elementary invertible conformal map steps."""
+    """Base class for elementary invertible conformal map steps.
+
+    A step states its map once, as list kernels: ``apply_all``,
+    ``value_and_derivative_all`` and, on a step with a branch cut,
+    ``cut_distances``.  The one-point methods run them on a list of one."""
 
     __slots__ = ()
 
-    # The distance from a point to the step's branch cut, a method of each
+    # The distances from points to the step's branch cut, a method of each
     # step that carries one; None for a cut-free step.
-    cut_distance: Optional[Callable[[complex], float]] = None
+    cut_distances: Optional[Callable[[Sequence[complex]], list[float]]] = None
+
+    def apply_all(self, zs: Sequence[complex]) -> list[complex]:
+        """The images of the points zs."""
+        raise NotImplementedError
+
+    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+        """``apply_all(zs)`` and the step's derivatives at zs, from one
+        evaluation of what each image and derivative share."""
+        raise NotImplementedError
 
     def apply(self, z: complex) -> complex:
-        raise NotImplementedError
+        return self.apply_all((z,))[0]
 
     def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        """``apply(z)`` and the step's derivative at z, from one evaluation
-        of what the two share."""
-        raise NotImplementedError
+        values, derivatives = self.value_and_derivative_all((z,))
+        return values[0], derivatives[0]
+
+    def cut_distance(self, z: complex) -> float:
+        """The distance from z to the branch cut of a step that has one."""
+        return self.cut_distances((z,))[0]
 
     def inverted(self) -> "MapStep":
         raise NotImplementedError
@@ -136,11 +162,12 @@ class Affine(MapStep):
         # j with a = i^j, None for any other multiplier.
         self._quarter = _QUARTERS.get(a)
 
-    def apply(self, z: complex) -> complex:
-        return self.a * z + self.b
+    def apply_all(self, zs: Sequence[complex]) -> list[complex]:
+        a, b = self.a, self.b
+        return [a * z + b for z in zs]
 
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        return self.a * z + self.b, self.a
+    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+        return self.apply_all(zs), [self.a] * len(zs)
 
     def apply_log(self, anchor, L, turns):
         if L is None:
@@ -161,12 +188,12 @@ class ExpStep(MapStep):
 
     __slots__ = ()
 
-    def apply(self, z: complex) -> complex:
-        return cmath.exp(z)
+    def apply_all(self, zs: Sequence[complex]) -> list[complex]:
+        return list(map(cmath.exp, zs))
 
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        w = cmath.exp(z)
-        return w, w
+    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+        ws = list(map(cmath.exp, zs))
+        return ws, list(ws)
 
     def apply_log(self, anchor, L, turns):
         # e^q is held by its log, q itself.
@@ -186,9 +213,9 @@ class _RayCutStep(MapStep):
         # e^{-i cut}, which turns the cut onto the positive real axis.
         self._rot = cmath.exp(-1j * cut)
 
-    def cut_distance(self, z: complex) -> float:
-        v = z * self._rot
-        return abs(v) if v.real <= 0.0 else abs(v.imag)
+    def cut_distances(self, zs: Sequence[complex]) -> list[float]:
+        rot = self._rot
+        return [abs(v) if v.real <= 0.0 else abs(v.imag) for v in map(rot.__mul__, zs)]
 
 
 class LogStep(_RayCutStep):
@@ -199,11 +226,13 @@ class LogStep(_RayCutStep):
 
     __slots__ = ()
 
-    def apply(self, z: complex) -> complex:
-        return _branch_log(z, self.cut)
+    def apply_all(self, zs: Sequence[complex]) -> list[complex]:
+        cut = self.cut
+        return [_branch_log(z, cut) for z in zs]
 
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        return _branch_log(z, self.cut), 1.0 / z
+    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+        # 1/z fails only at z = 0, where the log has failed first.
+        return self.apply_all(zs), [1.0 / z for z in zs]
 
     def inverted(self) -> ExpStep:
         return ExpStep()
@@ -228,13 +257,19 @@ class PowerStep(_RayCutStep):
         self.q = q
         self.alpha = p / q
 
-    def apply(self, z: complex) -> complex:
-        return cmath.exp(self.alpha * _branch_log(z, self.cut))
+    def apply_all(self, zs: Sequence[complex]) -> list[complex]:
+        alpha, cut = self.alpha, self.cut
+        return [cmath.exp(alpha * _branch_log(z, cut)) for z in zs]
 
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        log_z = _branch_log(z, self.cut)
-        d = self.alpha * cmath.exp((self.alpha - 1.0) * log_z)
-        return cmath.exp(self.alpha * log_z), d
+    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+        alpha, cut = self.alpha, self.cut
+        beta = alpha - 1.0
+        values, derivatives = [], []
+        for z in zs:
+            log_z = _branch_log(z, cut)
+            derivatives.append(alpha * cmath.exp(beta * log_z))
+            values.append(cmath.exp(alpha * log_z))
+        return values, derivatives
 
     def apply_log(self, anchor, L, turns):
         if L is None:
@@ -251,10 +286,10 @@ class PowerStep(_RayCutStep):
         return PowerStep(self.q, self.p, self.cut)
 
 
-def _uhp_sqrt(v: complex) -> complex:
-    """The square root branch with values in the closed upper half-plane."""
-    s = cmath.sqrt(v)
-    return -s if s.imag < 0.0 else s
+def _uhp_sqrts(vs: Sequence[complex]) -> list[complex]:
+    """The square roots of vs on the branch with values in the closed upper
+    half-plane."""
+    return [-s if s.imag < 0.0 else s for s in map(cmath.sqrt, vs)]
 
 
 class SlitCloseStep(MapStep):
@@ -264,12 +299,13 @@ class SlitCloseStep(MapStep):
 
     __slots__ = ()
 
-    def apply(self, z: complex) -> complex:
-        return _uhp_sqrt(z * z + 1.0)
+    def apply_all(self, zs: Sequence[complex]) -> list[complex]:
+        return _uhp_sqrts([z * z + 1.0 for z in zs])
 
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        w = _uhp_sqrt(z * z + 1.0)
-        return w, z / w
+    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+        # Only z / w can fail, so the images come first.
+        ws = self.apply_all(zs)
+        return ws, [z / w for z, w in zip(zs, ws)]
 
     def apply_log(self, anchor, L, turns):
         if anchor is not None or L is None or turns % 2 == 0 or abs(L.imag) >= _HALF_PI:
@@ -289,15 +325,11 @@ class SlitCloseStep(MapStep):
     def inverted(self) -> "SlitOpenStep":
         return SlitOpenStep()
 
-    def cut_distance(self, z: complex) -> float:
-        # Distance to the segment [0, i]: clamp Im z onto [0, 1].  A NaN
+    def cut_distances(self, zs: Sequence[complex]) -> list[float]:
+        # Distances to the segment [0, i]: Im z clamped onto [0, 1].  A NaN
         # passes through, and abs raises OverflowError past float range.
-        y = z.imag
-        if y > 1.0:
-            y -= 1.0
-        elif y > 0.0:
-            y = 0.0
-        return abs(complex(z.real, y))
+        return [abs(z - 1j) if z.imag > 1.0 else abs(z.real) if z.imag > 0.0 else abs(z)
+                for z in zs]
 
 
 class SlitOpenStep(MapStep):
@@ -305,27 +337,22 @@ class SlitOpenStep(MapStep):
 
     __slots__ = ()
 
-    def apply(self, z: complex) -> complex:
-        return _uhp_sqrt(z * z - 1.0)
+    def apply_all(self, zs: Sequence[complex]) -> list[complex]:
+        return _uhp_sqrts([z * z - 1.0 for z in zs])
 
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        w = _uhp_sqrt(z * z - 1.0)
-        return w, z / w
+    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+        # Only z / w can fail, so the images come first.
+        ws = self.apply_all(zs)
+        return ws, [z / w for z, w in zip(zs, ws)]
 
     def inverted(self) -> SlitCloseStep:
         return SlitCloseStep()
 
-    def cut_distance(self, z: complex) -> float:
-        # Distance to the segment [-1, 1]: clamp Re z onto [-1, 1].  A NaN
+    def cut_distances(self, zs: Sequence[complex]) -> list[float]:
+        # Distances to the segment [-1, 1]: Re z clamped onto [-1, 1].  A NaN
         # passes through, and abs raises OverflowError past float range.
-        x = z.real
-        if x > 1.0:
-            x -= 1.0
-        elif x >= -1.0:
-            x = 0.0
-        else:
-            x += 1.0
-        return abs(complex(x, z.imag))
+        return [abs(z - 1.0) if z.real > 1.0 else abs(z.imag) if z.real >= -1.0 else abs(z + 1.0)
+                for z in zs]
 
 
 # A chain's walk: (step index, step walked, forward step or None) triples;
@@ -335,13 +362,20 @@ _Walk = tuple[tuple[int, MapStep, Optional[MapStep]], ...]
 
 def _check_cuts(step: MapStep, zs: Sequence[complex], i: int) -> None:
     """Refuse the first point of zs within EPS_CUT of the cut of step (index
-    i), or past float range; a cut-free step refuses none."""
-    cut_distance = step.cut_distance
-    if cut_distance is None:
+    i), or past float range; a cut-free step refuses none.  One pass over
+    the whole list finds whether any point fails, and only then a scan
+    point by point finds the first."""
+    cut_distances = step.cut_distances
+    if cut_distances is None:
         return
+    try:
+        if not any(map(EPS_CUT.__ge__, cut_distances(zs))):
+            return
+    except OverflowError:
+        pass
     for z in zs:
         try:
-            near = cut_distance(z) <= EPS_CUT
+            near = step.cut_distance(z) <= EPS_CUT
         except OverflowError as exc:
             raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
         if near:
@@ -349,10 +383,12 @@ def _check_cuts(step: MapStep, zs: Sequence[complex], i: int) -> None:
 
 
 def _targets(qs: Sequence[complex]) -> list[complex]:
-    """qs as complex numbers, the first outside the upper half-plane refused."""
+    """qs as complex numbers, the first outside the upper half-plane (or
+    not finite) refused."""
     zs = list(map(complex, qs))
+    isfinite = cmath.isfinite
     for z in zs:
-        if not z.imag > 0.0:
+        if not (z.imag > 0.0 and isfinite(z)):
             raise MapDomainError(f"{z!r} is outside the upper half-plane")
     return zs
 
@@ -378,18 +414,21 @@ class ConformalChain:
         self._log_plan = tuple((i, step.apply_log) for i, step in enumerate(steps))
 
     def _sources(self, ws: Sequence[complex]) -> list[complex]:
-        """ws as complex numbers, the first outside the source region refused."""
+        """ws as complex numbers, the first outside the source region (or not
+        finite) refused."""
         zs = list(map(complex, ws))
+        isfinite, source_contains = cmath.isfinite, self.source_contains
         for z in zs:
-            if not self.source_contains(z):
+            if not (isfinite(z) and source_contains(z)):
                 raise MapDomainError(f"{z!r} is outside the source region of {self.name or 'chain'}")
         return zs
 
     def _preimages(self, qs: Sequence[complex], ws: Sequence[complex]) -> Sequence[complex]:
         """The preimages ws of the targets qs, the first outside the source
         region refused."""
+        source_contains = self.source_contains
         for q, w in zip(qs, ws):
-            if not self.source_contains(w):
+            if not source_contains(w):
                 raise MapDomainError(f"{q!r} has no preimage in the source region")
         return ws
 
@@ -444,13 +483,13 @@ class ConformalChain:
 
 def _walk_all(walk: _Walk, zs: list[complex]) -> list[complex]:
     """Images of the points zs under the steps of a walk, one step over the
-    whole list at a time: its cut check, its evaluation, the finiteness of
+    whole list at a time: its cut check, its ``apply_all``, the finiteness of
     its images and, on an inverse walk, the forward step's cut check of
     them, each over every point before the next."""
     for i, step, forward in walk:
         _check_cuts(step, zs, i)
         try:
-            zs = list(map(step.apply, zs))
+            zs = step.apply_all(zs)
         except (OverflowError, ZeroDivisionError) as exc:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
         if not all(map(cmath.isfinite, zs)):
@@ -463,7 +502,7 @@ def _walk_all(walk: _Walk, zs: list[complex]) -> list[complex]:
 def _walk_all_with_derivative(
     walk: _Walk, zs: list[complex]
 ) -> tuple[Sequence[complex], list[complex]]:
-    """``_walk_all`` with each step's ``value_and_derivative``: the images
+    """``_walk_all`` with each step's ``value_and_derivative_all``: the images
     of zs and their chain rule products, each of which must be nonzero and
     finite."""
     if not zs:
@@ -472,7 +511,7 @@ def _walk_all_with_derivative(
     for i, step, forward in walk:
         _check_cuts(step, zs, i)
         try:
-            zs, ds = zip(*map(step.value_and_derivative, zs))
+            zs, ds = step.value_and_derivative_all(zs)
         except (OverflowError, ZeroDivisionError) as exc:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
         if not all(map(cmath.isfinite, zs)):

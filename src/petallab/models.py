@@ -30,7 +30,8 @@ HALF_PI = math.pi / 2.0
 # ---------------------------------------------------------------------------
 # Petal image shapes: each is its membership test, the log of its chart onto
 # the upper half-plane (``uhp_log``, whose Im lies in (0, pi) inside), and
-# its sampler (``sample``, which draws n points from ``rng.uniform``).
+# its sampler (``sample``, which draws n points from ``rng.random``, each
+# coordinate as ``random.Random.uniform(lo, hi)`` would: lo + (hi - lo) r).
 
 
 class StripImage(NamedTuple):
@@ -51,10 +52,11 @@ class StripImage(NamedTuple):
         return math.pi / self.width * (w - 1j * self.lo)
 
     def sample(self, n: int, rng) -> list[complex]:
+        random = rng.random
         margin = 0.05 * self.width
-        return [complex(rng.uniform(-1.0, 3.0),
-                        rng.uniform(self.lo + margin, self.hi - margin))
-                for _ in range(n)]
+        lo, hi = self.lo + margin, self.hi - margin
+        span = hi - lo
+        return [complex(-1.0 + 4.0 * random(), lo + span * random()) for _ in range(n)]
 
 
 class HalfPlaneImage:
@@ -67,9 +69,10 @@ class HalfPlaneImage:
         return cmath.log(w)
 
     def sample(self, n: int, rng) -> list[complex]:
-        return [complex(rng.uniform(-3.0, 3.0),
-                        math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
-                for _ in range(n)]
+        random = rng.random
+        lo = math.log(0.1)
+        span = math.log(5.0) - lo
+        return [complex(-3.0 + 6.0 * random(), math.exp(lo + span * random())) for _ in range(n)]
 
 
 class SlitPlaneImage:
@@ -85,8 +88,10 @@ class SlitPlaneImage:
         return 0.5 * cmath.log(w) + 1j * HALF_PI
 
     def sample(self, n: int, rng) -> list[complex]:
-        return [math.exp(rng.uniform(-2.0, 2.0))
-                * cmath.exp(1j * rng.uniform(-0.9 * math.pi, 0.9 * math.pi))
+        random = rng.random
+        lo = -0.9 * math.pi
+        span = 0.9 * math.pi - lo
+        return [math.exp(-2.0 + 4.0 * random()) * cmath.exp(1j * (lo + span * random()))
                 for _ in range(n)]
 
 
@@ -373,13 +378,17 @@ def sample_petal_omega(model: KoenigsModel, petal: Petal, n: int, rng) -> list[c
 
     The petal's image draws them, a safe margin away from its edges so that
     chain evaluations and backward flows remain well conditioned.  ``rng``
-    needs only ``uniform(a, b)``, as ``random.Random`` has.
+    needs only ``random()``, as ``random.Random`` has.  A negative n raises
+    ``DomainError``.
     """
+    if n < 0:
+        raise DomainError(f"models.sample_petal_omega: cannot draw {n!r} points")
     image = petal.image
     points = image.sample(n, rng)
     # model.contains(w) and petal.contains(w), for points already complex.
-    source_contains = model.chain.source_contains
+    isfinite, source_contains, image_contains = (
+        cmath.isfinite, model.chain.source_contains, image.contains)
     for w in points:
-        if not (cmath.isfinite(w) and source_contains(w) and image.contains(w)):
+        if not (isfinite(w) and source_contains(w) and image_contains(w)):
             raise DomainError(f"sampled point {w} escaped the petal")
     return points

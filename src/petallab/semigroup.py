@@ -84,18 +84,24 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     return OrbitPoint(t, disk_z)
 
 
-def _generator_from_chart(model: KoenigsModel, w: complex, dh: complex) -> complex:
-    """The generator at a disk point z from the Omega chart h of the disk,
-    given w = h(z) and dh = h'(z): G = 1/h' for translation models and
-    G = -mu h / h' for the scaling model.  A division by zero or a
-    non-finite G raises ``MapDomainError``."""
+def _generator_from_chart(model: KoenigsModel, ws: Sequence[complex],
+                          dhs: Sequence[complex]) -> list[complex]:
+    """The generator at disk points z from the Omega chart h of the disk,
+    given each w = h(z) and dh = h'(z): G = 1/h' for translation models and
+    G = -mu h / h' for the scaling model.  A division by zero raises
+    ``MapDomainError`` at the first point it fails, and otherwise the first
+    non-finite G does."""
     try:
-        g = (-model.mu * w if model.kind == "elliptic" else 1.0) / dh
+        if model.kind == "elliptic":
+            neg_mu = -model.mu
+            gs = [neg_mu * w / dh for w, dh in zip(ws, dhs)]
+        else:
+            gs = [1.0 / dh for dh in dhs]
     except ZeroDivisionError as exc:
         raise MapDomainError(f"generator failed: {exc}") from exc
-    if not cmath.isfinite(g):
+    if not all(map(cmath.isfinite, gs)):
         raise MapDomainError("generator left float range")
-    return g
+    return gs
 
 
 def generator(model: KoenigsModel, z: complex) -> complex:
@@ -106,15 +112,18 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     with h the Omega-coordinate chart of the disk.  Here h = F^-1 o C,
     with C the Cayley map onto the upper half-plane and F the model's
     chain, so h' = (F^-1)'(q) C'(z) at q = C(z); one inverse walk of the
-    chain gives both h(z) and (F^-1)'(q).
+    chain gives both h(z) and (F^-1)'(q).  A point that is not finite
+    raises ``MapDomainError``.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise MapDomainError(f"{z!r} is outside the unit disk")
     a, b, c, d, det = CAYLEY
     den = c * z + d
     if den == 0:
         raise DomainError("point maps to the Cayley pole")
     w, dw = model.chain.inverse_and_derivative((a * z + b) / den)
-    return _generator_from_chart(model, w, dw * (det / den**2))
+    return _generator_from_chart(model, (w,), (dw * (det / den**2),))[0]
 
 
 class RepellingReport(NamedTuple):
@@ -145,6 +154,12 @@ class RepellingReport(NamedTuple):
     plateau: int
 
 
+def _least(values: Sequence[float]) -> float:
+    """The least of values, or NaN where one is NaN: min would skip it, and
+    a NaN anywhere must fail the criteria."""
+    return math.nan if any(map(math.isnan, values)) else min(values)
+
+
 def repelling_diagnostics(
     model: KoenigsModel, petal: Petal, samples: Sequence[complex]
 ) -> RepellingReport:
@@ -155,7 +170,9 @@ def repelling_diagnostics(
     (``ConformalChain.eval_and_derivative_all``) gives each sample's
     canonical image q = F(w) and F'(w); the disk point is z = C^-1(q) and
     the generator is read from h = F^-1 o C at z, whose derivative is
-    C'(z)/F'(w).  The radial approach takes ``generator`` point by point.
+    C'(z)/F'(w).  The disk points, their generators and both inequalities'
+    terms are read over the whole list of samples.  The radial approach
+    takes ``generator`` point by point.
     """
     if petal.lam is None:
         raise DiagnosticError("diagnostics need a hyperbolic petal")
@@ -167,23 +184,16 @@ def repelling_diagnostics(
     half_lam = 0.5 * petal.lam
     # z = C^-1(q) = (a q + b)/(c q + d), and C'(z) = (c q + d)^2/det.
     a, b, c, d, det = CAYLEY_INVERSE
-    # Running minima kept by comparison; a NaN sample sticks, since no value
-    # compares below it, so a NaN anywhere fails the criteria.
-    min_julia = math.inf
-    min_herglotz = math.inf
-    for w, (q, dq) in zip(ws, model.chain.eval_and_derivative_all(ws)):
-        # c q + d = q + i, which no point of the upper half-plane zeroes.
-        den = c * q + d
-        z = (a * q + b) / den
-        g = _generator_from_chart(model, w, den * den / det / dq)
-        julia = (sigma * g / (sigma - z) ** 2).real
-        julia -= half_lam * (1.0 - abs(z) ** 2) / abs(sigma - z) ** 2
-        herglotz = g / ((sigma_bar * z - 1.0) * (z - sigma))
-        herglotz = (herglotz - half_lam * (sigma + z) / (sigma - z)).real
-        if julia < min_julia or julia != julia:
-            min_julia = julia
-        if herglotz < min_herglotz or herglotz != herglotz:
-            min_herglotz = herglotz
+    qs, dqs = zip(*model.chain.eval_and_derivative_all(ws))
+    # c q + d = q + i, which no point of the upper half-plane zeroes.
+    dens = [c * q + d for q in qs]
+    zs = [(a * q + b) / den for q, den in zip(qs, dens)]
+    gs = _generator_from_chart(model, ws, [den * den / det / dq for den, dq in zip(dens, dqs)])
+    gaps = [sigma - z for z in zs]
+    julias = [(sigma * g / gap ** 2).real - half_lam * (1.0 - abs(z) ** 2) / abs(gap) ** 2
+              for z, g, gap in zip(zs, gs, gaps)]
+    herglotzes = [(g / ((sigma_bar * z - 1.0) * (z - sigma)) - half_lam * (sigma + z) / gap).real
+                  for z, g, gap in zip(zs, gs, gaps)]
     radial = []
     ratios = []
     radial_stop = None
@@ -210,11 +220,11 @@ def repelling_diagnostics(
         estimate = complex(math.nan, math.nan)
     return RepellingReport(
         sigma_disk=sigma,
-        min_julia_residual=min_julia,
+        min_julia_residual=_least(julias),
         radial_points=tuple(radial),
         ratios=tuple(ratios),
         ratio_estimate=estimate,
-        min_herglotz_real=min_herglotz,
+        min_herglotz_real=_least(herglotzes),
         radial_stop=radial_stop,
         plateau=best + 1,
     )

@@ -21,8 +21,11 @@ Only the tests use these, so they live here rather than in the package:
   value has rounded onto the unit circle;
 - the cut distance kernels in their ``min``/``max`` form
   (``slit_close_cut_distance``, ``slit_open_cut_distance``,
-  ``rotated_ray_distance``), which the steps' ``cut_distance`` must match
+  ``rotated_ray_distance``), which the steps' ``cut_distances`` must match
   bit for bit, overflow included;
+- each package step's map as a formula for one point (``reference_apply``,
+  ``reference_value_and_derivative``, ``reference_cut_distance``), which
+  the steps' list kernels must match bit for bit, errors included;
 - geodesics and closest-point projection in the three canonical domains,
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
@@ -31,11 +34,11 @@ Only the tests use these, so they live here rather than in the package:
 - the euclidean distance from a point of a model's domain Omega to its
   boundary;
 - a step-by-step chain walk (``reference_eval``, ``reference_eval_inverse``,
-  ``reference_derivative``, ``reference_generator``) that calls each
-  step's ``cut_distance`` (where the step has a cut) and then its ``apply``
-  (``value_and_derivative`` in the derivative walk) in turn, against which
-  the chains' list walks are checked for identical values and errors, and the disk
-  chart ``omega_of_disk`` of a model;
+  ``reference_derivative``, ``reference_generator``) that takes each
+  step's one-point formulas above, its cut distance (where the step has a
+  cut) and then its image (with its derivative in the derivative walk) in
+  turn, against which the chains' list walks are checked for identical
+  values and errors, and the disk chart ``omega_of_disk`` of a model;
 - the hand-derived log-space orbit of each catalog model
   (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
   walk of the chain in log space are checked bit for bit;
@@ -74,10 +77,13 @@ from petallab.confmap import (
     Affine,
     ConformalChain,
     ExpStep,
+    LogStep,
     MapDomainError,
     MapStep,
     PowerStep,
     SlitCloseStep,
+    SlitOpenStep,
+    _branch_log,
 )
 from petallab.hypcore import DomainError, UhpLogPoint, disk_distance, uhp_distance
 from petallab.hmeasure import Arc
@@ -180,21 +186,30 @@ class CanonicalDomain(Enum):
 
 @dataclass(frozen=True)
 class MobiusStep(MapStep):
-    """Fractional linear step wrapping a hypcore Mobius map."""
+    """Fractional linear step wrapping a Mobius map; a pole raises
+    ZeroDivisionError."""
 
     m: Mobius
 
-    def apply(self, z: complex) -> complex:
-        w = self.m.apply(z)
-        if w is None:
-            raise ZeroDivisionError("Mobius pole")
-        return w
+    def apply_all(self, zs):
+        values = []
+        for z in zs:
+            w = self.m.apply(z)
+            if w is None:
+                raise ZeroDivisionError("Mobius pole")
+            values.append(w)
+        return values
 
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        den = self.m.c * z + self.m.d
-        if den == 0:
-            raise ZeroDivisionError("Mobius pole")
-        return (self.m.a * z + self.m.b) / den, self.m.det / (den * den)
+    def value_and_derivative_all(self, zs):
+        m = self.m
+        values, derivatives = [], []
+        for z in zs:
+            den = m.c * z + m.d
+            if den == 0:
+                raise ZeroDivisionError("Mobius pole")
+            values.append((m.a * z + m.b) / den)
+            derivatives.append(m.det / (den * den))
+        return values, derivatives
 
     def inverted(self) -> "MobiusStep":
         return MobiusStep(self.m.inverse())
@@ -233,6 +248,77 @@ def ray_distance(z: complex, angle: float) -> float:
     if v.real <= 0.0:
         return abs(v)
     return abs(v.imag)
+
+
+# ---------------------------------------------------------------------------
+# Each package step's map, one point at a time
+
+
+def _uhp_sqrt(v: complex) -> complex:
+    """The square root branch with values in the closed upper half-plane."""
+    s = cmath.sqrt(v)
+    return -s if s.imag < 0.0 else s
+
+
+def _power_value_and_derivative(step: PowerStep, z: complex) -> tuple[complex, complex]:
+    log_z = _branch_log(z, step.cut)
+    d = step.alpha * cmath.exp((step.alpha - 1.0) * log_z)
+    return cmath.exp(step.alpha * log_z), d
+
+
+def _exp_value_and_derivative(step: ExpStep, z: complex) -> tuple[complex, complex]:
+    w = cmath.exp(z)
+    return w, w
+
+
+def _slit_value_and_derivative(v: complex, z: complex) -> tuple[complex, complex]:
+    w = _uhp_sqrt(v)
+    return w, z / w
+
+
+# type: (image of z, (image, derivative) at z), each for one point.
+_FORMULAS = {
+    Affine: (lambda s, z: s.a * z + s.b, lambda s, z: (s.a * z + s.b, s.a)),
+    ExpStep: (lambda s, z: cmath.exp(z), _exp_value_and_derivative),
+    LogStep: (lambda s, z: _branch_log(z, s.cut), lambda s, z: (_branch_log(z, s.cut), 1.0 / z)),
+    PowerStep: (lambda s, z: cmath.exp(s.alpha * _branch_log(z, s.cut)),
+                _power_value_and_derivative),
+    SlitCloseStep: (lambda s, z: _uhp_sqrt(z * z + 1.0),
+                    lambda s, z: _slit_value_and_derivative(z * z + 1.0, z)),
+    SlitOpenStep: (lambda s, z: _uhp_sqrt(z * z - 1.0),
+                   lambda s, z: _slit_value_and_derivative(z * z - 1.0, z)),
+}
+
+# type: distance from z to the cut, or None for a cut-free step.
+_CUT_DISTANCES = {
+    Affine: lambda s, z: None,
+    ExpStep: lambda s, z: None,
+    LogStep: lambda s, z: rotated_ray_distance(z, cmath.exp(-1j * s.cut)),
+    PowerStep: lambda s, z: rotated_ray_distance(z, cmath.exp(-1j * s.cut)),
+    SlitCloseStep: lambda s, z: slit_close_cut_distance(z),
+    SlitOpenStep: lambda s, z: slit_open_cut_distance(z),
+}
+
+
+def reference_apply(step: MapStep, z: complex) -> complex:
+    """The image of z under step, by the formula above for a package step
+    and by the step's own ``apply`` for a test-only one."""
+    formulas = _FORMULAS.get(type(step))
+    return step.apply(z) if formulas is None else formulas[0](step, z)
+
+
+def reference_value_and_derivative(step: MapStep, z: complex) -> tuple[complex, complex]:
+    """The image of z under step and the step's derivative there."""
+    formulas = _FORMULAS.get(type(step))
+    return step.value_and_derivative(z) if formulas is None else formulas[1](step, z)
+
+
+def reference_cut_distance(step: MapStep, z: complex) -> float | None:
+    """The distance from z to the cut of step, None for a cut-free step."""
+    distance = _CUT_DISTANCES.get(type(step))
+    if distance is not None:
+        return distance(step, z)
+    return None if step.cut_distances is None else step.cut_distance(z)
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +699,17 @@ def boundary_distance(model: KoenigsModel, w: complex) -> float:
 
 
 def _check_cut(step: MapStep, z: complex, i: int) -> None:
-    if step.cut_distance is None:
-        return
     try:
-        near = step.cut_distance(z) <= EPS_CUT
+        distance = reference_cut_distance(step, z)
     except OverflowError as exc:
         raise MapDomainError(f"cut check failed: {exc}", step_index=i) from exc
-    if near:
+    if distance is not None and distance <= EPS_CUT:
         raise MapDomainError(f"{z!r} is within {EPS_CUT} of a branch cut", step_index=i)
 
 
 def _apply(step: MapStep, z: complex, i: int) -> complex:
     try:
-        z = step.apply(z)
+        z = reference_apply(step, z)
     except (OverflowError, ZeroDivisionError) as exc:
         raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -633,11 +717,16 @@ def _apply(step: MapStep, z: complex, i: int) -> complex:
     return z
 
 
+def _source(chain: ConformalChain, w: complex) -> complex:
+    z = complex(w)
+    if not (cmath.isfinite(z) and chain.source_contains(z)):
+        raise MapDomainError(f"{z!r} is outside the source region of {chain.name or 'chain'}")
+    return z
+
+
 def reference_eval(chain: ConformalChain, w: complex) -> complex:
     """``chain.eval(w)``, one step call at a time."""
-    z = complex(w)
-    if not chain.source_contains(z):
-        raise MapDomainError(f"{z!r} is outside the source region of {chain.name or 'chain'}")
+    z = _source(chain, w)
     for i, step in enumerate(chain.steps):
         _check_cut(step, z, i)
         z = _apply(step, z, i)
@@ -648,7 +737,7 @@ def reference_eval_inverse(chain: ConformalChain, q: complex) -> complex:
     """``chain.eval_inverse(q)``, inverting each step as it is reached and
     checking each image against the cut of the step it inverts."""
     z = complex(q)
-    if not z.imag > 0.0:
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
         raise MapDomainError(f"{z!r} is outside the upper half-plane")
     for i in reversed(range(len(chain.steps))):
         step = chain.steps[i].inverted()
@@ -662,16 +751,14 @@ def reference_eval_inverse(chain: ConformalChain, q: complex) -> complex:
 
 def reference_derivative(chain: ConformalChain, w: complex) -> complex:
     """``chain.derivative(w)``: each step's cut check, then its
-    ``value_and_derivative``, then the finiteness of its image; the
-    product is checked once, after the last step."""
-    z = complex(w)
-    if not chain.source_contains(z):
-        raise MapDomainError(f"{z!r} is outside the source region of {chain.name or 'chain'}")
+    image and derivative, then the finiteness of its image; the product is
+    checked once, after the last step."""
+    z = _source(chain, w)
     acc = 1.0 + 0j
     for i, step in enumerate(chain.steps):
         _check_cut(step, z, i)
         try:
-            z, d = step.value_and_derivative(z)
+            z, d = reference_value_and_derivative(step, z)
         except (OverflowError, ZeroDivisionError) as exc:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -693,6 +780,8 @@ def omega_of_disk(model: KoenigsModel, z: complex) -> complex:
 def reference_generator(model: KoenigsModel, z: complex) -> complex:
     """``semigroup.generator`` on the reference walk."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise MapDomainError(f"{z!r} is outside the unit disk")
     q = CAYLEY_DISK_TO_UHP.apply(z)
     if q is None:
         raise DomainError("point maps to the Cayley pole")

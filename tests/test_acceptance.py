@@ -71,6 +71,23 @@ def _nan_on_call(n):
     return plant
 
 
+def _nan_at_value(n):
+    """Plant a NaN as the nth value that a list form returns, counting on
+    across its calls."""
+    def plant(real):
+        seen = [0]
+
+        def planted(*args):
+            values = real(*args)
+            k = n - 1 - seen[0]
+            seen[0] += len(values)
+            if 0 <= k < len(values):
+                values[k] = math.nan
+            return values
+        return planted
+    return plant
+
+
 def _zero_steps(real):
     def planted(model, petal, z0, grid):
         return [0.0] * len(grid)
@@ -81,11 +98,11 @@ def _zero_steps(real):
     (verify, "speed_series", _nan_last_speed,
      {"pythagorean-sandwich", "base-point-independence"}),
     (verify, "uhp_distance", _nan_on_call(2), {"structural-consistency"}),
-    # The G of the 2nd of strip-slit/upper's 1000 samples, as the step that
-    # the sample loop shares with generator returns it.  A NaN in the list
+    # The G of the 2nd of strip-slit/upper's 1000 samples, as the list step
+    # that the samples share with generator returns it.  A NaN in the list
     # walk's derivative raises MapDomainError in that step instead
     # (test_semigroup's test_nan_derivative_raises).
-    (semigroup, "_generator_from_chart", _nan_on_call(2), {"repelling-point-diagnostics"}),
+    (semigroup, "_generator_from_chart", _nan_at_value(2), {"repelling-point-diagnostics"}),
     # The 12th point of strip-slit/upper's radial approach, the first
     # per-point generator calls: min would pick a plateau beside the NaN
     # ratio.

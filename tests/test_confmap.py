@@ -21,10 +21,13 @@ from oracles import (
     segment_distance,
     slit_close_cut_distance,
     slit_open_cut_distance,
+    reference_apply,
+    reference_cut_distance,
     reference_derivative,
     reference_eval,
     reference_eval_inverse,
     reference_generator,
+    reference_value_and_derivative,
 )
 from petallab.confmap import (
     Affine,
@@ -46,6 +49,7 @@ from petallab.models import (
     KoenigsModel,
     Petal,
     by_name,
+    catalog,
 )
 from petallab.semigroup import generator, repelling_diagnostics
 
@@ -629,9 +633,9 @@ class TestWalkPlansMatchReference:
     def test_cut_free_steps_skip_the_cut_check(self):
         chain = ConformalChain((Affine(2.0, 1j), ExpStep(), MobiusStep(Mobius(1.0, 1j, 0j, 1.0)),
                                 LogStep(0.5)), lambda z: True, "mixed")
-        assert [step.cut_distance is None for step in chain.steps] == [True, True, True, False]
+        assert [step.cut_distances is None for step in chain.steps] == [True, True, True, False]
         assert [i for i, _, _ in chain._inverse] == [3, 2, 1, 0]
-        assert [step.cut_distance is None for _, step, _ in chain._inverse] == [
+        assert [step.cut_distances is None for _, step, _ in chain._inverse] == [
             True, True, False, True]
         # Inverse walks carry the forward step each of their steps inverts.
         assert [forward for _, _, forward in chain._forward] == [None] * 4
@@ -658,6 +662,12 @@ def _eval_and_derivative(chain, w):
     return chain.eval(w), dw
 
 
+def _reference_eval_and_derivative(chain, w):
+    """``_eval_and_derivative`` on the reference walk."""
+    dw = reference_derivative(chain, w)
+    return reference_eval(chain, w), dw
+
+
 def _walk_position(chain, kind, outcome):
     """Where in its walk the check lies that raised a point's own error: -1
     before the walk, a step's place in walk order, len(steps) after it."""
@@ -675,12 +685,18 @@ class TestListWalk:
 
     @staticmethod
     def _forms(model, kind):
-        """(list form, per-point call) pairs for the points of ``kind``."""
+        """(list form, per-point call) pairs for the points of ``kind``:
+        each list form against the chain's one-point call and against the
+        reference walk, whose steps take the formulas kept in oracles."""
         chain = model.chain
         if kind == "eval":
             return [(chain.eval_all, chain.eval),
-                    (chain.eval_and_derivative_all, partial(_eval_and_derivative, chain))]
-        return [(chain.eval_inverse_all, chain.eval_inverse)]
+                    (chain.eval_all, partial(reference_eval, chain)),
+                    (chain.eval_and_derivative_all, partial(_eval_and_derivative, chain)),
+                    (chain.eval_and_derivative_all,
+                     partial(_reference_eval_and_derivative, chain))]
+        return [(chain.eval_inverse_all, chain.eval_inverse),
+                (chain.eval_inverse_all, partial(reference_eval_inverse, chain))]
 
     def _assert_lists_match(self, model, kind, points, chunk=8):
         """The whole list, its points that succeed, each chunk of it and
@@ -787,6 +803,125 @@ class TestListWalk:
             assert _outcome(call, near_segment)[:3] == ("error", MapDomainError, 2)
             for qs in ([1j, near_segment, below], [1j, below, near_segment]):
                 assert _outcome(list_form, qs) == _outcome(call, below)
+
+
+def _catalog_steps():
+    """(id, step, kind) for each catalog chain's steps, walked forward on
+    source points, and their inverses, walked on target points."""
+    out = []
+    for model in catalog():
+        for i, step in enumerate(model.chain.steps):
+            out.append((f"{model.name}-{i}", step, "eval", model, i))
+            out.append((f"{model.name}-{i}-inverse", step.inverted(), "inverse", model, i))
+    return out
+
+
+# Components of points fed to every step as they are: signed zeros, NaN,
+# infinities and components next to float range.
+_PARTS = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.nan, math.inf, -math.inf,
+          1.7e308, -1.7e308, 1e-300, -1e-300)
+
+
+def _step_inputs(model, kind, index):
+    """Points that reach step ``index`` of the model's ``kind`` walk: seeded
+    points, points within EPS_CUT of a cut and overflowing points pushed
+    through the steps before it by their one-point formulas, with no check
+    on the way; a point whose formula raises stops there."""
+    rng = random.Random(57721)
+    sources, targets, _ = _seeded_points(model.name, 300)
+    points = sources if kind == "eval" else targets
+    for case_kind, draw, _ in _near_cut_cases(model.name):
+        if case_kind == kind:
+            points += [draw(rng) for _ in range(60)]
+    for case_kind, draw in _OVERFLOW_CASES[model.name]:
+        if case_kind == kind:
+            points += [draw(rng) for _ in range(60)]
+    steps = model.chain.steps
+    before = (steps[:index] if kind == "eval"
+              else [steps[i].inverted() for i in reversed(range(index + 1, len(steps)))])
+    reached = []
+    for z in points:
+        try:
+            for step in before:
+                z = reference_apply(step, z)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            continue
+        reached.append(z)
+    return reached + [complex(x, y) for x in _PARTS for y in _PARTS]
+
+
+def _listed(fn, xs):
+    """What a list kernel produced on xs: its values by ``repr``, which
+    tells -0.0 from 0.0 and prints every bit, or its error's type and
+    message."""
+    try:
+        return ("value", repr(fn(xs)))
+    except Exception as exc:  # every error must match the formula's
+        return ("error", type(exc), str(exc))
+
+
+def _pointwise(fn, xs):
+    """``_listed`` of the one-point formula fn taken at each of xs in turn."""
+    return _listed(lambda xs: [fn(z) for z in xs], xs)
+
+
+class TestStepKernels:
+    """Each catalog step's list kernels give the one-point formulas kept in
+    oracles bit for bit, on the whole list, on each run of eight and on
+    each point alone; where points fail, a kernel raises the error of the
+    first one, with its type and message."""
+
+    @staticmethod
+    def _lists(points, chunk=8):
+        return [points] + [points[i:i + chunk] for i in range(0, len(points), chunk)] + [
+            [z] for z in points]
+
+    @pytest.mark.parametrize("sid,step,kind,model,index", _catalog_steps(),
+                             ids=[c[0] for c in _catalog_steps()])
+    def test_kernels_match_the_formulas(self, sid, step, kind, model, index):
+        points = _step_inputs(model, kind, index)
+        outcomes = []
+        for xs in self._lists(points):
+            got = _listed(step.apply_all, xs)
+            assert got == _pointwise(partial(reference_apply, step), xs), (sid, xs[:4])
+            outcomes.append(got)
+            got = _listed(lambda xs: list(zip(*step.value_and_derivative_all(xs))), xs)
+            want = _pointwise(partial(reference_value_and_derivative, step), xs)
+            assert got == want, (sid, xs[:4])
+            if step.cut_distances is None:
+                assert all(reference_cut_distance(step, z) is None for z in xs)
+            else:
+                want = _pointwise(partial(reference_cut_distance, step), xs)
+                assert _listed(step.cut_distances, xs) == want, (sid, xs[:4])
+        singles = outcomes[-len(points):]
+        assert sum(o[0] == "value" for o in singles) >= len(points) // 2, sid
+
+
+class TestNonFinitePoints:
+    """A point that is not finite lies in no source or target region: the
+    region check refuses it, naming the point as given, before any step."""
+
+    SOURCES = (complex(math.nan, 0.5), complex(math.inf, 0.5), complex(-math.inf, 0.5),
+               complex(0.5, math.nan), complex(1.0, math.inf), complex(math.nan, math.nan))
+    TARGETS = (complex(math.inf, 0.5), complex(math.nan, 0.5), complex(-math.inf, 2.0),
+               complex(0.5, math.inf), complex(math.inf, math.inf))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_region_checks_refuse_them(self, name):
+        chain = by_name(name).chain
+        for w in self.SOURCES:
+            want = ("error", MapDomainError, None, f"{w!r} is outside the source region of {name}")
+            for fn in (chain.eval, chain.derivative, partial(reference_eval, chain),
+                       partial(reference_derivative, chain)):
+                assert _outcome(fn, w) == want, (fn, w)
+            for fn in (chain.eval_all, chain.eval_and_derivative_all):
+                assert _outcome(fn, [1.0 + 0.5j, w]) == want, (fn, w)
+        for q in self.TARGETS:
+            want = ("error", MapDomainError, None, f"{q!r} is outside the upper half-plane")
+            for fn in (chain.eval_inverse, chain.inverse_and_derivative,
+                       partial(reference_eval_inverse, chain)):
+                assert _outcome(fn, q) == want, (fn, q)
+            assert _outcome(chain.eval_inverse_all, [1j, q]) == want, q
 
 
 class TestInverseAndDerivative:

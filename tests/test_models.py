@@ -44,6 +44,22 @@ HALF_LOG2 = 0.34657359027997265471  # log(2)/2, mpmath 40-digit
 RNG_SEED = 20260817
 
 
+def _uniform_draws(image, n, rng):
+    """n draws of a petal image by its formulas in rng.uniform."""
+    if isinstance(image, StripImage):
+        margin = 0.05 * image.width
+        return [complex(rng.uniform(-1.0, 3.0),
+                        rng.uniform(image.lo + margin, image.hi - margin))
+                for _ in range(n)]
+    if isinstance(image, HalfPlaneImage):
+        return [complex(rng.uniform(-3.0, 3.0),
+                        math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
+                for _ in range(n)]
+    return [math.exp(rng.uniform(-2.0, 2.0))
+            * cmath.exp(1j * rng.uniform(-0.9 * math.pi, 0.9 * math.pi))
+            for _ in range(n)]
+
+
 def _models():
     return list(catalog())
 
@@ -748,6 +764,23 @@ class TestSampling:
             assert len(pts) == 100
             assert all(petal.contains(w) for w in pts)
             assert all(model.contains(w) for w in pts)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456, RNG_SEED])
+    def test_draws_match_the_uniform_formulas(self, seed):
+        # Each image draws from rng.random with random.Random.uniform's own
+        # formula, so its points are the ones rng.uniform drew, bit for bit,
+        # and it leaves the generator where they left it.
+        for model, petal in _model_petals():
+            rng, old = random.Random(seed), random.Random(seed)
+            got = sample_petal_omega(model, petal, 300, rng)
+            assert repr(got) == repr(_uniform_draws(petal.image, 300, old))
+            assert rng.random() == old.random()
+
+    def test_negative_count_refused(self):
+        m1 = by_name("strip-slit")
+        with pytest.raises(DomainError, match="^models.sample_petal_omega: cannot draw -1 points$"):
+            sample_petal_omega(m1, m1.petal("upper"), -1, random.Random(RNG_SEED))
+        assert sample_petal_omega(m1, m1.petal("upper"), 0, random.Random(RNG_SEED)) == []
 
     def test_sampling_is_seed_deterministic(self):
         m1 = by_name("strip-slit")

@@ -210,6 +210,16 @@ class TestGenerator:
         dh = (omega_of_disk(m1, z + eps) - omega_of_disk(m1, z - eps)) / (2.0 * eps)
         assert abs(generator(m1, z) * dh - 1.0) <= 1e-6
 
+    def test_non_finite_point_refused(self):
+        # Cayley would turn it into nan + nan i and blame that point.
+        for model in catalog():
+            for z in (complex(math.inf, 0.0), complex(math.nan, 0.1), complex(0.2, -math.inf)):
+                for fn in (generator, reference_generator):
+                    with pytest.raises(MapDomainError) as err:
+                        fn(model, z)
+                    assert str(err.value) == f"{z!r} is outside the unit disk"
+                    assert err.value.step_index is None
+
 
 class TestRepellingDiagnostics:
     @pytest.mark.parametrize("name,label", [
@@ -307,7 +317,7 @@ class TestRepellingDiagnostics:
     def test_forward_generator_matches_generator(self, monkeypatch, name, label):
         # The samples' G comes from one forward walk; at the same disk
         # points, generator walks the inverse chain.  Record each G the
-        # shared step returns during the sample loop.
+        # shared list step returns, the samples' first.
         model = by_name(name)
         petal = model.petal(label)
         ws = sample_petal_omega(model, petal, 1000, random.Random(RNG_SEED + 5))
@@ -315,9 +325,9 @@ class TestRepellingDiagnostics:
         real = semigroup._generator_from_chart
 
         def recording(*args):
-            g = real(*args)
-            seen.append(g)
-            return g
+            gs = real(*args)
+            seen.extend(gs)
+            return gs
         monkeypatch.setattr(semigroup, "_generator_from_chart", recording)
         repelling_diagnostics(model, petal, ws)
         monkeypatch.undo()
