@@ -460,10 +460,13 @@ class ConformalChain:
         list walk."""
         return self._preimages(qs, _walk_all(self._inverse, _targets(qs)))
 
-    def eval_and_derivative_all(self, ws: Sequence[complex]) -> list[tuple[complex, complex]]:
-        """The values of ``[(self.eval(w), self.derivative(w)) for w in ws]``
-        from one forward list walk."""
-        return list(zip(*_walk_all_with_derivative(self._forward, self._sources(ws))))
+    def eval_and_derivative_all(
+        self, ws: Sequence[complex]
+    ) -> tuple[Sequence[complex], list[complex]]:
+        """The lists ``[self.eval(w) for w in ws]`` and
+        ``[self.derivative(w) for w in ws]``, as one ``(values,
+        derivatives)`` pair from one forward list walk."""
+        return _walk_all_with_derivative(self._forward, self._sources(ws))
 
     def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
         """The image of the source point anchor + e^L (L None: the point

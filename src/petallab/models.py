@@ -171,16 +171,6 @@ class KoenigsModel(NamedTuple):
         w = complex(w)
         return cmath.isfinite(w) and self.chain.source_contains(w)
 
-    def petal_of(self, w: complex) -> Optional[Petal]:
-        """The petal whose image contains w, or None."""
-        w = complex(w)
-        if not self.contains(w):
-            raise DomainError(f"{w} is not in the domain of {self.name}")
-        for petal in self.petals:
-            if petal.contains(w):
-                return petal
-        return None
-
     def petal(self, label: str) -> Petal:
         """Look up a petal by its label."""
         for petal in self.petals:

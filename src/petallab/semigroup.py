@@ -5,9 +5,11 @@ The flow is exact in Omega coordinates (translation or scaling), so all
 semigroup quantities reduce to coordinate transport.  ``flow`` reports an
 orbit point in the disk chart while that chart can still hold it as a
 float: it reads the point from the logarithmic canonical form of
-``KoenigsModel.uhp_orbit``, the chain walked in log space, and its gap
-1 - |z|^2 from ``hypcore.uhp_log_disk_gap``, so a deep backward orbit
-loses the disk chart before the log form fails.
+``KoenigsModel.uhp_orbit``, the chain walked in log space.  Only a point
+whose float modulus lies within ``_GAP_BAND`` of the unit circle has its
+exact gap 1 - |z|^2 read from ``hypcore.uhp_log_disk_gap``; one farther in
+has a gap far above ``MIN_DISK_GAP``.  So a deep backward orbit loses the
+disk chart before the log form fails.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .hypcore import (
 from .models import KoenigsModel, Petal
 
 MIN_DISK_GAP = 1e-250
+# The float abs(z) lies within a few ulps of the true modulus, so a point
+# with abs(z) <= 1 - _GAP_BAND has an exact gap 1 - |z|^2 above about 1e-12,
+# far above MIN_DISK_GAP: only points inside the band need the log gap.
+_GAP_BAND = 1e-12
 
 
 class PetalRequiredError(DomainError):
@@ -63,15 +69,22 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     """Time-t flow image of the Omega-coordinate point z0.
 
     Forward flow (t >= 0) is defined on all of Omega; backward flow only
-    on petals, where orbits are regular.
+    on petals, where orbits are regular.  ``disk_z`` is None where the
+    float disk point has modulus 1 or more, or, for a point whose modulus
+    lies within ``_GAP_BAND`` of 1, where the exact log-space gap
+    1 - |z|^2 is at most ``MIN_DISK_GAP``.
     """
     w0 = complex(z0)
     if not model.contains(w0):
         raise DomainError(f"{w0} is not in the domain of {model.name}")
-    if t < 0 and model.petal_of(w0) is None:
-        raise PetalRequiredError(
-            f"backward flow from {w0} needs a petal; none contains it"
-        )
+    if t < 0:
+        for petal in model.petals:
+            if petal.contains(w0):
+                break
+        else:
+            raise PetalRequiredError(
+                f"backward flow from {w0} needs a petal; none contains it"
+            )
     if model.kind == "elliptic" and w0 == 0:
         return OrbitPoint(t, 0j)
     p = model.uhp_orbit(w0, t)
@@ -79,7 +92,8 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     if q is None:
         return OrbitPoint(t, None)
     disk_z = disk_of_uhp(q)
-    if abs(disk_z) >= 1.0 or uhp_log_disk_gap(p) <= MIN_DISK_GAP:
+    r = abs(disk_z)
+    if r >= 1.0 or (r > 1.0 - _GAP_BAND and uhp_log_disk_gap(p) <= MIN_DISK_GAP):
         disk_z = None
     return OrbitPoint(t, disk_z)
 
@@ -113,7 +127,8 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     with C the Cayley map onto the upper half-plane and F the model's
     chain, so h' = (F^-1)'(q) C'(z) at q = C(z); one inverse walk of the
     chain gives both h(z) and (F^-1)'(q).  A point that is not finite
-    raises ``MapDomainError``.
+    raises ``MapDomainError``, and so does a finite one off the open disk,
+    after the Cayley pole z = 1 is refused.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -122,6 +137,8 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     den = c * z + d
     if den == 0:
         raise DomainError("point maps to the Cayley pole")
+    if abs(z) >= 1.0:
+        raise MapDomainError(f"{z!r} is outside the unit disk")
     w, dw = model.chain.inverse_and_derivative((a * z + b) / den)
     return _generator_from_chart(model, (w,), (dw * (det / den**2),))[0]
 
@@ -184,7 +201,7 @@ def repelling_diagnostics(
     half_lam = 0.5 * petal.lam
     # z = C^-1(q) = (a q + b)/(c q + d), and C'(z) = (c q + d)^2/det.
     a, b, c, d, det = CAYLEY_INVERSE
-    qs, dqs = zip(*model.chain.eval_and_derivative_all(ws))
+    qs, dqs = model.chain.eval_and_derivative_all(ws)
     # c q + d = q + i, which no point of the upper half-plane zeroes.
     dens = [c * q + d for q in qs]
     zs = [(a * q + b) / den for q, den in zip(qs, dens)]

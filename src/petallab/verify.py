@@ -126,7 +126,8 @@ def orbit_angle(
 ) -> Tuple[List[float], ApproachReport, str, bool]:
     """Approach angle of the backward orbit of ``base`` at the petal's disk
     endpoint sigma, read from ``disk_z`` at t = -1, -2, .. -kmax until the
-    disk chart is lost, on the arc [arg sigma, arg sigma + pi/2].
+    disk chart is lost or a point comes within ``ROUNDING_FLOOR`` of sigma,
+    where the probe cuts the orbit, on the arc [arg sigma, arg sigma + pi/2].
 
     Returns the times of the points the probe kept, the probe's report, why
     the orbit it kept ended (the rounding floor of the probe, the disk
@@ -146,6 +147,9 @@ def orbit_angle(
             break
         times.append(float(-k))
         points.append(z)
+        if abs(z - sigma) < ROUNDING_FLOOR:
+            # approach_angle cuts the orbit here and reads no later point.
+            break
     phase = cmath.phase(sigma)
     report = approach_angle(points, sigma, Arc(phase, phase + math.pi / 2))
     if report.used < len(times):

@@ -33,6 +33,9 @@ Only the tests use these, so they live here rather than in the package:
   approach ray, which re-derives each petal's ``sigma_canonical``;
 - the euclidean distance from a point of a model's domain Omega to its
   boundary;
+- the orbit point in the disk chart by the rule that reads the exact log
+  gap of every point (``reference_flow``), against which ``semigroup.flow``,
+  which reads it only next to the unit circle, is checked bit for bit;
 - a step-by-step chain walk (``reference_eval``, ``reference_eval_inverse``,
   ``reference_derivative``, ``reference_generator``) that takes each
   step's one-point formulas above, its cut distance (where the step has a
@@ -85,9 +88,17 @@ from petallab.confmap import (
     SlitOpenStep,
     _branch_log,
 )
-from petallab.hypcore import DomainError, UhpLogPoint, disk_distance, uhp_distance
+from petallab.hypcore import (
+    DomainError,
+    UhpLogPoint,
+    disk_distance,
+    disk_of_uhp,
+    uhp_distance,
+    uhp_log_disk_gap,
+)
 from petallab.hmeasure import Arc
 from petallab.models import KoenigsModel
+from petallab.semigroup import MIN_DISK_GAP, OrbitPoint, PetalRequiredError
 from petallab.speeds import EstimationError
 
 _HALF_PI = 0.5 * math.pi
@@ -785,6 +796,8 @@ def reference_generator(model: KoenigsModel, z: complex) -> complex:
     q = CAYLEY_DISK_TO_UHP.apply(z)
     if q is None:
         raise DomainError("point maps to the Cayley pole")
+    if abs(z) >= 1.0:
+        raise MapDomainError(f"{z!r} is outside the unit disk")
     w = reference_eval_inverse(model.chain, q)
     df = reference_derivative(model.chain, w)
     cay = CAYLEY_DISK_TO_UHP
@@ -792,6 +805,27 @@ def reference_generator(model: KoenigsModel, z: complex) -> complex:
     if model.kind == "elliptic":
         return -model.mu * w * df / dc
     return df / dc
+
+
+def reference_flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
+    """``semigroup.flow`` by the rule that reads the exact log gap of every
+    orbit point: ``disk_z`` is None where abs(z) >= 1 or
+    ``uhp_log_disk_gap(p) <= MIN_DISK_GAP``."""
+    w0 = complex(z0)
+    if not model.contains(w0):
+        raise DomainError(f"{w0} is not in the domain of {model.name}")
+    if t < 0 and not any(petal.contains(w0) for petal in model.petals):
+        raise PetalRequiredError(f"backward flow from {w0} needs a petal; none contains it")
+    if model.kind == "elliptic" and w0 == 0:
+        return OrbitPoint(t, 0j)
+    p = model.uhp_orbit(w0, t)
+    q = p.value()
+    if q is None:
+        return OrbitPoint(t, None)
+    disk_z = disk_of_uhp(q)
+    if abs(disk_z) >= 1.0 or uhp_log_disk_gap(p) <= MIN_DISK_GAP:
+        disk_z = None
+    return OrbitPoint(t, disk_z)
 
 
 # ---------------------------------------------------------------------------

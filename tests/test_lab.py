@@ -237,6 +237,16 @@ class TestHmeasureCommand:
         assert len(rows) == 9
         assert abs(float(rows[-1].split()[1]) - 0.5) <= 1e-6
 
+    def test_readme_run_matches_the_committed_files(self, tmp_path):
+        # tests/data holds the two files the README's hmeasure command
+        # writes; a change that moves a line on purpose rewrites them and
+        # says which lines moved.
+        assert main(["hmeasure", "--model", "strip-slit", "--petal", "0",
+                     "--out", str(tmp_path)]) == 0
+        data = Path(__file__).resolve().parent / "data"
+        for name in ("hmeasure_strip-slit_p0.dat", "hmeasure_strip-slit_p0_summary.txt"):
+            assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
+
     def test_theta_is_verify_orbit_angle(self, tmp_path, monkeypatch):
         # verify's approach-angles check and the subcommand measure the
         # strip-slit upper orbit by one path, so they read the same theta.

@@ -405,17 +405,21 @@ class TestMembershipAndBoundary:
                 assert brute - delta <= 1e-6
                 count += 1
 
-    def test_petal_of(self):
+    def test_petal_membership(self):
+        # Each point lies in the petals named and in no other; a point of
+        # no petal flows only forward.
         m1, m2, m3 = catalog()
-        assert m1.petal_of(1 + 1j * math.pi / 4).label == "upper"
-        assert m1.petal_of(1 - 1j * math.pi / 4).label == "lower"
-        assert m1.petal_of(1 + 0j) is None
-        assert m2.petal_of(2j).label == "main"
-        assert m2.petal_of(1 - 1j) is None
-        assert m3.petal_of(1 + 0j).label == "main"
-        assert m3.petal_of(-0.5 + 0j) is None
-        with pytest.raises(DomainError):
-            m1.petal_of(-1 + 0j)
+        for model, w, labels in [
+            (m1, 1 + 1j * math.pi / 4, ["upper"]),
+            (m1, 1 - 1j * math.pi / 4, ["lower"]),
+            (m1, 1 + 0j, []),
+            (m2, 2j, ["main"]),
+            (m2, 1 - 1j, []),
+            (m3, 1 + 0j, ["main"]),
+            (m3, -0.5 + 0j, []),
+        ]:
+            assert model.contains(w)
+            assert [p.label for p in model.petals if p.contains(w)] == labels, (model.name, w)
 
 
 class TestFlow:

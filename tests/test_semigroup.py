@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import omega_of_disk, reference_generator
+from oracles import omega_of_disk, reference_flow, reference_generator
 from petallab import semigroup
 from petallab.confmap import ConformalChain, MapDomainError
 from petallab.hypcore import DomainError, disk_of_uhp, uhp_log_disk_gap
@@ -27,6 +27,16 @@ RNG_SEED = 20260817
 
 def _model_petals():
     return [(m, p) for m in catalog() for p in m.petals]
+
+
+def _outcome(fn, *args):
+    """What a call produced: its value with every bit of it in ``repr``
+    (which tells -0.0 from 0.0), or its error's type and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # every error must match the reference's
+        return ("error", type(exc), str(exc)), None
+    return ("value", repr(value)), value
 
 
 class TestFlow:
@@ -91,8 +101,37 @@ class TestFlow:
 
     def test_flow_outside_domain(self):
         m1 = by_name("strip-slit")
-        with pytest.raises(DomainError):
-            flow(m1, -1.0 + 0j, 1.0)
+        for t in (1.0, -1.0):
+            with pytest.raises(DomainError, match=r"^\(-1\+0j\) is not in the domain of strip-slit$"):
+                flow(m1, -1.0 + 0j, t)
+
+    # Backward times that take each petal's orbits through the band of
+    # width 1e-12 inside the unit circle and past the loss of the disk
+    # chart.
+    SWEEP_TIMES = {
+        "strip-slit": [-k / 8 for k in range(321)],
+        "sector-parabolic": [-10.0 ** (k / 16) for k in range(257)],
+        "koebe-elliptic": [-k / 2 for k in range(2801)],
+    }
+
+    def test_matches_the_reference_rule(self):
+        # flow reads the exact log gap only for points within 1e-12 of the
+        # circle; the reference reads it for every point, and the two must
+        # agree bit for bit, errors included.
+        rng = random.Random(RNG_SEED + 3)
+        cases = in_band = 0
+        for model, petal in _model_petals():
+            bases = [petal.base_default] + sample_petal_omega(model, petal, 4, rng)
+            bases += [b * (1.0 + 1e-9) for b in bases[:3]]
+            for base in bases:
+                for t in self.SWEEP_TIMES[model.name] + [0.5, 3.0]:
+                    got, pt = _outcome(flow, model, base, t)
+                    assert got == _outcome(reference_flow, model, base, t)[0], (model.name, base, t)
+                    cases += 1
+                    in_band += pt is not None and pt.disk_z is not None and (
+                        abs(pt.disk_z) > 1.0 - 1e-12)
+        assert cases == 29664
+        assert in_band >= 1000
 
     def test_elliptic_fixed_point(self):
         m3 = by_name("koebe-elliptic")
@@ -209,6 +248,17 @@ class TestGenerator:
         eps = 1e-6
         dh = (omega_of_disk(m1, z + eps) - omega_of_disk(m1, z - eps)) / (2.0 * eps)
         assert abs(generator(m1, z) * dh - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("z", [2.0, 1.0000001, -1.0, 1j], ids=repr)
+    def test_point_off_the_disk_refused(self, z):
+        # Cayley would take it into the lower half-plane or onto its
+        # boundary, and the chain would blame that image.
+        for model in catalog():
+            for fn in (generator, reference_generator):
+                with pytest.raises(MapDomainError) as err:
+                    fn(model, z)
+                assert str(err.value) == f"{complex(z)!r} is outside the unit disk"
+                assert err.value.step_index is None
 
     def test_non_finite_point_refused(self):
         # Cayley would turn it into nan + nan i and blame that point.
@@ -346,9 +396,9 @@ class TestRepellingDiagnostics:
         real = ConformalChain.eval_and_derivative_all
 
         def planted(chain, ws):
-            pairs = real(chain, ws)
-            pairs[1] = (pairs[1][0], complex(math.nan, 0.0))
-            return pairs
+            qs, dqs = real(chain, ws)
+            dqs[1] = complex(math.nan, 0.0)
+            return qs, dqs
         monkeypatch.setattr(ConformalChain, "eval_and_derivative_all", planted)
         ws = sample_petal_omega(model, petal, 10, random.Random(RNG_SEED))
         with pytest.raises(MapDomainError, match="generator left float range"):
