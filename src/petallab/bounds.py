@@ -20,7 +20,12 @@ whose estimate moves by at most ``max(1e-10, 1e-12 |I_k|)`` and raises
 is not integrable.  Nodes close in on the endpoints down to gaps of 1e-300,
 so about half of them round onto ``a`` or ``b`` exactly; those reuse the
 endpoint's integrand, evaluated once per bound, and every node's term and
-the order of the sum stay as they were.
+the order of the sum stay as they were.  Gaps fall strictly within a
+level, so the nodes that round onto both endpoints are the level's last
+ones, each adding ``weight * (f(a) + f(b))`` with the weights falling.  A
+level ends once one of those terms leaves its sum unchanged: a later term
+is no larger, so rounding to nearest leaves the sum unchanged by it too,
+and the rule returns the bits it would return by adding every node.
 """
 
 from __future__ import annotations
@@ -307,7 +312,11 @@ def upper_bound(profile: BoundaryProfile, t: float) -> float:
     and raises ``EstimationError`` if level 8 still misses that target, for
     instance when ``1/delta`` is not integrable on ``[t, t0]``.  It reads
     ``log_delta`` at most once at ``t`` and once at ``t0``, however many
-    nodes round onto them.
+    nodes round onto them.  Within a level, the nodes that round onto both
+    endpoints add ``weight * (f(t) + f(t0))`` with falling weights; the
+    rule stops adding them once one leaves the level's sum unchanged,
+    since rounding leaves every later, smaller term out as well, so the
+    bound is the one that adding every node gives, bit for bit.
     """
     t = _require_in_range(profile, t)
     if t == profile.t0:
@@ -333,23 +342,38 @@ def _tanh_sinh(log_delta: Callable[[float], float], a: float, b: float) -> float
     previous = math.nan
     for level, nodes in enumerate(_TANH_SINH_LEVELS):
         fresh = 0.0
-        for gap, weight in nodes:
+        rest = iter(nodes)
+        for gap, weight in rest:
             r = half * gap
             x = a + r
+            y = b - r
             if x != a:
                 left = exp(-log_delta(x))
             elif fa is None:
                 left = fa = exp(-log_delta(a))
             else:
                 left = fa
-            x = b - r
-            if x != b:
-                right = exp(-log_delta(x))
+            if y != b:
+                right = exp(-log_delta(y))
             elif fb is None:
                 right = fb = exp(-log_delta(b))
             else:
                 right = fb
             fresh += weight * (left + right)
+            if x == a and y == b:
+                # Gaps fall within a level, so every later node rounds onto
+                # both endpoints too and adds weight * (fa + fb), a term
+                # nonnegative and no larger than this one.  Once such a term
+                # leaves ``fresh`` unchanged, rounding to nearest leaves it
+                # unchanged for every later one; a NaN term never compares
+                # equal, so it never ends the level.
+                ends = fa + fb
+                for _, weight in rest:
+                    summed = fresh + weight * ends
+                    if summed == fresh:
+                        break
+                    fresh = summed
+                break
         if level == 0:
             total += fresh
         else:

@@ -13,8 +13,7 @@ point into another step method: ``apply_all``, ``value_and_derivative_all``,
 which evaluates what each image and derivative share once, and
 ``cut_distances``.  A kernel maps each point on its own, in list order,
 so it raises the error that its first failing point raises alone.  The
-one-point ``apply``, ``value_and_derivative`` and ``cut_distance`` run the
-kernel on a list of one.
+one-point ``apply`` and ``cut_distance`` run the kernel on a list of one.
 
 A chain walks its steps directly: forward in order, and inverse through
 the steps' inverses in reverse order, each inverse step paired with the
@@ -129,10 +128,6 @@ class MapStep:
 
     def apply(self, z: complex) -> complex:
         return self.apply_all((z,))[0]
-
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        values, derivatives = self.value_and_derivative_all((z,))
-        return values[0], derivatives[0]
 
     def cut_distance(self, z: complex) -> float:
         """The distance from z to the branch cut of a step that has one."""

@@ -4,14 +4,16 @@ Harmonic measure is computed in closed form on the unit disk: the measure of
 an arc seen from ``z`` is the normalized angular length of its image under
 the disk automorphism sending ``z`` to the origin.  The approach-angle probe
 feeds a sequence of interior points converging to a boundary point into that
-formula and extrapolates the limit, which recovers the angle between the
-approach direction and the boundary.
+formula and extrapolates the limit by one Aitken delta-squared step on the
+last three measures, which recovers the angle between the approach
+direction and the boundary.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .hypcore import DomainError
@@ -29,8 +31,6 @@ _TWO_PI = 2.0 * math.pi
 MIN_POINTS = 5
 # Raw-measure spread over the last window beyond this is flagged inconclusive.
 _SPREAD_TOL = 0.05
-# Extrapolation window for the limiting measure.
-_TAIL_LEN = 8
 # Angles this close to 0 or pi (radians) count as tangential.
 _TANGENT_TOL = 1e-2
 # Closest approach to ``a`` at which a point still counts.  Points near the
@@ -135,18 +135,16 @@ class ApproachReport(NamedTuple):
 
 
 def _aitken_limit(values: Sequence[float]) -> float:
-    # Aitken delta-squared on the trailing window; falls back to the last
-    # raw value when every second difference vanishes.
-    tail = list(values[-_TAIL_LEN:])
-    best = tail[-1]
-    for i in range(len(tail) - 2):
-        d1 = tail[i + 1] - tail[i]
-        d2 = tail[i + 2] - 2.0 * tail[i + 1] + tail[i]
-        if d2 != 0.0:
-            best = tail[i] - d1 * d1 / d2
-        else:
-            best = tail[i + 2]
-    return best
+    # Aitken delta-squared on the last three values; the last value itself
+    # when their second difference vanishes or fewer than three are given.
+    if len(values) < 3:
+        return values[-1]
+    x0, x1, x2 = values[-3:]
+    d2 = x2 - 2.0 * x1 + x0
+    if d2 == 0.0:
+        return x2
+    d1 = x1 - x0
+    return x0 - d1 * d1 / d2
 
 
 def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachReport:
@@ -155,7 +153,8 @@ def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachR
     ``a`` must be an endpoint of ``arc``.  The sequence is cut before its
     first point within ``ROUNDING_FLOOR`` of ``a``.  The harmonic measure
     of the arc is evaluated along the rest and its limit ``omega``
-    extrapolated; the approach angle is ``pi * omega``.  A sequence whose
+    extrapolated by Aitken's delta-squared on the last three measures;
+    the approach angle is ``pi * omega``.  A sequence whose
     trailing measures spread by more than 0.05, or which does not tend to
     ``a``, yields an inconclusive report instead of a number.
     """
@@ -173,7 +172,7 @@ def approach_angle(points: Sequence[complex], a: complex, arc: Arc) -> ApproachR
             stop = f"point {len(pts)} within {ROUNDING_FLOOR:.3g} of the approach point"
             break
         pts.append(p)
-    measures = tuple(harmonic_measure(p, arc) for p in pts)
+    measures = tuple(map(harmonic_measure, pts, repeat(arc)))
 
     reason = ""
     if len(pts) < MIN_POINTS:

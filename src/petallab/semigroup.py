@@ -78,14 +78,15 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     if not model.contains(w0):
         raise DomainError(f"{w0} is not in the domain of {model.name}")
     if t < 0:
+        # petal.contains(w0), for a point already complex.
         for petal in model.petals:
-            if petal.contains(w0):
+            if petal.image.contains(w0):
                 break
         else:
             raise PetalRequiredError(
                 f"backward flow from {w0} needs a petal; none contains it"
             )
-    if model.kind == "elliptic" and w0 == 0:
+    if w0 == 0 and model.kind == "elliptic":
         return OrbitPoint(t, 0j)
     p = model.uhp_orbit(w0, t)
     q = p.value()

@@ -52,10 +52,15 @@ Only the tests use these, so they live here rather than in the package:
   the edges of each catalog domain must land on the real axis;
 - the complement of a circular arc (``arc_complement``), against which
   harmonic measures are checked to add up to one;
-- the tanh-sinh upper bound with every node's integrand evaluated
-  (``reference_upper_bound``), against which ``bounds.upper_bound``, which
-  reuses the integrand at nodes that round onto an endpoint, is checked
-  bit for bit.
+- the tanh-sinh upper bound with every node's integrand evaluated and
+  every node's term added (``reference_upper_bound``), against which
+  ``bounds.upper_bound``, which reuses the integrand at nodes that round
+  onto an endpoint and ends a level once such a term adds nothing, is
+  checked bit for bit;
+- Aitken's delta-squared run over every consecutive triple of the last
+  eight values, keeping the last triple's result
+  (``reference_aitken_limit``), against which ``hmeasure._aitken_limit``,
+  which computes only that last triple, is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -321,7 +326,10 @@ def reference_apply(step: MapStep, z: complex) -> complex:
 def reference_value_and_derivative(step: MapStep, z: complex) -> tuple[complex, complex]:
     """The image of z under step and the step's derivative there."""
     formulas = _FORMULAS.get(type(step))
-    return step.value_and_derivative(z) if formulas is None else formulas[1](step, z)
+    if formulas is None:
+        values, derivatives = step.value_and_derivative_all((z,))
+        return values[0], derivatives[0]
+    return formulas[1](step, z)
 
 
 def reference_cut_distance(step: MapStep, z: complex) -> float | None:
@@ -1027,3 +1035,20 @@ def reference_upper_bound(profile: BoundaryProfile, t: float) -> float:
         f"by {change:.3e} at level {_QUAD_MAX_LEVEL}; 1/delta may not be "
         "integrable there"
     )
+
+
+def reference_aitken_limit(values) -> float:
+    """Aitken delta-squared over every consecutive triple of the last eight
+    values, each triple's result (or its last value, where the second
+    difference is 0) replacing the one before; the last value when fewer
+    than three are given."""
+    tail = list(values[-8:])
+    best = tail[-1]
+    for i in range(len(tail) - 2):
+        d1 = tail[i + 1] - tail[i]
+        d2 = tail[i + 2] - 2.0 * tail[i + 1] + tail[i]
+        if d2 != 0.0:
+            best = tail[i] - d1 * d1 / d2
+        else:
+            best = tail[i + 2]
+    return best

@@ -12,7 +12,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from petallab import bounds
 from petallab.bounds import (
+    _TANH_SINH_LEVELS,
     BoundaryProfile,
     bound_ratio_series,
     custom_profile,
@@ -202,34 +204,134 @@ class TestTanhSinhEndpointReuse:
         assert kinds == {"finite", "inf", EstimationError, DomainError}
 
     def test_each_endpoint_integrand_is_evaluated_once(self):
-        calls = []
-        base = logrecip_profile()
-
-        def log_delta(t):
-            calls.append(t)
-            return base.log_delta(t)
-
-        p = BoundaryProfile("counting", base.t0, base.d0, log_delta)
+        p = without_antiderivative(logrecip_profile())
         for t in (-10.0, -1e3, -1e6):
-            calls.clear()
-            got = upper_bound(p, t)
-            reused = list(calls)
-            calls.clear()
-            assert got == reference_upper_bound(p, t)
-            # The plain rule's calls, with each endpoint's repeats dropped.
-            seen = set()
-            expected = []
-            for x in calls:
-                if x in (t, p.t0):
-                    if x in seen:
-                        continue
-                    seen.add(x)
-                expected.append(x)
-            assert reused == expected
+            got, reused = _recorded(upper_bound, p, t)
+            want, calls = _recorded(reference_upper_bound, p, t)
+            assert got == want
+            assert reused == _endpoint_repeats_dropped(calls, t, p.t0)
             assert reused.count(t) == 1 and reused.count(p.t0) == 1
             if t == -1e3:
                 # 195 calls become 105: 92 of them landed on an endpoint.
                 assert len(reused) <= 0.6 * len(calls)
+
+    def test_gaps_and_weights_fall_strictly_within_every_level(self):
+        # The tail exit's precondition: the nodes that round onto both
+        # endpoints form the end of a level, with falling weights.
+        assert len(_TANH_SINH_LEVELS) == 9
+        for nodes in _TANH_SINH_LEVELS:
+            gaps = [gap for gap, _ in nodes]
+            weights = [weight for _, weight in nodes]
+            assert all(g > h for g, h in zip(gaps, gaps[1:]))
+            assert all(v > w for v, w in zip(weights, weights[1:]))
+            assert 0.0 < gaps[-1] and 0.0 < weights[-1]
+
+    def test_tail_exit_matches_the_rule_that_adds_every_node(self):
+        # Ending a level at its first endpoint term that adds nothing
+        # changes no value, inf or error, and no call to log_delta.
+        kinds = set()
+        for profile, times in _tail_cases():
+            for t in times:
+                want, ref_calls = _recorded(reference_upper_bound, profile, t)
+                got, calls = _recorded(upper_bound, profile, t)
+                assert got == want, (profile.name, t)
+                assert calls == _endpoint_repeats_dropped(ref_calls, t, profile.t0), (
+                    profile.name, t)
+                kinds.add(want[1] if want[0] == "error" or want[1] == "inf" else "finite")
+        assert kinds == {"finite", "inf", EstimationError}
+
+    def test_tail_exit_skips_the_endpoint_nodes_that_add_nothing(self, monkeypatch):
+        # Counted node visits: the plain rule visits every node of each
+        # level it reaches, the exit about two thirds of them (33 of 48
+        # at -10, 62 of 97 at -1e3, 122 of 195 at -1e6).
+        visits = [0]
+
+        class Counted(tuple):
+            def __iter__(self):
+                for node in tuple.__iter__(self):
+                    visits[0] += 1
+                    yield node
+
+        monkeypatch.setattr(bounds, "_TANH_SINH_LEVELS",
+                            tuple(Counted(nodes) for nodes in _TANH_SINH_LEVELS))
+        p = without_antiderivative(logrecip_profile())
+        for t in (-10.0, -1e3, -1e6):
+            visits[0] = 0
+            assert upper_bound(p, t) == reference_upper_bound(p, t)
+            _, ref_calls = _recorded(reference_upper_bound, p, t)
+            every_node = (len(ref_calls) - 1) // 2
+            assert visits[0] <= 0.7 * every_node, (t, visits[0], every_node)
+
+
+def _recorded(fn, profile, t):
+    """``fn(profile, t)``'s outcome, as ``_quad_outcome`` gives it, and the
+    times at which it called ``log_delta``, in order."""
+    calls = []
+    log_delta = profile.log_delta
+
+    def recording(s):
+        calls.append(s)
+        return log_delta(s)
+
+    counted = BoundaryProfile(profile.name, profile.t0, profile.d0, recording)
+    calls.clear()  # the constructor's check of the anchor
+    return _quad_outcome(fn, counted, t), calls
+
+
+def _endpoint_repeats_dropped(calls, a, b):
+    """The plain rule's calls with each endpoint read only the first time."""
+    seen = set()
+    kept = []
+    for x in calls:
+        if x in (a, b):
+            if x in seen:
+                continue
+            seen.add(x)
+        kept.append(x)
+    return kept
+
+
+def _at_endpoints(name, log_delta, t0, t, value, value_at_t0=None):
+    """A profile reading ``log_delta``, except ``value`` at the left
+    endpoint ``t`` of the bound it is meant for, and ``value_at_t0`` at
+    its anchor when that is given."""
+    special = {t: value}
+    if value_at_t0 is not None:
+        special[t0] = value_at_t0
+
+    def read(s):
+        return special[s] if s in special else log_delta(s)
+
+    return BoundaryProfile(f"{name} at {t}", t0, 1.0, read)
+
+
+def _tail_cases():
+    """Profiles without an antiderivative at t = -10^k out to -1e150, and
+    profiles whose integrand at an endpoint underflows to 0, overflows to
+    inf (or past it, raising OverflowError), or is NaN."""
+    decades = tuple(-(10.0 ** k) for k in range(1, 151))
+    some = tuple(-(10.0 ** k) for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 150))
+    logrecip = lambda s: -math.log(math.log(-s))
+    cases = [
+        (without_antiderivative(logrecip_profile()), decades),
+        # 1/delta = (-s)^(-1/2).
+        (custom_profile(None, t0=-1.0, log_delta=lambda s: 0.5 * math.log(-s),
+                        name="inverse-sqrt"), decades),
+        # 1/delta = exp(-sqrt(-s)) underflows to 0 from about s = -5e5.
+        (custom_profile(None, t0=-1.0, log_delta=lambda s: math.sqrt(-s),
+                        name="root-exponential"), decades),
+    ]
+    # One special integrand value at the left endpoint t (each t its own
+    # profile), and at the anchor too: underflow to 0, inf, past float
+    # range (OverflowError), NaN, and spikes e^10 to e^700 whose endpoint
+    # terms move a level's sum for many nodes.
+    for label, value, at_t0 in (("underflow", 1e4, None), ("inf", -math.inf, None),
+                                ("overflow", -1e3, None), ("nan", math.nan, None),
+                                ("both-underflow", 1e4, 1e4), ("spike", -10.0, None),
+                                ("both-spike", -20.0, -10.0), ("huge-spike", -700.0, -100.0)):
+        for t in some:
+            cases.append((_at_endpoints(label, logrecip, -math.e, t, value, at_t0), (t,)))
+    return cases
 
 
 def test_runtime_loads_only_the_standard_library():

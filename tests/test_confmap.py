@@ -124,7 +124,7 @@ class TestSteps:
     ])
     def test_step_derivative_matches_finite_difference(self, step, z):
         # A step's one derivative: its value is apply's, bit for bit.
-        value, d = step.value_and_derivative(z)
+        (value,), (d,) = step.value_and_derivative_all((z,))
         assert value == step.apply(z)
         h = 1e-6
         fd = (step.apply(z + h) - step.apply(z - h)) / (2 * h)
@@ -252,7 +252,7 @@ class TestSteps:
             step = Affine(a, complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
             for _ in range(200):
                 z = _polar(rng, (-300.0, 300.0), (-math.pi, math.pi))
-                assert step.value_and_derivative(z) == (step.apply(z), step.a)
+                assert step.value_and_derivative_all((z,)) == ([step.apply(z)], [step.a])
 
 
 class TestChainEval:
@@ -607,7 +607,7 @@ class TestWalkPlansMatchReference:
             assert len(stepped) >= 100, (kind, outcomes[:5])
 
     @pytest.mark.parametrize("steps,w,message", [
-        # The derivative half of value_and_derivative fails; the error
+        # The derivative half of value_and_derivative_all fails; the error
         # names the step's evaluation, whichever half failed.
         ((ExpStep(),), 800.0 + 0.5j, "step 0: evaluation failed: math range error"),
         ((PowerStep(3, 1),), 1e200 + 1e200j, "step 0: evaluation failed: math range error"),

@@ -3,17 +3,19 @@
 import cmath
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import arc_complement
+from oracles import arc_complement, reference_aitken_limit
 
 from petallab.hmeasure import (
     ENDPOINT_TOL,
     ROUNDING_FLOOR,
     Arc,
     ApproachReport,
+    _aitken_limit,
     approach_angle,
     harmonic_measure,
 )
@@ -354,3 +356,42 @@ class TestApproachAngle:
         report = approach_angle(pts, 1.0 + 0j, Arc(0.0, math.pi))
         assert len(report.measures) == len(pts)
         assert all(0.0 <= m <= 1.0 for m in report.measures)
+
+
+class TestAitkenLimit:
+    @staticmethod
+    def _windows():
+        """Windows of 1 to 20 values: convergent, arithmetic (zero second
+        differences), constant, huge, and seeded draws that mix in NaN,
+        +-inf and signed zeros."""
+        rng = random.Random(RNG_SEED)
+        specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324)
+        for n in range(1, 21):
+            yield [0.25 + 0.5 ** k for k in range(n)]
+            yield [0.5 + 0.125 * k for k in range(n)]
+            yield [0.375] * n
+            yield [1e300 * (-1) ** k for k in range(n)]
+            for _ in range(40):
+                window = [rng.random() for _ in range(n)]
+                for _ in range(rng.randrange(3)):
+                    window[rng.randrange(n)] = rng.choice(specials)
+                if n >= 3 and rng.random() < 0.3:
+                    # The last three values in arithmetic progression.
+                    window[-1] = 2.0 * window[-2] - window[-3]
+                yield window
+
+    def test_matches_the_every_triple_loop(self):
+        # Only the last triple's step was ever returned, so computing that
+        # one alone gives the same bits, NaN and infinities included.
+        bits = struct.Struct("<d").pack
+        kinds = set()
+        for window in self._windows():
+            want = reference_aitken_limit(window)
+            assert bits(_aitken_limit(window)) == bits(want), window
+            assert bits(_aitken_limit(tuple(window))) == bits(want), window
+            kinds.add("nan" if math.isnan(want) else "inf" if math.isinf(want) else "finite")
+            if len(window) >= 3:
+                x0, x1, x2 = window[-3:]
+                if x2 - 2.0 * x1 + x0 == 0.0:
+                    kinds.add("zero second difference")
+        assert kinds == {"nan", "inf", "finite", "zero second difference"}

@@ -10,7 +10,9 @@ through the names the tracer swaps.
 """
 
 import ast
+import cmath
 import importlib
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -83,3 +85,31 @@ def test_speed_sample_reaches_its_traced_layers(monkeypatch, t):
             counts.clear()
             speed_series(model, petal, petal.base_default, [0.0, -0.5, t])
             assert counts == {"models.uhp_orbit": 3, "hypcore.uhp_log_distance": 2}
+
+
+def test_approach_angle_reaches_its_traced_measure(monkeypatch):
+    # The traced boundary_probes run counts hmeasure.harmonic_measure
+    # calls; the probe must still take each kept point's measure through
+    # that name, one call a point, and none for the points it cuts.
+    from petallab.hmeasure import Arc, approach_angle
+    from petallab.models import catalog
+    from petallab.semigroup import flow
+
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "hmeasure.harmonic_measure")
+    a = cmath.exp(0.7j)
+    radial = [(1.0 - 2.0 ** -j) * a for j in range(60)]
+    report = approach_angle(radial, a, Arc(0.7, 0.7 + math.pi))
+    assert report.used < len(radial) and "within" in report.stop
+    assert counts == {"hmeasure.harmonic_measure": report.used}
+    for model in catalog():
+        for petal in model.petals:
+            if petal.lam is None:
+                continue
+            sigma = model.disk_sigma(petal).value
+            orbit = [flow(model, petal.base_default, float(-k)).disk_z for k in range(1, 19)]
+            orbit = [z for z in orbit if z is not None]
+            counts.clear()
+            report = approach_angle(orbit, sigma, Arc(cmath.phase(sigma), cmath.phase(sigma) + 1.0))
+            assert report.used >= 5
+            assert counts == {"hmeasure.harmonic_measure": report.used}
