@@ -11,7 +11,14 @@ bounds remain computable when ``delta`` itself underflows (the gaussian
 profile's gap is float zero already near t = -27 while its logarithm stays
 exact).
 
-A profile without a closed-form antiderivative is integrated by a fixed
+A profile without a closed-form antiderivative is integrated over
+geometric panels ``[t0 R^(k+1), t0 R^k]``, ``k = 0, 1, ..``, with one
+constant ratio ``R = _PANEL_RATIO = 1e6``; the last panel ends at ``t``, and
+a range with ``t / t0 <= R`` is one panel.  One rule over all of
+``[t, t0]`` would spread its nodes over ``|t|`` and miss the mass of
+``1/delta`` next to ``t0`` once ``|t|`` is far larger; a panel only grows
+with its distance from ``t0``.  ``math.fsum`` adds the panels.  Each
+panel ``[a, b]`` is integrated by a fixed
 tanh-sinh rule (Takahasi and Mori, 1974) on ``exp(-log_delta)``: nodes
 ``x = tanh(pi/2 sinh(j h))`` on steps ``h = 2^-k``, ``k = 0..8``, each level
 halving the step of the one before.  The rule stops at the first ``k >= 3``
@@ -19,7 +26,7 @@ whose estimate moves by at most ``max(1e-10, 1e-12 |I_k|)`` and raises
 ``EstimationError`` when no level gets there, as happens when ``1/delta``
 is not integrable.  Nodes close in on the endpoints down to gaps of 1e-300,
 so about half of them round onto ``a`` or ``b`` exactly; those reuse the
-endpoint's integrand, evaluated once per bound, and every node's term and
+endpoint's integrand, evaluated once per panel, and every node's term and
 the order of the sum stay as they were.  Gaps fall strictly within a
 level, so the nodes that round onto both endpoints are the level's last
 ones, each adding ``weight * (f(a) + f(b))`` with the weights falling.  A
@@ -33,7 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .hypcore import DomainError
 from .speeds import EstimationError
@@ -61,6 +68,8 @@ _QUAD_REL_TOL = 1e-12
 # where the node weight drops below _QUAD_MIN_WEIGHT.
 _QUAD_MAX_LEVEL = 8
 _QUAD_MIN_WEIGHT = 1e-300
+# Ratio of the ends of each geometric panel of the quadrature.
+_PANEL_RATIO = 1e6
 
 
 def _tanh_sinh_levels() -> Tuple[Tuple[Tuple[float, float], ...], ...]:
@@ -304,19 +313,23 @@ def upper_bound(profile: BoundaryProfile, t: float) -> float:
     """Upper distance bound ``d0 + integral_t^{t0} ds / delta(s)``.
 
     The integral is the profile's antiderivative when it has one, else the
-    tanh-sinh rule of the module docstring.  A gap that underflows so hard
-    the integrand overflows yields ``inf``.
+    tanh-sinh rule of the module docstring on each geometric panel
+    ``[t0 R^(k+1), t0 R^k]``, ``R = 1e6``, the last one ending at ``t``,
+    the panels added by ``math.fsum``; for ``t / t0 <= R`` that is the
+    rule on ``[t, t0]`` alone.  A gap that underflows so hard the
+    integrand overflows yields ``inf``.
 
-    The tanh-sinh rule returns the first level ``k >= 3`` whose estimate
-    ``I_k`` differs from ``I_{k-1}`` by at most ``max(1e-10, 1e-12 |I_k|)``,
-    and raises ``EstimationError`` if level 8 still misses that target, for
-    instance when ``1/delta`` is not integrable on ``[t, t0]``.  It reads
-    ``log_delta`` at most once at ``t`` and once at ``t0``, however many
-    nodes round onto them.  Within a level, the nodes that round onto both
-    endpoints add ``weight * (f(t) + f(t0))`` with falling weights; the
-    rule stops adding them once one leaves the level's sum unchanged,
-    since rounding leaves every later, smaller term out as well, so the
-    bound is the one that adding every node gives, bit for bit.
+    On a panel ``[a, b]``, the rule returns the first level ``k >= 3``
+    whose estimate ``I_k`` differs from ``I_{k-1}`` by at most
+    ``max(1e-10, 1e-12 |I_k|)``, and raises ``EstimationError`` if level 8
+    still misses that target, for instance when ``1/delta`` is not
+    integrable there.  It reads ``log_delta`` at most once at ``a`` and
+    once at ``b``, however many nodes round onto them.  Within a level,
+    the nodes that round onto both ends add ``weight * (f(a) + f(b))``
+    with falling weights; the rule stops adding them once one leaves the
+    level's sum unchanged, since rounding leaves every later, smaller term
+    out as well, so the panel's integral is the one that adding every node
+    gives, bit for bit.
     """
     t = _require_in_range(profile, t)
     if t == profile.t0:
@@ -325,9 +338,22 @@ def upper_bound(profile: BoundaryProfile, t: float) -> float:
     try:
         if anti is not None:
             return profile.d0 + (anti(profile.t0) - anti(t))
-        return profile.d0 + _tanh_sinh(profile.log_delta, t, profile.t0)
+        return profile.d0 + math.fsum(
+            _tanh_sinh(profile.log_delta, a, b) for a, b in _panels(t, profile.t0))
     except OverflowError:
         return math.inf
+
+
+def _panels(t: float, t0: float) -> Iterator[Tuple[float, float]]:
+    """The panels ``(a, b)`` of ``[t, t0]``, from ``t0`` outward: ``(R b, b)``
+    while ``R b`` lies above ``t``, and then ``(t, b)``."""
+    b = t0
+    a = b * _PANEL_RATIO
+    while a > t:
+        yield a, b
+        b = a
+        a = b * _PANEL_RATIO
+    yield t, b
 
 
 def _tanh_sinh(log_delta: Callable[[float], float], a: float, b: float) -> float:

@@ -150,12 +150,14 @@ class RepellingReport(NamedTuple):
 
     ``min_julia_residual`` is the worst slack in the Julia-type lower
     bound Re(sigma G(z)/(sigma - z)^2) >= (lam/2)(1-|z|^2)/|sigma - z|^2.
+    At |sigma| = 1 it is also the real part of the Herglotz-type function
+    G(z)/((conj(sigma) z - 1)(z - sigma)) - (lam/2)(sigma + z)/(sigma - z),
+    as (conj(sigma) z - 1)(z - sigma) = conj(sigma)(sigma - z)^2 and
+    Re((sigma + z)/(sigma - z)) = (1 - |z|^2)/|sigma - z|^2.
     ``ratios`` tracks G(z_k)/(z_k - sigma) at the points ``radial_points``
     of the radial approach z_k = sigma (1 - 2^-k), k = 4, 5, .., and
     ``ratio_estimate`` its extrapolated limit, which should equal -lam, or
     NaN when a ratio is NaN.
-    ``min_herglotz_real`` is the worst real part of the associated
-    Herglotz-type function, which should be nonnegative.
     ``radial_stop`` is the k at which a ``MapDomainError`` ended the radial
     approach, None if it ran to k = 40; ``plateau`` is the index i of the
     Richardson accelerant 2 r_{i+1} - r_i picked as ``ratio_estimate``,
@@ -167,7 +169,6 @@ class RepellingReport(NamedTuple):
     radial_points: tuple[complex, ...]
     ratios: tuple[complex, ...]
     ratio_estimate: complex
-    min_herglotz_real: float
     radial_stop: Optional[int]
     plateau: int
 
@@ -181,14 +182,15 @@ def _least(values: Sequence[float]) -> float:
 def repelling_diagnostics(
     model: KoenigsModel, petal: Petal, samples: Sequence[complex]
 ) -> RepellingReport:
-    """Evaluate the three repelling-point criteria of ``petal``.
+    """Evaluate the repelling-point criteria of ``petal``: the Julia-type
+    inequality and the radial ratio.
 
-    ``samples`` are Omega-coordinate points, at least one, for the two
-    inequalities.  One forward list walk of the chain
+    ``samples`` are Omega-coordinate points, at least one, for the
+    inequality.  One forward list walk of the chain
     (``ConformalChain.eval_and_derivative_all``) gives each sample's
     canonical image q = F(w) and F'(w); the disk point is z = C^-1(q) and
     the generator is read from h = F^-1 o C at z, whose derivative is
-    C'(z)/F'(w).  The disk points, their generators and both inequalities'
+    C'(z)/F'(w).  The disk points, their generators and the inequality's
     terms are read over the whole list of samples.  The radial approach
     takes ``generator`` point by point.
     """
@@ -198,7 +200,6 @@ def repelling_diagnostics(
     if not ws:
         raise DiagnosticError("diagnostics need at least one sample")
     sigma = model.disk_sigma(petal).value
-    sigma_bar = sigma.conjugate()
     half_lam = 0.5 * petal.lam
     # z = C^-1(q) = (a q + b)/(c q + d), and C'(z) = (c q + d)^2/det.
     a, b, c, d, det = CAYLEY_INVERSE
@@ -210,8 +211,6 @@ def repelling_diagnostics(
     gaps = [sigma - z for z in zs]
     julias = [(sigma * g / gap ** 2).real - half_lam * (1.0 - abs(z) ** 2) / abs(gap) ** 2
               for z, g, gap in zip(zs, gs, gaps)]
-    herglotzes = [(g / ((sigma_bar * z - 1.0) * (z - sigma)) - half_lam * (sigma + z) / gap).real
-                  for z, g, gap in zip(zs, gs, gaps)]
     radial = []
     ratios = []
     radial_stop = None
@@ -242,7 +241,6 @@ def repelling_diagnostics(
         radial_points=tuple(radial),
         ratios=tuple(ratios),
         ratio_estimate=estimate,
-        min_herglotz_real=_least(herglotzes),
         radial_stop=radial_stop,
         plateau=best + 1,
     )

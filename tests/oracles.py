@@ -52,10 +52,11 @@ Only the tests use these, so they live here rather than in the package:
   the edges of each catalog domain must land on the real axis;
 - the complement of a circular arc (``arc_complement``), against which
   harmonic measures are checked to add up to one;
-- the tanh-sinh upper bound with every node's integrand evaluated and
-  every node's term added (``reference_upper_bound``), against which
+- the tanh-sinh upper bound over the same geometric panels
+  (``reference_panels``) with every node's integrand evaluated and every
+  node's term added (``reference_upper_bound``), against which
   ``bounds.upper_bound``, which reuses the integrand at nodes that round
-  onto an endpoint and ends a level once such a term adds nothing, is
+  onto a panel's end and ends a level once such a term adds nothing, is
   checked bit for bit;
 - Aitken's delta-squared run over every consecutive triple of the last
   eight values, keeping the last triple's result
@@ -74,6 +75,7 @@ from typing import NamedTuple
 import mpmath
 
 from petallab.bounds import (
+    _PANEL_RATIO,
     _QUAD_ABS_TOL,
     _QUAD_MAX_LEVEL,
     _QUAD_REL_TOL,
@@ -815,6 +817,15 @@ def reference_generator(model: KoenigsModel, z: complex) -> complex:
     return df / dc
 
 
+def reference_herglotz_real(sigma: complex, lam: float, z: complex, g: complex) -> float:
+    """Re(G(z)/((conj(sigma) z - 1)(z - sigma)) - (lam/2)(sigma + z)/(sigma - z)),
+    the real part of the Herglotz-type function of a generator value
+    ``g = G(z)`` at a repelling point sigma of rate lam, which is nonnegative
+    on the disk."""
+    return (g / ((sigma.conjugate() * z - 1.0) * (z - sigma))
+            - 0.5 * lam * (sigma + z) / (sigma - z)).real
+
+
 def reference_flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     """``semigroup.flow`` by the rule that reads the exact log gap of every
     orbit point: ``disk_z`` is None where abs(z) >= 1 or
@@ -997,44 +1008,65 @@ def mp_orbit_reading(model: KoenigsModel, petal, w0: complex, t: float):
         return mpmath.log(im_q), min(arg, mpmath.pi - arg), (v, v_o, v_t)
 
 
-def reference_upper_bound(profile: BoundaryProfile, t: float) -> float:
-    """``d0 + integral_t^{t0} exp(-log_delta(s)) ds`` by the package's
-    tanh-sinh rule, calling ``log_delta`` at every node, endpoints
-    included, with the same nodes, sum order, stopping rule, ``inf`` on
-    overflow and ``EstimationError`` text as ``bounds.upper_bound``."""
-    a, b = float(t), profile.t0
-    if a == b:
-        return profile.d0
-    log_delta = profile.log_delta
+def reference_panels(t: float, t0: float) -> list[tuple[float, float]]:
+    """The geometric panels of ``[t, t0]`` that ``bounds.upper_bound``
+    integrates, from ``t0`` outward: ``(R b, b)`` with ``R = 1e6`` while
+    ``R b`` lies above ``t``, each ``b`` the ``R b`` before it, and then
+    ``(t, b)``."""
+    panels = []
+    b = t0
+    while b * _PANEL_RATIO > t:
+        panels.append((b * _PANEL_RATIO, b))
+        b *= _PANEL_RATIO
+    panels.append((t, b))
+    return panels
+
+
+def _reference_tanh_sinh(log_delta, a: float, b: float) -> float:
+    """``integral_a^b exp(-log_delta(s)) ds`` by the package's tanh-sinh
+    rule, calling ``log_delta`` at every node, ends included."""
     half = 0.5 * (b - a)
-    try:
-        total = 0.5 * math.pi * math.exp(-log_delta(a + half))
-        step = 1.0
-        previous = math.nan
-        for level, nodes in enumerate(_TANH_SINH_LEVELS):
-            fresh = 0.0
-            for gap, weight in nodes:
-                r = half * gap
-                fresh += weight * (math.exp(-log_delta(a + r)) + math.exp(-log_delta(b - r)))
-            if level == 0:
-                total += fresh
-            else:
-                step *= 0.5
-                total = 0.5 * total + step * fresh
-            estimate = half * total
-            if estimate == math.inf:
-                return math.inf
-            change = abs(estimate - previous)
-            if level >= 3 and change <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(estimate)):
-                return profile.d0 + estimate
-            previous = estimate
-    except OverflowError:
-        return math.inf
+    total = 0.5 * math.pi * math.exp(-log_delta(a + half))
+    step = 1.0
+    previous = math.nan
+    for level, nodes in enumerate(_TANH_SINH_LEVELS):
+        fresh = 0.0
+        for gap, weight in nodes:
+            r = half * gap
+            fresh += weight * (math.exp(-log_delta(a + r)) + math.exp(-log_delta(b - r)))
+        if level == 0:
+            total += fresh
+        else:
+            step *= 0.5
+            total = 0.5 * total + step * fresh
+        estimate = half * total
+        if estimate == math.inf:
+            return math.inf
+        change = abs(estimate - previous)
+        if level >= 3 and change <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(estimate)):
+            return estimate
+        previous = estimate
     raise EstimationError(
         f"bounds.upper_bound: tanh-sinh quadrature on [{a}, {b}] still moved "
         f"by {change:.3e} at level {_QUAD_MAX_LEVEL}; 1/delta may not be "
         "integrable there"
     )
+
+
+def reference_upper_bound(profile: BoundaryProfile, t: float) -> float:
+    """``d0 + integral_t^{t0} exp(-log_delta(s)) ds`` by the package's
+    tanh-sinh rule on each of ``reference_panels``, the panels added by
+    ``math.fsum``, calling ``log_delta`` at every node, ends included,
+    with the same nodes, sum order, stopping rule, ``inf`` on overflow and
+    ``EstimationError`` text as ``bounds.upper_bound``."""
+    a, b = float(t), profile.t0
+    if a == b:
+        return profile.d0
+    try:
+        return profile.d0 + math.fsum([_reference_tanh_sinh(profile.log_delta, lo, hi)
+                                       for lo, hi in reference_panels(a, b)])
+    except OverflowError:
+        return math.inf
 
 
 def reference_aitken_limit(values) -> float:

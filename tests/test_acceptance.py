@@ -180,6 +180,12 @@ def _unsharp(item, check):
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_T=0.0), False),
                  {"tangential-plateau-vs-divergence"}, id="tangential-zero",
                  marks=_unsharp(3, "checks v_T at an off-centre base")),
+    # A lost split: v_o read as the total speed v.  At the centre-line
+    # default bases |v - v_o| <= 7.3e-12 for t = -2^4 .. -2^16, so
+    # orthogonal-speed-slopes repeats total-speed-slopes.
+    pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_o=s.v), False),
+                 {"orthogonal-speed-slopes"}, id="orthogonal-is-total",
+                 marks=_unsharp(3, "checks v_o at an off-centre base")),
     # A wrong time step: semigroup.regularity_gap stepping from t - 1.5.
     pytest.param(verify, "regularity_gap", _on_steps(lambda gaps: [1.5 * g for g in gaps]),
                  {"structural-consistency"}, id="step-scaled",

@@ -25,7 +25,7 @@ from petallab.bounds import (
     profile_from_table,
     upper_bound,
 )
-from oracles import reference_upper_bound
+from oracles import reference_panels, reference_upper_bound
 from petallab.hypcore import DomainError
 from petallab.speeds import EstimationError
 
@@ -141,6 +141,41 @@ class TestUpperBound:
         # Each value of 1/delta = e^709 is finite; their integral is not.
         p = custom_profile(lambda t: 0.0, t0=-1.0, log_delta=lambda t: -709.0)
         assert upper_bound(p, -11.0) == math.inf
+
+    def test_root_exponential_far_out(self):
+        # 1/delta = exp(-sqrt(-s)) from t0 = -1 integrates to 4/e, nearly all
+        # of it next to t0: the first panel holds it however far out t is.
+        p = custom_profile(None, t0=-1.0, log_delta=lambda s: math.sqrt(-s))
+        for k in range(6, 301):
+            assert upper_bound(p, -(10.0**k)) == pytest.approx(1.0 + 4.0 / math.e, rel=1e-12), k
+
+    def test_quadrature_matches_closed_form_in_panels(self):
+        # Up to 51 panels at -1e300, against the antiderivative in mpmath.
+        p = without_antiderivative(logrecip_profile())
+        with mpmath.workdps(40):
+            t0 = mpmath.mpf(p.t0)
+            for k in range(7, 301, 7):
+                t = mpmath.mpf(-(10.0**k))
+                exact = p.d0 + (t0 * mpmath.log(-t0) - t0) - (t * mpmath.log(-t) - t)
+                assert upper_bound(p, float(t)) == pytest.approx(float(exact), rel=1e-15), k
+
+    def test_panels_tile_the_range_geometrically(self):
+        for t0, t in ((-math.e, -1e300), (-1.0, -1e6), (-1.0, -1.5e6), (-1e-300, -1e308)):
+            panels = list(bounds._panels(t, t0))
+            assert panels == reference_panels(t, t0)
+            assert panels[0][1] == t0 and panels[-1][0] == t
+            assert all(a == b * bounds._PANEL_RATIO for a, b in panels[:-1])
+            assert all(b == a for (_, b), (a, _) in zip(panels[1:], panels))
+            assert all(a < b for a, b in panels)
+        # Fifty products of R round just short of 1e300: a 51st, thin panel.
+        assert len(list(bounds._panels(-1e300, -1.0))) == 51
+        assert len(list(bounds._panels(-1e6, -1.0))) == 1
+
+    def test_one_panel_keeps_the_rule_on_the_whole_range(self):
+        # t / t0 <= R: the bound is the rule's on [t, t0], bit for bit.
+        p = without_antiderivative(logrecip_profile())
+        for t in (-10.0, -1e3, -1e6, p.t0 * bounds._PANEL_RATIO):
+            assert upper_bound(p, t) == p.d0 + bounds._tanh_sinh(p.log_delta, t, p.t0)
 
     def test_constant_gap_integrates_linearly(self):
         p = custom_profile(lambda t: 1.0, t0=-1.0, d0=2.0)
@@ -278,11 +313,19 @@ def _recorded(fn, profile, t):
     return _quad_outcome(fn, counted, t), calls
 
 
-def _endpoint_repeats_dropped(calls, a, b):
-    """The plain rule's calls with each endpoint read only the first time."""
+def _endpoint_repeats_dropped(calls, t, t0):
+    """The plain rule's calls with each end of a panel of ``[t, t0]`` read
+    only the first time in that panel.  A panel's calls follow the one
+    before's, and its first, at its midpoint, lies outside every panel
+    before it."""
+    panels = iter(reference_panels(t, t0))
+    a, b = next(panels)
     seen = set()
     kept = []
     for x in calls:
+        while not a <= x <= b:
+            a, b = next(panels)
+            seen = set()
         if x in (a, b):
             if x in seen:
                 continue
@@ -317,7 +360,8 @@ def _tail_cases():
         # 1/delta = (-s)^(-1/2).
         (custom_profile(None, t0=-1.0, log_delta=lambda s: 0.5 * math.log(-s),
                         name="inverse-sqrt"), decades),
-        # 1/delta = exp(-sqrt(-s)) underflows to 0 from about s = -5e5.
+        # 1/delta = exp(-sqrt(-s)) underflows to 0 from about s = -5e5; the
+        # panels keep its mass next to t0, so every time has a value.
         (custom_profile(None, t0=-1.0, log_delta=lambda s: math.sqrt(-s),
                         name="root-exponential"), decades),
     ]
