@@ -216,7 +216,9 @@ class _RayCutStep(MapStep):
 class LogStep(_RayCutStep):
     """Branch of log with argument in [cut - 2 pi, cut).
 
-    The branch cut is the ray at angle ``cut`` from the origin.
+    The branch cut is the ray at angle ``cut`` from the origin.  A chain
+    reaches this step only as the inverse of :class:`ExpStep`, so it has
+    no inverse of its own.
     """
 
     __slots__ = ()
@@ -228,9 +230,6 @@ class LogStep(_RayCutStep):
     def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
         # 1/z fails only at z = 0, where the log has failed first.
         return self.apply_all(zs), [1.0 / z for z in zs]
-
-    def inverted(self) -> ExpStep:
-        return ExpStep()
 
 
 class PowerStep(_RayCutStep):
@@ -328,7 +327,8 @@ class SlitCloseStep(MapStep):
 
 
 class SlitOpenStep(MapStep):
-    """w -> sqrt(w^2 - 1), inverse of :class:`SlitCloseStep`."""
+    """w -> sqrt(w^2 - 1), inverse of :class:`SlitCloseStep`; a chain
+    reaches it only as that inverse, so it has none of its own."""
 
     __slots__ = ()
 
@@ -339,9 +339,6 @@ class SlitOpenStep(MapStep):
         # Only z / w can fail, so the images come first.
         ws = self.apply_all(zs)
         return ws, [z / w for z, w in zip(zs, ws)]
-
-    def inverted(self) -> SlitCloseStep:
-        return SlitCloseStep()
 
     def cut_distances(self, zs: Sequence[complex]) -> list[float]:
         # Distances to the segment [-1, 1]: Re z clamped onto [-1, 1].  A NaN

@@ -12,8 +12,9 @@ Every distance is evaluated in a subtraction-free log form, so separations
 of thousands of hyperbolic units remain accurate although the underlying
 cross ratios would overflow or round to 1.  For work at extreme separations
 the half-plane additionally gets an anchored logarithmic representation
-(:class:`UhpLogPoint`) storing ``q = anchor + e^L``; distances between such
-points never materialize ``q`` itself.
+(:class:`UhpLogPoint`) storing ``q = anchor +- e^L``; distances between
+such points never materialize ``q`` itself, and their framed logs are read
+modulo ``i pi``, so that no angle is re-folded next to 0 or pi.
 
 The Cayley map between the disk and the half-plane is stated here once,
 as the coefficients ``CAYLEY`` and ``CAYLEY_INVERSE`` and as
@@ -103,18 +104,24 @@ def uhp_distance(x: complex, y: complex) -> float:
 
 
 class UhpLogPoint:
-    """Upper half-plane point in anchored log form: q = anchor + e^L.
+    """Upper half-plane point in anchored log form: q = anchor + e^L, or
+    q = anchor - e^L when ``neg``.
 
-    ``anchor`` is a finite real number, or None for q = e^L.  Im L must lie
-    in (0, pi) so that q is interior.  The representation survives offsets
-    far below the float underflow threshold and radii far above overflow;
+    ``anchor`` is a finite real number, or None for q = +-e^L.  Im L must lie
+    in (0, pi), or in (-pi, 0) when ``neg``, so that q is interior: the sign
+    holds a point next to the negative axis by its small angle, which an
+    angle next to pi would lose.  The representation survives offsets far
+    below the float underflow threshold and radii far above overflow;
     ``log Im q`` is available exactly through :meth:`log_im`.
     """
 
-    __slots__ = ("anchor", "L")
+    __slots__ = ("anchor", "L", "neg")
 
-    def __init__(self, anchor: float | None, L: complex) -> None:
-        if not 0.0 < L.imag < math.pi:
+    def __init__(self, anchor: float | None, L: complex, neg: bool = False) -> None:
+        if neg:
+            if not -math.pi < L.imag < 0.0:
+                raise DomainError(f"signed log offset needs Im in (-pi, 0), got {L.imag!r}")
+        elif not 0.0 < L.imag < math.pi:
             raise DomainError(f"log offset needs Im in (0, pi), got {L.imag!r}")
         if not math.isfinite(L.real):
             raise DomainError("log offset must have finite real part")
@@ -122,10 +129,11 @@ class UhpLogPoint:
             raise DomainError("anchor must be finite or None")
         self.anchor = anchor
         self.L = L
+        self.neg = neg
 
     def log_im(self) -> float:
-        """log Im q = Re L + log sin Im L, exact in the log representation."""
-        return self.L.real + math.log(math.sin(self.L.imag))
+        """log Im q = Re L + log|sin Im L|, exact in the log representation."""
+        return self.L.real + math.log(abs(math.sin(self.L.imag)))
 
     def value(self) -> complex | None:
         """Plain complex value, or None when floats cannot represent it as an
@@ -133,7 +141,7 @@ class UhpLogPoint:
         rounds onto the real anchor)."""
         if self.L.real > 700.0:
             return None
-        q = cmath.exp(self.L)
+        q = -cmath.exp(self.L) if self.neg else cmath.exp(self.L)
         if self.anchor is not None:
             q += self.anchor
         return q if q.imag > 0.0 else None
@@ -150,49 +158,50 @@ def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
     qL = q.L
     pr, qr = pL.real, qL.real
     # Conditionals in place of max(), a builtin call, on the per-sample path.
-    if p.anchor == q.anchor:
+    same = p.anchor == q.anchor
+    if same:
         # The common anchor (or none) cancels from both |q1 - conj(q2)| and |q1 - q2|.
         m = qr if qr > pr else pr
-        a = cmath.exp(pL - m)
-        b = cmath.exp(qL - m)
-        num = abs(a - b.conjugate()) + abs(a - b)
     else:
         m = max(0.0, pr, qr)
+    a = cmath.exp(pL - m)
+    b = cmath.exp(qL - m)
+    if p.neg:
+        a = -a
+    if q.neg:
+        b = -b
+    if not same:
         scale = math.exp(-m)
-        pa = 0.0 if p.anchor is None else p.anchor * scale
-        qa = 0.0 if q.anchor is None else q.anchor * scale
-        v1 = pa + cmath.exp(pL - m)
-        b = cmath.exp(qL - m)  # conj(b) is exp(conj(qL) - m) bit for bit
-        num = abs(v1 - (qa + b.conjugate())) + abs(v1 - (qa + b))
+        if p.anchor is not None:
+            a += p.anchor * scale
+        if q.anchor is not None:
+            b += q.anchor * scale
+    num = abs(a - b.conjugate()) + abs(a - b)
     # Minus the mean of p.log_im() and q.log_im(), read inline.
     d = (m + math.log(num / 2.0)) - 0.5 * (
-        (pr + math.log(math.sin(pL.imag))) + (qr + math.log(math.sin(qL.imag))))
+        (pr + math.log(abs(math.sin(pL.imag)))) + (qr + math.log(abs(math.sin(qL.imag)))))
     return d if d > 0.0 else 0.0
 
 
-def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None,
-                   flip: bool = False) -> complex:
-    """log N(q) for q = anchor + e^L at the scale of L, both shifts from one
-    e^(L - scale): N(q) = q - c, or +-(q - c)/(q - other) (minus when ``flip``),
-    which carries the geodesic from c to ``other`` onto the imaginary axis and
-    keeps the half-plane.  log(q - c) and log(q - other) have Im in [0, pi],
-    and their difference has Im in [0, pi] for c > other and in [-pi, 0] for
-    c < other, where ``flip`` adds pi: so log N(q) has Im in [0, pi] up to
-    rounding."""
+def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None) -> complex:
+    """log N(q) modulo i pi for q = anchor +- e^L at the scale of L, both
+    shifts from one e^(L - scale): N(q) = q - c, or (q - c)/(q - other),
+    which carries the geodesic from c to ``other`` onto the imaginary axis.
+    Each shift's log is principal, so the two-foot Im lies in [-pi, pi];
+    a point on its anchor c reads L itself."""
     L = p.L
     anchor = 0.0 if p.anchor is None else p.anchor
     scale = L.real if L.real > 0.0 else 0.0
     shrink = math.exp(-scale)
     e = cmath.exp(L - scale)
+    if p.neg:
+        e = -e
     a = anchor - c
     val = L if a == 0.0 else scale + cmath.log(a * shrink + e)
     if other is None:
         return val
     a = anchor - other
-    val = val - (L if a == 0.0 else scale + cmath.log(a * shrink + e))
-    if flip:
-        val += 1j * math.pi
-    return val
+    return val - (L if a == 0.0 else scale + cmath.log(a * shrink + e))
 
 
 def uhp_log_disk_gap(p: UhpLogPoint) -> float:

@@ -28,8 +28,8 @@ HALF_PI = math.pi / 2.0
 
 
 # ---------------------------------------------------------------------------
-# Petal image shapes: each is its membership test, the log of its chart onto
-# the upper half-plane (``uhp_log``, whose Im lies in (0, pi) inside), and
+# Petal image shapes: each is its membership test, its chart point in the
+# upper half-plane (``uhp_point``, a ``UhpLogPoint`` with no anchor), and
 # its sampler (``sample``, which draws n points from ``rng.random``, each
 # coordinate as ``random.Random.uniform(lo, hi)`` would: lo + (hi - lo) r).
 
@@ -47,9 +47,9 @@ class StripImage(NamedTuple):
     def contains(self, w: complex) -> bool:
         return self.lo < w.imag < self.hi
 
-    def uhp_log(self, w: complex) -> complex:
-        """log of w's image in the upper half-plane: pi (w - i lo) / width."""
-        return math.pi / self.width * (w - 1j * self.lo)
+    def uhp_point(self, w: complex) -> UhpLogPoint:
+        """w's image in the upper half-plane, e^L with L = pi (w - i lo) / width."""
+        return UhpLogPoint(None, math.pi / self.width * (w - 1j * self.lo))
 
     def sample(self, n: int, rng) -> list[complex]:
         random = rng.random
@@ -65,8 +65,8 @@ class HalfPlaneImage:
     def contains(self, w: complex) -> bool:
         return w.imag > 0.0
 
-    def uhp_log(self, w: complex) -> complex:
-        return cmath.log(w)
+    def uhp_point(self, w: complex) -> UhpLogPoint:
+        return UhpLogPoint(None, cmath.log(w))
 
     def sample(self, n: int, rng) -> list[complex]:
         random = rng.random
@@ -83,9 +83,14 @@ class SlitPlaneImage:
     def contains(self, w: complex) -> bool:
         return w != 0 and abs(cmath.phase(w)) < math.pi
 
-    def uhp_log(self, w: complex) -> complex:
-        """log of i sqrt(w), the square root that opens the slit plane."""
-        return 0.5 * cmath.log(w) + 1j * HALF_PI
+    def uhp_point(self, w: complex) -> UhpLogPoint:
+        """i sqrt(w), the square root that opens the slit plane.  Left of the
+        imaginary axis it is -sqrt(-w) above the slit and sqrt(-w) below it,
+        held by the log of sqrt(-w), whose angle keeps the small gap that
+        arg w would lose next to pi."""
+        if w.real < 0.0:
+            return UhpLogPoint(None, 0.5 * cmath.log(-w), w.imag > 0.0)
+        return UhpLogPoint(None, 0.5 * cmath.log(w) + 1j * HALF_PI)
 
     def sample(self, n: int, rng) -> list[complex]:
         random = rng.random
@@ -134,13 +139,12 @@ class Petal:
 
     def distance(self, w1: complex, w2: complex) -> float:
         """Hyperbolic distance of the petal itself (not of Omega), read in
-        the upper half-plane through the image's log chart."""
+        the upper half-plane through the image's chart."""
         w1, w2 = complex(w1), complex(w2)
         image = self.image
         if not (image.contains(w1) and image.contains(w2)):
             raise DomainError(f"both points must lie in the petal {self.label!r}")
-        return uhp_log_distance(UhpLogPoint(None, image.uhp_log(w1)),
-                                UhpLogPoint(None, image.uhp_log(w2)))
+        return uhp_log_distance(image.uhp_point(w1), image.uhp_point(w2))
 
 
 class BoundaryPoint(NamedTuple):

@@ -123,23 +123,22 @@ def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
 
 def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
     """The chart in which eta, the geodesic through the base image p0 ending
-    at the petal's boundary point ``sigma_canonical``, is the positive
-    imaginary axis, as ``(frame, re0)``: ``uhp_log_framed(p, *frame)`` is
-    log N(q), N the Moebius normalizer carrying eta onto the axis, and re0
-    is Re log N of the base itself."""
+    at the petal's boundary point ``sigma_canonical``, is the imaginary
+    axis, as ``(frame, re0)``: ``uhp_log_framed(p, *frame)`` is log N(q)
+    modulo i pi, N the Moebius normalizer carrying eta onto the axis, and
+    re0 is Re log N of the base itself."""
     q0 = p0.value()
     if q0 is None:
         raise DomainError("base point has no finite canonical image")
     sigma = petal.sigma_canonical
     if sigma is None or q0.real == sigma:
         # eta is the vertical line through q0; translate it to Re = 0.
-        frame = (q0.real, None, False)
+        frame = (q0.real, None)
     else:
         # Half-circle geodesic: second foot by reflecting sigma through the
-        # center; N(q) = +-(q - sigma)/(q - other) maps it to the axis.
+        # center; N(q) = (q - sigma)/(q - other) maps it to the axis.
         center = (abs(q0) ** 2 - sigma * sigma) / (2.0 * (q0.real - sigma))
-        other = 2.0 * center - sigma
-        frame = (sigma, other, sigma - other < 0)
+        frame = (sigma, 2.0 * center - sigma)
     return frame, uhp_log_framed(p0, *frame).real
 
 
@@ -153,12 +152,13 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
     p_t = model.uhp_orbit(w0, t)
     ln_t = uhp_log_framed(p_t, *frame)
     v = uhp_log_distance(p0, p_t)
-    # v_T = |log tan(theta/2)| / 2, the distance to the axis at angle theta.
-    theta = ln_t.imag
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"argument must lie in (0, pi), got {theta!r}")
+    # v_T = |log tan(r/2)| / 2, the distance to the axis at angle r mod pi;
+    # an r of 0 or +-pi is a zero gap.
+    r = ln_t.imag
+    if not 0.0 < abs(r) < math.pi:
+        raise DomainError(f"speeds._sample_at: zero gap at t = {t!r}, framed angle {r!r}")
     return SpeedSample(float(t), v, 0.5 * abs(ln_t.real - re0),
-                       0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta)))
+                       0.5 * math.log((1.0 + abs(math.cos(r))) / abs(math.sin(r))))
 
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:

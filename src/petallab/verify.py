@@ -63,6 +63,18 @@ ORBIT_KMAX = 18
 # Dyadic exponents RATE_KMIN .. RATE_KMAX of the backward and forward rate
 # fits (``petallab asymptote`` and ``forward`` without --kmin or --kmax).
 RATE_KMIN, RATE_KMAX = 4, 16
+# Off-centre bases of the hyperbolic petals, each with the closed-form angle
+# theta of its image in the petal's chart: 2 Im w0 and pi - 2 |Im w0| on the
+# strips, pi/2 + arg(w0)/2 on the slit plane.  v_T tends to the axis
+# distance of theta, read within LIMIT_TOL at the times LIMIT_TIMES.
+OFF_CENTRE_BASES = (
+    ("strip-slit", "upper", 1.0 + 0.3j, lambda w: 2.0 * w.imag),
+    ("strip-slit", "lower", 0.5 - 0.3j, lambda w: math.pi - 2.0 * abs(w.imag)),
+    ("koebe-elliptic", "main", 2.0 * cmath.exp(0.5j),
+     lambda w: 0.5 * math.pi + 0.5 * cmath.phase(w)),
+)
+LIMIT_TIMES = (-(2.0**10), -(2.0**16), -1e300)
+LIMIT_TOL = 1e-12
 
 
 def rate_threshold(target: float, tol: Optional[float] = None) -> float:
@@ -264,6 +276,15 @@ def _check_parabolic_envelope() -> List[Part]:
     return parts
 
 
+def _off_centre_bases() -> List[Tuple[KoenigsModel, Petal, complex, float]]:
+    """(model, petal, base, theta) of each row of OFF_CENTRE_BASES."""
+    rows = []
+    for name, label, base, angle in OFF_CENTRE_BASES:
+        model = by_name(name)
+        rows.append((model, model.petal(label), base, angle(base)))
+    return rows
+
+
 def _check_tangential_plateau() -> List[Part]:
     parts = []
     for model, petal in _all_petals():
@@ -285,6 +306,11 @@ def _check_tangential_plateau() -> List[Part]:
                 f"{model.name}/{petal.label}: divergence {growth:.3f} >= {_bound(min_growth)}",
                 growth >= min_growth,
             ))
+    for model, petal, base, theta in _off_centre_bases():
+        limit = 0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta))
+        errors = [abs(speed_sample(model, petal, base, t).v_T - limit) for t in LIMIT_TIMES]
+        parts.append(_at_most(f"{model.name}/{petal.label} at {base:.4g}: "
+                              f"v_T off its limit {limit:.6f} by", errors, LIMIT_TOL))
     return parts
 
 
@@ -305,13 +331,15 @@ def _check_pythagorean_sandwich() -> List[Part]:
     grid = dyadic_grid(0, 16)
     low_slacks = []
     high_slacks = []
-    for model, petal in _all_petals():
-        series = speed_series(model, petal, petal.base_default, grid)
+    bases = [(model, petal, petal.base_default) for model, petal in _all_petals()]
+    bases += [(model, petal, base) for model, petal, base, _ in _off_centre_bases()]
+    for model, petal, base in bases:
+        series = speed_series(model, petal, base, grid)
         for s in series.samples:
             low_slacks.append(s.v - (s.v_o + s.v_T - _HALF_LOG2))
             high_slacks.append((s.v_o + s.v_T) - s.v)
     return [
-        (f"min slack above v_o+v_T-log(2)/2: {_worst(min, low_slacks):.2e}",
+        (f"{len(bases)} bases; min slack above v_o+v_T-log(2)/2: {_worst(min, low_slacks):.2e}",
          all(slack >= -1e-9 for slack in low_slacks)),
         (f"min slack below v_o+v_T: {_worst(min, high_slacks):.2e}",
          all(slack >= -1e-9 for slack in high_slacks)),

@@ -233,6 +233,27 @@ class MobiusStep(MapStep):
         return MobiusStep(self.m.inverse())
 
 
+class ForwardLogStep(LogStep):
+    """A ``LogStep`` that a chain may hold as a forward step.  The catalog
+    reaches ``LogStep`` only as the inverse of ``ExpStep``, so the package
+    gives it no inverse of its own."""
+
+    __slots__ = ()
+
+    def inverted(self) -> ExpStep:
+        return ExpStep()
+
+
+class ForwardSlitOpenStep(SlitOpenStep):
+    """A ``SlitOpenStep`` that a chain may hold as a forward step, inverted
+    by ``SlitCloseStep``, as ``ForwardLogStep`` is by ``ExpStep``."""
+
+    __slots__ = ()
+
+    def inverted(self) -> SlitCloseStep:
+        return SlitCloseStep()
+
+
 def segment_distance(z: complex, a: complex, b: complex) -> float:
     """Euclidean distance from z to the closed segment [a, b]."""
     d = b - a
@@ -316,6 +337,12 @@ _CUT_DISTANCES = {
     SlitCloseStep: lambda s, z: slit_close_cut_distance(z),
     SlitOpenStep: lambda s, z: slit_open_cut_distance(z),
 }
+
+
+# A forward step reads the formulas of the package step it extends.
+for _forward, _step in ((ForwardLogStep, LogStep), (ForwardSlitOpenStep, SlitOpenStep)):
+    _FORMULAS[_forward] = _FORMULAS[_step]
+    _CUT_DISTANCES[_forward] = _CUT_DISTANCES[_step]
 
 
 def reference_apply(step: MapStep, z: complex) -> complex:

@@ -7,6 +7,7 @@ with ``pytest -v -s tests/test_acceptance.py`` to see them all.
 import math
 import time
 
+import mpmath
 import pytest
 
 from petallab import semigroup, speeds, verify
@@ -50,6 +51,33 @@ def test_detail_prints_the_bound_it_checks(monkeypatch):
     monkeypatch.setattr(verify, "SUBLINEAR_PER_TOL", 2e-2)
     text, _ = verify._check_orthogonal_slopes()[-1]
     assert text.endswith("<= 2e-3")
+
+
+def _mp_chart_angle(name, base):
+    """The angle of the base's image in its petal's chart, in mpmath: the
+    strip {0 < Im w < pi/2} opens by e^(2w), {-pi/2 < Im w < 0} by
+    e^(2w + i pi), and the slit plane by i sqrt(w)."""
+    w = mpmath.mpc(base)
+    if name == "koebe-elliptic":
+        return mpmath.arg(1j * mpmath.sqrt(w))
+    return 2 * w.imag + (mpmath.pi if w.imag < 0 else 0)
+
+
+def test_off_centre_limits_against_mpmath():
+    # verify's closed-form angles and the v_T they give, derived at 40
+    # digits: the limits read 0.5866632036455847 on both strips and
+    # 0.12632280517893377 on the slit plane.
+    rows = verify._off_centre_bases()
+    assert [(m.name, p.label) for m, p, _, _ in rows] == [
+        ("strip-slit", "upper"), ("strip-slit", "lower"), ("koebe-elliptic", "main")]
+    for model, petal, base, theta in rows:
+        with mpmath.workdps(40):
+            mp_theta = _mp_chart_angle(model.name, base)
+            limit = float(mpmath.log((1 + abs(mpmath.cos(mp_theta))) / mpmath.sin(mp_theta)) / 2)
+        assert theta == pytest.approx(float(mp_theta), rel=1e-15)
+        for t in verify.LIMIT_TIMES:
+            v_T = speeds.speed_sample(model, petal, base, t).v_T
+            assert abs(v_T - limit) <= verify.LIMIT_TOL, (model.name, t, v_T, limit)
 
 
 def _nan_last_speed(real):
@@ -176,16 +204,16 @@ def _unsharp(item, check):
                  {"pythagorean-sandwich", "base-point-independence"},
                  id="parabolic-rate-high"),
     # A rounded-away angle: a framed orbit point whose angle rounds onto
-    # eta (speeds._eta_frame), so that v_T reads 0.
+    # eta (speeds._eta_frame), so that v_T reads 0.  The off-centre bases'
+    # v_T limits are 0.587 and 0.126.
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_T=0.0), False),
-                 {"tangential-plateau-vs-divergence"}, id="tangential-zero",
-                 marks=_unsharp(3, "checks v_T at an off-centre base")),
+                 {"tangential-plateau-vs-divergence"}, id="tangential-zero"),
     # A lost split: v_o read as the total speed v.  At the centre-line
     # default bases |v - v_o| <= 7.3e-12 for t = -2^4 .. -2^16, so
-    # orthogonal-speed-slopes repeats total-speed-slopes.
+    # orthogonal-speed-slopes repeats total-speed-slopes; at the off-centre
+    # base 1 + 0.3i the sandwich's lower slack reads log(2)/2 - v_T = -0.24.
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_o=s.v), False),
-                 {"orthogonal-speed-slopes"}, id="orthogonal-is-total",
-                 marks=_unsharp(3, "checks v_o at an off-centre base")),
+                 {"pythagorean-sandwich"}, id="orthogonal-is-total"),
     # A wrong time step: semigroup.regularity_gap stepping from t - 1.5.
     pytest.param(verify, "regularity_gap", _on_steps(lambda gaps: [1.5 * g for g in gaps]),
                  {"structural-consistency"}, id="step-scaled",

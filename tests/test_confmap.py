@@ -13,6 +13,8 @@ from oracles import (
     INFINITY,
     ApproachRay,
     BoundaryPoint,
+    ForwardLogStep,
+    ForwardSlitOpenStep,
     Mobius,
     MobiusStep,
     push_boundary_point,
@@ -103,11 +105,11 @@ class TestSteps:
     @pytest.mark.parametrize("step,z", [
         (Affine(2.0 - 1j, 3j), 0.7 + 0.2j),
         (ExpStep(), 0.4 - 0.9j),
-        (LogStep(math.pi), 2.0 + 1.5j),
+        (PowerStep(1, 2), 2.0 + 1.5j),
         (PowerStep(2, 3, 2.0 * math.pi), 1.0 + 2.0j),
         (MobiusStep(Mobius(2.0, 1j, 1.0, 4.0)), 0.3 + 0.8j),
         (SlitCloseStep(), 1.0 + 1.0j),
-        (SlitOpenStep(), 2.0 + 1.0j),
+        (SlitCloseStep(), 2.0 + 1.0j),
     ])
     def test_step_inverse_round_trip(self, step, z):
         w = step.apply(z)
@@ -369,7 +371,8 @@ class TestEvalLog:
         ((ExpStep(), Affine(-1j, 0.5), Affine(2.0 - 1j, 0j), ExpStep(), Affine(1j, 0j)),
          lambda rng: complex(rng.uniform(-2.0, 0.0), rng.uniform(-1.0, 1.0))),
         # steps with no log form of their own, and a chain ending in a plain point
-        ((Affine(1.0, 1j), LogStep(math.pi), SlitCloseStep(), SlitOpenStep(), Affine(1j, 0j)),
+        ((Affine(1.0, 1j), ForwardLogStep(math.pi), SlitCloseStep(), ForwardSlitOpenStep(),
+          Affine(1j, 0j)),
          lambda rng: complex(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))),
         # a power of an anchored log point, on a branch other than the principal one
         ((ExpStep(), Affine(1.0, 2.0), PowerStep(1, 2, 0.5)),
@@ -618,7 +621,7 @@ class TestWalkPlansMatchReference:
         ((SlitCloseStep(),), -1j, "step 0: evaluation failed: complex division by zero"),
         # The derivative succeeds and only the image fails.
         ((PowerStep(3, 2),), 1e250 + 1e250j, "step 0: evaluation failed: math range error"),
-        ((LogStep(math.pi),), -1.5e308 + 1.5e308j,
+        ((ForwardLogStep(math.pi),), -1.5e308 + 1.5e308j,
          "step 0: evaluation failed: absolute value too large"),
         ((Affine(1.0, 0j), ExpStep(), Affine(1j, 0j), SlitCloseStep()), 709.5 + 0.1j,
          "step 3: evaluation left float range"),
@@ -632,7 +635,7 @@ class TestWalkPlansMatchReference:
 
     def test_cut_free_steps_skip_the_cut_check(self):
         chain = ConformalChain((Affine(2.0, 1j), ExpStep(), MobiusStep(Mobius(1.0, 1j, 0j, 1.0)),
-                                LogStep(0.5)), lambda z: True, "mixed")
+                                ForwardLogStep(0.5)), lambda z: True, "mixed")
         assert [step.cut_distances is None for step in chain.steps] == [True, True, True, False]
         assert [i for i, _, _ in chain._inverse] == [3, 2, 1, 0]
         assert [step.cut_distances is None for _, step, _ in chain._inverse] == [
@@ -645,7 +648,8 @@ class TestWalkPlansMatchReference:
         huge = 1.5e308 + 1.5e308j
         assert _outcome(ConformalChain((Affine(0.5),), lambda z: True).eval_all, [huge]) == (
             "value", [0.5 * huge])
-        assert _outcome(ConformalChain((LogStep(math.pi),), lambda z: True).eval_all, [huge]) == (
+        log_chain = ConformalChain((ForwardLogStep(math.pi),), lambda z: True)
+        assert _outcome(log_chain.eval_all, [huge]) == (
             "error", MapDomainError, 0, "step 0: cut check failed: absolute value too large")
 
 
@@ -759,7 +763,7 @@ class TestListWalk:
         # dw/dq = 1e-400 would underflow to 0, which eval_inverse does not form.
         (ConformalChain((Affine(1e200), Affine(1e200)), lambda z: True, "scale"), [1j, 2j]),
         # e^(1 + 2i) has a negative real part: no preimage in the source.
-        (ConformalChain((LogStep(math.pi),), lambda z: z.real > 0.0, "log"),
+        (ConformalChain((ForwardLogStep(math.pi),), lambda z: z.real > 0.0, "log"),
          [0.1 + 0.5j, 1.0 + 2.0j, 0.5 + 1.0j]),
     ], ids=["vanishing-derivative", "no-preimage"])
     def test_checks_after_the_walk(self, chain, targets):
@@ -940,14 +944,14 @@ class TestInverseAndDerivative:
     def test_forward_cut_is_checked_on_the_preimage(self):
         # ExpStep, the inverse of LogStep(pi), has no cut; exp(1 + i pi)
         # lands within rounding of LogStep's cut, the negative real axis.
-        chain = ConformalChain((LogStep(math.pi),), lambda z: True, "log")
+        chain = ConformalChain((ForwardLogStep(math.pi),), lambda z: True, "log")
         q = 1.0 + 1j * math.pi
         got = _outcome(chain.inverse_and_derivative, q)
         assert got[:3] == ("error", MapDomainError, 0)
         assert got == _outcome(lambda q: chain.derivative(chain.eval_inverse(q)), q)
 
     def test_forward_cut_comes_before_the_source_check(self):
-        chain = ConformalChain((LogStep(math.pi),), lambda z: z.real > 0.0, "log")
+        chain = ConformalChain((ForwardLogStep(math.pi),), lambda z: z.real > 0.0, "log")
         got = _outcome(chain.inverse_and_derivative, 1.0 + 1j * math.pi)
         assert got[:3] == ("error", MapDomainError, 0)
         assert "of a branch cut" in got[3]
@@ -956,7 +960,8 @@ class TestInverseAndDerivative:
         # Preimages z_2 = e^q = -2 and z_0 = e^{z_2 - i pi} = -e^-2 both
         # sit on a forward LogStep cut: the walk runs down the step indices
         # and meets step 2 first.
-        chain = ConformalChain((LogStep(math.pi), Affine(1.0, 1j * math.pi), LogStep(math.pi)),
+        chain = ConformalChain((ForwardLogStep(math.pi), Affine(1.0, 1j * math.pi),
+                                ForwardLogStep(math.pi)),
                                lambda z: True, "log-log")
         q = math.log(2.0) + 1j * math.pi
         got = _outcome(chain.inverse_and_derivative, q)

@@ -519,20 +519,20 @@ class TestUhpLogShifted:
 
 
 class TestUhpLogFramed:
-    """The two-foot frame: log of N(q) = +-(q - c)/(q - other), the sign
-    making N preserve the upper half-plane, on its principal branch."""
+    """The two-foot frame: log of N(q) = (q - c)/(q - other) on its
+    principal branch, read modulo i pi by its callers: N(q) lies in the
+    lower half-plane when c < other."""
 
     @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
     def test_two_feet_against_mpmath(self, anchor, L):
         for c, other in ((1.0, -1.0), (-1.0, 1.0), (0.5, 3.0), (-2.0, 0.25)):
-            flip = c - other < 0
             a, e = _mp_offset(anchor, L, c)
             b, _ = _mp_offset(anchor, L, other)
             with mpmath.workdps(50):
-                exact = mpmath.log((-1 if flip else 1) * (a + e) / (b + e))
+                exact = mpmath.log((a + e) / (b + e))
                 cond = float((abs(a) + abs(e)) / abs(a + e) + (abs(b) + abs(e)) / abs(b + e))
             re, im = float(exact.real), float(exact.imag)
-            got = uhp_log_framed(UhpLogPoint(anchor, L), c, other, flip)
+            got = uhp_log_framed(UhpLogPoint(anchor, L), c, other)
             assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), (c, other)
             assert abs(got.imag - im) <= 4 * _EPS * (cond + math.pi), (c, other)
 
@@ -541,11 +541,9 @@ class TestUhpLogFramed:
         # reads rounds the same way, bit for bit.
         for anchor, L in _LOG_POINTS:
             p = UhpLogPoint(anchor, L)
-            for c, other in ((1.0, -1.0), (0.5, 3.0)):
+            for c, other in ((1.0, -1.0), (0.5, 3.0), (-1.0, 1.0)):
                 want = uhp_log_framed(p, c) - uhp_log_framed(p, other)
-                if c - other < 0:
-                    want += 1j * math.pi
-                got = uhp_log_framed(p, c, other, c - other < 0)
+                got = uhp_log_framed(p, c, other)
                 assert repr(got) == repr(want), (anchor, L, c)
 
 
@@ -565,8 +563,72 @@ class TestUhpLogDiskGap:
             assert got == pytest.approx(float(exact), rel=4 * _EPS * (1 + abs(log_exact)))
 
 
+class TestSignedLogPoints:
+    """q = anchor - e^L with Im L in (-pi, 0): every read negates e^L."""
+
+    # The mirror images (anchor, conj L) of _LOG_POINTS, whose q lie in the
+    # half-plane only when signed.
+    POINTS = [(anchor, L.conjugate()) for anchor, L in _LOG_POINTS]
+
+    def test_value_and_log_im(self):
+        p = UhpLogPoint(-1.0, complex(-2.0, -0.7), True)
+        expected = -1.0 - cmath.exp(complex(-2.0, -0.7))
+        assert p.value() == expected
+        assert p.log_im() == pytest.approx(math.log(expected.imag), rel=1e-13)
+        assert UhpLogPoint(None, complex(701.0, -1.0), True).value() is None
+
+    def test_invalid_argument_rejected(self):
+        for im in (0.0, 0.5, -math.pi, -4.0):
+            with pytest.raises(DomainError, match="signed log offset"):
+                UhpLogPoint(0.0, complex(0.0, im), True)
+
+    def test_distance_matches_plain_form(self):
+        rng = _rng()
+        for _ in range(60):
+            p = UhpLogPoint(rng.uniform(-2.0, 2.0),
+                            complex(rng.uniform(-3.0, 2.0), -rng.uniform(0.1, 3.0)), True)
+            for q in (UhpLogPoint(p.anchor, complex(rng.uniform(-3.0, 2.0), -rng.uniform(0.1, 3.0)),
+                                  True),
+                      UhpLogPoint(None, complex(rng.uniform(-3.0, 2.0), rng.uniform(0.05, 3.09)))):
+                direct = uhp_distance(p.value(), q.value())
+                assert uhp_log_distance(p, q) == pytest.approx(direct, abs=1e-11)
+                assert uhp_log_distance(q, p) == uhp_log_distance(p, q)
+
+    def test_one_point_in_both_forms(self):
+        # e^(L + i pi) = -e^L: the distance between the two forms is the
+        # rounding of Im L + pi, a few ulps of pi against its small gap.
+        for anchor, L in self.POINTS:
+            gap = min(-L.imag, math.pi + L.imag)
+            d = uhp_log_distance(UhpLogPoint(anchor, L, True),
+                                 UhpLogPoint(anchor, L + 1j * math.pi))
+            assert d <= 4 * _EPS * math.pi / gap, (anchor, L)
+
+    def test_framed_log_against_mpmath_modulo_pi(self):
+        for anchor, L in self.POINTS:
+            for c in (0.0, 1.0, -1.0, 0.5, -1j):
+                a, e = _mp_offset(anchor, L, c)
+                with mpmath.workdps(50):
+                    exact = mpmath.log(a - e)
+                    cond = float((abs(a) + abs(e)) / abs(a - e))
+                re, im = float(exact.real), float(exact.imag)
+                got = uhp_log_framed(UhpLogPoint(anchor, L, True), c)
+                turned = got.imag - im
+                assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), (anchor, L, c)
+                assert abs(turned - math.pi * round(turned / math.pi)) <= (
+                    4 * _EPS * (cond + math.pi)), (anchor, L, c)
+
+    def test_disk_gap_against_mpmath(self):
+        for anchor, L in self.POINTS:
+            a, e = _mp_offset(anchor, L, -1j)
+            with mpmath.workdps(50):
+                exact = -4 * e.imag / abs(a - e) ** 2
+                log_exact = float(mpmath.log(exact)) if exact else 0.0
+            got = uhp_log_disk_gap(UhpLogPoint(anchor, L, True))
+            assert got == pytest.approx(float(exact), rel=4 * _EPS * (1 + abs(log_exact)))
+
+
 def test_only_hypcore_and_confmap_read_the_log_layout():
-    # The layout q = anchor + e^L of UhpLogPoint is read in hypcore and in
+    # The layout q = anchor +- e^L of UhpLogPoint is read in hypcore and in
     # confmap's log kernels alone, so that a change to it stays there.
     package = Path(petallab.__file__).parent
     readers = []
@@ -574,7 +636,7 @@ def test_only_hypcore_and_confmap_read_the_log_layout():
         if path.name in ("hypcore.py", "confmap.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("anchor", "L"):
+            if isinstance(node, ast.Attribute) and node.attr in ("anchor", "L", "neg"):
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert readers == []
 

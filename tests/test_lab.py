@@ -51,6 +51,16 @@ class TestSpeedsCommand:
         assert len(lines) == 18
         assert "17 rows" in capsys.readouterr().out
 
+    def test_readme_run_matches_the_committed_file(self, tmp_path):
+        # tests/data holds the file the README's speeds command writes; a
+        # change that moves a row on purpose rewrites it and says which
+        # rows moved.
+        assert main(["speeds", "--model", "strip-slit", "--petal", "0", "--kmax", "16",
+                     "--out", str(tmp_path)]) == 0
+        name = "speeds_strip-slit_p0.csv"
+        committed = Path(__file__).resolve().parent / "data" / name
+        assert (tmp_path / name).read_bytes() == committed.read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["speeds", "--model", "koebe-elliptic", "--kmax", "12",
                 "--out", str(tmp_path)]

@@ -131,12 +131,14 @@ class TestGeometryInvariants:
         for gap in (1e-9, 0.25, 1.5):
             edge = 0.5 * opening - gap
             for r in (1e-3, 1.0, 1e3):
-                above = petal.image.uhp_log(cmath.rect(r, edge))
-                below = petal.image.uhp_log(cmath.rect(r, -edge))
-                # Im of the chart is formed next to pi/2 + pi/2: an absolute
-                # error of a few ulps of pi.
-                assert above.imag == pytest.approx(math.pi - math.pi / opening * gap, abs=1e-15)
-                assert below.imag == pytest.approx(math.pi / opening * gap, abs=1e-15)
+                above = petal.image.uhp_point(cmath.rect(r, edge))
+                below = petal.image.uhp_point(cmath.rect(r, -edge))
+                # Left of the imaginary axis the chart holds the angle by its
+                # gap to the slit, signed above it: -+gap / 2 up to the
+                # rounding of edge, an ulp of pi.
+                assert above.neg and not below.neg
+                assert above.L.imag == pytest.approx(-math.pi / opening * gap, abs=1e-15)
+                assert below.L.imag == pytest.approx(math.pi / opening * gap, abs=1e-15)
 
     def test_forward_invariance_of_domain(self):
         rng = random.Random(RNG_SEED)
@@ -272,19 +274,34 @@ class TestPetalImages:
     @pytest.mark.parametrize("model,petal", _model_petals(),
                              ids=lambda v: getattr(v, "name", None) or getattr(v, "label", ""))
     def test_chart_opens_the_image_onto_the_half_plane(self, model, petal):
-        # e^(uhp_log(w)) is the image's canonical map: i e^z after the strip
+        # uhp_point(w) is the image's canonical map: i e^z after the strip
         # is rescaled onto {|Im| < pi/2}, the identity, and i sqrt(w).
         image = petal.image
         for w in sample_petal_omega(model, petal, 200, random.Random(RNG_SEED)):
-            L = image.uhp_log(w)
-            assert 0.0 < L.imag < math.pi
+            p = image.uhp_point(w)
+            assert p.anchor is None
             if isinstance(image, StripImage):
                 want = strip_to_uhp(math.pi / image.width * (w - 0.5j * (image.lo + image.hi)))
             elif isinstance(image, HalfPlaneImage):
                 want = w
             else:
                 want = 1j * cmath.sqrt(w)
-            assert abs(cmath.exp(L) - want) <= 1e-14 * abs(want)
+            assert abs(p.value() - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("k", range(4, 16))
+    def test_slit_plane_distance_next_to_the_slit(self, k):
+        # At angle pi - 10^-k above and below the slit, against the chart
+        # i sqrt(w) and the half-plane distance asinh(|p - q| / (2 sqrt(Im p
+        # Im q))) in mpmath, read from the float points themselves.
+        petal = by_name("koebe-elliptic").petal("main")
+        for w1 in (2.0 + 0j, 0.5j, -1e10 + 1j):
+            for sign in (1.0, -1.0):
+                w2 = cmath.rect(3.0, sign * (math.pi - 10.0 ** -k))
+                with mpmath.workdps(60):
+                    p, q = (1j * mpmath.sqrt(mpmath.mpc(w)) for w in (w1, w2))
+                    want = float(mpmath.asinh(abs(p - q) / (2 * mpmath.sqrt(p.imag * q.imag))))
+                got = petal.distance(w1, w2)
+                assert abs(got - want) <= 1e-12 * want, (w1, w2, got, want)
 
     @pytest.mark.parametrize("model,petal", _model_petals(),
                              ids=lambda v: getattr(v, "name", None) or getattr(v, "label", ""))

@@ -205,64 +205,112 @@ class TestCrossValidation:
 
 
 class _FixedOrbit:
-    """A model whose orbit point is q = e^L at every time."""
+    """A model whose orbit point is ``point`` at every time."""
 
-    def __init__(self, L: complex) -> None:
-        self.L = L
+    def __init__(self, point: UhpLogPoint) -> None:
+        self.point = point
 
     def uhp_orbit(self, w0, t):
-        return UhpLogPoint(None, self.L)
+        return self.point
+
+
+def _read_at(anchor, L, neg=False, frame=(0.0, None)):
+    """The sample at t = -1 of the fixed orbit point (anchor, L, neg), read
+    in ``frame``; with the default one-foot frame N(q) = q (c = 0) an
+    anchor-free point's framed log is L itself."""
+    point = UhpLogPoint(anchor, L, neg)
+    return _sample_at(_FixedOrbit(point), 0j, UhpLogPoint(None, 1j), frame, 0.0, -1.0)
 
 
 class TestTangentialRead:
     """v_T is the axis distance of the framed point's argument, which the
     per-sample read states inline; ``oracles.axis_distance`` states it too,
-    and ``test_hypcore::TestAxisDistance`` checks its properties.  With the
-    frame N(q) = q (c = 0, one foot) the framed log is L itself."""
-
-    def _sample(self, L):
-        p0 = UhpLogPoint(None, 1j)
-        return _sample_at(_FixedOrbit(L), 0j, p0, (0.0, None, False), 0.0, -1.0)
+    and ``test_hypcore::TestAxisDistance`` checks its properties.  A signed
+    point -e^L feeds the read the negative angle Im L."""
 
     def test_matches_the_axis_distance_oracle(self):
         thetas = [1e-300, 1e-12, 0.3, 1.0, math.pi / 4, math.pi / 2, 2.0,
                   math.pi - 1e-12, math.nextafter(math.pi, 0.0)]
         for theta in thetas:
-            s = self._sample(complex(3.0, theta))
-            assert repr(s.v_T) == repr(axis_distance(theta)), theta
-            assert s.v_o == 1.5
+            for s in (_read_at(None, complex(3.0, theta)),
+                      _read_at(None, complex(3.0, -theta), True)):
+                assert repr(s.v_T) == repr(axis_distance(theta)), theta
+                assert s.v_o == 1.5
 
     def test_angle_rounded_onto_the_real_axis_raises(self):
-        # At |Im w0| = 1e-17 strip-slit's framed angle rounds to 0 (ROADMAP
-        # item 1): a typed error, not an axis distance of infinity.
+        # At |Im w0| = 1e-17 strip-slit's framed angle rounds onto the real
+        # axis (ROADMAP item 1): a typed error naming the layer and the
+        # time, not an axis distance of infinity.
         model = by_name("strip-slit")
-        with pytest.raises(DomainError, match=r"argument must lie in \(0, pi\), got 0\.0"):
+        with pytest.raises(DomainError, match=r"^speeds\._sample_at: zero gap at t = -1\.0,"):
             speed_sample(model, model.petal("upper"), 0.5 + 1e-17j, -1.0)
 
 
 class TestFramedAngle:
-    """On the eta frames ``_eta_frame`` builds, the two-foot framed angle
-    lies in [0, pi] up to rounding with no re-fold: the frame's flip keeps
-    N(q) in the half-plane."""
+    """The framed angle is read modulo pi: ``uhp_log_framed`` returns the
+    principal two-foot log, whose Im may be negative, and ``_sample_at``
+    reads v_T through |cos r| and |sin r|."""
 
     def test_two_foot_angle_stays_on_the_branch(self):
         rng = random.Random(RNG_SEED)
         times = [0.0, -1.0, -(2.0 ** 16), -(2.0 ** 60), -1e100, -1e300]
-        flips = []
+        orientations = []
         for model, petal in _model_petals():
             for w in [petal.base_default, *sample_petal_omega(model, petal, 10, rng)]:
                 frame, _ = _eta_frame(petal, model.uhp_orbit(w, 0.0))
                 if frame[1] is None:
                     continue
-                flips.append(frame[2])
+                assert len(frame) == 2
+                orientations.append(frame[0] < frame[1])
                 points = [model.uhp_orbit(w, t) for t in times]
                 points += [UhpLogPoint(None, complex(rng.uniform(-700.0, 700.0),
                                                      rng.uniform(1e-9, math.pi - 1e-9)))
                            for _ in range(20)]
                 for p in points:
                     theta = uhp_log_framed(p, *frame).imag
-                    assert -1e-12 <= theta <= math.pi + 1e-12, (model.name, petal.label, w, p)
-        assert len(flips) >= 20 and set(flips) == {False, True}, flips
+                    assert -math.pi <= theta <= math.pi, (model.name, petal.label, w, p)
+                    # N(q) lies in the lower half-plane when c < other.
+                    assert theta <= 0.0 if frame[0] < frame[1] else theta >= 0.0, (w, p)
+        assert len(orientations) >= 20 and set(orientations) == {False, True}, orientations
+
+    def test_tangential_speed_reads_modulo_pi(self):
+        # One point q = e^(x + i r) = -e^(x + i (r - pi)) in its two forms,
+        # with r - pi exact for r >= pi/2: v_T at the framed angles r and
+        # r - pi agrees within 4 ulp, and within the 1.2e-16 by which float
+        # pi falls short of pi, which moves v_T by up to 0.62e-16 / sin r.
+        rng = random.Random(RNG_SEED)
+        for _ in range(200):
+            x, r = rng.uniform(-50.0, 50.0), rng.uniform(0.5 * math.pi, math.pi - 1e-6)
+            plain = _read_at(None, complex(x, r)).v_T
+            signed = _read_at(None, complex(x, r - math.pi), True).v_T
+            tol = 4 * math.ulp(max(1.0, plain)) + 0.62e-16 / math.sin(r)
+            assert abs(plain - signed) <= tol, (x, r)
+
+    @pytest.mark.parametrize("anchor,frame,angle", [
+        # e^-800 underflows: q rounds onto its anchor on the real axis.
+        (1.0, (0.0, None), "0.0"),
+        (-1.0, (0.0, None), "3.141592653589793"),
+        (0.0, (-1.0, 1.0), "-3.141592653589793"),
+    ], ids=["zero", "pi", "minus-pi"])
+    def test_zero_gap_raises(self, anchor, frame, angle):
+        with pytest.raises(DomainError, match=rf"^speeds\._sample_at: zero gap at t = -1\.0, "
+                                              rf"framed angle {angle}$"):
+            _read_at(anchor, complex(-800.0, 1.0), frame=frame)
+
+
+class TestMirrorSymmetry:
+    """Complex conjugation carries strip-slit's upper petal onto its lower
+    one and the orbit from w0 onto the orbit from conj(w0), so the two
+    petals read the same speeds, bit for bit, once |t| is large."""
+
+    @pytest.mark.parametrize("w0", [1.0 + 0.3j, 1.0 + 1e-3j, 1.0 + 1e-8j, 0.25 + 1.5j])
+    def test_upper_at_w0_is_lower_at_its_conjugate(self, w0):
+        model = by_name("strip-slit")
+        upper, lower = model.petal("upper"), model.petal("lower")
+        times = [-(2.0 ** k) for k in range(22, 1023)] + [-(10.0 ** k) for k in range(7, 301)]
+        for t in times:
+            assert speed_sample(model, upper, w0, t) == speed_sample(
+                model, lower, w0.conjugate(), t), t
 
 
 class TestOneRead:
