@@ -41,8 +41,14 @@ alone, which need not be the list's first failing point.
 
 ``eval_log`` walks the steps' ``apply_log`` on a point held as
 q = anchor + i^turns e^L, which keeps every bit of orbits far beyond float
-range: a quarter turn is counted, not added to Im L where small angles
-would round away.
+range.  A quarter or half turn is counted, not added to Im L where an
+angle's gap to 0 or pi would round away: a log is taken of a point turned
+back by whole quarter turns, exactly, so that its Im is small; a power
+step carries alpha times the turns where that is whole; and where a turn
+must enter Im L, pi/2 and pi are added in two parts (``hypcore.PI_LO``).
+The walk ends on ``(anchor, L, neg)``, q = anchor +- e^L.  A step holds
+no rounding fallback: a point that its exact log form cannot take raises
+``MapDomainError`` naming the step.
 """
 
 from __future__ import annotations
@@ -52,13 +58,14 @@ import math
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .hypcore import DomainError
+from .hypcore import HALF_PI_LO, PI_LO, DomainError, PrecisionError
 
 EPS_CUT = 1e-12
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
-# Quarter turns of the multipliers 1, i, -1, -i.
+# Quarter turns of the multipliers 1, i, -1, -i, and i^-k for k = 0 ... 3.
 _QUARTERS = {1: 0, 1j: 1, -1: 2, -1j: 3}
+_UNTURN = (1.0, -1j, -1.0, 1j)
 # A list kernel's images and derivatives, one of each per point.
 _Derived = tuple[list[complex], list[complex]]
 
@@ -85,23 +92,38 @@ def _branch_log(z: complex, cut: float) -> complex:
     return complex(math.log(abs(z)), a)
 
 
-def _value(anchor: Optional[complex], L: Optional[complex], turns: int) -> complex:
-    """The float value of the log-walk point anchor + i^turns e^L."""
-    q = 0j if anchor is None else anchor
-    return q if L is None else q + 1j ** (turns % 4) * cmath.exp(L)
+def _quarter_off(L: complex, turns: int) -> tuple[complex, int]:
+    """(L', turns') with i^turns e^L = i^turns' e^L' for an odd ``turns``
+    and an even turns': a quarter turn taken into Im L, by -pi/2 when
+    Im L > pi/4 and else by pi/2, in two parts, so that Im L' lies within
+    3 pi/4 of 0 and a gap to 0 or pi of the angle is formed exactly."""
+    if L.imag > 0.25 * math.pi:
+        return complex(L.real, (L.imag - _HALF_PI) - HALF_PI_LO), turns + 1
+    return complex(L.real, (L.imag + _HALF_PI) + HALF_PI_LO), turns - 1
 
 
-def _turned(L: complex, turns: int) -> complex:
-    """L + i (pi/2) turns, with turns taken in {-1, 0, 1, 2}."""
-    k = (turns + 1) % 4 - 1
-    return L + 1j * (_HALF_PI * k) if k else L
+def _log_turned(z: complex) -> tuple[int, complex]:
+    """(k, l) with z = i^k e^l and |Im l| <= pi/4: z turned back by i^-k,
+    which is exact, before its log, so that an angle next to a multiple of
+    pi/2 keeps its gap."""
+    x, y = z.real, z.imag
+    if abs(y) <= abs(x):
+        return (0, cmath.log(z)) if x > 0.0 else (2, cmath.log(-z))
+    return (1, cmath.log(complex(y, -x))) if y > 0.0 else (3, cmath.log(complex(-y, x)))
 
 
-def _log_anchored(c: complex, L: complex) -> complex:
-    """Principal log(c + e^L), c != 0, with no e^L that could overflow."""
+def _log_anchored(c: complex, L: complex) -> tuple[int, complex]:
+    """(k, l) with c + e^L = i^k e^l, c != 0 and k 0 or 2: log(c + e^L), or
+    log(-(c + e^L)) when its real part is negative, with no e^L that could
+    overflow."""
     if L.real > 36.0:
-        return L + cmath.log(1.0 + c * cmath.exp(-L))
-    return cmath.log(cmath.exp(L) + c)
+        return 0, L + cmath.log(1.0 + c * cmath.exp(-L))
+    x = cmath.exp(L) + c
+    return (2, cmath.log(-x)) if x.real < 0.0 else (0, cmath.log(x))
+
+
+def _no_log_form(step: "MapStep", why: str) -> MapDomainError:
+    return MapDomainError(f"confmap.{type(step).__name__}.apply_log: {why}")
 
 
 class MapStep:
@@ -139,9 +161,9 @@ class MapStep:
     def apply_log(self, anchor, L, turns):
         """Image of the log-walk point q = anchor + i^turns e^L, as a triple
         ``(anchor, L, turns)`` of the same form; anchor None stands for 0
-        and L None for e^L = 0, so (z, None, 0) is the plain point z.  By
-        default q is formed as a float and ``apply`` taken of it."""
-        return self.apply(_value(anchor, L, turns)), None, 0
+        and L None for e^L = 0, so (z, None, 0) is the plain point z.  A
+        step with no exact log form refuses the point."""
+        raise _no_log_form(self, "the step has no exact log form")
 
 
 class Affine(MapStep):
@@ -167,11 +189,11 @@ class Affine(MapStep):
     def apply_log(self, anchor, L, turns):
         if L is None:
             return self.a * anchor + self.b, None, 0
-        # a (c + i^k e^L) + b = (a c + b) + i^(k + j) e^L for a = i^j, and
-        # (a c + b) + i^k e^(L + log a) for any other a.
-        anchor = self.b if anchor is None else self.a * anchor + self.b
+        # a (c + i^k e^L) + b = (a c + b) + i^(k + j) e^L for a = i^j; any
+        # other a would add its angle to Im L.
         if self._quarter is None:
-            return anchor or None, L + cmath.log(self.a), turns
+            raise _no_log_form(self, f"multiplier {self.a!r} is no quarter turn")
+        anchor = self.b if anchor is None else self.a * anchor + self.b
         return anchor or None, L, turns + self._quarter
 
     def inverted(self) -> "Affine":
@@ -192,7 +214,9 @@ class ExpStep(MapStep):
 
     def apply_log(self, anchor, L, turns):
         # e^q is held by its log, q itself.
-        return None, anchor if L is None else _value(anchor, L, turns), 0
+        if L is not None:
+            raise _no_log_form(self, "e^q of a log point has no exact log form")
+        return None, anchor, 0
 
     def inverted(self) -> "LogStep":
         return LogStep(math.pi)
@@ -241,7 +265,7 @@ class PowerStep(_RayCutStep):
     regions so the image sector stays inside that branch.
     """
 
-    __slots__ = ("p", "q", "alpha")
+    __slots__ = ("p", "q", "alpha", "_turns")
 
     def __init__(self, p: int, q: int, cut: float = math.pi) -> None:
         if not (isinstance(p, int) and isinstance(q, int) and p > 0 and q > 0):
@@ -250,6 +274,10 @@ class PowerStep(_RayCutStep):
         self.p = p
         self.q = q
         self.alpha = p / q
+        # alpha k quarter turns, modulo 4, for the k mod 4 q where alpha k
+        # is whole; None where it is not.
+        self._turns = tuple((p * k // q) % 4 if p * k % q == 0 else None
+                            for k in range(4 * q))
 
     def apply_all(self, zs: Sequence[complex]) -> list[complex]:
         alpha, cut = self.alpha, self.cut
@@ -266,15 +294,24 @@ class PowerStep(_RayCutStep):
         return values, derivatives
 
     def apply_log(self, anchor, L, turns):
+        # q = i^k e^l, with l's Im small where it can be.
         if L is None:
-            log_q = _branch_log(anchor, self.cut)
+            k, l = _log_turned(anchor)
+        elif anchor is None:
+            k, l = turns, L
         else:
-            L = _turned(L, turns)
-            log_q = L if anchor is None else _log_anchored(anchor, L)
-            low = self.cut - _TWO_PI
-            if not low <= log_q.imag < self.cut:
-                log_q = complex(log_q.real, low + (log_q.imag - low) % _TWO_PI)
-        return None, self.alpha * log_q, 0
+            # c + i^turns e^L = i^turns (c i^-turns + e^L), the turn exact.
+            k, l = _log_anchored(anchor * _UNTURN[turns % 4], L)
+            k += turns
+        # The angle k pi/2 + Im l, placed on the branch [cut - 2 pi, cut)
+        # by whole turns of k.  Its offset from the cut is formed with
+        # k pi/2 - cut first, which is exact for a cut at a multiple of
+        # pi/2, so that an angle next to the cut keeps its side.
+        k -= 4 * (math.floor(((k * _HALF_PI - self.cut) + l.imag) / _TWO_PI) + 1)
+        whole = self._turns[k % len(self._turns)]
+        if whole is None:
+            return None, complex(self.alpha * l.real, self.alpha * (k * _HALF_PI + l.imag)), 0
+        return None, self.alpha * l, whole
 
     def inverted(self) -> "PowerStep":
         return PowerStep(self.q, self.p, self.cut)
@@ -302,19 +339,29 @@ class SlitCloseStep(MapStep):
         return ws, [z / w for z, w in zip(zs, ws)]
 
     def apply_log(self, anchor, L, turns):
-        if anchor is not None or L is None or turns % 2 == 0 or abs(L.imag) >= _HALF_PI:
-            return super().apply_log(anchor, L, turns)
-        # z = +-i e^L with |Im L| < pi/2, so z^2 + 1 = 1 - e^{2L}.
+        if anchor is not None or L is None or turns % 4 != 1 or abs(L.imag) >= _HALF_PI:
+            raise _no_log_form(self, "needs z = i e^L with |Im L| < pi/2")
+        # z = i e^L, so z^2 + 1 = 1 - e^{2L}.
         tw = 2.0 * L
         if tw.real > 0.0:
             # Far from the slit tip the image grows like i e^L.
-            return None, L + 1j * _HALF_PI + 0.5 * cmath.log(1.0 - cmath.exp(-tw)), 0
+            L, turns = _quarter_off(L, turns)
+            return None, L + 0.5 * cmath.log(1.0 - cmath.exp(-tw)), turns
+        if tw.real == -math.inf:
+            raise PrecisionError(
+                f"confmap.SlitCloseStep.apply_log: 2 Re L is past float range at L = {L!r}")
         root = cmath.sqrt(1.0 - cmath.exp(tw))  # exp(tw) underflowing to 0 is harmless
-        if L.imag > 0.0:
-            # Left of the slit: the image hugs -1.
-            return -1.0, tw - cmath.log(1.0 + root), 0
-        # Right of the slit: the image hugs +1.
-        return 1.0, tw + 1j * math.pi - cmath.log(1.0 + root), 0
+        # Left of the slit the image hugs -1, -1 + e^(2L)/(1 + root); right
+        # of it, +1, 1 - e^(2L)/(1 + root).  A half turn moves 2 Im L next
+        # to +-pi onto its gap.
+        anchor, turns = (-1.0, 0) if L.imag > 0.0 else (1.0, 2)
+        if tw.imag > _HALF_PI:
+            tw = complex(tw.real, (tw.imag - math.pi) - PI_LO)
+            turns += 2
+        elif tw.imag < -_HALF_PI:
+            tw = complex(tw.real, (tw.imag + math.pi) + PI_LO)
+            turns += 2
+        return anchor, tw - cmath.log(1.0 + root), turns
 
     def inverted(self) -> "SlitOpenStep":
         return SlitOpenStep()
@@ -460,20 +507,24 @@ class ConformalChain:
         derivatives)`` pair from one forward list walk."""
         return _walk_all_with_derivative(self._forward, self._sources(ws))
 
-    def eval_log(self, anchor: complex, L: Optional[complex] = None) -> tuple:
-        """The image of the source point anchor + e^L (L None: the point
-        ``anchor``) as the upper half-plane point anchor + e^L, returned as
-        ``(anchor, L)``.  Branches follow from the exact log form, so no cut
+    def eval_log(self, anchor: complex, L: Optional[complex] = None, turns: int = 0) -> tuple:
+        """The image of the source point anchor + i^turns e^L (L None: the
+        point ``anchor``) as the upper half-plane point anchor +- e^L,
+        returned as ``(anchor, L, neg)``, minus when ``neg``: the turns the
+        walk carried end as the sign, and an odd turn's quarter enters Im L
+        in two parts.  Branches follow from the exact log form, so no cut
         is checked; the caller checks the source point."""
-        turns = 0
         for i, apply_log in self._log_plan:
             try:
                 anchor, L, turns = apply_log(anchor, L, turns)
             except (OverflowError, ZeroDivisionError) as exc:
                 raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
         if L is None:
-            return None, cmath.log(anchor)
-        return anchor, _turned(L, turns) if turns else L
+            raise MapDomainError("confmap.ConformalChain.eval_log: the walk ends on a plain "
+                                 "point, which has no log form")
+        if turns % 2:
+            L, turns = _quarter_off(L, turns)
+        return anchor, L, turns % 4 == 2
 
 
 def _walk_all(walk: _Walk, zs: list[complex]) -> list[complex]:

@@ -12,9 +12,13 @@ Every distance is evaluated in a subtraction-free log form, so separations
 of thousands of hyperbolic units remain accurate although the underlying
 cross ratios would overflow or round to 1.  For work at extreme separations
 the half-plane additionally gets an anchored logarithmic representation
-(:class:`UhpLogPoint`) storing ``q = anchor +- e^L``; distances between
-such points never materialize ``q`` itself, and their framed logs are read
-modulo ``i pi``, so that no angle is re-folded next to 0 or pi.
+(:class:`UhpLogPoint`) storing ``q = anchor +- e^L``, the sign holding an
+offset next to the negative axis by its small angle; distances between
+such points never materialize ``q`` itself.  Their framed logs are read
+modulo ``i pi``: a shift x with Re x < 0 has the log of -x taken, so that
+no angle is formed next to pi.  Where a quarter or half turn must enter
+an angle, pi/2 and pi are held in two parts (``HALF_PI_LO``, ``PI_LO``),
+so that the angle's gap to 0 keeps its bits.
 
 The Cayley map between the disk and the half-plane is stated here once,
 as the coefficients ``CAYLEY`` and ``CAYLEY_INVERSE`` and as
@@ -27,10 +31,20 @@ import cmath
 import math
 
 _LOG4 = math.log(4.0)
+# pi = math.pi + PI_LO and pi/2 = math.pi/2 + HALF_PI_LO to twice float
+# precision: x - math.pi is exact for x in [pi/2, 2 pi], and subtracting
+# PI_LO then gives x's gap to the true pi.
+PI_LO = 1.2246467991473532e-16
+HALF_PI_LO = 6.123233995736766e-17
 
 
 class DomainError(ValueError):
     """A point or boundary datum violates a domain membership precondition."""
+
+
+class PrecisionError(DomainError):
+    """The floats cannot hold what a valid input defines: a reading that
+    ran out of range or of bits refuses instead of rounding."""
 
 
 # The Cayley map C(z) = (a z + b)/(c z + d) of the unit disk onto the upper
@@ -110,9 +124,12 @@ class UhpLogPoint:
     ``anchor`` is a finite real number, or None for q = +-e^L.  Im L must lie
     in (0, pi), or in (-pi, 0) when ``neg``, so that q is interior: the sign
     holds a point next to the negative axis by its small angle, which an
-    angle next to pi would lose.  The representation survives offsets far
-    below the float underflow threshold and radii far above overflow;
-    ``log Im q`` is available exactly through :meth:`log_im`.
+    angle next to pi would lose.  ``KoenigsModel.uhp_orbit`` emits both
+    forms, and so do the petal charts: an angle's gap to 0 or pi is always
+    Im L itself, never a difference formed next to pi.  The representation
+    survives offsets far below the float underflow threshold and radii far
+    above overflow; ``log Im q`` is available exactly through
+    :meth:`log_im`.
     """
 
     __slots__ = ("anchor", "L", "neg")
@@ -187,8 +204,9 @@ def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None) -> co
     """log N(q) modulo i pi for q = anchor +- e^L at the scale of L, both
     shifts from one e^(L - scale): N(q) = q - c, or (q - c)/(q - other),
     which carries the geodesic from c to ``other`` onto the imaginary axis.
-    Each shift's log is principal, so the two-foot Im lies in [-pi, pi];
-    a point on its anchor c reads L itself."""
+    Each shift x's log is taken of x, or of -x when Re x < 0, so that its
+    Im lies in [-pi/2, pi/2] and an angle next to pi is read by its gap; a
+    point on its anchor c reads L itself.  Callers read Im modulo pi."""
     L = p.L
     anchor = 0.0 if p.anchor is None else p.anchor
     scale = L.real if L.real > 0.0 else 0.0
@@ -197,11 +215,18 @@ def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None) -> co
     if p.neg:
         e = -e
     a = anchor - c
-    val = L if a == 0.0 else scale + cmath.log(a * shrink + e)
+    if a == 0.0:
+        val = L
+    else:
+        x = a * shrink + e
+        val = scale + cmath.log(-x if x.real < 0.0 else x)
     if other is None:
         return val
     a = anchor - other
-    return val - (L if a == 0.0 else scale + cmath.log(a * shrink + e))
+    if a == 0.0:
+        return val - L
+    x = a * shrink + e
+    return val - (scale + cmath.log(-x if x.real < 0.0 else x))
 
 
 def uhp_log_disk_gap(p: UhpLogPoint) -> float:

@@ -205,8 +205,11 @@ class KoenigsModel(NamedTuple):
 
         The chain's log walk starts from the flow's first point: w0 + t
         for translation, log w0 - mu t for scaling, which stays exact far
-        beyond the float range of w_t itself.  A t that is no finite float
-        (nan, inf, or an integer past float range) raises ``DomainError``.
+        beyond the float range of w_t itself; left of the imaginary axis
+        it starts from log(-w0) - mu t with a half turn, so that an angle
+        next to the slit keeps its gap.  The walk's turns end as the
+        point's sign.  A t that is no finite float (nan, inf, or an integer
+        past float range) raises ``DomainError``.
         """
         try:
             if not math.isfinite(t):
@@ -221,11 +224,15 @@ class KoenigsModel(NamedTuple):
             return UhpLogPoint(*self.chain.eval_log(w))
         if w0 == 0:
             raise DomainError("the fixed point has no canonical orbit chart")
-        a = cmath.log(w0) - self.mu * t  # log of w_t; the orbit ray has constant argument
+        # w_t = i^turns e^a; the orbit ray has constant argument.
+        if w0.real < 0.0:
+            a, turns = cmath.log(-w0) - self.mu * t, 2
+        else:
+            a, turns = cmath.log(w0) - self.mu * t, 0
         # Only an orbit on the negative axis meets the slit (-inf, -1].
         if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
-            raise DomainError(f"orbit point exp({a}) left the domain")
-        return UhpLogPoint(*self.chain.eval_log(None, a))
+            raise DomainError(f"orbit point -exp({a}) left the domain")
+        return UhpLogPoint(*self.chain.eval_log(None, a, turns))
 
     def disk_sigma(self, petal: Petal) -> BoundaryPoint:
         """Unit-disk image of a petal's distinguished boundary point.

@@ -9,27 +9,12 @@ that motion along and across the geodesic eta that the orbit
 chases.  Normalizing eta onto the imaginary axis turns both parts into
 closed forms of the log coordinates, read once per sample through
 hypcore's ``uhp_log_framed`` and ``uhp_log_distance``, so they stay exact
-long after the orbit points themselves left float range: out to
-|t| = 1e300 in the hyperbolic and elliptic petals from their default
-bases.  Five regions are not exact, since an orbit angle formed next to
-0 or pi loses bits; relative errors against mpmath:
-
-- the parabolic petal's gap to pi shrinks as |t| grows: v at the default
-  base is off by 1.2e-11 at |t| = 1e6, 2.2e-6 at 1e12 and 8.3e-4 at
-  1e15, and from about 1e16 on ``speed_sample`` raises ``DomainError``;
-- strip-slit near the real axis: at w0 = 0.5 +- 1e-8 i the speeds are
-  off by 5e-10 (upper petal) and 7e-9 (lower); from |Im w0| = 1e-16 on
-  ``speed_sample`` raises ``DomainError`` from t = -1 or -2 on;
-- koebe-elliptic next to its slit: at w0 = 2 e^{+-i(pi - 1e-12)}, off by
-  up to 1.3e-5 (above) and 5.0e-6 (below);
-- strip-slit next to its walls: at w0 = 1 -+ i(pi/2 - 1e-10), off by up
-  to 1.1e-7 (lower petal) and 5.6e-8 (upper);
-- sector-parabolic next to its edge: at w0 = 1 + 1e-10 i, off by up to
-  1.2e-2, and raising ``DomainError`` from t = -1e6 on.
-
-ROADMAP item 1 carries the gap instead; ``TestAgainstMpmathWalk`` marks
-each case as an expected failure (the ``*-axis``, ``*-slit``,
-``*-near-edge`` and ``sector-parabolic-k>=5`` rows).
+long after the orbit points themselves left float range, out to
+|t| = 1e300 in every petal: the log walk holds each orbit angle's gap to
+0 or pi by itself, and the frame reads its angle modulo pi.  The one
+known limit is a gap far below the normal float range (ROADMAP item 11):
+from -3 + 1e-300 i the parabolic orbit's gap is 6.7e-317 at |t| = 1e16,
+where v_T is off by 5.6e-11, and it underflows to 0 from about 1e24 on.
 """
 
 from __future__ import annotations
@@ -40,6 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .hypcore import (
     DomainError,
+    PrecisionError,
     UhpLogPoint,
     uhp_log_distance,
     uhp_log_framed,
@@ -126,20 +112,25 @@ def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
     at the petal's boundary point ``sigma_canonical``, is the imaginary
     axis, as ``(frame, re0)``: ``uhp_log_framed(p, *frame)`` is log N(q)
     modulo i pi, N the Moebius normalizer carrying eta onto the axis, and
-    re0 is Re log N of the base itself."""
+    re0 is Re log N of the base itself.
+
+    A half-circle eta's second foot e comes from Thales' theorem: q0 =
+    x0 + i y0 sees the diameter from sigma to e at a right angle, so
+    (x0 - sigma)(x0 - e) + y0^2 = 0 and e = x0 + y0 h with h = y0/(x0 -
+    sigma).  Then |q0 - e| = y0 sqrt(1 + h^2) and re0 = Re log(q0 - sigma)
+    - (log y0 + log1p(h^2)/2), with no difference q0 - e to cancel when
+    q0 lies next to the real axis."""
     q0 = p0.value()
     if q0 is None:
         raise DomainError("base point has no finite canonical image")
     sigma = petal.sigma_canonical
-    if sigma is None or q0.real == sigma:
+    x0, y0 = q0.real, q0.imag
+    if sigma is None or x0 == sigma:
         # eta is the vertical line through q0; translate it to Re = 0.
-        frame = (q0.real, None)
-    else:
-        # Half-circle geodesic: second foot by reflecting sigma through the
-        # center; N(q) = (q - sigma)/(q - other) maps it to the axis.
-        center = (abs(q0) ** 2 - sigma * sigma) / (2.0 * (q0.real - sigma))
-        frame = (sigma, 2.0 * center - sigma)
-    return frame, uhp_log_framed(p0, *frame).real
+        return (x0, None), uhp_log_framed(p0, x0).real
+    h = y0 / (x0 - sigma)
+    return ((sigma, x0 + y0 * h),
+            uhp_log_framed(p0, sigma).real - (math.log(y0) + 0.5 * math.log1p(h * h)))
 
 
 def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
@@ -152,13 +143,18 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
     p_t = model.uhp_orbit(w0, t)
     ln_t = uhp_log_framed(p_t, *frame)
     v = uhp_log_distance(p0, p_t)
-    # v_T = |log tan(r/2)| / 2, the distance to the axis at angle r mod pi;
-    # an r of 0 or +-pi is a zero gap.
+    # v_T = |log tan(r/2)| / 2, the distance to the axis at angle r mod pi,
+    # read by two logs where 2 / sin r could overflow; an r of 0 modulo pi
+    # is a zero gap.
     r = ln_t.imag
-    if not 0.0 < abs(r) < math.pi:
-        raise DomainError(f"speeds._sample_at: zero gap at t = {t!r}, framed angle {r!r}")
-    return SpeedSample(float(t), v, 0.5 * abs(ln_t.real - re0),
-                       0.5 * math.log((1.0 + abs(math.cos(r))) / abs(math.sin(r))))
+    if r % math.pi == 0.0:
+        raise PrecisionError(f"speeds._sample_at: zero gap at t = {t!r}, framed angle {r!r}")
+    cos_r, sin_r = abs(math.cos(r)), abs(math.sin(r))
+    if sin_r >= 1e-300:
+        v_T = 0.5 * math.log((1.0 + cos_r) / sin_r)
+    else:
+        v_T = 0.5 * (math.log(1.0 + cos_r) - math.log(sin_r))
+    return SpeedSample(float(t), v, 0.5 * abs(ln_t.real - re0), v_T)
 
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:

@@ -75,6 +75,27 @@ OFF_CENTRE_BASES = (
 )
 LIMIT_TIMES = (-(2.0**10), -(2.0**16), -1e300)
 LIMIT_TOL = 1e-12
+# At the off-centre bases v - v_o tends to -log(sin theta)/2, by the
+# hyperbolic Pythagorean relation cosh 2v = cosh 2v_o cosh 2v_T; read
+# within LIMIT_TOL at these times.
+ORTHOGONAL_TIMES = (-(2.0**6), -(2.0**8))
+# Sharp limits of sector-parabolic, whose chain is w -> (i w)^(2/3), from
+# its default base e i: properties of this model, read off the chain's
+# closed form.  Backward, (component, rate as text, rate, limit): component
+# - rate log|t| tends to limit; forward, v - log(t)/3 tends to
+# PARABOLIC_FORWARD_LIMIT.  Each is read at +-PARABOLIC_LIMIT_TIMES within
+# LIMIT_TOL * max(1, value).
+PARABOLIC_LIMITS = (
+    ("v", "5/6", 5.0 / 6.0, 0.25 * math.log(3.0) - 5.0 / 6.0),
+    ("v_o", "1/3", 1.0 / 3.0, 0.5 * math.log(2.0) - 0.25 * math.log(3.0) - 1.0 / 3.0),
+    ("v_T", "1/2", 0.5, 0.5 * math.log(3.0) - 0.5),
+)
+PARABOLIC_FORWARD_LIMIT = math.log(2.0) - 0.5 * math.log(3.0) - 1.0 / 3.0
+PARABOLIC_LIMIT_TIMES = (1e20, 1e100, 1e300)
+# Far out the parabolic petal attains the Pythagorean sandwich's lower
+# bound: its slack v - (v_o + v_T - log(2)/2) lies within
+# 1e-9 + 4 ulp(v_o + v_T) of 0 at t = -2^k for these k.
+PARABOLIC_SANDWICH_KS = (40, 52, 64, 128, 256, 512, 1023)
 
 
 def rate_threshold(target: float, tol: Optional[float] = None) -> float:
@@ -261,15 +282,22 @@ def _at_most(label: str, values: Sequence[float], bound: float, spec: str = ".1e
             all(v <= bound for v in values))
 
 
+def _off_limit(value: float, rate: float, t: float, limit: float) -> float:
+    """How far value - rate log|t| lies from its limit, relative to
+    max(1, value)."""
+    return abs(value - rate * math.log(abs(t)) - limit) / max(1.0, abs(value))
+
+
 def _check_parabolic_envelope() -> List[Part]:
     model = by_name("sector-parabolic")
     petal = model.petal("main")
     base = petal.base_default
-    parts = []
-    for mag in (1e3, 1e4, 1e6):
-        ratio = speed_sample(model, petal, base, -mag).v / math.log(mag)
-        parts.append((f"v/log|t| at -1e{int(math.log10(mag))}: {ratio:.4f}",
-                      0.24 <= ratio <= 1.01))
+    samples = [speed_sample(model, petal, base, -mag) for mag in PARABOLIC_LIMIT_TIMES]
+    parts = [
+        _at_most(f"{name} - {text} log|t| at -1e20..-1e300 off {limit:.12f} by",
+                 [_off_limit(getattr(s, name), rate, s.t, limit) for s in samples], LIMIT_TOL)
+        for name, text, rate, limit in PARABOLIC_LIMITS
+    ]
     t16 = -(2.0**16)
     linear = speed_sample(model, petal, base, t16).v / abs(t16)
     parts.append((f"v(t)/|t| at -2^16: {linear:.3e}", linear <= rate_threshold(0.0)))
@@ -316,6 +344,12 @@ def _check_tangential_plateau() -> List[Part]:
 
 def _check_orthogonal_slopes() -> List[Part]:
     parts = _check_total_slopes("v_o")
+    for model, petal, base, theta in _off_centre_bases():
+        limit = -0.5 * math.log(math.sin(theta))
+        samples = [speed_sample(model, petal, base, t) for t in ORTHOGONAL_TIMES]
+        errors = [abs(s.v - s.v_o - limit) for s in samples]
+        parts.append(_at_most(f"{model.name}/{petal.label} at {base:.4g}: "
+                              f"v - v_o off {limit:.6f} by", errors, LIMIT_TOL))
     m2 = by_name("sector-parabolic")
     petal = m2.petal("main")
     grid = dyadic_grid(RATE_KMIN, RATE_KMAX)
@@ -338,11 +372,21 @@ def _check_pythagorean_sandwich() -> List[Part]:
         for s in series.samples:
             low_slacks.append(s.v - (s.v_o + s.v_T - _HALF_LOG2))
             high_slacks.append((s.v_o + s.v_T) - s.v)
+    m2 = by_name("sector-parabolic")
+    petal2 = m2.petal("main")
+    far = []
+    for k in PARABOLIC_SANDWICH_KS:
+        s = speed_sample(m2, petal2, petal2.base_default, -(2.0**k))
+        top = s.v_o + s.v_T
+        far.append((abs(s.v - (top - _HALF_LOG2)), 1e-9 + 4.0 * math.ulp(top)))
     return [
         (f"{len(bases)} bases; min slack above v_o+v_T-log(2)/2: {_worst(min, low_slacks):.2e}",
          all(slack >= -1e-9 for slack in low_slacks)),
         (f"min slack below v_o+v_T: {_worst(min, high_slacks):.2e}",
          all(slack >= -1e-9 for slack in high_slacks)),
+        (f"{m2.name} |slack above| at -2^40..-2^1023: "
+         f"{_worst(max, [a for a, _ in far]):.2e} <= 1e-9 + 4 ulp(v_o+v_T)",
+         all(a <= b for a, b in far)),
     ]
 
 
@@ -367,10 +411,12 @@ def _check_forward_rates() -> List[Part]:
     _, _, rate = forward_rate(m1, m1.petal("upper").base_default, RATE_KMIN, RATE_KMAX)
     m2 = by_name("sector-parabolic")
     base2 = m2.petal("main").base_default
-    linear = forward_speed(m2, base2, 2.0**16) / 2.0**16
+    errors = [_off_limit(forward_speed(m2, base2, t), 1.0 / 3.0, t, PARABOLIC_FORWARD_LIMIT)
+              for t in PARABOLIC_LIMIT_TIMES]
     return [
         (f"{m1.name}: forward slope {rate.slope:.6f} vs {rate.target}", rate.passed),
-        (f"{m2.name}: v(2^16)/2^16 = {linear:.3e}", linear <= rate_threshold(0.0)),
+        _at_most(f"{m2.name}: v - 1/3 log t at 1e20..1e300 off "
+                 f"{PARABOLIC_FORWARD_LIMIT:.12f} by", errors, LIMIT_TOL),
     ]
 
 

@@ -42,9 +42,6 @@ Only the tests use these, so they live here rather than in the package:
   cut) and then its image (with its derivative in the derivative walk) in
   turn, against which the chains' list walks are checked for identical
   values and errors, and the disk chart ``omega_of_disk`` of a model;
-- the hand-derived log-space orbit of each catalog model
-  (``reference_orbit``), against which ``KoenigsModel.uhp_orbit`` and its
-  walk of the chain in log space are checked bit for bit;
 - the catalog chains' steps walked in mpmath at 330 digits, each power
   step with its exact exponent p / q (``mp_eval``, ``mp_canonical``,
   ``mp_orbit_reading``), against which the orbits' log Im q and angular
@@ -97,7 +94,6 @@ from petallab.confmap import (
 )
 from petallab.hypcore import (
     DomainError,
-    UhpLogPoint,
     disk_distance,
     disk_of_uhp,
     uhp_distance,
@@ -244,16 +240,6 @@ class ForwardLogStep(LogStep):
         return ExpStep()
 
 
-class ForwardSlitOpenStep(SlitOpenStep):
-    """A ``SlitOpenStep`` that a chain may hold as a forward step, inverted
-    by ``SlitCloseStep``, as ``ForwardLogStep`` is by ``ExpStep``."""
-
-    __slots__ = ()
-
-    def inverted(self) -> SlitCloseStep:
-        return SlitCloseStep()
-
-
 def segment_distance(z: complex, a: complex, b: complex) -> float:
     """Euclidean distance from z to the closed segment [a, b]."""
     d = b - a
@@ -339,10 +325,9 @@ _CUT_DISTANCES = {
 }
 
 
-# A forward step reads the formulas of the package step it extends.
-for _forward, _step in ((ForwardLogStep, LogStep), (ForwardSlitOpenStep, SlitOpenStep)):
-    _FORMULAS[_forward] = _FORMULAS[_step]
-    _CUT_DISTANCES[_forward] = _CUT_DISTANCES[_step]
+# The forward log step reads the formulas of the package step it extends.
+_FORMULAS[ForwardLogStep] = _FORMULAS[LogStep]
+_CUT_DISTANCES[ForwardLogStep] = _CUT_DISTANCES[LogStep]
 
 
 def reference_apply(step: MapStep, z: complex) -> complex:
@@ -872,68 +857,6 @@ def reference_flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     if abs(disk_z) >= 1.0 or uhp_log_disk_gap(p) <= MIN_DISK_GAP:
         disk_z = None
     return OrbitPoint(t, disk_z)
-
-
-# ---------------------------------------------------------------------------
-# Hand-derived log-space orbits
-
-
-def _strip_slit_orbit(w0: complex, t: float) -> UhpLogPoint:
-    w = w0 + t
-    if abs(w.imag) >= _HALF_PI or (w.imag == 0.0 and w.real <= 0.0):
-        raise DomainError(f"orbit point {w} left the domain")
-    tw = 2.0 * w
-    if tw.real > 0.0:
-        # Far from the slit tip the image grows like i e^w.
-        l_val = w + 1j * _HALF_PI + 0.5 * cmath.log(1.0 - cmath.exp(-tw))
-        return UhpLogPoint(None, l_val)
-    u = cmath.exp(tw)  # |u| <= 1; underflow to 0 is harmless
-    root = cmath.sqrt(1.0 - u)
-    if w.imag > 0.0:
-        # Upper petal: the image hugs the canonical point -1.
-        return UhpLogPoint(-1.0, tw - cmath.log(1.0 + root))
-    # Lower petal: the image hugs +1.
-    return UhpLogPoint(1.0, tw + 1j * math.pi - cmath.log(1.0 + root))
-
-
-def _sector_parabolic_orbit(w0: complex, t: float) -> UhpLogPoint:
-    w = w0 + t
-    if w.real <= 0.0 and w.imag <= 0.0:
-        raise DomainError(f"orbit point {w} left the domain")
-    # Image is (i w)^(2/3) with the argument of i w taken in (0, 3 pi / 2).
-    phi = cmath.phase(1j * w)
-    if phi <= 0.0:
-        phi += 2.0 * math.pi
-    l_val = (2.0 / 3.0) * complex(math.log(abs(w)), phi)
-    return UhpLogPoint(None, l_val)
-
-
-def _koebe_elliptic_orbit(w0: complex, t: float) -> UhpLogPoint:
-    if w0 == 0:
-        raise DomainError("the fixed point has no canonical orbit chart")
-    a = cmath.log(w0) - t  # log of w_t; the orbit ray has constant argument
-    if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
-        raise DomainError(f"orbit point exp({a}) left the domain")
-    # Image is i sqrt(w_t + 1); pick the stable form for log(w_t + 1).
-    if a.real > 36.0:
-        log_w1 = a + cmath.log(1.0 + cmath.exp(-a))
-    elif a.real < -36.0:
-        log_w1 = cmath.log(1.0 + cmath.exp(a))
-    else:
-        log_w1 = cmath.log(cmath.exp(a) + 1.0)
-    return UhpLogPoint(None, 1j * _HALF_PI + 0.5 * log_w1)
-
-
-_ORBIT = {
-    "strip-slit": _strip_slit_orbit,
-    "sector-parabolic": _sector_parabolic_orbit,
-    "koebe-elliptic": _koebe_elliptic_orbit,
-}
-
-
-def reference_orbit(model: KoenigsModel, w0: complex, t: float) -> UhpLogPoint:
-    """``model.uhp_orbit(w0, t)`` from the model's hand-derived formula."""
-    return _ORBIT[model.name](complex(w0), t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import time
 import mpmath
 import pytest
 
-from petallab import semigroup, speeds, verify
+from oracles import mp_orbit_reading
+from petallab import by_name, semigroup, speeds, verify
 from petallab.verify import CHECK_NAMES, run_all
 
 
@@ -78,6 +79,33 @@ def test_off_centre_limits_against_mpmath():
         for t in verify.LIMIT_TIMES:
             v_T = speeds.speed_sample(model, petal, base, t).v_T
             assert abs(v_T - limit) <= verify.LIMIT_TOL, (model.name, t, v_T, limit)
+
+
+def test_parabolic_limits_against_mpmath():
+    # verify's sharp limits of sector-parabolic at its default base e i,
+    # read from the chain walked in mpmath at 330 digits at |t| = 1e300,
+    # where the terms that vanish as |t| grows are below 1e-190.
+    model = by_name("sector-parabolic")
+    petal = model.petal("main")
+    base = petal.base_default
+    with mpmath.workdps(40):
+        log_t = mpmath.log(mpmath.mpf(1e300))
+    _, _, backward = mp_orbit_reading(model, petal, base, -1e300)
+    for (name, text, rate, limit), value in zip(verify.PARABOLIC_LIMITS, backward):
+        num, den = map(int, text.split("/"))
+        assert rate == num / den
+        with mpmath.workdps(40):
+            want = float(value - mpmath.mpf(num) / den * log_t)
+        assert abs(limit - want) <= 4 * math.ulp(limit), (name, limit, want)
+    _, _, (forward, _, _) = mp_orbit_reading(model, petal, base, 1e300)
+    with mpmath.workdps(40):
+        want = float(forward - log_t / 3)
+    assert abs(verify.PARABOLIC_FORWARD_LIMIT - want) <= 4 * math.ulp(want)
+    # The sandwich's lower bound is attained: at -2^40 the true slack is
+    # below 1e-15, so the far check reads the float walk's error.
+    _, _, (v, v_o, v_t) = mp_orbit_reading(model, petal, base, -(2.0 ** 40))
+    with mpmath.workdps(40):
+        assert 0 <= v - (v_o + v_t - mpmath.log(2) / 2) <= 1e-15
 
 
 def _nan_last_speed(real):
@@ -193,13 +221,11 @@ def _unsharp(item, check):
     # log(2 sqrt(Im p Im q)) term of hypcore.uhp_log_distance dropped.
     pytest.param(speeds, "_sample_at",
                  _on_samples(lambda s: s._replace(v=s.v + 0.05, v_o=s.v_o + 0.05), True),
-                 {"parabolic-speed-envelope"}, id="parabolic-constant",
-                 marks=_unsharp(1, "checks the parabolic constant")),
+                 {"parabolic-speed-envelope"}, id="parabolic-constant"),
     # A wrong rate, 2/3 for 5/6: PowerStep.apply_log scaling log q by a
     # wrong alpha.
     pytest.param(speeds, "_sample_at", _on_samples(_scaled(0.8), True),
-                 {"parabolic-speed-envelope"}, id="parabolic-rate-low",
-                 marks=_unsharp(1, "checks the parabolic rate")),
+                 {"parabolic-speed-envelope"}, id="parabolic-rate-low"),
     pytest.param(speeds, "_sample_at", _on_samples(_scaled(1.1), True),
                  {"pythagorean-sandwich", "base-point-independence"},
                  id="parabolic-rate-high"),
@@ -208,12 +234,12 @@ def _unsharp(item, check):
     # v_T limits are 0.587 and 0.126.
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_T=0.0), False),
                  {"tangential-plateau-vs-divergence"}, id="tangential-zero"),
-    # A lost split: v_o read as the total speed v.  At the centre-line
-    # default bases |v - v_o| <= 7.3e-12 for t = -2^4 .. -2^16, so
-    # orthogonal-speed-slopes repeats total-speed-slopes; at the off-centre
-    # base 1 + 0.3i the sandwich's lower slack reads log(2)/2 - v_T = -0.24.
+    # A lost split: v_o read as the total speed v.  At the off-centre bases
+    # v - v_o reads 0 against its limit -log(sin theta)/2 (0.286 and
+    # 0.016), and at 1 + 0.3i the sandwich's lower slack reads
+    # log(2)/2 - v_T = -0.24.
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_o=s.v), False),
-                 {"pythagorean-sandwich"}, id="orthogonal-is-total"),
+                 {"orthogonal-speed-slopes", "pythagorean-sandwich"}, id="orthogonal-is-total"),
     # A wrong time step: semigroup.regularity_gap stepping from t - 1.5.
     pytest.param(verify, "regularity_gap", _on_steps(lambda gaps: [1.5 * g for g in gaps]),
                  {"structural-consistency"}, id="step-scaled",

@@ -14,7 +14,6 @@ from oracles import (
     ApproachRay,
     BoundaryPoint,
     ForwardLogStep,
-    ForwardSlitOpenStep,
     Mobius,
     MobiusStep,
     push_boundary_point,
@@ -364,18 +363,20 @@ class TestChainEval:
 
 
 class TestEvalLog:
-    """``eval_log`` agrees with ``eval`` wherever the image is a float."""
+    """``eval_log`` agrees with ``eval`` wherever the image is a float, and
+    refuses, naming the step, a point that a step's exact log form cannot
+    take."""
 
     @pytest.mark.parametrize("steps,source", [
-        # a rotation and a scaling of a log point, then e^q of a log point
-        ((ExpStep(), Affine(-1j, 0.5), Affine(2.0 - 1j, 0j), ExpStep(), Affine(1j, 0j)),
-         lambda rng: complex(rng.uniform(-2.0, 0.0), rng.uniform(-1.0, 1.0))),
-        # steps with no log form of their own, and a chain ending in a plain point
-        ((Affine(1.0, 1j), ForwardLogStep(math.pi), SlitCloseStep(), ForwardSlitOpenStep(),
-          Affine(1j, 0j)),
-         lambda rng: complex(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))),
-        # a power of an anchored log point, on a branch other than the principal one
-        ((ExpStep(), Affine(1.0, 2.0), PowerStep(1, 2, 0.5)),
+        # quarter turns and shifts of a log point, ending on a half turn
+        ((ExpStep(), Affine(-1j, 0j), Affine(-1.0, 0.5), Affine(1j, 2.0)),
+         lambda rng: complex(rng.uniform(-2.0, 1.0), rng.uniform(-3.0, 3.0))),
+        # plain points turned and shifted, then a power of a plain point
+        ((Affine(1.0, 1j), Affine(1j, 0j), PowerStep(2, 3, 2.0 * math.pi)),
+         lambda rng: complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))),
+        # a power of an anchored log point, on a branch other than the
+        # principal one, after a half turn
+        ((ExpStep(), Affine(-1.0, 2.0), PowerStep(1, 2, 0.5), Affine(1j, 0j)),
          lambda rng: complex(rng.uniform(-3.0, 1.0), rng.uniform(-1.0, 1.0))),
     ], ids=["rotations-and-exp", "plain-steps", "anchored-power"])
     def test_matches_eval(self, steps, source):
@@ -383,16 +384,36 @@ class TestEvalLog:
         rng = random.Random(1618)
         for _ in range(200):
             w = source(rng)
-            anchor, L = chain.eval_log(w)
-            q = (anchor or 0.0) + cmath.exp(L)
+            anchor, L, neg = chain.eval_log(w)
+            q = (anchor or 0.0) + (-cmath.exp(L) if neg else cmath.exp(L))
             assert abs(q - chain.eval(w)) <= 1e-12 * max(1.0, abs(q)), w
 
     def test_log_input_far_beyond_float_range(self):
         # The elliptic catalog chain on w = e^a with Re a = 1e300.
         chain = by_name("koebe-elliptic").chain
-        anchor, L = chain.eval_log(None, complex(1e300, 0.5))
-        assert anchor is None
-        assert L == complex(5e299, 0.25 + HALF_PI)
+        assert chain.eval_log(None, complex(1e300, 0.5)) == (
+            None, complex(5e299, 0.25 + HALF_PI), False)
+        # -e^a with a half turn: the angle's gap to pi is Im a itself.
+        anchor, L, neg = chain.eval_log(None, complex(1e300, -1e-200), 2)
+        assert (anchor, neg) == (None, True)
+        assert L == complex(5e299, -5e-201)
+
+    @pytest.mark.parametrize("steps,point,message", [
+        ((ForwardLogStep(math.pi),), (0.5 + 1j, None, 0),
+         "confmap.ForwardLogStep.apply_log: the step has no exact log form"),
+        ((ExpStep(), Affine(2.0 - 1j, 0j)), (0.5j, None, 0),
+         r"confmap.Affine.apply_log: multiplier \(2-1j\) is no quarter turn"),
+        ((ExpStep(), ExpStep()), (0.5j, None, 0),
+         "confmap.ExpStep.apply_log: e\\^q of a log point has no exact log form"),
+        ((SlitCloseStep(),), (1.0, 0.5j, 1),
+         r"confmap.SlitCloseStep.apply_log: needs z = i e\^L with \|Im L\| < pi/2"),
+        ((Affine(1j, 1.0),), (0.5j, None, 0),
+         "confmap.ConformalChain.eval_log: the walk ends on a plain point"),
+    ], ids=["no-log-form", "affine-multiplier", "exp-of-log-point", "slit-anchor", "plain-end"])
+    def test_no_exact_log_form_raises(self, steps, point, message):
+        chain = ConformalChain(steps, lambda z: True, "mixed")
+        with pytest.raises(MapDomainError, match=f"^{message}"):
+            chain.eval_log(*point)
 
 
 class TestBoundaryTransport:

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import petallab
-from petallab import verify
+from petallab import speeds, verify
 from petallab.bounds import gaussian_profile, logrecip_profile
-from petallab.hypcore import DomainError
+from petallab.hypcore import DomainError, PrecisionError
 from petallab.lab import _build_parser, main
 from petallab.models import by_name
 from petallab.speeds import speed_series
@@ -60,6 +60,31 @@ class TestSpeedsCommand:
         name = "speeds_strip-slit_p0.csv"
         committed = Path(__file__).resolve().parent / "data" / name
         assert (tmp_path / name).read_bytes() == committed.read_bytes()
+
+    def test_parabolic_run_matches_the_committed_file(self, tmp_path):
+        # The parabolic petal read out to t = -2^60, whose orbit angle's gap
+        # to pi is of order 1e-18 there.
+        assert main(["speeds", "--model", "sector-parabolic", "--petal", "0", "--kmax", "60",
+                     "--out", str(tmp_path)]) == 0
+        name = "speeds_sector-parabolic_p0.csv"
+        committed = Path(__file__).resolve().parent / "data" / name
+        assert (tmp_path / name).read_bytes() == committed.read_bytes()
+
+    def test_precision_refusals_name_their_layer(self, tmp_path, capsys, monkeypatch):
+        # A precision refusal is a DomainError: the usage-error status 2.
+        assert issubclass(PrecisionError, DomainError)
+        # At t = -2^1023 the true Re L is about -2^1024, past float range.
+        assert main(["speeds", "--model", "strip-slit", "--petal", "0", "--kmin", "1020",
+                     "--kmax", "1023", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: confmap.SlitCloseStep.apply_log: 2 Re L is past float range at "
+            "L = (-8.98846567431158e+307+0.7853981633974483j)\n")
+        # A framed angle planted onto the real axis.
+        monkeypatch.setattr(speeds, "uhp_log_framed", lambda p, c, other=None: complex(0.0, math.pi))
+        assert main(["speeds", "--model", "strip-slit", "--petal", "0", "--kmax", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: speeds._sample_at: zero gap at t = -1.0, framed angle 3.141592653589793\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["speeds", "--model", "koebe-elliptic", "--kmax", "12",

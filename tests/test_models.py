@@ -15,7 +15,6 @@ from oracles import (
     mp_eval,
     omega_of_disk,
     push_boundary_point,
-    reference_orbit,
     strip_distance,
     strip_to_uhp,
 )
@@ -469,68 +468,7 @@ class TestFlow:
         assert m3.flow_omega(0j, -5.0) == 0j
 
 
-# Backward times out to 1e300, and a few forward ones.
-_ORBIT_TIMES = tuple(-(2.0 ** k) for k in range(61)) + tuple(
-    -(10.0 ** k) for k in range(20, 301, 20)) + (0.0, 0.7, 3.0, 17.0)
-
-
-def _orbit_cases():
-    """(id, model name, [(w0, t), ...], expected outcome) for the reference
-    orbit comparison.  "mixed" marks the orbits whose angular gap to pi
-    underflows, where both raise DomainError: the parabolic petal's from
-    about |t| = 1e16 on, and strip-slit's lower petal's gap 2 |Im w0|
-    when it is below half an ulp of pi."""
-    rng = random.Random(20261018)
-    cases = []
-    for model, petal in _model_petals():
-        bases = [petal.base_default] + sample_petal_omega(model, petal, 6, rng)
-        cases.append((f"{model.name}-{petal.label}", model.name,
-                      [(w0, t) for w0 in bases for t in _ORBIT_TIMES],
-                      "mixed" if petal.kind == "parabolic" else "value"))
-    # A hair off the slit's line, where an angle added to pi/2 would round
-    # away; the orbits cross Re w = 0 from either side.
-    for side, sign, expect in (("upper", 1.0, "value"), ("lower", -1.0, "mixed")):
-        near_axis = [complex(re, sign * im) for re in (-0.5, 0.5, 3.0) for im in (1e-20, 1e-300)]
-        cases.append((f"strip-slit-near-axis-{side}", "strip-slit",
-                      [(w0, t) for w0 in near_axis for t in _ORBIT_TIMES], expect))
-    # test_orbit_errors' cases.
-    cases += [
-        ("strip-slit-errors", "strip-slit", [(1.0 + 0j, -1.0), (1.0 + 0j, -2.0)], "error"),
-        ("sector-parabolic-errors", "sector-parabolic", [(1.0 - 1j, -2.0)], "error"),
-        ("koebe-elliptic-errors", "koebe-elliptic", [(-0.5 + 0j, -1.0), (0j, 1.0)], "error"),
-    ]
-    return cases
-
-
-_ORBIT_CASES = _orbit_cases()
-
-
-def _orbit_outcome(orbit, model, w0, t):
-    """An orbit point as its anchor and the bits of L, or its error's type."""
-    try:
-        p = orbit(model, w0, t)
-    except Exception as exc:  # every error must match the reference's
-        return ("error", type(exc))
-    anchor = None if p.anchor is None else p.anchor.hex()
-    return ("value", anchor, p.L.real.hex(), p.L.imag.hex())
-
-
 class TestOrbits:
-    @pytest.mark.parametrize("name,pairs,expect", [c[1:] for c in _ORBIT_CASES],
-                             ids=[c[0] for c in _ORBIT_CASES])
-    def test_uhp_orbit_matches_reference_bitwise(self, name, pairs, expect):
-        # uhp_orbit walks the chain in log space; the references are the
-        # hand-derived orbit formulas.
-        model = by_name(name)
-        outcomes = []
-        for w0, t in pairs:
-            got = _orbit_outcome(type(model).uhp_orbit, model, w0, t)
-            want = _orbit_outcome(reference_orbit, model, w0, t)
-            assert got == want, f"{name} w0={w0!r} t={t!r}: {got} != {want}"
-            outcomes.append(got)
-        kinds = {o[0] for o in outcomes}
-        assert kinds == ({"value", "error"} if expect == "mixed" else {expect})
-
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_orbit_matches_chain_at_moderate_times(self, name):
         model = by_name(name)
