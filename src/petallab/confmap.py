@@ -13,7 +13,7 @@ point into another step method: ``apply_all``, ``value_and_derivative_all``,
 which evaluates what each image and derivative share once, and
 ``cut_distances``.  A kernel maps each point on its own, in list order,
 so it raises the error that its first failing point raises alone.  The
-one-point ``apply`` and ``cut_distance`` run the kernel on a list of one.
+one-point ``cut_distance`` runs its kernel on a list of one.
 
 A chain walks its steps directly: forward in order, and inverse through
 the steps' inverses in reverse order, each inverse step paired with the
@@ -131,7 +131,7 @@ class MapStep:
 
     A step states its map once, as list kernels: ``apply_all``,
     ``value_and_derivative_all`` and, on a step with a branch cut,
-    ``cut_distances``.  The one-point methods run them on a list of one."""
+    ``cut_distances``.  ``cut_distance`` runs the last on a list of one."""
 
     __slots__ = ()
 
@@ -147,9 +147,6 @@ class MapStep:
         """``apply_all(zs)`` and the step's derivatives at zs, from one
         evaluation of what each image and derivative share."""
         raise NotImplementedError
-
-    def apply(self, z: complex) -> complex:
-        return self.apply_all((z,))[0]
 
     def cut_distance(self, z: complex) -> float:
         """The distance from z to the branch cut of a step that has one."""

@@ -22,7 +22,13 @@ import math
 from typing import NamedTuple, Optional
 
 from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
-from .hypcore import DomainError, UhpLogPoint, disk_of_uhp_boundary, uhp_log_distance
+from .hypcore import (
+    DomainError,
+    PrecisionError,
+    UhpLogPoint,
+    disk_of_uhp_boundary,
+    uhp_log_distance,
+)
 
 HALF_PI = math.pi / 2.0
 
@@ -209,7 +215,9 @@ class KoenigsModel(NamedTuple):
         it starts from log(-w0) - mu t with a half turn, so that an angle
         next to the slit keeps its gap.  The walk's turns end as the
         point's sign.  A t that is no finite float (nan, inf, or an integer
-        past float range) raises ``DomainError``.
+        past float range) raises ``DomainError``; a walked point the floats
+        cannot hold (an angle's gap that underflowed to 0) raises
+        ``PrecisionError`` naming the model, the base and t.
         """
         try:
             if not math.isfinite(t):
@@ -221,18 +229,27 @@ class KoenigsModel(NamedTuple):
             w = w0 + t
             if not self.chain.source_contains(w):
                 raise DomainError(f"orbit point {w} left the domain")
-            return UhpLogPoint(*self.chain.eval_log(w))
-        if w0 == 0:
-            raise DomainError("the fixed point has no canonical orbit chart")
-        # w_t = i^turns e^a; the orbit ray has constant argument.
-        if w0.real < 0.0:
-            a, turns = cmath.log(-w0) - self.mu * t, 2
+            walked = self.chain.eval_log(w)
         else:
-            a, turns = cmath.log(w0) - self.mu * t, 0
-        # Only an orbit on the negative axis meets the slit (-inf, -1].
-        if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
-            raise DomainError(f"orbit point -exp({a}) left the domain")
-        return UhpLogPoint(*self.chain.eval_log(None, a, turns))
+            if w0 == 0:
+                raise DomainError("the fixed point has no canonical orbit chart")
+            # w_t = i^turns e^a; the orbit ray has constant argument.
+            if w0.real < 0.0:
+                a, turns = cmath.log(-w0) - self.mu * t, 2
+            else:
+                a, turns = cmath.log(w0) - self.mu * t, 0
+            # Only an orbit on the negative axis meets the slit (-inf, -1].
+            if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
+                raise DomainError(f"orbit point -exp({a}) left the domain")
+            walked = self.chain.eval_log(None, a, turns)
+        try:
+            return UhpLogPoint(*walked)
+        except DomainError as exc:
+            # The walk built an interior point that the floats cannot hold,
+            # such as an angle whose gap to 0 or pi underflowed to 0.
+            raise PrecisionError(
+                f"models.uhp_orbit: {self.name} orbit from {w0!r} at t = {t!r}: {exc}"
+            ) from None
 
     def disk_sigma(self, petal: Petal) -> BoundaryPoint:
         """Unit-disk image of a petal's distinguished boundary point.

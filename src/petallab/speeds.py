@@ -14,11 +14,18 @@ long after the orbit points themselves left float range, out to
 0 or pi by itself, and the frame reads its angle modulo pi.  The one
 known limit is a gap far below the normal float range (ROADMAP item 11):
 from -3 + 1e-300 i the parabolic orbit's gap is 6.7e-317 at |t| = 1e16,
-where v_T is off by 5.6e-11, and it underflows to 0 from about 1e24 on.
+where v_T is off by 5.6e-11, and it underflows to 0 from about 1e24 on,
+where ``models.uhp_orbit`` refuses with ``PrecisionError``.
+
+A base point is read once: its petal check, its time-0 walk and its eta
+frame come from ``_base_reading``, a memo of the last ``_BASE_READINGS``
+bases.  Its key tells 0.0 from -0.0, a refusal is never stored, and every
+output is the one a fresh reading gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import NamedTuple, Optional, Sequence
@@ -37,6 +44,9 @@ from .semigroup import require_petal
 # The largest k with 2.0 ** k finite, and the smallest with it nonzero.
 _MAX_DYADIC_EXP = 1023
 _MIN_DYADIC_EXP = -1074
+# How many base readings _base_reading keeps: verify's run_all reads about
+# 170 bases, the deep_orbits benchmark 96.
+_BASE_READINGS = 256
 
 
 class EstimationError(ValueError):
@@ -133,11 +143,39 @@ def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
             uhp_log_framed(p0, sigma).real - (math.log(y0) + 0.5 * math.log1p(h * h)))
 
 
+@functools.lru_cache(maxsize=_BASE_READINGS)
+def _base_reading(model: KoenigsModel, petal: Petal, w0: complex,
+                  signs: tuple[float, float]) -> tuple[complex, UhpLogPoint, tuple, float]:
+    """``(w0, p0, frame, re0)`` of the base w0: w0 once ``require_petal``
+    has found it in the petal, p0 its time-0 orbit point, and ``(frame,
+    re0) = _eta_frame(petal, p0)``.  ``signs`` holds the sign of each part
+    of w0 (``_read_base`` gives them).
+
+    The reading is a pure function of its inputs, so it is memoised in a
+    bounded LRU memo of ``_BASE_READINGS`` entries.  The key is exact:
+    2 + 0i and 2 - 0i compare equal and hash alike, but their signs
+    differ, so each gets its own entry.  A refusal raises before anything
+    is stored, and a stored reading is the tuple a fresh reading returns,
+    bit for bit."""
+    w0 = require_petal(model, petal, w0)
+    p0 = model.uhp_orbit(w0, 0.0)
+    return (w0, p0, *_eta_frame(petal, p0))
+
+
+def _read_base(model: KoenigsModel, petal: Petal,
+               z: complex) -> tuple[complex, UhpLogPoint, tuple, float]:
+    """``_base_reading`` of z as a complex number, keyed on its signs."""
+    w0 = complex(z)
+    return _base_reading(model, petal, w0,
+                         (math.copysign(1.0, w0.real), math.copysign(1.0, w0.imag)))
+
+
 def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
                frame: tuple, re0: float, t: float) -> SpeedSample:
     """The three speeds at time t of the orbit from w0, whose time-0 image
-    is p0 and whose eta frame is ``(frame, re0) = _eta_frame(petal, p0)``;
-    ``speed_sample`` and ``speed_series`` read every sample here."""
+    is p0 and whose eta frame is ``(frame, re0)``, as ``_base_reading``
+    gives them; ``speed_sample`` and ``speed_series`` read every sample
+    here."""
     if t == 0.0:
         return SpeedSample(0.0, 0.0, 0.0, 0.0)
     p_t = model.uhp_orbit(w0, t)
@@ -159,11 +197,11 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:
     """All three speeds of the backward orbit from z at time t <= 0."""
-    w0 = require_petal(model, petal, z)
     if t > 0.0:
+        # The petal refusal comes first, as for any other time.
+        require_petal(model, petal, z)
         raise DomainError("petal speeds are defined for t <= 0")
-    p0 = model.uhp_orbit(w0, 0.0)
-    return _sample_at(model, w0, p0, *_eta_frame(petal, p0), t)
+    return _sample_at(model, *_read_base(model, petal, z), t)
 
 
 def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
@@ -178,17 +216,10 @@ def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
     return uhp_log_distance(model.uhp_orbit(w0, 0.0), model.uhp_orbit(w0, t))
 
 
-def speed_series(
-    model: KoenigsModel,
-    petal: Petal,
-    z: complex,
-    grid: Optional[Sequence[float]] = None,
-) -> SpeedSeries:
-    """Sample all three speeds over a strictly decreasing backward grid.
-
-    A grid that is empty, has a positive time or does not strictly
-    decrease raises ``DomainError``."""
-    w0 = require_petal(model, petal, z)
+def _backward_grid(grid: Optional[Sequence[float]]) -> list[float]:
+    """The times of a backward grid (``dyadic_grid()`` when None) as floats;
+    ``DomainError`` unless there is one at least, none past float range or
+    above 0, and they strictly decrease."""
     try:
         ts = list(dyadic_grid() if grid is None else (float(t) for t in grid))
     except OverflowError:
@@ -199,8 +230,26 @@ def speed_series(
         raise DomainError("backward series grids must satisfy t <= 0")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise DomainError("grid must be strictly decreasing")
-    p0 = model.uhp_orbit(w0, 0.0)
-    frame, re0 = _eta_frame(petal, p0)
+    return ts
+
+
+def speed_series(
+    model: KoenigsModel,
+    petal: Petal,
+    z: complex,
+    grid: Optional[Sequence[float]] = None,
+) -> SpeedSeries:
+    """Sample all three speeds over a strictly decreasing backward grid.
+
+    A grid that is empty, has a positive time or does not strictly
+    decrease raises ``DomainError``."""
+    try:
+        ts = _backward_grid(grid)
+    except (TypeError, ValueError):
+        # The petal refusal comes first, as for a valid grid.
+        require_petal(model, petal, z)
+        raise
+    w0, p0, frame, re0 = _read_base(model, petal, z)
     samples = [_sample_at(model, w0, p0, frame, re0, t) for t in ts]
     totals = [s.v for s in samples]
     if any(b < a - 1e-12 for a, b in zip(totals, totals[1:])):

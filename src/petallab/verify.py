@@ -75,6 +75,11 @@ OFF_CENTRE_BASES = (
 )
 LIMIT_TIMES = (-(2.0**10), -(2.0**16), -1e300)
 LIMIT_TOL = 1e-12
+# Far out on the hyperbolic petals v/|t| reads |lam|/2 within FAR_RATE_TOL
+# relative at the times FAR_RATE_TIMES, at the default bases and those of
+# OFF_CENTRE_BASES.
+FAR_RATE_TIMES = (-1e20, -1e100, -1e300)
+FAR_RATE_TOL = 1e-15
 # At the off-centre bases v - v_o tends to -log(sin theta)/2, by the
 # hyperbolic Pythagorean relation cosh 2v = cosh 2v_o cosh 2v_T; read
 # within LIMIT_TOL at these times.
@@ -286,6 +291,21 @@ def _off_limit(value: float, rate: float, t: float, limit: float) -> float:
     """How far value - rate log|t| lies from its limit, relative to
     max(1, value)."""
     return abs(value - rate * math.log(abs(t)) - limit) / max(1.0, abs(value))
+
+
+def _check_total_speeds() -> List[Part]:
+    """The backward slopes of v, and v/|t| against |lam|/2 far out at the
+    default and off-centre bases of the hyperbolic petals."""
+    bases = [(model, petal, petal.base_default) for model, petal in _all_petals()
+             if petal.kind == "hyperbolic"]
+    bases += [(model, petal, base) for model, petal, base, _ in _off_centre_bases()]
+    errors = []
+    for model, petal, base in bases:
+        rate = -0.5 * petal.lam
+        errors += [abs(speed_sample(model, petal, base, t).v / -t - rate) / rate
+                   for t in FAR_RATE_TIMES]
+    return _check_total_slopes() + [_at_most(
+        f"{len(bases)} bases: v/|t| at -1e20..-1e300 off |lam|/2 by", errors, FAR_RATE_TOL)]
 
 
 def _check_parabolic_envelope() -> List[Part]:
@@ -519,7 +539,7 @@ def _check_structural(rng: random.Random) -> List[Part]:
 # The criteria in report order: each name, its check, and whether the check
 # draws from run_all's seeded generator, which the drawing checks share.
 _CHECKS = (
-    ("total-speed-slopes", _check_total_slopes, False),
+    ("total-speed-slopes", _check_total_speeds, False),
     ("parabolic-speed-envelope", _check_parabolic_envelope, False),
     ("tangential-plateau-vs-divergence", _check_tangential_plateau, False),
     ("orthogonal-speed-slopes", _check_orthogonal_slopes, False),

@@ -330,11 +330,16 @@ _FORMULAS[ForwardLogStep] = _FORMULAS[LogStep]
 _CUT_DISTANCES[ForwardLogStep] = _CUT_DISTANCES[LogStep]
 
 
+def apply_one(step: MapStep, z: complex) -> complex:
+    """The image of z under step: the step's list kernel on a list of one."""
+    return step.apply_all((z,))[0]
+
+
 def reference_apply(step: MapStep, z: complex) -> complex:
     """The image of z under step, by the formula above for a package step
-    and by the step's own ``apply`` for a test-only one."""
+    and by the step's own list kernel for a test-only one."""
     formulas = _FORMULAS.get(type(step))
-    return step.apply(z) if formulas is None else formulas[0](step, z)
+    return apply_one(step, z) if formulas is None else formulas[0](step, z)
 
 
 def reference_value_and_derivative(step: MapStep, z: complex) -> tuple[complex, complex]:

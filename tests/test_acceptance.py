@@ -240,6 +240,12 @@ def _unsharp(item, check):
     # log(2)/2 - v_T = -0.24.
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_o=s.v), False),
                  {"orthogonal-speed-slopes", "pythagorean-sandwich"}, id="orthogonal-is-total"),
+    # A far drift: v off by 1e-13 relative from |t| = 1e20 on the
+    # hyperbolic petals, far past every slope fit's grid.
+    pytest.param(speeds, "_sample_at",
+                 _on_samples(lambda s: s._replace(v=s.v * (1.0 + 1e-13)) if s.t <= -1e20 else s,
+                             False),
+                 {"total-speed-slopes"}, id="far-rate-drift"),
     # A wrong time step: semigroup.regularity_gap stepping from t - 1.5.
     pytest.param(verify, "regularity_gap", _on_steps(lambda gaps: [1.5 * g for g in gaps]),
                  {"structural-consistency"}, id="step-scaled",

@@ -79,6 +79,13 @@ class TestSpeedsCommand:
         assert capsys.readouterr().err == (
             "error: confmap.SlitCloseStep.apply_log: 2 Re L is past float range at "
             "L = (-8.98846567431158e+307+0.7853981633974483j)\n")
+        # From -3 + 1e-300 i the parabolic orbit angle's gap underflows to 0.
+        assert main(["speeds", "--model", "sector-parabolic", "--petal", "0",
+                     "--base-re", "-3", "--base-im", "1e-300", "--grid=-1e24",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: models.uhp_orbit: sector-parabolic orbit from (-3+1e-300j) at "
+            "t = -1e+24: signed log offset needs Im in (-pi, 0), got 0.0\n")
         # A framed angle planted onto the real axis.
         monkeypatch.setattr(speeds, "uhp_log_framed", lambda p, c, other=None: complex(0.0, math.pi))
         assert main(["speeds", "--model", "strip-slit", "--petal", "0", "--kmax", "2",

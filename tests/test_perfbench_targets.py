@@ -71,20 +71,28 @@ def test_speed_sample_reaches_its_traced_layers(monkeypatch, t):
     # The benchmark self-test plants a delay in each of these layers and
     # requires it to show there on deep_orbits; a sample that stopped
     # calling them through these names would leave those checks empty.
+    # A base's time-0 walk runs once, on its first reading
+    # (speeds._base_reading); each sample at t != 0 walks its own point.
     from petallab.models import catalog
-    from petallab.speeds import speed_sample, speed_series
+    from petallab.speeds import _base_reading, speed_sample, speed_series
 
     counts = Counter()
     for label in _SAMPLE_LAYERS:
         _count_calls(monkeypatch, counts, label)
     for model in catalog():
         for petal in model.petals:
-            counts.clear()
-            speed_sample(model, petal, petal.base_default, t)
-            assert counts == {"models.uhp_orbit": 2, "hypcore.uhp_log_distance": 1}
-            counts.clear()
-            speed_series(model, petal, petal.base_default, [0.0, -0.5, t])
-            assert counts == {"models.uhp_orbit": 3, "hypcore.uhp_log_distance": 2}
+            base = petal.base_default
+            # (read, its uhp_orbit calls first and on a repeat, its distances)
+            for read, walks, distances in (
+                (lambda: speed_sample(model, petal, base, t), (2, 1), 1),
+                (lambda: speed_series(model, petal, base, [0.0, -0.5, t]), (3, 2), 2),
+            ):
+                _base_reading.cache_clear()
+                for n in walks:
+                    counts.clear()
+                    read()
+                    assert counts == {"models.uhp_orbit": n,
+                                      "hypcore.uhp_log_distance": distances}
 
 
 def test_approach_angle_reaches_its_traced_measure(monkeypatch):

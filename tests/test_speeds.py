@@ -38,7 +38,10 @@ from petallab.speeds import (
     slope_estimate,
     speed_sample,
     speed_series,
+    _BASE_READINGS,
+    _base_reading,
     _eta_frame,
+    _read_base,
     _sample_at,
 )
 
@@ -356,6 +359,116 @@ class TestOneRead:
                 series = self._read(
                     lambda: speed_series(model, petal, w, [t]).samples[0])
                 assert one == series, (model.name, petal.label, w)
+
+
+class TestBaseReadingMemo:
+    """``speed_sample`` and ``speed_series`` read each base through the memo
+    ``_base_reading``: a stored reading serves exactly what a fresh one
+    reads, a point never gets the reading of another point that only
+    compares equal to it, and a refusal is never stored."""
+
+    TIMES = ([-(2.0 ** k) for k in range(61)]
+             + [-(10.0 ** k) for k in range(0, 301, 20)])
+    OFF_CENTRE = {("strip-slit", "upper"): [1.0 + 0.3j],
+                  ("strip-slit", "lower"): [0.5 - 0.3j],
+                  ("sector-parabolic", "main"): [-3.0 + 1.0j, 2.0 + 0.5j],
+                  ("koebe-elliptic", "main"): [2.0 * cmath.exp(0.5j)]}
+
+    def _bases(self, model, petal):
+        return [petal.base_default, *self.OFF_CENTRE[model.name, petal.label]]
+
+    @staticmethod
+    def _bits(sample):
+        return tuple(x.hex() for x in sample)
+
+    def test_cached_readings_equal_fresh_ones(self):
+        for model, petal in _model_petals():
+            for base in self._bases(model, petal):
+                fresh = []
+                for t in self.TIMES:
+                    _base_reading.cache_clear()
+                    fresh.append(self._bits(speed_sample(model, petal, base, t)))
+                _base_reading.cache_clear()
+                cached = [self._bits(speed_sample(model, petal, base, t)) for t in self.TIMES]
+                info = _base_reading.cache_info()
+                assert (info.misses, info.hits) == (1, len(self.TIMES) - 1)
+                assert cached == fresh, (model.name, petal.label, base)
+                grid = sorted(set(self.TIMES), reverse=True)
+                series = speed_series(model, petal, base, grid)
+                by_time = dict(zip(self.TIMES, fresh))
+                assert [self._bits(s) for s in series.samples] == [by_time[t] for t in grid]
+                assert _base_reading.cache_info().misses == 1
+
+    @pytest.mark.parametrize("name,label,a,b", [
+        # complex(...) calls: the literals 2-0j and -0.0+0.3j both read a
+        # positive zero.
+        ("koebe-elliptic", "main", complex(2.0, 0.0), complex(2.0, -0.0)),
+        ("strip-slit", "upper", complex(0.0, 0.3), complex(-0.0, 0.3)),
+    ])
+    def test_signed_zeros_fill_their_own_entries(self, name, label, a, b):
+        model = by_name(name)
+        petal = model.petal(label)
+        assert a == b and hash(a) == hash(b)
+        want = self._bits(speed_sample(model, petal, b, -1e6))
+        _base_reading.cache_clear()
+        speed_sample(model, petal, a, -1e6)
+        assert self._bits(speed_sample(model, petal, b, -1e6)) == want
+        assert _base_reading.cache_info().currsize == 2
+        for z in (a, b):
+            assert repr(_read_base(model, petal, z)[0]) == repr(z)
+        assert _base_reading.cache_info().currsize == 2
+
+    def test_refusals_are_not_stored(self):
+        strip = by_name("strip-slit")
+        upper = strip.petal("upper")
+        for _ in range(3):
+            # A base of the lower petal, at a valid time and a positive one:
+            # the petal refusal comes before the time's.
+            for t in (-1.0, 1.0):
+                with pytest.raises(PetalRequiredError):
+                    speed_sample(strip, upper, 1.0 - 0.3j, t)
+            with pytest.raises(PetalRequiredError):
+                speed_series(strip, upper, 1.0 - 0.3j, [1.0])
+            # In the petal, but e^800 has no float image to frame eta through.
+            with pytest.raises(DomainError, match="^base point has no finite canonical image$"):
+                speed_sample(strip, upper, 800.0 + 0.5j, -1.0)
+        assert _base_reading.cache_info().currsize == 0
+        # A time refusal reads no base either.
+        with pytest.raises(DomainError, match="^petal speeds are defined for t <= 0$"):
+            speed_sample(strip, upper, upper.base_default, 1.0)
+        with pytest.raises(DomainError, match="^grid must not be empty$"):
+            speed_series(strip, upper, upper.base_default, [])
+        assert _base_reading.cache_info().currsize == 0
+
+    def test_the_memo_is_bounded(self):
+        assert _base_reading.cache_info().maxsize == _BASE_READINGS < math.inf
+        model = by_name("strip-slit")
+        petal = model.petal("upper")
+        for k in range(_BASE_READINGS + 10):
+            speed_sample(model, petal, complex(1.0 + k, 0.5), -1.0)
+        assert _base_reading.cache_info().currsize == _BASE_READINGS
+
+
+class TestUnderflowedGap:
+    """Where an orbit angle's gap underflows to 0, ``models.uhp_orbit``
+    refuses the point its walk built as a ``PrecisionError`` that names the
+    layer, the model, the base and t (ROADMAP items 11 and 14)."""
+
+    @pytest.mark.parametrize("base,t", [
+        (-3 + 1e-300j, -1e24),
+        (1 + 1e-300j, -1e300),
+        (1 + 5e-324j, -1e6),
+    ])
+    def test_is_a_precision_refusal(self, base, t):
+        model = by_name("sector-parabolic")
+        petal = model.petal("main")
+        text = (f"models.uhp_orbit: sector-parabolic orbit from {base!r} at t = {t!r}: "
+                "signed log offset needs Im in (-pi, 0), got 0.0")
+        for read in (lambda: model.uhp_orbit(base, t),
+                     lambda: speed_sample(model, petal, base, t)):
+            with pytest.raises(PrecisionError) as info:
+                read()
+            assert str(info.value) == text
 
 
 class TestHugeIntegerTimes:
