@@ -187,7 +187,11 @@ def custom_profile(
     The profile keeps only a log gap: ``log_delta`` when given, which
     leaves ``delta`` unread, else ``log(delta(t))``, which raises
     ``DomainError`` at a time where the gap is not positive and finite.
+    The name "gaussian" is refused: the bound ratios judge the profile of
+    that name by its lower bound and the gaussian window.
     """
+    if name == "gaussian":
+        raise DomainError("bounds.custom_profile: the name 'gaussian' is gaussian_profile's")
     if log_delta is None:
 
         def log_delta(t: float) -> float:

@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 from .confmap import Affine, ConformalChain, ExpStep, PowerStep, SlitCloseStep
 from .hypcore import (
+    HALF_PI_LO,
     DomainError,
     PrecisionError,
     UhpLogPoint,
@@ -54,8 +55,13 @@ class StripImage(NamedTuple):
         return self.lo < w.imag < self.hi
 
     def uhp_point(self, w: complex) -> UhpLogPoint:
-        """w's image in the upper half-plane, e^L with L = pi (w - i lo) / width."""
-        return UhpLogPoint(None, math.pi / self.width * (w - 1j * self.lo))
+        """w's image in the upper half-plane, e^L with L = pi (w - i lo) / width,
+        or -e^L with L = pi (w - i hi) / width nearer hi: Im L is the gap, a
+        wall at +-HALF_PI read as +-pi/2 in two parts, as the log walk does."""
+        near_hi = self.hi - w.imag < w.imag - self.lo
+        wall = self.hi if near_hi else self.lo
+        low = math.copysign(HALF_PI_LO, wall) if abs(wall) == HALF_PI else 0.0
+        return UhpLogPoint(None, math.pi / self.width * (w - 1j * wall - 1j * low), neg=near_hi)
 
     def sample(self, n: int, rng) -> list[complex]:
         random = rng.random
@@ -72,6 +78,10 @@ class HalfPlaneImage:
         return w.imag > 0.0
 
     def uhp_point(self, w: complex) -> UhpLogPoint:
+        """w itself, held by log w, or left of the imaginary axis by the log
+        of -w, whose angle keeps the gap that arg w would lose next to pi."""
+        if w.real < 0.0:
+            return UhpLogPoint(None, cmath.log(-w), neg=True)
         return UhpLogPoint(None, cmath.log(w))
 
     def sample(self, n: int, rng) -> list[complex]:

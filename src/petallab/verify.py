@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import BoundaryProfile, bound_ratio_series, gaussian_profile, logrecip_profile
 from .hmeasure import ROUNDING_FLOOR, ApproachReport, Arc, approach_angle
-from .hypcore import DomainError, disk_distance, disk_of_uhp, uhp_distance
+from .hypcore import DomainError, disk_distance, disk_of_uhp, uhp_distance, uhp_log_framed
 from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
 from .semigroup import flow, regularity_gap, repelling_diagnostics, require_petal
 from .speeds import (
@@ -63,26 +63,25 @@ ORBIT_KMAX = 18
 # Dyadic exponents RATE_KMIN .. RATE_KMAX of the backward and forward rate
 # fits (``petallab asymptote`` and ``forward`` without --kmin or --kmax).
 RATE_KMIN, RATE_KMAX = 4, 16
-# Off-centre bases of the hyperbolic petals, each with the closed-form angle
-# theta of its image in the petal's chart: 2 Im w0 and pi - 2 |Im w0| on the
-# strips, pi/2 + arg(w0)/2 on the slit plane.  v_T tends to the axis
-# distance of theta, read within LIMIT_TOL at the times LIMIT_TIMES.
+# Off-centre bases of the hyperbolic petals.  With each hyperbolic petal's
+# default base they make ``_hyperbolic_bases``, where theta, the angle of a
+# base's image in its petal's chart, is pi/2 at the defaults.  At every base
+# v_T tends to the axis distance of theta modulo pi, 0 at pi/2, read within
+# LIMIT_TOL at the times LIMIT_TIMES.
 OFF_CENTRE_BASES = (
-    ("strip-slit", "upper", 1.0 + 0.3j, lambda w: 2.0 * w.imag),
-    ("strip-slit", "lower", 0.5 - 0.3j, lambda w: math.pi - 2.0 * abs(w.imag)),
-    ("koebe-elliptic", "main", 2.0 * cmath.exp(0.5j),
-     lambda w: 0.5 * math.pi + 0.5 * cmath.phase(w)),
+    ("strip-slit", "upper", 1.0 + 0.3j),
+    ("strip-slit", "lower", 0.5 - 0.3j),
+    ("koebe-elliptic", "main", 2.0 * cmath.exp(0.5j)),
 )
 LIMIT_TIMES = (-(2.0**10), -(2.0**16), -1e300)
 LIMIT_TOL = 1e-12
 # Far out on the hyperbolic petals v/|t| reads |lam|/2 within FAR_RATE_TOL
-# relative at the times FAR_RATE_TIMES, at the default bases and those of
-# OFF_CENTRE_BASES.
+# relative at the times FAR_RATE_TIMES, at every hyperbolic base.
 FAR_RATE_TIMES = (-1e20, -1e100, -1e300)
 FAR_RATE_TOL = 1e-15
-# At the off-centre bases v - v_o tends to -log(sin theta)/2, by the
-# hyperbolic Pythagorean relation cosh 2v = cosh 2v_o cosh 2v_T; read
-# within LIMIT_TOL at these times.
+# At every hyperbolic base v - v_o tends to -log|sin theta|/2, 0 at the
+# defaults, by the hyperbolic Pythagorean relation
+# cosh 2v = cosh 2v_o cosh 2v_T; read within LIMIT_TOL at these times.
 ORTHOGONAL_TIMES = (-(2.0**6), -(2.0**8))
 # Sharp limits of sector-parabolic, whose chain is w -> (i w)^(2/3), from
 # its default base e i: properties of this model, read off the chain's
@@ -266,19 +265,13 @@ def _all_petals() -> List[Tuple[KoenigsModel, Petal]]:
     return [(model, petal) for model in catalog() for petal in model.petals]
 
 
-def _check_total_slopes(component: str = "v") -> List[Part]:
-    """Backward slopes of ``component`` on the two hyperbolic petals."""
-    grid = dyadic_grid(RATE_KMIN, RATE_KMAX)
-    parts = []
-    for name, label in (("strip-slit", "upper"), ("koebe-elliptic", "main")):
-        model = by_name(name)
-        petal = model.petal(label)
-        _, r2, rate = backward_rate(model, petal, petal.base_default, grid, component)
-        parts.append((
-            f"{model.name}/{petal.label}: slope {rate.slope:.6f} vs {rate.target} (r2 {r2:.6f})",
-            rate.passed,
-        ))
-    return parts
+def _hyperbolic_bases() -> List[Tuple[KoenigsModel, Petal, complex, float]]:
+    """(model, petal, base, theta) of each hyperbolic petal's default base,
+    then of each row of OFF_CENTRE_BASES: theta is the angle of the base's
+    image in its petal's own chart, which the limits read modulo pi."""
+    rows = [(m, p, p.base_default) for m, p in _all_petals() if p.kind == "hyperbolic"]
+    rows += [(by_name(name), by_name(name).petal(label), b) for name, label, b in OFF_CENTRE_BASES]
+    return [(m, p, b, uhp_log_framed(p.image.uhp_point(b), 0.0).imag) for m, p, b in rows]
 
 
 def _at_most(label: str, values: Sequence[float], bound: float, spec: str = ".1e") -> Part:
@@ -294,18 +287,27 @@ def _off_limit(value: float, rate: float, t: float, limit: float) -> float:
 
 
 def _check_total_speeds() -> List[Part]:
-    """The backward slopes of v, and v/|t| against |lam|/2 far out at the
-    default and off-centre bases of the hyperbolic petals."""
-    bases = [(model, petal, petal.base_default) for model, petal in _all_petals()
-             if petal.kind == "hyperbolic"]
-    bases += [(model, petal, base) for model, petal, base, _ in _off_centre_bases()]
+    """The backward slopes of v on two hyperbolic petals, and v/|t| against
+    |lam|/2 far out at every hyperbolic base."""
+    grid = dyadic_grid(RATE_KMIN, RATE_KMAX)
+    parts = []
+    for name, label in (("strip-slit", "upper"), ("koebe-elliptic", "main")):
+        model = by_name(name)
+        petal = model.petal(label)
+        _, r2, rate = backward_rate(model, petal, petal.base_default, grid)
+        parts.append((
+            f"{model.name}/{petal.label}: slope {rate.slope:.6f} vs {rate.target} (r2 {r2:.6f})",
+            rate.passed,
+        ))
+    bases = _hyperbolic_bases()
     errors = []
-    for model, petal, base in bases:
+    for model, petal, base, _ in bases:
         rate = -0.5 * petal.lam
         errors += [abs(speed_sample(model, petal, base, t).v / -t - rate) / rate
                    for t in FAR_RATE_TIMES]
-    return _check_total_slopes() + [_at_most(
-        f"{len(bases)} bases: v/|t| at -1e20..-1e300 off |lam|/2 by", errors, FAR_RATE_TOL)]
+    parts.append(_at_most(
+        f"{len(bases)} bases: v/|t| at -1e20..-1e300 off |lam|/2 by", errors, FAR_RATE_TOL))
+    return parts
 
 
 def _check_parabolic_envelope() -> List[Part]:
@@ -324,38 +326,17 @@ def _check_parabolic_envelope() -> List[Part]:
     return parts
 
 
-def _off_centre_bases() -> List[Tuple[KoenigsModel, Petal, complex, float]]:
-    """(model, petal, base, theta) of each row of OFF_CENTRE_BASES."""
-    rows = []
-    for name, label, base, angle in OFF_CENTRE_BASES:
-        model = by_name(name)
-        rows.append((model, model.petal(label), base, angle(base)))
-    return rows
-
-
 def _check_tangential_plateau() -> List[Part]:
-    parts = []
-    for model, petal in _all_petals():
-        base = petal.base_default
-        v10 = speed_sample(model, petal, base, -(2.0**10)).v_T
-        v16 = speed_sample(model, petal, base, -(2.0**16)).v_T
-        if petal.kind == "hyperbolic":
-            drift = abs(v16 - v10)
-            linear = v16 / 2.0**16
-            parts.append((
-                f"{model.name}/{petal.label}: plateau drift {drift:.2e}, "
-                f"v_T/|t| {linear:.1e}",
-                drift <= 0.05 and linear <= rate_threshold(0.0),
-            ))
-        else:
-            growth = v16 - v10
-            min_growth = 1
-            parts.append((
-                f"{model.name}/{petal.label}: divergence {growth:.3f} >= {_bound(min_growth)}",
-                growth >= min_growth,
-            ))
-    for model, petal, base, theta in _off_centre_bases():
-        limit = 0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta))
+    """v_T's divergence on the parabolic petal, and v_T against its limit at
+    every hyperbolic base."""
+    m2 = by_name("sector-parabolic")
+    petal2 = m2.petal("main")
+    base2 = petal2.base_default
+    growth = (speed_sample(m2, petal2, base2, -(2.0**16)).v_T
+              - speed_sample(m2, petal2, base2, -(2.0**10)).v_T)
+    parts = [(f"{m2.name}/{petal2.label}: divergence {growth:.3f} >= 1", growth >= 1)]
+    for model, petal, base, theta in _hyperbolic_bases():
+        limit = 0.5 * math.log((1.0 + abs(math.cos(theta))) / abs(math.sin(theta)))
         errors = [abs(speed_sample(model, petal, base, t).v_T - limit) for t in LIMIT_TIMES]
         parts.append(_at_most(f"{model.name}/{petal.label} at {base:.4g}: "
                               f"v_T off its limit {limit:.6f} by", errors, LIMIT_TOL))
@@ -363,9 +344,12 @@ def _check_tangential_plateau() -> List[Part]:
 
 
 def _check_orthogonal_slopes() -> List[Part]:
-    parts = _check_total_slopes("v_o")
-    for model, petal, base, theta in _off_centre_bases():
-        limit = -0.5 * math.log(math.sin(theta))
+    """v - v_o against its limit at every hyperbolic base, and the slope of
+    v_o on the parabolic petal."""
+    parts = []
+    for model, petal, base, theta in _hyperbolic_bases():
+        # Adding 0.0 prints the limit at theta = pi/2 as 0, not -0.
+        limit = -0.5 * math.log(abs(math.sin(theta))) + 0.0
         samples = [speed_sample(model, petal, base, t) for t in ORTHOGONAL_TIMES]
         errors = [abs(s.v - s.v_o - limit) for s in samples]
         parts.append(_at_most(f"{model.name}/{petal.label} at {base:.4g}: "
@@ -385,15 +369,15 @@ def _check_pythagorean_sandwich() -> List[Part]:
     grid = dyadic_grid(0, 16)
     low_slacks = []
     high_slacks = []
-    bases = [(model, petal, petal.base_default) for model, petal in _all_petals()]
-    bases += [(model, petal, base) for model, petal, base, _ in _off_centre_bases()]
+    m2 = by_name("sector-parabolic")
+    petal2 = m2.petal("main")
+    bases = [(model, petal, base) for model, petal, base, _ in _hyperbolic_bases()]
+    bases.append((m2, petal2, petal2.base_default))
     for model, petal, base in bases:
         series = speed_series(model, petal, base, grid)
         for s in series.samples:
             low_slacks.append(s.v - (s.v_o + s.v_T - _HALF_LOG2))
             high_slacks.append((s.v_o + s.v_T) - s.v)
-    m2 = by_name("sector-parabolic")
-    petal2 = m2.petal("main")
     far = []
     for k in PARABOLIC_SANDWICH_KS:
         s = speed_sample(m2, petal2, petal2.base_default, -(2.0**k))
@@ -460,8 +444,6 @@ def _check_repelling_diagnostics(rng: random.Random) -> List[Part]:
             f"rate err {est_err:.1e}{extra}, radial stop {rep.radial_stop}, plateau {rep.plateau}",
             good,
         ))
-    # A note, not a measurement; semigroup.RepellingReport gives the identities.
-    parts.append(("herglotz real part = julia slack at |sigma| = 1", True))
     return parts
 
 

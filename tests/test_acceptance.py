@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from oracles import mp_orbit_reading
-from petallab import by_name, semigroup, speeds, verify
+from petallab import by_name, catalog, semigroup, speeds, verify
 from petallab.verify import CHECK_NAMES, run_all
 
 
@@ -65,20 +65,47 @@ def _mp_chart_angle(name, base):
 
 
 def test_off_centre_limits_against_mpmath():
-    # verify's closed-form angles and the v_T they give, derived at 40
-    # digits: the limits read 0.5866632036455847 on both strips and
-    # 0.12632280517893377 on the slit plane.
-    rows = verify._off_centre_bases()
-    assert [(m.name, p.label) for m, p, _, _ in rows] == [
-        ("strip-slit", "upper"), ("strip-slit", "lower"), ("koebe-elliptic", "main")]
+    # verify's table of hyperbolic bases: the chart angles, modulo pi, and
+    # the limits of v_T and v - v_o they give, derived at 40 digits.  At the
+    # default bases theta is pi/2 and both limits are 0 (on strip-slit's
+    # lower petal the float base lies 3e-17 off the centre line, and its
+    # theta is the float above pi/2); off the centre lines v_T's limit
+    # reads 0.5866632036455847 on both strips and 0.12632280517893377 on the
+    # slit plane.
+    rows = verify._hyperbolic_bases()
+    petals = [("strip-slit", "upper"), ("strip-slit", "lower"), ("koebe-elliptic", "main")]
+    assert [(m.name, p.label) for m, p, _, _ in rows] == petals + petals
+    assert [b == p.base_default for _, p, b, _ in rows] == [True] * 3 + [False] * 3
     for model, petal, base, theta in rows:
         with mpmath.workdps(40):
             mp_theta = _mp_chart_angle(model.name, base)
-            limit = float(mpmath.log((1 + abs(mpmath.cos(mp_theta))) / mpmath.sin(mp_theta)) / 2)
-        assert theta == pytest.approx(float(mp_theta), rel=1e-15)
+            sin, cos = mpmath.sin(mp_theta), abs(mpmath.cos(mp_theta))
+            tangential = float(mpmath.log((1 + cos) / sin) / 2)
+            orthogonal = float(-mpmath.log(sin) / 2)
+        assert abs(math.remainder(theta - float(mp_theta), math.pi)) <= 1e-15, (base, theta)
+        if base == petal.base_default:
+            assert abs(theta - math.pi / 2) <= math.ulp(math.pi / 2)
         for t in verify.LIMIT_TIMES:
             v_T = speeds.speed_sample(model, petal, base, t).v_T
-            assert abs(v_T - limit) <= verify.LIMIT_TOL, (model.name, t, v_T, limit)
+            assert abs(v_T - tangential) <= verify.LIMIT_TOL, (model.name, base, t, v_T, tangential)
+        for t in verify.ORTHOGONAL_TIMES:
+            s = speeds.speed_sample(model, petal, base, t)
+            assert abs(s.v - s.v_o - orthogonal) <= verify.LIMIT_TOL, (model.name, base, t)
+
+
+def test_orbit_angle_is_read_from_the_chart_angle():
+    # The approach probe's convention: at each hyperbolic base its angle at
+    # sigma is pi - theta on strip-slit, where it is measured from the other
+    # side of sigma, and theta on koebe-elliptic, with theta the chart
+    # angle modulo pi.  Over 32 bases per petal (its two table bases and 30
+    # drawn by sample_petal_omega from random.Random(1)) the worst gaps read
+    # 1.0e-8 on strip-slit and 2.2e-7 on koebe-elliptic.
+    for model, petal, base, theta in verify._hyperbolic_bases():
+        _, report, _, _ = verify.orbit_angle(model, petal, base, verify.ORBIT_KMAX)
+        theta %= math.pi
+        want = math.pi - theta if model.name == "strip-slit" else theta
+        assert not report.inconclusive
+        assert abs(report.theta - want) <= 1e-6, (model.name, base, report.theta, want)
 
 
 def test_parabolic_limits_against_mpmath():
@@ -188,6 +215,19 @@ def _on_samples(change, parabolic):
     return plant
 
 
+def _at_centre(change):
+    """Plant ``change`` on every speed sample from a hyperbolic petal's
+    default base, which lies on its petal's centre line."""
+    centres = {p.base_default for m in catalog() for p in m.petals if p.kind == "hyperbolic"}
+
+    def plant(real):
+        def planted(model, w0, *args):
+            sample = real(model, w0, *args)
+            return change(sample) if w0 in centres else sample
+        return planted
+    return plant
+
+
 def _scaled(factor):
     return lambda s: s._replace(v=factor * s.v, v_o=factor * s.v_o, v_T=factor * s.v_T)
 
@@ -240,6 +280,12 @@ def _unsharp(item, check):
     # log(2)/2 - v_T = -0.24.
     pytest.param(speeds, "_sample_at", _on_samples(lambda s: s._replace(v_o=s.v), False),
                  {"orthogonal-speed-slopes", "pythagorean-sandwich"}, id="orthogonal-is-total"),
+    # Small offsets at the default bases, where v_T and v - v_o tend to 0:
+    # read against those limits within 1e-12, each fails its criterion.
+    pytest.param(speeds, "_sample_at", _at_centre(lambda s: s._replace(v_T=s.v_T + 1e-10)),
+                 {"tangential-plateau-vs-divergence"}, id="tangential-offset-at-centre"),
+    pytest.param(speeds, "_sample_at", _at_centre(lambda s: s._replace(v_o=s.v_o - 1e-10)),
+                 {"orthogonal-speed-slopes"}, id="orthogonal-offset-at-centre"),
     # A far drift: v off by 1e-13 relative from |t| = 1e20 on the
     # hyperbolic petals, far past every slope fit's grid.
     pytest.param(speeds, "_sample_at",

@@ -81,6 +81,10 @@ class TestProfiles:
             custom_profile(lambda t: 1.0, t0=-1.0, d0=-0.5)
         with pytest.raises(DomainError):
             custom_profile(lambda t: 1.0, t0=0.0)
+        # A custom profile named "gaussian" would report its lower bound and
+        # be held to the gaussian window: 1.2e-6 at -1e3 for 1/log(-t).
+        with pytest.raises(DomainError, match=r"^bounds\.custom_profile: "):
+            custom_profile(lambda t: 1.0 / math.log(-t), t0=-math.e, name="gaussian")
         with pytest.raises(DomainError):
             BoundaryProfile(
                 name="bad",

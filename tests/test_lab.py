@@ -171,7 +171,7 @@ class TestAsymptoteCommand:
             return result
 
         monkeypatch.setattr(verify, "backward_rate", recording)
-        (text, passed), _ = verify._check_total_slopes()
+        (text, passed), *_ = verify._check_total_speeds()
         assert passed
         code = main(["asymptote", "--model", "strip-slit", "--out", str(tmp_path)])
         assert code == 0

@@ -302,6 +302,48 @@ class TestPetalImages:
                 got = petal.distance(w1, w2)
                 assert abs(got - want) <= 1e-12 * want, (w1, w2, got, want)
 
+    @pytest.mark.parametrize("name,label", [("strip-slit", "upper"), ("strip-slit", "lower"),
+                                            ("sector-parabolic", "main")])
+    def test_distance_next_to_each_wall(self, name, label):
+        # Each chart takes its log from the nearer wall, so that a point
+        # 10^-k from either wall keeps its gap.  Against the chart in mpmath
+        # at 400 digits, of the strips {0 < Im w < pi/2} and
+        # {-pi/2 < Im w < 0} with their walls at +-pi/2 itself, not at the
+        # float +-HALF_PI, and the half-plane distance
+        # asinh(|p - q| / (2 sqrt(Im p Im q))), read from the float points
+        # themselves: each point to the base and to its mirror next to the
+        # other wall.  The walls at +-pi/2 hold gaps down to 1e-15, the
+        # others down to 1e-300.
+        petal = by_name(name).petal(label)
+        image = petal.image
+        if isinstance(image, StripImage):
+            walls = [(0.5, image.lo, 1.0), (0.5, image.hi, -1.0)]
+
+            def chart(w):
+                return mpmath.exp(2 * mpmath.mpc(w) + (1j * mpmath.pi if image.lo else 0))
+        else:
+            walls = [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
+            chart = mpmath.mpc
+        gaps = [10.0 ** -k for k in [*range(1, 16), 20, 50, 100, 200, 300]]
+        rows = 0
+        for gap in gaps:
+            (x1, c1, s1), (x2, c2, s2) = walls
+            w1, w2 = complex(x1, c1 + s1 * gap), complex(x2, c2 + s2 * gap)
+            for w, other in ((w1, w2), (w2, w1)):
+                if not petal.contains(w):
+                    continue
+                for partner in (petal.base_default, other):
+                    if not petal.contains(partner):
+                        continue
+                    with mpmath.workdps(400):
+                        p, q = chart(w), chart(partner)
+                        want = float(mpmath.asinh(abs(p - q) / (2 * mpmath.sqrt(p.imag * q.imag))))
+                    got = petal.distance(w, partner)
+                    assert abs(got - want) <= 1e-12 * want, (w, partner, got, want)
+                    rows += 1
+        # 15 gaps at a wall at +-pi/2, 20 at the others, each read to two partners.
+        assert rows >= 65
+
     @pytest.mark.parametrize("model,petal", _model_petals(),
                              ids=lambda v: getattr(v, "name", None) or getattr(v, "label", ""))
     def test_metric_matches_each_canonical_domain(self, model, petal):
