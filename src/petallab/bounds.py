@@ -113,9 +113,13 @@ class BoundaryProfile:
     for every ``t <= t0``; the bounds read the gap only through it.
     ``inv_delta_antiderivative``, when present, is a closed-form
     antiderivative of ``1/delta`` used instead of quadrature.
+    ``judged_by_lower`` marks the gaussian profile, whose upper bound is
+    infinite almost at once: its bound ratios read the lower bound, held
+    to the gaussian window.  ``gaussian_profile`` sets it; a name does not.
     """
 
-    __slots__ = ("name", "t0", "d0", "log_delta", "inv_delta_antiderivative")
+    __slots__ = ("name", "t0", "d0", "log_delta", "inv_delta_antiderivative",
+                 "judged_by_lower")
 
     def __init__(
         self,
@@ -124,6 +128,7 @@ class BoundaryProfile:
         d0: float,
         log_delta: Callable[[float], float],
         inv_delta_antiderivative: Optional[Callable[[float], float]] = None,
+        judged_by_lower: bool = False,
     ) -> None:
         if not (math.isfinite(t0) and t0 < 0.0):
             raise DomainError(f"profile anchor time must be negative, got {t0}")
@@ -136,6 +141,7 @@ class BoundaryProfile:
         self.d0 = d0
         self.log_delta = log_delta
         self.inv_delta_antiderivative = inv_delta_antiderivative
+        self.judged_by_lower = judged_by_lower
 
 
 def logrecip_profile(t0: float = -math.e, d0: float = 1.0) -> BoundaryProfile:
@@ -172,6 +178,7 @@ def gaussian_profile(t0: float = -1.0, d0: float = 1.0) -> BoundaryProfile:
         t0=float(t0),
         d0=float(d0),
         log_delta=log_delta,
+        judged_by_lower=True,
     )
 
 
@@ -187,11 +194,7 @@ def custom_profile(
     The profile keeps only a log gap: ``log_delta`` when given, which
     leaves ``delta`` unread, else ``log(delta(t))``, which raises
     ``DomainError`` at a time where the gap is not positive and finite.
-    The name "gaussian" is refused: the bound ratios judge the profile of
-    that name by its lower bound and the gaussian window.
     """
-    if name == "gaussian":
-        raise DomainError("bounds.custom_profile: the name 'gaussian' is gaussian_profile's")
     if log_delta is None:
 
         def log_delta(t: float) -> float:
@@ -444,14 +447,14 @@ def bound_ratio_series(
 ) -> List[Tuple[float, float]]:
     """Evaluate ``bound(t) / t^2`` over a grid of times below ``t0``.
 
-    The gaussian profile reports its lower bound (its upper bound is
-    infinite almost immediately); every other profile its upper bound.
+    A profile ``judged_by_lower`` (the gaussian) reports its lower bound;
+    every other profile its upper bound, whatever its name.
     Where t^2 is not a normal float (past |t| ~ 1.3e154, or below
     |t| ~ 1.5e-154 for a table anchored that close to 0) the bound is
     divided by t twice.  A ratio that is not finite, as from an infinite
     bound, raises ``DomainError``.
     """
-    bound = lower_bound if profile.name == "gaussian" else upper_bound
+    bound = lower_bound if profile.judged_by_lower else upper_bound
     out: List[Tuple[float, float]] = []
     for t in grid:
         t = _require_in_range(profile, t)

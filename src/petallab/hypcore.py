@@ -133,6 +133,9 @@ class UhpLogPoint:
     """
 
     __slots__ = ("anchor", "L", "neg")
+    # log Im q where the point stores it (``UhpLogBase``); a plain point
+    # reads it from L.
+    stored_log_im = None
 
     def __init__(self, anchor: float | None, L: complex, neg: bool = False) -> None:
         if neg:
@@ -164,12 +167,27 @@ class UhpLogPoint:
         return q if q.imag > 0.0 else None
 
 
+class UhpLogBase(UhpLogPoint):
+    """A point that other points are measured from many times, as a speed
+    sample's base point is: its ``log_im()`` is read once, here, and
+    ``uhp_log_distance`` takes it as its first point's without reading
+    it again."""
+
+    __slots__ = ("stored_log_im",)
+
+    def __init__(self, p: UhpLogPoint) -> None:
+        self.anchor, self.L, self.neg = p.anchor, p.L, p.neg
+        self.stored_log_im = p.log_im()
+
+
 def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
     """Hyperbolic half-plane distance between anchored log points.
 
     All magnitudes are rescaled by e^{-M}, M the largest exponent in play,
     keeping the arithmetic inside float range for hyperbolic separations of
-    order 1e8 and far beyond.  Identical points return exactly 0.
+    order 1e8 and far beyond.  Identical points return exactly 0.  A p that
+    stores its log Im q (``UhpLogBase``) gives it; any other p's is read
+    from its L, bit for bit the same.
     """
     pL = p.L
     qL = q.L
@@ -195,8 +213,10 @@ def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
             b += q.anchor * scale
     num = abs(a - b.conjugate()) + abs(a - b)
     # Minus the mean of p.log_im() and q.log_im(), read inline.
-    d = (m + math.log(num / 2.0)) - 0.5 * (
-        (pr + math.log(abs(math.sin(pL.imag)))) + (qr + math.log(abs(math.sin(qL.imag)))))
+    log_im_p = p.stored_log_im
+    if log_im_p is None:
+        log_im_p = pr + math.log(abs(math.sin(pL.imag)))
+    d = (m + math.log(num / 2.0)) - 0.5 * (log_im_p + (qr + math.log(abs(math.sin(qL.imag)))))
     return d if d > 0.0 else 0.0
 
 

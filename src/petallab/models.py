@@ -235,11 +235,12 @@ class KoenigsModel(NamedTuple):
         except OverflowError:
             raise DomainError("models.uhp_orbit: orbit time is past float range") from None
         w0 = complex(w0)
+        chain = self.chain
         if self.kind != "elliptic":
             w = w0 + t
-            if not self.chain.source_contains(w):
+            if not chain.source_contains(w):
                 raise DomainError(f"orbit point {w} left the domain")
-            walked = self.chain.eval_log(w)
+            walked = chain.eval_log(w)
         else:
             if w0 == 0:
                 raise DomainError("the fixed point has no canonical orbit chart")
@@ -251,7 +252,7 @@ class KoenigsModel(NamedTuple):
             # Only an orbit on the negative axis meets the slit (-inf, -1].
             if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
                 raise DomainError(f"orbit point -exp({a}) left the domain")
-            walked = self.chain.eval_log(None, a, turns)
+            walked = chain.eval_log(None, a, turns)
         try:
             return UhpLogPoint(*walked)
         except DomainError as exc:

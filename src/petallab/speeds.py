@@ -17,22 +17,29 @@ from -3 + 1e-300 i the parabolic orbit's gap is 6.7e-317 at |t| = 1e16,
 where v_T is off by 5.6e-11, and it underflows to 0 from about 1e24 on,
 where ``models.uhp_orbit`` refuses with ``PrecisionError``.
 
-A base point is read once: its petal check, its time-0 walk and its eta
-frame come from ``_base_reading``, a memo of the last ``_BASE_READINGS``
-bases.  Its key tells 0.0 from -0.0, a refusal is never stored, and every
-output is the one a fresh reading gives, bit for bit.
+A base point is read once: its petal check, its time-0 walk, its log
+Im q (kept on the point, a ``hypcore.UhpLogBase``, for every distance
+from it) and its eta frame come from ``_base_reading``, a memo of the
+last ``_BASE_READINGS`` bases.  Its key tells 0.0 from -0.0, a refusal is
+never stored, and every output is the one a fresh reading gives, bit for
+bit.  A sample then does only its own work, in ``_sample_at``: one walk
+(``models.KoenigsModel.uhp_orbit``), one framed log, one distance
+(``hypcore.uhp_log_distance``) and its ``SpeedSample``.  The memo key and
+the sample's tuple are built in C, with no Python frame.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from typing import NamedTuple, Optional, Sequence
 
 from .hypcore import (
     DomainError,
     PrecisionError,
+    UhpLogBase,
     UhpLogPoint,
     uhp_log_distance,
     uhp_log_framed,
@@ -47,6 +54,10 @@ _MIN_DYADIC_EXP = -1074
 # How many base readings _base_reading keeps: verify's run_all reads about
 # 170 bases, the deep_orbits benchmark 96.
 _BASE_READINGS = 256
+# A base's memo key beside the point: the bytes of its two parts, which
+# tell 0.0 from -0.0 where the points compare equal.  A C call, so that
+# building the key adds no Python frame to a sample.
+_base_key = struct.Struct("2d").pack
 
 
 class EstimationError(ValueError):
@@ -84,6 +95,11 @@ class SpeedSample(NamedTuple):
     __dataclass_fields__ = _ReplaceFields()
 
 
+# SpeedSample from a tuple of its four fields, in C: the class call runs
+# the NamedTuple's Python __new__.
+_new_sample = functools.partial(tuple.__new__, SpeedSample)
+
+
 class SpeedSeries(NamedTuple):
     """Speed samples of one petal orbit over a time grid, which the
     samples' ``t`` hold."""
@@ -105,15 +121,16 @@ def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
     k_min above k_max, or an exponent past float range (k_max > 1023, or
     k_min < -1074, where 2^k underflows to 0), raises ``DomainError``."""
     if k_max < k_min:
-        raise DomainError(f"dyadic exponent k_min = {k_min} exceeds k_max = {k_max}")
+        raise DomainError(
+            f"speeds.dyadic_grid: dyadic exponent k_min = {k_min} exceeds k_max = {k_max}")
     if k_max > _MAX_DYADIC_EXP:
         raise DomainError(
-            f"dyadic exponent {k_max} is past float range: 2^k overflows "
-            f"for k > {_MAX_DYADIC_EXP}")
+            f"speeds.dyadic_grid: dyadic exponent {k_max} is past float range: "
+            f"2^k overflows for k > {_MAX_DYADIC_EXP}")
     if k_min < _MIN_DYADIC_EXP:
         raise DomainError(
-            f"dyadic exponent k_min = {k_min} is past float range: 2^k "
-            f"underflows to 0 for k < {_MIN_DYADIC_EXP}")
+            f"speeds.dyadic_grid: dyadic exponent k_min = {k_min} is past float "
+            f"range: 2^k underflows to 0 for k < {_MIN_DYADIC_EXP}")
     return [-(2.0 ** k) for k in range(k_min, k_max + 1)]
 
 
@@ -132,7 +149,7 @@ def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
     q0 lies next to the real axis."""
     q0 = p0.value()
     if q0 is None:
-        raise DomainError("base point has no finite canonical image")
+        raise DomainError("speeds._eta_frame: base point has no finite canonical image")
     sigma = petal.sigma_canonical
     x0, y0 = q0.real, q0.imag
     if sigma is None or x0 == sigma:
@@ -145,29 +162,21 @@ def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
 
 @functools.lru_cache(maxsize=_BASE_READINGS)
 def _base_reading(model: KoenigsModel, petal: Petal, w0: complex,
-                  signs: tuple[float, float]) -> tuple[complex, UhpLogPoint, tuple, float]:
+                  key: bytes) -> tuple[complex, UhpLogBase, tuple, float]:
     """``(w0, p0, frame, re0)`` of the base w0: w0 once ``require_petal``
-    has found it in the petal, p0 its time-0 orbit point, and ``(frame,
-    re0) = _eta_frame(petal, p0)``.  ``signs`` holds the sign of each part
-    of w0 (``_read_base`` gives them).
+    has found it in the petal, p0 its time-0 orbit point, which stores its
+    log Im q, and ``(frame, re0) = _eta_frame(petal, p0)``.  ``key`` is
+    ``_base_key(w0.real, w0.imag)``.
 
     The reading is a pure function of its inputs, so it is memoised in a
     bounded LRU memo of ``_BASE_READINGS`` entries.  The key is exact:
-    2 + 0i and 2 - 0i compare equal and hash alike, but their signs
+    2 + 0i and 2 - 0i compare equal and hash alike, but their keys
     differ, so each gets its own entry.  A refusal raises before anything
     is stored, and a stored reading is the tuple a fresh reading returns,
     bit for bit."""
     w0 = require_petal(model, petal, w0)
-    p0 = model.uhp_orbit(w0, 0.0)
+    p0 = UhpLogBase(model.uhp_orbit(w0, 0.0))
     return (w0, p0, *_eta_frame(petal, p0))
-
-
-def _read_base(model: KoenigsModel, petal: Petal,
-               z: complex) -> tuple[complex, UhpLogPoint, tuple, float]:
-    """``_base_reading`` of z as a complex number, keyed on its signs."""
-    w0 = complex(z)
-    return _base_reading(model, petal, w0,
-                         (math.copysign(1.0, w0.real), math.copysign(1.0, w0.imag)))
 
 
 def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
@@ -192,7 +201,7 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
         v_T = 0.5 * math.log((1.0 + cos_r) / sin_r)
     else:
         v_T = 0.5 * (math.log(1.0 + cos_r) - math.log(sin_r))
-    return SpeedSample(float(t), v, 0.5 * abs(ln_t.real - re0), v_T)
+    return _new_sample((float(t), v, 0.5 * abs(ln_t.real - re0), v_T))
 
 
 def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> SpeedSample:
@@ -200,17 +209,18 @@ def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> Spe
     if t > 0.0:
         # The petal refusal comes first, as for any other time.
         require_petal(model, petal, z)
-        raise DomainError("petal speeds are defined for t <= 0")
-    return _sample_at(model, *_read_base(model, petal, z), t)
+        raise DomainError("speeds.speed_sample: petal speeds are defined for t <= 0")
+    w0 = complex(z)
+    return _sample_at(model, *_base_reading(model, petal, w0, _base_key(w0.real, w0.imag)), t)
 
 
 def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
     """Hyperbolic distance from z to its forward image, any z in Omega."""
     w0 = complex(z)
     if not model.contains(w0):
-        raise DomainError(f"{w0} is not in the domain of {model.name}")
+        raise DomainError(f"speeds.forward_speed: {w0} is not in the domain of {model.name}")
     if t < 0.0:
-        raise DomainError("forward speed is defined for t >= 0")
+        raise DomainError("speeds.forward_speed: forward speed is defined for t >= 0")
     if t == 0.0:
         return 0.0
     return uhp_log_distance(model.uhp_orbit(w0, 0.0), model.uhp_orbit(w0, t))
@@ -225,11 +235,11 @@ def _backward_grid(grid: Optional[Sequence[float]]) -> list[float]:
     except OverflowError:
         raise DomainError("speeds.speed_series: a grid time is past float range") from None
     if not ts:
-        raise DomainError("grid must not be empty")
+        raise DomainError("speeds.speed_series: grid must not be empty")
     if any(t > 0.0 for t in ts):
-        raise DomainError("backward series grids must satisfy t <= 0")
+        raise DomainError("speeds.speed_series: backward series grids must satisfy t <= 0")
     if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise DomainError("grid must be strictly decreasing")
+        raise DomainError("speeds.speed_series: grid must be strictly decreasing")
     return ts
 
 
@@ -249,7 +259,8 @@ def speed_series(
         # The petal refusal comes first, as for a valid grid.
         require_petal(model, petal, z)
         raise
-    w0, p0, frame, re0 = _read_base(model, petal, z)
+    w0 = complex(z)
+    w0, p0, frame, re0 = _base_reading(model, petal, w0, _base_key(w0.real, w0.imag))
     samples = [_sample_at(model, w0, p0, frame, re0, t) for t in ts]
     totals = [s.v for s in samples]
     if any(b < a - 1e-12 for a, b in zip(totals, totals[1:])):

@@ -204,22 +204,23 @@ def bound_ratios(
     profile: BoundaryProfile, grid: Sequence[float]
 ) -> Tuple[List[Tuple[float, float]], str, bool]:
     """``bound_ratio_series`` over ``grid``, the rule it is judged by, and
-    the verdict: the gaussian profile's ratios must lie in
-    ``GAUSSIAN_RATIO_WINDOW``, any other profile's must strictly decrease
-    as |t| grows.  A grid that is empty or does not strictly decrease
-    raises ``DomainError``, as in ``speed_series``; so does a grid of one
-    time under the decrease rule, which a single ratio cannot show."""
+    the verdict: the gaussian profile's ratios (those of a profile
+    ``judged_by_lower``) must lie in ``GAUSSIAN_RATIO_WINDOW``, any other
+    profile's must strictly decrease as |t| grows.  A grid that is empty or
+    does not strictly decrease raises ``DomainError``, as in
+    ``speed_series``; so does a grid of one time under the decrease rule,
+    which a single ratio cannot show."""
     grid = list(grid)
     if not grid:
         raise DomainError("grid must not be empty")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly decreasing")
-    gaussian = profile.name == "gaussian"
-    if not gaussian and len(grid) < 2:
+    by_lower = profile.judged_by_lower
+    if not by_lower and len(grid) < 2:
         raise DomainError("ratios strictly decreasing needs at least two grid times")
     series = bound_ratio_series(profile, grid)
     ratios = [r for _, r in series]
-    if gaussian:
+    if by_lower:
         lo, hi = GAUSSIAN_RATIO_WINDOW
         return series, f"every ratio in [{lo}, {hi}]", all(lo <= r <= hi for r in ratios)
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from petallab import bounds
+from petallab import bounds, verify
 from petallab.bounds import (
     _TANH_SINH_LEVELS,
     BoundaryProfile,
@@ -81,10 +81,11 @@ class TestProfiles:
             custom_profile(lambda t: 1.0, t0=-1.0, d0=-0.5)
         with pytest.raises(DomainError):
             custom_profile(lambda t: 1.0, t0=0.0)
-        # A custom profile named "gaussian" would report its lower bound and
-        # be held to the gaussian window: 1.2e-6 at -1e3 for 1/log(-t).
-        with pytest.raises(DomainError, match=r"^bounds\.custom_profile: "):
-            custom_profile(lambda t: 1.0 / math.log(-t), t0=-math.e, name="gaussian")
+        # The name "gaussian" no longer makes a profile the gaussian's: a
+        # custom profile of that name reads its upper bound, as any other.
+        named = custom_profile(lambda t: 1.0 / math.log(-t), t0=-math.e, name="gaussian")
+        ((_, ratio),) = bound_ratio_series(named, [-1e3])
+        assert ratio == pytest.approx(LOGRECIP_RATIO_1E3, abs=1e-15)
         with pytest.raises(DomainError):
             BoundaryProfile(
                 name="bad",
@@ -503,6 +504,21 @@ class TestRatioSeries:
         p = gaussian_profile()
         series = bound_ratio_series(p, [-1e3])
         assert series[0][1] == pytest.approx(GAUSSIAN_RATIO_1E3, abs=1e-12)
+
+    def test_a_profile_named_gaussian_is_judged_by_its_gap(self):
+        # Only gaussian_profile is judged by its lower bound and the gaussian
+        # window; the name alone once was, reading 1.2094557946774302e-06 at
+        # -1e3 for the log gap of 1/log(-t) and failing that window.
+        for name in ("gaussian", "x"):
+            p = BoundaryProfile(name, -math.e, 1.0, lambda t: -math.log(math.log(-t)))
+            assert not p.judged_by_lower
+            ((_, ratio),) = bound_ratio_series(p, [-1e3])
+            assert ratio == pytest.approx(LOGRECIP_RATIO_1E3, abs=1e-15)
+            _, rule, passed = verify.bound_ratios(p, [-1e2, -1e3])
+            assert (rule, passed) == ("ratios strictly decreasing", True)
+        assert gaussian_profile().judged_by_lower
+        _, rule, _ = verify.bound_ratios(gaussian_profile(), [-1e3])
+        assert rule.startswith("every ratio in [")
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

@@ -36,6 +36,7 @@ from petallab.hypcore import (
     CAYLEY,
     CAYLEY_INVERSE,
     DomainError,
+    UhpLogBase,
     UhpLogPoint,
     disk_distance,
     disk_of_uhp,
@@ -479,6 +480,23 @@ class TestUhpLogPoints:
         p = UhpLogPoint(-1.0, complex(-20.0, 1.0))
         q = UhpLogPoint(1.0, complex(-35.0, 2.0))
         assert uhp_log_distance(p, q) == uhp_log_distance(q, p)
+
+    def test_stored_log_im_reads_the_same_bits(self):
+        # A base point stores its log Im q once; every distance from it is
+        # the plain point's, bit for bit, with the base as either argument.
+        rng = _rng()
+        for _ in range(200):
+            neg = rng.random() < 0.5
+            im = rng.uniform(0.01, 3.1)
+            p = UhpLogPoint(rng.choice((None, -1.0, 0.5)),
+                            complex(rng.uniform(-800.0, 800.0), -im if neg else im), neg)
+            q = UhpLogPoint(rng.choice((None, -1.0)),
+                            complex(rng.uniform(-1e6, 1e6), rng.uniform(0.01, 3.1)))
+            base = UhpLogBase(p)
+            assert (base.anchor, base.L, base.neg) == (p.anchor, p.L, p.neg)
+            assert base.stored_log_im == p.log_im() and p.stored_log_im is None
+            assert uhp_log_distance(base, q).hex() == uhp_log_distance(p, q).hex()
+            assert uhp_log_distance(q, base).hex() == uhp_log_distance(q, p).hex()
 
 
 # Log points of the ranges an orbit's log form takes: radii from e^-700

@@ -70,6 +70,16 @@ class TestSpeedsCommand:
         committed = Path(__file__).resolve().parent / "data" / name
         assert (tmp_path / name).read_bytes() == committed.read_bytes()
 
+    @pytest.mark.parametrize("model,petal", [("strip-slit", "1"), ("koebe-elliptic", "0")])
+    def test_other_petal_runs_match_the_committed_files(self, tmp_path, model, petal):
+        # With the two runs above, every catalog petal's samples out to
+        # t = -2^60 are held bit for bit.
+        assert main(["speeds", "--model", model, "--petal", petal, "--kmax", "60",
+                     "--out", str(tmp_path)]) == 0
+        name = f"speeds_{model}_p{petal}.csv"
+        committed = Path(__file__).resolve().parent / "data" / name
+        assert (tmp_path / name).read_bytes() == committed.read_bytes()
+
     def test_precision_refusals_name_their_layer(self, tmp_path, capsys, monkeypatch):
         # A precision refusal is a DomainError: the usage-error status 2.
         assert issubclass(PrecisionError, DomainError)
@@ -236,7 +246,7 @@ class TestForwardCommand:
         base = model.petals[0].base_default
         ts, _, _ = verify.forward_rate(model, base, 4, 16)
         assert ts == [2.0**k for k in range(4, 17)]
-        with pytest.raises(DomainError, match="dyadic exponent 1100"):
+        with pytest.raises(DomainError, match=r"^speeds\.dyadic_grid: dyadic exponent 1100 "):
             verify.forward_rate(model, base, 4, 1100)
 
 
@@ -671,7 +681,7 @@ class TestUsageErrors:
             "--out", str(tmp_path),
         ]) == 2
         assert capsys.readouterr().err == (
-            "error: dyadic exponent k_min = 5 exceeds k_max = 3\n")
+            "error: speeds.dyadic_grid: dyadic exponent k_min = 5 exceeds k_max = 3\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,content", [
@@ -727,7 +737,8 @@ class TestUsageErrors:
             "speeds", "--model", "strip-slit", "--grid=-1,-4,-2",
             "--out", str(tmp_path),
         ]) == 2
-        assert capsys.readouterr().err == "error: grid must be strictly decreasing\n"
+        assert capsys.readouterr().err == (
+            "error: speeds.speed_series: grid must be strictly decreasing\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--grid=nan", "--grid=-1,-inf"])
@@ -747,7 +758,8 @@ class TestUsageErrors:
         assert main([
             command, "--model", "strip-slit", "--kmax", "1100", "--out", str(tmp_path),
         ]) == 2
-        assert capsys.readouterr().err.startswith("error: dyadic exponent 1100 ")
+        assert capsys.readouterr().err.startswith(
+            "error: speeds.dyadic_grid: dyadic exponent 1100 ")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kmin", ["-1075", "-1100"])
@@ -757,7 +769,8 @@ class TestUsageErrors:
             command, "--model", "strip-slit", f"--kmin={kmin}", "--kmax", "0",
             "--out", str(tmp_path),
         ]) == 2
-        assert capsys.readouterr().err.startswith(f"error: dyadic exponent k_min = {kmin} ")
+        assert capsys.readouterr().err.startswith(
+            f"error: speeds.dyadic_grid: dyadic exponent k_min = {kmin} ")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("tol", ["-0.1", "0", "nan", "inf"])

@@ -41,7 +41,6 @@ from petallab.speeds import (
     _BASE_READINGS,
     _base_reading,
     _eta_frame,
-    _read_base,
     _sample_at,
 )
 
@@ -82,7 +81,7 @@ class TestSampleBasics:
         # e^800 overflows, so the strip-slit base 800 + 0.5i has no float
         # image to frame eta through.
         m1 = by_name("strip-slit")
-        with pytest.raises(DomainError, match="^base point has no finite canonical image$"):
+        with pytest.raises(DomainError, match=r"^speeds\._eta_frame: base point has no finite canonical image$"):
             speed_sample(m1, m1.petal("upper"), 800.0 + 0.5j, -1.0)
 
     def test_non_finite_base_rejected(self):
@@ -415,7 +414,7 @@ class TestBaseReadingMemo:
         assert self._bits(speed_sample(model, petal, b, -1e6)) == want
         assert _base_reading.cache_info().currsize == 2
         for z in (a, b):
-            assert repr(_read_base(model, petal, z)[0]) == repr(z)
+            assert repr(speed_series(model, petal, z, [-1e6]).base) == repr(z)
         assert _base_reading.cache_info().currsize == 2
 
     def test_refusals_are_not_stored(self):
@@ -430,13 +429,13 @@ class TestBaseReadingMemo:
             with pytest.raises(PetalRequiredError):
                 speed_series(strip, upper, 1.0 - 0.3j, [1.0])
             # In the petal, but e^800 has no float image to frame eta through.
-            with pytest.raises(DomainError, match="^base point has no finite canonical image$"):
+            with pytest.raises(DomainError, match=r"^speeds\._eta_frame: base point has no finite canonical image$"):
                 speed_sample(strip, upper, 800.0 + 0.5j, -1.0)
         assert _base_reading.cache_info().currsize == 0
         # A time refusal reads no base either.
-        with pytest.raises(DomainError, match="^petal speeds are defined for t <= 0$"):
+        with pytest.raises(DomainError, match=r"^speeds\.speed_sample: petal speeds are defined for t <= 0$"):
             speed_sample(strip, upper, upper.base_default, 1.0)
-        with pytest.raises(DomainError, match="^grid must not be empty$"):
+        with pytest.raises(DomainError, match=r"^speeds\.speed_series: grid must not be empty$"):
             speed_series(strip, upper, upper.base_default, [])
         assert _base_reading.cache_info().currsize == 0
 
@@ -674,12 +673,14 @@ class TestForwardSpeed:
 
     def test_negative_time_rejected(self):
         m1 = by_name("strip-slit")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=(
+                r"^speeds\.forward_speed: forward speed is defined for t >= 0$")):
             forward_speed(m1, 1 + 0.3j, -1.0)
 
     def test_outside_domain_rejected(self):
         m1 = by_name("strip-slit")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=(
+                r"^speeds\.forward_speed: \(-1\+0j\) is not in the domain of strip-slit$")):
             forward_speed(m1, -1 + 0j, 1.0)
 
     def test_translation_rate(self):
@@ -901,17 +902,42 @@ class TestDyadicGrid:
     def test_validation(self):
         # The same error type as the other range errors, so the CLI exits 2.
         for k_min, k_max in ((5, 4), (5, 3)):
-            with pytest.raises(DomainError, match=f"k_min = {k_min} exceeds k_max = {k_max}"):
+            with pytest.raises(DomainError, match=(
+                    rf"^speeds\.dyadic_grid: dyadic exponent k_min = {k_min} exceeds "
+                    rf"k_max = {k_max}$")):
                 dyadic_grid(k_min, k_max)
 
     def test_exponent_past_float_range(self):
         assert dyadic_grid(1023, 1023) == [-(2.0 ** 1023)]
-        with pytest.raises(DomainError, match="dyadic exponent 1024"):
+        with pytest.raises(DomainError, match=r"^speeds\.dyadic_grid: dyadic exponent 1024 "):
             dyadic_grid(0, 1024)
 
     def test_exponent_below_float_range(self):
         # 2^-1074 is the smallest subnormal; below it 2^k underflows to 0.
         assert dyadic_grid(-1074, -1073) == [-5e-324, -1e-323]
         for k_min in (-1075, -1100):
-            with pytest.raises(DomainError, match=f"k_min = {k_min} "):
+            with pytest.raises(DomainError,
+                               match=rf"^speeds\.dyadic_grid: dyadic exponent k_min = {k_min} "):
                 dyadic_grid(k_min, -1070)
+
+
+def test_every_refusal_names_its_layer():
+    # Each DomainError or PrecisionError that speeds.py raises starts with
+    # "speeds.<function>:", naming a function the module defines.
+    import ast
+    import re
+    from pathlib import Path
+
+    import petallab.speeds
+
+    tree = ast.parse(Path(petallab.speeds.__file__).read_text(encoding="utf-8"))
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    raises = [node.exc for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) in ("DomainError", "PrecisionError")]
+    assert len(raises) == 12
+    for call in raises:
+        message = call.args[0]
+        head = message.values[0] if isinstance(message, ast.JoinedStr) else message
+        match = re.match(r"speeds\.(\w+): ", head.value)
+        assert match and match.group(1) in functions, ast.unparse(call)
