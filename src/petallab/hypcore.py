@@ -170,14 +170,17 @@ class UhpLogPoint:
 class UhpLogBase(UhpLogPoint):
     """A point that other points are measured from many times, as a speed
     sample's base point is: its ``log_im()`` is read once, here, and
-    ``uhp_log_distance`` takes it as its first point's without reading
-    it again."""
+    ``log_im()`` and ``uhp_log_distance`` (as its first point's) return
+    it without reading it again."""
 
     __slots__ = ("stored_log_im",)
 
     def __init__(self, p: UhpLogPoint) -> None:
         self.anchor, self.L, self.neg = p.anchor, p.L, p.neg
         self.stored_log_im = p.log_im()
+
+    def log_im(self) -> float:
+        return self.stored_log_im
 
 
 def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:

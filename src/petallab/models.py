@@ -240,7 +240,7 @@ class KoenigsModel(NamedTuple):
             w = w0 + t
             if not chain.source_contains(w):
                 raise DomainError(f"orbit point {w} left the domain")
-            walked = chain.eval_log(w)
+            anchor, L, neg = chain.eval_log(w)
         else:
             if w0 == 0:
                 raise DomainError("the fixed point has no canonical orbit chart")
@@ -252,9 +252,9 @@ class KoenigsModel(NamedTuple):
             # Only an orbit on the negative axis meets the slit (-inf, -1].
             if w0.imag == 0.0 and w0.real < 0.0 and a.real >= 0.0:
                 raise DomainError(f"orbit point -exp({a}) left the domain")
-            walked = chain.eval_log(None, a, turns)
+            anchor, L, neg = chain.eval_log(None, a, turns)
         try:
-            return UhpLogPoint(*walked)
+            return UhpLogPoint(anchor, L, neg)
         except DomainError as exc:
             # The walk built an interior point that the floats cannot hold,
             # such as an angle whose gap to 0 or pi underflowed to 0.

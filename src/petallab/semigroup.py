@@ -15,6 +15,7 @@ disk chart before the log form fails.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -65,6 +66,11 @@ class OrbitPoint(NamedTuple):
     disk_z: Optional[complex]
 
 
+# OrbitPoint from a tuple of its two fields, in C: the class call runs the
+# NamedTuple's Python __new__.
+_new_point = functools.partial(tuple.__new__, OrbitPoint)
+
+
 def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
     """Time-t flow image of the Omega-coordinate point z0.
 
@@ -87,16 +93,16 @@ def flow(model: KoenigsModel, z0: complex, t: float) -> OrbitPoint:
                 f"backward flow from {w0} needs a petal; none contains it"
             )
     if w0 == 0 and model.kind == "elliptic":
-        return OrbitPoint(t, 0j)
+        return _new_point((t, 0j))
     p = model.uhp_orbit(w0, t)
     q = p.value()
     if q is None:
-        return OrbitPoint(t, None)
+        return _new_point((t, None))
     disk_z = disk_of_uhp(q)
     r = abs(disk_z)
     if r >= 1.0 or (r > 1.0 - _GAP_BAND and uhp_log_disk_gap(p) <= MIN_DISK_GAP):
         disk_z = None
-    return OrbitPoint(t, disk_z)
+    return _new_point((t, disk_z))
 
 
 def _generator_from_chart(model: KoenigsModel, ws: Sequence[complex],

@@ -25,7 +25,9 @@ never stored, and every output is the one a fresh reading gives, bit for
 bit.  A sample then does only its own work, in ``_sample_at``: one walk
 (``models.KoenigsModel.uhp_orbit``), one framed log, one distance
 (``hypcore.uhp_log_distance``) and its ``SpeedSample``.  The memo key and
-the sample's tuple are built in C, with no Python frame.
+the sample's tuple are built in C, with no Python frame, and every call on
+the sample path passes its arguments directly: a starred call would build
+an argument tuple on every sample.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import functools
 import math
 import struct
 import warnings
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .hypcore import (
     DomainError,
@@ -153,8 +155,11 @@ def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
     sigma = petal.sigma_canonical
     x0, y0 = q0.real, q0.imag
     if sigma is None or x0 == sigma:
-        # eta is the vertical line through q0; translate it to Re = 0.
-        return (x0, None), uhp_log_framed(p0, x0).real
+        # eta is the vertical line through q0; translate it to Re = 0.  The
+        # base lies on it, so log|N(q0)| is log Im q0, read from the log
+        # form: Re q0 - x0 would be only x0's rounding error once Im q0
+        # falls below ulp(x0).
+        return (x0, None), p0.log_im()
     h = y0 / (x0 - sigma)
     return ((sigma, x0 + y0 * h),
             uhp_log_framed(p0, sigma).real - (math.log(y0) + 0.5 * math.log1p(h * h)))
@@ -186,9 +191,10 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
     gives them; ``speed_sample`` and ``speed_series`` read every sample
     here."""
     if t == 0.0:
-        return SpeedSample(0.0, 0.0, 0.0, 0.0)
+        return _new_sample((0.0, 0.0, 0.0, 0.0))
     p_t = model.uhp_orbit(w0, t)
-    ln_t = uhp_log_framed(p_t, *frame)
+    c, other = frame
+    ln_t = uhp_log_framed(p_t, c, other)
     v = uhp_log_distance(p0, p_t)
     # v_T = |log tan(r/2)| / 2, the distance to the axis at angle r mod pi,
     # read by two logs where 2 / sin r could overflow; an r of 0 modulo pi
@@ -211,7 +217,8 @@ def speed_sample(model: KoenigsModel, petal: Petal, z: complex, t: float) -> Spe
         require_petal(model, petal, z)
         raise DomainError("speeds.speed_sample: petal speeds are defined for t <= 0")
     w0 = complex(z)
-    return _sample_at(model, *_base_reading(model, petal, w0, _base_key(w0.real, w0.imag)), t)
+    w0, p0, frame, re0 = _base_reading(model, petal, w0, _base_key(w0.real, w0.imag))
+    return _sample_at(model, w0, p0, frame, re0, t)
 
 
 def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
@@ -226,20 +233,21 @@ def forward_speed(model: KoenigsModel, z: complex, t: float) -> float:
     return uhp_log_distance(model.uhp_orbit(w0, 0.0), model.uhp_orbit(w0, t))
 
 
-def _backward_grid(grid: Optional[Sequence[float]]) -> list[float]:
-    """The times of a backward grid (``dyadic_grid()`` when None) as floats;
-    ``DomainError`` unless there is one at least, none past float range or
-    above 0, and they strictly decrease."""
+def backward_grid(grid: Iterable[float], layer: str) -> list[float]:
+    """The times of a backward grid as floats; ``DomainError``, its message
+    starting with ``layer``, the caller's name, unless there is one at
+    least, none past float range or above 0, and they strictly decrease.
+    ``speed_series`` and ``verify.bound_ratios`` check their grids here."""
     try:
-        ts = list(dyadic_grid() if grid is None else (float(t) for t in grid))
+        ts = [float(t) for t in grid]
     except OverflowError:
-        raise DomainError("speeds.speed_series: a grid time is past float range") from None
+        raise DomainError(f"{layer}: a grid time is past float range") from None
     if not ts:
-        raise DomainError("speeds.speed_series: grid must not be empty")
+        raise DomainError(f"{layer}: grid must not be empty")
     if any(t > 0.0 for t in ts):
-        raise DomainError("speeds.speed_series: backward series grids must satisfy t <= 0")
+        raise DomainError(f"{layer}: backward series grids must satisfy t <= 0")
     if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise DomainError("speeds.speed_series: grid must be strictly decreasing")
+        raise DomainError(f"{layer}: grid must be strictly decreasing")
     return ts
 
 
@@ -254,7 +262,7 @@ def speed_series(
     A grid that is empty, has a positive time or does not strictly
     decrease raises ``DomainError``."""
     try:
-        ts = _backward_grid(grid)
+        ts = backward_grid(dyadic_grid() if grid is None else grid, "speeds.speed_series")
     except (TypeError, ValueError):
         # The petal refusal comes first, as for a valid grid.
         require_petal(model, petal, z)

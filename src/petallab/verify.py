@@ -26,6 +26,7 @@ from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
 from .semigroup import flow, regularity_gap, repelling_diagnostics, require_petal
 from .speeds import (
     SpeedSeries,
+    backward_grid,
     dyadic_grid,
     forward_speed,
     linear_fit,
@@ -100,6 +101,10 @@ PARABOLIC_LIMIT_TIMES = (1e20, 1e100, 1e300)
 # bound: its slack v - (v_o + v_T - log(2)/2) lies within
 # 1e-9 + 4 ulp(v_o + v_T) of 0 at t = -2^k for these k.
 PARABOLIC_SANDWICH_KS = (40, 52, 64, 128, 256, 512, 1023)
+# A sector-parabolic base whose image's height lies far below the ulp of
+# its real part: the sandwich also reads it, so that v_o there is read from
+# the base's log height and not from a rounded difference.
+NEAR_AXIS_PARABOLIC_BASE = -2.5 + 1e-17j
 
 
 def rate_threshold(target: float, tol: Optional[float] = None) -> float:
@@ -206,15 +211,11 @@ def bound_ratios(
     """``bound_ratio_series`` over ``grid``, the rule it is judged by, and
     the verdict: the gaussian profile's ratios (those of a profile
     ``judged_by_lower``) must lie in ``GAUSSIAN_RATIO_WINDOW``, any other
-    profile's must strictly decrease as |t| grows.  A grid that is empty or
-    does not strictly decrease raises ``DomainError``, as in
-    ``speed_series``; so does a grid of one time under the decrease rule,
-    which a single ratio cannot show."""
-    grid = list(grid)
-    if not grid:
-        raise DomainError("grid must not be empty")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("grid must be strictly decreasing")
+    profile's must strictly decrease as |t| grows.  The grid is checked by
+    ``speeds.backward_grid``, as ``speed_series``' is, under this
+    function's name; a grid of one time under the decrease rule, which a
+    single ratio cannot show, also raises ``DomainError``."""
+    grid = backward_grid(grid, "verify.bound_ratios")
     by_lower = profile.judged_by_lower
     if not by_lower and len(grid) < 2:
         raise DomainError("ratios strictly decreasing needs at least two grid times")
@@ -373,7 +374,7 @@ def _check_pythagorean_sandwich() -> List[Part]:
     m2 = by_name("sector-parabolic")
     petal2 = m2.petal("main")
     bases = [(model, petal, base) for model, petal, base, _ in _hyperbolic_bases()]
-    bases.append((m2, petal2, petal2.base_default))
+    bases += [(m2, petal2, petal2.base_default), (m2, petal2, NEAR_AXIS_PARABOLIC_BASE)]
     for model, petal, base in bases:
         series = speed_series(model, petal, base, grid)
         for s in series.samples:

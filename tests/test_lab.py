@@ -70,6 +70,19 @@ class TestSpeedsCommand:
         committed = Path(__file__).resolve().parent / "data" / name
         assert (tmp_path / name).read_bytes() == committed.read_bytes()
 
+    def test_near_axis_parabolic_run_matches_the_committed_file(self, tmp_path):
+        # A base whose image's height lies far below ulp of its real part,
+        # where eta is vertical: v_o is read from the base's log height
+        # (ROADMAP item 16; 19.542625377235272 at t = -1, as mpmath gives).
+        # The file name is the kmax-60 run's, so tests/data keeps it under
+        # its own.
+        assert main(["speeds", "--model", "sector-parabolic", "--petal", "0",
+                     "--base-re", "-2.5", "--base-im", "1e-17", "--kmax", "2",
+                     "--out", str(tmp_path)]) == 0
+        committed = (Path(__file__).resolve().parent / "data"
+                     / "speeds_sector-parabolic_p0_near_axis.csv")
+        assert (tmp_path / "speeds_sector-parabolic_p0.csv").read_bytes() == committed.read_bytes()
+
     @pytest.mark.parametrize("model,petal", [("strip-slit", "1"), ("koebe-elliptic", "0")])
     def test_other_petal_runs_match_the_committed_files(self, tmp_path, model, petal):
         # With the two runs above, every catalog petal's samples out to
@@ -443,7 +456,7 @@ class TestBoundsCommand:
 
     def test_bound_ratios_refuses_an_empty_grid(self):
         for profile in (logrecip_profile(), gaussian_profile()):
-            with pytest.raises(DomainError, match="grid must not be empty"):
+            with pytest.raises(DomainError, match=r"^verify\.bound_ratios: grid must not be empty$"):
                 verify.bound_ratios(profile, [])
 
     def test_table_profile_from_file(self, tmp_path):
@@ -659,9 +672,9 @@ class TestUsageErrors:
         (["bounds", "--profile", "logrecip", "--grid=-1e3"], None,
          "ratios strictly decreasing needs at least two grid times"),
         (["bounds", "--profile", "logrecip", "--grid=-1e4,-1e3"], None,
-         "grid must be strictly decreasing"),
+         "verify.bound_ratios: grid must be strictly decreasing"),
         (["bounds", "--profile", "gaussian", "--grid=-1e3,-1e3"], None,
-         "grid must be strictly decreasing"),
+         "verify.bound_ratios: grid must be strictly decreasing"),
     ], ids=["config-line-without-equals", "config-seed-not-int", "empty-grid",
             "bounds-without-profile", "bounds-one-time-under-the-decrease-rule",
             "bounds-grid-increasing", "bounds-grid-repeated"])

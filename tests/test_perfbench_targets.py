@@ -6,14 +6,17 @@ deleting a traced name would break only a traced benchmark run; this test
 makes it fail here too.  ``TARGETS`` is read from the source, not
 imported, so nothing under perfbench/ is executed or written.  A speed
 sample must also still call the layers the benchmark's delay checks time,
-through the names the tracer swaps.
+through the names the tracer swaps, and the per-point paths it times
+must pass their arguments straight through.
 """
 
 import ast
 import cmath
 import importlib
+import inspect
 import math
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -93,6 +96,34 @@ def test_speed_sample_reaches_its_traced_layers(monkeypatch, t):
                     read()
                     assert counts == {"models.uhp_orbit": n,
                                       "hypcore.uhp_log_distance": distances}
+
+
+# The per-point paths that deep_orbits and boundary_probes time: each call
+# on them passes its arguments one by one, and each result tuple is built
+# in C (``functools.partial(tuple.__new__, ...)``), with no NamedTuple
+# __new__ frame.
+_STRAIGHT_PATHS = [
+    ("petallab.speeds", None, "speed_sample"),
+    ("petallab.speeds", None, "_sample_at"),
+    ("petallab.speeds", None, "speed_series"),
+    ("petallab.models", "KoenigsModel", "uhp_orbit"),
+    ("petallab.semigroup", None, "flow"),
+]
+
+
+@pytest.mark.parametrize("module,class_name,attr", _STRAIGHT_PATHS,
+                         ids=[p[2] for p in _STRAIGHT_PATHS])
+def test_per_point_path_calls_straight_through(module, class_name, attr):
+    mod = importlib.import_module(module)
+    func = getattr(getattr(mod, class_name), attr) if class_name else getattr(mod, attr)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        call = ast.unparse(node)
+        assert not any(isinstance(a, ast.Starred) for a in node.args), call
+        assert all(k.arg is not None for k in node.keywords), call
+        assert getattr(node.func, "id", None) not in ("SpeedSample", "OrbitPoint"), call
 
 
 def test_approach_angle_reaches_its_traced_measure(monkeypatch):

@@ -1,9 +1,12 @@
 """Tests for the three petal speeds, forward speeds, and slope fits."""
 
 import cmath
+import functools
 import math
 import random
+import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -26,7 +29,14 @@ from petallab.hypcore import (
     uhp_log_disk_gap,
     uhp_log_framed,
 )
-from petallab.models import by_name, catalog, sample_petal_omega
+from petallab.models import (
+    HalfPlaneImage,
+    SlitPlaneImage,
+    StripImage,
+    by_name,
+    catalog,
+    sample_petal_omega,
+)
 from petallab.semigroup import PetalRequiredError, flow
 from petallab.speeds import (
     EstimationError,
@@ -619,6 +629,19 @@ _ORACLE_CASES = [
     # Next to sector-parabolic's edge the angle's gap to pi starts small.
     pytest.param("sector-parabolic", "main", 1.0 + 1e-10j, _ORACLE_KS,
                  id="sector-parabolic-near-edge"),
+    # Where the petal's boundary point is infinity in the chart, eta is
+    # vertical, and v_o reads the base's height from its log form: these
+    # images lie far below ulp of their real parts, where Re q0 - Re q0's
+    # float rounds to x0's rounding error (ROADMAP item 16).  The parabolic
+    # rows stop where the gap, about 2/3 Im w0 / |t|, leaves the normal
+    # range (item 11).
+    pytest.param("sector-parabolic", "main", -2.5 + 1e-17j, _ORACLE_KS[:-1],
+                 id="sector-parabolic-below-ulp"),
+    pytest.param("sector-parabolic", "main",
+                 -1.5908908451833579 + 2.0332299085542286e-193j, _ORACLE_KS[:30],
+                 id="sector-parabolic-far-below-ulp"),
+    pytest.param("koebe-elliptic", "main", -14.97532567114025 + 1.5134709554023175e-14j,
+                 _ORACLE_KS, id="koebe-elliptic-below-ulp"),
 ]
 
 
@@ -648,6 +671,127 @@ class TestAgainstMpmathWalk:
             assert abs(got_gap - want_gap) <= _ORACLE_TOL * want_gap, k
             for got, want in zip((s.v, s.v_o, s.v_T), map(float, distances)):
                 assert abs(got - want) <= _ORACLE_TOL * max(1.0, want), (k, got, want)
+
+
+
+# ROADMAP item 7: over whole petals, every reading is exact or refused with
+# a typed error.  Each draw picks a petal uniformly; its base lies in the
+# interior (30% of draws, the petal's own sampler), at a log-uniform gap of
+# 1e-1 .. 1e-300 from an edge (50%), or at such a gap far along an edge,
+# |Re w0| or |w0| log-uniform in 1 .. 1e3 (20%); its time is t = -10^u, u
+# uniform in [-3, 300].
+_WHOLE_PETAL_DRAWS = 2000
+_WHOLE_PETAL_SEED = RNG_SEED
+# A base image this close to a finite boundary point sigma: the two-foot eta
+# frame is built from the float image, which cannot hold its offset from
+# sigma (ROADMAP item 17).
+_NEAR_SIGMA = 1e-3
+
+
+def _edge_base(image, gap, along, rng):
+    """A base at ``gap`` from an edge of ``image``, ``along`` it."""
+    if isinstance(image, StripImage):
+        im = image.lo + gap if rng.random() < 0.5 else image.hi - gap
+        # A gap below ulp(hi) rounds onto the wall: take the nearest float inside.
+        im = min(max(im, math.nextafter(image.lo, math.inf)), math.nextafter(image.hi, -math.inf))
+        return complex(along, im)
+    if isinstance(image, HalfPlaneImage):
+        return complex(along, gap)
+    # The slit plane's edge, the negative axis, from above or below.
+    return complex(-abs(along), math.copysign(gap * abs(along), rng.random() - 0.5))
+
+
+def _whole_petal_draws():
+    rng = random.Random(_WHOLE_PETAL_SEED)
+    petals = _model_petals()
+    for _ in range(_WHOLE_PETAL_DRAWS):
+        model, petal = rng.choice(petals)
+        kind = rng.random()
+        if kind < 0.3:
+            base = petal.image.sample(1, rng)[0]
+        else:
+            if kind < 0.8:
+                along = (math.exp(rng.uniform(-2.0, 2.0)) if isinstance(petal.image, SlitPlaneImage)
+                         else rng.uniform(-3.0, 3.0))
+            else:
+                along = math.copysign(10.0 ** rng.uniform(0.0, 3.0), rng.random() - 0.5)
+            base = _edge_base(petal.image, 10.0 ** -rng.uniform(1.0, 300.0), along, rng)
+        yield model, petal, base, -(10.0 ** rng.uniform(-3.0, 300.0))
+
+
+def _whole_petal_problem(model, petal, base, t):
+    """(region, problem) of one draw.  The region is "item 17" for a base
+    image within ``_NEAR_SIGMA`` of a finite sigma, "item 11" where the
+    orbit's angle gap lies below the normal float range, and "general"
+    otherwise; a draw whose mpmath q lies on the real axis, where 330
+    digits hold neither its gap nor its offset from sigma, is in one of
+    the two.  The problem is None for an exact reading, or for a
+    ``DomainError`` that is no ``PrecisionError`` outside item 11."""
+    sigma = petal.sigma_canonical
+    try:
+        s = speed_sample(model, petal, base, t)
+        p = model.uhp_orbit(base, t)
+        problem = None
+    except PrecisionError as exc:
+        problem = f"PrecisionError: {exc}"
+    except DomainError:
+        return "general", None
+    q0 = model.uhp_orbit(base, 0.0).value() if sigma is not None else None
+    near_sigma = q0 is not None and abs(q0 - sigma) < _NEAR_SIGMA
+    try:
+        log_im, gap, distances = mp_orbit_reading(model, petal, base, t)
+    except ZeroDivisionError:
+        return ("item 17" if near_sigma else "item 11",
+                problem or "a reading where mpmath's q lies on the real axis")
+    region = ("item 17" if near_sigma
+              else "item 11" if float(gap) < sys.float_info.min else "general")
+    if problem is not None:
+        return region, None if region == "item 11" else problem
+    arg = abs(uhp_log_framed(p, 0.0 if sigma is None else sigma).imag)
+    got = (p.log_im(), min(arg, math.pi - arg), s.v, s.v_o, s.v_T)
+    want = (float(log_im), float(gap), *map(float, distances))
+    for name, g, w in zip(("log Im q", "gap", "v", "v_o", "v_T"), got, want):
+        scale = w if name == "gap" else max(1.0, abs(w))
+        if not (math.isfinite(g) and abs(g - w) <= _ORACLE_TOL * scale):
+            return region, f"{name} {g!r}, mpmath {w!r}"
+    return region, None
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_petal_sweep():
+    """Each region's draws, and the problems among them."""
+    counts, problems = Counter(), {}
+    for draw in _whole_petal_draws():
+        region, problem = _whole_petal_problem(*draw)
+        counts[region] += 1
+        if problem is not None:
+            problems.setdefault(region, []).append((draw[0].name, draw[1].label, draw[2],
+                                                    draw[3], problem))
+    return counts, problems
+
+
+class TestExactOrRefusedOverWholePetals:
+    """ROADMAP item 7: a reading is exact against ``oracles.mp_orbit_reading``
+    or raises a typed error, at every base of a petal and every backward
+    time out to 1e300.  Two known limits are held apart as strict xfails."""
+
+    def test_every_reading_is_exact_or_refused(self):
+        counts, problems = _whole_petal_sweep()
+        assert counts["general"] >= _WHOLE_PETAL_DRAWS // 2, counts
+        assert problems.get("general", []) == []
+
+    @pytest.mark.parametrize("region", [
+        pytest.param("item 11", marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 11: an angle gap below the normal float range reads "
+            "log Im q, v and v_T off"))),
+        pytest.param("item 17", marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 17: a base image next to a finite sigma gets its "
+            "two-foot eta frame from a float that cannot hold its offset"))),
+    ], ids=["item-11-subnormal-gap", "item-17-base-next-to-sigma"])
+    def test_known_limit(self, region):
+        counts, problems = _whole_petal_sweep()
+        assert counts[region] > 0
+        assert problems.get(region, []) == []
 
 
 class TestBasePointIndependence:
@@ -923,7 +1067,9 @@ class TestDyadicGrid:
 
 def test_every_refusal_names_its_layer():
     # Each DomainError or PrecisionError that speeds.py raises starts with
-    # "speeds.<function>:", naming a function the module defines.
+    # "speeds.<function>:", naming a function the module defines, or, in
+    # the grid check that speed_series and verify.bound_ratios share, with
+    # the layer its caller names (TestSharedGridCheck).
     import ast
     import re
     from pathlib import Path
@@ -939,5 +1085,32 @@ def test_every_refusal_names_its_layer():
     for call in raises:
         message = call.args[0]
         head = message.values[0] if isinstance(message, ast.JoinedStr) else message
+        if isinstance(head, ast.FormattedValue):
+            assert ast.unparse(head.value) == "layer", ast.unparse(call)
+            assert message.values[1].value.startswith(": "), ast.unparse(call)
+            continue
         match = re.match(r"speeds\.(\w+): ", head.value)
         assert match and match.group(1) in functions, ast.unparse(call)
+
+
+class TestSharedGridCheck:
+    """``speed_series`` and ``verify.bound_ratios`` check their grids in one
+    function, ``backward_grid``, and each refusal names the caller."""
+
+    @pytest.mark.parametrize("grid,message", [
+        ([], "grid must not be empty"),
+        ([-1.0, 2.0], "backward series grids must satisfy t <= 0"),
+        ([-1.0, -1.0], "grid must be strictly decreasing"),
+        ([-4.0, -1.0], "grid must be strictly decreasing"),
+        ([-1.0, -10 ** 400], "a grid time is past float range"),
+    ], ids=["empty", "positive", "repeated", "increasing", "huge-integer"])
+    def test_both_callers_name_their_layer(self, grid, message):
+        from petallab import verify
+        from petallab.bounds import gaussian_profile
+
+        model = by_name("strip-slit")
+        petal = model.petal("upper")
+        with pytest.raises(DomainError, match=rf"^speeds\.speed_series: {message}$"):
+            speed_series(model, petal, petal.base_default, grid)
+        with pytest.raises(DomainError, match=rf"^verify\.bound_ratios: {message}$"):
+            verify.bound_ratios(gaussian_profile(), grid)
