@@ -38,6 +38,7 @@ and the rule returns the bits it would return by adding every node.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -72,8 +73,10 @@ _QUAD_MIN_WEIGHT = 1e-300
 _PANEL_RATIO = 1e6
 
 
+@functools.cache
 def _tanh_sinh_levels() -> Tuple[Tuple[Tuple[float, float], ...], ...]:
-    """Nodes of the tanh-sinh rule on [-1, 1], one tuple per level.
+    """Nodes of the tanh-sinh rule on [-1, 1], one tuple per level, built on
+    the first quadrature: only a profile without an antiderivative reads them.
 
     Level 0 holds the nodes ``u = j`` for ``j >= 1``; level ``k >= 1`` only
     the odd ``j`` of step ``2^-k``, which are new at that level.  A node is
@@ -100,9 +103,6 @@ def _tanh_sinh_levels() -> Tuple[Tuple[Tuple[float, float], ...], ...]:
             j += stride
         levels.append(tuple(nodes))
     return tuple(levels)
-
-
-_TANH_SINH_LEVELS = _tanh_sinh_levels()
 
 
 class BoundaryProfile:
@@ -373,7 +373,7 @@ def _tanh_sinh(log_delta: Callable[[float], float], a: float, b: float) -> float
     total = 0.5 * math.pi * exp(-log_delta(a + half))
     step = 1.0
     previous = math.nan
-    for level, nodes in enumerate(_TANH_SINH_LEVELS):
+    for level, nodes in enumerate(_tanh_sinh_levels()):
         fresh = 0.0
         rest = iter(nodes)
         for gap, weight in rest:

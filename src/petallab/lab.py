@@ -18,8 +18,11 @@ subcommands also take their default inputs from there (``BOUND_GRID``,
 
 Each flag is declared once, in ``_FLAGS``, and each subcommand takes only
 the flags it reads (``_COMMANDS``); any other flag is a usage error.
+Flags are read as ``--flag value`` or ``--flag=value`` and spelled in full;
+``-h`` or ``--help`` prints help built from the same two tables.
 A configuration file of ``key = value`` lines can stand in for those
-flags; explicit flags always win.  Output location: ``--out`` flag, else
+flags; explicit flags always win.  A flag and a config line pass the one
+key check and conversion (``_take``).  Output location: ``--out`` flag, else
 the ``PETALLAB_OUT`` environment variable, else ``./out``.  All experiments
 are deterministic: randomized ones draw from ``random.Random`` seeded with
 20260817 unless ``--seed`` overrides it.  The module, like the whole
@@ -28,10 +31,10 @@ package, runs on the standard library alone.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import BoundaryProfile, gaussian_profile, logrecip_profile, profile_from_file
@@ -58,9 +61,9 @@ class UsageError(Exception):
     """Bad flags, config, or inputs; maps to exit status 2."""
 
 
-# Every flag but --config, once: its type and help.  The subcommand parsers
-# and the --config reader are both built from this table; a config key is
-# the flag's name with "_" or "-".
+# Every flag but --config, once: its type and help.  The flag reader, the
+# --config reader and the help all read this table; a flag or config key is
+# its name with "_" or "-".
 _FLAGS: Dict[str, Tuple[Callable[[str], object], str]] = {
     "model": (str, f"model name: {', '.join(MODEL_NAMES)}"),
     "petal": (int, "petal index (default 0)"),
@@ -68,8 +71,8 @@ _FLAGS: Dict[str, Tuple[Callable[[str], object], str]] = {
     "base_im": (float, "imaginary part of the base point"),
     "kmin": (int, "smallest dyadic exponent"),
     "kmax": (int, "largest dyadic exponent"),
-    "grid": (str, "explicit comma-separated times (overrides kmin/kmax); write "
-                  "--grid=-1e3,-1e4 so the leading minus is not read as a flag"),
+    "grid": (str, "explicit comma-separated times, such as -1e3,-1e4 (overrides "
+                  "kmin/kmax)"),
     "profile": (str, "boundary profile: logrecip, gaussian, or a two-column table file"),
     "out": (str, "output directory (default $PETALLAB_OUT or ./out)"),
     "seed": (int, f"seed for randomized checks (default {DEFAULT_SEED})"),
@@ -77,7 +80,57 @@ _FLAGS: Dict[str, Tuple[Callable[[str], object], str]] = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _take(command: str, key: str, text: str, name: str) -> object:
+    """``text`` converted by ``key``'s type, once ``key`` is found to be one
+    ``command`` takes: the one key check and conversion of flags and config
+    lines alike.  ``name`` shows the key in a refusal.  A failed conversion
+    raises its ``ValueError``, which the caller prefixes with the flag or
+    with the config file and line."""
+    if key not in _FLAGS:
+        raise UsageError(f"unknown {name}")
+    if key not in _COMMANDS[command][2]:
+        raise UsageError(f"{command} takes no {name}")
+    return _FLAGS[key][0](text)
+
+
+def _parse_argv(argv: Sequence[str]) -> Tuple[str, SimpleNamespace]:
+    """The command ``argv`` names and a namespace of its flags: one
+    attribute per ``_FLAGS`` key, and ``config``, each None unless given.
+
+    After the command come ``--name value`` or ``--name=value`` pairs; the
+    token after ``--name`` is its value even when it starts with a minus,
+    and a repeated flag keeps its last value.  ``-h`` or ``--help`` raises
+    ``_Help``; anything else that does not read raises ``UsageError``.
+    """
+    if argv[0] in _HELP_FLAGS:
+        raise _Help(_help(None))
+    command = argv[0]
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r} (one of {', '.join(_COMMANDS)})")
+    args = SimpleNamespace(config=None, **dict.fromkeys(_FLAGS))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            raise _Help(_help(command))
+        if not token.startswith("--"):
+            raise UsageError(f"unexpected argument {token!r}")
+        flag, eq, text = token.partition("=")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"{flag} needs a value")
+        key = flag[2:].replace("-", "_")
+        if key == "config":
+            args.config = text
+            continue
+        try:
+            setattr(args, key, _take(command, key, text, f"flag {flag}"))
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from exc
+    return command, args
+
+
+def _merge_config(command: str, args: SimpleNamespace) -> None:
     # Flags beat config-file values; config beats built-in defaults.
     path = args.config
     if not path:
@@ -96,20 +149,16 @@ def _merge_config(args: argparse.Namespace) -> None:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FLAGS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if key not in _COMMANDS[args.command][2]:
-            raise UsageError(f"{path}:{lineno}: {args.command} takes no key {key!r}")
         try:
-            values[key] = _FLAGS[key][0](value.strip())
-        except ValueError as exc:
+            values[key] = _take(command, key, value.strip(), f"key {key!r}")
+        except (UsageError, ValueError) as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
     for key, value in values.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
 
 
-def _write(args: argparse.Namespace, name: str, rows: Iterable[str]) -> str:
+def _write(args: SimpleNamespace, name: str, rows: Iterable[str]) -> str:
     out = args.out or os.environ.get("PETALLAB_OUT") or "out"
     path = os.path.join(out, name)
     try:
@@ -127,18 +176,18 @@ def _verdict(passed: bool, text: str) -> int:
 
 
 def _summarize(
-    args: argparse.Namespace, model: KoenigsModel, petal: Petal, tag: str, data_path: str,
-    fields: Sequence[Tuple[str, object]], passed: bool, verdict: str,
+    args: SimpleNamespace, command: str, model: KoenigsModel, petal: Petal, tag: str,
+    data_path: str, fields: Sequence[Tuple[str, object]], passed: bool, verdict: str,
 ) -> int:
     """Write the model, the petal and ``fields`` as the ``key = value`` lines
     of ``<command>_<tag>_summary.txt``; print both paths, then the verdict."""
     rows = [("model", model.name), ("petal", petal.label), *fields]
-    path = _write(args, f"{args.command}_{tag}_summary.txt", [f"{k} = {v}" for k, v in rows])
+    path = _write(args, f"{command}_{tag}_summary.txt", [f"{k} = {v}" for k, v in rows])
     print(f"wrote {data_path} and {path}")
-    return _verdict(passed, f"{args.command} {model.name}/{petal.label}: {verdict}")
+    return _verdict(passed, f"{command} {model.name}/{petal.label}: {verdict}")
 
 
-def _resolve_point(args: argparse.Namespace) -> Tuple[KoenigsModel, Petal, complex, str]:
+def _resolve_point(args: SimpleNamespace) -> Tuple[KoenigsModel, Petal, complex, str]:
     """The model, petal and base point the flags name (by default petal 0
     and its default base), and the ``<model>_p<index>`` tag of its files."""
     if args.model is None:
@@ -174,7 +223,7 @@ def _parse_grid(text: str) -> List[float]:
     return values
 
 
-def _resolve_exponents(args: argparse.Namespace, default_kmin: int) -> Tuple[int, int]:
+def _resolve_exponents(args: SimpleNamespace, default_kmin: int) -> Tuple[int, int]:
     # --kmax defaults to verify's RATE_KMAX for every subcommand that reads
     # it but hmeasure, which takes ORBIT_KMAX.
     kmin = default_kmin if args.kmin is None else args.kmin
@@ -182,7 +231,7 @@ def _resolve_exponents(args: argparse.Namespace, default_kmin: int) -> Tuple[int
     return kmin, kmax
 
 
-def _resolve_backward_grid(args: argparse.Namespace, default_kmin: int) -> List[float]:
+def _resolve_backward_grid(args: SimpleNamespace, default_kmin: int) -> List[float]:
     if args.grid is not None:
         return _parse_grid(args.grid)
     return dyadic_grid(*_resolve_exponents(args, default_kmin))
@@ -198,7 +247,7 @@ def _speed_rows(series: SpeedSeries) -> List[str]:
     ]
 
 
-def _cmd_speeds(args: argparse.Namespace) -> int:
+def _cmd_speeds(args: SimpleNamespace) -> int:
     model, petal, base, tag = _resolve_point(args)
     grid = _resolve_backward_grid(args, 0)
     series = speed_series(model, petal, base, grid)
@@ -207,7 +256,7 @@ def _cmd_speeds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_asymptote(args: argparse.Namespace) -> int:
+def _cmd_asymptote(args: SimpleNamespace) -> int:
     model, petal, base, tag = _resolve_point(args)
     grid = _resolve_backward_grid(args, RATE_KMIN)
     series, r2, rate = backward_rate(model, petal, base, grid, tol=args.tol)
@@ -217,11 +266,11 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
         ("target", _num(rate.target)), ("threshold", _num(rate.threshold)),
         ("status", "pass" if rate.passed else "fail"),
     ]
-    return _summarize(args, model, petal, tag, data_path, fields, rate.passed,
+    return _summarize(args, "asymptote", model, petal, tag, data_path, fields, rate.passed,
                       f"slope {rate.slope:.6f}, target {rate.target:.6f}, r2 {r2:.6f}")
 
 
-def _cmd_forward(args: argparse.Namespace) -> int:
+def _cmd_forward(args: SimpleNamespace) -> int:
     model, _, base, _ = _resolve_point(args)
     ts, vs, rate = forward_rate(model, base, *_resolve_exponents(args, RATE_KMIN), args.tol)
     rows = ["t,v"] + [f"{_num(t)},{_num(v)}" for t, v in zip(ts, vs)]
@@ -233,7 +282,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_hmeasure(args: argparse.Namespace) -> int:
+def _cmd_hmeasure(args: SimpleNamespace) -> int:
     model, petal, base, tag = _resolve_point(args)
     kmax = ORBIT_KMAX if args.kmax is None else args.kmax
     times, report, stop, passed = orbit_angle(model, petal, base, kmax)
@@ -250,10 +299,10 @@ def _cmd_hmeasure(args: argparse.Namespace) -> int:
             ("tangential", report.tangential), ("status", "pass" if passed else "fail"),
         ]
         verdict = f"theta/pi = {report.theta / math.pi:.4f}"
-    return _summarize(args, model, petal, tag, data_path, fields, passed, verdict)
+    return _summarize(args, "hmeasure", model, petal, tag, data_path, fields, passed, verdict)
 
 
-def _resolve_profile(args: argparse.Namespace) -> BoundaryProfile:
+def _resolve_profile(args: SimpleNamespace) -> BoundaryProfile:
     name = args.profile
     if name is None:
         raise UsageError("--profile is required (logrecip, gaussian, or a file path)")
@@ -271,7 +320,7 @@ def _resolve_profile(args: argparse.Namespace) -> BoundaryProfile:
     )
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: SimpleNamespace) -> int:
     profile = _resolve_profile(args)
     grid = BOUND_GRID if args.grid is None else _parse_grid(args.grid)
     series, rule, passed = bound_ratios(profile, grid)
@@ -284,7 +333,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     results = run_all(seed=seed)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
@@ -297,7 +346,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # Each subcommand: its function, its help, and the flags it reads.  It takes
 # those flags and --config, and no other.
 _POINT = ("model", "petal", "base_re", "base_im")
-_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], int], str, Tuple[str, ...]]] = {
+_COMMANDS: Dict[str, Tuple[Callable[[SimpleNamespace], int], str, Tuple[str, ...]]] = {
     "speeds": (_cmd_speeds, "tabulate total/orthogonal/tangential backward speeds",
                _POINT + ("kmin", "kmax", "grid", "out")),
     "asymptote": (_cmd_asymptote, "fit the backward speed slope and compare to the "
@@ -313,35 +362,47 @@ _COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], int], str, Tuple[str, 
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="petallab",
-        description=(
-            "Numerical laboratory for holomorphic flows on the unit disk: "
-            "backward-orbit speeds, asymptotic rates, boundary diagnostics, "
-            "and distance bounds."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, (_, help_text, takes) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name, (kind, flag_help) in _FLAGS.items():
-            if name in takes:
-                p.add_argument("--" + name.replace("_", "-"), type=kind, help=flag_help)
-        p.add_argument("--config", help="key = value file supplying defaults "
-                                        "for any of these flags; flags win")
-    return parser
+_HELP_FLAGS = ("-h", "--help")
+_USAGE = f"usage: petallab {{{','.join(_COMMANDS)}}} [--flag value ...]"
+
+
+class _Help(Exception):
+    """``-h`` or ``--help`` was read; the exception's text is the help."""
+
+
+def _help(command: Optional[str]) -> str:
+    """The commands and their help, or one command's flags and theirs."""
+    if command is None:
+        head = [_USAGE, "", "Numerical laboratory for holomorphic flows on the unit disk: "
+                "backward-orbit speeds, asymptotic rates, boundary diagnostics, and "
+                "distance bounds.", "", "commands:"]
+        rows = [(name, help_text) for name, (_, help_text, _) in _COMMANDS.items()]
+        tail = ["", "petallab <command> --help lists the flags that command takes."]
+    else:
+        _, help_text, takes = _COMMANDS[command]
+        head = [f"usage: petallab {command} [--flag value ...]", "", help_text, "",
+                "flags, each as --flag value or --flag=value:"]
+        rows = [("--" + name.replace("_", "-"), flag_help)
+                for name, (_, flag_help) in _FLAGS.items() if name in takes]
+        rows.append(("--config", "key = value file supplying defaults for any of "
+                                 "these flags; flags win"))
+        tail = []
+    width = max(len(name) for name, _ in rows)
+    return "\n".join(head + [f"  {name:<{width}}  {text}" for name, text in rows] + tail)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        print(_USAGE, file=sys.stderr)
         return 2
     try:
-        _merge_config(args)
-        return _COMMANDS[args.command][0](args)
+        command, args = _parse_argv(argv)
+        _merge_config(command, args)
+        return _COMMANDS[command][0](args)
+    except _Help as text:
+        print(text)
+        return 0
     except (UsageError, DomainError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

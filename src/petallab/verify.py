@@ -218,7 +218,8 @@ def bound_ratios(
     grid = backward_grid(grid, "verify.bound_ratios")
     by_lower = profile.judged_by_lower
     if not by_lower and len(grid) < 2:
-        raise DomainError("ratios strictly decreasing needs at least two grid times")
+        raise DomainError(
+            "verify.bound_ratios: ratios strictly decreasing needs at least two grid times")
     series = bound_ratio_series(profile, grid)
     ratios = [r for _, r in series]
     if by_lower:

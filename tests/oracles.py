@@ -76,8 +76,8 @@ from petallab.bounds import (
     _QUAD_ABS_TOL,
     _QUAD_MAX_LEVEL,
     _QUAD_REL_TOL,
-    _TANH_SINH_LEVELS,
     BoundaryProfile,
+    _tanh_sinh_levels,
 )
 from petallab.confmap import (
     EPS_CUT,
@@ -984,7 +984,7 @@ def _reference_tanh_sinh(log_delta, a: float, b: float) -> float:
     total = 0.5 * math.pi * math.exp(-log_delta(a + half))
     step = 1.0
     previous = math.nan
-    for level, nodes in enumerate(_TANH_SINH_LEVELS):
+    for level, nodes in enumerate(_tanh_sinh_levels()):
         fresh = 0.0
         for gap, weight in nodes:
             r = half * gap

@@ -14,8 +14,8 @@ import pytest
 
 from petallab import bounds, verify
 from petallab.bounds import (
-    _TANH_SINH_LEVELS,
     BoundaryProfile,
+    _tanh_sinh_levels,
     bound_ratio_series,
     custom_profile,
     gaussian_profile,
@@ -258,8 +258,8 @@ class TestTanhSinhEndpointReuse:
     def test_gaps_and_weights_fall_strictly_within_every_level(self):
         # The tail exit's precondition: the nodes that round onto both
         # endpoints form the end of a level, with falling weights.
-        assert len(_TANH_SINH_LEVELS) == 9
-        for nodes in _TANH_SINH_LEVELS:
+        assert len(_tanh_sinh_levels()) == 9
+        for nodes in _tanh_sinh_levels():
             gaps = [gap for gap, _ in nodes]
             weights = [weight for _, weight in nodes]
             assert all(g > h for g, h in zip(gaps, gaps[1:]))
@@ -292,8 +292,8 @@ class TestTanhSinhEndpointReuse:
                     visits[0] += 1
                     yield node
 
-        monkeypatch.setattr(bounds, "_TANH_SINH_LEVELS",
-                            tuple(Counted(nodes) for nodes in _TANH_SINH_LEVELS))
+        counted = tuple(Counted(nodes) for nodes in _tanh_sinh_levels())
+        monkeypatch.setattr(bounds, "_tanh_sinh_levels", lambda: counted)
         p = without_antiderivative(logrecip_profile())
         for t in (-10.0, -1e3, -1e6):
             visits[0] = 0

@@ -13,7 +13,7 @@ import petallab
 from petallab import speeds, verify
 from petallab.bounds import gaussian_profile, logrecip_profile
 from petallab.hypcore import DomainError, PrecisionError
-from petallab.lab import _build_parser, main
+from petallab.lab import UsageError, _parse_argv, main
 from petallab.models import by_name
 from petallab.speeds import speed_series
 
@@ -604,15 +604,13 @@ FLAG_VALUES = {
 class TestFlagsPerSubcommand:
     @pytest.mark.parametrize("command", sorted(TAKES))
     def test_takes_exactly_the_flags_it_reads(self, command):
-        parser = _build_parser()
         for flag in [*FLAG_VALUES, "out", "config"]:
             argv = [command, f"--{flag}={FLAG_VALUES.get(flag, 'x')}"]
             if flag in TAKES[command] or flag in ("out", "config"):
-                parser.parse_args(argv)
+                _parse_argv(argv)
             else:
-                with pytest.raises(SystemExit) as info:
-                    parser.parse_args(argv)
-                assert info.value.code == 2, (command, flag)
+                with pytest.raises(UsageError):
+                    _parse_argv(argv)
 
     @pytest.mark.parametrize("command", sorted(TAKES))
     def test_config_key_it_does_not_read_is_usage_error(self, tmp_path, capsys, command):
@@ -633,9 +631,30 @@ class TestFlagsPerSubcommand:
     ], ids=["forward-grid", "verify-tol-model-profile", "bounds-model-seed-tol"])
     def test_unread_flags_exit_two(self, tmp_path, argv):
         # These ran, and exited 0, while silently ignoring the flags.
-        with pytest.raises(SystemExit) as info:
-            main([*argv, "--out", str(tmp_path)])
-        assert info.value.code == 2
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,same", [
+        (["speeds", "--grid", "-1e3,-1e4"], ["speeds", "--grid=-1e3,-1e4"]),
+        (["speeds", "--kmax", "3", "--kmax=5"], ["speeds", "--kmax=5"]),
+    ], ids=["grid-space-and-equals", "repeated-flag-last-wins"])
+    def test_flag_forms_read_the_same(self, argv, same):
+        command, args = _parse_argv(argv)
+        assert (command, args) == _parse_argv(same)
+        assert set(vars(args)) == {flag.replace("-", "_") for flag in FLAG_VALUES} | {
+            "out", "config"}
+
+    @pytest.mark.parametrize("command", [None, *sorted(TAKES)])
+    def test_help_names_every_flag_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                      capsys, command):
+        monkeypatch.chdir(tmp_path)
+        argv = ["-h"] if command is None else [command, "--help"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        names = TAKES if command is None else [
+            f"--{flag}" for flag in [*TAKES[command], "out", "config"]]
+        for name in names:
+            assert name in out, (command, name)
         assert not list(tmp_path.iterdir())
 
 
@@ -670,20 +689,39 @@ class TestUsageErrors:
         # One ratio cannot show a decrease, and a grid out of order would
         # read the ratios backwards.
         (["bounds", "--profile", "logrecip", "--grid=-1e3"], None,
-         "ratios strictly decreasing needs at least two grid times"),
+         "verify.bound_ratios: ratios strictly decreasing needs at least two grid times"),
         (["bounds", "--profile", "logrecip", "--grid=-1e4,-1e3"], None,
          "verify.bound_ratios: grid must be strictly decreasing"),
         (["bounds", "--profile", "gaussian", "--grid=-1e3,-1e3"], None,
          "verify.bound_ratios: grid must be strictly decreasing"),
+        # Flags are read by the config reader's key check and conversion, so
+        # none is matched by a prefix of its name.
+        (["speeds", "--mod", "strip-slit"], None, "unknown flag --mod"),
+        (["bounds", "--profile", "gaussian", "--model", "strip-slit"], None,
+         "bounds takes no flag --model"),
+        (["speeds", "--model", "strip-slit", "--kmax"], None, "--kmax needs a value"),
+        (["speeds", "--model", "strip-slit", "--kmax", "sixteen"], None,
+         "--kmax: invalid literal for int() with base 10: 'sixteen'"),
+        (["speeds", "--model", "strip-slit", "--base-re", "1,5"], None,
+         "--base-re: could not convert string to float: '1,5'"),
+        (["speeds", "--model", "strip-slit", "16"], None, "unexpected argument '16'"),
+        (["orbit"], None,
+         "unknown command 'orbit' (one of speeds, asymptote, forward, hmeasure, bounds, "
+         "verify)"),
     ], ids=["config-line-without-equals", "config-seed-not-int", "empty-grid",
             "bounds-without-profile", "bounds-one-time-under-the-decrease-rule",
-            "bounds-grid-increasing", "bounds-grid-repeated"])
+            "bounds-grid-increasing", "bounds-grid-repeated", "flag-unknown",
+            "flag-not-taken", "flag-without-value", "flag-bad-int", "flag-bad-float",
+            "stray-argument", "unknown-command"])
     def test_refused_input(self, tmp_path, capsys, argv, config, message):
         path = tmp_path / "exp.cfg"
         if config is not None:
             path.write_text(config)
         out = tmp_path / "out"
-        assert main([arg.format(path=path) for arg in argv] + ["--out", str(out)]) == 2
+        # --out goes right after the command, so that a row can end on a
+        # flag that lacks its value.
+        argv = [arg.format(path=path) for arg in argv]
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
 
@@ -810,22 +848,25 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
+        assert capsys.readouterr().err == (
+            "usage: petallab {speeds,asymptote,forward,hmeasure,bounds,verify} "
+            "[--flag value ...]\n")
 
     def test_unknown_subcommand_exits_two(self):
-        with pytest.raises(SystemExit) as info:
-            main(["orbit"])
-        assert info.value.code == 2
+        assert main(["orbit"]) == 2
 
 
 def test_import_loads_no_dataclass_machinery():
     # Every subcommand pays this import in a fresh interpreter, and
     # dataclasses, with the inspect module it imports, cost more than
-    # petallab itself.  The child compares its own sys.modules before and
-    # after, so a module that a site hook loaded first does not count.
+    # petallab itself; argparse, with the gettext and locale it loads, a
+    # few milliseconds more.  The child compares its own sys.modules before
+    # and after, so a module that a site hook loaded first does not count.
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import petallab.lab\n"
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+            "             & (set(sys.modules) - before)))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
