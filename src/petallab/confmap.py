@@ -8,19 +8,19 @@ it, ``cut_distances``; a cut-free step has ``cut_distances = None``.
 Chains are built so cuts stay outside the source region, and evaluation
 refuses points within ``EPS_CUT`` of a cut instead of guessing a branch.
 
-Each step states its map once, as list kernels that make no call per
-point into another step method: ``apply_all``, ``value_and_derivative_all``,
-which evaluates what each image and derivative share once, and
-``cut_distances``.  A kernel maps each point on its own, in list order,
-so it raises the error that its first failing point raises alone.  The
-one-point ``cut_distance`` runs its kernel on a list of one.
+Each step states its map once, as the list kernel ``apply_all``, beside
+a derivative rule, ``derivatives(zs, ws)``, read from the points zs and
+the images ws that ``apply_all`` gave them, and, on a step with a branch
+cut, ``cut_distances``.  A kernel maps each point on its own, in list
+order, so it raises the error that its first failing point raises alone.
+The one-point ``cut_distance`` runs its kernel on a list of one.
 
 A chain walks its steps directly: forward in order, and inverse through
 the steps' inverses in reverse order, each inverse step paired with the
-step it inverts.  There is one value walk, ``_walk_all`` with each step's
-``apply_all``, and one derivative walk, ``_walk_all_with_derivative`` with
-``value_and_derivative_all``; each runs one step over a whole list of
-points before the next.
+step it inverts.  There is one walk, ``_walk_all``, which runs one step
+over a whole list of points before the next.  Handed running chain rule
+products it is a derivative walk, which multiplies in each step's
+``derivatives`` as part of that step's evaluation.
 
 Both walks follow one failure rule: they raise ``MapDomainError`` at the
 first check that fails, in walk order.  Per step these are its cut check,
@@ -66,8 +66,6 @@ _HALF_PI = 0.5 * math.pi
 # Quarter turns of the multipliers 1, i, -1, -i, and i^-k for k = 0 ... 3.
 _QUARTERS = {1: 0, 1j: 1, -1: 2, -1j: 3}
 _UNTURN = (1.0, -1j, -1.0, 1j)
-# A list kernel's images and derivatives, one of each per point.
-_Derived = tuple[list[complex], list[complex]]
 
 
 class MapDomainError(DomainError):
@@ -129,9 +127,10 @@ def _no_log_form(step: "MapStep", why: str) -> MapDomainError:
 class MapStep:
     """Base class for elementary invertible conformal map steps.
 
-    A step states its map once, as list kernels: ``apply_all``,
-    ``value_and_derivative_all`` and, on a step with a branch cut,
-    ``cut_distances``.  ``cut_distance`` runs the last on a list of one."""
+    A step states its map once, as the list kernel ``apply_all``, with a
+    derivative rule ``derivatives`` read from its images and, on a step
+    with a branch cut, ``cut_distances``.  ``cut_distance`` runs the last
+    on a list of one."""
 
     __slots__ = ()
 
@@ -143,9 +142,9 @@ class MapStep:
         """The images of the points zs."""
         raise NotImplementedError
 
-    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
-        """``apply_all(zs)`` and the step's derivatives at zs, from one
-        evaluation of what each image and derivative share."""
+    def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
+        """The step's derivatives at the points zs, whose images
+        ``apply_all(zs)`` are ws."""
         raise NotImplementedError
 
     def cut_distance(self, z: complex) -> float:
@@ -180,8 +179,8 @@ class Affine(MapStep):
         a, b = self.a, self.b
         return [a * z + b for z in zs]
 
-    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
-        return self.apply_all(zs), [self.a] * len(zs)
+    def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
+        return [self.a] * len(zs)
 
     def apply_log(self, anchor, L, turns):
         if L is None:
@@ -205,9 +204,8 @@ class ExpStep(MapStep):
     def apply_all(self, zs: Sequence[complex]) -> list[complex]:
         return list(map(cmath.exp, zs))
 
-    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
-        ws = list(map(cmath.exp, zs))
-        return ws, list(ws)
+    def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
+        return ws
 
     def apply_log(self, anchor, L, turns):
         # e^q is held by its log, q itself.
@@ -248,9 +246,9 @@ class LogStep(_RayCutStep):
         cut = self.cut
         return [_branch_log(z, cut) for z in zs]
 
-    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+    def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
         # 1/z fails only at z = 0, where the log has failed first.
-        return self.apply_all(zs), [1.0 / z for z in zs]
+        return [1.0 / z for z in zs]
 
 
 class PowerStep(_RayCutStep):
@@ -280,15 +278,12 @@ class PowerStep(_RayCutStep):
         alpha, cut = self.alpha, self.cut
         return [cmath.exp(alpha * _branch_log(z, cut)) for z in zs]
 
-    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
+    def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
+        # alpha e^((alpha - 1) log z), the log taken again: alpha w / z
+        # would round differently.
         alpha, cut = self.alpha, self.cut
         beta = alpha - 1.0
-        values, derivatives = [], []
-        for z in zs:
-            log_z = _branch_log(z, cut)
-            derivatives.append(alpha * cmath.exp(beta * log_z))
-            values.append(cmath.exp(alpha * log_z))
-        return values, derivatives
+        return [alpha * cmath.exp(beta * _branch_log(z, cut)) for z in zs]
 
     def apply_log(self, anchor, L, turns):
         # q = i^k e^l, with l's Im small where it can be.
@@ -330,10 +325,9 @@ class SlitCloseStep(MapStep):
     def apply_all(self, zs: Sequence[complex]) -> list[complex]:
         return _uhp_sqrts([z * z + 1.0 for z in zs])
 
-    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
-        # Only z / w can fail, so the images come first.
-        ws = self.apply_all(zs)
-        return ws, [z / w for z, w in zip(zs, ws)]
+    def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
+        # z / w fails at the slit tip, where w = 0.
+        return [z / w for z, w in zip(zs, ws)]
 
     def apply_log(self, anchor, L, turns):
         if anchor is not None or L is None or turns % 4 != 1 or abs(L.imag) >= _HALF_PI:
@@ -379,10 +373,7 @@ class SlitOpenStep(MapStep):
     def apply_all(self, zs: Sequence[complex]) -> list[complex]:
         return _uhp_sqrts([z * z - 1.0 for z in zs])
 
-    def value_and_derivative_all(self, zs: Sequence[complex]) -> _Derived:
-        # Only z / w can fail, so the images come first.
-        ws = self.apply_all(zs)
-        return ws, [z / w for z, w in zip(zs, ws)]
+    derivatives = SlitCloseStep.derivatives
 
     def cut_distances(self, zs: Sequence[complex]) -> list[float]:
         # Distances to the segment [-1, 1]: Re z clamped onto [-1, 1].  A NaN
@@ -478,14 +469,17 @@ class ConformalChain:
 
     def derivative(self, w: complex) -> complex:
         """Complex derivative of the composed map (chain rule product)."""
-        return _walk_all_with_derivative(self._forward, self._sources((w,)))[1][0]
+        accs = [1.0 + 0j]
+        _walk_all(self._forward, self._sources((w,)), accs)
+        return accs[0]
 
     def inverse_and_derivative(self, q: complex) -> tuple[complex, complex]:
         """Preimage w of an interior target point q and the derivative
         dw/dq of the inverse map there, from one inverse walk, which also
         checks each preimage against its forward step's cut."""
-        ws, dws = _walk_all_with_derivative(self._inverse, _targets((q,)))
-        return self._preimages((q,), ws)[0], dws[0]
+        accs = [1.0 + 0j]
+        ws = _walk_all(self._inverse, _targets((q,)), accs)
+        return self._preimages((q,), ws)[0], accs[0]
 
     def eval_all(self, ws: Sequence[complex]) -> list[complex]:
         """The values of ``[self.eval(w) for w in ws]`` from one list walk."""
@@ -502,7 +496,9 @@ class ConformalChain:
         """The lists ``[self.eval(w) for w in ws]`` and
         ``[self.derivative(w) for w in ws]``, as one ``(values,
         derivatives)`` pair from one forward list walk."""
-        return _walk_all_with_derivative(self._forward, self._sources(ws))
+        zs = self._sources(ws)
+        accs = [1.0 + 0j] * len(zs)
+        return _walk_all(self._forward, zs, accs), accs
 
     def eval_log(self, anchor: complex, L: Optional[complex] = None, turns: int = 0) -> tuple:
         """The image of the source point anchor + i^turns e^L (L None: the
@@ -524,44 +520,27 @@ class ConformalChain:
         return anchor, L, turns % 4 == 2
 
 
-def _walk_all(walk: _Walk, zs: list[complex]) -> list[complex]:
+def _walk_all(walk: _Walk, zs: list[complex],
+              accs: Optional[list[complex]] = None) -> list[complex]:
     """Images of the points zs under the steps of a walk, one step over the
-    whole list at a time: its cut check, its ``apply_all``, the finiteness of
-    its images and, on an inverse walk, the forward step's cut check of
-    them, each over every point before the next."""
+    whole list at a time: its cut check, its ``apply_all`` (and, given the
+    running chain rule products accs, its ``derivatives``, multiplied into
+    accs in place), the finiteness of its images and, on an inverse walk,
+    the forward step's cut check of them, each over every point before the
+    next.  Each product must end nonzero and finite."""
     for i, step, forward in walk:
         _check_cuts(step, zs, i)
         try:
-            zs = step.apply_all(zs)
+            ws = step.apply_all(zs)
+            if accs is not None:
+                accs[:] = map(mul, accs, step.derivatives(zs, ws))
         except (OverflowError, ZeroDivisionError) as exc:
             raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
-        if not all(map(cmath.isfinite, zs)):
+        if not all(map(cmath.isfinite, ws)):
             raise MapDomainError("evaluation left float range", step_index=i)
         if forward is not None:
-            _check_cuts(forward, zs, i)
-    return zs
-
-
-def _walk_all_with_derivative(
-    walk: _Walk, zs: list[complex]
-) -> tuple[Sequence[complex], list[complex]]:
-    """``_walk_all`` with each step's ``value_and_derivative_all``: the images
-    of zs and their chain rule products, each of which must be nonzero and
-    finite."""
-    if not zs:
-        return zs, []
-    accs = [1.0 + 0j] * len(zs)
-    for i, step, forward in walk:
-        _check_cuts(step, zs, i)
-        try:
-            zs, ds = step.value_and_derivative_all(zs)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise MapDomainError(f"evaluation failed: {exc}", step_index=i) from exc
-        if not all(map(cmath.isfinite, zs)):
-            raise MapDomainError("evaluation left float range", step_index=i)
-        if forward is not None:
-            _check_cuts(forward, zs, i)
-        accs = list(map(mul, accs, ds))
-    if not (all(accs) and all(map(cmath.isfinite, accs))):
+            _check_cuts(forward, ws, i)
+        zs = ws
+    if accs is not None and not (all(accs) and all(map(cmath.isfinite, accs))):
         raise MapDomainError("derivative vanished or left float range")
-    return zs, accs
+    return zs

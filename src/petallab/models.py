@@ -97,7 +97,9 @@ class SlitPlaneImage:
     value gives (no spiral sector of the general elliptic theory is needed)."""
 
     def contains(self, w: complex) -> bool:
-        return w != 0 and abs(cmath.phase(w)) < math.pi
+        # Off the closed negative axis, read from the signs: arg w rounds
+        # onto +-pi within about 1e-16 of the slit.  A NaN fails all three.
+        return w.real > 0.0 or w.imag > 0.0 or w.imag < 0.0
 
     def uhp_point(self, w: complex) -> UhpLogPoint:
         """i sqrt(w), the square root that opens the slit plane.  Left of the

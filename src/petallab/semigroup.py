@@ -179,10 +179,11 @@ class RepellingReport(NamedTuple):
     plateau: int
 
 
-def _least(values: Sequence[float]) -> float:
-    """The least of values, or NaN where one is NaN: min would skip it, and
-    a NaN anywhere must fail the criteria."""
-    return math.nan if any(map(math.isnan, values)) else min(values)
+def extreme_or_nan(pick, values: Sequence[float]) -> float:
+    """``pick`` (``min`` or ``max``) of values, or NaN where one is NaN:
+    ``min`` and ``max`` would skip it, and a NaN anywhere must fail the
+    criteria."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
 
 
 def repelling_diagnostics(
@@ -243,7 +244,7 @@ def repelling_diagnostics(
         estimate = complex(math.nan, math.nan)
     return RepellingReport(
         sigma_disk=sigma,
-        min_julia_residual=_least(julias),
+        min_julia_residual=extreme_or_nan(min, julias),
         radial_points=tuple(radial),
         ratios=tuple(ratios),
         ratio_estimate=estimate,

@@ -23,7 +23,7 @@ from .bounds import BoundaryProfile, bound_ratio_series, gaussian_profile, logre
 from .hmeasure import ROUNDING_FLOOR, ApproachReport, Arc, approach_angle
 from .hypcore import DomainError, disk_distance, disk_of_uhp, uhp_distance, uhp_log_framed
 from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
-from .semigroup import flow, regularity_gap, repelling_diagnostics, require_petal
+from .semigroup import extreme_or_nan, flow, regularity_gap, repelling_diagnostics, require_petal
 from .speeds import (
     SpeedSeries,
     backward_grid,
@@ -249,13 +249,8 @@ class CheckResult(NamedTuple):
 # One measurement of a criterion: its text in the detail, and whether it
 # passed.  A part compares each value with its bound: a pass rule read off a
 # max or min would let a NaN through, since Python's max and min skip it.
+# Its text prints the extreme by ``semigroup.extreme_or_nan``, NaN where one is.
 Part = Tuple[str, bool]
-
-
-def _worst(pick, values: Sequence[float]) -> float:
-    """``pick`` (``min`` or ``max``) of values as a detail prints it: NaN
-    when any value is NaN, which ``min`` and ``max`` would skip."""
-    return math.nan if any(v != v for v in values) else pick(values)
 
 
 def _result(name: str, parts: Sequence[Part]) -> CheckResult:
@@ -279,7 +274,7 @@ def _hyperbolic_bases() -> List[Tuple[KoenigsModel, Petal, complex, float]]:
 
 def _at_most(label: str, values: Sequence[float], bound: float, spec: str = ".1e") -> Part:
     """``<label> <max> <= <bound>``, passing when every value is at most ``bound``."""
-    return (f"{label} {format(_worst(max, values), spec)} <= {_bound(bound)}",
+    return (f"{label} {format(extreme_or_nan(max, values), spec)} <= {_bound(bound)}",
             all(v <= bound for v in values))
 
 
@@ -387,12 +382,13 @@ def _check_pythagorean_sandwich() -> List[Part]:
         top = s.v_o + s.v_T
         far.append((abs(s.v - (top - _HALF_LOG2)), 1e-9 + 4.0 * math.ulp(top)))
     return [
-        (f"{len(bases)} bases; min slack above v_o+v_T-log(2)/2: {_worst(min, low_slacks):.2e}",
+        (f"{len(bases)} bases; min slack above v_o+v_T-log(2)/2: "
+         f"{extreme_or_nan(min, low_slacks):.2e}",
          all(slack >= -1e-9 for slack in low_slacks)),
-        (f"min slack below v_o+v_T: {_worst(min, high_slacks):.2e}",
+        (f"min slack below v_o+v_T: {extreme_or_nan(min, high_slacks):.2e}",
          all(slack >= -1e-9 for slack in high_slacks)),
         (f"{m2.name} |slack above| at -2^40..-2^1023: "
-         f"{_worst(max, [a for a, _ in far]):.2e} <= 1e-9 + 4 ulp(v_o+v_T)",
+         f"{extreme_or_nan(max, [a for a, _ in far]):.2e} <= 1e-9 + 4 ulp(v_o+v_T)",
          all(a <= b for a, b in far)),
     ]
 
@@ -409,7 +405,7 @@ def _check_base_independence(rng: random.Random) -> List[Part]:
             for a, b in zip(sz.samples, sw.samples):
                 for da in (a.v - b.v, a.v_o - b.v_o, a.v_T - b.v_T):
                     excesses.append(abs(da) - bound)
-    return [(f"20 pairs per petal; worst excess over 2*d(z,w): {_worst(max, excesses):.2e}",
+    return [(f"20 pairs per petal; worst excess over 2*d(z,w): {extreme_or_nan(max, excesses):.2e}",
              all(excess <= 0.0 for excess in excesses))]
 
 
@@ -441,7 +437,7 @@ def _check_repelling_diagnostics(rng: random.Random) -> List[Part]:
             gaps = [abs(ratio - z / (1.0 + z))
                     for z, ratio in zip(rep.radial_points, rep.ratios)]
             good = good and all(gap <= 1e-9 for gap in gaps)
-            extra = f", closed-form gap {_worst(max, gaps):.1e}"
+            extra = f", closed-form gap {extreme_or_nan(max, gaps):.1e}"
         parts.append((
             f"{model.name}/{petal.label}: julia {rep.min_julia_residual:.1e}, "
             f"rate err {est_err:.1e}{extra}, radial stop {rep.radial_stop}, plateau {rep.plateau}",

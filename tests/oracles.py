@@ -25,7 +25,8 @@ Only the tests use these, so they live here rather than in the package:
   bit for bit, overflow included;
 - each package step's map as a formula for one point (``reference_apply``,
   ``reference_value_and_derivative``, ``reference_cut_distance``), which
-  the steps' list kernels must match bit for bit, errors included;
+  the steps' list kernels and derivative rules, run in a walk's order by
+  ``value_and_derivative_all``, must match bit for bit, errors included;
 - geodesics and closest-point projection in the three canonical domains,
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
@@ -100,7 +101,7 @@ from petallab.hypcore import (
     uhp_log_disk_gap,
 )
 from petallab.hmeasure import Arc
-from petallab.models import KoenigsModel
+from petallab.models import HalfPlaneImage, KoenigsModel, Petal, StripImage
 from petallab.semigroup import MIN_DISK_GAP, OrbitPoint, PetalRequiredError
 from petallab.speeds import EstimationError
 
@@ -214,16 +215,10 @@ class MobiusStep(MapStep):
             values.append(w)
         return values
 
-    def value_and_derivative_all(self, zs):
+    def derivatives(self, zs, ws):
         m = self.m
-        values, derivatives = [], []
-        for z in zs:
-            den = m.c * z + m.d
-            if den == 0:
-                raise ZeroDivisionError("Mobius pole")
-            values.append((m.a * z + m.b) / den)
-            derivatives.append(m.det / (den * den))
-        return values, derivatives
+        dens = [m.c * z + m.d for z in zs]
+        return [m.det / (den * den) for den in dens]
 
     def inverted(self) -> "MobiusStep":
         return MobiusStep(self.m.inverse())
@@ -335,6 +330,13 @@ def apply_one(step: MapStep, z: complex) -> complex:
     return step.apply_all((z,))[0]
 
 
+def value_and_derivative_all(step: MapStep, zs) -> tuple[list[complex], list[complex]]:
+    """The images of zs under step and the step's derivatives there, in the
+    order a chain's walk takes them: ``apply_all``, then ``derivatives``."""
+    ws = step.apply_all(zs)
+    return ws, step.derivatives(zs, ws)
+
+
 def reference_apply(step: MapStep, z: complex) -> complex:
     """The image of z under step, by the formula above for a package step
     and by the step's own list kernel for a test-only one."""
@@ -346,7 +348,7 @@ def reference_value_and_derivative(step: MapStep, z: complex) -> tuple[complex, 
     """The image of z under step and the step's derivative there."""
     formulas = _FORMULAS.get(type(step))
     if formulas is None:
-        values, derivatives = step.value_and_derivative_all((z,))
+        values, derivatives = value_and_derivative_all(step, (z,))
         return values[0], derivatives[0]
     return formulas[1](step, z)
 
@@ -883,6 +885,15 @@ def _mp_branch_log(z, cut):
     return mpmath.mpc(mpmath.log(abs(z)), a)
 
 
+def _mp_quarters(x: float):
+    """The exact multiple of pi/2 that the float x stands for: the float pi
+    lies 1.2e-16 below pi, which would move a point next to a cut or a wall
+    at x to its other side."""
+    quarters = round(x / _HALF_PI)
+    assert quarters * _HALF_PI == x, x
+    return quarters * mpmath.pi / 2
+
+
 def _mp_step(step: MapStep, anchor, delta):
     """One catalog chain step in mpmath on the point anchor + delta, with
     its image in the same form.  Only ``SlitCloseStep`` returns a nonzero
@@ -895,7 +906,7 @@ def _mp_step(step: MapStep, anchor, delta):
         return 0, mpmath.exp(z)
     if isinstance(step, PowerStep):
         alpha = mpmath.mpf(step.p) / step.q
-        return 0, mpmath.exp(alpha * _mp_branch_log(z, mpmath.mpf(step.cut)))
+        return 0, mpmath.exp(alpha * _mp_branch_log(z, _mp_quarters(step.cut)))
     if isinstance(step, SlitCloseStep):
         r = mpmath.sqrt(1 + z * z)
         s = -1 if r.imag < 0 else 1
@@ -913,6 +924,28 @@ def mp_eval(chain: ConformalChain, w):
     for step in chain.steps:
         anchor, delta = _mp_step(step, anchor, delta)
     return anchor, delta
+
+
+def mp_chart(image, w):
+    """The chart of a petal image onto the upper half-plane in mpmath, at
+    the current precision: a strip's exp(pi (w - i lo) / width), its walls
+    at exact multiples of pi/2, not at the floats; the half-plane itself;
+    and the slit plane's i sqrt(w)."""
+    w = mpmath.mpc(complex(w))
+    if isinstance(image, StripImage):
+        lo, hi = _mp_quarters(image.lo), _mp_quarters(image.hi)
+        return mpmath.exp(mpmath.pi * (w - 1j * lo) / (hi - lo))
+    if isinstance(image, HalfPlaneImage):
+        return w
+    return 1j * mpmath.sqrt(w)
+
+
+def mp_petal_distance(petal: Petal, w1: complex, w2: complex):
+    """The petal's hyperbolic distance from w1 to w2, asinh(|p - q| /
+    (2 sqrt(Im p Im q))) of their ``mp_chart`` points, at 400 digits."""
+    with mpmath.workdps(400):
+        p, q = mp_chart(petal.image, w1), mp_chart(petal.image, w2)
+        return mpmath.asinh(abs(p - q) / (2 * mpmath.sqrt(p.imag * q.imag)))
 
 
 def mp_canonical(model: KoenigsModel, w0: complex, t: float):

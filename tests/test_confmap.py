@@ -17,6 +17,7 @@ from oracles import (
     Mobius,
     MobiusStep,
     apply_one,
+    mp_eval,
     push_boundary_point,
     ray_distance,
     rotated_ray_distance,
@@ -30,6 +31,7 @@ from oracles import (
     reference_eval_inverse,
     reference_generator,
     reference_value_and_derivative,
+    value_and_derivative_all,
 )
 from petallab.confmap import (
     Affine,
@@ -42,7 +44,7 @@ from petallab.confmap import (
     SlitCloseStep,
     SlitOpenStep,
     _branch_log,
-    _walk_all_with_derivative,
+    _walk_all,
 )
 from petallab.hypcore import DomainError, disk_of_uhp
 from petallab.models import (
@@ -126,7 +128,7 @@ class TestSteps:
     ])
     def test_step_derivative_matches_finite_difference(self, step, z):
         # A step's one derivative: its value is apply_all's, bit for bit.
-        (value,), (d,) = step.value_and_derivative_all((z,))
+        (value,), (d,) = value_and_derivative_all(step, (z,))
         assert value == apply_one(step, z)
         h = 1e-6
         fd = (apply_one(step, z + h) - apply_one(step, z - h)) / (2 * h)
@@ -254,7 +256,7 @@ class TestSteps:
             step = Affine(a, complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
             for _ in range(200):
                 z = _polar(rng, (-300.0, 300.0), (-math.pi, math.pi))
-                assert step.value_and_derivative_all((z,)) == ([apply_one(step, z)], [step.a])
+                assert value_and_derivative_all(step, (z,)) == ([apply_one(step, z)], [step.a])
 
 
 class TestChainEval:
@@ -602,6 +604,26 @@ class TestWalkPlansMatchReference:
         assert values >= 0.6 * len(outcomes)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_forward_derivative_matches_mpmath(self, name):
+        # Each forward step's derivative rule, through the chain rule: the
+        # derivative at each seeded source that the chain takes, against
+        # mpmath.diff of the chain's steps walked in mpmath at 50 digits.
+        chain = by_name(name).chain
+        sources, _, _ = _seeded_points(name, 300)
+        worst, read = 0.0, 0
+        for w in sources:
+            try:
+                got = chain.derivative(w)
+            except MapDomainError:
+                continue
+            with mpmath.workdps(50):
+                want = complex(mpmath.diff(lambda x: sum(mp_eval(chain, x)), mpmath.mpc(w)))
+            worst = max(worst, abs(got - want) / abs(want))
+            read += 1
+        assert read >= 200, read
+        assert worst <= 1e-13, f"{name}: relative error {worst:.2e}"
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_near_each_cut(self, name):
         chain = by_name(name).chain
         rng = random.Random(314159)
@@ -632,8 +654,8 @@ class TestWalkPlansMatchReference:
             assert len(stepped) >= 100, (kind, outcomes[:5])
 
     @pytest.mark.parametrize("steps,w,message", [
-        # The derivative half of value_and_derivative_all fails; the error
-        # names the step's evaluation, whichever half failed.
+        # The derivative rule fails; the error names the step's
+        # evaluation, whether its map or its derivative rule failed.
         ((ExpStep(),), 800.0 + 0.5j, "step 0: evaluation failed: math range error"),
         ((PowerStep(3, 1),), 1e200 + 1e200j, "step 0: evaluation failed: math range error"),
         ((MobiusStep(Mobius(1.0, 0j, 1.0, -2.0)),), 2.0 + 0j,
@@ -803,7 +825,7 @@ class TestListWalk:
             assert got == ("error", MapDomainError, None, "derivative vanished or left float range")
             assert _bitwise(got) == _bitwise(_outcome(lambda ws: [call(w) for w in ws], ws))
         with pytest.raises(MapDomainError, match="^derivative vanished or left float range$"):
-            _walk_all_with_derivative(chain._forward, [1e200j, 2e200j])
+            _walk_all(chain._forward, [1e200j, 2e200j], [1 + 0j] * 2)
         assert _outcome(chain.eval_all, [1e200j, 2e200j]) == ("value", [1e-200j, 2e-200j])
 
     def test_generator_left_float_range(self):
@@ -919,7 +941,7 @@ class TestStepKernels:
             got = _listed(step.apply_all, xs)
             assert got == _pointwise(partial(reference_apply, step), xs), (sid, xs[:4])
             outcomes.append(got)
-            got = _listed(lambda xs: list(zip(*step.value_and_derivative_all(xs))), xs)
+            got = _listed(lambda xs: list(zip(*value_and_derivative_all(step, xs))), xs)
             want = _pointwise(partial(reference_value_and_derivative, step), xs)
             assert got == want, (sid, xs[:4])
             if step.cut_distances is None:

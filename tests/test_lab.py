@@ -70,18 +70,24 @@ class TestSpeedsCommand:
         committed = Path(__file__).resolve().parent / "data" / name
         assert (tmp_path / name).read_bytes() == committed.read_bytes()
 
-    def test_near_axis_parabolic_run_matches_the_committed_file(self, tmp_path):
+    @pytest.mark.parametrize("model,base_re,base_im,kmax,committed", [
         # A base whose image's height lies far below ulp of its real part,
         # where eta is vertical: v_o is read from the base's log height
         # (ROADMAP item 16; 19.542625377235272 at t = -1, as mpmath gives).
-        # The file name is the kmax-60 run's, so tests/data keeps it under
-        # its own.
-        assert main(["speeds", "--model", "sector-parabolic", "--petal", "0",
-                     "--base-re", "-2.5", "--base-im", "1e-17", "--kmax", "2",
-                     "--out", str(tmp_path)]) == 0
-        committed = (Path(__file__).resolve().parent / "data"
-                     / "speeds_sector-parabolic_p0_near_axis.csv")
-        assert (tmp_path / "speeds_sector-parabolic_p0.csv").read_bytes() == committed.read_bytes()
+        ("sector-parabolic", "-2.5", "1e-17", "2", "speeds_sector-parabolic_p0_near_axis.csv"),
+        # A base 1e-20 above koebe-elliptic's slit, where arg w0 rounds onto
+        # pi: the slit plane holds it, and its samples match mpmath to
+        # 2.2e-16 out to t = -2^60.
+        ("koebe-elliptic", "-2", "1e-20", "60", "speeds_koebe-elliptic_p0_near_slit.csv"),
+    ], ids=["sector-parabolic", "koebe-elliptic"])
+    def test_near_axis_run_matches_the_committed_file(self, tmp_path, model, base_re, base_im,
+                                                      kmax, committed):
+        # The file name is the default base's run's, so tests/data keeps
+        # each under its own.
+        assert main(["speeds", "--model", model, "--petal", "0", "--base-re", base_re,
+                     "--base-im", base_im, "--kmax", kmax, "--out", str(tmp_path)]) == 0
+        committed = Path(__file__).resolve().parent / "data" / committed
+        assert (tmp_path / f"speeds_{model}_p0.csv").read_bytes() == committed.read_bytes()
 
     @pytest.mark.parametrize("model,petal", [("strip-slit", "1"), ("koebe-elliptic", "0")])
     def test_other_petal_runs_match_the_committed_files(self, tmp_path, model, petal):

@@ -13,6 +13,7 @@ from oracles import (
     ApproachRay,
     boundary_distance,
     mp_eval,
+    mp_petal_distance,
     omega_of_disk,
     push_boundary_point,
     strip_distance,
@@ -266,9 +267,11 @@ class TestPetalImages:
             assert slit.contains(w)
         for w in (0j, -0.0 + 0j, -1e-300 + 0j, complex(-1.0, -0.0), -1e300 + 0j):
             assert not slit.contains(w)
-        # A point whose argument rounds onto +-pi is outside too: the chart
-        # would put it on the half-plane's edge.
-        assert not slit.contains(-1 + 1e-300j) and not slit.contains(-1 - 1e-300j)
+        # A point whose argument rounds onto +-pi is inside: the chart holds
+        # it by the log of -w, Im L = -+5e-301, off the half-plane's edge.
+        assert slit.contains(-1 + 1e-300j) and slit.contains(-1 - 1e-300j)
+        for w in (-1 + 1e-300j, -1 - 1e-300j):
+            assert slit.uhp_point(w).value().imag == 5e-301
 
     @pytest.mark.parametrize("model,petal", _model_petals(),
                              ids=lambda v: getattr(v, "name", None) or getattr(v, "label", ""))
@@ -307,7 +310,7 @@ class TestPetalImages:
     def test_distance_next_to_each_wall(self, name, label):
         # Each chart takes its log from the nearer wall, so that a point
         # 10^-k from either wall keeps its gap.  Against the chart in mpmath
-        # at 400 digits, of the strips {0 < Im w < pi/2} and
+        # at 400 digits (``oracles.mp_petal_distance``), of the strips {0 < Im w < pi/2} and
         # {-pi/2 < Im w < 0} with their walls at +-pi/2 itself, not at the
         # float +-HALF_PI, and the half-plane distance
         # asinh(|p - q| / (2 sqrt(Im p Im q))), read from the float points
@@ -318,12 +321,8 @@ class TestPetalImages:
         image = petal.image
         if isinstance(image, StripImage):
             walls = [(0.5, image.lo, 1.0), (0.5, image.hi, -1.0)]
-
-            def chart(w):
-                return mpmath.exp(2 * mpmath.mpc(w) + (1j * mpmath.pi if image.lo else 0))
         else:
             walls = [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
-            chart = mpmath.mpc
         gaps = [10.0 ** -k for k in [*range(1, 16), 20, 50, 100, 200, 300]]
         rows = 0
         for gap in gaps:
@@ -335,9 +334,7 @@ class TestPetalImages:
                 for partner in (petal.base_default, other):
                     if not petal.contains(partner):
                         continue
-                    with mpmath.workdps(400):
-                        p, q = chart(w), chart(partner)
-                        want = float(mpmath.asinh(abs(p - q) / (2 * mpmath.sqrt(p.imag * q.imag))))
+                    want = float(mp_petal_distance(petal, w, partner))
                     got = petal.distance(w, partner)
                     assert abs(got - want) <= 1e-12 * want, (w, partner, got, want)
                     rows += 1

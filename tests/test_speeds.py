@@ -19,6 +19,7 @@ from oracles import (
     disk_distance_from_gaps,
     geodesic_through,
     mp_orbit_reading,
+    mp_petal_distance,
     project_to_geodesic,
 )
 from petallab.hypcore import (
@@ -621,6 +622,13 @@ _ORACLE_CASES = [
                  id="koebe-elliptic-above-slit"),
     pytest.param("koebe-elliptic", "main", 2.0 * cmath.exp(-1j * (math.pi - 1e-12)), _ORACLE_KS,
                  id="koebe-elliptic-below-slit"),
+    # Within 1e-16 of the slit, where arg w0 rounds onto +-pi.
+    pytest.param("koebe-elliptic", "main", -2.0 + 1e-20j, _ORACLE_KS,
+                 id="koebe-elliptic-on-slit-above"),
+    pytest.param("koebe-elliptic", "main", -2.0 - 1e-20j, _ORACLE_KS,
+                 id="koebe-elliptic-on-slit-below"),
+    pytest.param("koebe-elliptic", "main", -3.33036682224567 + 4.155893531238109e-207j,
+                 _ORACLE_KS, id="koebe-elliptic-far-on-slit"),
     # Next to strip-slit's edges, Im w lies next to +-pi/2 and is doubled.
     pytest.param("strip-slit", "lower", complex(1.0, -(0.5 * math.pi - 1e-10)), _ORACLE_KS,
                  id="strip-slit-lower-near-edge"),
@@ -720,13 +728,14 @@ def _whole_petal_draws():
 
 
 def _whole_petal_problem(model, petal, base, t):
-    """(region, problem) of one draw.  The region is "item 17" for a base
+    """(region, problem) of one draw.  The region is "refused" for a
+    ``DomainError`` that is no ``PrecisionError``, "item 17" for a base
     image within ``_NEAR_SIGMA`` of a finite sigma, "item 11" where the
     orbit's angle gap lies below the normal float range, and "general"
     otherwise; a draw whose mpmath q lies on the real axis, where 330
     digits hold neither its gap nor its offset from sigma, is in one of
-    the two.  The problem is None for an exact reading, or for a
-    ``DomainError`` that is no ``PrecisionError`` outside item 11."""
+    the two.  The problem is None for an exact reading, for a refusal, or
+    for a ``PrecisionError`` in item 11."""
     sigma = petal.sigma_canonical
     try:
         s = speed_sample(model, petal, base, t)
@@ -735,7 +744,7 @@ def _whole_petal_problem(model, petal, base, t):
     except PrecisionError as exc:
         problem = f"PrecisionError: {exc}"
     except DomainError:
-        return "general", None
+        return "refused", None
     q0 = model.uhp_orbit(base, 0.0).value() if sigma is not None else None
     near_sigma = q0 is not None and abs(q0 - sigma) < _NEAR_SIGMA
     try:
@@ -757,16 +766,33 @@ def _whole_petal_problem(model, petal, base, t):
     return region, None
 
 
+def _distance_problem(petal, base):
+    """None where the petal's distance from base to its default base
+    matches ``oracles.mp_petal_distance`` to ``_ORACLE_TOL`` relative, and
+    otherwise the problem, a refusal included."""
+    want = float(mp_petal_distance(petal, base, petal.base_default))
+    try:
+        got = petal.distance(base, petal.base_default)
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if not abs(got - want) <= _ORACLE_TOL * want:
+        return f"distance {got!r}, mpmath {want!r}"
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _whole_petal_sweep():
-    """Each region's draws, and the problems among them."""
+    """Each region's draws, each model's draws read and refused (keyed
+    ("read", name) and ("refused", name)), and the problems among them,
+    those of ``Petal.distance`` under "distance"."""
     counts, problems = Counter(), {}
-    for draw in _whole_petal_draws():
-        region, problem = _whole_petal_problem(*draw)
+    for model, petal, base, t in _whole_petal_draws():
+        region, problem = _whole_petal_problem(model, petal, base, t)
         counts[region] += 1
-        if problem is not None:
-            problems.setdefault(region, []).append((draw[0].name, draw[1].label, draw[2],
-                                                    draw[3], problem))
+        counts["refused" if region == "refused" else "read", model.name] += 1
+        for key, found in ((region, problem), ("distance", _distance_problem(petal, base))):
+            if found is not None:
+                problems.setdefault(key, []).append((model.name, petal.label, base, t, found))
     return counts, problems
 
 
@@ -779,6 +805,17 @@ class TestExactOrRefusedOverWholePetals:
         counts, problems = _whole_petal_sweep()
         assert counts["general"] >= _WHOLE_PETAL_DRAWS // 2, counts
         assert problems.get("general", []) == []
+        # The slit plane holds its bases next to the slit, where arg w0
+        # rounds onto +-pi: every koebe-elliptic draw is read.
+        assert counts["read", "koebe-elliptic"] > 0, counts
+        assert counts["refused", "koebe-elliptic"] == 0, counts
+
+    def test_distance_to_the_default_base_is_exact(self):
+        # Petal.distance from each draw's base to its petal's default base,
+        # against the petal's chart in mpmath at 400 digits: every draw is
+        # read, and exact.
+        _, problems = _whole_petal_sweep()
+        assert problems.get("distance", []) == []
 
     @pytest.mark.parametrize("region", [
         pytest.param("item 11", marks=pytest.mark.xfail(strict=True, reason=(
