@@ -279,11 +279,11 @@ class PowerStep(_RayCutStep):
         return [cmath.exp(alpha * _branch_log(z, cut)) for z in zs]
 
     def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
-        # alpha e^((alpha - 1) log z), the log taken again: alpha w / z
-        # would round differently.
-        alpha, cut = self.alpha, self.cut
-        beta = alpha - 1.0
-        return [alpha * cmath.exp(beta * _branch_log(z, cut)) for z in zs]
+        alpha = self.alpha
+        # alpha w / z, with |z| divided out of w and of z apart: the
+        # quotient w / z sums w's parts, which overflows where |w| nears
+        # the float limit although w and the derivative are finite.
+        return [alpha * (w / r) * (z.conjugate() / r) for z, w, r in zip(zs, ws, map(abs, zs))]
 
     def apply_log(self, anchor, L, turns):
         # q = i^k e^l, with l's Im small where it can be.

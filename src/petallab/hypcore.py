@@ -16,7 +16,9 @@ the half-plane additionally gets an anchored logarithmic representation
 offset next to the negative axis by its small angle; distances between
 such points never materialize ``q`` itself.  Their framed logs are read
 modulo ``i pi``: a shift x with Re x < 0 has the log of -x taken, so that
-no angle is formed next to pi.  Where a quarter or half turn must enter
+no angle is formed next to pi.  ``uhp_log_inverted`` sends a finite
+boundary point sigma to infinity, -1/(q - sigma), in the same form, exact
+for a point anchored at sigma.  Where a quarter or half turn must enter
 an angle, pi/2 and pi are held in two parts (``HALF_PI_LO``, ``PI_LO``),
 so that the angle's gap to 0 keeps its bits.
 
@@ -223,33 +225,30 @@ def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
     return d if d > 0.0 else 0.0
 
 
-def uhp_log_framed(p: UhpLogPoint, c: complex, other: float | None = None) -> complex:
-    """log N(q) modulo i pi for q = anchor +- e^L at the scale of L, both
-    shifts from one e^(L - scale): N(q) = q - c, or (q - c)/(q - other),
-    which carries the geodesic from c to ``other`` onto the imaginary axis.
-    Each shift x's log is taken of x, or of -x when Re x < 0, so that its
-    Im lies in [-pi/2, pi/2] and an angle next to pi is read by its gap; a
-    point on its anchor c reads L itself.  Callers read Im modulo pi."""
+def uhp_log_framed(p: UhpLogPoint, c: complex) -> complex:
+    """log(q - c) modulo i pi for q = anchor +- e^L, at the scale of L.  The
+    shift x = q - c has its log taken of x, or of -x when Re x < 0, so that
+    its Im lies in [-pi/2, pi/2] and an angle next to pi is read by its
+    gap; a point on its anchor c reads L itself.  Callers read Im modulo
+    pi."""
     L = p.L
     anchor = 0.0 if p.anchor is None else p.anchor
-    scale = L.real if L.real > 0.0 else 0.0
-    shrink = math.exp(-scale)
-    e = cmath.exp(L - scale)
-    if p.neg:
-        e = -e
     a = anchor - c
     if a == 0.0:
-        val = L
-    else:
-        x = a * shrink + e
-        val = scale + cmath.log(-x if x.real < 0.0 else x)
-    if other is None:
-        return val
-    a = anchor - other
-    if a == 0.0:
-        return val - L
-    x = a * shrink + e
-    return val - (scale + cmath.log(-x if x.real < 0.0 else x))
+        return L
+    scale = L.real if L.real > 0.0 else 0.0
+    e = cmath.exp(L - scale)
+    x = a * math.exp(-scale) + (-e if p.neg else e)
+    return scale + cmath.log(-x if x.real < 0.0 else x)
+
+
+def uhp_log_inverted(p: UhpLogPoint, sigma: float) -> UhpLogPoint:
+    """The point -1/(q - sigma), which sends the boundary point sigma to
+    infinity, in log form: q - sigma is e^l, or -e^l where Im l < 0, for l
+    the framed log, so the image is -+e^(-l).  A point anchored at sigma
+    reads its own L, with no float that could lose q - sigma."""
+    l = uhp_log_framed(p, sigma)
+    return UhpLogPoint(None, -l, l.imag > 0.0)
 
 
 def uhp_log_disk_gap(p: UhpLogPoint) -> float:

@@ -7,14 +7,18 @@ chain in log space.  The total speed is the distance from the base
 point to the orbit point; the orthogonal and tangential parts split
 that motion along and across the geodesic eta that the orbit
 chases.  Normalizing eta onto the imaginary axis turns both parts into
-closed forms of the log coordinates, read once per sample through
-hypcore's ``uhp_log_framed`` and ``uhp_log_distance``, so they stay exact
-long after the orbit points themselves left float range, out to
-|t| = 1e300 in every petal: the log walk holds each orbit angle's gap to
-0 or pi by itself, and the frame reads its angle modulo pi.  The one
-known limit is a gap far below the normal float range (ROADMAP item 11):
-from -3 + 1e-300 i the parabolic orbit's gap is 6.7e-317 at |t| = 1e16,
-where v_T is off by 5.6e-11, and it underflows to 0 from about 1e24 on,
+closed forms of the log coordinates.  On every petal eta is made
+vertical: a finite boundary point sigma goes to infinity under
+q -> -1/(q - sigma) (hypcore's ``uhp_log_inverted``), exact for an orbit
+point anchored at sigma, and a translation carries eta onto the axis.
+Both parts are read once per sample through hypcore's ``uhp_log_framed``
+and ``uhp_log_distance``, so they stay exact long after the orbit points
+themselves left float range, out to |t| = 1e300 in every petal and next
+to a finite sigma: the log walk holds each orbit angle's gap to 0 or pi
+by itself, and the frame reads its angle modulo pi.  The one known limit
+is a gap far below the normal float range (ROADMAP item 11): from
+-3 + 1e-300 i the parabolic orbit's gap is 6.7e-317 at |t| = 1e16, where
+v_T is off by 5.6e-11, and it underflows to 0 from about 1e24 on,
 where ``models.uhp_orbit`` refuses with ``PrecisionError``.
 
 A base point is read once: its petal check, its time-0 walk, its log
@@ -23,11 +27,12 @@ from it) and its eta frame come from ``_base_reading``, a memo of the
 last ``_BASE_READINGS`` bases.  Its key tells 0.0 from -0.0, a refusal is
 never stored, and every output is the one a fresh reading gives, bit for
 bit.  A sample then does only its own work, in ``_sample_at``: one walk
-(``models.KoenigsModel.uhp_orbit``), one framed log, one distance
-(``hypcore.uhp_log_distance``) and its ``SpeedSample``.  The memo key and
-the sample's tuple are built in C, with no Python frame, and every call on
-the sample path passes its arguments directly: a starred call would build
-an argument tuple on every sample.
+(``models.KoenigsModel.uhp_orbit``), one framed log (of the inverted
+point where sigma is finite), one distance (``hypcore.uhp_log_distance``)
+and its ``SpeedSample``.  The memo key and the sample's tuple are built
+in C, with no Python frame, and every call on the sample path passes its
+arguments directly: a starred call would build an argument tuple on every
+sample.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .hypcore import (
     UhpLogPoint,
     uhp_log_distance,
     uhp_log_framed,
+    uhp_log_inverted,
 )
 from .models import KoenigsModel, Petal
 from .semigroup import require_petal
@@ -139,30 +145,19 @@ def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
 def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
     """The chart in which eta, the geodesic through the base image p0 ending
     at the petal's boundary point ``sigma_canonical``, is the imaginary
-    axis, as ``(frame, re0)``: ``uhp_log_framed(p, *frame)`` is log N(q)
-    modulo i pi, N the Moebius normalizer carrying eta onto the axis, and
-    re0 is Re log N of the base itself.
-
-    A half-circle eta's second foot e comes from Thales' theorem: q0 =
-    x0 + i y0 sees the diameter from sigma to e at a right angle, so
-    (x0 - sigma)(x0 - e) + y0^2 = 0 and e = x0 + y0 h with h = y0/(x0 -
-    sigma).  Then |q0 - e| = y0 sqrt(1 + h^2) and re0 = Re log(q0 - sigma)
-    - (log y0 + log1p(h^2)/2), with no difference q0 - e to cancel when
-    q0 lies next to the real axis."""
-    q0 = p0.value()
-    if q0 is None:
-        raise DomainError("speeds._eta_frame: base point has no finite canonical image")
+    axis, as ``(frame, re0)``.  The frame ``(sigma, x0)`` reads log N(q)
+    modulo i pi, for N(q) = n(q) - x0: n is the identity when sigma is
+    None (infinity), and otherwise n(q) = -1/(q - sigma)
+    (``uhp_log_inverted``), which sends sigma to infinity and eta onto the
+    vertical line through n(q0); x0 = Re n(q0) translates that line to
+    Re = 0.  re0 = log Im n(q0), read from the log form: Re n(q0) - x0
+    would be only x0's rounding error once Im n(q0) falls below ulp(x0)."""
     sigma = petal.sigma_canonical
-    x0, y0 = q0.real, q0.imag
-    if sigma is None or x0 == sigma:
-        # eta is the vertical line through q0; translate it to Re = 0.  The
-        # base lies on it, so log|N(q0)| is log Im q0, read from the log
-        # form: Re q0 - x0 would be only x0's rounding error once Im q0
-        # falls below ulp(x0).
-        return (x0, None), p0.log_im()
-    h = y0 / (x0 - sigma)
-    return ((sigma, x0 + y0 * h),
-            uhp_log_framed(p0, sigma).real - (math.log(y0) + 0.5 * math.log1p(h * h)))
+    n0 = p0 if sigma is None else uhp_log_inverted(p0, sigma)
+    value = n0.value()
+    if value is None:
+        raise DomainError("speeds._eta_frame: base point has no finite canonical image")
+    return (sigma, value.real), n0.log_im()
 
 
 @functools.lru_cache(maxsize=_BASE_READINGS)
@@ -193,8 +188,8 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
     if t == 0.0:
         return _new_sample((0.0, 0.0, 0.0, 0.0))
     p_t = model.uhp_orbit(w0, t)
-    c, other = frame
-    ln_t = uhp_log_framed(p_t, c, other)
+    sigma, x0 = frame
+    ln_t = uhp_log_framed(p_t if sigma is None else uhp_log_inverted(p_t, sigma), x0)
     v = uhp_log_distance(p0, p_t)
     # v_T = |log tan(r/2)| / 2, the distance to the axis at angle r mod pi,
     # read by two logs where 2 / sin r could overflow; an r of 0 modulo pi

@@ -281,9 +281,9 @@ def _uhp_sqrt(v: complex) -> complex:
 
 
 def _power_value_and_derivative(step: PowerStep, z: complex) -> tuple[complex, complex]:
-    log_z = _branch_log(z, step.cut)
-    d = step.alpha * cmath.exp((step.alpha - 1.0) * log_z)
-    return cmath.exp(step.alpha * log_z), d
+    w = cmath.exp(step.alpha * _branch_log(z, step.cut))
+    r = abs(z)
+    return w, step.alpha * (w / r) * (z.conjugate() / r)
 
 
 def _exp_value_and_derivative(step: ExpStep, z: complex) -> tuple[complex, complex]:
@@ -969,11 +969,16 @@ def mp_orbit_reading(model: KoenigsModel, petal, w0: complex, t: float):
     nearer side of the real axis, formed at full precision.  The distances
     are half the curvature -1 distances, as ``speeds.speed_sample`` reports
     them: v from the base image p to q; v_o along the geodesic eta from p
-    to sigma, between the feet of p and q; v_T from q to eta.  A Moebius
-    map N sends eta onto the imaginary axis, where the foot of a point u is
-    i|u| and its distance to the axis asinh(|Re u| / Im u)."""
+    to sigma, between the feet of p and q; v_T from q to eta.  A finite
+    sigma is first sent to infinity by n(q) = -1/(q - sigma), formed from
+    each point's (anchor, delta) as -1/((anchor - sigma) + delta), so that
+    no sum next to sigma loses digits; then eta is the vertical line
+    through n(p), and the translation by -Re n(p) carries it onto the
+    imaginary axis, where the foot of a point u is i|u| and its distance to
+    the axis asinh(|Re u| / Im u)."""
     with mpmath.workdps(MP_DPS):
-        p = sum(mp_canonical(model, w0, 0.0))
+        anchor0, delta0 = mp_canonical(model, w0, 0.0)
+        p = anchor0 + delta0
         anchor, delta = mp_canonical(model, w0, t)
         im_q = delta.imag
         v = mpmath.log((abs(anchor - p.conjugate() + delta) + abs(anchor - p + delta))
@@ -985,12 +990,9 @@ def mp_orbit_reading(model: KoenigsModel, petal, w0: complex, t: float):
         else:
             sigma = mpmath.mpf(petal.sigma_canonical)
             arg = mpmath.arg(anchor - sigma + delta)
-            # eta's other foot e: the centre of its half circle is
-            # equidistant from p and sigma.
-            centre = (abs(p) ** 2 - sigma ** 2) / (2 * (p.real - sigma))
-            e = 2 * centre - sigma
-            n_p = (p - sigma) / (p - e)
-            n_q = (anchor - sigma + delta) / (anchor - e + delta)
+            n_p = -1 / ((anchor0 - sigma) + delta0)
+            x0 = n_p.real
+            n_p, n_q = n_p - x0, -1 / ((anchor - sigma) + delta) - x0
         v_o = abs(mpmath.log(abs(n_q)) - mpmath.log(abs(n_p))) / 2
         v_t = mpmath.asinh(abs(n_q.real) / abs(n_q.imag)) / 2
         return mpmath.log(im_q), min(arg, mpmath.pi - arg), (v, v_o, v_t)

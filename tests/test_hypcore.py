@@ -45,6 +45,7 @@ from petallab.hypcore import (
     uhp_log_disk_gap,
     uhp_log_distance,
     uhp_log_framed,
+    uhp_log_inverted,
 )
 
 DISK = CanonicalDomain.DISK
@@ -544,32 +545,65 @@ class TestUhpLogShifted:
             assert abs(got.imag) <= 0.5 * math.pi or (anchor or 0.0) == c, c
 
 
+# Boundary points sigma of the inverted chart: the anchors of _LOG_POINTS,
+# where a point anchored at sigma reads its own L, and two off them.
+_SIGMAS = (1.0, -1.0, 0.5, -2.0)
+
+
+def _mp_inverted(anchor, L, sigma):
+    """-1/(q - sigma) at 50 digits, and the condition number of q - sigma,
+    which cancels next to sigma."""
+    a, e = _mp_offset(anchor, L, sigma)
+    with mpmath.workdps(50):
+        return -1 / (a + e), float((abs(a) + abs(e)) / abs(a + e))
+
+
+class TestUhpLogInverted:
+    """``uhp_log_inverted``: the point -1/(q - sigma) in log form, which
+    sends sigma to infinity."""
+
+    @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
+    def test_against_mpmath(self, anchor, L):
+        for sigma in _SIGMAS:
+            n, cond = _mp_inverted(anchor, L, sigma)
+            got = uhp_log_inverted(UhpLogPoint(anchor, L), sigma)
+            with mpmath.workdps(50):
+                re, im = float(mpmath.log(abs(n))), float(mpmath.arg(n))
+            # -e^L' when neg: its argument is Im L' + pi.
+            arg = got.L.imag + (math.pi if got.neg else 0.0)
+            assert got.anchor is None, sigma
+            assert abs(got.L.real - re) <= 4 * _EPS * (cond + abs(re)), sigma
+            assert _off_mod_pi(arg, im) <= 4 * _EPS * (cond + math.pi), sigma
+
+    def test_point_anchored_at_sigma_reads_its_own_log(self):
+        # q - sigma = +-e^L exactly, so -1/(q - sigma) = -+e^(-L), bit for bit.
+        for anchor, L in _LOG_POINTS:
+            if anchor is None:
+                continue
+            for p in (UhpLogPoint(anchor, L), UhpLogPoint(anchor, L.conjugate(), True)):
+                got = uhp_log_inverted(p, anchor)
+                assert (got.anchor, repr(got.L), got.neg) == (None, repr(-p.L), not p.neg)
+
+
 class TestUhpLogFramed:
-    """The two-foot frame: log of N(q) = (q - c)/(q - other), read modulo
-    i pi."""
+    """The two-foot frame as ``speeds`` reads it: the inverted point framed
+    at x0, log N(q) for N(q) = -1/(q - sigma) - x0, which carries the
+    geodesic from sigma to sigma - 1/x0 onto the imaginary axis, read
+    modulo i pi."""
 
     @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
     def test_two_feet_against_mpmath(self, anchor, L):
-        for c, other in ((1.0, -1.0), (-1.0, 1.0), (0.5, 3.0), (-2.0, 0.25)):
-            a, e = _mp_offset(anchor, L, c)
-            b, _ = _mp_offset(anchor, L, other)
+        for sigma, x0 in ((1.0, -0.5), (-1.0, 0.5), (0.5, 0.4), (-2.0, -1.0 / 2.25)):
+            n, cond = _mp_inverted(anchor, L, sigma)
             with mpmath.workdps(50):
-                exact = mpmath.log((a + e) / (b + e))
-                cond = float((abs(a) + abs(e)) / abs(a + e) + (abs(b) + abs(e)) / abs(b + e))
+                exact = mpmath.log(n - x0)
+                # The inverted point's relative error, carried through the
+                # shift, and the shift's own cancellation next to x0.
+                cond = float((cond * abs(n) + abs(x0) + abs(n)) / abs(n - x0))
             re, im = float(exact.real), float(exact.imag)
-            got = uhp_log_framed(UhpLogPoint(anchor, L), c, other)
-            assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), (c, other)
-            assert _off_mod_pi(got.imag, im) <= 4 * _EPS * (cond + math.pi), (c, other)
-
-    def test_shared_exponential_is_the_two_shifted_logs(self):
-        # Both feet read one e^(L - scale); the difference of two one-foot
-        # reads rounds the same way, bit for bit.
-        for anchor, L in _LOG_POINTS:
-            p = UhpLogPoint(anchor, L)
-            for c, other in ((1.0, -1.0), (0.5, 3.0), (-1.0, 1.0)):
-                want = uhp_log_framed(p, c) - uhp_log_framed(p, other)
-                got = uhp_log_framed(p, c, other)
-                assert repr(got) == repr(want), (anchor, L, c)
+            got = uhp_log_framed(uhp_log_inverted(UhpLogPoint(anchor, L), sigma), x0)
+            assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), (sigma, x0)
+            assert _off_mod_pi(got.imag, im) <= 4 * _EPS * (cond + math.pi), (sigma, x0)
 
 
 class TestUhpLogDiskGap:

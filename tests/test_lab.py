@@ -70,24 +70,31 @@ class TestSpeedsCommand:
         committed = Path(__file__).resolve().parent / "data" / name
         assert (tmp_path / name).read_bytes() == committed.read_bytes()
 
-    @pytest.mark.parametrize("model,base_re,base_im,kmax,committed", [
+    @pytest.mark.parametrize("model,petal,base_re,base_im,kmax,committed", [
         # A base whose image's height lies far below ulp of its real part,
         # where eta is vertical: v_o is read from the base's log height
         # (ROADMAP item 16; 19.542625377235272 at t = -1, as mpmath gives).
-        ("sector-parabolic", "-2.5", "1e-17", "2", "speeds_sector-parabolic_p0_near_axis.csv"),
+        ("sector-parabolic", "0", "-2.5", "1e-17", "2",
+         "speeds_sector-parabolic_p0_near_axis.csv"),
         # A base 1e-20 above koebe-elliptic's slit, where arg w0 rounds onto
         # pi: the slit plane holds it, and its samples match mpmath to
         # 2.2e-16 out to t = -2^60.
-        ("koebe-elliptic", "-2", "1e-20", "60", "speeds_koebe-elliptic_p0_near_slit.csv"),
-    ], ids=["sector-parabolic", "koebe-elliptic"])
-    def test_near_axis_run_matches_the_committed_file(self, tmp_path, model, base_re, base_im,
-                                                      kmax, committed):
+        ("koebe-elliptic", "0", "-2", "1e-20", "60", "speeds_koebe-elliptic_p0_near_slit.csv"),
+        # A base far left along strip-slit's lower petal, whose image lies
+        # next to the finite sigma: the eta frame sends sigma to infinity,
+        # and the samples match mpmath to 4.4e-16 out to t = -2^60
+        # (ROADMAP item 17).
+        ("strip-slit", "1", "-19.406498421755607", "-1.5707963267948963", "60",
+         "speeds_strip-slit_p1_near_sigma.csv"),
+    ], ids=["sector-parabolic", "koebe-elliptic", "strip-slit-near-sigma"])
+    def test_near_axis_run_matches_the_committed_file(self, tmp_path, model, petal, base_re,
+                                                      base_im, kmax, committed):
         # The file name is the default base's run's, so tests/data keeps
         # each under its own.
-        assert main(["speeds", "--model", model, "--petal", "0", "--base-re", base_re,
+        assert main(["speeds", "--model", model, "--petal", petal, "--base-re", base_re,
                      "--base-im", base_im, "--kmax", kmax, "--out", str(tmp_path)]) == 0
         committed = Path(__file__).resolve().parent / "data" / committed
-        assert (tmp_path / f"speeds_{model}_p0.csv").read_bytes() == committed.read_bytes()
+        assert (tmp_path / f"speeds_{model}_p{petal}.csv").read_bytes() == committed.read_bytes()
 
     @pytest.mark.parametrize("model,petal", [("strip-slit", "1"), ("koebe-elliptic", "0")])
     def test_other_petal_runs_match_the_committed_files(self, tmp_path, model, petal):
@@ -116,7 +123,7 @@ class TestSpeedsCommand:
             "error: models.uhp_orbit: sector-parabolic orbit from (-3+1e-300j) at "
             "t = -1e+24: signed log offset needs Im in (-pi, 0), got 0.0\n")
         # A framed angle planted onto the real axis.
-        monkeypatch.setattr(speeds, "uhp_log_framed", lambda p, c, other=None: complex(0.0, math.pi))
+        monkeypatch.setattr(speeds, "uhp_log_framed", lambda p, c: complex(0.0, math.pi))
         assert main(["speeds", "--model", "strip-slit", "--petal", "0", "--kmax", "2",
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (

@@ -29,6 +29,7 @@ from petallab.hypcore import (
     uhp_distance,
     uhp_log_disk_gap,
     uhp_log_framed,
+    uhp_log_inverted,
 )
 from petallab.models import (
     HalfPlaneImage,
@@ -210,13 +211,15 @@ class TestCrossValidation:
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
         p0 = UhpLogPoint(None, cmath.log(-1.0 + 2.0j))
-        frame, re0 = _eta_frame(petal, p0)
+        (sigma, x0), re0 = _eta_frame(petal, p0)
+        assert sigma == petal.sigma_canonical == -1.0
+        assert x0 == pytest.approx(0.0, abs=1e-15)
         on_line = UhpLogPoint(None, cmath.log(-1.0 + 5.0j))
         # Read modulo pi, the point on the line sits at angle +-pi/2.
-        assert abs(uhp_log_framed(on_line, *frame).imag) == pytest.approx(
+        assert abs(uhp_log_framed(uhp_log_inverted(on_line, sigma), x0).imag) == pytest.approx(
             math.pi / 2.0, abs=1e-15)
-        # The framed base sits at height 2 on the axis: Re log N(q0) = log 2.
-        assert re0 == pytest.approx(math.log(2.0), abs=1e-15)
+        # -1/(q0 - sigma) = i/2 sits at height 1/2 on the axis: re0 = -log 2.
+        assert re0 == pytest.approx(-math.log(2.0), abs=1e-15)
 
 
 class _FixedOrbit:
@@ -229,10 +232,10 @@ class _FixedOrbit:
         return self.point
 
 
-def _read_at(anchor, L, neg=False, frame=(0.0, None)):
+def _read_at(anchor, L, neg=False, frame=(None, 0.0)):
     """The sample at t = -1 of the fixed orbit point (anchor, L, neg), read
-    in ``frame``; with the default one-foot frame N(q) = q (c = 0) an
-    anchor-free point's framed log is L itself."""
+    in ``frame``; with the default vertical frame N(q) = q (sigma at
+    infinity, x0 = 0) an anchor-free point's framed log is L itself."""
     point = UhpLogPoint(anchor, L, neg)
     return _sample_at(_FixedOrbit(point), 0j, UhpLogPoint(None, 1j), frame, 0.0, -1.0)
 
@@ -275,35 +278,39 @@ class TestTangentialRead:
 
 
 class TestFramedAngle:
-    """The framed angle is read modulo pi: ``uhp_log_framed`` takes each
+    """The framed angle is read modulo pi: ``uhp_log_framed`` takes the
     shift's log of x, or of -x when Re x < 0, and a point on its anchor
-    reads L itself, so the two-foot Im may lie anywhere in
-    (-3 pi/2, 3 pi/2); ``_sample_at`` reads v_T through |cos r| and
-    |sin r|, and refuses an r of 0 modulo pi."""
+    reads L itself, so the framed Im lies in (-pi, pi); ``_sample_at``
+    reads v_T through |cos r| and |sin r|, and refuses an r of 0 modulo
+    pi."""
 
     def test_two_foot_angle_stays_on_the_branch(self):
-        # Modulo pi, the framed angle is arg N(q) of the float point q.
+        # A finite sigma's frame (sigma, x0) has the feet sigma and
+        # sigma - 1/x0.  Modulo pi, its framed angle is arg N(q) of the
+        # float point q, N(q) = -1/(q - sigma) - x0.
         rng = random.Random(RNG_SEED)
         times = [0.0, -1.0, -4.0, -(2.0 ** 16), -(2.0 ** 60), -1e100, -1e300]
         frames = 0
         for model, petal in _model_petals():
             for w in [petal.base_default, *sample_petal_omega(model, petal, 10, rng)]:
-                frame, _ = _eta_frame(petal, model.uhp_orbit(w, 0.0))
-                if frame[1] is None:
+                (sigma, x0), _ = _eta_frame(petal, model.uhp_orbit(w, 0.0))
+                if sigma is None:
                     continue
                 frames += 1
-                c, other = frame
                 points = [model.uhp_orbit(w, t) for t in times]
                 points += [UhpLogPoint(None, complex(rng.uniform(-700.0, 700.0),
                                                      rng.uniform(1e-9, math.pi - 1e-9)))
                            for _ in range(20)]
                 for p in points:
-                    theta = uhp_log_framed(p, c, other).imag
-                    assert -1.5 * math.pi < theta < 1.5 * math.pi, (model.name, w, p.L)
+                    theta = uhp_log_framed(uhp_log_inverted(p, sigma), x0).imag
+                    assert -math.pi < theta < math.pi, (model.name, w, p.L)
                     q = p.value()
-                    if q is None or abs(q - c) < 1e-3 or abs(q - other) < 1e-3:
+                    if q is None or abs(q - sigma) < 1e-3:
                         continue
-                    want = cmath.phase((q - c) / (q - other))
+                    n = -1.0 / (q - sigma) - x0
+                    if abs(n) < 1e-3:
+                        continue
+                    want = cmath.phase(n)
                     gap = (theta - want) % math.pi
                     assert min(gap, math.pi - gap) <= 1e-12, (model.name, w, p.L)
         assert frames >= 20, frames
@@ -321,17 +328,19 @@ class TestFramedAngle:
             tol = 4 * math.ulp(max(1.0, plain)) + 0.62e-16 / math.sin(r)
             assert abs(plain - signed) <= tol, (x, r)
 
-    @pytest.mark.parametrize("anchor,frame", [
+    @pytest.mark.parametrize("anchor,L,frame", [
         # e^-800 underflows: q rounds onto its anchor on the real axis, at
-        # angle 0, pi or -pi from the frame, which reads 0 modulo pi.
-        (1.0, (0.0, None)),
-        (-1.0, (0.0, None)),
-        (0.0, (-1.0, 1.0)),
-    ], ids=["zero", "pi", "minus-pi"])
-    def test_zero_gap_raises(self, anchor, frame):
+        # angle 0 or pi from the frame, which reads 0 modulo pi.
+        (1.0, complex(-800.0, 1.0), (None, 0.0)),
+        (-1.0, complex(-800.0, 1.0), (None, 0.0)),
+        # q = sigma + e^(800 + i): the inverted point -e^(-800 - i)
+        # underflows onto 0, at angle 0 from x0 = -1.
+        (0.0, complex(800.0, 1.0), (0.0, -1.0)),
+    ], ids=["zero", "pi", "inverted"])
+    def test_zero_gap_raises(self, anchor, L, frame):
         with pytest.raises(PrecisionError, match=r"^speeds\._sample_at: zero gap at t = -1\.0, "
                                                  r"framed angle 0\.0$"):
-            _read_at(anchor, complex(-800.0, 1.0), frame=frame)
+            _read_at(anchor, L, frame=frame)
 
 
 class TestMirrorSymmetry:
@@ -596,8 +605,10 @@ class TestAsymptotics:
 
 # Times t = -10^k of the mpmath comparison: every k to 20, then every tenth.
 _ORACLE_KS = tuple(range(21)) + tuple(range(30, 301, 10))
+# Times t = -10^k at the bases next to sigma: every third k.
+_NEXT_TO_SIGMA_KS = tuple(range(0, 301, 3))
 # Relative error allowed against the mpmath walk; the petals read below
-# 1e-15 apart from the bases next to an edge.
+# 1e-15 apart from the bases next to an edge or to sigma.
 _ORACLE_TOL = 1e-12
 
 
@@ -650,6 +661,14 @@ _ORACLE_CASES = [
                  id="sector-parabolic-far-below-ulp"),
     pytest.param("koebe-elliptic", "main", -14.97532567114025 + 1.5134709554023175e-14j,
                  _ORACLE_KS, id="koebe-elliptic-below-ulp"),
+    # Far left along a strip-slit petal the base image lies next to the
+    # finite sigma, which the eta frame sends to infinity (ROADMAP item 17).
+    pytest.param("strip-slit", "lower", -19.406498421755607 - 1.5707963267948963j,
+                 _NEXT_TO_SIGMA_KS, id="strip-slit-lower-next-to-sigma"),
+    pytest.param("strip-slit", "lower", -62.37977615446816 - 1.5707963267948963j,
+                 _NEXT_TO_SIGMA_KS, id="strip-slit-lower-far-next-to-sigma"),
+    pytest.param("strip-slit", "upper", -18.0 + 0.78j, _NEXT_TO_SIGMA_KS,
+                 id="strip-slit-upper-next-to-sigma"),
 ]
 
 
@@ -690,9 +709,10 @@ class TestAgainstMpmathWalk:
 # uniform in [-3, 300].
 _WHOLE_PETAL_DRAWS = 2000
 _WHOLE_PETAL_SEED = RNG_SEED
-# A base image this close to a finite boundary point sigma: the two-foot eta
-# frame is built from the float image, which cannot hold its offset from
-# sigma (ROADMAP item 17).
+# A base image this close to a finite boundary point sigma, where a frame
+# built from the float image could not hold its offset from sigma (ROADMAP
+# item 17, done): the eta frame reads the base in the chart that sends sigma
+# to infinity, from its log form.
 _NEAR_SIGMA = 1e-3
 
 
@@ -799,7 +819,8 @@ def _whole_petal_sweep():
 class TestExactOrRefusedOverWholePetals:
     """ROADMAP item 7: a reading is exact against ``oracles.mp_orbit_reading``
     or raises a typed error, at every base of a petal and every backward
-    time out to 1e300.  Two known limits are held apart as strict xfails."""
+    time out to 1e300.  Bases next to a finite sigma are held apart, and
+    read exactly; the one known limit, item 11, is a strict xfail."""
 
     def test_every_reading_is_exact_or_refused(self):
         counts, problems = _whole_petal_sweep()
@@ -821,9 +842,7 @@ class TestExactOrRefusedOverWholePetals:
         pytest.param("item 11", marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 11: an angle gap below the normal float range reads "
             "log Im q, v and v_T off"))),
-        pytest.param("item 17", marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 17: a base image next to a finite sigma gets its "
-            "two-foot eta frame from a float that cannot hold its offset"))),
+        "item 17",
     ], ids=["item-11-subnormal-gap", "item-17-base-next-to-sigma"])
     def test_known_limit(self, region):
         counts, problems = _whole_petal_sweep()
