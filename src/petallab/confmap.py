@@ -78,16 +78,22 @@ class MapDomainError(DomainError):
         self.step_index = step_index
 
 
-def _branch_log(z: complex, cut: float) -> complex:
-    """log z with the argument taken in [cut - 2 pi, cut).
+def _branch_logs(zs: Sequence[complex], cut: float) -> list[complex]:
+    """log z of each of zs with the argument taken in [cut - 2 pi, cut).
 
     The principal argument is kept as it is when it already lies there:
-    wrapping it anyway would round a small angle against cut - 2 pi."""
-    a = cmath.phase(z)
+    wrapping it anyway would round a small angle against cut - 2 pi.  One
+    pass in list order, each point's argument before its log modulus, so
+    that the first failing point raises what it raises alone."""
     low = cut - _TWO_PI
-    if not low <= a < cut:
-        a = low + (a - low) % _TWO_PI
-    return complex(math.log(abs(z)), a)
+    phase, log = cmath.phase, math.log
+    logs = []
+    for z in zs:
+        a = phase(z)
+        if not low <= a < cut:
+            a = low + (a - low) % _TWO_PI
+        logs.append(complex(log(abs(z)), a))
+    return logs
 
 
 def _quarter_off(L: complex, turns: int) -> tuple[complex, int]:
@@ -243,8 +249,7 @@ class LogStep(_RayCutStep):
     __slots__ = ()
 
     def apply_all(self, zs: Sequence[complex]) -> list[complex]:
-        cut = self.cut
-        return [_branch_log(z, cut) for z in zs]
+        return _branch_logs(zs, self.cut)
 
     def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
         # 1/z fails only at z = 0, where the log has failed first.
@@ -276,7 +281,13 @@ class PowerStep(_RayCutStep):
 
     def apply_all(self, zs: Sequence[complex]) -> list[complex]:
         alpha, cut = self.alpha, self.cut
-        return [cmath.exp(alpha * _branch_log(z, cut)) for z in zs]
+        try:
+            return [cmath.exp(alpha * l) for l in _branch_logs(zs, cut)]
+        except (OverflowError, ValueError):
+            # Every log is taken before any power, so a later point's log
+            # may have failed first: map point by point, as _check_cuts
+            # scans, to raise the first failing point's error.
+            return [cmath.exp(alpha * _branch_logs((z,), cut)[0]) for z in zs]
 
     def derivatives(self, zs: Sequence[complex], ws: list[complex]) -> list[complex]:
         alpha = self.alpha

@@ -16,11 +16,13 @@ the half-plane additionally gets an anchored logarithmic representation
 offset next to the negative axis by its small angle; distances between
 such points never materialize ``q`` itself.  Their framed logs are read
 modulo ``i pi``: a shift x with Re x < 0 has the log of -x taken, so that
-no angle is formed next to pi.  ``uhp_log_inverted`` sends a finite
-boundary point sigma to infinity, -1/(q - sigma), in the same form, exact
-for a point anchored at sigma.  Where a quarter or half turn must enter
-an angle, pi/2 and pi are held in two parts (``HALF_PI_LO``, ``PI_LO``),
-so that the angle's gap to 0 keeps its bits.
+no angle is formed next to pi.  ``uhp_log_inverted_framed`` reads the
+point -1/(q - sigma), which sends a finite boundary point sigma to
+infinity, framed the same way, straight from the framed log of q - sigma:
+exact for a point anchored at sigma, and with no point object built.
+Where a quarter or half turn must enter an angle, pi/2 and pi are held
+in two parts (``HALF_PI_LO``, ``PI_LO``), so that the angle's gap to 0
+keeps its bits.
 
 The Cayley map between the disk and the half-plane is stated here once,
 as the coefficients ``CAYLEY`` and ``CAYLEY_INVERSE`` and as
@@ -242,13 +244,29 @@ def uhp_log_framed(p: UhpLogPoint, c: complex) -> complex:
     return scale + cmath.log(-x if x.real < 0.0 else x)
 
 
-def uhp_log_inverted(p: UhpLogPoint, sigma: float) -> UhpLogPoint:
-    """The point -1/(q - sigma), which sends the boundary point sigma to
-    infinity, in log form: q - sigma is e^l, or -e^l where Im l < 0, for l
-    the framed log, so the image is -+e^(-l).  A point anchored at sigma
-    reads its own L, with no float that could lose q - sigma."""
-    l = uhp_log_framed(p, sigma)
-    return UhpLogPoint(None, -l, l.imag > 0.0)
+def uhp_log_inverted_framed(p: UhpLogPoint, sigma: float, x0: float) -> complex:
+    """log(n - x0) modulo i pi for n = -1/(q - sigma), which sends the
+    boundary point sigma to infinity, read as ``uhp_log_framed`` reads the
+    point n.  q - sigma is e^l, or -e^l where Im l < 0, for l its framed
+    log, so n = -+e^(-l); x0 = 0 gives -l, n's own log modulo i pi.  A
+    point anchored at sigma reads l = L, with no float that could lose
+    q - sigma.  An l that holds no interior n, Im l of 0 or +-pi or a
+    non-finite Re l, raises ``PrecisionError``."""
+    l = p.L if p.anchor == sigma else uhp_log_framed(p, sigma)
+    if not 0.0 < abs(l.imag) < math.pi:
+        raise PrecisionError(
+            f"hypcore.uhp_log_inverted_framed: log of q - sigma needs Im in (-pi, 0) "
+            f"or (0, pi), got {l.imag!r}")
+    if not math.isfinite(l.real):
+        raise PrecisionError(
+            f"hypcore.uhp_log_inverted_framed: log of q - sigma has non-finite Re {l.real!r}")
+    L = -l
+    if x0 == 0.0:
+        return L
+    scale = L.real if L.real > 0.0 else 0.0
+    e = cmath.exp(L - scale)
+    x = -x0 * math.exp(-scale) + (-e if l.imag > 0.0 else e)
+    return scale + cmath.log(-x if x.real < 0.0 else x)
 
 
 def uhp_log_disk_gap(p: UhpLogPoint) -> float:

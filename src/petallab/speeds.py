@@ -9,17 +9,22 @@ that motion along and across the geodesic eta that the orbit
 chases.  Normalizing eta onto the imaginary axis turns both parts into
 closed forms of the log coordinates.  On every petal eta is made
 vertical: a finite boundary point sigma goes to infinity under
-q -> -1/(q - sigma) (hypcore's ``uhp_log_inverted``), exact for an orbit
-point anchored at sigma, and a translation carries eta onto the axis.
-Both parts are read once per sample through hypcore's ``uhp_log_framed``
-and ``uhp_log_distance``, so they stay exact long after the orbit points
-themselves left float range, out to |t| = 1e300 in every petal and next
-to a finite sigma: the log walk holds each orbit angle's gap to 0 or pi
-by itself, and the frame reads its angle modulo pi.  The one known limit
-is a gap far below the normal float range (ROADMAP item 11): from
--3 + 1e-300 i the parabolic orbit's gap is 6.7e-317 at |t| = 1e16, where
-v_T is off by 5.6e-11, and it underflows to 0 from about 1e24 on,
-where ``models.uhp_orbit`` refuses with ``PrecisionError``.
+q -> -1/(q - sigma), and a translation carries eta onto the axis;
+hypcore's ``uhp_log_inverted_framed`` reads both from the log of
+q - sigma, exact for an orbit point anchored at sigma.  Both parts are
+read once per sample through that framed log (``uhp_log_framed`` where
+sigma is infinite) and ``uhp_log_distance``, so they stay exact long
+after the orbit points themselves left float range, out to |t| = 1e300
+in every petal and next to a finite sigma: the log walk holds each orbit
+angle's gap to 0 or pi by itself, and the frame reads its angle modulo
+pi.  The one known limit is a gap far below the normal float range
+(ROADMAP item 11): from -3 + 1e-300 i the parabolic orbit's gap is
+6.7e-317 at |t| = 1e16, where v_T is off by 5.6e-11, and it underflows
+to 0 from about 1e24 on, where ``models.uhp_orbit`` refuses with
+``PrecisionError``.  The floats also refuse a strip-slit base far left
+along its petal: the inverted base image's real part x0, of order
+e^(-2 Re w0), overflows left of Re w0 = -354.54478285641204, where
+``_eta_frame`` raises ``PrecisionError``.
 
 A base point is read once: its petal check, its time-0 walk, its log
 Im q (kept on the point, a ``hypcore.UhpLogBase``, for every distance
@@ -28,11 +33,11 @@ last ``_BASE_READINGS`` bases.  Its key tells 0.0 from -0.0, a refusal is
 never stored, and every output is the one a fresh reading gives, bit for
 bit.  A sample then does only its own work, in ``_sample_at``: one walk
 (``models.KoenigsModel.uhp_orbit``), one framed log (of the inverted
-point where sigma is finite), one distance (``hypcore.uhp_log_distance``)
-and its ``SpeedSample``.  The memo key and the sample's tuple are built
-in C, with no Python frame, and every call on the sample path passes its
-arguments directly: a starred call would build an argument tuple on every
-sample.
+point where sigma is finite, read with no point object built), one
+distance (``hypcore.uhp_log_distance``) and its ``SpeedSample``.  The
+memo key and the sample's tuple are built in C, with no Python frame,
+and every call on the sample path passes its arguments directly: a
+starred call would build an argument tuple on every sample.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 import warnings
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -50,12 +56,14 @@ from .hypcore import (
     UhpLogPoint,
     uhp_log_distance,
     uhp_log_framed,
-    uhp_log_inverted,
+    uhp_log_inverted_framed,
 )
 from .models import KoenigsModel, Petal
 from .semigroup import require_petal
 
 
+# The largest Re L with e^L finite, log of the largest float.
+_MAX_LOG_SCALE = math.log(sys.float_info.max)
 # The largest k with 2.0 ** k finite, and the smallest with it nonzero.
 _MAX_DYADIC_EXP = 1023
 _MIN_DYADIC_EXP = -1074
@@ -148,16 +156,30 @@ def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
     axis, as ``(frame, re0)``.  The frame ``(sigma, x0)`` reads log N(q)
     modulo i pi, for N(q) = n(q) - x0: n is the identity when sigma is
     None (infinity), and otherwise n(q) = -1/(q - sigma)
-    (``uhp_log_inverted``), which sends sigma to infinity and eta onto the
-    vertical line through n(q0); x0 = Re n(q0) translates that line to
-    Re = 0.  re0 = log Im n(q0), read from the log form: Re n(q0) - x0
-    would be only x0's rounding error once Im n(q0) falls below ulp(x0)."""
+    (``uhp_log_inverted_framed``), which sends sigma to infinity and eta
+    onto the vertical line through n(q0); x0 = Re n(q0) translates that
+    line to Re = 0.  re0 = log Im n(q0), read from the log form: Re n(q0)
+    - x0 would be only x0's rounding error once Im n(q0) falls below
+    ulp(x0).  Where sigma is finite, both come from L = log n(q0) modulo
+    i pi, with no point object: n(q0) is e^L, or -e^L where Im L < 0.
+    A base whose x0 the floats cannot hold, or whose Im n(q0) rounds to
+    0, raises ``PrecisionError``."""
     sigma = petal.sigma_canonical
-    n0 = p0 if sigma is None else uhp_log_inverted(p0, sigma)
-    value = n0.value()
-    if value is None:
-        raise DomainError("speeds._eta_frame: base point has no finite canonical image")
-    return (sigma, value.real), n0.log_im()
+    if sigma is None:
+        q0 = p0.value()
+        x0 = None if q0 is None else q0.real
+        re0 = p0.log_im()
+    else:
+        L = uhp_log_inverted_framed(p0, sigma, 0.0)
+        re0 = L.real + math.log(abs(math.sin(L.imag)))
+        x0 = None
+        if L.real <= _MAX_LOG_SCALE:
+            r = math.exp(L.real)
+            if r * math.sin(L.imag) != 0.0:
+                x0 = r * math.cos(L.imag) if L.imag > 0.0 else -(r * math.cos(L.imag))
+    if x0 is None:
+        raise PrecisionError("speeds._eta_frame: base point has no finite canonical image")
+    return (sigma, x0), re0
 
 
 @functools.lru_cache(maxsize=_BASE_READINGS)
@@ -189,7 +211,8 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
         return _new_sample((0.0, 0.0, 0.0, 0.0))
     p_t = model.uhp_orbit(w0, t)
     sigma, x0 = frame
-    ln_t = uhp_log_framed(p_t if sigma is None else uhp_log_inverted(p_t, sigma), x0)
+    ln_t = (uhp_log_framed(p_t, x0) if sigma is None
+            else uhp_log_inverted_framed(p_t, sigma, x0))
     v = uhp_log_distance(p0, p_t)
     # v_T = |log tan(r/2)| / 2, the distance to the axis at angle r mod pi,
     # read by two logs where 2 / sin r could overflow; an r of 0 modulo pi

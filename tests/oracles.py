@@ -23,10 +23,15 @@ Only the tests use these, so they live here rather than in the package:
   (``slit_close_cut_distance``, ``slit_open_cut_distance``,
   ``rotated_ray_distance``), which the steps' ``cut_distances`` must match
   bit for bit, overflow included;
+- the branch log of one point (``branch_log``), which the list kernel
+  ``confmap._branch_logs`` must match bit for bit;
 - each package step's map as a formula for one point (``reference_apply``,
   ``reference_value_and_derivative``, ``reference_cut_distance``), which
   the steps' list kernels and derivative rules, run in a walk's order by
   ``value_and_derivative_all``, must match bit for bit, errors included;
+- the framed log of the inverted point -1/(q - sigma) read through a
+  point object (``inverted_framed_by_point``), which
+  ``hypcore.uhp_log_inverted_framed`` must match bit for bit;
 - geodesics and closest-point projection in the three canonical domains,
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
@@ -91,14 +96,15 @@ from petallab.confmap import (
     PowerStep,
     SlitCloseStep,
     SlitOpenStep,
-    _branch_log,
 )
 from petallab.hypcore import (
     DomainError,
+    UhpLogPoint,
     disk_distance,
     disk_of_uhp,
     uhp_distance,
     uhp_log_disk_gap,
+    uhp_log_framed,
 )
 from petallab.hmeasure import Arc
 from petallab.models import HalfPlaneImage, KoenigsModel, Petal, StripImage
@@ -280,8 +286,20 @@ def _uhp_sqrt(v: complex) -> complex:
     return -s if s.imag < 0.0 else s
 
 
+def branch_log(z: complex, cut: float) -> complex:
+    """log z with the argument taken in [cut - 2 pi, cut), for one point:
+    the principal argument where it lies there, and otherwise that angle
+    moved there by whole turns; the list kernel ``confmap._branch_logs``
+    must match it bit for bit, errors included."""
+    a = cmath.phase(z)
+    low = cut - 2.0 * math.pi
+    if not low <= a < cut:
+        a = low + (a - low) % (2.0 * math.pi)
+    return complex(math.log(abs(z)), a)
+
+
 def _power_value_and_derivative(step: PowerStep, z: complex) -> tuple[complex, complex]:
-    w = cmath.exp(step.alpha * _branch_log(z, step.cut))
+    w = cmath.exp(step.alpha * branch_log(z, step.cut))
     r = abs(z)
     return w, step.alpha * (w / r) * (z.conjugate() / r)
 
@@ -300,8 +318,8 @@ def _slit_value_and_derivative(v: complex, z: complex) -> tuple[complex, complex
 _FORMULAS = {
     Affine: (lambda s, z: s.a * z + s.b, lambda s, z: (s.a * z + s.b, s.a)),
     ExpStep: (lambda s, z: cmath.exp(z), _exp_value_and_derivative),
-    LogStep: (lambda s, z: _branch_log(z, s.cut), lambda s, z: (_branch_log(z, s.cut), 1.0 / z)),
-    PowerStep: (lambda s, z: cmath.exp(s.alpha * _branch_log(z, s.cut)),
+    LogStep: (lambda s, z: branch_log(z, s.cut), lambda s, z: (branch_log(z, s.cut), 1.0 / z)),
+    PowerStep: (lambda s, z: cmath.exp(s.alpha * branch_log(z, s.cut)),
                 _power_value_and_derivative),
     SlitCloseStep: (lambda s, z: _uhp_sqrt(z * z + 1.0),
                     lambda s, z: _slit_value_and_derivative(z * z + 1.0, z)),
@@ -567,6 +585,16 @@ def axis_distance(theta: float) -> float:
     if not 0.0 < theta < math.pi:
         raise DomainError(f"argument must lie in (0, pi), got {theta!r}")
     return 0.5 * math.log((1.0 + abs(math.cos(theta))) / math.sin(theta))
+
+
+def inverted_framed_by_point(p: UhpLogPoint, sigma: float, x0: float) -> complex:
+    """log(n - x0) modulo i pi for n = -1/(q - sigma), by two framed logs
+    with a point between them: l = log(q - sigma) modulo i pi, n built as
+    the point -+e^(-l) (minus where Im l > 0), and n's framed log at x0.
+    ``hypcore.uhp_log_inverted_framed`` builds no point, and must match
+    this read bit for bit."""
+    l = uhp_log_framed(p, sigma)
+    return uhp_log_framed(UhpLogPoint(None, -l, l.imag > 0.0), x0)
 
 
 def project_to_geodesic(w: complex, g: Geodesic) -> tuple[complex, float]:

@@ -43,7 +43,7 @@ from petallab.confmap import (
     PowerStep,
     SlitCloseStep,
     SlitOpenStep,
-    _branch_log,
+    _branch_logs,
     _walk_all,
 )
 from petallab.hypcore import DomainError, disk_of_uhp
@@ -217,7 +217,7 @@ class TestSteps:
                    for _ in range(300)]
         low = cut - 2.0 * math.pi
         for z in points:
-            got = _branch_log(z, cut)
+            (got,) = _branch_logs([z], cut)
             assert got.real == math.log(abs(z))
             a = cmath.phase(z)
             assert low <= got.imag <= cut, z
@@ -239,7 +239,7 @@ class TestSteps:
         # -q^2 - 1 = w through PowerStep(1, 2, pi); a point just off the
         # real axis keeps its tiny Re q.
         chain = by_name("koebe-elliptic").chain
-        assert _branch_log(1.0 + 1e-20j, math.pi).imag == 1e-20
+        assert _branch_logs([1.0 + 1e-20j], math.pi)[0].imag == 1e-20
         for w in (1.0 + 1e-12j, 2.0 + 1e-10j, 0.5 - 1e-14j, 3.0 + 1e-200j):
             got = chain.eval(w)
             with mpmath.workdps(50):
@@ -951,6 +951,18 @@ class TestStepKernels:
                 assert _listed(step.cut_distances, xs) == want, (sid, xs[:4])
         singles = outcomes[-len(points):]
         assert sum(o[0] == "value" for o in singles) >= len(points) // 2, sid
+
+    @pytest.mark.parametrize("step", [PowerStep(2, 1, math.pi), PowerStep(3, 2, 2.0 * math.pi),
+                                      LogStep(math.pi)], ids=["power-2", "power-3/2", "log"])
+    def test_an_earlier_overflow_comes_before_a_later_zero(self, step):
+        # The log of 0 fails, but an earlier point's power (or, for the
+        # log, its modulus) leaves float range first: the kernel raises the
+        # earlier point's OverflowError, as the one-point formula does.
+        huge = complex(1.7e308, 1.7e308) if isinstance(step, LogStep) else 1e300 + 1e300j
+        xs = [1.0 + 1.0j, huge, 2.0 - 1.0j, 0j, 3.0 + 0j]
+        got = _listed(step.apply_all, xs)
+        assert got[:2] == ("error", OverflowError), got
+        assert got == _pointwise(partial(reference_apply, step), xs)
 
 
 class TestNonFinitePoints:

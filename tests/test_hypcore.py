@@ -26,6 +26,7 @@ from oracles import (
     domain_distance,
     geodesic_point,
     geodesic_through,
+    inverted_framed_by_point,
     project_by_search,
     project_to_geodesic,
     strip_distance,
@@ -36,6 +37,7 @@ from petallab.hypcore import (
     CAYLEY,
     CAYLEY_INVERSE,
     DomainError,
+    PrecisionError,
     UhpLogBase,
     UhpLogPoint,
     disk_distance,
@@ -45,7 +47,7 @@ from petallab.hypcore import (
     uhp_log_disk_gap,
     uhp_log_distance,
     uhp_log_framed,
-    uhp_log_inverted,
+    uhp_log_inverted_framed,
 )
 
 DISK = CanonicalDomain.DISK
@@ -559,21 +561,19 @@ def _mp_inverted(anchor, L, sigma):
 
 
 class TestUhpLogInverted:
-    """``uhp_log_inverted``: the point -1/(q - sigma) in log form, which
-    sends sigma to infinity."""
+    """``uhp_log_inverted_framed``: the framed log of the point
+    -1/(q - sigma), which sends sigma to infinity; at x0 = 0 the log of
+    that point itself, modulo i pi."""
 
     @pytest.mark.parametrize("anchor,L", _LOG_POINTS)
     def test_against_mpmath(self, anchor, L):
         for sigma in _SIGMAS:
             n, cond = _mp_inverted(anchor, L, sigma)
-            got = uhp_log_inverted(UhpLogPoint(anchor, L), sigma)
+            got = uhp_log_inverted_framed(UhpLogPoint(anchor, L), sigma, 0.0)
             with mpmath.workdps(50):
                 re, im = float(mpmath.log(abs(n))), float(mpmath.arg(n))
-            # -e^L' when neg: its argument is Im L' + pi.
-            arg = got.L.imag + (math.pi if got.neg else 0.0)
-            assert got.anchor is None, sigma
-            assert abs(got.L.real - re) <= 4 * _EPS * (cond + abs(re)), sigma
-            assert _off_mod_pi(arg, im) <= 4 * _EPS * (cond + math.pi), sigma
+            assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), sigma
+            assert _off_mod_pi(got.imag, im) <= 4 * _EPS * (cond + math.pi), sigma
 
     def test_point_anchored_at_sigma_reads_its_own_log(self):
         # q - sigma = +-e^L exactly, so -1/(q - sigma) = -+e^(-L), bit for bit.
@@ -581,8 +581,33 @@ class TestUhpLogInverted:
             if anchor is None:
                 continue
             for p in (UhpLogPoint(anchor, L), UhpLogPoint(anchor, L.conjugate(), True)):
-                got = uhp_log_inverted(p, anchor)
-                assert (got.anchor, repr(got.L), got.neg) == (None, repr(-p.L), not p.neg)
+                assert repr(uhp_log_inverted_framed(p, anchor, 0.0)) == repr(-p.L)
+
+    @pytest.mark.parametrize("x0", [0.0, -0.0, 0.5, -0.5, 1e300, -1e300])
+    def test_matches_the_read_through_a_point(self, x0):
+        # The read with no point object against the inverted point built
+        # and then framed (oracles.inverted_framed_by_point), by repr.
+        rng = random.Random(20261022)
+        points = [UhpLogPoint(anchor, L) for anchor, L in _LOG_POINTS]
+        points += [UhpLogPoint(anchor, L.conjugate(), True) for anchor, L in _LOG_POINTS]
+        points += [UhpLogPoint(rng.choice((None, 1.0, -1.0, 0.5)),
+                               complex(rng.uniform(-700.0, 700.0),
+                                       rng.uniform(1e-9, math.pi - 1e-9)))
+                   for _ in range(200)]
+        for p in points:
+            for sigma in _SIGMAS:
+                got = uhp_log_inverted_framed(p, sigma, x0)
+                assert repr(got) == repr(inverted_framed_by_point(p, sigma, x0)), (p.L, sigma)
+
+    def test_refusals_are_typed(self):
+        # q = e^(-800 + i) lies far below ulp(2), so the framed log of
+        # q - 2 rounds onto the real axis: the inverted point has no
+        # interior log form.
+        p = UhpLogPoint(None, complex(-800.0, 1.0))
+        with pytest.raises(PrecisionError, match=(
+                r"^hypcore\.uhp_log_inverted_framed: log of q - sigma needs Im in \(-pi, 0\) "
+                r"or \(0, pi\), got 0\.0$")):
+            uhp_log_inverted_framed(p, 2.0, 0.0)
 
 
 class TestUhpLogFramed:
@@ -601,7 +626,7 @@ class TestUhpLogFramed:
                 # shift, and the shift's own cancellation next to x0.
                 cond = float((cond * abs(n) + abs(x0) + abs(n)) / abs(n - x0))
             re, im = float(exact.real), float(exact.imag)
-            got = uhp_log_framed(uhp_log_inverted(UhpLogPoint(anchor, L), sigma), x0)
+            got = uhp_log_inverted_framed(UhpLogPoint(anchor, L), sigma, x0)
             assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), (sigma, x0)
             assert _off_mod_pi(got.imag, im) <= 4 * _EPS * (cond + math.pi), (sigma, x0)
 

@@ -86,7 +86,12 @@ class TestSpeedsCommand:
         # (ROADMAP item 17).
         ("strip-slit", "1", "-19.406498421755607", "-1.5707963267948963", "60",
          "speeds_strip-slit_p1_near_sigma.csv"),
-    ], ids=["sector-parabolic", "koebe-elliptic", "strip-slit-near-sigma"])
+        # A base so far left along strip-slit's upper petal that the
+        # inverted base image's real part x0 is about -9.8e301: the frame
+        # reads it from the log form, and the samples match mpmath to
+        # 1.5e-14 out to t = -2^60.
+        ("strip-slit", "0", "-349.6", "0.78", "60", "speeds_strip-slit_p0_far_left.csv"),
+    ], ids=["sector-parabolic", "koebe-elliptic", "strip-slit-near-sigma", "strip-slit-far-left"])
     def test_near_axis_run_matches_the_committed_file(self, tmp_path, model, petal, base_re,
                                                       base_im, kmax, committed):
         # The file name is the default base's run's, so tests/data keeps
@@ -123,7 +128,8 @@ class TestSpeedsCommand:
             "error: models.uhp_orbit: sector-parabolic orbit from (-3+1e-300j) at "
             "t = -1e+24: signed log offset needs Im in (-pi, 0), got 0.0\n")
         # A framed angle planted onto the real axis.
-        monkeypatch.setattr(speeds, "uhp_log_framed", lambda p, c: complex(0.0, math.pi))
+        monkeypatch.setattr(speeds, "uhp_log_inverted_framed",
+                            lambda p, sigma, x0: complex(0.0, math.pi))
         assert main(["speeds", "--model", "strip-slit", "--petal", "0", "--kmax", "2",
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (

@@ -152,3 +152,31 @@ def test_approach_angle_reaches_its_traced_measure(monkeypatch):
             report = approach_angle(orbit, sigma, Arc(cmath.phase(sigma), cmath.phase(sigma) + 1.0))
             assert report.used >= 5
             assert counts == {"hmeasure.harmonic_measure": report.used}
+
+
+def test_sample_builds_no_point_object():
+    # deep_orbits times _sample_at: it reads the inverted eta frame
+    # straight from the log of q - sigma.  Neither it nor a petallab
+    # function it calls by name, followed down, constructs a UhpLogPoint
+    # (or a UhpLogBase); the orbit point it reads is the walk's own.
+    from petallab import speeds
+
+    def named_calls(func):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        return {node.func.id for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    seen, todo = set(), [speeds._sample_at]
+    while todo:
+        func = todo.pop()
+        if func in seen:
+            continue
+        seen.add(func)
+        names = named_calls(func)
+        assert not names & {"UhpLogPoint", "UhpLogBase"}, func.__qualname__
+        for name in names:
+            held = func.__globals__.get(name)
+            if inspect.isfunction(held) and held.__module__.startswith("petallab."):
+                todo.append(held)
+    assert {f.__name__ for f in seen} >= {"_sample_at", "uhp_log_inverted_framed",
+                                          "uhp_log_framed", "uhp_log_distance"}, seen

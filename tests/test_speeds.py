@@ -29,7 +29,7 @@ from petallab.hypcore import (
     uhp_distance,
     uhp_log_disk_gap,
     uhp_log_framed,
-    uhp_log_inverted,
+    uhp_log_inverted_framed,
 )
 from petallab.models import (
     HalfPlaneImage,
@@ -91,10 +91,30 @@ class TestSampleBasics:
 
     def test_base_without_finite_image_rejected(self):
         # e^800 overflows, so the strip-slit base 800 + 0.5i has no float
-        # image to frame eta through.
+        # image to frame eta through: the floats refuse it, not the
+        # mathematics.
         m1 = by_name("strip-slit")
-        with pytest.raises(DomainError, match=r"^speeds\._eta_frame: base point has no finite canonical image$"):
+        with pytest.raises(PrecisionError, match=r"^speeds\._eta_frame: base point has no finite canonical image$"):
             speed_sample(m1, m1.petal("upper"), 800.0 + 0.5j, -1.0)
+
+    @pytest.mark.parametrize("label,im", [("upper", 0.78), ("lower", -0.78)])
+    def test_far_left_limit_of_the_floats(self, label, im):
+        # Far left along a strip-slit petal, the inverted base image
+        # -1/(q0 - sigma) has a real part x0 of order e^(-2 Re w0), read
+        # from its log form; it overflows left of Re w0 = -354.54478285641204,
+        # the same on both petals.  The last base read is exact, and the
+        # next float to its left is a PrecisionError.
+        m1 = by_name("strip-slit")
+        petal = m1.petal(label)
+        inside = complex(-354.54478285641204, im)
+        outside = complex(math.nextafter(inside.real, -math.inf), im)
+        for t in (-1.0, -1e300):
+            s = speed_sample(m1, petal, inside, t)
+            _, _, distances = mp_orbit_reading(m1, petal, inside, t)
+            for got, want in zip((s.v, s.v_o, s.v_T), map(float, distances)):
+                assert abs(got - want) <= 1e-12 * max(1.0, want), (t, got, want)
+        with pytest.raises(PrecisionError, match=r"^speeds\._eta_frame: base point has no finite canonical image$"):
+            speed_sample(m1, petal, outside, -1.0)
 
     def test_non_finite_base_rejected(self):
         for model, petal in _model_petals():
@@ -216,7 +236,7 @@ class TestCrossValidation:
         assert x0 == pytest.approx(0.0, abs=1e-15)
         on_line = UhpLogPoint(None, cmath.log(-1.0 + 5.0j))
         # Read modulo pi, the point on the line sits at angle +-pi/2.
-        assert abs(uhp_log_framed(uhp_log_inverted(on_line, sigma), x0).imag) == pytest.approx(
+        assert abs(uhp_log_inverted_framed(on_line, sigma, x0).imag) == pytest.approx(
             math.pi / 2.0, abs=1e-15)
         # -1/(q0 - sigma) = i/2 sits at height 1/2 on the axis: re0 = -log 2.
         assert re0 == pytest.approx(-math.log(2.0), abs=1e-15)
@@ -302,7 +322,7 @@ class TestFramedAngle:
                                                      rng.uniform(1e-9, math.pi - 1e-9)))
                            for _ in range(20)]
                 for p in points:
-                    theta = uhp_log_framed(uhp_log_inverted(p, sigma), x0).imag
+                    theta = uhp_log_inverted_framed(p, sigma, x0).imag
                     assert -math.pi < theta < math.pi, (model.name, w, p.L)
                     q = p.value()
                     if q is None or abs(q - sigma) < 1e-3:
@@ -669,6 +689,16 @@ _ORACLE_CASES = [
                  _NEXT_TO_SIGMA_KS, id="strip-slit-lower-far-next-to-sigma"),
     pytest.param("strip-slit", "upper", -18.0 + 0.78j, _NEXT_TO_SIGMA_KS,
                  id="strip-slit-upper-next-to-sigma"),
+    # Left of Re w0 = -349.6534264097201 the inverted base image's real
+    # part x0 is past e^700, where a frame read through a float point
+    # refused; read from the log form, the bases out to where x0 itself
+    # overflows, -354.54478285641204, are exact.
+    pytest.param("strip-slit", "upper", -352.0 + 0.78j, _NEXT_TO_SIGMA_KS,
+                 id="strip-slit-upper-far-left"),
+    pytest.param("strip-slit", "lower", -354.54478285641204 - 1e-9j, _NEXT_TO_SIGMA_KS,
+                 id="strip-slit-lower-far-left-near-axis"),
+    pytest.param("strip-slit", "upper", complex(-354.5, 0.5 * math.pi - 1e-10), _NEXT_TO_SIGMA_KS,
+                 id="strip-slit-upper-far-left-near-edge"),
 ]
 
 
@@ -749,7 +779,9 @@ def _whole_petal_draws():
 
 def _whole_petal_problem(model, petal, base, t):
     """(region, problem) of one draw.  The region is "refused" for a
-    ``DomainError`` that is no ``PrecisionError``, "item 17" for a base
+    ``DomainError`` that is no ``PrecisionError``, and for the
+    ``PrecisionError`` of ``speeds._eta_frame``, which refuses a base
+    whose eta frame the floats cannot hold at any time, "item 17" for a base
     image within ``_NEAR_SIGMA`` of a finite sigma, "item 11" where the
     orbit's angle gap lies below the normal float range, and "general"
     otherwise; a draw whose mpmath q lies on the real axis, where 330
@@ -762,6 +794,8 @@ def _whole_petal_problem(model, petal, base, t):
         p = model.uhp_orbit(base, t)
         problem = None
     except PrecisionError as exc:
+        if str(exc).startswith("speeds._eta_frame:"):
+            return "refused", None
         problem = f"PrecisionError: {exc}"
     except DomainError:
         return "refused", None
