@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .hypcore import HALF_PI_LO, PI_LO, DomainError, PrecisionError
@@ -152,6 +152,11 @@ class MapStep:
         """The step's derivatives at the points zs, whose images
         ``apply_all(zs)`` are ws."""
         raise NotImplementedError
+
+    def apply_near(self, anchors: Sequence[complex], offsets: Sequence[complex]) -> list[complex]:
+        """The images of the points c + d of the anchors c and offsets d; a
+        step whose map would lose a small d next to c reads the pair."""
+        return self.apply_all(list(map(add, anchors, offsets)))
 
     def cut_distance(self, z: complex) -> float:
         """The distance from z to the branch cut of a step that has one."""
@@ -384,6 +389,10 @@ class SlitOpenStep(MapStep):
     def apply_all(self, zs: Sequence[complex]) -> list[complex]:
         return _uhp_sqrts([z * z - 1.0 for z in zs])
 
+    def apply_near(self, anchors: Sequence[complex], offsets: Sequence[complex]) -> list[complex]:
+        # (c + d)^2 - 1 = (c^2 - 1) + d (d + 2 c): no cancellation at c = +-1.
+        return _uhp_sqrts([(c * c - 1.0) + d * (d + 2.0 * c) for c, d in zip(anchors, offsets)])
+
     derivatives = SlitCloseStep.derivatives
 
     def cut_distances(self, zs: Sequence[complex]) -> list[float]:
@@ -484,13 +493,18 @@ class ConformalChain:
         _walk_all(self._forward, self._sources((w,)), accs)
         return accs[0]
 
-    def inverse_and_derivative(self, q: complex) -> tuple[complex, complex]:
+    def inverse_and_derivative(self, q: complex,
+                               offset: Optional[complex] = None) -> tuple[complex, complex]:
         """Preimage w of an interior target point q and the derivative
         dw/dq of the inverse map there, from one inverse walk, which also
-        checks each preimage against its forward step's cut."""
+        checks each preimage against its forward step's cut.  Given
+        ``offset``, the target is q + offset, which the first inverse step
+        reads from the pair (``MapStep.apply_near``)."""
         accs = [1.0 + 0j]
-        ws = _walk_all(self._inverse, _targets((q,)), accs)
-        return self._preimages((q,), ws)[0], accs[0]
+        near = None if offset is None else ((q,), (offset,))
+        qs = (q,) if near is None else (q + offset,)
+        ws = _walk_all(self._inverse, _targets(qs), accs, near)
+        return self._preimages(qs, ws)[0], accs[0]
 
     def eval_all(self, ws: Sequence[complex]) -> list[complex]:
         """The values of ``[self.eval(w) for w in ws]`` from one list walk."""
@@ -531,18 +545,21 @@ class ConformalChain:
         return anchor, L, turns % 4 == 2
 
 
-def _walk_all(walk: _Walk, zs: list[complex],
-              accs: Optional[list[complex]] = None) -> list[complex]:
+def _walk_all(walk: _Walk, zs: list[complex], accs: Optional[list[complex]] = None,
+              near: Optional[tuple] = None) -> list[complex]:
     """Images of the points zs under the steps of a walk, one step over the
     whole list at a time: its cut check, its ``apply_all`` (and, given the
     running chain rule products accs, its ``derivatives``, multiplied into
     accs in place), the finiteness of its images and, on an inverse walk,
     the forward step's cut check of them, each over every point before the
-    next.  Each product must end nonzero and finite."""
+    next.  Each product must end nonzero and finite.  Given ``near``, a
+    pair (anchors, offsets) whose sums are zs, the first step's images are
+    its ``apply_near`` of the pair."""
     for i, step, forward in walk:
         _check_cuts(step, zs, i)
         try:
-            ws = step.apply_all(zs)
+            ws = step.apply_all(zs) if near is None else step.apply_near(*near)
+            near = None
             if accs is not None:
                 accs[:] = map(mul, accs, step.derivatives(zs, ws))
         except (OverflowError, ZeroDivisionError) as exc:

@@ -2,14 +2,11 @@
 diagnostics.
 
 The flow is exact in Omega coordinates (translation or scaling), so all
-semigroup quantities reduce to coordinate transport.  ``flow`` reports an
-orbit point in the disk chart while that chart can still hold it as a
-float: it reads the point from the logarithmic canonical form of
-``KoenigsModel.uhp_orbit``, the chain walked in log space.  Only a point
-whose float modulus lies within ``_GAP_BAND`` of the unit circle has its
-exact gap 1 - |z|^2 read from ``hypcore.uhp_log_disk_gap``; one farther in
-has a gap far above ``MIN_DISK_GAP``.  So a deep backward orbit loses the
-disk chart before the log form fails.
+semigroup quantities reduce to coordinate transport: ``flow`` reads its
+disk point from the log-space orbit of ``KoenigsModel.uhp_orbit``, and the
+generator is read from the chain's inverse walk with derivatives.  Next to
+a repelling point sigma that walk starts from q - C(sigma) as a Moebius
+difference, so that every radial ratio keeps full relative precision.
 """
 
 from __future__ import annotations
@@ -20,14 +17,8 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .confmap import MapDomainError
-from .hypcore import (
-    CAYLEY,
-    CAYLEY_INVERSE,
-    DomainError,
-    disk_of_uhp,
-    uhp_log_disk_gap,
-    uhp_log_distance,
-)
+from .hypcore import (CAYLEY, CAYLEY_INVERSE, DomainError, PrecisionError, disk_of_uhp,
+                      uhp_log_disk_gap, uhp_log_distance)
 from .models import KoenigsModel, Petal
 
 MIN_DISK_GAP = 1e-250
@@ -35,6 +26,9 @@ MIN_DISK_GAP = 1e-250
 # with abs(z) <= 1 - _GAP_BAND has an exact gap 1 - |z|^2 above about 1e-12,
 # far above MIN_DISK_GAP: only points inside the band need the log gap.
 _GAP_BAND = 1e-12
+# The k of the radial approach z_k = sigma (1 - 2^-k): C(z_k) lies about 2^-k
+# from a finite C(sigma), and 2^-39 is the last above the cut guard's 1e-12.
+RADIAL_KS = range(4, 40)
 
 
 class PetalRequiredError(DomainError):
@@ -125,7 +119,7 @@ def _generator_from_chart(model: KoenigsModel, ws: Sequence[complex],
     return gs
 
 
-def generator(model: KoenigsModel, z: complex) -> complex:
+def generator(model: KoenigsModel, z: complex, sigma: Optional[complex] = None) -> complex:
     """Infinitesimal generator of the disk semigroup at the disk point z.
 
     Differentiating the linearizing equation at t = 0 gives G = 1/h'
@@ -136,6 +130,11 @@ def generator(model: KoenigsModel, z: complex) -> complex:
     chain gives both h(z) and (F^-1)'(q).  A point that is not finite
     raises ``MapDomainError``, and so does a finite one off the open disk,
     after the Cayley pole z = 1 is refused.
+
+    Given a point sigma of the circle with a finite Cayley image, the walk
+    reads q as C(sigma) plus the Moebius difference det (z - sigma)/
+    ((c z + d)(c sigma + d)), which keeps q - C(sigma) to full relative
+    precision next to sigma, where the float q keeps it to ulp(C(sigma)).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -146,7 +145,12 @@ def generator(model: KoenigsModel, z: complex) -> complex:
         raise DomainError("point maps to the Cayley pole")
     if abs(z) >= 1.0:
         raise MapDomainError(f"{z!r} is outside the unit disk")
-    w, dw = model.chain.inverse_and_derivative((a * z + b) / den)
+    den_sigma = 0 if sigma is None else c * sigma + d
+    if den_sigma:
+        w, dw = model.chain.inverse_and_derivative(
+            (a * sigma + b) / den_sigma, det * (z - sigma) / (den * den_sigma))
+    else:
+        w, dw = model.chain.inverse_and_derivative((a * z + b) / den)
     return _generator_from_chart(model, (w,), (dw * (det / den**2),))[0]
 
 
@@ -160,23 +164,16 @@ class RepellingReport(NamedTuple):
     G(z)/((conj(sigma) z - 1)(z - sigma)) - (lam/2)(sigma + z)/(sigma - z),
     as (conj(sigma) z - 1)(z - sigma) = conj(sigma)(sigma - z)^2 and
     Re((sigma + z)/(sigma - z)) = (1 - |z|^2)/|sigma - z|^2.
-    ``ratios`` tracks G(z_k)/(z_k - sigma) at the points ``radial_points``
-    of the radial approach z_k = sigma (1 - 2^-k), k = 4, 5, .., and
-    ``ratio_estimate`` its extrapolated limit, which should equal -lam, or
-    NaN when a ratio is NaN.
-    ``radial_stop`` is the k at which a ``MapDomainError`` ended the radial
-    approach, None if it ran to k = 40; ``plateau`` is the index i of the
-    Richardson accelerant 2 r_{i+1} - r_i picked as ``ratio_estimate``,
-    with r_i = ``ratios[i]``.
+    ``ratios`` holds G(z_k)/(z_k - sigma) at the points ``radial_points``
+    of the radial approach z_k = sigma (1 - 2^-k), k in ``RADIAL_KS``, each
+    read to full relative precision; they tend to -lam, which the last one
+    reads within about 2^-k.
     """
 
     sigma_disk: complex
     min_julia_residual: float
     radial_points: tuple[complex, ...]
     ratios: tuple[complex, ...]
-    ratio_estimate: complex
-    radial_stop: Optional[int]
-    plateau: int
 
 
 def extreme_or_nan(pick, values: Sequence[float]) -> float:
@@ -199,13 +196,13 @@ def repelling_diagnostics(
     the generator is read from h = F^-1 o C at z, whose derivative is
     C'(z)/F'(w).  The disk points, their generators and the inequality's
     terms are read over the whole list of samples.  The radial approach
-    takes ``generator`` point by point.
+    takes ``generator`` point by point, given sigma.
     """
     if petal.lam is None:
-        raise DiagnosticError("diagnostics need a hyperbolic petal")
+        raise DiagnosticError("semigroup.repelling_diagnostics: needs a hyperbolic petal")
     ws = list(map(complex, samples))
     if not ws:
-        raise DiagnosticError("diagnostics need at least one sample")
+        raise DiagnosticError("semigroup.repelling_diagnostics: needs at least one sample")
     sigma = model.disk_sigma(petal).value
     half_lam = 0.5 * petal.lam
     # z = C^-1(q) = (a q + b)/(c q + d), and C'(z) = (c q + d)^2/det.
@@ -215,41 +212,14 @@ def repelling_diagnostics(
     dens = [c * q + d for q in qs]
     zs = [(a * q + b) / den for q, den in zip(qs, dens)]
     gs = _generator_from_chart(model, ws, [den * den / det / dq for den, dq in zip(dens, dqs)])
-    gaps = [sigma - z for z in zs]
     julias = [(sigma * g / gap ** 2).real - half_lam * (1.0 - abs(z) ** 2) / abs(gap) ** 2
-              for z, g, gap in zip(zs, gs, gaps)]
-    radial = []
-    ratios = []
-    radial_stop = None
-    for k in range(4, 41):
-        zk = sigma * (1.0 - 2.0 ** -k)
-        try:
-            g = generator(model, zk)
-        except MapDomainError:
-            # The chain's branch-cut guard refuses points this close to
-            # sigma; the plateau has long stabilized by then.
-            radial_stop = k
-            break
-        radial.append(zk)
-        ratios.append(g / (zk - sigma))
-    if len(ratios) < 10:
-        raise DiagnosticError("radial approach to sigma failed too early")
-    # First-order Richardson step for a sequence with error ~ 2^{-k},
-    # then pick the plateau where consecutive accelerants agree best.
-    rich = [2.0 * ratios[i + 1] - ratios[i] for i in range(len(ratios) - 1)]
-    best = min(range(len(rich) - 1), key=lambda i: abs(rich[i + 1] - rich[i]))
-    estimate = rich[best + 1]
-    if any(r != r for r in ratios):
-        # min skips NaN keys and would pick a plateau beside a NaN ratio.
-        estimate = complex(math.nan, math.nan)
+              for z, g, gap in zip(zs, gs, [sigma - z for z in zs])]
+    radial = tuple(sigma * (1.0 - 2.0 ** -k) for k in RADIAL_KS)
     return RepellingReport(
         sigma_disk=sigma,
         min_julia_residual=extreme_or_nan(min, julias),
-        radial_points=tuple(radial),
-        ratios=tuple(ratios),
-        ratio_estimate=estimate,
-        radial_stop=radial_stop,
-        plateau=best + 1,
+        radial_points=radial,
+        ratios=tuple(generator(model, z, sigma) / (z - sigma) for z in radial),
     )
 
 
@@ -261,7 +231,7 @@ def regularity_gap(
     Bounded values certify a regular orbit; computed in canonical
     coordinates, which the distances do not depend on.  A time t whose
     float t - 1 is not one below it (|t| >= 2^53, where t - 1 rounds) raises
-    ``DomainError`` instead of measuring a step of another length.
+    ``PrecisionError`` instead of measuring a step of another length.
     """
     w0 = require_petal(model, petal, z0)
     gaps = []
@@ -271,7 +241,7 @@ def regularity_gap(
         except OverflowError:
             raise DomainError("semigroup.regularity_gap: a time is past float range") from None
         if math.isfinite(t) and (t - 1.0) - t != -1.0:
-            raise DomainError(
+            raise PrecisionError(
                 f"semigroup.regularity_gap: t - 1 is not one below t = {t!r} in floats")
         a = model.uhp_orbit(w0, t - 1.0)
         b = model.uhp_orbit(w0, t)

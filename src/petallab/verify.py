@@ -23,7 +23,8 @@ from .bounds import BoundaryProfile, bound_ratio_series, gaussian_profile, logre
 from .hmeasure import ROUNDING_FLOOR, ApproachReport, Arc, approach_angle
 from .hypcore import DomainError, disk_distance, disk_of_uhp, uhp_distance, uhp_log_framed
 from .models import KoenigsModel, Petal, by_name, catalog, sample_petal_omega
-from .semigroup import extreme_or_nan, flow, regularity_gap, repelling_diagnostics, require_petal
+from .semigroup import (RADIAL_KS, extreme_or_nan, flow, regularity_gap, repelling_diagnostics,
+                        require_petal)
 from .speeds import (
     SpeedSeries,
     backward_grid,
@@ -105,6 +106,17 @@ PARABOLIC_SANDWICH_KS = (40, 52, 64, 128, 256, 512, 1023)
 # its real part: the sandwich also reads it, so that v_o there is read from
 # the base's log height and not from a rounded difference.
 NEAR_AXIS_PARABOLIC_BASE = -2.5 + 1e-17j
+# Closed forms of the radial ratio G(z)/(z - sigma) at z and sigma:
+# koebe-elliptic's G is -z (1 - z)/(1 + z), strip-slit's (1 - z)(1 + z^2)/(1 + z)
+# with 1 + z^2 = (z - sigma)(z - conj(sigma)) at sigma = +-i.  Every ratio is
+# read within RADIAL_FORM_TOL of its form, relative, and the last within
+# RADIAL_LIMIT_TOL of -lam; it reads sqrt(5) 2^-39 = 4.1e-12 off on strip-slit.
+RADIAL_RATIO_FORMS = {
+    "strip-slit": lambda z, sigma: (1.0 - z) * (z - sigma.conjugate()) / (1.0 + z),
+    "koebe-elliptic": lambda z, sigma: z / (1.0 + z),
+}
+RADIAL_FORM_TOL = 1e-12
+RADIAL_LIMIT_TOL = 1e-11
 
 
 def rate_threshold(target: float, tol: Optional[float] = None) -> float:
@@ -424,25 +436,22 @@ def _check_forward_rates() -> List[Part]:
 
 
 def _check_repelling_diagnostics(rng: random.Random) -> List[Part]:
+    """Each hyperbolic petal's Julia slack and radial ratios."""
     parts = []
     for model, petal in _all_petals():
         if petal.kind != "hyperbolic":
             continue
         rep = repelling_diagnostics(model, petal, sample_petal_omega(model, petal, 1000, rng))
-        est_err = abs(rep.ratio_estimate - (-petal.lam))
-        good = rep.min_julia_residual >= -1e-9 and est_err <= 1e-3
-        extra = ""
-        if model.name == "koebe-elliptic":
-            # Closed-form cross-check: the radial ratio equals z/(1+z).
-            gaps = [abs(ratio - z / (1.0 + z))
-                    for z, ratio in zip(rep.radial_points, rep.ratios)]
-            good = good and all(gap <= 1e-9 for gap in gaps)
-            extra = f", closed-form gap {extreme_or_nan(max, gaps):.1e}"
-        parts.append((
-            f"{model.name}/{petal.label}: julia {rep.min_julia_residual:.1e}, "
-            f"rate err {est_err:.1e}{extra}, radial stop {rep.radial_stop}, plateau {rep.plateau}",
-            good,
-        ))
+        form = RADIAL_RATIO_FORMS[model.name]
+        forms = [form(z, rep.sigma_disk) for z in rep.radial_points]
+        parts += [
+            (f"{model.name}/{petal.label}: julia {rep.min_julia_residual:.1e}",
+             rep.min_julia_residual >= -1e-9),
+            _at_most(f"{len(forms)} radial ratios off their closed form by",
+                     [abs(r - f) / abs(f) for r, f in zip(rep.ratios, forms)], RADIAL_FORM_TOL),
+            _at_most(f"ratio at k = {RADIAL_KS[-1]} off -lam = {-petal.lam} by",
+                     [abs(rep.ratios[-1] + petal.lam)], RADIAL_LIMIT_TOL),
+        ]
     return parts
 
 

@@ -53,6 +53,10 @@ Only the tests use these, so they live here rather than in the package:
   ``mp_orbit_reading``), against which the orbits' log Im q and angular
   gap and the three speeds are checked out to |t| = 1e300, and on which
   the edges of each catalog domain must land on the real axis;
+- the chains' inverse steps walked in mpmath (``mp_eval_inverse``), and
+  through them the radial ratio G(z)/(z - sigma) of the generator, with
+  h = F^-1 o C differentiated by ``mpmath.diff`` (``mp_radial_ratio``),
+  against which every ratio of the radial approach is checked;
 - the complement of a circular arc (``arc_complement``), against which
   harmonic measures are checked to add up to one;
 - the tanh-sinh upper bound over the same geometric panels
@@ -952,6 +956,43 @@ def mp_eval(chain: ConformalChain, w):
     for step in chain.steps:
         anchor, delta = _mp_step(step, anchor, delta)
     return anchor, delta
+
+
+def mp_eval_inverse(chain: ConformalChain, q):
+    """The preimage of the mpmath point q under the chain: each step's
+    inverse in mpmath, in reverse order, on the branch that the step's
+    float inverse takes, at the current mpmath precision."""
+    z = q
+    for step in reversed(chain.steps):
+        if isinstance(step, Affine):
+            z = (z - mpmath.mpc(step.b)) / mpmath.mpc(step.a)
+        elif isinstance(step, ExpStep):
+            z = _mp_branch_log(z, mpmath.pi)
+        elif isinstance(step, PowerStep):
+            alpha = mpmath.mpf(step.q) / step.p
+            z = mpmath.exp(alpha * _mp_branch_log(z, _mp_quarters(step.cut)))
+        elif isinstance(step, SlitCloseStep):
+            r = mpmath.sqrt(z * z - 1)
+            z = -r if r.imag < 0 else r
+        else:
+            raise TypeError(f"no mpmath inverse for {type(step).__name__}")
+    return z
+
+
+def mp_radial_ratio(model: KoenigsModel, z: complex, sigma: complex, dps: int = 60):
+    """G(z)/(z - sigma) as an mpc at ``dps`` digits, for the float disk
+    points z and sigma taken as exact: G = 1/h' on a translation model and
+    -mu h/h' on the scaling one, with h = F^-1 o C (``mp_eval_inverse``
+    after the Cayley map) and h' from ``mpmath.diff``."""
+    cay = CAYLEY_DISK_TO_UHP
+    a, b, c, d = (mpmath.mpc(x) for x in (cay.a, cay.b, cay.c, cay.d))
+    with mpmath.workdps(dps):
+        def h(x):
+            return mp_eval_inverse(model.chain, (a * x + b) / (c * x + d))
+        x = mpmath.mpc(z)
+        dh = mpmath.diff(h, x)
+        g = -model.mu * h(x) / dh if model.kind == "elliptic" else 1 / dh
+        return g / (x - mpmath.mpc(sigma))
 
 
 def mp_chart(image, w):

@@ -187,8 +187,8 @@ def _zero_steps(real):
     # (test_semigroup's test_nan_derivative_raises).
     (semigroup, "_generator_from_chart", _nan_at_value(2), {"repelling-point-diagnostics"}),
     # The 12th point of strip-slit/upper's radial approach, the first
-    # per-point generator calls: min would pick a plateau beside the NaN
-    # ratio.
+    # per-point generator calls: max would skip the NaN ratio's gap to its
+    # closed form and report the finite ones.
     (semigroup, "generator", _nan_on_call(12), {"repelling-point-diagnostics"}),
     # A first regularity step of 0 leaves every growth undefined.
     (verify, "regularity_gap", _zero_steps, {"structural-consistency"}),
@@ -303,6 +303,11 @@ def _unsharp(item, check):
                  marks=_unsharp(2, "checks the step against its limit")),
     pytest.param(verify, "regularity_gap", _zero_steps,
                  {"structural-consistency"}, id="step-underflow-all"),
+    # A generator 1e-10 off, relative: every radial ratio misses its closed
+    # form by 1e-10, and the last misses -lam by 2e-10 on strip-slit, which
+    # a window of 1e-3 around an extrapolated limit let through.
+    pytest.param(semigroup, "generator", _on_steps(lambda g: g * (1.0 + 1e-10)),
+                 {"repelling-point-diagnostics"}, id="generator-scaled"),
     # A wrong angle: hmeasure.approach_angle's Aitken step extrapolating
     # the creep of rounded disk points, as in benchmark boundary_probes.
     pytest.param(verify, "approach_angle", _orbit_angle_plus(0.3),

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from oracles import omega_of_disk, reference_flow, reference_generator, reference_herglotz_real
-from petallab import semigroup
+from oracles import (mp_radial_ratio, omega_of_disk, reference_flow, reference_generator,
+                     reference_herglotz_real)
+from petallab import semigroup, verify
 from petallab.confmap import ConformalChain, MapDomainError
-from petallab.hypcore import DomainError, disk_of_uhp, uhp_log_disk_gap
+from petallab.hypcore import DomainError, PrecisionError, disk_of_uhp, uhp_log_disk_gap
 from petallab.models import by_name, catalog, sample_petal_omega
 from petallab.semigroup import (
     DiagnosticError,
@@ -223,6 +224,17 @@ class TestGenerator:
             expected = -z * (1.0 - z) / (1.0 + z)
             assert abs(generator(m3, z) - expected) <= 1e-10 * max(1.0, abs(expected))
 
+    def test_strip_slit_closed_form(self):
+        # G = (1 - z)(1 + z^2)/(1 + z): h'(z) = 1/G, from the closed form
+        # h(z) = log(1 - C(z)^2)/2 of the inverse chain.
+        m1 = by_name("strip-slit")
+        rng = random.Random(RNG_SEED)
+        for _ in range(400):
+            r = math.sqrt(rng.uniform(0.0, 0.9))
+            z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            expected = (1.0 - z) * (1.0 + z * z) / (1.0 + z)
+            assert abs(generator(m1, z) - expected) <= 1e-12 * max(1.0, abs(expected))
+
     def test_koebe_values(self):
         m3 = by_name("koebe-elliptic")
         assert generator(m3, 0j) == 0j
@@ -284,7 +296,7 @@ class TestRepellingDiagnostics:
         samples = sample_petal_omega(model, petal, 300, rng)
         report = repelling_diagnostics(model, petal, samples)
         assert report.min_julia_residual >= -1e-9
-        assert abs(report.ratio_estimate - (-petal.lam)) <= 1e-3
+        assert abs(report.ratios[-1] + petal.lam) <= verify.RADIAL_LIMIT_TOL
 
     def test_generic_disk_samples_also_pass(self):
         # The two inequalities hold on the whole disk, not only on petals.
@@ -338,38 +350,77 @@ class TestRepellingDiagnostics:
         report = repelling_diagnostics(model, petal, samples)
         assert report.min_julia_residual == pytest.approx(min(julias), rel=1e-9)
 
-    def test_koebe_ratio_closed_form(self):
-        # G(z)/(z-1) = z/(1+z) -> 1/2 radially.
-        m3 = by_name("koebe-elliptic")
-        report = repelling_diagnostics(m3, m3.petal("main"), [0j])
-        assert len(report.radial_points) == len(report.ratios) == 37
-        for z, ratio in zip(report.radial_points, report.ratios):
-            # 1 - z = 2^-k, so the bound is 1e-6 (1 + 2^(k/2)).
-            assert abs(ratio - z / (1.0 + z)) <= 1e-6 * (1 + abs(1.0 - z) ** -0.5)
-
-    @pytest.mark.parametrize("name,label,stop", [
-        ("strip-slit", "upper", 40),
-        ("strip-slit", "lower", 40),
-        ("koebe-elliptic", "main", None),
-    ])
-    def test_radial_stop_and_plateau(self, name, label, stop):
-        # The one-walk generator stops the radial approach where the
-        # reference walk (eval_inverse, then derivative) does.
+    # Each hyperbolic petal's radial ratio G(z)/(z - sigma) in closed form:
+    # z/(1 + z) on koebe-elliptic, whose G is -z (1 - z)/(1 + z), and
+    # (1 - z)(z - conj(sigma))/(1 + z) on strip-slit, whose G is
+    # (1 - z)(1 + z^2)/(1 + z), with 1 + z^2 = (z - sigma)(z - conj(sigma)).
+    @pytest.mark.parametrize("name,label,form", [
+        pytest.param(name, label, form, id=f"{name}-{label}")
+        for name, label, form in (
+            ("strip-slit", "upper", lambda z, s: (1.0 - z) * (z - s.conjugate()) / (1.0 + z)),
+            ("strip-slit", "lower", lambda z, s: (1.0 - z) * (z - s.conjugate()) / (1.0 + z)),
+            ("koebe-elliptic", "main", lambda z, s: z / (1.0 + z)))])
+    def test_radial_ratio_closed_form(self, name, label, form):
         model = by_name(name)
         petal = model.petal(label)
         report = repelling_diagnostics(model, petal, [petal.base_default])
-        reference_stop = None
-        for k in range(4, 41):
-            try:
-                reference_generator(model, report.sigma_disk * (1.0 - 2.0 ** -k))
-            except MapDomainError:
-                reference_stop = k
-                break
-        assert report.radial_stop == reference_stop == stop
-        assert len(report.ratios) == (41 if stop is None else stop) - 4
-        i = report.plateau
-        assert 1 <= i <= len(report.ratios) - 2
-        assert report.ratio_estimate == 2.0 * report.ratios[i + 1] - report.ratios[i]
+        assert len(report.radial_points) == len(report.ratios) == 36
+        for z, ratio in zip(report.radial_points, report.ratios):
+            want = form(z, report.sigma_disk)
+            assert abs(ratio - want) <= 1e-12 * abs(want), (z, ratio, want)
+
+    @pytest.mark.parametrize("name,label", [
+        ("strip-slit", "upper"),
+        ("strip-slit", "lower"),
+        ("koebe-elliptic", "main"),
+    ])
+    def test_radial_approach_is_never_refused(self, name, label):
+        # z_k = sigma (1 - 2^-k) for k = 4 .. 39 on every petal, and no
+        # point refused: on strip-slit C(z_k) lies about 2^-k from C(sigma)
+        # = -+1, beyond the cut guard's 1e-12 through k = 39 alone.
+        model = by_name(name)
+        petal = model.petal(label)
+        report = repelling_diagnostics(model, petal, [petal.base_default])
+        sigma = report.sigma_disk
+        assert list(semigroup.RADIAL_KS) == list(range(4, 40))
+        assert report.radial_points == tuple(sigma * (1.0 - 2.0 ** -k) for k in range(4, 40))
+        assert len(report.ratios) == 36
+        assert all(map(cmath.isfinite, report.ratios))
+        if name == "strip-slit":
+            with pytest.raises(MapDomainError, match="of a branch cut"):
+                generator(model, sigma * (1.0 - 2.0 ** -40), sigma)
+
+    @pytest.mark.parametrize("name,label", [
+        ("strip-slit", "upper"),
+        ("strip-slit", "lower"),
+        ("koebe-elliptic", "main"),
+    ])
+    def test_radial_ratios_match_mpmath(self, name, label):
+        # Every ratio against G(z)/(z - sigma) from h = F^-1 o C in mpmath
+        # at 60 digits.  On strip-slit the float q = C(z_k) keeps q -+ 1 only
+        # to ulp(1), which left the ratios 3.6e-12 off at k = 19 and 4.2e-9
+        # at k = 28 before the walk read q - C(sigma) apart.
+        model = by_name(name)
+        petal = model.petal(label)
+        report = repelling_diagnostics(model, petal, [petal.base_default])
+        assert len(report.ratios) == 36
+        for z, ratio in zip(report.radial_points, report.ratios):
+            want = mp_radial_ratio(model, z, report.sigma_disk)
+            assert abs(ratio - complex(want)) <= 1e-12 * abs(want), (z, ratio, want)
+
+    def test_generator_near_sigma_matches_the_plain_walk_inside(self):
+        # Away from sigma the pair (C(sigma), offset) gives the float walk's
+        # value to rounding: the two forms name one point.
+        rng = random.Random(RNG_SEED + 7)
+        for model, petal in _model_petals():
+            if petal.kind != "hyperbolic":
+                continue
+            sigma = model.disk_sigma(petal).value
+            for _ in range(100):
+                r = math.sqrt(rng.uniform(0.0, 0.8))
+                z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                plain = generator(model, z)
+                assert abs(generator(model, z, sigma) - plain) <= 1e-12 * max(1.0, abs(plain))
 
     def test_parabolic_petal_rejected(self):
         m2 = by_name("sector-parabolic")
@@ -481,7 +532,7 @@ class TestRegularityGap:
         # -(2^53 + 2)), the two orbit points are not one time unit apart;
         # the step read 0.0 or 4.0 there instead of raising.
         for model, petal in _model_petals():
-            with pytest.raises(DomainError, match="semigroup.regularity_gap"):
+            with pytest.raises(PrecisionError, match="semigroup.regularity_gap"):
                 regularity_gap(model, petal, petal.base_default, [t])
 
     def test_integer_time_past_float_range_raises(self):
