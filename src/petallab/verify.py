@@ -476,10 +476,12 @@ def _check_approach_angles() -> List[Part]:
     petal = model.petal("upper")
     _, orb, _, good = orbit_angle(model, petal, petal.base_default, ORBIT_KMAX)
     lo, hi = APPROACH_ANGLE_WINDOW
+    # An inconclusive probe has no angle: it prints nan and fails its part.
+    rad_theta, orb_theta = (math.nan if r.inconclusive else r.theta for r in (rad, orb))
     return [
-        (f"radial angle {rad.theta:.6f} vs pi/2 = {math.pi / 2:.6f}",
-         not rad.inconclusive and abs(rad.theta - math.pi / 2) <= 1e-2),
-        (f"backward-orbit angle {orb.theta:.4f} inside ({lo:.4f}, {hi:.4f})", good),
+        (f"radial angle {rad_theta:.6f} vs pi/2 = {math.pi / 2:.6f}",
+         abs(rad_theta - math.pi / 2) <= 1e-2),
+        (f"backward-orbit angle {orb_theta:.4f} inside ({lo:.4f}, {hi:.4f})", good),
     ]
 
 

@@ -177,6 +177,17 @@ def _zero_steps(real):
     return planted
 
 
+def _inconclusive(radial):
+    """Plant an inconclusive report on the radial probe (``radial``), which
+    approaches 1, or on the orbit probe, which approaches its petal's sigma."""
+    def plant(real):
+        def planted(points, a, arc):
+            report = real(points, a, arc)
+            return report._replace(theta=None, reason="planted") if (a == 1.0) == radial else report
+        return planted
+    return plant
+
+
 @pytest.mark.parametrize("module,name,plant,failing", [
     (verify, "speed_series", _nan_last_speed,
      {"pythagorean-sandwich", "base-point-independence"}),
@@ -192,7 +203,12 @@ def _zero_steps(real):
     (semigroup, "generator", _nan_on_call(12), {"repelling-point-diagnostics"}),
     # A first regularity step of 0 leaves every growth undefined.
     (verify, "regularity_gap", _zero_steps, {"structural-consistency"}),
-], ids=["nan-speed", "nan-metric", "nan-generator", "nan-radial", "zero-step"])
+    # A probe with no angle, which the detail formatted as a float and
+    # raised TypeError instead of failing.
+    (verify, "approach_angle", _inconclusive(True), {"approach-angles"}),
+    (verify, "approach_angle", _inconclusive(False), {"approach-angles"}),
+], ids=["nan-speed", "nan-metric", "nan-generator", "nan-radial", "zero-step",
+        "inconclusive-radial", "inconclusive-orbit"])
 def test_planted_nan_fails_its_criteria(monkeypatch, module, name, plant, failing):
     # Each NaN comes among finite values, which max and min would report
     # instead: only a comparison per value catches it, and the failing

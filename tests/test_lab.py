@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import committed_outputs
 import petallab
 from petallab import speeds, verify
 from petallab.bounds import gaussian_profile, logrecip_profile
@@ -38,6 +39,24 @@ def parse_summary(path):
     return out
 
 
+ROWS = committed_outputs.read_table()
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_committed_output(tmp_path, row):
+    # tests/data/OUTPUTS.txt states each run and why it is pinned; a change
+    # that moves a line on purpose reruns tests/committed_outputs.py and
+    # lists the moved lines in CHANGES.md.
+    committed_outputs.run(row.args, str(tmp_path), ROWS)
+    committed = Path(committed_outputs.DATA, row.name)
+    assert (tmp_path / row.written).read_bytes() == committed.read_bytes()
+
+
+def test_the_table_names_every_committed_file():
+    table = os.path.basename(committed_outputs.TABLE)
+    assert {row.name for row in ROWS} == set(os.listdir(committed_outputs.DATA)) - {table}
+
+
 class TestSpeedsCommand:
     def test_writes_expected_rows(self, tmp_path, capsys):
         code = main([
@@ -50,66 +69,6 @@ class TestSpeedsCommand:
         assert lines[0] == "t,v,v_o,v_T"
         assert len(lines) == 18
         assert "17 rows" in capsys.readouterr().out
-
-    def test_readme_run_matches_the_committed_file(self, tmp_path):
-        # tests/data holds the file the README's speeds command writes; a
-        # change that moves a row on purpose rewrites it and says which
-        # rows moved.
-        assert main(["speeds", "--model", "strip-slit", "--petal", "0", "--kmax", "16",
-                     "--out", str(tmp_path)]) == 0
-        name = "speeds_strip-slit_p0.csv"
-        committed = Path(__file__).resolve().parent / "data" / name
-        assert (tmp_path / name).read_bytes() == committed.read_bytes()
-
-    def test_parabolic_run_matches_the_committed_file(self, tmp_path):
-        # The parabolic petal read out to t = -2^60, whose orbit angle's gap
-        # to pi is of order 1e-18 there.
-        assert main(["speeds", "--model", "sector-parabolic", "--petal", "0", "--kmax", "60",
-                     "--out", str(tmp_path)]) == 0
-        name = "speeds_sector-parabolic_p0.csv"
-        committed = Path(__file__).resolve().parent / "data" / name
-        assert (tmp_path / name).read_bytes() == committed.read_bytes()
-
-    @pytest.mark.parametrize("model,petal,base_re,base_im,kmax,committed", [
-        # A base whose image's height lies far below ulp of its real part,
-        # where eta is vertical: v_o is read from the base's log height
-        # (ROADMAP item 16; 19.542625377235272 at t = -1, as mpmath gives).
-        ("sector-parabolic", "0", "-2.5", "1e-17", "2",
-         "speeds_sector-parabolic_p0_near_axis.csv"),
-        # A base 1e-20 above koebe-elliptic's slit, where arg w0 rounds onto
-        # pi: the slit plane holds it, and its samples match mpmath to
-        # 2.2e-16 out to t = -2^60.
-        ("koebe-elliptic", "0", "-2", "1e-20", "60", "speeds_koebe-elliptic_p0_near_slit.csv"),
-        # A base far left along strip-slit's lower petal, whose image lies
-        # next to the finite sigma: the eta frame sends sigma to infinity,
-        # and the samples match mpmath to 4.4e-16 out to t = -2^60
-        # (ROADMAP item 17).
-        ("strip-slit", "1", "-19.406498421755607", "-1.5707963267948963", "60",
-         "speeds_strip-slit_p1_near_sigma.csv"),
-        # A base so far left along strip-slit's upper petal that the
-        # inverted base image's real part x0 is about -9.8e301: the frame
-        # reads it from the log form, and the samples match mpmath to
-        # 1.5e-14 out to t = -2^60.
-        ("strip-slit", "0", "-349.6", "0.78", "60", "speeds_strip-slit_p0_far_left.csv"),
-    ], ids=["sector-parabolic", "koebe-elliptic", "strip-slit-near-sigma", "strip-slit-far-left"])
-    def test_near_axis_run_matches_the_committed_file(self, tmp_path, model, petal, base_re,
-                                                      base_im, kmax, committed):
-        # The file name is the default base's run's, so tests/data keeps
-        # each under its own.
-        assert main(["speeds", "--model", model, "--petal", petal, "--base-re", base_re,
-                     "--base-im", base_im, "--kmax", kmax, "--out", str(tmp_path)]) == 0
-        committed = Path(__file__).resolve().parent / "data" / committed
-        assert (tmp_path / f"speeds_{model}_p{petal}.csv").read_bytes() == committed.read_bytes()
-
-    @pytest.mark.parametrize("model,petal", [("strip-slit", "1"), ("koebe-elliptic", "0")])
-    def test_other_petal_runs_match_the_committed_files(self, tmp_path, model, petal):
-        # With the two runs above, every catalog petal's samples out to
-        # t = -2^60 are held bit for bit.
-        assert main(["speeds", "--model", model, "--petal", petal, "--kmax", "60",
-                     "--out", str(tmp_path)]) == 0
-        name = f"speeds_{model}_p{petal}.csv"
-        committed = Path(__file__).resolve().parent / "data" / name
-        assert (tmp_path / name).read_bytes() == committed.read_bytes()
 
     def test_precision_refusals_name_their_layer(self, tmp_path, capsys, monkeypatch):
         # A precision refusal is a DomainError: the usage-error status 2.
@@ -321,16 +280,6 @@ class TestHmeasureCommand:
         assert len(rows) == 9
         assert abs(float(rows[-1].split()[1]) - 0.5) <= 1e-6
 
-    def test_readme_run_matches_the_committed_files(self, tmp_path):
-        # tests/data holds the two files the README's hmeasure command
-        # writes; a change that moves a line on purpose rewrites them and
-        # says which lines moved.
-        assert main(["hmeasure", "--model", "strip-slit", "--petal", "0",
-                     "--out", str(tmp_path)]) == 0
-        data = Path(__file__).resolve().parent / "data"
-        for name in ("hmeasure_strip-slit_p0.dat", "hmeasure_strip-slit_p0_summary.txt"):
-            assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
-
     def test_theta_is_verify_orbit_angle(self, tmp_path, monkeypatch):
         # verify's approach-angles check and the subcommand measure the
         # strip-slit upper orbit by one path, so they read the same theta.
@@ -504,23 +453,6 @@ class TestVerifyCommand:
 
     def test_seed_override_still_passes(self, tmp_path):
         assert main(["verify", "--seed", "7", "--out", str(tmp_path)]) == 0
-
-    def test_report_matches_the_committed_file(self, tmp_path):
-        # tests/data/verify_report.txt is the report at the default seed; a
-        # change that moves a line on purpose rewrites the file and says
-        # which lines moved.
-        assert main(["verify", "--out", str(tmp_path)]) == 0
-        committed = Path(__file__).resolve().parent / "data" / "verify_report.txt"
-        assert (tmp_path / "verify_report.txt").read_bytes() == committed.read_bytes()
-
-    @pytest.mark.parametrize("seed", [7, 123456])
-    def test_seeded_report_matches_the_committed_file(self, tmp_path, seed):
-        # The reports at two more seeds, whose draws differ from the default
-        # seed's, kept beside it as verify_report_seed<seed>.txt and
-        # rewritten the same way.
-        assert main(["verify", "--seed", str(seed), "--out", str(tmp_path)]) == 0
-        committed = Path(__file__).resolve().parent / "data" / f"verify_report_seed{seed}.txt"
-        assert (tmp_path / "verify_report.txt").read_bytes() == committed.read_bytes()
 
 
 class TestOutputRouting:
