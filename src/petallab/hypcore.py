@@ -16,10 +16,11 @@ the half-plane additionally gets an anchored logarithmic representation
 offset next to the negative axis by its small angle; distances between
 such points never materialize ``q`` itself.  Their framed logs are read
 modulo ``i pi``: a shift x with Re x < 0 has the log of -x taken, so that
-no angle is formed next to pi.  ``uhp_log_inverted_framed`` reads the
-point -1/(q - sigma), which sends a finite boundary point sigma to
-infinity, framed the same way, straight from the framed log of q - sigma:
-exact for a point anchored at sigma, and with no point object built.
+no angle is formed next to pi.  One reader, ``uhp_log_framed``, takes a
+boundary point sigma: None (infinity) reads q itself, and a finite sigma
+reads the point -1/(q - sigma), which sends sigma to infinity, straight
+from the framed log of q - sigma: exact for a point anchored at sigma,
+and with no point object built.
 Where a quarter or half turn must enter an angle, pi/2 and pi are held
 in two parts (``HALF_PI_LO``, ``PI_LO``), so that the angle's gap to 0
 keeps its bits.
@@ -66,7 +67,7 @@ def disk_of_uhp(q: complex) -> complex:
     a, b, c, d, _ = CAYLEY_INVERSE
     den = c * q + d
     if den == 0:
-        raise DomainError("point maps to the Cayley pole")
+        raise DomainError("hypcore.disk_of_uhp: point maps to the Cayley pole")
     return (a * q + b) / den
 
 
@@ -78,10 +79,12 @@ def disk_of_uhp_boundary(sigma: float | None) -> complex:
     return disk_of_uhp(complex(sigma))
 
 
-def _require_finite(*points: complex) -> None:
+def _require_finite(layer: str, *points: complex) -> None:
+    """``DomainError``, its message starting with ``layer``, the caller's
+    name, unless every point is finite."""
     for z in points:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError(f"non-finite point {z!r}")
+            raise DomainError(f"{layer}: non-finite point {z!r}")
 
 
 def disk_distance(z: complex, w: complex) -> float:
@@ -93,13 +96,13 @@ def disk_distance(z: complex, w: complex) -> float:
         log(|1 - conj(z) w| + |z - w|) - (log(1-|z|^2) + log(1-|w|^2)) / 2.
     """
     z, w = complex(z), complex(w)
-    _require_finite(z, w)
+    _require_finite("hypcore.disk_distance", z, w)
     gap_z = 1.0 - (z.real * z.real + z.imag * z.imag)
     if gap_z <= 0.0:
-        raise DomainError(f"{z!r} is not interior to the unit disk")
+        raise DomainError(f"hypcore.disk_distance: {z!r} is not interior to the unit disk")
     gap_w = 1.0 - (w.real * w.real + w.imag * w.imag)
     if gap_w <= 0.0:
-        raise DomainError(f"{w!r} is not interior to the unit disk")
+        raise DomainError(f"hypcore.disk_distance: {w!r} is not interior to the unit disk")
     num = abs(1.0 - z.conjugate() * w) + abs(z - w)
     # max guards the tiny negative rounding residue of near-identical points
     return max(0.0, math.log(num) - 0.5 * (math.log(gap_z) + math.log(gap_w)))
@@ -114,9 +117,10 @@ def uhp_distance(x: complex, y: complex) -> float:
         d = log((|x - conj(y)| + |x - y|) / 2) - (log Im x + log Im y) / 2.
     """
     x, y = complex(x), complex(y)
-    _require_finite(x, y)
+    _require_finite("hypcore.uhp_distance", x, y)
     if x.imag <= 0.0 or y.imag <= 0.0:
-        raise DomainError("half-plane points must have positive imaginary part")
+        raise DomainError(
+            "hypcore.uhp_distance: half-plane points must have positive imaginary part")
     num = abs(x - y.conjugate()) + abs(x - y)
     return max(0.0, math.log(num / 2.0) - 0.5 * (math.log(x.imag) + math.log(y.imag)))
 
@@ -144,13 +148,15 @@ class UhpLogPoint:
     def __init__(self, anchor: float | None, L: complex, neg: bool = False) -> None:
         if neg:
             if not -math.pi < L.imag < 0.0:
-                raise DomainError(f"signed log offset needs Im in (-pi, 0), got {L.imag!r}")
+                raise DomainError(
+                    f"hypcore.UhpLogPoint: signed log offset needs Im in (-pi, 0), got {L.imag!r}")
         elif not 0.0 < L.imag < math.pi:
-            raise DomainError(f"log offset needs Im in (0, pi), got {L.imag!r}")
+            raise DomainError(
+                f"hypcore.UhpLogPoint: log offset needs Im in (0, pi), got {L.imag!r}")
         if not math.isfinite(L.real):
-            raise DomainError("log offset must have finite real part")
+            raise DomainError("hypcore.UhpLogPoint: log offset must have finite real part")
         if anchor is not None and not math.isfinite(anchor):
-            raise DomainError("anchor must be finite or None")
+            raise DomainError("hypcore.UhpLogPoint: anchor must be finite or None")
         self.anchor = anchor
         self.L = L
         self.neg = neg
@@ -227,45 +233,37 @@ def uhp_log_distance(p: UhpLogPoint, q: UhpLogPoint) -> float:
     return d if d > 0.0 else 0.0
 
 
-def uhp_log_framed(p: UhpLogPoint, c: complex) -> complex:
-    """log(q - c) modulo i pi for q = anchor +- e^L, at the scale of L.  The
-    shift x = q - c has its log taken of x, or of -x when Re x < 0, so that
-    its Im lies in [-pi/2, pi/2] and an angle next to pi is read by its
-    gap; a point on its anchor c reads L itself.  Callers read Im modulo
-    pi."""
-    L = p.L
-    anchor = 0.0 if p.anchor is None else p.anchor
-    a = anchor - c
+def uhp_log_framed(p: UhpLogPoint, c: complex, sigma: float | None = None) -> complex:
+    """log(n - c) modulo i pi, at the scale of log n, for n = q = anchor +-
+    e^L when sigma is None (infinity), and otherwise for n = -1/(q - sigma),
+    which sends the boundary point sigma to infinity.  The shift x = n - c
+    has its log taken of x, or of -x when Re x < 0, so that its Im lies in
+    [-pi/2, pi/2] and an angle next to pi is read by its gap; a c on n's
+    anchor (q's, or 0 for a finite sigma) reads log n itself.  Callers read
+    Im modulo pi.  For a finite sigma, n = -+e^(-l), l the framed log of
+    q - sigma, which is L for a point anchored at sigma, so that no float
+    can lose q - sigma; no point object is built.  An l that holds no
+    interior n, Im l of 0 or +-pi or a non-finite Re l, raises
+    ``PrecisionError``."""
+    if sigma is None:
+        L, neg = p.L, p.neg
+        a = (0.0 if p.anchor is None else p.anchor) - c
+    else:
+        l = p.L if p.anchor == sigma else uhp_log_framed(p, sigma)
+        if not 0.0 < abs(l.imag) < math.pi:
+            raise PrecisionError(
+                f"hypcore.uhp_log_framed: log of q - sigma needs Im in (-pi, 0) "
+                f"or (0, pi), got {l.imag!r}")
+        if not math.isfinite(l.real):
+            raise PrecisionError(
+                f"hypcore.uhp_log_framed: log of q - sigma has non-finite Re {l.real!r}")
+        L, neg = -l, l.imag > 0.0
+        a = -c
     if a == 0.0:
         return L
     scale = L.real if L.real > 0.0 else 0.0
     e = cmath.exp(L - scale)
-    x = a * math.exp(-scale) + (-e if p.neg else e)
-    return scale + cmath.log(-x if x.real < 0.0 else x)
-
-
-def uhp_log_inverted_framed(p: UhpLogPoint, sigma: float, x0: float) -> complex:
-    """log(n - x0) modulo i pi for n = -1/(q - sigma), which sends the
-    boundary point sigma to infinity, read as ``uhp_log_framed`` reads the
-    point n.  q - sigma is e^l, or -e^l where Im l < 0, for l its framed
-    log, so n = -+e^(-l); x0 = 0 gives -l, n's own log modulo i pi.  A
-    point anchored at sigma reads l = L, with no float that could lose
-    q - sigma.  An l that holds no interior n, Im l of 0 or +-pi or a
-    non-finite Re l, raises ``PrecisionError``."""
-    l = p.L if p.anchor == sigma else uhp_log_framed(p, sigma)
-    if not 0.0 < abs(l.imag) < math.pi:
-        raise PrecisionError(
-            f"hypcore.uhp_log_inverted_framed: log of q - sigma needs Im in (-pi, 0) "
-            f"or (0, pi), got {l.imag!r}")
-    if not math.isfinite(l.real):
-        raise PrecisionError(
-            f"hypcore.uhp_log_inverted_framed: log of q - sigma has non-finite Re {l.real!r}")
-    L = -l
-    if x0 == 0.0:
-        return L
-    scale = L.real if L.real > 0.0 else 0.0
-    e = cmath.exp(L - scale)
-    x = -x0 * math.exp(-scale) + (-e if l.imag > 0.0 else e)
+    x = a * math.exp(-scale) + (-e if neg else e)
     return scale + cmath.log(-x if x.real < 0.0 else x)
 
 

@@ -10,14 +10,14 @@ chases.  Normalizing eta onto the imaginary axis turns both parts into
 closed forms of the log coordinates.  On every petal eta is made
 vertical: a finite boundary point sigma goes to infinity under
 q -> -1/(q - sigma), and a translation carries eta onto the axis;
-hypcore's ``uhp_log_inverted_framed`` reads both from the log of
-q - sigma, exact for an orbit point anchored at sigma.  Both parts are
-read once per sample through that framed log (``uhp_log_framed`` where
-sigma is infinite) and ``uhp_log_distance``, so they stay exact long
-after the orbit points themselves left float range, out to |t| = 1e300
-in every petal and next to a finite sigma: the log walk holds each orbit
-angle's gap to 0 or pi by itself, and the frame reads its angle modulo
-pi.  The one known limit is a gap far below the normal float range
+hypcore's one framed reader, ``uhp_log_framed(p, x0, sigma)``, reads
+both from the log of q - sigma, exact for an orbit point anchored at
+sigma, and from q itself where sigma is infinite.  Both parts are read
+once per sample through that framed log and ``uhp_log_distance``, so
+they stay exact long after the orbit points themselves left float
+range, out to |t| = 1e300 in every petal and next to a finite sigma:
+the log walk holds each orbit angle's gap to 0 or pi by itself, and the
+frame reads its angle modulo pi.  The one known limit is a gap far below the normal float range
 (ROADMAP item 11): from -3 + 1e-300 i the parabolic orbit's gap is
 6.7e-317 at |t| = 1e16, where v_T is off by 5.6e-11, and it underflows
 to 0 from about 1e24 on, where ``models.uhp_orbit`` refuses with
@@ -32,12 +32,13 @@ from it) and its eta frame come from ``_base_reading``, a memo of the
 last ``_BASE_READINGS`` bases.  Its key tells 0.0 from -0.0, a refusal is
 never stored, and every output is the one a fresh reading gives, bit for
 bit.  A sample then does only its own work, in ``_sample_at``: one walk
-(``models.KoenigsModel.uhp_orbit``), one framed log (of the inverted
-point where sigma is finite, read with no point object built), one
-distance (``hypcore.uhp_log_distance``) and its ``SpeedSample``.  The
-memo key and the sample's tuple are built in C, with no Python frame,
-and every call on the sample path passes its arguments directly: a
-starred call would build an argument tuple on every sample.
+(``models.KoenigsModel.uhp_orbit``), one framed log, one call for
+every sigma (of the inverted point where sigma is finite, read with no
+point object built), one distance (``hypcore.uhp_log_distance``) and
+its ``SpeedSample``.  The memo key and the sample's tuple are built in
+C, with no Python frame, and every call on the sample path passes its
+arguments directly: a starred call would build an argument tuple on
+every sample.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .hypcore import (
     UhpLogPoint,
     uhp_log_distance,
     uhp_log_framed,
-    uhp_log_inverted_framed,
 )
 from .models import KoenigsModel, Petal
 from .semigroup import require_petal
@@ -150,33 +150,27 @@ def dyadic_grid(k_min: int = 0, k_max: int = 16) -> list[float]:
     return [-(2.0 ** k) for k in range(k_min, k_max + 1)]
 
 
-def _eta_frame(petal: Petal, p0: UhpLogPoint) -> tuple[tuple, float]:
+def _eta_frame(sigma: float | None, p0: UhpLogPoint) -> tuple[tuple, float]:
     """The chart in which eta, the geodesic through the base image p0 ending
-    at the petal's boundary point ``sigma_canonical``, is the imaginary
-    axis, as ``(frame, re0)``.  The frame ``(sigma, x0)`` reads log N(q)
-    modulo i pi, for N(q) = n(q) - x0: n is the identity when sigma is
-    None (infinity), and otherwise n(q) = -1/(q - sigma)
-    (``uhp_log_inverted_framed``), which sends sigma to infinity and eta
+    at the boundary point sigma, a petal's ``sigma_canonical``, is the
+    imaginary axis, as ``(frame, re0)``.  The frame ``(sigma, x0)`` reads
+    log N(q) modulo i pi, for N(q) = n(q) - x0 (``uhp_log_framed(q, x0,
+    sigma)``): n is the identity when sigma is None (infinity), and
+    otherwise n(q) = -1/(q - sigma), which sends sigma to infinity and eta
     onto the vertical line through n(q0); x0 = Re n(q0) translates that
     line to Re = 0.  re0 = log Im n(q0), read from the log form: Re n(q0)
     - x0 would be only x0's rounding error once Im n(q0) falls below
-    ulp(x0).  Where sigma is finite, both come from L = log n(q0) modulo
-    i pi, with no point object: n(q0) is e^L, or -e^L where Im L < 0.
-    A base whose x0 the floats cannot hold, or whose Im n(q0) rounds to
-    0, raises ``PrecisionError``."""
-    sigma = petal.sigma_canonical
-    if sigma is None:
-        q0 = p0.value()
-        x0 = None if q0 is None else q0.real
-        re0 = p0.log_im()
-    else:
-        L = uhp_log_inverted_framed(p0, sigma, 0.0)
-        re0 = L.real + math.log(abs(math.sin(L.imag)))
-        x0 = None
-        if L.real <= _MAX_LOG_SCALE:
-            r = math.exp(L.real)
-            if r * math.sin(L.imag) != 0.0:
-                x0 = r * math.cos(L.imag) if L.imag > 0.0 else -(r * math.cos(L.imag))
+    ulp(x0).  Both come from L = log n(q0) modulo i pi, for every sigma
+    and with no point object: n(q0) is e^L, or -e^L where Im L < 0.  A
+    base whose x0 the floats cannot hold, or whose Im n(q0) rounds to 0,
+    raises ``PrecisionError``."""
+    L = uhp_log_framed(p0, 0.0, sigma)
+    re0 = L.real + math.log(abs(math.sin(L.imag)))
+    x0 = None
+    if L.real <= _MAX_LOG_SCALE:
+        r = math.exp(L.real)
+        if r * math.sin(L.imag) != 0.0:
+            x0 = r * math.cos(L.imag) if L.imag > 0.0 else -(r * math.cos(L.imag))
     if x0 is None:
         raise PrecisionError("speeds._eta_frame: base point has no finite canonical image")
     return (sigma, x0), re0
@@ -187,8 +181,8 @@ def _base_reading(model: KoenigsModel, petal: Petal, w0: complex,
                   key: bytes) -> tuple[complex, UhpLogBase, tuple, float]:
     """``(w0, p0, frame, re0)`` of the base w0: w0 once ``require_petal``
     has found it in the petal, p0 its time-0 orbit point, which stores its
-    log Im q, and ``(frame, re0) = _eta_frame(petal, p0)``.  ``key`` is
-    ``_base_key(w0.real, w0.imag)``.
+    log Im q, and ``(frame, re0) = _eta_frame(petal.sigma_canonical,
+    p0)``.  ``key`` is ``_base_key(w0.real, w0.imag)``.
 
     The reading is a pure function of its inputs, so it is memoised in a
     bounded LRU memo of ``_BASE_READINGS`` entries.  The key is exact:
@@ -198,7 +192,7 @@ def _base_reading(model: KoenigsModel, petal: Petal, w0: complex,
     bit for bit."""
     w0 = require_petal(model, petal, w0)
     p0 = UhpLogBase(model.uhp_orbit(w0, 0.0))
-    return (w0, p0, *_eta_frame(petal, p0))
+    return (w0, p0, *_eta_frame(petal.sigma_canonical, p0))
 
 
 def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
@@ -211,8 +205,7 @@ def _sample_at(model: KoenigsModel, w0: complex, p0: UhpLogPoint,
         return _new_sample((0.0, 0.0, 0.0, 0.0))
     p_t = model.uhp_orbit(w0, t)
     sigma, x0 = frame
-    ln_t = (uhp_log_framed(p_t, x0) if sigma is None
-            else uhp_log_inverted_framed(p_t, sigma, x0))
+    ln_t = uhp_log_framed(p_t, x0, sigma)
     v = uhp_log_distance(p0, p_t)
     # v_T = |log tan(r/2)| / 2, the distance to the axis at angle r mod pi,
     # read by two logs where 2 / sin r could overflow; an r of 0 modulo pi

@@ -31,7 +31,7 @@ Only the tests use these, so they live here rather than in the package:
   ``value_and_derivative_all``, must match bit for bit, errors included;
 - the framed log of the inverted point -1/(q - sigma) read through a
   point object (``inverted_framed_by_point``), which
-  ``hypcore.uhp_log_inverted_framed`` must match bit for bit;
+  ``hypcore.uhp_log_framed`` at a finite sigma must match bit for bit;
 - geodesics and closest-point projection in the three canonical domains,
   which cross-check the closed-form orthogonal/tangential split of
   ``petallab.speeds``;
@@ -595,8 +595,8 @@ def inverted_framed_by_point(p: UhpLogPoint, sigma: float, x0: float) -> complex
     """log(n - x0) modulo i pi for n = -1/(q - sigma), by two framed logs
     with a point between them: l = log(q - sigma) modulo i pi, n built as
     the point -+e^(-l) (minus where Im l > 0), and n's framed log at x0.
-    ``hypcore.uhp_log_inverted_framed`` builds no point, and must match
-    this read bit for bit."""
+    ``hypcore.uhp_log_framed(p, x0, sigma)`` builds no point, and must
+    match this read bit for bit."""
     l = uhp_log_framed(p, sigma)
     return uhp_log_framed(UhpLogPoint(None, -l, l.imag > 0.0), x0)
 

@@ -47,7 +47,6 @@ from petallab.hypcore import (
     uhp_log_disk_gap,
     uhp_log_distance,
     uhp_log_framed,
-    uhp_log_inverted_framed,
 )
 
 DISK = CanonicalDomain.DISK
@@ -104,8 +103,8 @@ class TestDiskDistance:
             disk_distance(0j, z)
 
     @pytest.mark.parametrize("z,message", [
-        (complex(math.nan, 0.0), r"^non-finite point \(nan\+0j\)$"),
-        (2.0, r"^\(2\+0j\) is not interior to the unit disk$"),
+        (complex(math.nan, 0.0), r"^hypcore\.disk_distance: non-finite point \(nan\+0j\)$"),
+        (2.0, r"^hypcore\.disk_distance: \(2\+0j\) is not interior to the unit disk$"),
     ], ids=["nan", "outside"])
     def test_rejects_first_point_off_the_open_disk(self, z, message):
         with pytest.raises(DomainError, match=message):
@@ -561,7 +560,7 @@ def _mp_inverted(anchor, L, sigma):
 
 
 class TestUhpLogInverted:
-    """``uhp_log_inverted_framed``: the framed log of the point
+    """``uhp_log_framed`` at a finite sigma: the framed log of the point
     -1/(q - sigma), which sends sigma to infinity; at x0 = 0 the log of
     that point itself, modulo i pi."""
 
@@ -569,7 +568,7 @@ class TestUhpLogInverted:
     def test_against_mpmath(self, anchor, L):
         for sigma in _SIGMAS:
             n, cond = _mp_inverted(anchor, L, sigma)
-            got = uhp_log_inverted_framed(UhpLogPoint(anchor, L), sigma, 0.0)
+            got = uhp_log_framed(UhpLogPoint(anchor, L), 0.0, sigma)
             with mpmath.workdps(50):
                 re, im = float(mpmath.log(abs(n))), float(mpmath.arg(n))
             assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), sigma
@@ -581,7 +580,7 @@ class TestUhpLogInverted:
             if anchor is None:
                 continue
             for p in (UhpLogPoint(anchor, L), UhpLogPoint(anchor, L.conjugate(), True)):
-                assert repr(uhp_log_inverted_framed(p, anchor, 0.0)) == repr(-p.L)
+                assert repr(uhp_log_framed(p, 0.0, anchor)) == repr(-p.L)
 
     @pytest.mark.parametrize("x0", [0.0, -0.0, 0.5, -0.5, 1e300, -1e300])
     def test_matches_the_read_through_a_point(self, x0):
@@ -596,7 +595,7 @@ class TestUhpLogInverted:
                    for _ in range(200)]
         for p in points:
             for sigma in _SIGMAS:
-                got = uhp_log_inverted_framed(p, sigma, x0)
+                got = uhp_log_framed(p, x0, sigma)
                 assert repr(got) == repr(inverted_framed_by_point(p, sigma, x0)), (p.L, sigma)
 
     def test_refusals_are_typed(self):
@@ -605,9 +604,9 @@ class TestUhpLogInverted:
         # interior log form.
         p = UhpLogPoint(None, complex(-800.0, 1.0))
         with pytest.raises(PrecisionError, match=(
-                r"^hypcore\.uhp_log_inverted_framed: log of q - sigma needs Im in \(-pi, 0\) "
+                r"^hypcore\.uhp_log_framed: log of q - sigma needs Im in \(-pi, 0\) "
                 r"or \(0, pi\), got 0\.0$")):
-            uhp_log_inverted_framed(p, 2.0, 0.0)
+            uhp_log_framed(p, 0.0, 2.0)
 
 
 class TestUhpLogFramed:
@@ -626,7 +625,7 @@ class TestUhpLogFramed:
                 # shift, and the shift's own cancellation next to x0.
                 cond = float((cond * abs(n) + abs(x0) + abs(n)) / abs(n - x0))
             re, im = float(exact.real), float(exact.imag)
-            got = uhp_log_inverted_framed(UhpLogPoint(anchor, L), sigma, x0)
+            got = uhp_log_framed(UhpLogPoint(anchor, L), x0, sigma)
             assert abs(got.real - re) <= 4 * _EPS * (cond + abs(re)), (sigma, x0)
             assert _off_mod_pi(got.imag, im) <= 4 * _EPS * (cond + math.pi), (sigma, x0)
 

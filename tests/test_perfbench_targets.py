@@ -155,8 +155,8 @@ def test_approach_angle_reaches_its_traced_measure(monkeypatch):
 
 
 def test_sample_builds_no_point_object():
-    # deep_orbits times _sample_at: it reads the inverted eta frame
-    # straight from the log of q - sigma.  Neither it nor a petallab
+    # deep_orbits times _sample_at: it reads every eta frame, the inverted
+    # one straight from the log of q - sigma, through one framed reader.  Neither it nor a petallab
     # function it calls by name, followed down, constructs a UhpLogPoint
     # (or a UhpLogBase); the orbit point it reads is the walk's own.
     from petallab import speeds
@@ -178,5 +178,5 @@ def test_sample_builds_no_point_object():
             held = func.__globals__.get(name)
             if inspect.isfunction(held) and held.__module__.startswith("petallab."):
                 todo.append(held)
-    assert {f.__name__ for f in seen} >= {"_sample_at", "uhp_log_inverted_framed",
-                                          "uhp_log_framed", "uhp_log_distance"}, seen
+    assert {f.__name__ for f in seen} >= {"_sample_at", "uhp_log_framed",
+                                          "uhp_log_distance"}, seen

@@ -29,7 +29,6 @@ from petallab.hypcore import (
     uhp_distance,
     uhp_log_disk_gap,
     uhp_log_framed,
-    uhp_log_inverted_framed,
 )
 from petallab.models import (
     HalfPlaneImage,
@@ -39,7 +38,7 @@ from petallab.models import (
     catalog,
     sample_petal_omega,
 )
-from petallab.semigroup import PetalRequiredError, flow
+from petallab.semigroup import PetalRequiredError, flow, require_petal
 from petallab.speeds import (
     EstimationError,
     SpeedSample,
@@ -231,12 +230,12 @@ class TestCrossValidation:
         m1 = by_name("strip-slit")
         petal = m1.petal("upper")
         p0 = UhpLogPoint(None, cmath.log(-1.0 + 2.0j))
-        (sigma, x0), re0 = _eta_frame(petal, p0)
+        (sigma, x0), re0 = _eta_frame(petal.sigma_canonical, p0)
         assert sigma == petal.sigma_canonical == -1.0
         assert x0 == pytest.approx(0.0, abs=1e-15)
         on_line = UhpLogPoint(None, cmath.log(-1.0 + 5.0j))
         # Read modulo pi, the point on the line sits at angle +-pi/2.
-        assert abs(uhp_log_inverted_framed(on_line, sigma, x0).imag) == pytest.approx(
+        assert abs(uhp_log_framed(on_line, x0, sigma).imag) == pytest.approx(
             math.pi / 2.0, abs=1e-15)
         # -1/(q0 - sigma) = i/2 sits at height 1/2 on the axis: re0 = -log 2.
         assert re0 == pytest.approx(-math.log(2.0), abs=1e-15)
@@ -313,7 +312,7 @@ class TestFramedAngle:
         frames = 0
         for model, petal in _model_petals():
             for w in [petal.base_default, *sample_petal_omega(model, petal, 10, rng)]:
-                (sigma, x0), _ = _eta_frame(petal, model.uhp_orbit(w, 0.0))
+                (sigma, x0), _ = _eta_frame(petal.sigma_canonical, model.uhp_orbit(w, 0.0))
                 if sigma is None:
                     continue
                 frames += 1
@@ -322,7 +321,7 @@ class TestFramedAngle:
                                                      rng.uniform(1e-9, math.pi - 1e-9)))
                            for _ in range(20)]
                 for p in points:
-                    theta = uhp_log_inverted_framed(p, sigma, x0).imag
+                    theta = uhp_log_framed(p, x0, sigma).imag
                     assert -math.pi < theta < math.pi, (model.name, w, p.L)
                     q = p.value()
                     if q is None or abs(q - sigma) < 1e-3:
@@ -502,7 +501,7 @@ class TestUnderflowedGap:
         model = by_name("sector-parabolic")
         petal = model.petal("main")
         text = (f"models.uhp_orbit: sector-parabolic orbit from {base!r} at t = {t!r}: "
-                "signed log offset needs Im in (-pi, 0), got 0.0")
+                "hypcore.UhpLogPoint: signed log offset needs Im in (-pi, 0), got 0.0")
         for read in (lambda: model.uhp_orbit(base, t),
                      lambda: speed_sample(model, petal, base, t)):
             with pytest.raises(PrecisionError) as info:
@@ -872,6 +871,21 @@ class TestExactOrRefusedOverWholePetals:
         _, problems = _whole_petal_sweep()
         assert problems.get("distance", []) == []
 
+    def test_infinite_sigma_frame_reads_the_base_value(self):
+        # Where sigma is infinite, _eta_frame reads x0 and re0 through the
+        # framed reader, as it does for a finite sigma: by repr, they are
+        # the real part of the base's plain value and its log Im q.  Every
+        # such draw's base lies in its petal and has a plain value.
+        bases = 0
+        for model, petal, base, _ in _whole_petal_draws():
+            if petal.sigma_canonical is None:
+                p0 = model.uhp_orbit(require_petal(model, petal, base), 0.0)
+                (_, x0), re0 = _eta_frame(None, p0)
+                assert (repr(x0), repr(re0)) == (repr(p0.value().real), repr(p0.log_im())), (
+                    model.name, base)
+                bases += 1
+        assert bases > 0
+
     @pytest.mark.parametrize("region", [
         pytest.param("item 11", marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 11: an angle gap below the normal float range reads "
@@ -1155,23 +1169,22 @@ class TestDyadicGrid:
                 dyadic_grid(k_min, -1070)
 
 
-def test_every_refusal_names_its_layer():
-    # Each DomainError or PrecisionError that speeds.py raises starts with
-    # "speeds.<function>:", naming a function the module defines, or, in
-    # the grid check that speed_series and verify.bound_ratios share, with
-    # the layer its caller names (TestSharedGridCheck).
+def _refusals_name_their_layer(module, count):
+    """Each DomainError or PrecisionError that ``module`` raises starts with
+    "<module>.<name>:", naming a function or class the module defines,
+    or, in a shared check, with the layer its caller names."""
     import ast
     import re
     from pathlib import Path
 
-    import petallab.speeds
-
-    tree = ast.parse(Path(petallab.speeds.__file__).read_text(encoding="utf-8"))
-    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     raises = [node.exc for node in ast.walk(tree) if isinstance(node, ast.Raise)
               and isinstance(node.exc, ast.Call)
               and getattr(node.exc.func, "id", None) in ("DomainError", "PrecisionError")]
-    assert len(raises) == 12
+    assert len(raises) == count
+    prefix = module.__name__.rpartition(".")[2]
     for call in raises:
         message = call.args[0]
         head = message.values[0] if isinstance(message, ast.JoinedStr) else message
@@ -1179,8 +1192,24 @@ def test_every_refusal_names_its_layer():
             assert ast.unparse(head.value) == "layer", ast.unparse(call)
             assert message.values[1].value.startswith(": "), ast.unparse(call)
             continue
-        match = re.match(r"speeds\.(\w+): ", head.value)
-        assert match and match.group(1) in functions, ast.unparse(call)
+        match = re.match(rf"{prefix}\.(\w+): ", head.value)
+        assert match and match.group(1) in names, ast.unparse(call)
+
+
+def test_every_refusal_names_its_layer():
+    # The grid check that speed_series and verify.bound_ratios share takes
+    # the layer its caller names (TestSharedGridCheck).
+    import petallab.speeds
+
+    _refusals_name_their_layer(petallab.speeds, 12)
+
+
+def test_every_hypcore_refusal_names_its_layer():
+    # The finiteness check that disk_distance and uhp_distance share takes
+    # the layer its caller names.
+    import petallab.hypcore
+
+    _refusals_name_their_layer(petallab.hypcore, 11)
 
 
 class TestSharedGridCheck:
