@@ -52,26 +52,24 @@ def test_committed_output(tmp_path, row):
     assert (tmp_path / row.written).read_bytes() == committed.read_bytes()
 
 
-def test_committed_runs_print_their_verdicts(tmp_path, capsys):
-    # The table pins what these README runs write; what they print it does not.
-    printed = {
-        "speeds_strip-slit_p0.csv": lambda out: "17 rows" in out,
-        "asymptote_koebe-elliptic_p0.csv": lambda out: "PASS asymptote" in out,
-        "verify_report.txt": lambda out: out.count("PASS") == 11,
-    }
-    for row in ROWS:
-        if row.name in printed:
-            assert main([*row.args, "--out", str(tmp_path)]) == 0
-            out = capsys.readouterr().out
-            assert printed[row.name](out), (row.args, out)
-
-
 def test_the_table_names_every_committed_file():
     table = os.path.basename(committed_outputs.TABLE)
     assert {row.name for row in ROWS} == set(os.listdir(committed_outputs.DATA)) - {table}
 
 
 class TestSpeedsCommand:
+    def test_writes_expected_rows(self, tmp_path, capsys):
+        code = main([
+            "speeds", "--model", "strip-slit", "--petal", "0",
+            "--kmax", "16", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        path = tmp_path / "speeds_strip-slit_p0.csv"
+        lines = read(path).splitlines()
+        assert lines[0] == "t,v,v_o,v_T"
+        assert len(lines) == 18
+        assert "17 rows" in capsys.readouterr().out
+
     def test_precision_refusals_name_their_layer(self, tmp_path, capsys, monkeypatch):
         # A precision refusal is a DomainError: the usage-error status 2.
         assert issubclass(PrecisionError, DomainError)
@@ -150,6 +148,19 @@ class TestSpeedsCommand:
 
 
 class TestAsymptoteCommand:
+    def test_elliptic_model_passes(self, tmp_path, capsys):
+        code = main([
+            "asymptote", "--model", "koebe-elliptic", "--petal", "0",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = parse_summary(tmp_path / "asymptote_koebe-elliptic_p0_summary.txt")
+        assert summary["status"] == "pass"
+        assert float(summary["slope"]) == pytest.approx(-0.25, rel=1e-6)
+        assert float(summary["target"]) == -0.25
+        assert float(summary["r2"]) > 0.999
+        assert "PASS asymptote" in capsys.readouterr().out
+
     def test_slope_is_verify_total_speed_slope(self, tmp_path, monkeypatch):
         # The subcommand and verify's total-speed-slopes check fit the
         # strip-slit upper petal by one path, so they read the same slope.
@@ -204,6 +215,13 @@ class TestAsymptoteCommand:
 
 
 class TestForwardCommand:
+    def test_translation_rate(self, tmp_path):
+        code = main(["forward", "--model", "strip-slit", "--out", str(tmp_path)])
+        assert code == 0
+        lines = read(tmp_path / "forward_strip-slit.csv").splitlines()
+        assert lines[0] == "t,v"
+        assert len(lines) == 14
+
     def test_parabolic_and_elliptic_rates_vanish(self, tmp_path):
         for name in ("sector-parabolic", "koebe-elliptic"):
             assert main(["forward", "--model", name, "--out", str(tmp_path)]) == 0
@@ -225,8 +243,26 @@ class TestForwardCommand:
 
 
 class TestHmeasureCommand:
-    # Petal 0's run is pinned in tests/data; petal 1's is not.
-    @pytest.mark.parametrize("petal", ["1"])
+    def test_hyperbolic_orbit_nontangential(self, tmp_path):
+        code = main([
+            "hmeasure", "--model", "strip-slit", "--petal", "0",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = parse_summary(tmp_path / "hmeasure_strip-slit_p0_summary.txt")
+        assert summary["status"] == "pass"
+        assert summary["tangential"] == "False"
+        theta = float(summary["theta"])
+        assert 0.05 * math.pi < theta < 0.95 * math.pi
+        data = read(tmp_path / "hmeasure_strip-slit_p0.dat").splitlines()
+        assert data[0].startswith("#")
+        # One row per kept orbit point, t = -1 .. -9: the orbit stops where
+        # disk_z comes within rounding reach of sigma.
+        assert [float(row.split()[0]) for row in data[1:]] == [
+            float(-k) for k in range(1, 10)
+        ]
+
+    @pytest.mark.parametrize("petal", ["0", "1"])
     def test_strip_slit_orbit_stops_above_rounding(self, tmp_path, petal):
         # Past t = -9 disk_z lies within about 2.2e-8 of sigma, and its
         # rounding error drove the lower petal's measures up to 0.565 by
@@ -346,6 +382,16 @@ class TestBoundsCommand:
         assert float(t) == -1000.0
         assert float(ratio) == pytest.approx(0.0059087552789821, rel=1e-12)
 
+    def test_gaussian_single_point(self, tmp_path):
+        code = main([
+            "bounds", "--profile", "gaussian", "--grid=-1e3",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        lines = read(tmp_path / "bounds_gaussian.dat").splitlines()
+        ratio = float(lines[1].split()[1])
+        assert ratio >= 0.249
+
     def test_gaussian_near_anchor_fails_window(self, tmp_path, capsys):
         code = main([
             "bounds", "--profile", "gaussian", "--grid=-10",
@@ -394,6 +440,20 @@ class TestBoundsCommand:
         # constant unit gap: upper bound is d0 + (t0 - t) = 1 + (t0 - t)
         t, ratio = lines[1].split()
         assert float(ratio) == pytest.approx((1.0 + 99.0) / 1e4, rel=1e-12)
+
+
+class TestVerifyCommand:
+    def test_full_suite_passes(self, tmp_path, capsys):
+        code = main(["verify", "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        report = read(tmp_path / "verify_report.txt").splitlines()
+        assert len(report) == 11
+        assert all(line.startswith("PASS") for line in report)
+        assert out.count("PASS") == 11
+
+    def test_seed_override_still_passes(self, tmp_path):
+        assert main(["verify", "--seed", "7", "--out", str(tmp_path)]) == 0
 
 
 class TestOutputRouting:
